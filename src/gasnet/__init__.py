@@ -4,6 +4,7 @@ wave-front-tracking simulator with Glimm-functional diagnostics."""
 
 from ._core import backend_name
 from .errors import (
+    EventBudgetExhausted,
     EventStarvation,
     GasnetError,
     NoConvergence,

@@ -50,6 +50,16 @@ class EventStarvation(GasnetError):
     """The event loop found no future event on an unbounded horizon."""
 
 
+class EventBudgetExhausted(GasnetError):
+    """The event loop used up its max_events budget before the horizon."""
+
+    def __init__(self, message, time=None, events=None, live_fronts=None):
+        super().__init__(message)
+        self.time = time
+        self.events = events
+        self.live_fronts = live_fronts
+
+
 class ScenarioParseError(GasnetError):
     """The scenario document is not well-formed."""
 

@@ -27,16 +27,31 @@ K_J is estimated once per run by probing the coupling solve with small
 incident waves on every pipe and approaching family; K_hat_J is then
 chosen with K_hat_J * V(0) < min(K_J, 1), which makes Y non-increasing
 at interactions for sufficiently weak data.
+
+Cost per event.  Each front caches its Glimm terms (scaled strength,
+family and shock class, state-jump norm), keyed on the identity of its
+``left`` and ``right`` states; each pipe caches its (V, Q, TV) and the
+absolute meeting time of every adjacent front pair, in ``times``, a list
+parallel to ``fronts``.  A collision, a junction event or a reflection
+splices the fronts it replaces into each pipe it touches, rechains them
+and recomputes only the pair times next to them; ``apply_source``
+rebuilds every pipe it rewrites.  An event then costs one pass over the
+cached terms of each pipe it touched (Q from running strength sums of
+the fronts behind each front), a C-level minimum over each pipe's pair
+times, and the O(n) position update of ``_move``; no Glimm term or pair
+time of an untouched front is recomputed.  Code that edits
+``PipeTrack.fronts`` or a front's position directly must call
+``_rechain()`` and then ``_dirty_all()``, which drops both caches and
+rebuilds every pipe's pair times.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._core import kernels
 from .compressor import CompressorProblem, solve_compressor
 from .errors import (
+    EventBudgetExhausted,
     EventStarvation,
     GasnetError,
     NonPositiveDensity,
@@ -73,7 +88,7 @@ class Front:
     """A moving discontinuity inside one pipe."""
 
     __slots__ = ("family", "kind", "position", "speed", "strength",
-                 "left", "right", "born_t", "born_x")
+                 "left", "right", "born_t", "born_x", "terms")
 
     def __init__(self, family, kind, position, speed, strength, left, right):
         self.family = family
@@ -85,6 +100,7 @@ class Front:
         self.right = right
         self.born_t = 0.0
         self.born_x = position
+        self.terms = None   # Glimm terms, see FrontTrackingState._front_terms
 
     def __repr__(self):
         return (f"Front(fam={self.family}, {self.kind}, x={self.position:.6g}, "
@@ -120,6 +136,8 @@ class PipeTrack:
         self.trace = trace
         self.fronts = []
         self.scales = scales
+        self.times = []      # times[k]: absolute meeting time of fronts k, k+1
+        self.glimm = None    # cached (V, Q, TV) of this pipe
 
     def states(self):
         yield self.trace
@@ -405,7 +423,6 @@ class FrontTrackingState:
                 lam_max = max(lam_max, max(abs(v) for v in eigenvalues(st, self.g)))
         self.lambda_max = lam_max
         self.lambda_hat = 1.1 * lam_max
-        self._q_cache = [None] * len(self.specs)
 
         # resolve the coupling and the interior jumps of the initial data
         sol, patterns = self._coupling_solve(traces0)
@@ -425,11 +442,12 @@ class FrontTrackingState:
                     track.fronts.append(f)
             track.fronts.sort(key=lambda f: (f.position, f.speed))
         self._rechain()
-        self._dirty_all()
 
-        # probe around the solved traces, where the coupling residual is zero
+        # probe around the solved traces, where the coupling residual is
+        # zero; K_J weights V, so it is fixed before any Glimm term is cached
         self.K_J = self._estimate_kj([t.trace for t in self.pipes])
-        v0 = self._functional_v()
+        self._dirty_all()
+        v0 = sum(self._pipe_glimm(i)[0] for i in range(len(self.pipes)))
         self.K_hat_J = 0.5 * min(self.K_J, 1.0) / v0 if v0 > 0.0 else 1.0
 
     # -- coupling ------------------------------------------------------------
@@ -506,58 +524,70 @@ class FrontTrackingState:
         towards = _APPROACHING[self.roles[pipe_index]]
         return 2.0 * self.K_J if front.family in towards else 1.0
 
-    def _functional_v(self):
-        return sum(self._weight(i, f) * self._scaled_strength(i, f)
-                   for i, track in enumerate(self.pipes) for f in track.fronts)
+    def _front_terms(self, i, f):
+        """Cache (left, right, scaled strength, family index, shock,
+        state-jump norm) of a front on pipe i; non-physical fronts get
+        family index 4.  The entry is valid while ``left`` and ``right``
+        are the very states it was computed from."""
+        fam = 4 if f.family == NONPHYSICAL else f.family
+        f.terms = (f.left, f.right, self._scaled_strength(i, f), fam,
+                   f.kind == SHOCK, self.scales[i].state_norm(f.left, f.right))
+        return f.terms
 
-    def _dirty_all(self):
-        self._q_cache = [None] * len(self.pipes)
-
-    def _pipe_q(self, i):
-        """Interaction potential of one pipe.
+    def _pipe_glimm(self, i):
+        """(V, Q, TV) of one pipe, from the cached front terms.
 
         A rear front approaches one ahead when its family is strictly
         larger, or equal with at least one shock; same-family rarefaction
         or contact pairs never approach (their curves compose exactly).
-        Non-physical fronts count as the fastest family.
+        Non-physical fronts count as the fastest family.  Q sums, over the
+        fronts, the strength times the strengths of the approaching fronts
+        behind it, read off running sums per family and shock class.
         """
-        if self._q_cache[i] is not None:
-            return self._q_cache[i]
-        fronts = self.pipes[i].fronts
-        total = 0.0
-        if len(fronts) > 1:
-            fam = np.array([99 if f.family == NONPHYSICAL else f.family
-                            for f in fronts])
-            shock = np.array([f.kind == SHOCK for f in fronts])
-            st = np.array([self._scaled_strength(i, f) for f in fronts])
-            for a in range(len(fronts) - 1):
-                fb = fam[a + 1:]
-                approaching = (fam[a] > fb) | (
-                    (fam[a] == fb) & (fam[a] != 99) & (shock[a] | shock[a + 1:]))
-                if approaching.any():
-                    total += st[a] * st[a + 1:][approaching].sum()
-        self._q_cache[i] = float(total)
-        return self._q_cache[i]
+        track = self.pipes[i]
+        if track.glimm is not None:
+            return track.glimm
+        towards = _APPROACHING[self.roles[i]]
+        weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
+        behind = [0.0] * 5
+        behind_shock = [0.0] * 5
+        v = q = tv = 0.0
+        for f in track.fronts:
+            t = f.terms
+            if t is None or t[0] is not f.left or t[1] is not f.right:
+                t = self._front_terms(i, f)
+            _, _, st, fam, shock, norm = t
+            v += weight[fam] * st
+            tv += norm
+            if fam != 4:
+                q += st * (sum(behind[fam + 1:])
+                           + (behind[fam] if shock else behind_shock[fam]))
+            behind[fam] += st
+            if shock:
+                behind_shock[fam] += st
+        track.glimm = (v, q, tv)
+        return track.glimm
 
-    def _functional_q(self):
-        return sum(self._pipe_q(i) for i in range(len(self.pipes)))
+    def _dirty_all(self):
+        """Drop every cached Glimm term and rebuild every pipe's pair times."""
+        for i, track in enumerate(self.pipes):
+            for f in track.fronts:
+                f.terms = None
+            self._reschedule(i)
 
     def total_variation(self):
-        tv = 0.0
-        for i, track in enumerate(self.pipes):
-            sc = self.scales[i]
-            for f in track.fronts:
-                tv += sc.state_norm(f.left, f.right)
-        return tv
+        return sum(self._pipe_glimm(i)[2] for i in range(len(self.pipes)))
 
     def glimm(self) -> GlimmDiagnostics:
-        v = self._functional_v()
-        q = self._functional_q()
+        v = q = tv = 0.0
+        for i in range(len(self.pipes)):
+            pv, pq, ptv = self._pipe_glimm(i)
+            v += pv
+            q += pq
+            tv += ptv
         n = sum(len(t.fronts) for t in self.pipes)
-        k_hat = getattr(self, "K_hat_J", 1.0)
-        k_j = getattr(self, "K_J", 1.0)
-        return GlimmDiagnostics(v, q, v + k_hat * q, self.total_variation(),
-                                n, k_j, k_hat)
+        return GlimmDiagnostics(v, q, v + self.K_hat_J * q, tv, n,
+                                self.K_J, self.K_hat_J)
 
     def traces(self):
         return [t.trace for t in self.pipes]
@@ -568,23 +598,67 @@ class FrontTrackingState:
     # -- event loop ------------------------------------------------------------
 
     def _next_event(self):
-        """(dt, kind, pipe, index) of the earliest future event, or None."""
+        """(dt, kind, pipe, index) of the earliest future event, or None.
+
+        Each pipe offers its junction arrival and its earliest stored pair
+        time, whose dt is then taken from the current positions.  Ties go
+        to the lower pipe, then to the junction, then to the lower index.
+        """
         best = None
         for i, track in enumerate(self.pipes):
             fronts = track.fronts
-            if fronts and fronts[0].speed < 0.0:
+            if not fronts:
+                continue
+            if fronts[0].speed < 0.0:
                 dt = max(fronts[0].position / -fronts[0].speed, 0.0)
                 if best is None or dt < best[0]:
                     best = (dt, "junction", i, 0)
-            for k in range(len(fronts) - 1):
-                rel = fronts[k].speed - fronts[k + 1].speed
-                tie = _SPEED_TIE * max(abs(fronts[k].speed), abs(fronts[k + 1].speed))
-                if rel <= tie:
-                    continue
-                dt = max((fronts[k + 1].position - fronts[k].position) / rel, 0.0)
-                if best is None or dt < best[0]:
-                    best = (dt, "collision", i, k)
+            t = min(track.times)
+            if t == math.inf:
+                continue
+            k = track.times.index(t)
+            a, b = fronts[k], fronts[k + 1]
+            dt = max((b.position - a.position) / (a.speed - b.speed), 0.0)
+            if best is None or dt < best[0]:
+                best = (dt, "collision", i, k)
         return best
+
+    def _pair_time(self, fronts, k):
+        """Absolute time at which fronts k and k+1 meet, inf if never."""
+        a, b = fronts[k], fronts[k + 1]
+        rel = a.speed - b.speed
+        if rel <= _SPEED_TIE * max(abs(a.speed), abs(b.speed)):
+            return math.inf
+        return self.time + max((b.position - a.position) / rel, 0.0)
+
+    def _reschedule(self, i):
+        """Recompute every pair time of pipe i and drop its (V, Q, TV)."""
+        track = self.pipes[i]
+        fronts = track.fronts
+        track.times = [self._pair_time(fronts, k) for k in range(len(fronts) - 1)]
+        if fronts:
+            track.times.append(math.inf)
+        track.glimm = None
+
+    def _rewrite(self, i):
+        """After pipe i's fronts were replaced wholesale."""
+        self._rechain_pipe(i)
+        self._reschedule(i)
+
+    def _splice(self, i, k, n_old, new):
+        """Replace fronts k..k+n_old-1 of pipe i by ``new``, rechain them
+        and the front after them, and recompute the pair times touched."""
+        track = self.pipes[i]
+        fronts, times = track.fronts, track.times
+        fronts[k:k + n_old] = new
+        times[k:k + n_old] = [math.inf] * len(new)
+        prev = fronts[k - 1].right if k else track.trace
+        for f in fronts[k:k + len(new) + 1]:
+            f.left = prev
+            prev = f.right
+        for j in range(max(k - 1, 0), min(k + len(new), len(fronts) - 1)):
+            times[j] = self._pair_time(fronts, j)
+        track.glimm = None
 
     def _move(self, dt):
         if dt <= 0.0:
@@ -619,7 +693,11 @@ class FrontTrackingState:
         self._move(dt)
         self.events += 1
         if self.events > self.max_events:
-            raise GasnetError(f"event budget {self.max_events} exhausted")
+            live = sum(len(t.fronts) for t in self.pipes)
+            raise EventBudgetExhausted(
+                f"event budget {self.max_events} exhausted at time {self.time:.6g} "
+                f"after {self.events} events with {live} live fronts",
+                time=self.time, events=self.events, live_fronts=live)
         g_before = self.glimm()
         if kind == "junction":
             rec_kind, pipe, v_minus, v_plus = self._handle_junction(i)
@@ -663,9 +741,7 @@ class FrontTrackingState:
             f.position = x
             f.born_x = x
             f.born_t = self.time
-        track.fronts[k:k + 2] = new
-        self._rechain_pipe(i)
-        self._q_cache[i] = None
+        self._splice(i, k, 2, new)
         v_plus = sum(self._scaled_strength(i, f) for f in new)
         return "collision", i, va + vb, v_plus
 
@@ -700,16 +776,14 @@ class FrontTrackingState:
 
     def _handle_junction(self, i):
         track = self.pipes[i]
-        front = track.fronts.pop(0)
+        front = track.fronts[0]
         self._retire(i, front, self.time)
         v_minus = self._scaled_strength(i, front)
         data_i = front.right
         if v_minus < self.rho_simpl or front.family == NONPHYSICAL:
             np_f = self._np_front(i, track.trace, data_i)
             np_f.born_t = self.time
-            track.fronts.insert(0, np_f)
-            self._rechain_pipe(i)
-            self._q_cache[i] = None
+            self._splice(i, 0, 1, [np_f])
             return "reflection", i, v_minus, np_f.strength
         data = [t.trace for t in self.pipes]
         data[i] = data_i
@@ -718,9 +792,7 @@ class FrontTrackingState:
         for j, track_j in enumerate(self.pipes):
             track_j.trace = patterns[j][1]
             new = self._pattern_fronts(j, patterns[j][0])
-            track_j.fronts = new + track_j.fronts
-            self._rechain_pipe(j)
-            self._q_cache[j] = None
+            self._splice(j, 0, 1 if j == i else 0, new)
             v_plus += sum(self._scaled_strength(j, f) for f in new)
         return "junction", i, v_minus, v_plus
 
@@ -789,8 +861,7 @@ class FrontTrackingState:
                     new_fronts.append(f2)
             track.trace = shifted[0]
             track.fronts = sorted(new_fronts, key=lambda f: (f.position, f.speed))
-            self._rechain_pipe(i)
-            self._q_cache[i] = None
+            self._rewrite(i)
         if not changed_any:
             return
         # traces moved: re-establish the coupling conditions at x = 0
@@ -801,8 +872,7 @@ class FrontTrackingState:
             new = self._pattern_fronts(j, patterns[j][0])
             track_j.fronts = new + track_j.fronts
             track_j.fronts.sort(key=lambda f: (f.position, f.speed))
-            self._rechain_pipe(j)
-            self._q_cache[j] = None
+            self._rewrite(j)
 
     def finalize_segments(self):
         """Close the open trajectory pieces of all live fronts."""

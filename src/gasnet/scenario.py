@@ -288,6 +288,9 @@ def _parse_run(doc, path, errs):
             errs.add(f"{path}.source.lambda_f", "must be >= 0")
         elif lf is not None and dia is not None:
             run.source = FrictionSource(lf, dia)
+    if run.epsilon_ladder is not None and run.source is not None:
+        errs.add(f"{path}.epsilon_ladder",
+                 "cannot be combined with a friction source: ladder runs are homogeneous")
     max_events = doc.get("max_events", run.max_events)
     if not isinstance(max_events, int) or max_events < 1:
         errs.add(f"{path}.max_events", "must be a positive integer")
@@ -575,9 +578,9 @@ def trace_residuals(state, specs, g: GasConstants, control=None):
     return out
 
 
-def _simulate_once(sc: Scenario, epsilon):
+def _simulate_once(sc: Scenario):
     g = sc.constants
-    state = init_approximation(sc.specs, sc.profiles, g, epsilon,
+    state = init_approximation(sc.specs, sc.profiles, g, sc.run.epsilon,
                                control=sc.control, tv_bound=sc.run.tv_bound,
                                max_events=sc.run.max_events)
     horizon = sc.run.horizon
@@ -605,7 +608,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
     if sc.run.source is not None:
         state, records = _simulate_once_with_source(sc)
     else:
-        state, records = _simulate_once(sc, sc.run.epsilon)
+        state, records = _simulate_once(sc)
     state.finalize_segments()
     glimm = state.glimm()
     ratios = [r.v_plus / r.v_minus for r in state.interactions
@@ -629,10 +632,11 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "seed": sc.run.seed,
     }
     if sc.run.epsilon_ladder:
-        finals = []
-        for eps in sc.run.epsilon_ladder:
-            st, _ = _simulate_once(sc, eps)
-            finals.append(st)
+        # ladder members only feed the L1 distances: no snapshots
+        finals = [init_approximation(sc.specs, sc.profiles, g, eps, control=sc.control,
+                                     tv_bound=sc.run.tv_bound,
+                                     max_events=sc.run.max_events).run(sc.run.horizon)
+                  for eps in sc.run.epsilon_ladder]
         x_max = max(sc.run.grid_length or 1.0,
                     state.lambda_hat * sc.run.horizon)
         summary["epsilon_ladder"] = sc.run.epsilon_ladder

@@ -93,6 +93,18 @@ def test_solver_failure_exit_code(tmp_path):
     assert code == EXIT_SOLVER
 
 
+def test_event_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "budget.yaml"
+    doc = GOOD.replace("mode: riemann", "mode: simulate\n  max_events: 2")
+    doc = doc.replace("{rho: 1.02, u: 0.3, kappa: 1.0}",
+                      "{pieces: [{x_right: 0.2, rho: 1.02, u: 0.3, kappa: 1.0},"
+                      " {x_right: 0.4, rho: 0.98, u: 0.3, kappa: 1.0},"
+                      " {x_right: null, rho: 1.03, u: 0.3, kappa: 1.0}]}")
+    path.write_text(doc, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
+    assert "event budget 2 exhausted" in capsys.readouterr().err
+
+
 def test_diagnose_reads_results(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     main(["riemann", "--scenario", str(scenario_file), "--out", str(out)])

@@ -357,3 +357,156 @@ def test_weak_form_residual_below_threshold():
         funcs = bump_test_functions(x_max=4.0, t_max=horizon)
         res = weak_form_residual(state, funcs, horizon)
         assert res <= 10.0 * eps, f"weak-form residual {res:g} above 10*eps"
+
+
+# -- oracle: cached Glimm terms and stored pair times against the definitions --
+
+
+def _reference_glimm(state):
+    """(V, Q, TV) recomputed from the definitions, O(n^2) per pipe."""
+    v = q = tv = 0.0
+    for i, track in enumerate(state.pipes):
+        fronts = track.fronts
+        for f in fronts:
+            v += state._weight(i, f) * state._scaled_strength(i, f)
+            tv += track.scales.state_norm(f.left, f.right)
+        if len(fronts) < 2:
+            continue
+        fam = np.array([99 if f.family == NONPHYSICAL else f.family for f in fronts])
+        shock = np.array([f.kind == SHOCK for f in fronts])
+        st = np.array([state._scaled_strength(i, f) for f in fronts])
+        for a in range(len(fronts) - 1):
+            fb = fam[a + 1:]
+            approaching = (fam[a] > fb) | (
+                (fam[a] == fb) & (fam[a] != 99) & (shock[a] | shock[a + 1:]))
+            if approaching.any():
+                q += st[a] * st[a + 1:][approaching].sum()
+    return v, q, tv
+
+
+def _reference_next_event(state):
+    """(dt, kind, pipe, index) by a linear scan over every front pair."""
+    best = None
+    for i, track in enumerate(state.pipes):
+        fronts = track.fronts
+        if fronts and fronts[0].speed < 0.0:
+            dt = max(fronts[0].position / -fronts[0].speed, 0.0)
+            if best is None or dt < best[0]:
+                best = (dt, "junction", i, 0)
+        for k in range(len(fronts) - 1):
+            rel = fronts[k].speed - fronts[k + 1].speed
+            if rel <= 1e-12 * max(abs(fronts[k].speed), abs(fronts[k + 1].speed)):
+                continue
+            dt = max((fronts[k + 1].position - fronts[k].position) / rel, 0.0)
+            if best is None or dt < best[0]:
+                best = (dt, "collision", i, k)
+    return best
+
+
+def _assert_close(a, b, rel=1e-12):
+    assert abs(a - b) <= rel * abs(b), (a, b)
+
+
+def _assert_glimm_matches(state):
+    gl = state.glimm()
+    v, q, tv = _reference_glimm(state)
+    _assert_close(gl.V, v)
+    _assert_close(gl.Q, q)
+    _assert_close(gl.Y, v + state.K_hat_J * q)
+    _assert_close(gl.TV, tv)
+    assert gl.front_count == sum(len(t.fronts) for t in state.pipes)
+
+
+def _oracle_run(state, horizon):
+    """Advance to the horizon, checking the scheduler before and the
+    functionals after every event; returns the number of events."""
+    _assert_glimm_matches(state)
+    n = 0
+    while state.time < horizon:
+        ev, ref = state._next_event(), _reference_next_event(state)
+        if ref is None:
+            assert ev is None
+        else:
+            assert ev[1:] == ref[1:]
+            assert abs(ev[0] - ref[0]) <= 1e-12 * max(1.0, ref[0])
+        events = state.events
+        t = state.advance(horizon)
+        n += state.events - events
+        _assert_glimm_matches(state)
+        if t >= horizon:
+            break
+    return n
+
+
+def test_oracle_mixed_model_tracking():
+    from test_acceptance import _mixed_model_tracking_scenario
+
+    state = _mixed_model_tracking_scenario()
+    assert _oracle_run(state, 4.0) >= 150
+
+
+def test_oracle_epsilon_ladder_run():
+    state = ladder_scenario(0.01)
+    assert _oracle_run(state, 1.2) >= 500
+    assert {r.kind for r in state.interactions} >= {"collision", "junction"}
+
+
+def test_oracle_friction_split_run():
+    from gasnet.fronttracking import FrictionSource
+    from test_splitting import perturbed_scenario
+
+    specs, profiles = perturbed_scenario()
+    state = init_approximation(specs, profiles, G, epsilon=0.02)
+    src = FrictionSource(0.02, 0.5)
+    events = 0
+    # seven of the ten splitting steps to t = 1; the last three hold
+    # four fifths of the events and the O(n^2) reference would dominate
+    for _ in range(7):
+        t0 = state.time
+        events += _oracle_run(state, t0 + 0.1)
+        state.apply_source(src, t0, 0.1)
+        _assert_glimm_matches(state)
+    assert events >= 500
+
+
+def test_event_budget_exhausted_carries_context():
+    from gasnet import EventBudgetExhausted, GasnetError
+
+    state = _rich_scenario()
+    state.max_events = 5
+    with pytest.raises(EventBudgetExhausted) as err:
+        state.run(3.0)
+    exc = err.value
+    assert isinstance(exc, GasnetError)
+    assert exc.events == 6 and exc.time == state.time
+    assert exc.live_fronts == sum(len(t.fronts) for t in state.pipes)
+    for text in ("budget 5", f"{exc.time:.6g}", "6 events", f"{exc.live_fronts} live fronts"):
+        assert text in str(exc)
+
+
+def test_scheduler_ties_follow_scan_order():
+    # identical approaching pairs in both outgoing pipes and twice within
+    # each: the scan order picks the lower pipe, then the lower index
+    specs, profiles = balanced_m3_junction()
+    state = init_approximation(specs, profiles, G, epsilon=0.01)
+    from gasnet.fronttracking import _front_from_jump
+
+    for track in state.pipes[1:]:
+        st = track.trace
+        fronts = []
+        for x in (0.25, 1.25):
+            mid = apply_wave(2, 0.02, st, G)
+            right = apply_wave(2, 0.015, mid, G)
+            f1, f2 = _front_from_jump(2, st, mid, G), _front_from_jump(2, mid, right, G)
+            f1.position, f2.position = x, x + 0.25
+            fronts += [f1, f2]
+            st = right
+        # the scheduler reads only positions and speeds: copy the first pair's
+        fronts[2].speed, fronts[3].speed = fronts[0].speed, fronts[1].speed
+        assert fronts[0].speed > fronts[1].speed
+        track.fronts = fronts
+    state._rechain()
+    state._dirty_all()
+    ev = state._next_event()
+    assert ev == _reference_next_event(state)
+    assert ev[1:] == ("collision", 1, 0)

@@ -192,3 +192,14 @@ def test_friction_source_parsed():
 
     assert isinstance(sc.run.source, FrictionSource)
     assert sc.run.source.lambda_f == 0.02
+
+
+def test_epsilon_ladder_with_friction_source_rejected():
+    doc = MINIMAL.replace(
+        "mode: riemann",
+        "mode: simulate\n  epsilon_ladder: [0.04, 0.02]\n"
+        "  source: {kind: friction, lambda_f: 0.02, diameter: 0.5}")
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert any("run.epsilon_ladder" in v and "friction" in v
+               for v in err.value.violations)
