@@ -203,3 +203,44 @@ def test_epsilon_ladder_with_friction_source_rejected():
         parse_scenario(doc)
     assert any("run.epsilon_ladder" in v and "friction" in v
                for v in err.value.violations)
+
+
+# the perturbed two-pipe M2 passthrough of the splitting tests, as a document
+FRICTION = """
+constants: {gamma: 1.4, R: 1.0}
+topology:
+  kind: junction
+  pipes:
+    - id: a
+      area: 1.0
+      model: M2
+      initial:
+        pieces:
+          - {x_right: 0.4, rho: 1.0, u: -0.35496478698597694, kappa: 1.0}
+          - {x_right: null, rho: 1.03, u: -0.35496478698597694, kappa: 1.0}
+    - id: b
+      area: 1.0
+      model: M2
+      initial:
+        pieces:
+          - {x_right: 0.6, rho: 1.0, u: 0.35496478698597694, kappa: 1.0}
+          - {x_right: null, rho: 0.97, u: 0.35496478698597694, kappa: 1.0}
+run:
+  mode: simulate
+  horizon: 0.5
+  epsilon: 0.02
+  snapshots: 3
+  grid: {points: 2, length: 1.0}
+  source: {kind: friction, lambda_f: 0.02, diameter: 0.5}
+"""
+
+
+def test_simulate_mode_with_friction_source():
+    res = run_scenario(parse_scenario(FRICTION))
+    assert len(res.records) == 3
+    events = [rec["diagnostics"]["events"] for rec in res.records]
+    assert events == sorted(events)
+    assert events[-1] == res.summary["events"] > 0
+    for rec in res.records:
+        assert rec["diagnostics"]["mass"] <= 1e-9
+        assert rec["diagnostics"]["enthalpy_spread"] <= 1e-8
