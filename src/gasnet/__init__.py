@@ -2,7 +2,6 @@
 hierarchy, entropy-preserving junction and compressor coupling, and a
 wave-front-tracking simulator with Glimm-functional diagnostics."""
 
-from ._core import backend_name
 from .errors import (
     EventBudgetExhausted,
     EventStarvation,

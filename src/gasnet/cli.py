@@ -61,7 +61,6 @@ def _build_parser():
         p.add_argument("--horizon", type=float, default=None,
                        help="override run.horizon")
         p.add_argument("--tol", type=float, default=None, help="override run.tol")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
 
     p_riemann = sub.add_parser("riemann", help="solve the coupled Riemann problem")
     add_common(p_riemann)
@@ -83,8 +82,6 @@ def _apply_overrides(sc, args, mode):
         sc.run.horizon = args.horizon
     if args.tol is not None:
         sc.run.tol = args.tol
-    if args.seed is not None:
-        sc.run.seed = args.seed
 
 
 def _write_result(result, path, out_dir, fmt):

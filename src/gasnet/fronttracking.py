@@ -48,7 +48,7 @@ rebuilds every pipe's pair times.
 import math
 from dataclasses import dataclass
 
-from ._core import kernels
+from . import kernels
 from .compressor import CompressorProblem, solve_compressor
 from .errors import (
     EventBudgetExhausted,
@@ -912,15 +912,6 @@ def init_approximation(specs, profiles, constants: GasConstants, epsilon,
         if tv > tv_bound:
             raise ValueError(f"initial total variation {tv:g} exceeds bound {tv_bound:g}")
     return state
-
-
-def advance(state: FrontTrackingState, horizon=None):
-    """Advance one event; returns (event_time, state)."""
-    return state.advance(horizon), state
-
-
-def glimm_functionals(state: FrontTrackingState) -> GlimmDiagnostics:
-    return state.glimm()
 
 
 def operator_split_step(state: FrontTrackingState, source, t0, dt) -> FrontTrackingState:

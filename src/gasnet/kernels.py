@@ -1,4 +1,4 @@
-"""Pure-Python wave-curve kernels.
+"""Wave-curve kernels.
 
 Scalar building blocks shared by the Riemann and coupling solvers: the
 mass-flux increments theta2/theta3 of the isentropic wave curves, the
@@ -6,8 +6,7 @@ velocity increment psi and density parameterization phi of the full Euler
 wave curves, their first derivatives, and the bracketed Newton solves for
 the star parameter of a two-state Riemann problem.
 
-Every function here is a pure function of floats so that the compiled
-backend (``gasnet._kernels``) can mirror it one to one.  The star solvers
+Every function here is a pure function of floats.  The star solvers
 return ``(value, iterations)``; ``iterations`` is negative on failure
 (-1: budget exhausted, -2: vacuum) and the callers translate that into
 exceptions.
@@ -17,8 +16,6 @@ the rarefaction side, where the closed forms stay regular.
 """
 
 from math import sqrt
-
-BACKEND = "python"
 
 
 def iso_sound_speed(rho, kappa, gamma):

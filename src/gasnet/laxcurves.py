@@ -20,7 +20,7 @@ closed forms in (rho, c, u) which are exposed separately by
 from dataclasses import dataclass
 from math import log, sqrt
 
-from ._core import kernels
+from . import kernels
 from .errors import NonPositiveDensity, NotSubsonic
 from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
 

@@ -12,7 +12,7 @@ contact, or fan edge resolves to the right-limit state.
 
 from dataclasses import dataclass
 
-from ._core import kernels
+from . import kernels
 from .errors import NoConvergence, VacuumFormation
 from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
 

@@ -43,11 +43,14 @@ from .compressor import (
 )
 from .errors import ScenarioParseError, ScenarioValidationError
 from .fronttracking import (
+    DEFAULT_MAX_EVENTS,
     FrictionSource,
     bump_test_functions,
     coupling_wave_pattern,
+    default_split_step,
     init_approximation,
     l1_distance,
+    operator_split_run,
     weak_form_residual,
 )
 from .junction import JunctionProblem, PipeSpec, solve_junction, verify_coupling
@@ -73,14 +76,13 @@ class RunConfig:
     epsilon: float = 0.01
     epsilon_ladder: list = None
     tol: float = 1e-10
-    seed: int = 0
     snapshots: int = 10
     sample_times: list = None
     grid_points: int = 32
     grid_length: float = None
     source: object = None
     tv_bound: float = None
-    max_events: int = 500_000
+    max_events: int = DEFAULT_MAX_EVENTS
 
 
 @dataclass
@@ -243,11 +245,6 @@ def _parse_run(doc, path, errs):
     run.epsilon = _num(doc, path, "epsilon", errs, default=run.epsilon, positive=True)
     run.tol = _num(doc, path, "tol", errs, default=run.tol, positive=True)
     run.tv_bound = _num(doc, path, "tv_bound", errs, default=None, positive=True)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errs.add(f"{path}.seed", f"must be an integer, got {seed!r}")
-    else:
-        run.seed = seed
     snaps = doc.get("snapshots", run.snapshots)
     if not isinstance(snaps, int) or snaps < 1:
         errs.add(f"{path}.snapshots", f"must be a positive integer, got {snaps!r}")
@@ -443,7 +440,7 @@ def normalized_document(sc: Scenario) -> dict:
             "control": control,
         }
     run = {"mode": sc.run.mode, "horizon": sc.run.horizon,
-           "epsilon": sc.run.epsilon, "tol": sc.run.tol, "seed": sc.run.seed,
+           "epsilon": sc.run.epsilon, "tol": sc.run.tol,
            "snapshots": sc.run.snapshots,
            "grid": {"points": sc.run.grid_points}}
     if sc.run.grid_length is not None:
@@ -533,7 +530,6 @@ def _run_riemann(sc: Scenario) -> RunResult:
         "tau": {s.id: sol.tau[i] for i, s in enumerate(sc.specs)
                 if sol.tau[i] is not None},
         "s_star": sol.s_star,
-        "seed": sc.run.seed,
     }
     if sc.kind == "junction":
         diag = verify_coupling(sol, problem)
@@ -579,16 +575,24 @@ def trace_residuals(state, specs, g: GasConstants, control=None):
 
 
 def _simulate_once(sc: Scenario):
+    """One tracked run with a snapshot record every horizon / snapshots;
+    with a friction source the run is operator-split between snapshots."""
     g = sc.constants
     state = init_approximation(sc.specs, sc.profiles, g, sc.run.epsilon,
                                control=sc.control, tv_bound=sc.run.tv_bound,
                                max_events=sc.run.max_events)
+    if sc.run.source is not None:
+        dx = (sc.run.grid_length or 1.0) / sc.run.grid_points
+        dt_split = default_split_step(state, dx)
     horizon = sc.run.horizon
     xs = _grid(sc)
     times = [horizon * (k + 1) / sc.run.snapshots for k in range(sc.run.snapshots)]
     records = []
     for t in times:
-        state.run(t)
+        if sc.run.source is None:
+            state.run(t)
+        else:
+            operator_split_run(state, sc.run.source, t, dt_split)
         glimm = state.glimm()
         pipes = {}
         traces = {}
@@ -605,10 +609,7 @@ def _simulate_once(sc: Scenario):
 
 def _run_simulate(sc: Scenario) -> RunResult:
     g = sc.constants
-    if sc.run.source is not None:
-        state, records = _simulate_once_with_source(sc)
-    else:
-        state, records = _simulate_once(sc)
+    state, records = _simulate_once(sc)
     state.finalize_segments()
     glimm = state.glimm()
     ratios = [r.v_plus / r.v_minus for r in state.interactions
@@ -629,7 +630,6 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "final": {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV},
         "max_residuals": trace_residuals(state, sc.specs, g, sc.control),
         "weak_form_residual": weak_form_residual(state, test_funcs, sc.run.horizon),
-        "seed": sc.run.seed,
     }
     if sc.run.epsilon_ladder:
         # ladder members only feed the L1 distances: no snapshots
@@ -644,35 +644,6 @@ def _run_simulate(sc: Scenario) -> RunResult:
             l1_distance(a, b, x_max) for a, b in zip(finals, finals[1:])
         ]
     return RunResult(records, summary)
-
-
-def _simulate_once_with_source(sc: Scenario):
-    from .fronttracking import default_split_step, operator_split_run
-
-    g = sc.constants
-    state = init_approximation(sc.specs, sc.profiles, g, sc.run.epsilon,
-                               control=sc.control, tv_bound=sc.run.tv_bound,
-                               max_events=sc.run.max_events)
-    dx = (sc.run.grid_length or 1.0) / sc.run.grid_points
-    dt_split = default_split_step(state, dx)
-    xs = _grid(sc)
-    times = [sc.run.horizon * (k + 1) / sc.run.snapshots
-             for k in range(sc.run.snapshots)]
-    records = []
-    for t in times:
-        operator_split_run(state, sc.run.source, t, dt_split)
-        glimm = state.glimm()
-        pipes = {}
-        traces = {}
-        for i, spec in enumerate(sc.specs):
-            states = [state.state_at(i, x) for x in xs]
-            pipes[spec.id] = {"x": xs, "states": [state_fields(s, g) for s in states]}
-            traces[spec.id] = state_fields(state.traces()[i], g)
-        diag = {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
-                "front_count": glimm.front_count, "events": state.events}
-        diag.update(trace_residuals(state, sc.specs, g, sc.control))
-        records.append(snapshot_record(t, pipes, traces, diag))
-    return state, records
 
 
 def run_scenario(sc: Scenario) -> RunResult:

@@ -129,7 +129,7 @@ def test_multiple_scenarios_jobs(scenario_file, tmp_path):
 def test_determinism_same_seed(scenario_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     main(["simulate", "--scenario", str(scenario_file), "--out", str(out1),
-          "--seed", "1", "--epsilon", "0.01"])
+          "--epsilon", "0.01"])
     main(["simulate", "--scenario", str(scenario_file), "--out", str(out2),
-          "--seed", "1", "--epsilon", "0.01"])
+          "--epsilon", "0.01"])
     assert (out1 / "good.json").read_bytes() == (out2 / "good.json").read_bytes()

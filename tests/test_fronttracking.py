@@ -12,9 +12,7 @@ from gasnet.fronttracking import (
     NONPHYSICAL,
     FrontTrackingState,
     accurate_solve,
-    advance,
     apply_wave,
-    glimm_functionals,
     init_approximation,
     l1_distance,
 )
@@ -41,11 +39,11 @@ def test_balanced_constant_data_has_no_fronts():
     specs, profiles = balanced_m3_junction()
     state = init_approximation(specs, profiles, G, epsilon=0.01)
     assert sum(len(t.fronts) for t in state.pipes) == 0
-    gl = glimm_functionals(state)
+    gl = state.glimm()
     assert gl.V == gl.Q == gl.Y == gl.TV == 0.0
     with pytest.raises(EventStarvation):
         state.advance(horizon=None)
-    t, _ = advance(state, horizon=2.0)
+    t = state.advance(horizon=2.0)
     assert t == 2.0
 
 
@@ -124,7 +122,7 @@ def test_two_front_collision_timing():
     state._rechain()
     state._dirty_all()
     dt_expected = (0.5 - 0.2) / (f1.speed - f2.speed)
-    t, _ = advance(state, horizon=1e9)
+    t = state.advance(horizon=1e9)
     assert t == pytest.approx(dt_expected, rel=1e-12)
 
 
@@ -147,7 +145,7 @@ def test_same_family_shock_merge_sheds_nonphysical():
     state._rechain()
     state._dirty_all()
     v1, v2 = f1.strength, f2.strength
-    advance(state, horizon=1e9)
+    state.advance(horizon=1e9)
     fams = [f.family for f in track.fronts]
     assert fams.count(2) == 1
     assert fams.count(NONPHYSICAL) == 1
@@ -179,7 +177,7 @@ def test_weak_wave_reflection_keeps_other_pipes_silent():
     state._rechain()
     state._dirty_all()
     trace_before = [t.trace for t in state.pipes]
-    advance(state, horizon=1e9)
+    state.advance(horizon=1e9)
     assert [len(t.fronts) for t in state.pipes] == [1, 0, 0]
     refl = state.pipes[0].fronts[0]
     assert refl.family == NONPHYSICAL
@@ -219,7 +217,7 @@ def test_glimm_single_front_and_pair():
     state._rechain()
     state._dirty_all()
     w1 = state._scaled_strength(1, f1)
-    gl = glimm_functionals(state)
+    gl = state.glimm()
     assert gl.V == pytest.approx(w1, rel=1e-12)
     assert gl.Q == 0.0
     # add an approaching front behind it (same family, rear one a shock)
@@ -229,14 +227,14 @@ def test_glimm_single_front_and_pair():
     f1.left = f2.right
     state._dirty_all()
     w2 = state._scaled_strength(1, f2)
-    gl = glimm_functionals(state)
+    gl = state.glimm()
     assert gl.Q == pytest.approx(w1 * w2, rel=1e-12)
     assert gl.Y == pytest.approx(gl.V + state.K_hat_J * gl.Q, rel=1e-12)
 
 
 def test_glimm_functional_definitions():
     state = _rich_scenario()
-    gl = glimm_functionals(state)
+    gl = state.glimm()
     # V from scratch
     v = 0.0
     for i, track in enumerate(state.pipes):
@@ -251,7 +249,7 @@ def test_glimm_functional_definitions():
 
 def test_run_invariants_weak_waves():
     state = _rich_scenario(amp=0.001, epsilon=0.005)
-    gl0 = glimm_functionals(state)
+    gl0 = state.glimm()
     assert state.K_hat_J * gl0.V < state.K_J
     state.run(3.0)
     assert len(state.interactions) >= 30
@@ -262,7 +260,7 @@ def test_run_invariants_weak_waves():
         assert r.Y_after <= r.Y_before + y_tol
         if r.kind in ("junction", "reflection") and r.v_minus > 0:
             assert r.v_plus <= state.K_J * r.v_minus
-    gl = glimm_functionals(state)
+    gl = state.glimm()
     assert gl.front_count < 2000
     assert gl.TV >= 0.0
 

@@ -1,13 +1,16 @@
-"""Wave-function kernels: frozen values, smoothness, monotonicity, and
-agreement between the compiled and pure-Python backends."""
+"""Wave-function kernels: frozen values, smoothness, monotonicity, and a
+single kernel module shared by every solver."""
 
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gasnet import _kernels_py as pk
-from gasnet._core import backend_name, kernels
+import gasnet.fronttracking
+import gasnet.laxcurves
+import gasnet.riemann
+from gasnet import kernels
 
 GAMMA = 1.4
 
@@ -137,37 +140,9 @@ def test_vacuum_detection():
     assert it == -2
 
 
-@pytest.mark.skipif(backend_name() == "python",
-                    reason="compiled backend not built")
-def test_backend_parity(rng):
-    from gasnet import _kernels as ck
-
-    assert ck.BACKEND == "cython"
-    fns = ["theta2", "dtheta2", "theta3", "dtheta3", "psi", "dpsi", "phi", "dphi"]
-    for _ in range(500):
-        x = rng.uniform(0.1, 4.0)
-        base = rng.uniform(0.3, 3.0)
-        aux = rng.uniform(0.3, 3.0)
-        for name in fns:
-            a = getattr(ck, name)(x, base, aux, GAMMA)
-            b = getattr(pk, name)(x, base, aux, GAMMA)
-            assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
-    for _ in range(200):
-        args = (rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), rng.uniform(0.3, 3.0),
-                rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), rng.uniform(0.3, 3.0),
-                GAMMA, 1e-12, 100)
-        pa, ia = ck.solve_p_star_m1(*args)
-        pb, ib = pk.solve_p_star_m1(*args)
-        assert pa == pytest.approx(pb, rel=1e-12)
-        args2 = (rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4),
-                 rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4),
-                 rng.uniform(0.5, 2.0), GAMMA, 1e-12, 100)
-        ra, _ = ck.solve_rho_star_m2(*args2)
-        rb, _ = pk.solve_rho_star_m2(*args2)
-        assert ra == pytest.approx(rb, rel=1e-12)
-        args3 = (rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4),
-                 rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4),
-                 rng.uniform(0.5, 2.0), GAMMA, 1e-12, 100)
-        ra, _ = ck.solve_rho_star_m3(*args3)
-        rb, _ = pk.solve_rho_star_m3(*args3)
-        assert ra == pytest.approx(rb, rel=1e-12)
+def test_single_kernel_module():
+    assert gasnet.laxcurves.kernels is kernels
+    assert gasnet.riemann.kernels is kernels
+    assert gasnet.fronttracking.kernels is kernels
+    package = Path(kernels.__file__).parent
+    assert not [p.name for p in package.iterdir() if p.suffix in (".pyx", ".c")]

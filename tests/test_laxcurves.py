@@ -60,7 +60,7 @@ def test_m3_family2_composes_theta3():
 def test_m2_family1_composition():
     base = iso_state(Model.M2, 1.0, 0.3, 1.0)
     st = lax_iso(Model.M2, 1, 2.0, base, GU)
-    from gasnet._core import kernels
+    from gasnet import kernels
 
     assert st.q == pytest.approx(0.6 - kernels.theta2(2.0, 1.0, 1.0, 1.4), rel=1e-13)
 
