@@ -38,11 +38,11 @@ and recomputes only the pair times next to them; ``apply_source``
 rebuilds every pipe it rewrites.  An event then costs one pass over the
 cached terms of each pipe it touched (Q from running strength sums of
 the fronts behind each front), a C-level minimum over each pipe's pair
-times, and the O(n) position update of ``_move``; no Glimm term or pair
-time of an untouched front is recomputed.  Code that edits
-``PipeTrack.fronts`` or a front's position directly must call
-``_rechain()`` and then ``_dirty_all()``, which drops both caches and
-rebuilds every pipe's pair times.
+times; no Glimm term or pair time of an untouched front is recomputed,
+and no front moves: a front is the line ``born_x + speed * (t - born_t)``
+and ``Front.at`` evaluates it.  Code that edits ``PipeTrack.fronts``
+directly must call ``_rechain()`` and then ``_dirty_all()``, which drops
+both caches and rebuilds every pipe's pair times.
 """
 
 import math
@@ -87,24 +87,27 @@ _APPROACHING = {M1_OUT: (1,), M1_IN: (1, 2), ISO: (1,)}
 class Front:
     """A moving discontinuity inside one pipe."""
 
-    __slots__ = ("family", "kind", "position", "speed", "strength",
+    __slots__ = ("family", "kind", "speed", "strength",
                  "left", "right", "born_t", "born_x", "terms")
 
-    def __init__(self, family, kind, position, speed, strength, left, right):
+    def __init__(self, family, kind, born_x, speed, strength, left, right):
         self.family = family
         self.kind = kind
-        self.position = position
         self.speed = speed
         self.strength = strength
         self.left = left
         self.right = right
         self.born_t = 0.0
-        self.born_x = position
+        self.born_x = born_x
         self.terms = None   # Glimm terms, see FrontTrackingState._front_terms
 
+    def at(self, t):
+        """Position at time t."""
+        return self.born_x + self.speed * (t - self.born_t)
+
     def __repr__(self):
-        return (f"Front(fam={self.family}, {self.kind}, x={self.position:.6g}, "
-                f"s={self.speed:.6g}, v={self.strength:.6g})")
+        return (f"Front(fam={self.family}, {self.kind}, x0={self.born_x:.6g}, "
+                f"t0={self.born_t:.6g}, s={self.speed:.6g}, v={self.strength:.6g})")
 
 
 @dataclass
@@ -144,13 +147,24 @@ class PipeTrack:
         for f in self.fronts:
             yield f.right
 
-    def state_at(self, x):
+    def state_at(self, x, t):
         state = self.trace
         for f in self.fronts:
-            if x < f.position:
+            if x < f.at(t):
                 return state
             state = f.right
         return state
+
+    def states_at(self, xs, pos):
+        """``state_at(x, t)`` for each ascending x in xs, in one pass, given
+        the fronts' positions ``pos`` at t."""
+        out = []
+        k = 0
+        for x in xs:
+            while k < len(pos) and not x < pos[k]:
+                k += 1
+            out.append(self.fronts[k - 1].right if k else self.trace)
+        return out
 
 
 @dataclass(frozen=True)
@@ -366,7 +380,7 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
     if fronts:
         # snap the tail across dropped zero-strength waves
         last = fronts[-1]
-        fronts[-1] = Front(last.family, last.kind, last.position, last.speed,
+        fronts[-1] = Front(last.family, last.kind, last.born_x, last.speed,
                            last.strength, last.left, right)
     return fronts
 
@@ -437,10 +451,9 @@ class FrontTrackingState:
                 x = piecelist[k - 1][0]
                 for f in accurate_solve(piecelist[k - 1][1], piecelist[k][1],
                                         self.g, epsilon, self.scales[i]):
-                    f.position = x
                     f.born_x = x
                     track.fronts.append(f)
-            track.fronts.sort(key=lambda f: (f.position, f.speed))
+            track.fronts.sort(key=lambda f: (f.born_x, f.speed))
         self._rechain()
 
         # probe around the solved traces, where the coupling residual is
@@ -593,34 +606,30 @@ class FrontTrackingState:
         return [t.trace for t in self.pipes]
 
     def state_at(self, pipe_index, x):
-        return self.pipes[pipe_index].state_at(x)
+        return self.pipes[pipe_index].state_at(x, self.time)
 
     # -- event loop ------------------------------------------------------------
 
     def _next_event(self):
-        """(dt, kind, pipe, index) of the earliest future event, or None.
+        """(time, kind, pipe, index) of the earliest future event, or None.
 
         Each pipe offers its junction arrival and its earliest stored pair
-        time, whose dt is then taken from the current positions.  Ties go
-        to the lower pipe, then to the junction, then to the lower index.
+        time.  Ties go to the lower pipe, then to the junction, then to
+        the lower index.
         """
         best = None
         for i, track in enumerate(self.pipes):
             fronts = track.fronts
             if not fronts:
                 continue
-            if fronts[0].speed < 0.0:
-                dt = max(fronts[0].position / -fronts[0].speed, 0.0)
-                if best is None or dt < best[0]:
-                    best = (dt, "junction", i, 0)
+            f = fronts[0]
+            if f.speed < 0.0:
+                t = max(f.born_t + f.born_x / -f.speed, self.time)
+                if best is None or t < best[0]:
+                    best = (t, "junction", i, 0)
             t = min(track.times)
-            if t == math.inf:
-                continue
-            k = track.times.index(t)
-            a, b = fronts[k], fronts[k + 1]
-            dt = max((b.position - a.position) / (a.speed - b.speed), 0.0)
-            if best is None or dt < best[0]:
-                best = (dt, "collision", i, k)
+            if t != math.inf and (best is None or t < best[0]):
+                best = (t, "collision", i, track.times.index(t))
         return best
 
     def _pair_time(self, fronts, k):
@@ -629,7 +638,7 @@ class FrontTrackingState:
         rel = a.speed - b.speed
         if rel <= _SPEED_TIE * max(abs(a.speed), abs(b.speed)):
             return math.inf
-        return self.time + max((b.position - a.position) / rel, 0.0)
+        return self.time + max((b.at(self.time) - a.at(self.time)) / rel, 0.0)
 
     def _reschedule(self, i):
         """Recompute every pair time of pipe i and drop its (V, Q, TV)."""
@@ -660,14 +669,6 @@ class FrontTrackingState:
             times[j] = self._pair_time(fronts, j)
         track.glimm = None
 
-    def _move(self, dt):
-        if dt <= 0.0:
-            return
-        for track in self.pipes:
-            for f in track.fronts:
-                f.position += f.speed * dt
-        self.time += dt
-
     def _retire(self, pipe_index, front, t1):
         if t1 > front.born_t:
             self.segments.append(Segment(pipe_index, front.born_t, t1, front.born_x,
@@ -681,16 +682,12 @@ class FrontTrackingState:
         exists and no horizon was given.
         """
         ev = self._next_event()
-        if ev is None:
-            if horizon is None:
-                raise EventStarvation("no pending event and no horizon")
-            self._move(horizon - self.time)
+        if ev is None and horizon is None:
+            raise EventStarvation("no pending event and no horizon")
+        if ev is None or (horizon is not None and ev[0] > horizon):
+            self.time = max(self.time, horizon)
             return self.time
-        dt, kind, i, k = ev
-        if horizon is not None and self.time + dt > horizon:
-            self._move(horizon - self.time)
-            return self.time
-        self._move(dt)
+        self.time, kind, i, k = ev
         self.events += 1
         if self.events > self.max_events:
             live = sum(len(t.fronts) for t in self.pipes)
@@ -720,7 +717,7 @@ class FrontTrackingState:
     def _handle_collision(self, i, k):
         track = self.pipes[i]
         a, b = track.fronts[k], track.fronts[k + 1]
-        x = 0.5 * (a.position + b.position)
+        x = 0.5 * (a.at(self.time) + b.at(self.time))
         va = self._scaled_strength(i, a)
         vb = self._scaled_strength(i, b)
         self._retire(i, a, self.time)
@@ -738,7 +735,6 @@ class FrontTrackingState:
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
         for f in new:
-            f.position = x
             f.born_x = x
             f.born_t = self.time
         self._splice(i, k, 2, new)
@@ -849,18 +845,16 @@ class FrontTrackingState:
                     new_fronts.append(f)
                     continue
                 self._retire(i, f, self.time)
+                x = f.at(self.time)
                 if f.family == NONPHYSICAL:
-                    f2 = self._np_front(i, l_new, r_new)
-                    f2.position, f2.born_x, f2.born_t = f.position, f.position, self.time
-                    new_fronts.append(f2)
-                    continue
-                for f2 in accurate_solve(l_new, r_new, g, self.epsilon, self.scales[i]):
-                    f2.position = f.position
-                    f2.born_x = f.position
-                    f2.born_t = self.time
-                    new_fronts.append(f2)
+                    solved = [self._np_front(i, l_new, r_new)]
+                else:
+                    solved = accurate_solve(l_new, r_new, g, self.epsilon, self.scales[i])
+                for f2 in solved:
+                    f2.born_x, f2.born_t = x, self.time
+                new_fronts.extend(solved)
             track.trace = shifted[0]
-            track.fronts = sorted(new_fronts, key=lambda f: (f.position, f.speed))
+            track.fronts = sorted(new_fronts, key=lambda f: (f.at(self.time), f.speed))
             self._rewrite(i)
         if not changed_any:
             return
@@ -871,7 +865,7 @@ class FrontTrackingState:
             track_j.trace = patterns[j][1]
             new = self._pattern_fronts(j, patterns[j][0])
             track_j.fronts = new + track_j.fronts
-            track_j.fronts.sort(key=lambda f: (f.position, f.speed))
+            track_j.fronts.sort(key=lambda f: (f.at(self.time), f.speed))
             self._rewrite(j)
 
     def finalize_segments(self):
@@ -939,15 +933,15 @@ def l1_distance(state_a: FrontTrackingState, state_b: FrontTrackingState, x_max)
     """Exact L1 distance between two piecewise-constant approximations,
     componentwise-scaled by state_a's per-pipe scales, over [0, x_max]."""
     total = 0.0
-    for i in range(len(state_a.pipes)):
+    for i, (ta, tb) in enumerate(zip(state_a.pipes, state_b.pipes)):
         sc = state_a.scales[i]
-        edges = sorted({0.0, x_max}
-                       | {f.position for f in state_a.pipes[i].fronts if 0 < f.position < x_max}
-                       | {f.position for f in state_b.pipes[i].fronts if 0 < f.position < x_max})
-        for xl, xr in zip(edges, edges[1:]):
-            xm = 0.5 * (xl + xr)
-            total += sc.state_norm(state_a.state_at(i, xm),
-                                   state_b.state_at(i, xm)) * (xr - xl)
+        pa = [f.at(state_a.time) for f in ta.fronts]
+        pb = [f.at(state_b.time) for f in tb.fronts]
+        edges = sorted({0.0, x_max} | {x for x in pa + pb if 0 < x < x_max})
+        mids = [0.5 * (xl + xr) for xl, xr in zip(edges, edges[1:])]
+        for xl, xr, sa, sb in zip(edges, edges[1:], ta.states_at(mids, pa),
+                                  tb.states_at(mids, pb)):
+            total += sc.state_norm(sa, sb) * (xr - xl)
     return total
 
 
@@ -962,25 +956,25 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
     conservation error.
     """
     g = state.g
+    defects = []
+    for seg in state.segments:
+        sc = state.scales[seg.pipe]
+        fl = flux_vector(seg.left, g)
+        fr = flux_vector(seg.right, g)
+        du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
+        f_scales = (sc.q, sc.q * sc.q / sc.rho)
+        defect = 0.0
+        for c in range(2):
+            defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
+        if seg.left.model is Model.M1:
+            dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
+            defect += abs(dE) / (sc.q * sc.E / sc.rho)
+        if defect != 0.0:
+            defects.append((seg, defect))
     worst = 0.0
     for phi_f in test_functions:
         total = 0.0
-        for seg in state.segments:
-            if seg.t1 <= seg.t0:
-                continue
-            sc = state.scales[seg.pipe]
-            fl = flux_vector(seg.left, g)
-            fr = flux_vector(seg.right, g)
-            du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
-            f_scales = (sc.q, sc.q * sc.q / sc.rho)
-            defect = 0.0
-            for c in range(2):
-                defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
-            if seg.left.model is Model.M1:
-                dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
-                defect += abs(dE) / (sc.q * sc.E / sc.rho)
-            if defect == 0.0:
-                continue
+        for seg, defect in defects:
             n = 4
             h = (seg.t1 - seg.t0) / n
             acc = 0.0

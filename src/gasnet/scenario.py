@@ -586,7 +586,8 @@ def _simulate_once(sc: Scenario):
         dt_split = default_split_step(state, dx)
     horizon = sc.run.horizon
     xs = _grid(sc)
-    times = [horizon * (k + 1) / sc.run.snapshots for k in range(sc.run.snapshots)]
+    # the last record is at the horizon itself, where ladder members stop
+    times = [horizon * k / sc.run.snapshots for k in range(1, sc.run.snapshots)] + [horizon]
     records = []
     for t in times:
         if sc.run.source is None:
@@ -632,8 +633,10 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "weak_form_residual": weak_form_residual(state, test_funcs, sc.run.horizon),
     }
     if sc.run.epsilon_ladder:
-        # ladder members only feed the L1 distances: no snapshots
-        finals = [init_approximation(sc.specs, sc.profiles, g, eps, control=sc.control,
+        # members only feed the L1 distances: no snapshots; snapshot stops
+        # do not change a run, so the simulate run is the member at its epsilon
+        finals = [state if eps == sc.run.epsilon else
+                  init_approximation(sc.specs, sc.profiles, g, eps, control=sc.control,
                                      tv_bound=sc.run.tv_bound,
                                      max_events=sc.run.max_events).run(sc.run.horizon)
                   for eps in sc.run.epsilon_ladder]

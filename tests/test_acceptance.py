@@ -349,7 +349,7 @@ def test_criterion_9_operator_splitting():
         assert ta.trace.q == pytest.approx(tb.trace.q, rel=1e-14, abs=1e-14)
         assert len(ta.fronts) == len(tb.fronts)
         for fa, fb in zip(ta.fronts, tb.fronts):
-            assert fa.position == pytest.approx(fb.position, rel=1e-13, abs=1e-13)
+            assert fa.at(hom.time) == pytest.approx(fb.at(split.time), rel=1e-13, abs=1e-13)
             assert fa.strength == pytest.approx(fb.strength, rel=1e-13, abs=1e-14)
 
     # friction on a uniform state: first-order match to the exact solution

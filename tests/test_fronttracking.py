@@ -53,7 +53,7 @@ def test_single_interior_jump_structure():
     profiles = [profiles[0], [(0.5, profiles[1]), (None, jump)], profiles[2]]
     state = init_approximation(specs, profiles, G, epsilon=0.01)
     fronts = state.pipes[1].fronts
-    assert all(f.position == 0.5 for f in fronts)
+    assert all(f.at(state.time) == 0.5 for f in fronts)
     families = {f.family for f in fronts}
     assert families <= {1, 2}
     assert len(families) <= 2
@@ -111,9 +111,9 @@ def test_two_front_collision_timing():
     from gasnet.fronttracking import _front_from_jump
 
     f1 = _front_from_jump(2, st, fast, G)
-    f1.position = 0.2
+    f1.born_x = 0.2
     f2 = _front_from_jump(2, fast, slow_right, G)
-    f2.position = 0.5
+    f2.born_x = 0.5
     # make speeds definitely approaching
     assert f1.speed > 0 and f2.speed > 0
     if f1.speed <= f2.speed:
@@ -140,7 +140,7 @@ def test_same_family_shock_merge_sheds_nonphysical():
     f1 = _front_from_jump(2, st, mid, G)
     f2 = _front_from_jump(2, mid, right, G)
     assert f1.speed > f2.speed
-    f1.position, f2.position = 0.2, 0.4
+    f1.born_x, f2.born_x = 0.2, 0.4
     track.fronts = [f1, f2]
     state._rechain()
     state._dirty_all()
@@ -171,7 +171,7 @@ def test_weak_wave_reflection_keeps_other_pipes_silent():
     from gasnet.fronttracking import _front_from_jump
 
     f = _front_from_jump(1, st, behind, G)
-    f.position = 0.1
+    f.born_x = 0.1
     assert f.speed < 0
     track.fronts = [f]
     state._rechain()
@@ -212,7 +212,7 @@ def test_glimm_single_front_and_pair():
 
     # one junction-leaving (family 2) front of scaled strength w: V = w, Q = 0
     f1 = _front_from_jump(2, st, apply_wave(2, 0.01 * st.rho, st, G), G)
-    f1.position = 0.3
+    f1.born_x = 0.3
     track.fronts = [f1]
     state._rechain()
     state._dirty_all()
@@ -222,7 +222,7 @@ def test_glimm_single_front_and_pair():
     assert gl.Q == 0.0
     # add an approaching front behind it (same family, rear one a shock)
     f2 = _front_from_jump(2, st, apply_wave(2, 0.02 * st.rho, st, G), G)
-    f2.position = 0.1
+    f2.born_x = 0.1
     track.fronts = [f2, f1]
     f1.left = f2.right
     state._dirty_all()
@@ -281,7 +281,7 @@ def test_l1_distance_exact():
 
 
 def _freeze(state):
-    return [(t.trace, [(f.position, f.right) for f in t.fronts])
+    return [(t.trace, [(f.at(state.time), f.right) for f in t.fronts])
             for t in state.pipes]
 
 
@@ -383,21 +383,22 @@ def _reference_glimm(state):
 
 
 def _reference_next_event(state):
-    """(dt, kind, pipe, index) by a linear scan over every front pair."""
+    """(time, kind, pipe, index) by a linear scan over every front pair."""
     best = None
+    now = state.time
     for i, track in enumerate(state.pipes):
         fronts = track.fronts
         if fronts and fronts[0].speed < 0.0:
-            dt = max(fronts[0].position / -fronts[0].speed, 0.0)
-            if best is None or dt < best[0]:
-                best = (dt, "junction", i, 0)
+            t = now + max(fronts[0].at(now) / -fronts[0].speed, 0.0)
+            if best is None or t < best[0]:
+                best = (t, "junction", i, 0)
         for k in range(len(fronts) - 1):
             rel = fronts[k].speed - fronts[k + 1].speed
             if rel <= 1e-12 * max(abs(fronts[k].speed), abs(fronts[k + 1].speed)):
                 continue
-            dt = max((fronts[k + 1].position - fronts[k].position) / rel, 0.0)
-            if best is None or dt < best[0]:
-                best = (dt, "collision", i, k)
+            t = now + max((fronts[k + 1].at(now) - fronts[k].at(now)) / rel, 0.0)
+            if best is None or t < best[0]:
+                best = (t, "collision", i, k)
     return best
 
 
@@ -417,8 +418,13 @@ def _assert_glimm_matches(state):
 
 def _oracle_run(state, horizon):
     """Advance to the horizon, checking the scheduler before and the
-    functionals after every event; returns the number of events."""
+    functionals after every event; returns the number of events.
+
+    Every front's position is also carried incrementally, moved by
+    speed * dt at each step, and must stay within 1e-12 of the position
+    its trajectory gives."""
     _assert_glimm_matches(state)
+    moved = {f: f.at(state.time) for t in state.pipes for f in t.fronts}
     n = 0
     while state.time < horizon:
         ev, ref = state._next_event(), _reference_next_event(state)
@@ -427,13 +433,34 @@ def _oracle_run(state, horizon):
         else:
             assert ev[1:] == ref[1:]
             assert abs(ev[0] - ref[0]) <= 1e-12 * max(1.0, ref[0])
-        events = state.events
+        events, t0 = state.events, state.time
         t = state.advance(horizon)
         n += state.events - events
         _assert_glimm_matches(state)
+        dt = t - t0
+        moved = {f: moved[f] + f.speed * dt if f in moved else f.born_x
+                 for track in state.pipes for f in track.fronts}
+        for f, x in moved.items():
+            assert abs(f.at(t) - x) <= 1e-12 * max(1.0, abs(x)), (f, x)
         if t >= horizon:
             break
     return n
+
+
+def test_snapshot_stops_do_not_perturb_run():
+    # a front is its trajectory: stopping the clock moves nothing
+    stopped, straight = ladder_scenario(0.01), ladder_scenario(0.01)
+    for k in range(1, 11):
+        stopped.run(0.12 * k)
+    straight.run(1.2)
+
+    def fronts(state):
+        return [[(f.born_x, f.born_t, f.speed, f.strength, f.right) for f in t.fronts]
+                for t in state.pipes]
+
+    assert stopped.time == straight.time == 1.2
+    assert stopped.events == straight.events > 500
+    assert fronts(stopped) == fronts(straight)
 
 
 def test_oracle_mixed_model_tracking():
@@ -496,7 +523,7 @@ def test_scheduler_ties_follow_scan_order():
             mid = apply_wave(2, 0.02, st, G)
             right = apply_wave(2, 0.015, mid, G)
             f1, f2 = _front_from_jump(2, st, mid, G), _front_from_jump(2, mid, right, G)
-            f1.position, f2.position = x, x + 0.25
+            f1.born_x, f2.born_x = x, x + 0.25
             fronts += [f1, f2]
             st = right
         # the scheduler reads only positions and speeds: copy the first pair's

@@ -1,6 +1,7 @@
 """Scenario parsing, validation paths, execution, and output round trips."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,29 @@ def test_epsilon_ladder_summary():
     res = run_scenario(sc)
     assert len(res.summary["l1_distances"]) == 2
     assert all(d >= 0 for d in res.summary["l1_distances"])
+
+
+def test_epsilon_ladder_reuses_simulate_run():
+    # the simulate run, stopped at every snapshot, stands in for the ladder
+    # member at its epsilon: the distances equal those of fresh members.
+    # The shipped tracking document, with strong jumps in feed and west.
+    from gasnet.fronttracking import init_approximation, l1_distance
+
+    doc = (Path(__file__).parents[1] / "scenarios" / "y_junction_tracking.yaml").read_text()
+    for old, new in (("horizon: 3.0", "horizon: 1.0"),
+                     ("epsilon: 0.005", "epsilon: 0.02\n  epsilon_ladder: [0.04, 0.02, 0.01]"),
+                     ("rho: 0.6511749095767044", "rho: 0.58"),
+                     ("rho: 0.6797182229652565", "rho: 0.62")):
+        doc = doc.replace(old, new)
+    sc = parse_scenario(doc)
+    res = run_scenario(sc)
+    assert len(res.records) == 6 and res.summary["events"] > 200
+    finals = [init_approximation(sc.specs, sc.profiles, sc.constants, eps).run(1.0)
+              for eps in sc.run.epsilon_ladder]
+    x_max = max(4.0, finals[0].lambda_hat)
+    dists = [l1_distance(a, b, x_max) for a, b in zip(finals, finals[1:])]
+    assert min(dists) > 0.0
+    assert res.summary["l1_distances"] == dists
 
 
 def test_piecewise_edges_must_increase():

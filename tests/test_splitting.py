@@ -39,7 +39,7 @@ def perturbed_scenario(epsilon=0.01):
 def _signature(state):
     out = []
     for track in state.pipes:
-        fronts = [(f.position, f.speed, f.strength,
+        fronts = [(f.at(state.time), f.speed, f.strength,
                    f.right.rho, f.right.q) for f in track.fronts]
         out.append((track.trace.rho, track.trace.q, fronts))
     return out
