@@ -6,7 +6,8 @@ Subcommands::
                                                           Riemann problem
     gasnet simulate --scenario s.yaml --out results/      front-tracking run
     gasnet check    --scenario s.yaml                     validate only
-    gasnet diagnose --results results/records.json        re-check residuals
+    gasnet diagnose --results results/records.json        print the stored
+                                                          diagnostics
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 4 I/O error.  The environment variable GASNET_LOG sets the log level.
@@ -68,7 +69,7 @@ def _build_parser():
     add_common(p_sim)
     p_check = sub.add_parser("check", help="validate a scenario document")
     p_check.add_argument("--scenario", action="append", required=True, metavar="PATH")
-    p_diag = sub.add_parser("diagnose", help="re-run residual diagnostics on stored output")
+    p_diag = sub.add_parser("diagnose", help="print the diagnostics stored in a results file")
     p_diag.add_argument("--results", required=True, metavar="PATH",
                         help="records.json produced by riemann/simulate")
     return parser
