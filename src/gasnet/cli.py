@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 """
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -52,8 +51,6 @@ def _build_parser():
         if scenario:
             p.add_argument("--scenario", action="append", required=True,
                            metavar="PATH", help="scenario document (repeatable)")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="run multiple scenarios in parallel workers")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: print summary only)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -114,23 +111,10 @@ def _run_one(path, args, mode):
 
 
 def _cmd_run(args, mode):
-    paths = args.scenario
-    if args.jobs > 1 and len(paths) > 1:
-        codes = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = {pool.submit(_worker, p, vars(args), mode): p for p in paths}
-            for fut in concurrent.futures.as_completed(futs):
-                codes.append(fut.result())
-        return max(codes)
     code = EXIT_OK
-    for p in paths:
+    for p in args.scenario:
         code = max(code, _guard(lambda: _run_one(p, args, mode), p))
     return code
-
-
-def _worker(path, argdict, mode):
-    args = argparse.Namespace(**argdict)
-    return _guard(lambda: _run_one(path, args, mode), path)
 
 
 def _guard(fn, what):

@@ -35,6 +35,26 @@ def state_fields(state: PipeState, g: GasConstants):
     return out
 
 
+class FieldMemo:
+    """``state_fields`` once per distinct state object.
+
+    Sampled grids repeat a few region states many times, so the same
+    state object gets one shared field dict.  The memo is keyed by
+    identity and holds every state it keyed, so no id is reused while it
+    lives.
+    """
+
+    def __init__(self, g: GasConstants):
+        self.g = g
+        self._memo = {}
+
+    def __call__(self, state: PipeState):
+        hit = self._memo.get(id(state))
+        if hit is None:
+            hit = self._memo[id(state)] = (state, state_fields(state, self.g))
+        return hit[1]
+
+
 def state_from_fields(fields, g: GasConstants):
     model = Model(fields["model"])
     if model is Model.M1:
@@ -47,7 +67,8 @@ def snapshot_record(time, pipe_samples, traces, diagnostics):
     """A plain-dict snapshot: sampled grids, trace states and diagnostics.
 
     ``pipe_samples`` maps pipe id -> {"x": [...], "states": [field dicts]};
-    ``traces`` maps pipe id -> field dict.
+    ``traces`` maps pipe id -> field dict.  Grids and field dicts may be
+    shared between pipes, grid points and records.
     """
     return {
         "time": time,
@@ -70,13 +91,49 @@ def write_csv(records, stream):
                            [repr(float(st[c])) for c in CSV_COLUMNS[3:]])
 
 
+_NESTED = (dict, list, tuple)
+
+
+def _encode(obj, memo):
+    """Compact JSON text of ``obj``, equal to ``json.dumps(obj)``.
+
+    A dict or list of scalars goes to the C encoder whole; one holding
+    containers (a dict with string keys only) is joined here from its
+    items' texts.  Each container is encoded once per identity (``memo``),
+    which pays off because records share their x grid and repeat field
+    dicts.  The caller keeps ``obj`` alive while ``memo`` is in use, so ids
+    are not reused.
+    """
+    key = id(obj)
+    text = memo.get(key)
+    if text is None:
+        if (isinstance(obj, dict) and any(isinstance(v, _NESTED) for v in obj.values())
+                and all(isinstance(k, str) for k in obj)):
+            text = "{" + ", ".join(f"{json.dumps(k)}: {_encode(v, memo)}"
+                                   for k, v in obj.items()) + "}"
+        elif isinstance(obj, (list, tuple)) and any(isinstance(v, _NESTED) for v in obj):
+            text = "[" + ", ".join(_encode(v, memo) for v in obj) + "]"
+        else:
+            text = json.dumps(obj)
+        memo[key] = text
+    return text
+
+
 def write_json(records, stream, summary=None):
-    """Records nested by time then pipe; float formatting is repr-exact."""
-    doc = {"records": records}
+    """One JSON document ``{"records": [...], "summary": {...}}`` with one
+    compact record per line and the summary indented; floats are
+    repr-exact and the bytes are deterministic."""
+    stream.write('{"records": [')
+    sep = "\n"
+    for rec in records:
+        stream.write(sep)
+        stream.write(_encode(rec, {}))
+        sep = ",\n"
+    stream.write("\n]")
     if summary is not None:
-        doc["summary"] = summary
-    json.dump(doc, stream, indent=1, sort_keys=False)
-    stream.write("\n")
+        stream.write(',\n"summary": ')
+        stream.write(json.dumps(summary, indent=1))
+    stream.write("}\n")
 
 
 def read_json(stream):

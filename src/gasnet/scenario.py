@@ -55,7 +55,7 @@ from .fronttracking import (
 )
 from .junction import JunctionProblem, PipeSpec, solve_junction, verify_coupling
 from .laxcurves import role_of
-from .output import snapshot_record, state_fields
+from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
 from .thermo import (
     FlowRegime,
@@ -296,6 +296,10 @@ def _parse_run(doc, path, errs):
     return run
 
 
+# libyaml's parser when PyYAML was built with it; both report line and column
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_scenario(source) -> Scenario:
     """Parse and validate a scenario document (text or file path)."""
     text = source
@@ -303,7 +307,7 @@ def parse_scenario(source) -> Scenario:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"not a well-formed YAML document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -508,15 +512,16 @@ def _run_riemann(sc: Scenario) -> RunResult:
 
     xs = _grid(sc)
     times = sc.run.sample_times or [sc.run.horizon]
+    fields = FieldMemo(g)
     records = []
     for t in times:
         pipes = {}
         traces = {}
         for i, spec in enumerate(sc.specs):
             waves, trace = patterns[i]
-            states = [sample_waves(waves, trace, data[i], x / t, g) for x in xs]
-            pipes[spec.id] = {"x": xs, "states": [state_fields(s, g) for s in states]}
-            traces[spec.id] = state_fields(trace, g)
+            pipes[spec.id] = {"x": xs, "states": [
+                fields(sample_waves(waves, trace, data[i], x / t, g)) for x in xs]}
+            traces[spec.id] = fields(trace)
         diag = {"residual_norm": sol.residual_norm, "iterations": sol.iterations}
         records.append(snapshot_record(t, pipes, traces, diag))
 
@@ -588,6 +593,7 @@ def _simulate_once(sc: Scenario):
     xs = _grid(sc)
     # the last record is at the horizon itself, where ladder members stop
     times = [horizon * k / sc.run.snapshots for k in range(1, sc.run.snapshots)] + [horizon]
+    fields = FieldMemo(g)
     records = []
     for t in times:
         if sc.run.source is None:
@@ -597,10 +603,10 @@ def _simulate_once(sc: Scenario):
         glimm = state.glimm()
         pipes = {}
         traces = {}
-        for i, spec in enumerate(sc.specs):
-            states = [state.state_at(i, x) for x in xs]
-            pipes[spec.id] = {"x": xs, "states": [state_fields(s, g) for s in states]}
-            traces[spec.id] = state_fields(state.traces()[i], g)
+        for spec, track in zip(sc.specs, state.pipes):
+            pos = [f.at(state.time) for f in track.fronts]
+            pipes[spec.id] = {"x": xs, "states": list(map(fields, track.states_at(xs, pos)))}
+            traces[spec.id] = fields(track.trace)
         diag = {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
                 "front_count": glimm.front_count, "events": state.events}
         diag.update(trace_residuals(state, sc.specs, g, sc.control))

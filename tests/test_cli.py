@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gasnet.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+from gasnet.scenario import parse_scenario, run_scenario
 
 GOOD = """
 constants: {gamma: 1.4, R: 1.0}
@@ -115,12 +116,29 @@ def test_diagnose_reads_results(scenario_file, tmp_path, capsys):
     assert doc["records_checked"] == 1
 
 
-def test_multiple_scenarios_jobs(scenario_file, tmp_path):
+def test_simulate_out_then_diagnose(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out),
+                 "--horizon", "0.4", "--epsilon", "0.01"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out / "good.json")]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    sc = parse_scenario(str(scenario_file))
+    sc.run.mode, sc.run.horizon, sc.run.epsilon = "simulate", 0.4, 0.01
+    records = run_scenario(sc).records
+    assert doc["records_checked"] == sc.run.snapshots == len(records)
+    for entry, rec in zip(doc["per_snapshot"], records):
+        assert entry["time"] == rec["time"]
+        for key in ("V", "Q", "Y"):
+            assert entry[key] == rec["diagnostics"][key]
+
+
+def test_multiple_scenarios_sequential(scenario_file, tmp_path):
     other = tmp_path / "other.yaml"
     other.write_text(GOOD.replace("rho: 1.02", "rho: 1.03"), encoding="utf-8")
     out = tmp_path / "batch"
     code = main(["riemann", "--scenario", str(scenario_file),
-                 "--scenario", str(other), "--jobs", "2", "--out", str(out)])
+                 "--scenario", str(other), "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "good.json").exists()
     assert (out / "other.json").exists()

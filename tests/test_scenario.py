@@ -1,12 +1,15 @@
 """Scenario parsing, validation paths, execution, and output round trips."""
 
 import io
+import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from gasnet import ScenarioParseError, ScenarioValidationError
-from gasnet.output import read_json, render_csv, render_json, write_json
+from gasnet.fronttracking import init_approximation
+from gasnet.output import FieldMemo, read_json, render_csv, render_json, state_fields, write_json
 from gasnet.scenario import (
     normalized_document,
     parse_scenario,
@@ -45,8 +48,9 @@ def test_minimal_document_parses():
 
 
 def test_malformed_yaml_raises_parse_error():
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError) as err:
         parse_scenario("topology: [unclosed")
+    assert "line" in str(err.value) and "column" in str(err.value)
     with pytest.raises(ScenarioParseError):
         parse_scenario("- just\n- a list\n")
 
@@ -119,8 +123,6 @@ def test_riemann_run_and_outputs():
 
 
 def _records_equal(a, b):
-    import json
-
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -268,3 +270,55 @@ def test_simulate_mode_with_friction_source():
     for rec in res.records:
         assert rec["diagnostics"]["mass"] <= 1e-9
         assert rec["diagnostics"]["enthalpy_spread"] <= 1e-8
+
+
+SHIPPED = sorted((Path(__file__).parents[1] / "scenarios").glob("*.yaml"))
+SHIPPED_TRACKING = Path(__file__).parents[1] / "scenarios" / "y_junction_tracking.yaml"
+# riemann sampling at several times: records share region states and fields
+SAMPLED = MINIMAL.replace("mode: riemann", "mode: riemann\n  sample_times: [0.25, 0.5, 1.0]")
+DOCUMENTS = {p.name: p.read_text() for p in SHIPPED}
+DOCUMENTS.update(MINIMAL=MINIMAL, COMPRESSOR=COMPRESSOR, FRICTION=FRICTION, SAMPLED=SAMPLED)
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_parse_matches_pure_python_loader(name):
+    text = DOCUMENTS[name]
+    assert parse_scenario(text).raw == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])
+def test_render_json_matches_json_dumps(name):
+    res = run_scenario(parse_scenario(DOCUMENTS[name]))
+    out = render_json(res.records, res.summary)
+    ref = json.dumps({"records": res.records, "summary": res.summary}, indent=1)
+    assert json.loads(out) == json.loads(ref)
+    # one record per line, each the C encoder's text of that record
+    lines = out.split("\n")
+    assert lines[1:1 + len(res.records)] == [
+        json.dumps(r) + ("," if k < len(res.records) - 1 else "")
+        for k, r in enumerate(res.records)]
+    assert render_json(res.records, res.summary) == out
+    assert render_csv(res.records) == render_csv(json.loads(ref)["records"])
+
+
+def test_render_json_without_records_or_summary():
+    assert json.loads(render_json([])) == {"records": []}
+    assert json.loads(render_json([], {"mode": "riemann"})) == {
+        "records": [], "summary": {"mode": "riemann"}}
+
+
+def test_sampled_states_are_the_region_objects():
+    # the simulate sampler's one pass per pipe returns what a scan per grid
+    # point returns, object for object, and fields are computed once per object
+    sc = parse_scenario(str(SHIPPED_TRACKING))
+    state = init_approximation(sc.specs, sc.profiles, sc.constants, sc.run.epsilon)
+    xs = [k / 16 for k in range(64)]
+    fields = FieldMemo(sc.constants)
+    for t in (0.3, 1.0, 3.0):
+        state.run(t)
+        for i, track in enumerate(state.pipes):
+            got = track.states_at(xs, [f.at(state.time) for f in track.fronts])
+            assert len({id(a) for a in got}) > 2
+            assert all(a is state.state_at(i, x) for a, x in zip(got, xs))
+            assert all(fields(a) is fields(a) == state_fields(a, sc.constants)
+                       for a in got)
