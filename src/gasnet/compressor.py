@@ -11,6 +11,12 @@ with the pressure-rise and entropy rows oriented as (control - balance)
 and (s_outlet - s_inlet); the residual itself is reported with the
 conventional orientation (balance - control, s_inlet - s_outlet).  Row
 signs do not affect the solution, only the determinant's sign.
+
+:class:`CompressorProblem` implements the coupling-problem protocol of
+:mod:`gasnet.junction` (``traces``, unscaled ``residual`` and
+``jacobian``, ``row_scales``, ``fd_floor``) on x = (sigma1, sigma2[, tau2]),
+so the junction's Newton, ``coupling_residual``, ``coupling_jacobian``
+and ``fd_jacobian`` serve it unchanged.
 """
 
 from dataclasses import dataclass
@@ -24,20 +30,17 @@ from .errors import (
     NotSubsonic,
     SubsonicViolation,
 )
-from .junction import Orientation, PipeSpec, StarSolution, _newton
-from .laxcurves import M1_OUT, base_parameter, role_of, trace_eval
-from .thermo import (
-    FlowRegime,
-    GasConstants,
-    Model,
-    PipeState,
-    classify_subsonic,
-    sound_speed,
-    thermo_quantities,
+from .junction import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    Orientation,
+    PipeSpec,
+    StarSolution,
+    _newton,
+    coupling_jacobian,
 )
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50
+from .laxcurves import M1_OUT, base_parameter, role_of, trace_eval
+from .thermo import FlowRegime, GasConstants, classify_subsonic, sound_speed
 
 ADIABATIC_HEAD = "CP1"
 POWER = "CP2"
@@ -66,7 +69,11 @@ class CompressorControl:
 
 
 class CompressorProblem:
-    """Compressor between an incoming and an outgoing pipe of equal area."""
+    """Compressor between an incoming and an outgoing pipe of equal area.
+
+    Rows are mass, the pressure-rise balance minus the control and, for a
+    full-Euler outlet, inlet-minus-outlet entropy.
+    """
 
     def __init__(self, inlet, outlet, control: CompressorControl,
                  constants: GasConstants = None):
@@ -102,7 +109,11 @@ class CompressorProblem:
         rise = C * T1
         if control.kind == POWER:
             rise *= control.cp_coeff * abs(in_state.q)
-        self._row_scales = (mass, max(abs(control.value), rise), gamma * g.cv)
+            C *= control.cp_coeff
+        self._rise_coeff = C
+        self.row_scales = np.array(
+            (mass, max(abs(control.value), rise), gamma * g.cv)[:self.dim])
+        self.fd_floor = np.array((1e-6, 1e-6, out_state.rho)[:self.dim])
 
     def base_parameters(self):
         g = self.constants
@@ -111,123 +122,69 @@ class CompressorProblem:
             base_parameter(self.roles[1], self.outlet[1], g),
         ]), (np.zeros(1) if self.m1_outlet else np.zeros(0))
 
+    def traces(self, x):
+        g = self.constants
+        tau2 = x[2] if self.m1_outlet else 0.0
+        return (trace_eval(self.roles[0], self.inlet[1], g, x[0]),
+                trace_eval(self.roles[1], self.outlet[1], g, x[1], tau2))
 
-def _traces(problem: CompressorProblem, params):
-    g = problem.constants
-    tau2 = params[2] if problem.m1_outlet else 0.0
-    t1 = trace_eval(problem.roles[0], problem.inlet[1], g, params[0])
-    t2 = trace_eval(problem.roles[1], problem.outlet[1], g, params[1], tau2)
-    return t1, t2
+    def residual(self, traces):
+        """Mass, pressure-rise balance minus control, and (full-Euler
+        outlets only) inlet-minus-outlet entropy."""
+        t1, t2 = traces
+        g = self.constants
+        e = (g.gamma - 1.0) / g.gamma
+        rise = self._rise_coeff * t1.T * ((t2.p / t1.p)**e - 1.0)
+        if self.control.kind == POWER:
+            if t2.q <= 0.0:
+                raise NonPositiveFlux(f"power balance evaluated at outlet flux {t2.q:g}")
+            rise *= t2.q
+        out = np.empty(self.dim)
+        out[0] = t1.q + t2.q
+        out[1] = rise - self.control.value
+        if self.m1_outlet:
+            out[2] = t1.s - t2.s
+        return out
 
+    def jacobian(self, traces):
+        """Closed-form derivative w.r.t. (sigma1, sigma2[, tau2])."""
+        t1, t2 = traces
+        g = self.constants
+        e = (g.gamma - 1.0) / g.gamma
+        C = self._rise_coeff
+        re = (t2.p / t1.p)**e
+        power = self.control.kind == POWER
+        J = np.zeros((self.dim, self.dim))
+        J[0, 0] = t1.dq_dsigma
+        J[0, 1] = t2.dq_dsigma
 
-def _rise_coefficient(problem):
-    g = problem.constants
-    C = g.gamma * g.R / (g.gamma - 1.0)
-    if problem.control.kind == POWER:
-        C *= problem.control.cp_coeff
-    return C
-
-
-def phi_compressor(params, problem: CompressorProblem, scaled=False):
-    """Coupling residual: mass, pressure-rise balance minus control, and
-    (full-Euler outlets only) inlet-minus-outlet entropy."""
-    t1, t2 = _traces(problem, params)
-    return _phi_from(problem, t1, t2, scaled)
-
-
-def _phi_from(problem, t1, t2, scaled=False):
-    g = problem.constants
-    e = (g.gamma - 1.0) / g.gamma
-    C = _rise_coefficient(problem)
-    ratio = t2.p / t1.p
-    rise = C * t1.T * (ratio**e - 1.0)
-    if problem.control.kind == POWER:
-        if t2.q <= 0.0:
-            raise NonPositiveFlux(f"power balance evaluated at outlet flux {t2.q:g}")
-        rise *= t2.q
-    out = np.empty(problem.dim)
-    out[0] = t1.q + t2.q
-    out[1] = rise - problem.control.value
-    if problem.m1_outlet:
-        out[2] = t1.s - t2.s
-    if scaled:
-        out /= np.array(problem._row_scales[:problem.dim])
-    return out
-
-
-def compressor_jacobian(params, problem: CompressorProblem, mode="analytic", scaled=False):
-    """Jacobian of the residual w.r.t. (sigma1, sigma2[, tau2])."""
-    if mode == "finite_difference":
-        J = _fd_jacobian(params, problem)
-    elif mode == "analytic":
-        J = _analytic_jacobian(params, problem)
-    else:
-        raise ValueError(f"unknown Jacobian mode {mode!r}")
-    if scaled:
-        J = J / np.array(problem._row_scales[:problem.dim])[:, None]
-    return J
-
-
-def _analytic_jacobian(params, problem):
-    g = problem.constants
-    e = (g.gamma - 1.0) / g.gamma
-    C = _rise_coefficient(problem)
-    t1, t2 = _traces(problem, params)
-    ratio = t2.p / t1.p
-    re = ratio**e
-    d = problem.dim
-    J = np.zeros((d, d))
-    J[0, 0] = t1.dq_dsigma
-    J[0, 1] = t2.dq_dsigma
-
-    # d/dsigma1 of T1*((p2/p1)^e - 1); the ratio term pulls in -dp1/p1
-    base2 = C * (t1.dT_dsigma * (re - 1.0)
-                 - t1.T * e * re * t1.dp_dsigma / t1.p)
-    dsig2 = C * t1.T * e * re * t2.dp_dsigma / t2.p
-    if problem.control.kind == POWER:
+        # d/dsigma1 of T1*((p2/p1)^e - 1); the ratio term pulls in -dp1/p1
+        base2 = C * (t1.dT_dsigma * (re - 1.0)
+                     - t1.T * e * re * t1.dp_dsigma / t1.p)
+        dsig2 = C * t1.T * e * re * t2.dp_dsigma / t2.p
         rise = C * t1.T * (re - 1.0)
-        J[1, 0] = t2.q * base2
-        J[1, 1] = t2.dq_dsigma * rise + t2.q * dsig2
-    else:
-        J[1, 0] = base2
-        J[1, 1] = dsig2
-    if problem.m1_outlet:
-        J[0, 2] = t2.dq_dtau
-        dtau2 = C * t1.T * e * re * t2.dp_dtau / t2.p
-        if problem.control.kind == POWER:
-            rise = C * t1.T * (re - 1.0)
-            J[1, 2] = t2.dq_dtau * rise + t2.q * dtau2
+        if power:
+            J[1, 0] = t2.q * base2
+            J[1, 1] = t2.dq_dsigma * rise + t2.q * dsig2
         else:
-            J[1, 2] = dtau2
-        J[2, 0] = t1.ds_dsigma
-        J[2, 1] = -t2.ds_dsigma
-        J[2, 2] = -t2.ds_dtau
-    return J
-
-
-def _fd_jacobian(params, problem):
-    params = np.asarray(params, dtype=float)
-    d = problem.dim
-    J = np.empty((d, d))
-    for col in range(d):
-        if col == 2:
-            h = 1e-6 * max(abs(params[2]), problem.outlet[1].rho)
-        else:
-            h = 1e-6 * max(abs(params[col]), 1e-6)
-        xp, xm = params.copy(), params.copy()
-        xp[col] += h
-        xm[col] -= h
-        J[:, col] = (phi_compressor(xp, problem) - phi_compressor(xm, problem)) / (2.0 * h)
-    return J
+            J[1, 0] = base2
+            J[1, 1] = dsig2
+        if self.m1_outlet:
+            J[0, 2] = t2.dq_dtau
+            dtau2 = C * t1.T * e * re * t2.dp_dtau / t2.p
+            J[1, 2] = t2.dq_dtau * rise + t2.q * dtau2 if power else dtau2
+            J[2, 0] = t1.ds_dsigma
+            J[2, 1] = -t2.ds_dsigma
+            J[2, 2] = -t2.ds_dtau
+        return J
 
 
 def proof_determinant(problem: CompressorProblem, params=None):
     """Base-point Jacobian determinant in the orientation used by the
     regularity argument: rows (mass, control - balance, s2 - s1)."""
     if params is None:
-        sigma0, tau0 = problem.base_parameters()
-        params = np.concatenate([sigma0, tau0])
-    J = _analytic_jacobian(params, problem).copy()
+        params = np.concatenate(problem.base_parameters())
+    J = coupling_jacobian(problem, params)
     J[1] = -J[1]
     if problem.m1_outlet:
         J[2] = -J[2]
@@ -235,27 +192,17 @@ def proof_determinant(problem: CompressorProblem, params=None):
 
 
 def solve_compressor(problem: CompressorProblem, tol=DEFAULT_TOL,
-                     max_iter=DEFAULT_MAX_ITER,
-                     apply_entropy_assignment=False) -> StarSolution:
+                     max_iter=DEFAULT_MAX_ITER) -> StarSolution:
     """Solve the compressor coupling for both trace star states.
 
-    For isentropic outlets the realized inlet entropy is recorded (and on
-    request applied) as the outlet's entropy assignment.  Idle controls
-    (value 0) are accepted and flagged in ``extras['idle_control']``.
+    For isentropic outlets the realized inlet entropy is recorded as the
+    outlet's entropy assignment (``extras['assigned_kappa']``).  Idle
+    controls (value 0) are accepted and flagged in
+    ``extras['idle_control']``.
     """
     g = problem.constants
-    sigma0, tau0 = problem.base_parameters()
-    x0 = np.concatenate([sigma0, tau0])
-
-    def phi(x):
-        return phi_compressor(x, problem, scaled=True)
-
-    def jac(x):
-        return compressor_jacobian(x, problem, scaled=True)
-
-    x, res, it = _newton(problem, phi, jac, x0, tol, max_iter,
-                         (NonPositiveDensity, NonPositivePressure, NonPositiveFlux))
-    t1, t2 = _traces(problem, x)
+    x, (t1, t2), res, it = _newton(problem, tol, max_iter,
+                                   (NonPositiveDensity, NonPositivePressure, NonPositiveFlux))
 
     if classify_subsonic(t1.state, g) is not FlowRegime.D_MINUS:
         raise SubsonicViolation("inlet star state left the incoming subsonic set")
@@ -273,16 +220,12 @@ def solve_compressor(problem: CompressorProblem, tol=DEFAULT_TOL,
     if problem.control.kind == POWER:
         extras["power"] = problem.control.cp_coeff * t2.q * head
     s_star = t1.s
-    out_state = t2.state
     if not problem.m1_outlet:
-        kap = g.kappa_from_entropy(s_star)
-        extras["assigned_kappa"][problem.outlet[0].id] = kap
-        if apply_entropy_assignment:
-            out_state = PipeState(out_state.model, out_state.rho, out_state.q, kappa=kap)
+        extras["assigned_kappa"][problem.outlet[0].id] = g.kappa_from_entropy(s_star)
 
     tau2 = float(x[2]) if problem.m1_outlet else None
     return StarSolution(
-        star_states=(t1.state, out_state),
+        star_states=(t1.state, t2.state),
         sigma=(float(x[0]), float(x[1])),
         tau=(None, tau2),
         h_star=None,

@@ -62,7 +62,7 @@ from .errors import (
     NonPositiveDensity,
     SubsonicViolation,
 )
-from .junction import JunctionProblem, solve_junction
+from .junction import DEFAULT_TOL, JunctionProblem, solve_junction
 from .laxcurves import ISO, M1_IN, M1_OUT, lax_iso, lax_m1, role_of
 from .riemann import (
     CONTACT,
@@ -525,6 +525,17 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
     return fronts
 
 
+def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
+    """(problem, solution) of the coupling at x = 0 for the pipe traces
+    ``data``: a junction, or with a ``control`` a compressor from
+    specs[0] into specs[1]."""
+    if control is None:
+        problem = JunctionProblem(list(zip(specs, data)), g)
+        return problem, solve_junction(problem, tol=tol)
+    problem = CompressorProblem((specs[0], data[0]), (specs[1], data[1]), control, g)
+    return problem, solve_compressor(problem, tol=tol)
+
+
 def coupling_wave_pattern(role, data: PipeState, sigma, tau, g):
     """Waves emitted into one pipe by a coupling solve, left to right,
     together with the new trace state."""
@@ -546,13 +557,14 @@ class FrontTrackingState:
     """Owns the evolving piecewise-constant approximation of one run."""
 
     def __init__(self, specs, profiles, constants: GasConstants, epsilon,
-                 control=None, max_events=DEFAULT_MAX_EVENTS):
+                 control=None, max_events=DEFAULT_MAX_EVENTS, tol=DEFAULT_TOL):
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         self.g = constants
         self.epsilon = epsilon
         self.rho_simpl = epsilon * epsilon
         self.control = control
+        self.tol = tol
         self.max_events = max_events
         self.time = 0.0
         self.events = 0
@@ -579,7 +591,7 @@ class FrontTrackingState:
         self.lambda_hat = 1.1 * lam_max
 
         # resolve the coupling and the interior jumps of the initial data
-        sol, patterns = self._coupling_solve(traces0)
+        patterns = self._coupling_patterns(traces0)
         self.pipes = []
         for i, spec in enumerate(self.specs):
             track = PipeTrack(spec, patterns[i][1], self.scales[i])
@@ -605,15 +617,10 @@ class FrontTrackingState:
 
     # -- coupling ------------------------------------------------------------
 
-    def _coupling_solve(self, data):
-        if self.control is not None:
-            prob = CompressorProblem((self.specs[0], data[0]),
-                                     (self.specs[1], data[1]),
-                                     self.control, self.g)
-            sol = solve_compressor(prob)
-        else:
-            prob = JunctionProblem(list(zip(self.specs, data)), self.g)
-            sol = solve_junction(prob)
+    def _coupling_patterns(self, data):
+        """Solve the coupling at the pipe traces ``data``; per pipe, the
+        emitted waves and the new trace."""
+        _, sol = solve_coupling(self.specs, data, self.g, self.control, self.tol)
         patterns = []
         for i, spec in enumerate(self.specs):
             tau = sol.tau[i] if sol.tau[i] is not None else 0.0
@@ -627,7 +634,7 @@ class FrontTrackingState:
                         f"emitted wave on pipe {spec.id!r} has speed "
                         f"{w.rightmost_speed:g}")
             patterns.append((waves, trace))
-        return sol, patterns
+        return patterns
 
     def _pattern_fronts(self, i, waves):
         fronts = []
@@ -652,7 +659,7 @@ class FrontTrackingState:
                         data_i = apply_wave(fam, sign * h * sc, traces0[i], self.g)
                         data = list(traces0)
                         data[i] = data_i
-                        _, patterns = self._coupling_solve(data)
+                        patterns = self._coupling_patterns(data)
                     except GasnetError:
                         continue
                     v_plus = sum(
@@ -900,7 +907,7 @@ class FrontTrackingState:
             return "reflection", i, v_minus, np_f.strength
         data = [t.trace for t in self.pipes]
         data[i] = data_i
-        sol, patterns = self._coupling_solve(data)
+        patterns = self._coupling_patterns(data)
         v_plus = 0.0
         for j, track_j in enumerate(self.pipes):
             track_j.trace = patterns[j][1]
@@ -975,8 +982,7 @@ class FrontTrackingState:
         if not changed_any:
             return
         # traces moved: re-establish the coupling conditions at x = 0
-        data = [t.trace for t in self.pipes]
-        sol, patterns = self._coupling_solve(data)
+        patterns = self._coupling_patterns([t.trace for t in self.pipes])
         for j, track_j in enumerate(self.pipes):
             track_j.trace = patterns[j][1]
             new = self._pattern_fronts(j, patterns[j][0])
@@ -1008,17 +1014,19 @@ def _normalize_profile(profile):
 
 
 def init_approximation(specs, profiles, constants: GasConstants, epsilon,
-                       control=None, tv_bound=None, **options) -> FrontTrackingState:
+                       control=None, tv_bound=None, tol=DEFAULT_TOL,
+                       **options) -> FrontTrackingState:
     """Build the t=0 piecewise-constant approximation.
 
     ``profiles`` holds, per pipe, a constant PipeState or a list of
     (x_right, state) pieces whose last entry has x_right=None.  Interior
     jumps are resolved by the accurate solver and the coupling problem at
-    x=0 by the junction or compressor solver; with ``tv_bound`` the scaled
+    x=0 by :func:`solve_coupling`; this and every later coupling solve of
+    the run use the Newton tolerance ``tol``.  With ``tv_bound`` the scaled
     total variation of the data is checked against the configured bound.
     """
     state = FrontTrackingState(specs, profiles, constants, epsilon,
-                               control=control, **options)
+                               control=control, tol=tol, **options)
     if tv_bound is not None:
         tv = state.total_variation()
         if tv > tv_bound:

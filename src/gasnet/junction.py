@@ -17,6 +17,21 @@ regular.
 Pipes are renumbered internally into the canonical block order
 [outgoing M1 | incoming M1 | incoming M2 | incoming M3 | outgoing M2/M3];
 solutions are reported in the caller's original pipe order.
+
+Junctions and compressors (:mod:`gasnet.compressor`) are one kind of
+problem: a coupling condition on the curve parameters x = (sigma, tau).
+Both problem classes provide
+
+* ``base_parameters()``: the (sigma, tau) blocks of the starting point,
+* ``traces(x)``: the per-pipe :class:`~gasnet.laxcurves.TraceEval`,
+* ``residual(traces)`` and ``jacobian(traces)``, both unscaled,
+* ``row_scales``: the per-row scales of the nondimensionalized residual,
+* ``fd_floor``: the per-column floor of the finite-difference step
+  (1e-6 for sigma columns, the pipe density for tau columns),
+
+and one damped Newton (``_newton``) solves both.  ``coupling_residual``,
+``coupling_jacobian`` and the central-difference reference
+``fd_jacobian`` evaluate either kind at a parameter vector.
 """
 
 from dataclasses import dataclass
@@ -26,20 +41,14 @@ import numpy as np
 
 from .errors import (
     NoConvergence,
+    NonPositiveDensity,
+    NonPositivePressure,
     NotSubsonic,
     SingularEntropyMix,
     SingularJacobian,
     SubsonicViolation,
 )
-from .laxcurves import (
-    ISO,
-    M1_IN,
-    M1_OUT,
-    TraceEval,
-    base_parameter,
-    role_of,
-    trace_eval,
-)
+from .laxcurves import M1_OUT, base_parameter, role_of, trace_eval
 from .thermo import (
     FlowRegime,
     GasConstants,
@@ -114,7 +123,12 @@ def _group(model: Model, outgoing: bool):
 
 
 class JunctionProblem:
-    """A single junction with N pipes, their initial states, and constants."""
+    """A single junction with N pipes, their initial states, and constants.
+
+    The parameter vector is x = (sigma_0..sigma_{N-1}, tau of each
+    outgoing M1 pipe); rows are mass, N-1 enthalpy rows against the
+    pivot, then one entropy row per outgoing M1 pipe.
+    """
 
     def __init__(self, pipes, constants: GasConstants = None):
         g = constants if constants is not None else GasConstants()
@@ -156,11 +170,14 @@ class JunctionProblem:
         self.pivot = next(i for i, p in enumerate(self.pipes)
                           if p.input_index == pivot_entry[3])
         self.dim = self.n + self.n0
+        self._tau_col = {j: self.n + k for k, j in enumerate(self.outgoing_m1)}
 
-        # Row scales for the nondimensionalized residual.
         mass = sum(p.spec.area * p.state.rho * sound_speed(p.state, g) for p in self.pipes)
         h_sc = max(abs(thermo_quantities(p.state, g).h) for p in self.pipes)
-        self._row_scales = (mass, max(h_sc, 1e-300), g.gamma * g.cv)
+        self.row_scales = np.array([mass] + [max(h_sc, 1e-300)] * (self.n - 1)
+                                   + [g.gamma * g.cv] * self.n0)
+        self.fd_floor = np.array([1e-6] * self.n
+                                 + [self.pipes[j].state.rho for j in self.outgoing_m1])
 
     def base_parameters(self):
         sigma0 = np.array(
@@ -175,20 +192,100 @@ class JunctionProblem:
             out[p.input_index] = values[i]
         return tuple(out)
 
+    def traces(self, x):
+        g = self.constants
+        col = self._tau_col
+        return [trace_eval(p.role, p.state, g, x[i], x[col[i]] if i in col else 0.0)
+                for i, p in enumerate(self.pipes)]
 
-def _traces(problem: JunctionProblem, sigma, tau):
-    g = problem.constants
-    evals = []
-    tau_of = dict(zip(problem.outgoing_m1, tau))
-    for i, p in enumerate(problem.pipes):
-        evals.append(trace_eval(p.role, p.state, g, sigma[i], tau_of.get(i, 0.0)))
-    return evals
+    def residual(self, traces):
+        """Coupling residual of dimension N + (number of outgoing M1 pipes)."""
+        n, piv = self.n, self.pivot
+        out = np.empty(self.dim)
+        out[0] = sum(self.pipes[i].spec.area * traces[i].q for i in range(n))
+        row = 1
+        for j in range(n):
+            if j == piv:
+                continue
+            out[row] = traces[piv].h - traces[j].h
+            row += 1
+        if self.n0:
+            s_star = _entropy_mix_from(self, traces)
+            for j in self.outgoing_m1:
+                out[row] = traces[j].s - s_star
+                row += 1
+        return out
+
+    def jacobian(self, traces):
+        """Closed-form derivative of the residual w.r.t. (sigma, tau),
+        exact on both curve branches."""
+        n, piv = self.n, self.pivot
+        tau_col = self._tau_col
+        J = np.zeros((self.dim, self.dim))
+
+        for i, p in enumerate(self.pipes):
+            a = p.spec.area
+            J[0, i] = a * traces[i].dq_dsigma
+            if i in tau_col:
+                J[0, tau_col[i]] = a * traces[i].dq_dtau
+
+        row = 1
+        for j in range(n):
+            if j == piv:
+                continue
+            J[row, piv] = traces[piv].dh_dsigma
+            J[row, j] -= traces[j].dh_dsigma
+            if j in tau_col:
+                J[row, tau_col[j]] = -traces[j].dh_dtau
+            row += 1
+
+        if self.n0:
+            den = sum(self.pipes[i].spec.area * traces[i].q for i in self.incoming)
+            s_star = _entropy_mix_from(self, traces)
+            # d s*/d sigma_i for incoming pipes (zero columns otherwise)
+            ds_star = {}
+            for i in self.incoming:
+                a = self.pipes[i].spec.area
+                t = traces[i]
+                ds_star[i] = a * (t.dq_dsigma * t.s + t.q * t.ds_dsigma - s_star * t.dq_dsigma) / den
+            for j in self.outgoing_m1:
+                J[row, j] = traces[j].ds_dsigma
+                J[row, tau_col[j]] = traces[j].ds_dtau
+                for i in self.incoming:
+                    J[row, i] -= ds_star[i]
+                row += 1
+        return J
+
+
+def coupling_residual(problem, x):
+    """Unscaled coupling residual of a junction or compressor problem at x."""
+    return problem.residual(problem.traces(x))
+
+
+def coupling_jacobian(problem, x):
+    """Closed-form Jacobian of the unscaled coupling residual at x."""
+    return problem.jacobian(problem.traces(x))
+
+
+def fd_jacobian(problem, x):
+    """Central-difference Jacobian of the coupling residual at x: the
+    independent reference for :func:`coupling_jacobian`.  Column k steps
+    by 1e-6 * max(|x_k|, fd_floor_k)."""
+    x = np.asarray(x, dtype=float)
+    J = np.empty((problem.dim, problem.dim))
+    for col in range(problem.dim):
+        h = 1e-6 * max(abs(x[col]), problem.fd_floor[col])
+        xp, xm = x.copy(), x.copy()
+        xp[col] += h
+        xm[col] -= h
+        J[:, col] = (coupling_residual(problem, xp) - coupling_residual(problem, xm)) / (2.0 * h)
+    return J
 
 
 def entropy_mix(problem: JunctionProblem, sigma):
     """Flux-weighted entropy of the incoming pipes at parameters sigma."""
-    traces = _traces(problem, sigma, np.zeros(problem.n0))
-    return _entropy_mix_from(problem, traces)
+    x = np.concatenate([sigma, np.zeros(problem.n0)])
+    return _entropy_mix_from(problem, problem.traces(x))
 
 
 def _entropy_mix_from(problem: JunctionProblem, traces):
@@ -207,135 +304,17 @@ def _entropy_mix_from(problem: JunctionProblem, traces):
     return num / den
 
 
-def assemble_phi(problem: JunctionProblem, sigma, tau, scaled=False):
-    """Coupling residual of dimension N + (number of outgoing M1 pipes)."""
-    traces = _traces(problem, sigma, tau)
-    return _phi_from(problem, traces, scaled)
-
-
-def _phi_from(problem, traces, scaled=False):
-    n, n0, piv = problem.n, problem.n0, problem.pivot
-    out = np.empty(problem.dim)
-    out[0] = sum(problem.pipes[i].spec.area * traces[i].q for i in range(n))
-    row = 1
-    for j in range(n):
-        if j == piv:
-            continue
-        out[row] = traces[piv].h - traces[j].h
-        row += 1
-    if n0:
-        s_star = _entropy_mix_from(problem, traces)
-        for j in problem.outgoing_m1:
-            out[row] = traces[j].s - s_star
-            row += 1
-    if scaled:
-        m_sc, h_sc, s_sc = problem._row_scales
-        out[0] /= m_sc
-        out[1:n] /= h_sc
-        out[n:] /= s_sc
-    return out
-
-
-def assemble_jacobian(problem: JunctionProblem, sigma, tau, mode="analytic", scaled=False):
-    """Jacobian of the coupling residual w.r.t. (sigma, tau).
-
-    ``analytic`` differentiates the wave-curve compositions in closed form
-    (exact on both branches); ``finite_difference`` uses central
-    differences and exists as an independent cross-check.
-    """
-    if mode == "finite_difference":
-        J = _fd_jacobian(problem, sigma, tau)
-    elif mode == "analytic":
-        J = _analytic_jacobian(problem, sigma, tau)
-    else:
-        raise ValueError(f"unknown Jacobian mode {mode!r}")
-    if scaled:
-        m_sc, h_sc, s_sc = problem._row_scales
-        J = J.copy()
-        J[0] /= m_sc
-        J[1:problem.n] /= h_sc
-        J[problem.n:] /= s_sc
-    return J
-
-
-def _analytic_jacobian(problem, sigma, tau):
-    n, n0, piv = problem.n, problem.n0, problem.pivot
-    d = problem.dim
-    traces = _traces(problem, sigma, tau)
-    tau_col = {j: n + k for k, j in enumerate(problem.outgoing_m1)}
-    J = np.zeros((d, d))
-
-    for i, p in enumerate(problem.pipes):
-        a = p.spec.area
-        J[0, i] = a * traces[i].dq_dsigma
-        if i in tau_col:
-            J[0, tau_col[i]] = a * traces[i].dq_dtau
-
-    row = 1
-    for j in range(n):
-        if j == piv:
-            continue
-        J[row, piv] = traces[piv].dh_dsigma
-        J[row, j] -= traces[j].dh_dsigma
-        if j in tau_col:
-            J[row, tau_col[j]] = -traces[j].dh_dtau
-        row += 1
-
-    if n0:
-        den = sum(problem.pipes[i].spec.area * traces[i].q for i in problem.incoming)
-        s_star = _entropy_mix_from(problem, traces)
-        # d s*/d sigma_i for incoming pipes (zero columns otherwise)
-        ds_star = {}
-        for i in problem.incoming:
-            a = problem.pipes[i].spec.area
-            t = traces[i]
-            ds_star[i] = a * (t.dq_dsigma * t.s + t.q * t.ds_dsigma - s_star * t.dq_dsigma) / den
-        for j in problem.outgoing_m1:
-            J[row, j] = traces[j].ds_dsigma
-            J[row, tau_col[j]] = traces[j].ds_dtau
-            for i in problem.incoming:
-                J[row, i] -= ds_star[i]
-            row += 1
-    return J
-
-
-def _fd_jacobian(problem, sigma, tau):
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    d = problem.dim
-    n = problem.n
-    J = np.empty((d, d))
-    for col in range(d):
-        if col < n:
-            h = 1e-6 * max(abs(sigma[col]), 1e-6)
-            sp, sm = sigma.copy(), sigma.copy()
-            sp[col] += h
-            sm[col] -= h
-            fp = assemble_phi(problem, sp, tau)
-            fm = assemble_phi(problem, sm, tau)
-        else:
-            k = col - n
-            h = 1e-6 * max(abs(tau[k]), problem.pipes[problem.outgoing_m1[k]].state.rho)
-            tp, tm = tau.copy(), tau.copy()
-            tp[k] += h
-            tm[k] -= h
-            fp = assemble_phi(problem, sigma, tp)
-            fm = assemble_phi(problem, sigma, tm)
-        J[:, col] = (fp - fm) / (2.0 * h)
-    return J
-
-
-def pivot_blocks(problem: JunctionProblem, sigma=None, tau=None):
+def pivot_blocks(problem: JunctionProblem, x=None):
     """The 3x3 blocks that control regularity when outgoing M1 pipes exist.
 
     Block j couples (sigma_j, sigma_pivot, tau_j) of outgoing M1 pipe j
-    through the mass row, its enthalpy row, and its entropy row.
+    through the mass row, its enthalpy row, and its entropy row; x
+    defaults to the base parameters.
     """
-    if sigma is None or tau is None:
-        sigma, tau = problem.base_parameters()
-    J = _analytic_jacobian(problem, sigma, tau)
+    if x is None:
+        x = np.concatenate(problem.base_parameters())
+    J = coupling_jacobian(problem, x)
     n, piv = problem.n, problem.pivot
-    tau_col = {j: n + k for k, j in enumerate(problem.outgoing_m1)}
     enth_row = {}
     row = 1
     for j in range(n):
@@ -347,7 +326,7 @@ def pivot_blocks(problem: JunctionProblem, sigma=None, tau=None):
     for k, j in enumerate(problem.outgoing_m1):
         er = enth_row[j]
         sr = n + k
-        cols = (j, piv, tau_col[j])
+        cols = (j, piv, problem._tau_col[j])
         block = np.array([
             [J[0, c] for c in cols],
             [J[er, c] for c in cols],
@@ -379,16 +358,25 @@ class StarSolution:
         return self.extras.get("assigned_kappa")
 
 
-def _newton(problem, phi, jac, x0, tol, max_iter, domain_errors):
-    """Damped Newton with Armijo backtracking on the scaled residual."""
-    x = np.asarray(x0, dtype=float)
-    fx = phi(x)
+def _newton(problem, tol, max_iter, domain_errors):
+    """Damped Newton with Armijo backtracking on the scaled residual,
+    started at the base parameters.
+
+    Returns (x, traces, residual, iterations), where ``traces`` are the
+    traces of the accepted iterate x; the Jacobian of each step is built
+    from the traces that gave its residual.
+    """
+    scales = problem.row_scales
+    x = np.concatenate(problem.base_parameters())
+    traces = problem.traces(x)
+    fx = problem.residual(traces) / scales
     for it in range(max_iter + 1):
-        if np.linalg.norm(fx, np.inf) <= tol:
-            return x, np.linalg.norm(fx, np.inf), it
+        res = np.linalg.norm(fx, np.inf)
+        if res <= tol:
+            return x, traces, res, it
         if it == max_iter:
             break
-        J = jac(x)
+        J = problem.jacobian(traces) / scales[:, None]
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError as exc:
@@ -397,7 +385,8 @@ def _newton(problem, phi, jac, x0, tol, max_iter, domain_errors):
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:
-                fn = phi(x + alpha * step)
+                trial = problem.traces(x + alpha * step)
+                fn = problem.residual(trial) / scales
             except domain_errors:
                 alpha *= 0.5
                 continue
@@ -405,44 +394,30 @@ def _newton(problem, phi, jac, x0, tol, max_iter, domain_errors):
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence(
-                "line search stalled", residual=np.linalg.norm(fx, np.inf), iterations=it
-            )
+            raise NoConvergence("line search stalled", residual=res, iterations=it)
         x = x + alpha * step
-        fx = fn
+        traces, fx = trial, fn
     raise NoConvergence(
         f"no convergence in {max_iter} iterations",
-        residual=float(np.linalg.norm(fx, np.inf)),
+        residual=float(res),
         iterations=max_iter,
     )
 
 
-def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                   apply_entropy_assignment=False) -> StarSolution:
+def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
+                   max_iter=DEFAULT_MAX_ITER) -> StarSolution:
     """Solve the junction coupling system for the trace star states.
 
     The returned entropy mix is assigned to outgoing isentropic pipes as
-    solution metadata; with ``apply_entropy_assignment`` their star states
-    additionally carry the kappa implied by that entropy.
+    solution metadata (``extras['assigned_kappa']``); their star states
+    keep the kappa of their initial data.
     """
-    from .errors import NonPositiveDensity, NonPositivePressure, SingularEntropyMix as _SEM
-
     g = problem.constants
-    n, n0 = problem.n, problem.n0
-    sigma0, tau0 = problem.base_parameters()
-    x0 = np.concatenate([sigma0, tau0])
-
-    def phi(x):
-        return assemble_phi(problem, x[:n], x[n:], scaled=True)
-
-    def jac(x):
-        return assemble_jacobian(problem, x[:n], x[n:], scaled=True)
-
-    x, res, it = _newton(problem, phi, jac, x0, tol, max_iter,
-                         (NonPositiveDensity, NonPositivePressure, _SEM))
+    n = problem.n
+    x, traces, res, it = _newton(problem, tol, max_iter,
+                                 (NonPositiveDensity, NonPositivePressure, SingularEntropyMix))
 
     sigma, tau = x[:n], x[n:]
-    traces = _traces(problem, sigma, tau)
     s_star = _entropy_mix_from(problem, traces) if problem.incoming else None
     h_star = traces[problem.pivot].h
 
@@ -458,10 +433,7 @@ def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL, max_iter=DEFAULT_M
                 f"(u={st.u:g}, c={sound_speed(st, g):g})"
             )
         if p.outgoing and p.spec.model.is_isentropic:
-            kap = g.kappa_from_entropy(s_star)
-            assigned[p.spec.id] = kap
-            if apply_entropy_assignment:
-                st = PipeState(st.model, st.rho, st.q, kappa=kap)
+            assigned[p.spec.id] = g.kappa_from_entropy(s_star)
         states.append(st)
 
     tau_of = dict(zip(problem.outgoing_m1, tau))
@@ -491,16 +463,17 @@ def verify_coupling(sol: StarSolution, problem: JunctionProblem) -> CouplingDiag
     This path recomputes q, h, s from the states (not from the curve
     parameters), so it exercises a different evaluation route than the
     solver.  Residuals are nondimensionalized against the problem's
-    mass/enthalpy/entropy scales.
+    mass/enthalpy/entropy row scales.
     """
     g = problem.constants
-    m_sc, h_sc, s_sc = problem._row_scales
+    m_sc, h_sc = problem.row_scales[:2].tolist()
     states = {i: sol.star_states[problem.pipes[i].input_index] for i in range(problem.n)}
     mass = sum(problem.pipes[i].spec.area * states[i].q for i in range(problem.n))
     hs = [thermo_quantities(states[i], g).h for i in range(problem.n)]
     spread = (max(hs) - min(hs)) / h_sc
     ent = 0.0
     if problem.n0 and sol.s_star is not None:
+        s_sc = float(problem.row_scales[-1])   # an entropy row
         for j in problem.outgoing_m1:
             s_j = thermo_quantities(states[j], g).s
             ent = max(ent, abs(s_j - sol.s_star) / s_sc)

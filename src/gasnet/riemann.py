@@ -251,18 +251,34 @@ def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
     return PipeState(Model.M3, rho, q, kappa=kappa)
 
 
-def sample_waves(waves, left_data: PipeState, right_data: PipeState, xi, g: GasConstants):
-    """Sample a left-to-right list of waves at x/t = xi."""
+def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: GasConstants):
+    """Sample a left-to-right list of waves at each ascending x/t in xis,
+    in one pass.
+
+    A point at a wave's leftmost speed lies right of it, past a shock or
+    contact and inside a fan; constant regions are returned as the
+    ``left_data``, ``wave.right`` and ``right_data`` objects themselves.
+    """
+    out = []
+    k = 0
     state = left_data
-    for wave in waves:
-        if xi < wave.leftmost_speed:
-            return state
-        if wave.kind == RAREFACTION and xi < wave.rightmost_speed:
-            return fan_state(wave, xi, g)
-        state = wave.right
-    return right_data
+    for xi in xis:
+        while k < len(waves):
+            wave = waves[k]
+            if xi < wave.leftmost_speed or (
+                    wave.kind == RAREFACTION and xi < wave.rightmost_speed):
+                break
+            state = wave.right
+            k += 1
+        if k == len(waves):
+            out.append(right_data)
+        elif xi < waves[k].leftmost_speed:
+            out.append(state)
+        else:
+            out.append(fan_state(waves[k], xi, g))
+    return out
 
 
 def sample_solution(sol, UL: PipeState, UR: PipeState, xi, g: GasConstants) -> PipeState:
     """State of the self-similar solution at x/t = xi."""
-    return sample_waves(sol.waves, UL, UR, xi, g)
+    return sample_waves(sol.waves, UL, UR, [xi], g)[0]

@@ -34,13 +34,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .compressor import (
-    ADIABATIC_HEAD,
-    POWER,
-    CompressorControl,
-    CompressorProblem,
-    solve_compressor,
-)
+from .compressor import ADIABATIC_HEAD, POWER, CompressorControl
 from .errors import ScenarioParseError, ScenarioValidationError
 from .fronttracking import (
     DEFAULT_MAX_EVENTS,
@@ -51,9 +45,10 @@ from .fronttracking import (
     init_approximation,
     l1_distance,
     operator_split_run,
+    solve_coupling,
     weak_form_residual,
 )
-from .junction import JunctionProblem, PipeSpec, solve_junction, verify_coupling
+from .junction import PipeSpec, verify_coupling
 from .laxcurves import role_of
 from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
@@ -486,23 +481,10 @@ def _grid(sc: Scenario):
     return [length * (k + 0.5) / n for k in range(n)]
 
 
-def _solve_coupling(sc: Scenario):
-    traces = sc.trace_states()
-    if sc.kind == "junction":
-        problem = JunctionProblem(list(zip(sc.specs, traces)), sc.constants)
-        sol = solve_junction(problem, tol=sc.run.tol)
-        return problem, sol
-    problem = CompressorProblem((sc.specs[0], traces[0]),
-                                (sc.specs[1], traces[1]),
-                                sc.control, sc.constants)
-    sol = solve_compressor(problem, tol=sc.run.tol)
-    return problem, sol
-
-
 def _run_riemann(sc: Scenario) -> RunResult:
     g = sc.constants
-    problem, sol = _solve_coupling(sc)
     data = sc.trace_states()
+    problem, sol = solve_coupling(sc.specs, data, g, sc.control, tol=sc.run.tol)
     patterns = []
     for i, spec in enumerate(sc.specs):
         tau = sol.tau[i] if sol.tau[i] is not None else 0.0
@@ -519,8 +501,8 @@ def _run_riemann(sc: Scenario) -> RunResult:
         traces = {}
         for i, spec in enumerate(sc.specs):
             waves, trace = patterns[i]
-            pipes[spec.id] = {"x": xs, "states": [
-                fields(sample_waves(waves, trace, data[i], x / t, g)) for x in xs]}
+            states = sample_waves(waves, trace, data[i], [x / t for x in xs], g)
+            pipes[spec.id] = {"x": xs, "states": list(map(fields, states))}
             traces[spec.id] = fields(trace)
         diag = {"residual_norm": sol.residual_norm, "iterations": sol.iterations}
         records.append(snapshot_record(t, pipes, traces, diag))
@@ -585,7 +567,7 @@ def _simulate_once(sc: Scenario):
     g = sc.constants
     state = init_approximation(sc.specs, sc.profiles, g, sc.run.epsilon,
                                control=sc.control, tv_bound=sc.run.tv_bound,
-                               max_events=sc.run.max_events)
+                               tol=sc.run.tol, max_events=sc.run.max_events)
     if sc.run.source is not None:
         dx = (sc.run.grid_length or 1.0) / sc.run.grid_points
         dt_split = default_split_step(state, dx)
@@ -643,7 +625,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
         # do not change a run, so the simulate run is the member at its epsilon
         finals = [state if eps == sc.run.epsilon else
                   init_approximation(sc.specs, sc.profiles, g, eps, control=sc.control,
-                                     tv_bound=sc.run.tv_bound,
+                                     tv_bound=sc.run.tv_bound, tol=sc.run.tol,
                                      max_events=sc.run.max_events).run(sc.run.horizon)
                   for eps in sc.run.epsilon_ladder]
         x_max = max(sc.run.grid_length or 1.0,

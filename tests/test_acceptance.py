@@ -38,7 +38,8 @@ from gasnet.fronttracking import (
 from gasnet.junction import (
     JunctionProblem,
     PipeSpec,
-    assemble_jacobian,
+    coupling_jacobian,
+    fd_jacobian,
     pivot_blocks,
     solve_junction,
     verify_coupling,
@@ -107,8 +108,8 @@ def test_criterion_3_jacobian_fidelity():
         prob = perturb_problem(
             build_fixed_point_junction(rng, G, models_in, models_out), 0.05, rng)
         sigma0, tau0 = prob.base_parameters()
-        Ja = assemble_jacobian(prob, sigma0, tau0, "analytic")
-        Jf = assemble_jacobian(prob, sigma0, tau0, "finite_difference")
+        Ja = coupling_jacobian(prob, np.concatenate([sigma0, tau0]))
+        Jf = fd_jacobian(prob, np.concatenate([sigma0, tau0]))
         scale = np.abs(Jf).max()
         gap = np.abs(Ja - Jf)
         allow = 1e-6 * np.maximum(np.abs(Ja), np.abs(Jf)) + 1e-9 * scale
@@ -136,7 +137,7 @@ def test_criterion_4_determinant_signs():
         else:
             without_m1_out += 1
             sigma0, tau0 = prob.base_parameters()
-            J = assemble_jacobian(prob, sigma0, tau0, "analytic")
+            J = coupling_jacobian(prob, np.concatenate([sigma0, tau0]))
             assert abs(np.linalg.det(J)) > 0.0
             assert np.linalg.cond(J) < 1e12
     models = (Model.M1, Model.M2, Model.M3)

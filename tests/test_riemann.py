@@ -21,10 +21,12 @@ from gasnet import (
     thermo_quantities,
 )
 from gasnet.riemann import (
+    CONTACT,
     RAREFACTION,
     SHOCK,
     fan_state,
     sample_solution,
+    sample_waves,
     solve_riemann_iso,
     solve_riemann_m1,
 )
@@ -271,6 +273,54 @@ def test_sampling_regions():
     # exactly at the contact: right limit (right star state)
     assert sample_solution(sol, UL, UR, sol.u_star, G).rho == pytest.approx(
         sol.rho_r_star)
+
+
+def _sample_at(waves, left, right, xi, g):
+    """Per-point reference: scan the waves left to right for one xi."""
+    state = left
+    for wave in waves:
+        if xi < wave.leftmost_speed:
+            return state
+        if wave.kind == RAREFACTION and xi < wave.rightmost_speed:
+            return fan_state(wave, xi, g)
+        state = wave.right
+    return right
+
+
+def test_sample_waves_one_pass_matches_per_point_scan(rng):
+    cases = [(m1_state(1.0, 0.0, 1.0, G), m1_state(0.125, 0.0, 0.1, G))]
+    for _ in range(20):
+        cases.append((m1_state(rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5),
+                               rng.uniform(0.3, 3.0), G),
+                      m1_state(rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5),
+                               rng.uniform(0.3, 3.0), G)))
+        model = (Model.M2, Model.M3)[int(rng.integers(0, 2))]
+        cases.append((iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5), 1.0),
+                      iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5), 1.0)))
+    kinds = set()
+    for UL, UR in cases:
+        if UL.model is Model.M1:
+            waves = solve_riemann_m1(UL, UR, G).waves
+        else:
+            waves = solve_riemann_iso(UL, UR, UL.model, G).waves
+        # random points plus every shock, contact and fan edge, where the
+        # right limit wins
+        edges = [s for w in waves for s in w.speeds]
+        kinds.update(w.kind for w in waves)
+        xis = sorted(list(rng.uniform(min(edges) - 1.0, max(edges) + 1.0, 40)) + edges)
+        got = sample_waves(waves, UL, UR, xis, G)
+        regions = [UL, UR] + [w.right for w in waves]
+        for xi, st in zip(xis, got):
+            want = _sample_at(waves, UL, UR, xi, G)
+            if any(want is r for r in regions):
+                assert st is want
+            else:
+                assert st == want
+        for w in waves:
+            if w.kind != RAREFACTION:
+                at = sample_waves(waves, UL, UR, [w.speeds[0]], G)[0]
+                assert at is (w.right if w is not waves[-1] else UR)
+    assert kinds == {SHOCK, RAREFACTION, CONTACT}
 
 
 def test_fan_sampling_continuity(rng):

@@ -165,6 +165,30 @@ def test_simulate_mode_with_snapshots():
     assert res.summary["events"] > 0
 
 
+def test_simulate_honours_run_tol(monkeypatch):
+    # every coupling solve of a tracked run uses run.tol, not the default
+    import gasnet.fronttracking as ft
+
+    seen = []
+    solve = ft.solve_junction
+
+    def spy(problem, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(ft, "solve_junction", spy)
+    doc = MINIMAL.replace("mode: riemann",
+                          "mode: simulate\n  horizon: 0.5\n  epsilon: 0.02\n"
+                          "  snapshots: 2\n  tol: 1.0e-13")
+    doc = doc.replace("{rho: 1.0, u: -0.3, kappa: 1.0}",
+                      "{pieces: [{x_right: 0.4, rho: 1.0, u: -0.3, kappa: 1.0},"
+                      " {x_right: null, rho: 1.02, u: -0.3, kappa: 1.0}]}")
+    sc = parse_scenario(doc)
+    assert sc.run.tol == 1e-13
+    run_scenario(sc)
+    assert len(seen) > 1 and set(seen) == {1e-13}
+
+
 def test_epsilon_ladder_summary():
     doc = MINIMAL.replace("mode: riemann",
                           "mode: simulate\n  horizon: 0.4\n  epsilon: 0.02\n"
