@@ -156,7 +156,7 @@ def _cmd_diagnose(args):
             diag = dict(rec.get("diagnostics", {}))
             entry = {"time": rec["time"]}
             for key in ("mass", "enthalpy_spread", "entropy", "V", "Q", "Y",
-                        "TV", "front_count"):
+                        "TV", "np_strength", "front_count"):
                 if key in diag:
                     entry[key] = diag[key]
             report.append(entry)

@@ -590,6 +590,7 @@ def _simulate_once(sc: Scenario):
             pipes[spec.id] = {"x": xs, "states": list(map(fields, track.states_at(xs, pos)))}
             traces[spec.id] = fields(track.trace)
         diag = {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
+                "np_strength": glimm.np_strength,
                 "front_count": glimm.front_count, "events": state.events}
         diag.update(trace_residuals(state, sc.specs, g, sc.control))
         records.append(snapshot_record(t, pipes, traces, diag))
@@ -616,7 +617,8 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "K_J": state.K_J,
         "K_hat_J": state.K_hat_J,
         "max_junction_amplification": max(ratios) if ratios else 0.0,
-        "final": {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV},
+        "final": {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
+                  "np_strength": glimm.np_strength},
         "max_residuals": trace_residuals(state, sc.specs, g, sc.control),
         "weak_form_residual": weak_form_residual(state, test_funcs, sc.run.horizon),
     }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import state_from_enthalpy
-from gasnet import EventStarvation, GasConstants, Model, iso_state, m1_state
+from gasnet import EventStarvation, GasConstants, Model, PipeState, iso_state, m1_state
 from gasnet.fronttracking import (
     NONPHYSICAL,
     FrontTrackingState,
@@ -133,9 +133,9 @@ def test_same_family_shock_merge_sheds_nonphysical():
     track = state.pipes[1]
     st = track.trace
     # rear shock stronger, so it catches the weaker one; strengths small
-    # enough that the product falls below rho_simpl = 2.5e-3
-    mid = apply_wave(2, 0.03 * st.rho, st, G)
-    right = apply_wave(2, 0.012 * st.rho, mid, G)
+    # enough that the product 4e-5 falls below rho_simpl = epsilon^3 = 1.25e-4
+    mid = apply_wave(2, 0.01 * st.rho, st, G)
+    right = apply_wave(2, 0.004 * st.rho, mid, G)
     from gasnet.fronttracking import _front_from_jump
 
     f1 = _front_from_jump(2, st, mid, G)
@@ -155,6 +155,7 @@ def test_same_family_shock_merge_sheds_nonphysical():
     assert merged.strength == pytest.approx(v1 + v2, rel=1e-12)
     assert np_front.speed == state.lambda_hat
     assert np_front.strength > 0
+    assert state.glimm().np_strength == pytest.approx(np_front.strength, rel=1e-12)
     # defect equals exact-vs-merged star mismatch, i.e. chain closes on the
     # original outer states
     assert track.fronts[-1].right == right if track.fronts[-1].family == 0 else True
@@ -166,7 +167,7 @@ def test_weak_wave_reflection_keeps_other_pipes_silent():
     track = state.pipes[0]   # incoming pipe
     st = track.trace
     # family-1 wave on the incoming pipe runs toward the junction; strength
-    # far below rho_simpl = epsilon^2
+    # far below rho_simpl = epsilon^3
     tiny = 1e-4 * state.rho_simpl * track.scales.param
     behind = apply_wave(1, tiny, st, G)
     from gasnet.fronttracking import _front_from_jump
@@ -345,6 +346,30 @@ def test_epsilon_refinement_decreases_l1():
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:])), dists
 
 
+def _np_strength(state):
+    """Summed scaled strength of the live non-physical fronts."""
+    return sum(state._scaled_strength(i, f) for i, track in enumerate(state.pipes)
+               for f in track.fronts if f.family == NONPHYSICAL)
+
+
+def test_epsilon_ladder_nonphysical_strength_is_order_epsilon():
+    # with rho_simpl = epsilon^3 the non-physical fronts carry O(epsilon)
+    # strength, and the weak-form residual falls with epsilon at first order
+    from gasnet.fronttracking import bump_test_functions, weak_form_residual
+
+    horizon = 1.2
+    funcs = bump_test_functions(x_max=4.0, t_max=horizon)
+    residuals = []
+    for eps in (0.04, 0.02, 0.01, 0.005):
+        state = ladder_scenario(eps)
+        state.run(horizon)
+        assert _np_strength(state) <= 0.1 * eps, (eps, _np_strength(state))
+        state.finalize_segments()
+        residuals.append(weak_form_residual(state, funcs, horizon))
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert fine <= 0.6 * coarse, residuals
+
+
 def _reference_weak_form_residual(state, test_functions, horizon):
     """weak_form_residual evaluating every test function on every segment."""
     g = state.g
@@ -478,6 +503,7 @@ def _assert_glimm_matches(state):
     _assert_close(gl.Q, q)
     _assert_close(gl.Y, v + state.K_hat_J * q)
     _assert_close(gl.TV, tv)
+    _assert_close(gl.np_strength, _np_strength(state))
     assert gl.front_count == sum(len(t.fronts) for t in state.pipes)
 
 
@@ -514,7 +540,7 @@ def _oracle_run(state, horizon):
 
 def test_snapshot_stops_do_not_perturb_run():
     # a front is its trajectory: stopping the clock moves nothing
-    stopped, straight = ladder_scenario(0.01), ladder_scenario(0.01)
+    stopped, straight = ladder_scenario(0.005), ladder_scenario(0.005)
     for k in range(1, 11):
         stopped.run(0.12 * k)
     straight.run(1.2)
@@ -531,12 +557,12 @@ def test_snapshot_stops_do_not_perturb_run():
 def test_oracle_mixed_model_tracking():
     from test_acceptance import _mixed_model_tracking_scenario
 
-    state = _mixed_model_tracking_scenario()
+    state = _mixed_model_tracking_scenario(epsilon=0.01)
     assert _oracle_run(state, 4.0) >= 150
 
 
 def test_oracle_epsilon_ladder_run():
-    state = ladder_scenario(0.01)
+    state = ladder_scenario(0.005)
     assert _oracle_run(state, 1.2) >= 500
     assert {r.kind for r in state.interactions} >= {"collision", "junction"}
 
@@ -557,6 +583,59 @@ def test_oracle_friction_split_run():
         state.apply_source(src, t0, 0.1)
         _assert_glimm_matches(state)
     assert events >= 500
+
+
+def test_source_step_sheds_weak_fronts_as_nonphysical(monkeypatch):
+    # a front below rho_simpl whose regions the source moved becomes one
+    # non-physical front between the shifted regions; a stronger front is
+    # re-solved by the accurate step
+    import gasnet.fronttracking as ft
+
+    specs, profiles = balanced_m3_junction()
+    state = init_approximation(specs, profiles, G, epsilon=0.05)
+    track = state.pipes[1]
+    st = track.trace
+    mid = apply_wave(2, 0.5 * state.rho_simpl * st.rho, st, G)
+    right = apply_wave(2, 0.02 * st.rho, mid, G)
+    weak = ft._front_from_jump(2, st, mid, G)
+    strong = ft._front_from_jump(2, mid, right, G)
+    weak.born_x, strong.born_x = 0.3, 0.6
+    track.fronts = [weak, strong]
+    state._rechain()
+    state._dirty_all()
+    assert ft._STRENGTH_FLOOR < state._scaled_strength(1, weak) < state.rho_simpl
+    assert state._scaled_strength(1, strong) > state.rho_simpl
+
+    src = ft.FrictionSource(0.02, 0.5)
+    dt = 0.1
+
+    def shifted(s):
+        return PipeState(Model.M3, s.rho, s.q + dt * src.evaluate(0.0, s, G)[1],
+                         kappa=s.kappa)
+
+    solved = []
+    accurate = ft.accurate_solve
+
+    def spy(left, right, *args):
+        solved.append((left, right))
+        return accurate(left, right, *args)
+
+    monkeypatch.setattr(ft, "accurate_solve", spy)
+    state.apply_source(src, 0.0, dt)
+    fronts = track.fronts
+    nonphysical = [f for f in fronts if f.family == NONPHYSICAL]
+    assert len(nonphysical) == 1
+    np_front = nonphysical[0]
+    assert np_front.at(state.time) == 0.3
+    assert np_front.left == shifted(st) and np_front.right == shifted(mid)
+    assert solved == [(shifted(mid), shifted(right))]
+    # the chain closes: each front starts where the one before it ends
+    prev = track.trace
+    for f in fronts:
+        assert f.left is prev
+        prev = f.right
+    assert prev == shifted(right)
+    _assert_glimm_matches(state)
 
 
 def test_event_budget_exhausted_carries_context():
@@ -605,7 +684,7 @@ def test_scheduler_ties_follow_scan_order():
 def test_glimm_totals_after_largest_ladder():
     # thousands of splice deltas: the running totals still match the
     # definitions and a fresh pass over every front
-    state = ladder_scenario(0.005)
+    state = ladder_scenario(0.00125)
     state.run(1.2)
     assert state.events > 5000
     assert max(len(t.fronts) for t in state.pipes) > 100
