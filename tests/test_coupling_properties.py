@@ -3,8 +3,8 @@
 Junctions of 2-6 pipes mixing M1, M2 and M3, and compressors (CP1/CP2,
 all nine inlet/outlet model pairs), a little off balance: the closed-form
 Jacobian against central differences, the traces Newton returns against
-the traces of its iterate, and junction solutions under any ordering of
-the pipes.
+the traces of its iterate, junction solutions under any ordering of
+the pipes, and the entropy mix carried by outgoing full-Euler pipes.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from gasnet import (
     NonPositiveFlux,
     NonPositivePressure,
     SingularEntropyMix,
+    thermo_quantities,
 )
 from gasnet.compressor import ADIABATIC_HEAD, POWER
 from gasnet.junction import (
@@ -99,3 +100,23 @@ def test_junction_solution_independent_of_pipe_order(problem, data):
             # tau is a density shift: relative to the pipe's density
             rho = ordered[k].state.rho
             assert abs(b.tau[pos] - a.tau[k]) <= 1e-10 * max(abs(a.tau[k]), rho)
+
+
+@PROPERTY
+@given(junctions())
+def test_outgoing_m1_pipes_carry_the_entropy_mix(problem):
+    # the solved traces of every outgoing M1 pipe have the flux-weighted mean
+    # entropy of the incoming traces; entropy is relative to the solver's
+    # entropy row scale gamma*cv, since s = cv ln(kappa) + s0 may be near 0
+    sol = solve_junction(problem)
+    pipes = sorted(problem.pipes, key=lambda p: p.input_index)
+    flux = num = 0.0
+    for p, st in zip(pipes, sol.star_states):
+        if not p.outgoing:
+            flux += p.spec.area * st.q
+            num += p.spec.area * st.q * thermo_quantities(st, G).s
+    mix = num / flux
+    for p, st in zip(pipes, sol.star_states):
+        if p.outgoing and p.spec.model is Model.M1:
+            s = thermo_quantities(st, G).s
+            assert abs(s - mix) <= 1e-10 * max(abs(mix), G.gamma * G.cv), (s, mix)

@@ -1,21 +1,30 @@
 """Front tracking: initialization, accurate/simplified solvers, event loop,
 and the Glimm-functional bookkeeping."""
 
+import warnings
 from math import ceil, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import state_from_enthalpy
 from gasnet import EventStarvation, GasConstants, Model, PipeState, iso_state, m1_state
 from gasnet.fronttracking import (
     NONPHYSICAL,
+    Bump,
     FrontTrackingState,
+    PipeScales,
+    Segment,
     accurate_solve,
     apply_wave,
+    bump_test_functions,
     flux_vector,
     init_approximation,
     l1_distance,
+    weak_form_residual,
 )
 from gasnet.junction import JunctionProblem, PipeSpec, solve_junction
 from gasnet.riemann import RAREFACTION, SHOCK
@@ -355,8 +364,6 @@ def _np_strength(state):
 def test_epsilon_ladder_nonphysical_strength_is_order_epsilon():
     # with rho_simpl = epsilon^3 the non-physical fronts carry O(epsilon)
     # strength, and the weak-form residual falls with epsilon at first order
-    from gasnet.fronttracking import bump_test_functions, weak_form_residual
-
     horizon = 1.2
     funcs = bump_test_functions(x_max=4.0, t_max=horizon)
     residuals = []
@@ -434,9 +441,96 @@ def test_weak_form_support_culling_is_exact():
     assert res == each_bump(_reference_weak_form_residual, state, 1.0)
 
 
-def test_weak_form_residual_below_threshold():
-    from gasnet.fronttracking import bump_test_functions, weak_form_residual
+def test_bump_values_match_scalar_definition():
+    # the array method is the scalar definition bit for bit, 0.0 on and
+    # beyond the support edges, and divides by zero nowhere
+    rng = np.random.default_rng(7)
+    bumps = bump_test_functions(4.0, 1.2) + [Bump(0.5, 0.25, 0.75, 0.5)]
+    for phi in bumps:
+        xa, xb, ta, tb = phi.support
+        x = rng.uniform(xa - 0.1, xb + 0.1, 2000)
+        t = rng.uniform(ta - 0.1, tb + 0.1, 2000)
+        assert phi.values(x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
+        near = np.nextafter([xa, xb], phi.xc)    # just inside the x edges
+        x, t = np.repeat(near, 3), np.tile([ta, phi.tc, tb], 2)
+        assert phi.values(x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
+    # |sx| = 1 and |st| = 1 exactly: the dyadic bump's edges
+    phi = bumps[-1]
+    x = np.array([0.25, 0.75, 0.5, 0.5, 0.25, 0.75, 0.6])
+    t = np.array([0.75, 0.75, 0.25, 1.25, 0.25, 1.25, 1.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = phi.values(x, t).tolist()
+        far = phi.values(np.array([-1e300, -3.0, 7.0, 1e300]),
+                         np.array([0.75, -1e300, 1e300, 0.75])).tolist()
+    assert edge == [phi(a, b) for a, b in zip(x, t)] == [0.0] * 7
+    assert far == [0.0] * 4
 
+
+def _stub_state(segments, n_pipes):
+    """What weak_form_residual reads of a run: segments, scales and g."""
+    return SimpleNamespace(segments=segments, scales=[PipeScales(1.0, 1.0, 0.3, 2.5)] * n_pipes,
+                           g=G)
+
+
+# dyadic boxes, so that segments can start, end or lie on an edge exactly
+_bumps = hs.builds(Bump, hs.sampled_from([0.0, 0.5, 1.25]), hs.sampled_from([0.25, 0.5, 1.0]),
+                   hs.sampled_from([0.5, 0.75]), hs.sampled_from([0.25, 0.5]))
+
+
+@hs.composite
+def _segment_sets(draw):
+    """A bump and up to 40 segments around it on one M1 and one M2 pipe:
+    exact (zero-defect) jumps, speed-0 segments, and segments that start,
+    end or lie on the support edges, cross them or stay outside."""
+    phi = draw(_bumps)
+    xa, xb, ta, tb = phi.support
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    models = (Model.M1, Model.M2)
+
+    def state(model):
+        rho, u, p = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)
+        return m1_state(rho, u, p, G) if model is Model.M1 else iso_state(model, rho, u, p)
+
+    def pick(edges, lo, hi):
+        return edges[rng.integers(len(edges))] if rng.random() < 0.5 else rng.uniform(lo, hi)
+
+    segments = []
+    for _ in range(draw(hs.integers(0, 40))):
+        pipe = int(rng.integers(2))
+        left = state(models[pipe])
+        right = left if rng.random() < 0.5 else state(models[pipe])
+        t0 = pick((ta, tb, phi.tc), 0.0, 1.5)
+        x0 = pick((xa, xb, phi.xc), xa - 1.0, xb + 1.0)
+        speed = 0.0 if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+        dt = pick([0.0] + [d for d in (ta - t0, tb - t0) if d >= 0.0], 0.0, 1.0)
+        segments.append(Segment(pipe, t0, t0 + dt, x0, speed, left, right))
+    return _stub_state(segments, 2), phi
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_segment_sets(), hs.sampled_from([1.0, 1.2]))
+def test_weak_form_kernel_matches_scalar_reference(case, horizon):
+    state, phi = case
+    funcs = [phi] + bump_test_functions(2.0, horizon)
+    for bump in funcs:
+        res = weak_form_residual(state, [bump], horizon)
+        assert type(res) is float
+        assert res == _reference_weak_form_residual(state, [bump], horizon)
+
+
+def test_weak_form_residual_without_defects_is_zero():
+    left = m1_state(1.0, 0.1, 1.0, G)
+    exact = Segment(0, 0.25, 0.75, 0.5, 0.3, left, left)
+    funcs = bump_test_functions(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for segments in ([], [exact, exact]):
+            res = weak_form_residual(_stub_state(segments, 1), funcs, 1.0)
+            assert res == 0.0 and type(res) is float
+
+
+def test_weak_form_residual_below_threshold():
     for eps in (0.02, 0.01):
         state = ladder_scenario(eps)
         horizon = 1.0
