@@ -223,10 +223,10 @@ def solve_compressor(problem: CompressorProblem, tol=DEFAULT_TOL,
     if not problem.m1_outlet:
         extras["assigned_kappa"][problem.outlet[0].id] = g.kappa_from_entropy(s_star)
 
-    tau2 = float(x[2]) if problem.m1_outlet else None
+    tau2 = x[2] if problem.m1_outlet else None
     return StarSolution(
         star_states=(t1.state, t2.state),
-        sigma=(float(x[0]), float(x[1])),
+        sigma=(x[0], x[1]),
         tau=(None, tau2),
         h_star=None,
         s_star=s_star,

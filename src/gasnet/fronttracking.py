@@ -536,7 +536,7 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
     if left.model is Model.M1:
         sol = solve_riemann_m1(left, right, g)
     else:
-        sol = solve_riemann_iso(left, right, left.model, g)
+        sol = solve_riemann_iso(left, right, g)
     fronts = []
     for wave in sol.waves:
         sc = scales.strength_scale(wave.family, left.model)

@@ -364,16 +364,17 @@ def _newton(problem, tol, max_iter, domain_errors):
 
     Returns (x, traces, residual, iterations), where ``traces`` are the
     traces of the accepted iterate x; the Jacobian of each step is built
-    from the traces that gave its residual.
+    from the traces that gave its residual.  x is a list and traces are
+    evaluated on it, so neither carries numpy scalars.
     """
     scales = problem.row_scales
     x = np.concatenate(problem.base_parameters())
-    traces = problem.traces(x)
+    traces = problem.traces(x.tolist())
     fx = problem.residual(traces) / scales
     for it in range(max_iter + 1):
         res = np.linalg.norm(fx, np.inf)
         if res <= tol:
-            return x, traces, res, it
+            return x.tolist(), traces, res, it
         if it == max_iter:
             break
         J = problem.jacobian(traces) / scales[:, None]
@@ -385,7 +386,7 @@ def _newton(problem, tol, max_iter, domain_errors):
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:
-                trial = problem.traces(x + alpha * step)
+                trial = problem.traces((x + alpha * step).tolist())
                 fn = problem.residual(trial) / scales
             except domain_errors:
                 alpha *= 0.5
@@ -440,7 +441,7 @@ def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
     tau_full = [tau_of.get(i) for i in range(n)]
     return StarSolution(
         star_states=problem.to_input_order(states),
-        sigma=problem.to_input_order(list(sigma)),
+        sigma=problem.to_input_order(sigma),
         tau=problem.to_input_order(tau_full),
         h_star=h_star,
         s_star=s_star,

@@ -7,15 +7,23 @@ wave curves, their first derivatives, and the bracketed Newton solves for
 the star parameter of a two-state Riemann problem.
 
 Every function here is a pure function of floats.  The star solvers
-return ``(value, iterations)``; ``iterations`` is negative on failure
-(-1: budget exhausted, -2: vacuum) and the callers translate that into
-exceptions.
+return ``(value, residual, iterations)``, where ``residual`` is |f| of the
+equation they iterated, and raise ``VacuumFormation`` or
+``NoConvergence`` themselves.  There are no return codes: they served a
+compiled twin of this module that could not raise, and that twin is
+gone, so each star equation is written only here and callers need not
+re-evaluate it for the residual.
 
 All branch switches put the joining point (rho* = rho_bar, p* = p_k) on
 the rarefaction side, where the closed forms stay regular.
 """
 
 from math import sqrt
+
+from .errors import NoConvergence, VacuumFormation
+
+TOL = 1e-10
+MAX_ITER = 100
 
 
 def iso_sound_speed(rho, kappa, gamma):
@@ -101,20 +109,27 @@ def dphi(p_star, p_k, rho_k, gamma):
     return rho_k * p_k * (1.0 - mu2 * mu2) / (mu2 * p_star + p_k) ** 2
 
 
-def _bracketed_newton(f, df, x, lo, hi, tol, max_iter):
-    """Newton iteration kept inside [lo, hi]; bisection on bad steps.
+def _bracketed_newton(f, df, increasing, guess, lo, hi, tol, max_iter, what):
+    """Root of a monotone scalar equation f = 0 above lo.
 
-    The bracket must satisfy sign(f(lo)) != sign(f(hi)).  `orient` below
-    records which end is negative so bracket updates stay consistent.
+    ``hi`` doubles until f changes sign; Newton steps from ``guess`` then
+    stay inside [lo, hi] and fall back to bisection when they leave it.
+    ``increasing`` says which way f runs, so bracket updates stay
+    consistent.  Returns (x, |f(x)|, iterations).
     """
-    f_lo = f(lo)
-    increasing = f_lo < 0.0
+    sign = 1.0 if increasing else -1.0
+    for _ in range(201):
+        if not sign * f(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NoConvergence(f"{what}: no sign change below {hi:g}", iterations=0)
+    x = min(max(guess, 2.0 * lo), 0.5 * hi)
     for it in range(1, max_iter + 1):
         fx = f(x)
         if abs(fx) <= tol:
-            return x, it
-        below = fx < 0.0 if increasing else fx > 0.0
-        if below:
+            return x, abs(fx), it
+        if sign * fx < 0.0:
             lo = x
         else:
             hi = x
@@ -127,22 +142,32 @@ def _bracketed_newton(f, df, x, lo, hi, tol, max_iter):
             x_new = 0.5 * (lo + hi)
         if x_new == x:
             # bracket collapsed to machine resolution
-            return x, it
+            return x, abs(fx), it
         x = x_new
-    return x, -1
+    res = abs(f(x))
+    if res > tol:
+        raise NoConvergence(f"{what}: residual {res:g} above tol {tol:g}",
+                            residual=res, iterations=max_iter)
+    return x, res, max_iter
 
 
-def solve_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, tol, max_iter):
+def _vacuum(what):
+    return VacuumFormation(f"{what}: data admit no positive-density solution")
+
+
+def solve_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma,
+                    tol=TOL, max_iter=MAX_ITER):
     """Star pressure of the full Euler Riemann problem.
 
     Solves psi(p, left) + psi(p, right) + (u_r - u_l) = 0, with the
     two-rarefaction value as the initial guess.
     """
+    what = "full Euler Riemann solve"
     c_l = sqrt(gamma * p_l / rho_l)
     c_r = sqrt(gamma * p_r / rho_r)
     du = u_r - u_l
     if 2.0 * (c_l + c_r) / (gamma - 1.0) <= du:
-        return 0.0, -2
+        raise _vacuum(what)
 
     def f(p):
         return psi(p, p_l, rho_l, gamma) + psi(p, p_r, rho_r, gamma) + du
@@ -152,24 +177,17 @@ def solve_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, tol, max_iter):
 
     e = 0.5 * (gamma - 1.0) / gamma
     guess = ((c_l + c_r - 0.5 * (gamma - 1.0) * du) / (c_l / p_l**e + c_r / p_r**e)) ** (1.0 / e)
-    lo = 1e-14 * min(p_l, p_r)
-    hi = 2.0 * max(p_l, p_r, guess)
-    grow = 0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            return 0.0, -1
-    x = min(max(guess, lo * 2.0), hi * 0.5)
-    return _bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+    return _bracketed_newton(f, df, True, guess, 1e-14 * min(p_l, p_r),
+                             2.0 * max(p_l, p_r, guess), tol, max_iter, what)
 
 
-def solve_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol, max_iter):
+def solve_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol=TOL, max_iter=MAX_ITER):
     """Star density of the isentropic Riemann problem (momentum model)."""
+    what = "isentropic Riemann solve"
     c_l = iso_sound_speed(rho_l, kappa, gamma)
     c_r = iso_sound_speed(rho_r, kappa, gamma)
     if 2.0 * (c_l + c_r) / (gamma - 1.0) <= u_r - u_l:
-        return 0.0, -2
+        raise _vacuum(what)
 
     def f(rho):
         return (u_l - u_r) * rho - theta2(rho, rho_l, kappa, gamma) - theta2(rho, rho_r, kappa, gamma)
@@ -177,27 +195,17 @@ def solve_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol, max_iter):
     def df(rho):
         return (u_l - u_r) - dtheta2(rho, rho_l, kappa, gamma) - dtheta2(rho, rho_r, kappa, gamma)
 
-    lo = 1e-14 * min(rho_l, rho_r)
-    hi = 2.0 * max(rho_l, rho_r)
-    grow = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            return 0.0, -1
-    x = 0.5 * (rho_l + rho_r)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    return _bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+    return _bracketed_newton(f, df, False, 0.5 * (rho_l + rho_r), 1e-14 * min(rho_l, rho_r),
+                             2.0 * max(rho_l, rho_r), tol, max_iter, what)
 
 
-def solve_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol, max_iter):
+def solve_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol=TOL, max_iter=MAX_ITER):
     """Star density of the low-velocity-model Riemann problem."""
+    what = "low-velocity Riemann solve"
     c_l = iso_sound_speed(rho_l, kappa, gamma)
     c_r = iso_sound_speed(rho_r, kappa, gamma)
-    vacuum_guard = q_l - q_r + 2.0 * (c_l * rho_l + c_r * rho_r) / (gamma + 1.0)
-    if vacuum_guard <= 0.0:
-        return 0.0, -2
+    if q_l - q_r + 2.0 * (c_l * rho_l + c_r * rho_r) / (gamma + 1.0) <= 0.0:
+        raise _vacuum(what)
 
     def f(rho):
         return (q_l - q_r) - theta3(rho, rho_l, kappa, gamma) - theta3(rho, rho_r, kappa, gamma)
@@ -205,15 +213,5 @@ def solve_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol, max_iter):
     def df(rho):
         return -dtheta3(rho, rho_l, kappa, gamma) - dtheta3(rho, rho_r, kappa, gamma)
 
-    lo = 1e-14 * min(rho_l, rho_r)
-    hi = 2.0 * max(rho_l, rho_r)
-    grow = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            return 0.0, -1
-    x = 0.5 * (rho_l + rho_r)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    return _bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+    return _bracketed_newton(f, df, False, 0.5 * (rho_l + rho_r), 1e-14 * min(rho_l, rho_r),
+                             2.0 * max(rho_l, rho_r), tol, max_iter, what)

@@ -13,11 +13,7 @@ contact, or fan edge resolves to the right-limit state.
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import NoConvergence, VacuumFormation
 from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -55,19 +51,9 @@ class RiemannSolutionM1:
     u_star: float
     rho_l_star: float
     rho_r_star: float
-    E_l_star: float
-    E_r_star: float
     waves: tuple
     residual: float
     iterations: int
-
-    @property
-    def left_star(self):
-        return self.waves[0].right
-
-    @property
-    def right_star(self):
-        return self.waves[2].left
 
 
 @dataclass(frozen=True)
@@ -77,20 +63,6 @@ class RiemannSolutionIso:
     waves: tuple
     residual: float
     iterations: int
-
-    @property
-    def star(self):
-        return self.waves[0].right
-
-
-def _finish(value, it, residual_fn, tol, what):
-    if it == -2:
-        raise VacuumFormation(f"{what}: data admit no positive-density solution")
-    res = abs(residual_fn(value))
-    if it == -1 and res > tol:
-        raise NoConvergence(f"{what}: residual {res:g} above tol {tol:g}",
-                            residual=res, iterations=it)
-    return value, res
 
 
 def _acoustic_wave_m1(family, data: PipeState, star: PipeState, p_star, g):
@@ -116,34 +88,28 @@ def _acoustic_wave_m1(family, data: PipeState, star: PipeState, p_star, g):
     return Wave(family, kind, left, right, speeds, strength)
 
 
-def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants,
-                     tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> RiemannSolutionM1:
-    """Exact solution of the full Euler Riemann problem."""
+def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionM1:
+    """Exact solution of the full Euler Riemann problem.
+
+    Raises ``VacuumFormation`` for data that admit no positive-density
+    solution and ``NoConvergence`` when the star solve fails.
+    """
     gamma = g.gamma
     p_l, p_r = pressure(UL, g), pressure(UR, g)
-    u_l, u_r = UL.u, UR.u
-    p_star, it = kernels.solve_p_star_m1(
-        UL.rho, u_l, p_l, UR.rho, u_r, p_r, gamma, tol, max_iter)
-
-    def residual(p):
-        return (kernels.psi(p, p_l, UL.rho, gamma)
-                + kernels.psi(p, p_r, UR.rho, gamma) + (u_r - u_l))
-
-    p_star, res = _finish(p_star, it, residual, tol, "full Euler Riemann solve")
-    u_star = u_l - kernels.psi(p_star, p_l, UL.rho, gamma)
+    p_star, res, it = kernels.solve_p_star_m1(UL.rho, UL.u, p_l, UR.rho, UR.u, p_r, gamma)
+    u_star = UL.u - kernels.psi(p_star, p_l, UL.rho, gamma)
     rho_l_star = kernels.phi(p_star, p_l, UL.rho, gamma)
     rho_r_star = kernels.phi(p_star, p_r, UR.rho, gamma)
-    E_l_star = p_star / (gamma - 1.0) + 0.5 * rho_l_star * u_star**2
-    E_r_star = p_star / (gamma - 1.0) + 0.5 * rho_r_star * u_star**2
-    left_star = PipeState(Model.M1, rho_l_star, rho_l_star * u_star, E=E_l_star)
-    right_star = PipeState(Model.M1, rho_r_star, rho_r_star * u_star, E=E_r_star)
+    left_star = PipeState(Model.M1, rho_l_star, rho_l_star * u_star,
+                          E=p_star / (gamma - 1.0) + 0.5 * rho_l_star * u_star**2)
+    right_star = PipeState(Model.M1, rho_r_star, rho_r_star * u_star,
+                           E=p_star / (gamma - 1.0) + 0.5 * rho_r_star * u_star**2)
     waves = (
         _acoustic_wave_m1(1, UL, left_star, p_star, g),
         Wave(2, CONTACT, left_star, right_star, (u_star,), rho_r_star - rho_l_star),
         _acoustic_wave_m1(3, UR, right_star, p_star, g),
     )
-    return RiemannSolutionM1(p_star, u_star, rho_l_star, rho_r_star,
-                             E_l_star, E_r_star, waves, res, max(it, 0))
+    return RiemannSolutionM1(p_star, u_star, rho_l_star, rho_r_star, waves, res, it)
 
 
 def _acoustic_wave_iso(family, data: PipeState, star: PipeState, g):
@@ -164,9 +130,16 @@ def _acoustic_wave_iso(family, data: PipeState, star: PipeState, g):
                 speeds, star.rho - data.rho)
 
 
-def solve_riemann_iso(UL: PipeState, UR: PipeState, model: Model, g: GasConstants,
-                      tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> RiemannSolutionIso:
-    """Exact solution of the isentropic Riemann problem (M2 or M3)."""
+def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionIso:
+    """Exact solution of the isentropic Riemann problem, in the model
+    (M2 or M3) that both states carry.
+
+    Raises ``ValueError`` for full Euler or mixed-model data or unequal
+    kappa, ``VacuumFormation`` and ``NoConvergence`` as solve_riemann_m1.
+    """
+    model = UL.model
+    if UR.model is not model:
+        raise ValueError(f"Riemann data mix models {model.value} and {UR.model.value}")
     if model is Model.M1:
         raise ValueError("use solve_riemann_m1 for the full Euler model")
     if UL.kappa != UR.kappa:
@@ -174,33 +147,17 @@ def solve_riemann_iso(UL: PipeState, UR: PipeState, model: Model, g: GasConstant
     gamma = g.gamma
     kappa = UL.kappa
     if model is Model.M2:
-        rho_star, it = kernels.solve_rho_star_m2(
-            UL.rho, UL.u, UR.rho, UR.u, kappa, gamma, tol, max_iter)
-
-        def residual(rho):
-            return ((UL.u - UR.u) * rho
-                    - kernels.theta2(rho, UL.rho, kappa, gamma)
-                    - kernels.theta2(rho, UR.rho, kappa, gamma))
-
-        rho_star, res = _finish(rho_star, it, residual, tol, "isentropic Riemann solve")
+        rho_star, res, it = kernels.solve_rho_star_m2(UL.rho, UL.u, UR.rho, UR.u, kappa, gamma)
         q_star = UL.u * rho_star - kernels.theta2(rho_star, UL.rho, kappa, gamma)
     else:
-        rho_star, it = kernels.solve_rho_star_m3(
-            UL.rho, UL.q, UR.rho, UR.q, kappa, gamma, tol, max_iter)
-
-        def residual(rho):
-            return ((UL.q - UR.q)
-                    - kernels.theta3(rho, UL.rho, kappa, gamma)
-                    - kernels.theta3(rho, UR.rho, kappa, gamma))
-
-        rho_star, res = _finish(rho_star, it, residual, tol, "low-velocity Riemann solve")
+        rho_star, res, it = kernels.solve_rho_star_m3(UL.rho, UL.q, UR.rho, UR.q, kappa, gamma)
         q_star = UL.q - kernels.theta3(rho_star, UL.rho, kappa, gamma)
     star = PipeState(model, rho_star, q_star, kappa=kappa)
     waves = (
         _acoustic_wave_iso(1, UL, star, g),
         _acoustic_wave_iso(2, UR, star, g),
     )
-    return RiemannSolutionIso(rho_star, q_star, waves, res, max(it, 0))
+    return RiemannSolutionIso(rho_star, q_star, waves, res, it)
 
 
 def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
@@ -214,41 +171,28 @@ def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
         raise ValueError("fan_state needs a rarefaction wave")
     gamma = g.gamma
     model = wave.left.model
-    if model is Model.M1:
-        anchor = wave.left if wave.family == 1 else wave.right
-        c_a = sound_speed(anchor, g)
-        p_a = pressure(anchor, g)
-        if wave.family == 1:
-            c = ((gamma - 1.0) * (anchor.u - xi) + 2.0 * c_a) / (gamma + 1.0)
-            u = xi + c
-        else:
-            c = ((gamma - 1.0) * (xi - anchor.u) + 2.0 * c_a) / (gamma + 1.0)
-            u = xi - c
-        rho = anchor.rho * (c / c_a) ** (2.0 / (gamma - 1.0))
-        p = p_a * (c / c_a) ** (2.0 * gamma / (gamma - 1.0))
-        return PipeState(Model.M1, rho, rho * u, E=p / (gamma - 1.0) + 0.5 * rho * u * u)
     kappa = wave.left.kappa
+    anchor = wave.left if wave.family == 1 else wave.right
+    if model is Model.M3:
+        # the characteristic speed is +-c, so xi pins the density directly
+        c = -xi if wave.family == 1 else xi
+        rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
+        theta = kernels.theta3(rho, anchor.rho, kappa, gamma)
+        q = anchor.q - theta if wave.family == 1 else anchor.q + theta
+        return PipeState(Model.M3, rho, q, kappa=kappa)
+    c_a = sound_speed(anchor, g)
+    if wave.family == 1:
+        c = ((gamma - 1.0) * (anchor.u - xi) + 2.0 * c_a) / (gamma + 1.0)
+        u = xi + c
+    else:
+        c = ((gamma - 1.0) * (xi - anchor.u) + 2.0 * c_a) / (gamma + 1.0)
+        u = xi - c
     if model is Model.M2:
-        anchor = wave.left if wave.family == 1 else wave.right
-        c_a = sound_speed(anchor, g)
-        if wave.family == 1:
-            c = ((gamma - 1.0) * (anchor.u - xi) + 2.0 * c_a) / (gamma + 1.0)
-            u = xi + c
-        else:
-            c = ((gamma - 1.0) * (xi - anchor.u) + 2.0 * c_a) / (gamma + 1.0)
-            u = xi - c
         rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
         return PipeState(Model.M2, rho, rho * u, kappa=kappa)
-    # M3: the characteristic speed is +-c, so xi pins the density directly.
-    c = -xi if wave.family == 1 else xi
-    rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
-    if wave.family == 1:
-        anchor = wave.left
-        q = anchor.q - kernels.theta3(rho, anchor.rho, kappa, gamma)
-    else:
-        anchor = wave.right
-        q = anchor.q + kernels.theta3(rho, anchor.rho, kappa, gamma)
-    return PipeState(Model.M3, rho, q, kappa=kappa)
+    rho = anchor.rho * (c / c_a) ** (2.0 / (gamma - 1.0))
+    p = pressure(anchor, g) * (c / c_a) ** (2.0 * gamma / (gamma - 1.0))
+    return PipeState(Model.M1, rho, rho * u, E=p / (gamma - 1.0) + 0.5 * rho * u * u)
 
 
 def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: GasConstants):

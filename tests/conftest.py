@@ -1,9 +1,11 @@
-"""Shared builders for randomized subsonic states and balanced problems."""
+"""Shared builders for randomized subsonic states and balanced problems,
+and the hypothesis profile of the property tests."""
 
 from math import exp, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gasnet import GasConstants, Model, iso_state, m1_state, thermo_quantities
 from gasnet.compressor import (
@@ -13,6 +15,12 @@ from gasnet.compressor import (
     CompressorProblem,
 )
 from gasnet.junction import JunctionProblem, PipeSpec
+
+# One hypothesis profile for every property test: fixed example sequences,
+# no example database and no per-example deadline keep Tier-1
+# deterministic.  Tests set only max_examples and health checks.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

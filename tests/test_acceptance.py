@@ -178,7 +178,7 @@ def test_criterion_5_riemann_oracle():
             kappa = rng.uniform(0.5, 2.0)
             UL = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
             UR = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
-            sol = solve_riemann_iso(UL, UR, model, G)
+            sol = solve_riemann_iso(UL, UR, G)
             assert abs(sol.rho_star - bisect_rho_star(UL, UR, model)) <= 1e-8
         for w in sol.waves:
             if w.kind == SHOCK:

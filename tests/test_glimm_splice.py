@@ -58,8 +58,7 @@ def _splice_runs(draw):
     return weight, terms, splices
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(_splice_runs())
 # a splice that removes nearly all of V, and one that removes every
 # approaching pair: a plain running sum keeps 2e-5 relative error in V,

@@ -1,18 +1,32 @@
-"""Wave-function kernels: frozen values, smoothness, monotonicity, and a
-single kernel module shared by every solver."""
+"""Wave-function kernels: frozen values, smoothness, monotonicity, star
+solves against the earlier return-code protocol, and a single kernel
+module shared by every solver."""
 
 from math import sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import gasnet.fronttracking
 import gasnet.laxcurves
 import gasnet.riemann
-from gasnet import kernels
+from gasnet import (
+    GasConstants,
+    Model,
+    NoConvergence,
+    VacuumFormation,
+    iso_state,
+    kernels,
+    m1_state,
+    pressure,
+)
+from gasnet.riemann import solve_riemann_iso, solve_riemann_m1
 
 GAMMA = 1.4
+G = GasConstants(gamma=GAMMA, R=1.0)
 
 # Frozen expected values, computed from the branch formulas at 30-digit
 # precision (kappa=1, gamma=1.4, base state rho=1 resp. p=rho=1).
@@ -123,21 +137,244 @@ def test_star_solver_roundtrip(rng):
         p_l, p_r = rng.uniform(0.3, 3.0, size=2)
         rho_l, rho_r = rng.uniform(0.3, 3.0, size=2)
         u_l, u_r = rng.uniform(-0.5, 0.5, size=2)
-        p, it = kernels.solve_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r,
-                                        GAMMA, 1e-12, 100)
+        p, res, it = kernels.solve_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r,
+                                             GAMMA, 1e-12, 100)
         assert it > 0
-        res = (kernels.psi(p, p_l, rho_l, GAMMA)
-               + kernels.psi(p, p_r, rho_r, GAMMA) + (u_r - u_l))
-        assert abs(res) <= 1e-12
+        f = (kernels.psi(p, p_l, rho_l, GAMMA)
+             + kernels.psi(p, p_r, rho_r, GAMMA) + (u_r - u_l))
+        assert res == abs(f) <= 1e-12
 
 
 def test_vacuum_detection():
-    p, it = kernels.solve_p_star_m1(1.0, -10.0, 1.0, 1.0, 10.0, 1.0, GAMMA, 1e-12, 100)
-    assert it == -2
-    r, it = kernels.solve_rho_star_m2(1.0, -10.0, 1.0, 10.0, 1.0, GAMMA, 1e-12, 100)
-    assert it == -2
-    r, it = kernels.solve_rho_star_m3(1.0, -10.0, 1.0, 10.0, 1.0, GAMMA, 1e-12, 100)
-    assert it == -2
+    with pytest.raises(VacuumFormation):
+        kernels.solve_p_star_m1(1.0, -10.0, 1.0, 1.0, 10.0, 1.0, GAMMA, 1e-12, 100)
+    with pytest.raises(VacuumFormation):
+        kernels.solve_rho_star_m2(1.0, -10.0, 1.0, 10.0, 1.0, GAMMA, 1e-12, 100)
+    with pytest.raises(VacuumFormation):
+        kernels.solve_rho_star_m3(1.0, -10.0, 1.0, 10.0, 1.0, GAMMA, 1e-12, 100)
+
+
+# -- star solves against the return-code protocol ----------------------------
+# A copy of the earlier star solves: the kernels returned (value,
+# iterations) with -1 for an exhausted budget and -2 for vacuum, and the
+# Riemann solvers re-evaluated each equation for the residual and turned
+# the codes into exceptions.
+
+
+def _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter):
+    increasing = f(lo) < 0.0
+    for it in range(1, max_iter + 1):
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x, it
+        below = fx < 0.0 if increasing else fx > 0.0
+        if below:
+            lo = x
+        else:
+            hi = x
+        d = df(x)
+        step_ok = d != 0.0
+        if step_ok:
+            x_new = x - fx / d
+            step_ok = lo < x_new < hi
+        if not step_ok:
+            x_new = 0.5 * (lo + hi)
+        if x_new == x:
+            return x, it
+        x = x_new
+    return x, -1
+
+
+def _ref_finish(value, it, residual_fn, tol):
+    if it == -2:
+        raise VacuumFormation("reference")
+    res = abs(residual_fn(value))
+    if it == -1 and res > tol:
+        raise NoConvergence("reference", residual=res, iterations=it)
+    return value, res, max(it, 0)
+
+
+def _ref_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, tol, max_iter):
+    c_l = sqrt(gamma * p_l / rho_l)
+    c_r = sqrt(gamma * p_r / rho_r)
+    du = u_r - u_l
+    if 2.0 * (c_l + c_r) / (gamma - 1.0) <= du:
+        return 0.0, -2
+
+    def f(p):
+        return kernels.psi(p, p_l, rho_l, gamma) + kernels.psi(p, p_r, rho_r, gamma) + du
+
+    def df(p):
+        return kernels.dpsi(p, p_l, rho_l, gamma) + kernels.dpsi(p, p_r, rho_r, gamma)
+
+    e = 0.5 * (gamma - 1.0) / gamma
+    guess = ((c_l + c_r - 0.5 * (gamma - 1.0) * du) / (c_l / p_l**e + c_r / p_r**e)) ** (1.0 / e)
+    lo = 1e-14 * min(p_l, p_r)
+    hi = 2.0 * max(p_l, p_r, guess)
+    grow = 0
+    while f(hi) < 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 200:
+            return 0.0, -1
+    x = min(max(guess, lo * 2.0), hi * 0.5)
+    return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+
+
+def _ref_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol, max_iter):
+    c_l = kernels.iso_sound_speed(rho_l, kappa, gamma)
+    c_r = kernels.iso_sound_speed(rho_r, kappa, gamma)
+    if 2.0 * (c_l + c_r) / (gamma - 1.0) <= u_r - u_l:
+        return 0.0, -2
+
+    def f(rho):
+        return ((u_l - u_r) * rho - kernels.theta2(rho, rho_l, kappa, gamma)
+                - kernels.theta2(rho, rho_r, kappa, gamma))
+
+    def df(rho):
+        return ((u_l - u_r) - kernels.dtheta2(rho, rho_l, kappa, gamma)
+                - kernels.dtheta2(rho, rho_r, kappa, gamma))
+
+    lo = 1e-14 * min(rho_l, rho_r)
+    hi = 2.0 * max(rho_l, rho_r)
+    grow = 0
+    while f(hi) > 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 200:
+            return 0.0, -1
+    x = 0.5 * (rho_l + rho_r)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+
+
+def _ref_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol, max_iter):
+    c_l = kernels.iso_sound_speed(rho_l, kappa, gamma)
+    c_r = kernels.iso_sound_speed(rho_r, kappa, gamma)
+    if q_l - q_r + 2.0 * (c_l * rho_l + c_r * rho_r) / (gamma + 1.0) <= 0.0:
+        return 0.0, -2
+
+    def f(rho):
+        return ((q_l - q_r) - kernels.theta3(rho, rho_l, kappa, gamma)
+                - kernels.theta3(rho, rho_r, kappa, gamma))
+
+    def df(rho):
+        return (-kernels.dtheta3(rho, rho_l, kappa, gamma)
+                - kernels.dtheta3(rho, rho_r, kappa, gamma))
+
+    lo = 1e-14 * min(rho_l, rho_r)
+    hi = 2.0 * max(rho_l, rho_r)
+    grow = 0
+    while f(hi) > 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 200:
+            return 0.0, -1
+    x = 0.5 * (rho_l + rho_r)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+
+
+def _reference_solve(model, args, tol, max_iter):
+    """The earlier kernel path plus the Riemann solvers' residual closure
+    and code translation: (value, residual, iterations)."""
+    if model is Model.M1:
+        rho_l, u_l, p_l, rho_r, u_r, p_r, gamma = args
+        value, it = _ref_p_star_m1(*args, tol, max_iter)
+
+        def residual(p):
+            return (kernels.psi(p, p_l, rho_l, gamma)
+                    + kernels.psi(p, p_r, rho_r, gamma) + (u_r - u_l))
+    elif model is Model.M2:
+        rho_l, u_l, rho_r, u_r, kappa, gamma = args
+        value, it = _ref_rho_star_m2(*args, tol, max_iter)
+
+        def residual(rho):
+            return ((u_l - u_r) * rho
+                    - kernels.theta2(rho, rho_l, kappa, gamma)
+                    - kernels.theta2(rho, rho_r, kappa, gamma))
+    else:
+        rho_l, q_l, rho_r, q_r, kappa, gamma = args
+        value, it = _ref_rho_star_m3(*args, tol, max_iter)
+
+        def residual(rho):
+            return ((q_l - q_r)
+                    - kernels.theta3(rho, rho_l, kappa, gamma)
+                    - kernels.theta3(rho, rho_r, kappa, gamma))
+    return _ref_finish(value, it, residual, tol)
+
+
+SOLVERS = {Model.M1: kernels.solve_p_star_m1, Model.M2: kernels.solve_rho_star_m2,
+           Model.M3: kernels.solve_rho_star_m3}
+
+
+def _kernel_args(UL, UR):
+    """Kernel arguments exactly as the Riemann solvers pass them."""
+    if UL.model is Model.M1:
+        return (UL.rho, UL.u, pressure(UL, G), UR.rho, UR.u, pressure(UR, G), GAMMA)
+    if UL.model is Model.M2:
+        return (UL.rho, UL.u, UR.rho, UR.u, UL.kappa, GAMMA)
+    return (UL.rho, UL.q, UR.rho, UR.q, UL.kappa, GAMMA)
+
+
+@hs.composite
+def _subsonic_pairs(draw):
+    """Left and right states of one model, each with |u| < c."""
+    model = draw(hs.sampled_from([Model.M1, Model.M2, Model.M3]))
+    kappa = draw(hs.floats(0.5, 2.0))
+    states = []
+    for _ in range(2):
+        rho = draw(hs.floats(0.3, 3.0))
+        mach = draw(hs.floats(-0.9, 0.9))
+        if model is Model.M1:
+            p = draw(hs.floats(0.3, 3.0))
+            states.append(m1_state(rho, mach * sqrt(GAMMA * p / rho), p, G))
+        else:
+            c = kernels.iso_sound_speed(rho, kappa, GAMMA)
+            states.append(iso_state(model, rho, mach * c, kappa))
+    return states
+
+
+@settings(max_examples=400)
+@given(_subsonic_pairs(), hs.sampled_from([1, 2, 3, kernels.MAX_ITER]))
+def test_star_solves_match_return_code_reference(pair, max_iter):
+    UL, UR = pair
+    model = UL.model
+    args = _kernel_args(UL, UR)
+    try:
+        value, res, it = _reference_solve(model, args, kernels.TOL, max_iter)
+    except (VacuumFormation, NoConvergence) as exc:
+        # M3 data with |u| < c can still open a vacuum
+        with pytest.raises(type(exc)) as info:
+            SOLVERS[model](*args, kernels.TOL, max_iter)
+        if isinstance(exc, NoConvergence):
+            assert info.value.residual == exc.residual
+            assert info.value.iterations == max_iter
+        return
+    # a budget that ran out within tol used to report 0 iterations
+    expected = (value, res, it or max_iter)
+    assert SOLVERS[model](*args, kernels.TOL, max_iter) == expected
+    if max_iter == kernels.MAX_ITER:
+        sol = solve_riemann_m1(UL, UR, G) if model is Model.M1 else solve_riemann_iso(UL, UR, G)
+        star = sol.p_star if model is Model.M1 else sol.rho_star
+        assert (star, sol.residual, sol.iterations) == expected
+
+
+@pytest.mark.parametrize("model", [Model.M1, Model.M2, Model.M3])
+def test_exhausted_budget_raises_with_residual(model):
+    if model is Model.M1:
+        UL, UR = m1_state(1.0, 0.0, 1.0, G), m1_state(0.125, 0.0, 0.1, G)
+    else:
+        UL, UR = iso_state(model, 1.0, 0.3, 1.0), iso_state(model, 0.4, -0.2, 1.0)
+    args = _kernel_args(UL, UR)
+    with pytest.raises(NoConvergence) as ref:
+        _reference_solve(model, args, 1e-12, 1)
+    with pytest.raises(NoConvergence) as info:
+        SOLVERS[model](*args, 1e-12, 1)
+    assert info.value.iterations == 1
+    assert info.value.residual == ref.value.residual > 1e-12
 
 
 def test_single_kernel_module():

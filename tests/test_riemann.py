@@ -128,7 +128,7 @@ def test_identity_data():
     assert sol.u_star == pytest.approx(0.3, rel=1e-12)
     assert sol.rho_l_star == pytest.approx(1.0, rel=1e-12)
     L = iso_state(Model.M3, 1.2, 0.1, 1.0)
-    s3 = solve_riemann_iso(L, L, Model.M3, G)
+    s3 = solve_riemann_iso(L, L, G)
     assert s3.rho_star == pytest.approx(1.2, rel=1e-12)
     assert s3.q_star == pytest.approx(0.12, rel=1e-12)
 
@@ -157,7 +157,7 @@ def test_m3_symmetric():
     a = 0.2
     L = iso_state(Model.M3, 1.0, +a, 1.0)
     R = iso_state(Model.M3, 1.0, -a, 1.0)
-    sol = solve_riemann_iso(L, R, Model.M3, G)
+    sol = solve_riemann_iso(L, R, G)
     assert sol.q_star == pytest.approx(0.0, abs=1e-10)
     # rho* solves 2*theta3(rho*) = 2a against the shared base state
     assert _theta3_oracle(sol.rho_star, 1.0, 1.0) == pytest.approx(a, abs=1e-10)
@@ -166,7 +166,7 @@ def test_m3_symmetric():
 def test_m2_example_against_oracle():
     L = iso_state(Model.M2, 1.0, 0.3, 1.0)
     R = iso_state(Model.M2, 0.8, 0.0, 1.0)
-    sol = solve_riemann_iso(L, R, Model.M2, G)
+    sol = solve_riemann_iso(L, R, G)
     assert sol.rho_star == pytest.approx(bisect_rho_star(L, R, Model.M2), abs=1e-8)
     assert sol.rho_star == pytest.approx(1.017365098560751, rel=1e-10)
     assert sol.q_star == pytest.approx(0.2844494054481642, rel=1e-10)
@@ -177,6 +177,16 @@ def test_vacuum_raises():
     UR = m1_state(1.0, +6.0, 1.0, G)
     with pytest.raises(VacuumFormation):
         solve_riemann_m1(UL, UR, G)
+
+
+def test_iso_solver_takes_the_model_from_the_states():
+    m2 = iso_state(Model.M2, 1.0, 0.1, 1.0)
+    m3 = iso_state(Model.M3, 1.0, 0.1, 1.0)
+    m1 = m1_state(1.0, 0.1, 1.0, G)
+    assert solve_riemann_iso(m3, m3, G).waves[0].right.model is Model.M3
+    for UL, UR in ((m2, m3), (m3, m2), (m1, m1)):
+        with pytest.raises(ValueError):
+            solve_riemann_iso(UL, UR, G)
 
 
 def test_left_right_consistency(rng):
@@ -206,7 +216,7 @@ def test_random_solutions_match_oracle_and_rh(rng):
             kappa = rng.uniform(0.5, 2.0)
             UL = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
             UR = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
-            sol = solve_riemann_iso(UL, UR, model, G)
+            sol = solve_riemann_iso(UL, UR, G)
             assert sol.rho_star == pytest.approx(
                 bisect_rho_star(UL, UR, model), abs=1e-8)
         for w in sol.waves:
@@ -230,7 +240,7 @@ def test_riemann_invariants_constant_through_fans(rng):
             kappa = rng.uniform(0.5, 2.0)
             UL = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
             UR = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
-            sol = solve_riemann_iso(UL, UR, model, G)
+            sol = solve_riemann_iso(UL, UR, G)
         for w in sol.waves:
             if w.kind != RAREFACTION or abs(w.strength) < 1e-8:
                 continue
@@ -302,7 +312,7 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
         if UL.model is Model.M1:
             waves = solve_riemann_m1(UL, UR, G).waves
         else:
-            waves = solve_riemann_iso(UL, UR, UL.model, G).waves
+            waves = solve_riemann_iso(UL, UR, G).waves
         # random points plus every shock, contact and fan edge, where the
         # right limit wins
         edges = [s for w in waves for s in w.speeds]

@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -328,6 +329,23 @@ def test_render_json_matches_json_dumps(name):
         for k, r in enumerate(res.records)]
     assert render_json(res.records, res.summary) == out
     assert render_csv(res.records) == render_csv(json.loads(ref)["records"])
+
+
+def _numpy_scalars(obj, path="result"):
+    """Paths of the numpy scalars anywhere in a nest of dicts and lists."""
+    if isinstance(obj, np.generic):
+        return [path]
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _numpy_scalars(v, f"{path}.{k}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for k, v in enumerate(obj) for p in _numpy_scalars(v, f"{path}[{k}]")]
+    return []
+
+
+@pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["FRICTION"])
+def test_run_scenario_returns_no_numpy_scalars(name):
+    res = run_scenario(parse_scenario(DOCUMENTS[name]))
+    assert _numpy_scalars({"records": res.records, "summary": res.summary}) == []
 
 
 def test_render_json_without_records_or_summary():
