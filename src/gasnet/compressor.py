@@ -34,7 +34,6 @@ from .junction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Orientation,
-    PipeSpec,
     StarSolution,
     _newton,
     coupling_jacobian,

@@ -64,10 +64,11 @@ touched pipe's pair times; no front moves: a front is the line
 ``born_x + speed * (t - born_t)`` and ``Front.at`` evaluates it.  A
 running total is re-derived by one pass over its pipe once the
 magnitudes moved through it exceed ``_DRIFT_LIMIT`` times its value, which
-bounds its relative rounding error; ``apply_source``
-rebuilds every pipe it rewrites.  Code that edits ``PipeTrack.fronts``
-directly must call ``_rechain()`` and then ``_dirty_all()``, which
-recomputes every pipe's pair times and (V, Q, TV) from its fronts.
+bounds its relative rounding error.  ``_rebuild()`` puts every pipe back
+in order from its fronts alone: it sorts them by (position, speed),
+chains them from the trace, and recomputes the pair times and (V, Q, TV).
+Initialization and ``apply_source`` end with it, and code that edits
+``PipeTrack.fronts`` directly must call it.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments: one Python step per segment computes its
@@ -123,15 +124,15 @@ class Front:
     __slots__ = ("family", "kind", "speed", "strength",
                  "left", "right", "born_t", "born_x")
 
-    def __init__(self, family, kind, born_x, speed, strength, left, right):
+    def __init__(self, family, kind, speed, strength, left, right):
         self.family = family
         self.kind = kind
         self.speed = speed
         self.strength = strength
         self.left = left
         self.right = right
-        self.born_t = 0.0
-        self.born_x = born_x
+        self.born_t = 0.0   # set by _placed
+        self.born_x = 0.0
 
     def at(self, t):
         """Position at time t."""
@@ -180,12 +181,7 @@ class PipeTrack:
             yield f.right
 
     def state_at(self, x, t):
-        state = self.trace
-        for f in self.fronts:
-            if x < f.at(t):
-                return state
-            state = f.right
-        return state
+        return self.states_at([x], [f.at(t) for f in self.fronts])[0]
 
     def states_at(self, xs, pos):
         """``state_at(x, t)`` for each ascending x in xs, in one pass, given
@@ -357,8 +353,6 @@ class InteractionRecord:
     pipe: int
     v_minus: float
     v_plus: float
-    V_before: float
-    V_after: float
     Y_before: float
     Y_after: float
 
@@ -429,7 +423,7 @@ def _param(family, state, g):
 def _front_from_jump(family, left, right, g):
     """Physical front for a family-k jump with its exact speed."""
     if left.model is Model.M1 and family == 2:
-        return Front(2, CONTACT, 0.0, left.u, right.rho - left.rho, left, right)
+        return Front(2, CONTACT, left.u, right.rho - left.rho, left, right)
     pl = _param(family, left, g)
     pr = _param(family, right, g)
     strength = pr - pl if family == 1 else pl - pr
@@ -439,7 +433,7 @@ def _front_from_jump(family, left, right, g):
     else:
         speed = _char_speed(family, right, g)
         kind = RAREFACTION
-    return Front(family, kind, 0.0, speed, strength, left, right)
+    return Front(family, kind, speed, strength, left, right)
 
 
 def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
@@ -512,7 +506,7 @@ def _slice_fan(wave: Wave, g, eps_param):
         else:
             strength = _param(wave.family, prev, g) - _param(wave.family, state, g)
         speed = _char_speed(wave.family, state, g)
-        fronts.append(Front(wave.family, RAREFACTION, 0.0, speed, strength, prev, state))
+        fronts.append(Front(wave.family, RAREFACTION, speed, strength, prev, state))
         prev = state
     return fronts
 
@@ -520,8 +514,26 @@ def _slice_fan(wave: Wave, g, eps_param):
 def wave_to_fronts(wave: Wave, g, eps_param):
     if wave.kind == RAREFACTION:
         return _slice_fan(wave, g, eps_param)
-    return [Front(wave.family, wave.kind, 0.0, wave.speeds[0], wave.strength,
+    return [Front(wave.family, wave.kind, wave.speeds[0], wave.strength,
                   wave.left, wave.right)]
+
+
+def _wave_fronts(waves, g, epsilon, scales: PipeScales):
+    """Fronts of the waves above the strength floor, left to right; each
+    rarefaction is sliced into jumps of scaled strength <= epsilon."""
+    fronts = []
+    for w in waves:
+        sc = scales.strength_scale(w.family, w.left.model)
+        if abs(w.strength) >= _STRENGTH_FLOOR * sc:
+            fronts.extend(wave_to_fronts(w, g, epsilon * sc))
+    return fronts
+
+
+def _placed(fronts, x, t):
+    """``fronts``, each born at position x at time t."""
+    for f in fronts:
+        f.born_x, f.born_t = x, t
+    return fronts
 
 
 def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
@@ -537,33 +549,15 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
         sol = solve_riemann_m1(left, right, g)
     else:
         sol = solve_riemann_iso(left, right, g)
-    fronts = []
-    for wave in sol.waves:
-        sc = scales.strength_scale(wave.family, left.model)
-        if abs(wave.strength) < _STRENGTH_FLOOR * sc:
-            continue
-        fronts.extend(wave_to_fronts(wave, g, epsilon * sc))
+    fronts = _wave_fronts(sol.waves, g, epsilon, scales)
     prev = left
     for f in fronts:
         f.left = prev
         prev = f.right
     if fronts:
         # snap the tail across dropped zero-strength waves
-        last = fronts[-1]
-        fronts[-1] = Front(last.family, last.kind, last.born_x, last.speed,
-                           last.strength, last.left, right)
+        fronts[-1].right = right
     return fronts
-
-
-def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
-    """(problem, solution) of the coupling at x = 0 for the pipe traces
-    ``data``: a junction, or with a ``control`` a compressor from
-    specs[0] into specs[1]."""
-    if control is None:
-        problem = JunctionProblem(list(zip(specs, data)), g)
-        return problem, solve_junction(problem, tol=tol)
-    problem = CompressorProblem((specs[0], data[0]), (specs[1], data[1]), control, g)
-    return problem, solve_compressor(problem, tol=tol)
 
 
 def coupling_wave_pattern(role, data: PipeState, sigma, tau, g):
@@ -579,8 +573,26 @@ def coupling_wave_pattern(role, data: PipeState, sigma, tau, g):
     if role == M1_IN:
         return [wave3], mid
     trace = lax_m1(2, tau, mid, g)
-    contact = Wave(2, CONTACT, trace, mid, (mid.u,), tau)
+    contact = Wave(2, CONTACT, trace, mid, (mid.u,), mid.rho - trace.rho)
     return [contact, wave3], trace
+
+
+def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
+    """(problem, solution, patterns) of the coupling at x = 0 for the pipe
+    traces ``data``: a junction, or with a ``control`` a compressor from
+    specs[0] into specs[1].  ``patterns[i]`` is (waves, trace): the waves
+    pipe i receives, left to right, and its new trace, for the role its
+    own trace gives it."""
+    if control is None:
+        problem = JunctionProblem(list(zip(specs, data)), g)
+        sol = solve_junction(problem, tol=tol)
+    else:
+        problem = CompressorProblem((specs[0], data[0]), (specs[1], data[1]), control, g)
+        sol = solve_compressor(problem, tol=tol)
+    patterns = [coupling_wave_pattern(role_of(st.model, st.u > 0.0), st, sigma,
+                                      0.0 if tau is None else tau, g)
+                for st, sigma, tau in zip(data, sol.sigma, sol.tau)]
+    return problem, sol, patterns
 
 
 class FrontTrackingState:
@@ -620,28 +632,20 @@ class FrontTrackingState:
         self.lambda_max = lam_max
         self.lambda_hat = 1.1 * lam_max
 
-        # resolve the coupling and the interior jumps of the initial data
+        # resolve the coupling, then probe around the solved traces, where
+        # the coupling residual is zero; K_J weights V, so it is fixed
+        # before the Glimm totals are built
         patterns = self._coupling_patterns(traces0)
+        self.K_J = self._estimate_kj([trace for _, trace in patterns])
         self.pipes = []
-        for i, spec in enumerate(self.specs):
-            track = PipeTrack(spec, patterns[i][1], self.scales[i])
-            track.fronts = self._pattern_fronts(i, patterns[i][0])
-            self.pipes.append(track)
         for i, piecelist in enumerate(pieces):
-            track = self.pipes[i]
-            for k in range(1, len(piecelist)):
-                x = piecelist[k - 1][0]
-                for f in accurate_solve(piecelist[k - 1][1], piecelist[k][1],
-                                        self.g, epsilon, self.scales[i]):
-                    f.born_x = x
-                    track.fronts.append(f)
-            track.fronts.sort(key=lambda f: (f.born_x, f.speed))
-        self._rechain()
-
-        # probe around the solved traces, where the coupling residual is
-        # zero; K_J weights V, so it is fixed before the Glimm totals are built
-        self.K_J = self._estimate_kj([t.trace for t in self.pipes])
-        self._dirty_all()
+            track = PipeTrack(self.specs[i], patterns[i][1], self.scales[i])
+            track.fronts = self._pattern_fronts(i, patterns[i][0])
+            for (x, left), (_, right) in zip(piecelist, piecelist[1:]):
+                track.fronts += _placed(accurate_solve(left, right, self.g, epsilon,
+                                                       self.scales[i]), x, 0.0)
+            self.pipes.append(track)
+        self._rebuild()
         v0 = sum(track.glimm.v for track in self.pipes)
         self.K_hat_J = 0.5 * min(self.K_J, 1.0) / v0 if v0 > 0.0 else 1.0
 
@@ -649,33 +653,24 @@ class FrontTrackingState:
 
     def _coupling_patterns(self, data):
         """Solve the coupling at the pipe traces ``data``; per pipe, the
-        emitted waves and the new trace."""
-        _, sol = solve_coupling(self.specs, data, self.g, self.control, self.tol)
-        patterns = []
-        for i, spec in enumerate(self.specs):
-            tau = sol.tau[i] if sol.tau[i] is not None else 0.0
-            waves, trace = coupling_wave_pattern(self.roles[i], data[i],
-                                                 sol.sigma[i], tau, self.g)
+        emitted waves and the new trace.  A wave that would run into the
+        junction raises SubsonicViolation."""
+        _, _, patterns = solve_coupling(self.specs, data, self.g, self.control, self.tol)
+        for spec, scales, (waves, _) in zip(self.specs, self.scales, patterns):
             for w in waves:
-                sc = self.scales[i].strength_scale(w.family, data[i].model)
+                sc = scales.strength_scale(w.family, w.left.model)
                 if w.kind != RAREFACTION and w.rightmost_speed <= 0.0 \
                         and abs(w.strength) > _STRENGTH_FLOOR * sc:
                     raise SubsonicViolation(
                         f"emitted wave on pipe {spec.id!r} has speed "
                         f"{w.rightmost_speed:g}")
-            patterns.append((waves, trace))
         return patterns
 
     def _pattern_fronts(self, i, waves):
-        fronts = []
-        for w in waves:
-            sc = self.scales[i].strength_scale(w.family, w.left.model)
-            if abs(w.strength) < _STRENGTH_FLOOR * sc:
-                continue
-            fronts.extend(wave_to_fronts(w, self.g, self.epsilon * sc))
-        for f in fronts:
-            f.born_t = self.time
-        return fronts
+        """Fronts of the waves a coupling solve emits into pipe i, born at
+        the junction now."""
+        return _placed(_wave_fronts(waves, self.g, self.epsilon, self.scales[i]),
+                       0.0, self.time)
 
     def _estimate_kj(self, traces0):
         """Probe the coupling solve with small incident waves."""
@@ -720,21 +715,23 @@ class FrontTrackingState:
         return (self._scaled_strength(i, f), 4 if f.family == NONPHYSICAL else f.family,
                 f.kind == SHOCK, self.scales[i].state_norm(f.left, f.right))
 
-    def _rebuild_glimm(self, i):
-        """Derive pipe i's (V, Q, TV) from all of its fronts in one pass."""
-        towards = _APPROACHING[self.roles[i]]
-        weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
-        track = self.pipes[i]
-        track.glimm = PipeGlimm(weight, [self._front_terms(i, f) for f in track.fronts])
-
-    def _dirty_all(self):
-        """Rebuild every pipe's pair times and Glimm totals from its fronts."""
-        for i in range(len(self.pipes)):
-            self._reschedule(i)
-            self._rebuild_glimm(i)
-
-    def total_variation(self):
-        return sum(track.glimm.tv for track in self.pipes)
+    def _rebuild(self):
+        """Put every pipe in order from its fronts alone: sort them by
+        (position, speed), chain them from the trace, and recompute the
+        pair times and, in one pass, (V, Q, TV)."""
+        for i, track in enumerate(self.pipes):
+            fronts = track.fronts
+            fronts.sort(key=lambda f: (f.at(self.time), f.speed))
+            prev = track.trace
+            for f in fronts:
+                f.left = prev
+                prev = f.right
+            track.times = [self._pair_time(fronts, k) for k in range(len(fronts) - 1)]
+            if fronts:
+                track.times.append(math.inf)
+            towards = _APPROACHING[self.roles[i]]
+            weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
+            track.glimm = PipeGlimm(weight, [self._front_terms(i, f) for f in fronts])
 
     def glimm(self) -> GlimmDiagnostics:
         v = q = tv = np_strength = 0.0
@@ -749,13 +746,13 @@ class FrontTrackingState:
         return GlimmDiagnostics(v, q, v + self.K_hat_J * q, tv, n,
                                 self.K_J, self.K_hat_J, np_strength)
 
-    def _v_y(self):
-        """(V, Y) of ``glimm()``, read off the running totals."""
+    def _y(self):
+        """Y of ``glimm()``, read off the running totals."""
         v = q = 0.0
         for track in self.pipes:
             v += track.glimm.v
             q += track.glimm.q
-        return v, v + self.K_hat_J * q
+        return v + self.K_hat_J * q
 
     def traces(self):
         return [t.trace for t in self.pipes]
@@ -794,14 +791,6 @@ class FrontTrackingState:
         if rel <= _SPEED_TIE * max(abs(a.speed), abs(b.speed)):
             return math.inf
         return self.time + max((b.at(self.time) - a.at(self.time)) / rel, 0.0)
-
-    def _reschedule(self, i):
-        """Recompute every pair time of pipe i."""
-        track = self.pipes[i]
-        fronts = track.fronts
-        track.times = [self._pair_time(fronts, k) for k in range(len(fronts) - 1)]
-        if fronts:
-            track.times.append(math.inf)
 
     def _splice(self, i, k, n_old, new):
         """Replace fronts k..k+n_old-1 of pipe i by ``new``, rechain them
@@ -851,15 +840,13 @@ class FrontTrackingState:
                 f"event budget {self.max_events} exhausted at time {self.time:.6g} "
                 f"after {self.events} events with {live} live fronts",
                 time=self.time, events=self.events, live_fronts=live)
-        v_before, y_before = self._v_y()
+        y_before = self._y()
         if kind == "junction":
             rec_kind, pipe, v_minus, v_plus = self._handle_junction(i)
         else:
             rec_kind, pipe, v_minus, v_plus = self._handle_collision(i, k)
-        v_after, y_after = self._v_y()
         self.interactions.append(InteractionRecord(
-            self.time, rec_kind, pipe, v_minus, v_plus,
-            v_before, v_after, y_before, y_after))
+            self.time, rec_kind, pipe, v_minus, v_plus, y_before, self._y()))
         return self.time
 
     def run(self, horizon):
@@ -890,41 +877,31 @@ class FrontTrackingState:
             new = self._simplified_interaction(i, a, b)
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
-        for f in new:
-            f.born_x = x
-            f.born_t = self.time
-        self._splice(i, k, 2, new)
+        self._splice(i, k, 2, _placed(new, x, self.time))
         v_plus = sum(t[0] for t in terms[k:k + len(new)])
         return "collision", i, va + vb, v_plus
 
     def _np_front(self, i, left, right):
-        strength = self.scales[i].state_norm(left, right)
-        return Front(NONPHYSICAL, "nonphysical", 0.0, self.lambda_hat,
-                     strength, left, right)
+        return Front(NONPHYSICAL, "nonphysical", self.lambda_hat,
+                     self.scales[i].state_norm(left, right), left, right)
 
     def _simplified_interaction(self, i, a, b):
         """Reuse the incoming strengths; shed the defect into a non-physical
         front traveling at lambda_hat."""
-        g = self.g
-        out = []
         if a.family == NONPHYSICAL:
-            mid = apply_wave(b.family, b.strength, a.left, g)
-            out.append(_front_from_jump(b.family, a.left, mid, g))
-            out.append(self._np_front(i, mid, b.right))
+            waves = [(b.family, b.strength)]
         elif a.family == b.family:
-            mid = apply_wave(a.family, a.strength + b.strength, a.left, g)
-            out.append(_front_from_jump(a.family, a.left, mid, g))
-            out.append(self._np_front(i, mid, b.right))
+            waves = [(a.family, a.strength + b.strength)]
         else:
-            lo, hi = (a, b) if a.family < b.family else (b, a)
-            mid1 = apply_wave(lo.family, lo.strength, a.left, g)
-            mid2 = apply_wave(hi.family, hi.strength, mid1, g)
-            out.append(_front_from_jump(lo.family, a.left, mid1, g))
-            out.append(_front_from_jump(hi.family, mid1, mid2, g))
-            out.append(self._np_front(i, mid2, b.right))
-        return [f for f in out
-                if self._scaled_strength(i, f) >= _STRENGTH_FLOOR
-                or f.family != NONPHYSICAL]
+            waves = sorted([(a.family, a.strength), (b.family, b.strength)])
+        out = []
+        left = a.left
+        for family, strength in waves:
+            right = apply_wave(family, strength, left, self.g)
+            out.append(_front_from_jump(family, left, right, self.g))
+            left = right
+        np_f = self._np_front(i, left, b.right)
+        return out + [np_f] if np_f.strength >= _STRENGTH_FLOOR else out
 
     def _handle_junction(self, i):
         track = self.pipes[i]
@@ -933,10 +910,9 @@ class FrontTrackingState:
         v_minus = self._scaled_strength(i, front)
         data_i = front.right
         if v_minus < self.rho_simpl or front.family == NONPHYSICAL:
-            np_f = self._np_front(i, track.trace, data_i)
-            np_f.born_t = self.time
-            self._splice(i, 0, 1, [np_f])
-            return "reflection", i, v_minus, np_f.strength
+            new = _placed([self._np_front(i, track.trace, data_i)], 0.0, self.time)
+            self._splice(i, 0, 1, new)
+            return "reflection", i, v_minus, new[0].strength
         data = [t.trace for t in self.pipes]
         data[i] = data_i
         patterns = self._coupling_patterns(data)
@@ -947,17 +923,6 @@ class FrontTrackingState:
             self._splice(j, 0, 1 if j == i else 0, new)
             v_plus += sum(self._scaled_strength(j, f) for f in new)
         return "junction", i, v_minus, v_plus
-
-    def _rechain_pipe(self, i):
-        track = self.pipes[i]
-        prev = track.trace
-        for f in track.fronts:
-            f.left = prev
-            prev = f.right
-
-    def _rechain(self):
-        for i in range(len(self.pipes)):
-            self._rechain_pipe(i)
 
     # -- operator splitting ------------------------------------------------
 
@@ -1008,23 +973,17 @@ class FrontTrackingState:
                     solved = [self._np_front(i, l_new, r_new)]
                 else:
                     solved = accurate_solve(l_new, r_new, g, self.epsilon, self.scales[i])
-                for f2 in solved:
-                    f2.born_x, f2.born_t = x, self.time
-                new_fronts.extend(solved)
+                new_fronts += _placed(solved, x, self.time)
             track.trace = shifted[0]
-            track.fronts = sorted(new_fronts, key=lambda f: (f.at(self.time), f.speed))
+            track.fronts = new_fronts
         if not changed_any:
             return
         # traces moved: re-establish the coupling conditions at x = 0
         patterns = self._coupling_patterns([t.trace for t in self.pipes])
         for j, track_j in enumerate(self.pipes):
             track_j.trace = patterns[j][1]
-            new = self._pattern_fronts(j, patterns[j][0])
-            track_j.fronts = new + track_j.fronts
-            track_j.fronts.sort(key=lambda f: (f.at(self.time), f.speed))
-            self._rechain_pipe(j)
-            self._reschedule(j)
-            self._rebuild_glimm(j)
+            track_j.fronts = self._pattern_fronts(j, patterns[j][0]) + track_j.fronts
+        self._rebuild()
 
     def finalize_segments(self):
         """Close the open trajectory pieces of all live fronts."""
@@ -1062,7 +1021,7 @@ def init_approximation(specs, profiles, constants: GasConstants, epsilon,
     state = FrontTrackingState(specs, profiles, constants, epsilon,
                                control=control, tol=tol, **options)
     if tv_bound is not None:
-        tv = state.total_variation()
+        tv = sum(track.glimm.tv for track in state.pipes)
         if tv > tv_bound:
             raise ValueError(f"initial total variation {tv:g} exceeds bound {tv_bound:g}")
     return state

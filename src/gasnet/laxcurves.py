@@ -18,7 +18,7 @@ closed forms in (rho, c, u) which are exposed separately by
 """
 
 from dataclasses import dataclass
-from math import log, sqrt
+from math import log
 
 from . import kernels
 from .errors import NonPositiveDensity, NotSubsonic

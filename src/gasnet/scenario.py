@@ -40,7 +40,6 @@ from .fronttracking import (
     DEFAULT_MAX_EVENTS,
     FrictionSource,
     bump_test_functions,
-    coupling_wave_pattern,
     default_split_step,
     init_approximation,
     l1_distance,
@@ -49,7 +48,6 @@ from .fronttracking import (
     weak_form_residual,
 )
 from .junction import PipeSpec, verify_coupling
-from .laxcurves import role_of
 from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
 from .thermo import (
@@ -484,13 +482,7 @@ def _grid(sc: Scenario):
 def _run_riemann(sc: Scenario) -> RunResult:
     g = sc.constants
     data = sc.trace_states()
-    problem, sol = solve_coupling(sc.specs, data, g, sc.control, tol=sc.run.tol)
-    patterns = []
-    for i, spec in enumerate(sc.specs):
-        tau = sol.tau[i] if sol.tau[i] is not None else 0.0
-        role = role_of(spec.model, data[i].u > 0.0)
-        waves, trace = coupling_wave_pattern(role, data[i], sol.sigma[i], tau, g)
-        patterns.append((waves, trace))
+    problem, sol, patterns = solve_coupling(sc.specs, data, g, sc.control, tol=sc.run.tol)
 
     xs = _grid(sc)
     times = sc.run.sample_times or [sc.run.horizon]

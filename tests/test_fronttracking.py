@@ -1,8 +1,9 @@
 """Front tracking: initialization, accurate/simplified solvers, event loop,
 and the Glimm-functional bookkeeping."""
 
+import random
 import warnings
-from math import ceil, sqrt
+from math import ceil, isinf, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,14 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import state_from_enthalpy
+from conftest import (
+    balanced_compressor,
+    build_fixed_point_junction,
+    perturb,
+    state_from_enthalpy,
+)
 from gasnet import EventStarvation, GasConstants, Model, PipeState, iso_state, m1_state
 from gasnet.fronttracking import (
+    _STRENGTH_FLOOR,
     NONPHYSICAL,
     Bump,
     FrontTrackingState,
     PipeScales,
     Segment,
+    _front_from_jump,
     accurate_solve,
     apply_wave,
     bump_test_functions,
@@ -119,7 +127,6 @@ def test_two_front_collision_timing():
     st = track.trace
     fast = apply_wave(2, 0.02, st, G)
     slow_right = apply_wave(2, 0.015, fast, G)
-    from gasnet.fronttracking import _front_from_jump
 
     f1 = _front_from_jump(2, st, fast, G)
     f1.born_x = 0.2
@@ -130,8 +137,7 @@ def test_two_front_collision_timing():
     if f1.speed <= f2.speed:
         pytest.skip("constructed fronts do not approach")
     track.fronts = [f1, f2]
-    state._rechain()
-    state._dirty_all()
+    state._rebuild()
     dt_expected = (0.5 - 0.2) / (f1.speed - f2.speed)
     t = state.advance(horizon=1e9)
     assert t == pytest.approx(dt_expected, rel=1e-12)
@@ -146,15 +152,13 @@ def test_same_family_shock_merge_sheds_nonphysical():
     # enough that the product 4e-5 falls below rho_simpl = epsilon^3 = 1.25e-4
     mid = apply_wave(2, 0.01 * st.rho, st, G)
     right = apply_wave(2, 0.004 * st.rho, mid, G)
-    from gasnet.fronttracking import _front_from_jump
 
     f1 = _front_from_jump(2, st, mid, G)
     f2 = _front_from_jump(2, mid, right, G)
     assert f1.speed > f2.speed
     f1.born_x, f2.born_x = 0.2, 0.4
     track.fronts = [f1, f2]
-    state._rechain()
-    state._dirty_all()
+    state._rebuild()
     v1, v2 = f1.strength, f2.strength
     state.advance(horizon=1e9)
     fams = [f.family for f in track.fronts]
@@ -180,14 +184,12 @@ def test_weak_wave_reflection_keeps_other_pipes_silent():
     # far below rho_simpl = epsilon^3
     tiny = 1e-4 * state.rho_simpl * track.scales.param
     behind = apply_wave(1, tiny, st, G)
-    from gasnet.fronttracking import _front_from_jump
 
     f = _front_from_jump(1, st, behind, G)
     f.born_x = 0.1
     assert f.speed < 0
     track.fronts = [f]
-    state._rechain()
-    state._dirty_all()
+    state._rebuild()
     trace_before = [t.trace for t in state.pipes]
     state.advance(horizon=1e9)
     assert [len(t.fronts) for t in state.pipes] == [1, 0, 0]
@@ -220,14 +222,12 @@ def test_glimm_single_front_and_pair():
     state = init_approximation(specs, profiles, G, epsilon=0.05)
     track = state.pipes[1]
     st = track.trace
-    from gasnet.fronttracking import _front_from_jump
 
     # one junction-leaving (family 2) front of scaled strength w: V = w, Q = 0
     f1 = _front_from_jump(2, st, apply_wave(2, 0.01 * st.rho, st, G), G)
     f1.born_x = 0.3
     track.fronts = [f1]
-    state._rechain()
-    state._dirty_all()
+    state._rebuild()
     w1 = state._scaled_strength(1, f1)
     gl = state.glimm()
     assert gl.V == pytest.approx(w1, rel=1e-12)
@@ -236,8 +236,7 @@ def test_glimm_single_front_and_pair():
     f2 = _front_from_jump(2, st, apply_wave(2, 0.02 * st.rho, st, G), G)
     f2.born_x = 0.1
     track.fronts = [f2, f1]
-    f1.left = f2.right
-    state._dirty_all()
+    state._rebuild()
     w2 = state._scaled_strength(1, f2)
     gl = state.glimm()
     assert gl.Q == pytest.approx(w1 * w2, rel=1e-12)
@@ -600,13 +599,22 @@ def _assert_glimm_matches(state):
     _assert_close(gl.TV, tv)
     _assert_close(gl.np_strength, _np_strength(state))
     assert gl.front_count == sum(len(t.fronts) for t in state.pipes)
+    # a physical front's signed strength is that of its own jump; the floor
+    # term allows for accurate_solve's tail snap across dropped waves
+    for i, track in enumerate(state.pipes):
+        for f in track.fronts:
+            if f.family != NONPHYSICAL:
+                ref = _front_from_jump(f.family, f.left, f.right, state.g).strength
+                floor = _STRENGTH_FLOOR * track.scales.strength_scale(f.family, f.left.model)
+                assert abs(f.strength - ref) <= 1e-12 * abs(ref) + floor, (i, f, ref)
 
 
 def _assert_coupling_holds(state):
     # the bounds of test_splitting_with_fronts_keeps_coupling_satisfied
     res = trace_residuals(state, state.specs, state.g, state.control)
     assert res["mass"] <= 1e-9, res
-    assert res["enthalpy_spread"] <= 1e-8, res
+    if state.control is None:
+        assert res["enthalpy_spread"] <= 1e-8, res
 
 
 def _oracle_run(state, horizon):
@@ -708,8 +716,7 @@ def test_source_step_sheds_weak_fronts_as_nonphysical(monkeypatch):
     strong = ft._front_from_jump(2, mid, right, G)
     weak.born_x, strong.born_x = 0.3, 0.6
     track.fronts = [weak, strong]
-    state._rechain()
-    state._dirty_all()
+    state._rebuild()
     assert ft._STRENGTH_FLOOR < state._scaled_strength(1, weak) < state.rho_simpl
     assert state._scaled_strength(1, strong) > state.rho_simpl
 
@@ -765,7 +772,6 @@ def test_scheduler_ties_follow_scan_order():
     # each: the scan order picks the lower pipe, then the lower index
     specs, profiles = balanced_m3_junction()
     state = init_approximation(specs, profiles, G, epsilon=0.01)
-    from gasnet.fronttracking import _front_from_jump
 
     for track in state.pipes[1:]:
         st = track.trace
@@ -781,8 +787,7 @@ def test_scheduler_ties_follow_scan_order():
         fronts[2].speed, fronts[3].speed = fronts[0].speed, fronts[1].speed
         assert fronts[0].speed > fronts[1].speed
         track.fronts = fronts
-    state._rechain()
-    state._dirty_all()
+    state._rebuild()
     ev = state._next_event()
     assert ev == _reference_next_event(state)
     assert ev[1:] == ("collision", 1, 0)
@@ -797,8 +802,56 @@ def test_glimm_totals_after_largest_ladder():
     assert max(len(t.fronts) for t in state.pipes) > 100
     _assert_glimm_matches(state)
     running = state.glimm()
-    state._dirty_all()
+    state._rebuild()
     fresh = state.glimm()
     for a, b in ((running.V, fresh.V), (running.Q, fresh.Q), (running.Y, fresh.Y),
                  (running.TV, fresh.TV)):
         _assert_close(a, b)
+
+
+def test_oracle_m1_runs(rng):
+    # an outgoing full-Euler pipe receives a contact from every coupling
+    # solve: at a junction of an incoming and an outgoing M1 pipe and an
+    # outgoing M2 pipe (the entropy mix), and at an M1-to-M1 compressor;
+    # every interaction with those contacts is checked
+    prob = build_fixed_point_junction(rng, G, [Model.M1], [Model.M1, Model.M2])
+    pipes = sorted(prob.pipes, key=lambda p: p.input_index)
+    comp = balanced_compressor(rng, G, Model.M1, Model.M1)
+    cases = [([p.spec for p in pipes], [p.state for p in pipes], None),
+             ([comp.inlet[0], comp.outlet[0]], [comp.inlet[1], comp.outlet[1]], comp.control)]
+    for specs, states, control in cases:
+        # one interior jump of relative size 0.01 per pipe
+        profiles = [[(0.3 + 0.2 * k, st), (None, perturb(st, 0.01, G))]
+                    for k, st in enumerate(states)]
+        for eps in (0.04, 0.02):
+            state = init_approximation(specs, profiles, G, epsilon=eps, control=control)
+            assert _oracle_run(state, 1.5) >= 10
+            assert {r.kind for r in state.interactions} >= {"collision", "junction"}
+            assert _np_strength(state) <= 0.1 * eps, (eps, _np_strength(state))
+
+
+def test_rebuild_restores_order_from_any_permutation():
+    # the sort by (position, speed) restores the order the event loop
+    # keeps, and the rebuild depends on the fronts alone, not their order;
+    # at t = 0 the fronts of each interior jump share one position
+    state = ladder_scenario(0.005)
+    shuffle = random.Random(5).shuffle
+    for horizon in (0.0, 0.6):
+        state.run(horizon)
+        order = [list(t.fronts) for t in state.pipes]
+        running_gl, running_times = state.glimm(), [t for p in state.pipes for t in p.times]
+        state._rebuild()
+        assert [t.fronts for t in state.pipes] == order
+        # the event loop's totals and pair times carry their own rounding
+        gl, times = state.glimm(), [list(t.times) for t in state.pipes]
+        for a, b in zip(running_gl.__dict__.values(), gl.__dict__.values()):
+            _assert_close(a, b)
+        for a, b in zip(running_times, [t for p in times for t in p]):
+            assert a == b if isinf(b) else abs(a - b) <= 1e-12 * b, (a, b)
+        for track in state.pipes:
+            shuffle(track.fronts)
+        assert [t.fronts for t in state.pipes] != order
+        state._rebuild()
+        assert [t.fronts for t in state.pipes] == order
+        assert [t.times for t in state.pipes] == times
+        assert state.glimm() == gl
