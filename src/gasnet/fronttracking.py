@@ -51,24 +51,18 @@ chosen with K_hat_J * V(0) < min(K_J, 1), which makes Y non-increasing
 at interactions for sufficiently weak data.
 
 Cost per event.  Each pipe keeps the absolute meeting time of every
-adjacent front pair, in ``times``, and its running (V, Q, TV) in a
-``PipeGlimm``, both parallel to ``fronts``.  A collision, a junction
-event or a reflection splices the fronts it replaces into each pipe it
-touches, rechains them and recomputes only the pair times next to them;
-(V, Q, TV) change by the terms of the window it changed (the new fronts,
-and the front after them when rechaining gave it a new left), with Q's
-pairs between the window and the fronts behind and ahead of it read off
-per-class strength sums that numpy reduces.  An event then costs the
-window's terms, two C-level reductions and a C-level minimum over each
-touched pipe's pair times; no front moves: a front is the line
-``born_x + speed * (t - born_t)`` and ``Front.at`` evaluates it.  A
-running total is re-derived by one pass over its pipe once the
-magnitudes moved through it exceed ``_DRIFT_LIMIT`` times its value, which
-bounds its relative rounding error.  ``_rebuild()`` puts every pipe back
-in order from its fronts alone: it sorts them by (position, speed),
-chains them from the trace, and recomputes the pair times and (V, Q, TV).
-Initialization and ``apply_source`` end with it, and code that edits
-``PipeTrack.fronts`` directly must call it.
+adjacent front pair in ``times``, parallel to ``fronts``.  A collision,
+a junction event or a reflection splices the fronts it replaces into
+each pipe it touches, rechains them and recomputes only the pair times
+next to them, so an event costs its own fronts and a C-level minimum
+over each touched pipe's pair times.  No front moves: a front is the
+line ``born_x + speed * (t - born_t)`` and ``Front.at`` evaluates it.
+The event loop keeps no Glimm totals; ``glimm()`` evaluates (V, Q, TV)
+on demand, in one pass over each pipe's fronts.  ``_rebuild()`` puts
+every pipe back in order from its fronts alone: it sorts them by
+(position, speed), chains them from the trace, and recomputes the pair
+times.  Initialization and ``apply_source`` end with it, and code that
+edits ``PipeTrack.fronts`` directly must call it.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments: one Python step per segment computes its
@@ -173,7 +167,6 @@ class PipeTrack:
         self.fronts = []
         self.scales = scales
         self.times = []      # times[k]: absolute meeting time of fronts k, k+1
-        self.glimm = None    # PipeGlimm: running (V, Q, TV) of this pipe
 
     def states(self):
         yield self.trace
@@ -196,7 +189,7 @@ class PipeTrack:
 
 
 def _window_glimm(terms, weight):
-    """(V, Q, TV, behind, behind_shock) of a run of fronts, rear first.
+    """(V, Q, TV, non-physical strength) of a run of fronts, rear first.
 
     ``terms`` holds (scaled strength, family index, shock, state-jump
     norm) per front, family index 4 for non-physical fronts; ``weight``
@@ -206,8 +199,7 @@ def _window_glimm(terms, weight):
     curves compose exactly).  Non-physical fronts count as the fastest
     family.  Q sums, over the fronts, the strength times the strengths of
     the approaching fronts behind it, read off running sums per family
-    (``behind``) and of its shocks (``behind_shock``); these class sums
-    of the whole run are returned with the totals.
+    (``behind``) and of its shocks (``behind_shock``).
     """
     behind = [0.0] * 5
     behind_shock = [0.0] * 5
@@ -221,114 +213,7 @@ def _window_glimm(terms, weight):
         behind[fam] += st
         if shock:
             behind_shock[fam] += st
-    return v, q, tv, behind, behind_shock
-
-
-def _cross_q(rear, rear_shock, ahead, ahead_shock):
-    """Q of the approaching pairs between two runs of fronts, one behind
-    the other: ``_window_glimm``'s rule applied class by class to the
-    per-family sums of the run behind (all fronts, shocks) and of the run
-    ahead (non-shocks, shocks)."""
-    r34 = rear[3] + rear[4]
-    return ((ahead[1] + ahead_shock[1]) * (rear[2] + r34)
-            + ahead_shock[1] * rear[1] + ahead[1] * rear_shock[1]
-            + (ahead[2] + ahead_shock[2]) * r34
-            + ahead_shock[2] * rear[2] + ahead[2] * rear_shock[2]
-            + (ahead[3] + ahead_shock[3]) * rear[4]
-            + ahead_shock[3] * rear[3] + ahead[3] * rear_shock[3])
-
-
-def _class_ids(terms):
-    """Class index per front: family index, plus 5 for shocks."""
-    return [fam + 5 * shock for _, fam, shock, _ in terms]
-
-
-def _class_sums(ids, st):
-    """Strength sums per class index of a slice of the class arrays:
-    non-shocks of each family index at [0:5], shocks at [5:10]."""
-    return np.bincount(ids, st, 10).tolist() if len(ids) else [0.0] * 10
-
-
-# A running total is re-derived by one exact pass once the magnitudes
-# that went through it since its last exact pass (removed and added
-# window terms, and its own value after each splice) exceed this multiple
-# of its value.  Rounding error is a small multiple of 2**-53 times those
-# magnitudes, so this bounds it relative to the value, also when a splice
-# removes nearly all of it (a front of strength 1 replaced by one of
-# 1e-12 would leave V off by 2e-5 relative), and a total whose terms all
-# left is exactly 0.0 again.  As each splice adds the value itself, a
-# pass comes at most every 64 splices of a pipe of n fronts: n/64 terms
-# per splice, amortized.
-_DRIFT_LIMIT = 64.0
-
-
-class PipeGlimm:
-    """Running (V, Q, TV) of one pipe, updated by splice deltas.
-
-    ``terms`` is parallel to the pipe's fronts (see ``_window_glimm``); the
-    first ``len(terms)`` entries of ``ids`` and ``st`` hold each front's
-    class index and scaled strength, so the class sums of the fronts
-    behind and ahead of a splice are C-level reductions.  Construction is one exact pass over
-    ``terms``.
-    """
-
-    __slots__ = ("weight", "terms", "ids", "st", "v", "q", "tv", "churn")
-
-    def __init__(self, weight, terms):
-        self.weight = weight
-        self.terms = terms
-        self._exact()
-
-    def _exact(self):
-        self.v, self.q, self.tv, _, _ = _window_glimm(self.terms, self.weight)
-        n = len(self.terms)
-        # spare room, so most splices shift the tail in place
-        self.ids = np.zeros(max(64, 2 * n), dtype=np.intp)
-        self.st = np.zeros(max(64, 2 * n))
-        self.ids[:n] = _class_ids(self.terms)
-        self.st[:n] = [t[0] for t in self.terms]
-        self.churn = [0.0, 0.0, 0.0]
-
-    def splice(self, k, n_old, new):
-        """Replace the terms of fronts k..k+n_old-1 by ``new``.
-
-        The change of V and TV is that of the window's own terms; the
-        change of Q adds, for the old and the new window, its inner pairs
-        and its pairs with the fronts behind and ahead of it.
-        """
-        end, n = k + n_old, len(self.terms)
-        ids, st = self.ids, self.st
-        r = _class_sums(ids[:k], st[:k])
-        rear, rear_shock = [r[fam] + r[fam + 5] for fam in range(5)], r[5:]
-        a = _class_sums(ids[end:n], st[end:n])
-        ahead, ahead_shock = a[:5], a[5:]
-        v0, q0, tv0, w0, w0_shock = _window_glimm(self.terms[k:end], self.weight)
-        v1, q1, tv1, w1, w1_shock = _window_glimm(new, self.weight)
-        q0 += (_cross_q(rear, rear_shock, [x - y for x, y in zip(w0, w0_shock)], w0_shock)
-               + _cross_q(w0, w0_shock, ahead, ahead_shock))
-        q1 += (_cross_q(rear, rear_shock, [x - y for x, y in zip(w1, w1_shock)], w1_shock)
-               + _cross_q(w1, w1_shock, ahead, ahead_shock))
-        self.v += v1 - v0
-        self.q += q1 - q0
-        self.tv += tv1 - tv0
-        self.terms[k:end] = new
-        m = len(new)
-        size = n + m - n_old
-        if size > len(ids):
-            self.ids = ids = np.concatenate((ids, np.zeros(2 * size - len(ids), dtype=np.intp)))
-            self.st = st = np.concatenate((st, np.zeros(2 * size - len(st))))
-        if m != n_old:
-            ids[k + m:size] = ids[end:n]
-            st[k + m:size] = st[end:n]
-        ids[k:k + m] = _class_ids(new)
-        st[k:k + m] = [t[0] for t in new]
-        churn = self.churn
-        churn[0] += v0 + v1 + abs(self.v)
-        churn[1] += q0 + q1 + abs(self.q)
-        churn[2] += tv0 + tv1 + abs(self.tv)
-        if (churn[0] > _DRIFT_LIMIT * self.v or churn[1] > _DRIFT_LIMIT * self.q
-                or churn[2] > _DRIFT_LIMIT * self.tv):
-            self._exact()
+    return v, q, tv, behind[4]
 
 
 @dataclass(frozen=True)
@@ -353,8 +238,6 @@ class InteractionRecord:
     pipe: int
     v_minus: float
     v_plus: float
-    Y_before: float
-    Y_after: float
 
 
 @dataclass(frozen=True)
@@ -634,7 +517,7 @@ class FrontTrackingState:
 
         # resolve the coupling, then probe around the solved traces, where
         # the coupling residual is zero; K_J weights V, so it is fixed
-        # before the Glimm totals are built
+        # before V(0) is taken
         patterns = self._coupling_patterns(traces0)
         self.K_J = self._estimate_kj([trace for _, trace in patterns])
         self.pipes = []
@@ -646,7 +529,7 @@ class FrontTrackingState:
                                                        self.scales[i]), x, 0.0)
             self.pipes.append(track)
         self._rebuild()
-        v0 = sum(track.glimm.v for track in self.pipes)
+        v0 = sum(self._pipe_glimm(i)[0] for i in range(len(self.pipes)))
         self.K_hat_J = 0.5 * min(self.K_J, 1.0) / v0 if v0 > 0.0 else 1.0
 
     # -- coupling ------------------------------------------------------------
@@ -718,8 +601,8 @@ class FrontTrackingState:
     def _rebuild(self):
         """Put every pipe in order from its fronts alone: sort them by
         (position, speed), chain them from the trace, and recompute the
-        pair times and, in one pass, (V, Q, TV)."""
-        for i, track in enumerate(self.pipes):
+        pair times."""
+        for track in self.pipes:
             fronts = track.fronts
             fronts.sort(key=lambda f: (f.at(self.time), f.speed))
             prev = track.trace
@@ -729,30 +612,25 @@ class FrontTrackingState:
             track.times = [self._pair_time(fronts, k) for k in range(len(fronts) - 1)]
             if fronts:
                 track.times.append(math.inf)
-            towards = _APPROACHING[self.roles[i]]
-            weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
-            track.glimm = PipeGlimm(weight, [self._front_terms(i, f) for f in fronts])
+
+    def _pipe_glimm(self, i):
+        """(V, Q, TV, non-physical strength) of pipe i's fronts."""
+        towards = _APPROACHING[self.roles[i]]
+        weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
+        return _window_glimm([self._front_terms(i, f) for f in self.pipes[i].fronts], weight)
 
     def glimm(self) -> GlimmDiagnostics:
+        """Glimm functionals of the live fronts, one pass over each pipe."""
         v = q = tv = np_strength = 0.0
-        for track in self.pipes:
-            pg = track.glimm
-            v += pg.v
-            q += pg.q
-            tv += pg.tv
-            m = len(pg.terms)
-            np_strength += _class_sums(pg.ids[:m], pg.st[:m])[4]
+        for i in range(len(self.pipes)):
+            pv, pq, ptv, pnp = self._pipe_glimm(i)
+            v += pv
+            q += pq
+            tv += ptv
+            np_strength += pnp
         n = sum(len(t.fronts) for t in self.pipes)
         return GlimmDiagnostics(v, q, v + self.K_hat_J * q, tv, n,
                                 self.K_J, self.K_hat_J, np_strength)
-
-    def _y(self):
-        """Y of ``glimm()``, read off the running totals."""
-        v = q = 0.0
-        for track in self.pipes:
-            v += track.glimm.v
-            q += track.glimm.q
-        return v + self.K_hat_J * q
 
     def traces(self):
         return [t.trace for t in self.pipes]
@@ -794,25 +672,17 @@ class FrontTrackingState:
 
     def _splice(self, i, k, n_old, new):
         """Replace fronts k..k+n_old-1 of pipe i by ``new``, rechain them
-        and the front after them, recompute the pair times touched, and
-        update the pipe's (V, Q, TV) over the window of changed fronts:
-        ``new``, and the front after it when rechaining changed its left."""
+        and the front after them, and recompute the pair times touched."""
         track = self.pipes[i]
         fronts, times = track.fronts, track.times
-        end = k + n_old
-        after_left = fronts[end].left if end < len(fronts) else None
-        fronts[k:end] = new
-        times[k:end] = [math.inf] * len(new)
+        fronts[k:k + n_old] = new
+        times[k:k + n_old] = [math.inf] * len(new)
         prev = fronts[k - 1].right if k else track.trace
         for f in fronts[k:k + len(new) + 1]:
             f.left = prev
             prev = f.right
         for j in range(max(k - 1, 0), min(k + len(new), len(fronts) - 1)):
             times[j] = self._pair_time(fronts, j)
-        end = k + len(new)
-        tail = int(end < len(fronts) and fronts[end].left is not after_left)
-        track.glimm.splice(k, n_old + tail,
-                           [self._front_terms(i, f) for f in fronts[k:end + tail]])
 
     def _retire(self, pipe_index, front, t1):
         if t1 > front.born_t:
@@ -840,13 +710,12 @@ class FrontTrackingState:
                 f"event budget {self.max_events} exhausted at time {self.time:.6g} "
                 f"after {self.events} events with {live} live fronts",
                 time=self.time, events=self.events, live_fronts=live)
-        y_before = self._y()
         if kind == "junction":
             rec_kind, pipe, v_minus, v_plus = self._handle_junction(i)
         else:
             rec_kind, pipe, v_minus, v_plus = self._handle_collision(i, k)
         self.interactions.append(InteractionRecord(
-            self.time, rec_kind, pipe, v_minus, v_plus, y_before, self._y()))
+            self.time, rec_kind, pipe, v_minus, v_plus))
         return self.time
 
     def run(self, horizon):
@@ -861,8 +730,7 @@ class FrontTrackingState:
         track = self.pipes[i]
         a, b = track.fronts[k], track.fronts[k + 1]
         x = 0.5 * (a.at(self.time) + b.at(self.time))
-        terms = track.glimm.terms   # spliced in place below
-        va, vb = terms[k][0], terms[k + 1][0]
+        va, vb = self._scaled_strength(i, a), self._scaled_strength(i, b)
         self._retire(i, a, self.time)
         self._retire(i, b, self.time)
         if (a.family == b.family and a.family != NONPHYSICAL
@@ -878,8 +746,7 @@ class FrontTrackingState:
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
         self._splice(i, k, 2, _placed(new, x, self.time))
-        v_plus = sum(t[0] for t in terms[k:k + len(new)])
-        return "collision", i, va + vb, v_plus
+        return "collision", i, va + vb, sum(self._scaled_strength(i, f) for f in new)
 
     def _np_front(self, i, left, right):
         return Front(NONPHYSICAL, "nonphysical", self.lambda_hat,
@@ -1021,24 +888,20 @@ def init_approximation(specs, profiles, constants: GasConstants, epsilon,
     state = FrontTrackingState(specs, profiles, constants, epsilon,
                                control=control, tol=tol, **options)
     if tv_bound is not None:
-        tv = sum(track.glimm.tv for track in state.pipes)
+        tv = state.glimm().TV
         if tv > tv_bound:
             raise ValueError(f"initial total variation {tv:g} exceeds bound {tv_bound:g}")
     return state
 
 
-def operator_split_step(state: FrontTrackingState, source, t0, dt) -> FrontTrackingState:
-    """One splitting step: homogeneous evolution over dt, then the source."""
-    state.run(state.time + dt)
-    state.apply_source(source, t0, dt)
-    return state
-
-
 def operator_split_run(state: FrontTrackingState, source, horizon, dt_split):
-    """Euler polygonal: homogeneous evolution corrected every dt_split."""
+    """Euler polygonal: homogeneous evolution over each dt_split, then the
+    source step."""
     while state.time < horizon * (1.0 - 1e-15):
-        dt = min(dt_split, horizon - state.time)
-        operator_split_step(state, source, state.time, dt)
+        t0 = state.time
+        dt = min(dt_split, horizon - t0)
+        state.run(t0 + dt)
+        state.apply_source(source, t0, dt)
     return state
 
 

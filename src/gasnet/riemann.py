@@ -70,22 +70,23 @@ def _acoustic_wave_m1(family, data: PipeState, star: PipeState, p_star, g):
     p_data = pressure(data, g)
     c_data = sound_speed(data, g)
     c_star = sound_speed(star, g)
+    # a pressure rise of a few ulps can leave the star density equal to
+    # the data density; that jump has no shock speed and is taken as a
+    # (vanishing) rarefaction
+    shock = p_star > p_data and star.rho != data.rho
     if family == 1:
         left, right = data, star
-        strength = p_star - p_data
-        if p_star > p_data:
+        if shock:
             speeds = ((star.q - data.q) / (star.rho - data.rho),)
         else:
             speeds = (data.u - c_data, star.u - c_star)
     else:
         left, right = star, data
-        strength = p_star - p_data
-        if p_star > p_data:
+        if shock:
             speeds = ((data.q - star.q) / (data.rho - star.rho),)
         else:
             speeds = (star.u + c_star, data.u + c_data)
-    kind = SHOCK if p_star > p_data else RAREFACTION
-    return Wave(family, kind, left, right, speeds, strength)
+    return Wave(family, SHOCK if shock else RAREFACTION, left, right, speeds, p_star - p_data)
 
 
 def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionM1:

@@ -58,6 +58,8 @@ from .thermo import (
     classify_subsonic,
     iso_state,
     m1_state,
+    pressure,
+    temperature,
     thermo_quantities,
 )
 
@@ -531,7 +533,13 @@ def _run_riemann(sc: Scenario) -> RunResult:
 
 
 def trace_residuals(state, specs, g: GasConstants, control=None):
-    """Coupling residuals recomputed directly from the current traces."""
+    """Coupling residuals recomputed directly from the current traces.
+
+    At a compressor, ``control`` is the pressure-rise balance minus the
+    control value, divided by the larger of the control value and the
+    balance's coefficient (the compressor solve's own row scale, so an
+    idle control stays finite), and ``entropy``, for a full-Euler outlet,
+    is |s_inlet - s_outlet| / (gamma * cv)."""
     traces = state.traces()
     mass = sum(s.area * tr.q for s, tr in zip(specs, traces))
     mass_scale = sum(s.area * tr.rho * thermo_quantities(tr, g).c
@@ -550,6 +558,18 @@ def trace_residuals(state, specs, g: GasConstants, control=None):
                 if tr.u > 0 and tr.model is Model.M1:
                     ent = max(ent, abs(thermo_quantities(tr, g).s - s_star))
             out["entropy"] = ent / (g.gamma * g.cv)
+    else:
+        inlet, outlet = traces
+        e = (g.gamma - 1.0) / g.gamma
+        coeff = g.gamma * g.R / (g.gamma - 1.0) * temperature(inlet, g)
+        rise = coeff * ((pressure(outlet, g) / pressure(inlet, g)) ** e - 1.0)
+        if control.kind == POWER:
+            coeff *= control.cp_coeff * abs(inlet.q)
+            rise *= control.cp_coeff * outlet.q
+        out["control"] = abs(rise - control.value) / max(control.value, coeff)
+        if outlet.model is Model.M1:
+            out["entropy"] = (abs(thermo_quantities(inlet, g).s - thermo_quantities(outlet, g).s)
+                              / (g.gamma * g.cv))
     return out
 
 

@@ -1,9 +1,9 @@
 """Front tracking: initialization, accurate/simplified solvers, event loop,
-and the Glimm-functional bookkeeping."""
+and the Glimm functionals."""
 
 import random
 import warnings
-from math import ceil, isinf, sqrt
+from math import ceil, inf, isinf, nextafter, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +17,15 @@ from conftest import (
     perturb,
     state_from_enthalpy,
 )
-from gasnet import EventStarvation, GasConstants, Model, PipeState, iso_state, m1_state
+from gasnet import (
+    EventStarvation,
+    GasConstants,
+    Model,
+    PipeState,
+    iso_state,
+    m1_state,
+    pressure,
+)
 from gasnet.fronttracking import (
     _STRENGTH_FLOOR,
     NONPHYSICAL,
@@ -34,8 +42,9 @@ from gasnet.fronttracking import (
     l1_distance,
     weak_form_residual,
 )
+from gasnet.compressor import POWER
 from gasnet.junction import JunctionProblem, PipeSpec, solve_junction
-from gasnet.riemann import RAREFACTION, SHOCK
+from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave_m1
 from gasnet.scenario import trace_residuals
 
 G = GasConstants(gamma=1.4, R=1.0)
@@ -262,13 +271,17 @@ def test_run_invariants_weak_waves():
     state = _rich_scenario(amp=0.001, epsilon=0.005)
     gl0 = state.glimm()
     assert state.K_hat_J * gl0.V < state.K_J
-    state.run(3.0)
+    y_tol = 1e-9 * max(1.0, gl0.Y)
+    y_before = gl0.Y
+    while state.time < 3.0:
+        state.advance(3.0)
+        y_after = state.glimm().Y
+        assert y_after <= y_before + y_tol
+        y_before = y_after
     assert len(state.interactions) >= 30
     kinds = {r.kind for r in state.interactions}
     assert "junction" in kinds and "collision" in kinds
-    y_tol = 1e-9 * max(1.0, gl0.Y)
     for r in state.interactions:
-        assert r.Y_after <= r.Y_before + y_tol
         if r.kind in ("junction", "reflection") and r.v_minus > 0:
             assert r.v_plus <= state.K_J * r.v_minus
     gl = state.glimm()
@@ -541,7 +554,7 @@ def test_weak_form_residual_below_threshold():
         assert res <= 10.0 * eps, f"weak-form residual {res:g} above 10*eps"
 
 
-# -- oracle: cached Glimm terms and stored pair times against the definitions --
+# -- oracle: Glimm functionals and stored pair times against the definitions --
 
 
 def _reference_glimm(state):
@@ -610,11 +623,15 @@ def _assert_glimm_matches(state):
 
 
 def _assert_coupling_holds(state):
-    # the bounds of test_splitting_with_fronts_keeps_coupling_satisfied
+    # the bounds of test_splitting_with_fronts_keeps_coupling_satisfied, and
+    # at a compressor those of the benchmark's compressor check
     res = trace_residuals(state, state.specs, state.g, state.control)
     assert res["mass"] <= 1e-9, res
     if state.control is None:
         assert res["enthalpy_spread"] <= 1e-8, res
+    else:
+        assert res["control"] <= 1e-8, res
+        assert res.get("entropy", 0.0) <= 1e-8, res
 
 
 def _oracle_run(state, horizon):
@@ -794,19 +811,13 @@ def test_scheduler_ties_follow_scan_order():
 
 
 def test_glimm_totals_after_largest_ladder():
-    # thousands of splice deltas: the running totals still match the
-    # definitions and a fresh pass over every front
+    # thousands of events and over a hundred fronts per pipe: the
+    # functionals still match their definitions
     state = ladder_scenario(0.00125)
     state.run(1.2)
     assert state.events > 5000
     assert max(len(t.fronts) for t in state.pipes) > 100
     _assert_glimm_matches(state)
-    running = state.glimm()
-    state._rebuild()
-    fresh = state.glimm()
-    for a, b in ((running.V, fresh.V), (running.Q, fresh.Q), (running.Y, fresh.Y),
-                 (running.TV, fresh.TV)):
-        _assert_close(a, b)
 
 
 def test_oracle_m1_runs(rng):
@@ -830,6 +841,25 @@ def test_oracle_m1_runs(rng):
             assert _np_strength(state) <= 0.1 * eps, (eps, _np_strength(state))
 
 
+def test_star_pressure_a_rounding_step_above_data():
+    # on this draw a K_J probe's coupling solve puts the outlet's star
+    # pressure a rounding step above its data pressure, so phi returns the
+    # data density and a shock speed would divide by zero: the wave is a
+    # vanishing rarefaction instead
+    comp = balanced_compressor(np.random.default_rng(4), G, Model.M1, Model.M1, kind=POWER)
+    specs, data = [comp.inlet[0], comp.outlet[0]], [comp.inlet[1], comp.outlet[1]]
+    state = init_approximation(specs, data, G, epsilon=0.02, control=comp.control)
+    assert state.K_J >= 2.0
+    out = data[1]
+    p_star = nextafter(pressure(out, G), inf)
+    star = m1_state(out.rho, out.u, p_star, G)
+    assert star.rho == out.rho
+    for family, left, right in ((1, out, star), (3, star, out)):
+        wave = _acoustic_wave_m1(family, out, star, p_star, G)
+        assert (wave.kind, wave.left, wave.right) == (RAREFACTION, left, right)
+        assert wave.strength == p_star - pressure(out, G) > 0.0
+
+
 def test_rebuild_restores_order_from_any_permutation():
     # the sort by (position, speed) restores the order the event loop
     # keeps, and the rebuild depends on the fronts alone, not their order;
@@ -839,13 +869,12 @@ def test_rebuild_restores_order_from_any_permutation():
     for horizon in (0.0, 0.6):
         state.run(horizon)
         order = [list(t.fronts) for t in state.pipes]
-        running_gl, running_times = state.glimm(), [t for p in state.pipes for t in p.times]
+        gl, running_times = state.glimm(), [t for p in state.pipes for t in p.times]
         state._rebuild()
         assert [t.fronts for t in state.pipes] == order
-        # the event loop's totals and pair times carry their own rounding
-        gl, times = state.glimm(), [list(t.times) for t in state.pipes]
-        for a, b in zip(running_gl.__dict__.values(), gl.__dict__.values()):
-            _assert_close(a, b)
+        assert state.glimm() == gl
+        # the event loop's pair times carry their own rounding
+        times = [list(t.times) for t in state.pipes]
         for a, b in zip(running_times, [t for p in times for t in p]):
             assert a == b if isinf(b) else abs(a - b) <= 1e-12 * b, (a, b)
         for track in state.pipes:

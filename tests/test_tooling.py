@@ -1,9 +1,12 @@
 """Guards for edits that would otherwise fail only outside Tier-1: the
-benchmark's tracing wrappers, and module-level imports nothing uses."""
+benchmark's tracing wrappers and workloads, and module-level imports
+nothing uses."""
 
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gasnet"
@@ -35,6 +38,45 @@ def test_tracer_wraps_every_traced_name():
     finally:
         tracer.restore()
     assert tracing.installed_wrappers() == []
+
+
+@pytest.fixture
+def gasbench(monkeypatch):
+    """gasbench/ on the import path, so its modules import one another as
+    the benchmark's worker process does."""
+    monkeypatch.syspath_prepend(str(ROOT / "gasbench"))
+    import inputs
+    import tracing
+    import worker
+
+    return inputs, tracing, worker
+
+
+def test_workloads_run_and_trace_one_item(gasbench):
+    # the benchmark also calls untraced gasnet names (prepare, run and
+    # check of each workload, and the state fields harvest() reads): one
+    # seed-3 item per workload, untraced and then traced
+    inputs, tracing, worker = gasbench
+    for name, workload in worker.WORKLOADS.items():
+        items, _ = inputs.generate(name, 3, ROOT)
+        wl = workload(items)
+        assert wl.warm_up() == [], name
+        output = wl.run(wl.prepare(items[0][1]))
+        assert wl.check(output) == [], name
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            tracer.active = True
+            traced = wl.run(wl.prepare(items[0][1]))
+        finally:
+            tracer.active = False
+            tracer.restore()
+        tracer.harvest()
+        assert tracing.installed_wrappers() == []
+        assert wl.fingerprint(traced) == wl.fingerprint(output), name
+        # one interaction record per event
+        assert sum(tracer.interactions.values()) == tracer.events, name
+        assert (tracer.events > 0) == (name != "riemann_batch"), name
 
 
 def _unused_imports(path):
