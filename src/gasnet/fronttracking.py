@@ -16,9 +16,9 @@ evolves by propagating finitely many fronts:
   conditions;
 * a source step (``apply_source``) shifts the constant regions; a front
   whose adjacent regions moved is re-solved by the accurate step, or,
-  when it is non-physical or its strength is below rho_simpl, becomes
-  one non-physical front from the shifted left to the shifted right
-  state, as a reflection does.
+  when it is non-physical or its strength is below rho_simpl, absorbed:
+  it is dropped and the bounded region behind it takes the state ahead
+  of it.
 
 The threshold is rho_simpl = epsilon * epsilon**2 = epsilon**3: two fan
 slices have a strength product of at most epsilon**2, so the threshold
@@ -34,7 +34,8 @@ strength stayed near 0.004 from epsilon 0.04 down to 0.005.  The source
 step uses the same threshold because re-solving a weak jump whose two
 sides moved emits a wave in each family, so each step could double the
 fronts.  ``glimm()`` reports the live non-physical strength as
-``np_strength``.
+``np_strength``, and ``np_absorbed`` the L1 change the source steps made
+by absorbing fronts.
 
 Wave strength is measured as the jump of the curve parameter, divided by
 a per-pipe scale fixed at t = 0 (pressure scale for full-Euler acoustic
@@ -493,6 +494,7 @@ class FrontTrackingState:
         self.max_events = max_events
         self.time = 0.0
         self.events = 0
+        self.np_absorbed = 0.0   # L1 change of the regions absorbed by apply_source
         self.interactions = []
         self.segments = []
         self.specs = list(specs)
@@ -796,12 +798,17 @@ class FrontTrackingState:
     def apply_source(self, source, t0, dt):
         """Add dt * G(t0, .) to every constant region, then re-resolve.
 
-        Physical front jumps whose adjacent states changed are re-solved
-        with the accurate solver; untouched fronts (G = 0 on both sides)
-        are kept bit-for-bit.  Non-physical fronts, and physical ones of
-        scaled strength below rho_simpl, become one non-physical front
-        between the updated states.  Finally the coupling is re-solved at
-        the new traces.
+        Each pipe's fronts are walked right to left.  A front whose
+        adjacent states are unchanged (G = 0 on both sides) is kept
+        bit-for-bit.  A non-physical front, or a physical one of scaled
+        strength below rho_simpl, whose adjacent states changed is
+        absorbed: it is dropped, and the bounded region behind it takes
+        the state ahead of it, so the far field never changes and a run of
+        absorbed fronts collapses into the next jump.  Every other front
+        is re-solved by the accurate step between its shifted left state
+        and the state ahead of it.  ``np_absorbed`` grows by the scaled
+        state change of each absorbed region times its width.  Finally
+        the coupling is re-solved at the new traces.
         """
         g = self.g
         changed_any = False
@@ -828,21 +835,26 @@ class FrontTrackingState:
             if all(a is b for a, b in zip(regions, shifted)):
                 continue
             changed_any = True
-            new_fronts = []
-            for k, f in enumerate(track.fronts):
-                l_new, r_new = shifted[k], shifted[k + 1]
-                if l_new is regions[k] and r_new is regions[k + 1]:
+            fronts = track.fronts
+            pos = [f.at(self.time) for f in fronts]
+            ahead = shifted[-1]
+            new_fronts = []     # right to left
+            for k in range(len(fronts) - 1, -1, -1):
+                f, behind = fronts[k], shifted[k]
+                if behind is regions[k] and ahead is regions[k + 1]:
                     new_fronts.append(f)
+                    ahead = behind
                     continue
                 self._retire(i, f, self.time)
-                x = f.at(self.time)
                 if f.family == NONPHYSICAL or self._scaled_strength(i, f) < self.rho_simpl:
-                    solved = [self._np_front(i, l_new, r_new)]
-                else:
-                    solved = accurate_solve(l_new, r_new, g, self.epsilon, self.scales[i])
-                new_fronts += _placed(solved, x, self.time)
-            track.trace = shifted[0]
-            track.fronts = new_fronts
+                    width = pos[k] - (pos[k - 1] if k else 0.0)
+                    self.np_absorbed += self.scales[i].state_norm(behind, ahead) * width
+                    continue
+                solved = accurate_solve(behind, ahead, g, self.epsilon, self.scales[i])
+                new_fronts += reversed(_placed(solved, pos[k], self.time))
+                ahead = behind
+            track.trace = ahead
+            track.fronts = new_fronts[::-1]
         if not changed_any:
             return
         # traces moved: re-establish the coupling conditions at x = 0

@@ -280,9 +280,6 @@ def _parse_run(doc, path, errs):
             errs.add(f"{path}.source.lambda_f", "must be >= 0")
         elif lf is not None and dia is not None:
             run.source = FrictionSource(lf, dia)
-    if run.epsilon_ladder is not None and run.source is not None:
-        errs.add(f"{path}.epsilon_ladder",
-                 "cannot be combined with a friction source: ladder runs are homogeneous")
     max_events = doc.get("max_events", run.max_events)
     if not isinstance(max_events, int) or max_events < 1:
         errs.add(f"{path}.max_events", "must be a positive integer")
@@ -573,27 +570,49 @@ def trace_residuals(state, specs, g: GasConstants, control=None):
     return out
 
 
-def _simulate_once(sc: Scenario):
-    """One tracked run with a snapshot record every horizon / snapshots;
-    with a friction source the run is operator-split between snapshots."""
-    g = sc.constants
-    state = init_approximation(sc.specs, sc.profiles, g, sc.run.epsilon,
+def _stops(sc: Scenario):
+    """Snapshot times: every horizon / snapshots, the last at the horizon
+    itself."""
+    horizon = sc.run.horizon
+    return [horizon * k / sc.run.snapshots for k in range(1, sc.run.snapshots)] + [horizon]
+
+
+def _start(sc: Scenario, epsilon):
+    """The t = 0 approximation at ``epsilon`` and the splitting step, None
+    without a source."""
+    state = init_approximation(sc.specs, sc.profiles, sc.constants, epsilon,
                                control=sc.control, tv_bound=sc.run.tv_bound,
                                tol=sc.run.tol, max_events=sc.run.max_events)
-    if sc.run.source is not None:
-        dx = (sc.run.grid_length or 1.0) / sc.run.grid_points
-        dt_split = default_split_step(state, dx)
-    horizon = sc.run.horizon
+    if sc.run.source is None:
+        return state, None
+    dx = (sc.run.grid_length or 1.0) / sc.run.grid_points
+    return state, default_split_step(state, dx)
+
+
+def _advance(sc: Scenario, state, t, dt_split):
+    """Run to t; with a friction source operator-split in steps of dt_split."""
+    if dt_split is None:
+        state.run(t)
+    else:
+        operator_split_run(state, sc.run.source, t, dt_split)
+
+
+def _absorbed(sc: Scenario, state):
+    """``np_absorbed`` of a run with a source; only source steps absorb
+    fronts, so homogeneous runs report nothing."""
+    return {} if sc.run.source is None else {"np_absorbed": state.np_absorbed}
+
+
+def _simulate_once(sc: Scenario):
+    """One tracked run with a snapshot record at each of ``_stops``; with a
+    friction source the run is operator-split between snapshots."""
+    g = sc.constants
+    state, dt_split = _start(sc, sc.run.epsilon)
     xs = _grid(sc)
-    # the last record is at the horizon itself, where ladder members stop
-    times = [horizon * k / sc.run.snapshots for k in range(1, sc.run.snapshots)] + [horizon]
     fields = FieldMemo(g)
     records = []
-    for t in times:
-        if sc.run.source is None:
-            state.run(t)
-        else:
-            operator_split_run(state, sc.run.source, t, dt_split)
+    for t in _stops(sc):
+        _advance(sc, state, t, dt_split)
         glimm = state.glimm()
         pipes = {}
         traces = {}
@@ -602,11 +621,21 @@ def _simulate_once(sc: Scenario):
             pipes[spec.id] = {"x": xs, "states": list(map(fields, track.states_at(xs, pos)))}
             traces[spec.id] = fields(track.trace)
         diag = {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
-                "np_strength": glimm.np_strength,
+                "np_strength": glimm.np_strength, **_absorbed(sc, state),
                 "front_count": glimm.front_count, "events": state.events}
         diag.update(trace_residuals(state, sc.specs, g, sc.control))
         records.append(snapshot_record(t, pipes, traces, diag))
     return state, records
+
+
+def _ladder_member(sc: Scenario, epsilon):
+    """The run at ``epsilon`` without snapshots, stopped where the simulate
+    run stops: with a source the stops end splitting steps, so the member
+    at the run's epsilon is the simulate run itself."""
+    state, dt_split = _start(sc, epsilon)
+    for t in _stops(sc):
+        _advance(sc, state, t, dt_split)
+    return state
 
 
 def _run_simulate(sc: Scenario) -> RunResult:
@@ -630,17 +659,13 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "K_hat_J": state.K_hat_J,
         "max_junction_amplification": max(ratios) if ratios else 0.0,
         "final": {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
-                  "np_strength": glimm.np_strength},
+                  "np_strength": glimm.np_strength, **_absorbed(sc, state)},
         "max_residuals": trace_residuals(state, sc.specs, g, sc.control),
         "weak_form_residual": weak_form_residual(state, test_funcs, sc.run.horizon),
     }
     if sc.run.epsilon_ladder:
-        # members only feed the L1 distances: no snapshots; snapshot stops
-        # do not change a run, so the simulate run is the member at its epsilon
-        finals = [state if eps == sc.run.epsilon else
-                  init_approximation(sc.specs, sc.profiles, g, eps, control=sc.control,
-                                     tv_bound=sc.run.tv_bound, tol=sc.run.tol,
-                                     max_events=sc.run.max_events).run(sc.run.horizon)
+        # members only feed the L1 distances
+        finals = [state if eps == sc.run.epsilon else _ladder_member(sc, eps)
                   for eps in sc.run.epsilon_ladder]
         x_max = max(sc.run.grid_length or 1.0,
                     state.lambda_hat * sc.run.horizon)

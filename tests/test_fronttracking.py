@@ -445,8 +445,10 @@ def test_weak_form_support_culling_is_exact():
         state.finalize_segments()
         assert (each_bump(weak_form_residual, state, 4.0)
                 == each_bump(_reference_weak_form_residual, state, 4.0))
-    specs, profiles = perturbed_scenario(epsilon=0.02)
-    state = init_approximation(specs, profiles, G, epsilon=0.02)
+    # epsilon 0.007: absorbing weak fronts at the source steps leaves too
+    # few segments at 0.01 for the floor below
+    specs, profiles = perturbed_scenario()
+    state = init_approximation(specs, profiles, G, epsilon=0.007)
     operator_split_run(state, FrictionSource(0.02, 0.5), 1.0, 0.1)
     state.finalize_segments()
     res = each_bump(weak_form_residual, state, 1.0)
@@ -703,11 +705,11 @@ def test_oracle_friction_split_run():
     from test_splitting import perturbed_scenario
 
     specs, profiles = perturbed_scenario()
-    state = init_approximation(specs, profiles, G, epsilon=0.02)
+    state = init_approximation(specs, profiles, G, epsilon=0.01)
     src = FrictionSource(0.02, 0.5)
     events = 0
     # seven of the ten splitting steps to t = 1; the last three hold
-    # four fifths of the events and the O(n^2) reference would dominate
+    # two thirds of the events and the O(n^2) reference would dominate
     for _ in range(7):
         t0 = state.time
         events += _oracle_run(state, t0 + 0.1)
@@ -717,10 +719,10 @@ def test_oracle_friction_split_run():
     assert events >= 500
 
 
-def test_source_step_sheds_weak_fronts_as_nonphysical(monkeypatch):
-    # a front below rho_simpl whose regions the source moved becomes one
-    # non-physical front between the shifted regions; a stronger front is
-    # re-solved by the accurate step
+def test_source_step_absorbs_weak_fronts(monkeypatch):
+    # a front below rho_simpl whose regions the source moved is dropped: the
+    # region behind it takes the shifted state ahead of it, and only the
+    # stronger front ahead is re-solved by the accurate step
     import gasnet.fronttracking as ft
 
     specs, profiles = balanced_m3_junction()
@@ -754,11 +756,9 @@ def test_source_step_sheds_weak_fronts_as_nonphysical(monkeypatch):
     monkeypatch.setattr(ft, "accurate_solve", spy)
     state.apply_source(src, 0.0, dt)
     fronts = track.fronts
-    nonphysical = [f for f in fronts if f.family == NONPHYSICAL]
-    assert len(nonphysical) == 1
-    np_front = nonphysical[0]
-    assert np_front.at(state.time) == 0.3
-    assert np_front.left == shifted(st) and np_front.right == shifted(mid)
+    assert weak not in fronts
+    assert all(f.family != NONPHYSICAL for f in fronts)
+    assert all(f.at(state.time) in (0.0, 0.6) for f in fronts)
     assert solved == [(shifted(mid), shifted(right))]
     # the chain closes: each front starts where the one before it ends
     prev = track.trace
@@ -766,6 +766,8 @@ def test_source_step_sheds_weak_fronts_as_nonphysical(monkeypatch):
         assert f.left is prev
         prev = f.right
     assert prev == shifted(right)
+    # the region [0, 0.3) behind the weak front took shifted(mid)
+    assert state.np_absorbed == track.scales.state_norm(shifted(st), shifted(mid)) * 0.3
     _assert_glimm_matches(state)
 
 

@@ -245,17 +245,6 @@ def test_friction_source_parsed():
     assert sc.run.source.lambda_f == 0.02
 
 
-def test_epsilon_ladder_with_friction_source_rejected():
-    doc = MINIMAL.replace(
-        "mode: riemann",
-        "mode: simulate\n  epsilon_ladder: [0.04, 0.02]\n"
-        "  source: {kind: friction, lambda_f: 0.02, diameter: 0.5}")
-    with pytest.raises(ScenarioValidationError) as err:
-        parse_scenario(doc)
-    assert any("run.epsilon_ladder" in v and "friction" in v
-               for v in err.value.violations)
-
-
 # the perturbed two-pipe M2 passthrough of the splitting tests, as a document
 FRICTION = """
 constants: {gamma: 1.4, R: 1.0}
@@ -295,11 +284,48 @@ def test_simulate_mode_with_friction_source():
     for rec in res.records:
         assert rec["diagnostics"]["mass"] <= 1e-9
         assert rec["diagnostics"]["enthalpy_spread"] <= 1e-8
-    # the run keeps non-physical fronts alive: every snapshot and the final
-    # functionals report their summed strength
+    # the source steps absorb the weak fronts: the live non-physical strength
+    # stays O(epsilon), and the L1 change the absorption made O(epsilon**2)
+    eps = res.summary["epsilon"]
     np_strength = [rec["diagnostics"]["np_strength"] for rec in res.records]
-    assert min(np_strength) > 0.0
+    assert max(np_strength) <= 0.1 * eps
     assert res.summary["final"]["np_strength"] == np_strength[-1]
+    absorbed = [rec["diagnostics"]["np_absorbed"] for rec in res.records]
+    assert absorbed == sorted(absorbed)
+    assert 0.0 < res.summary["final"]["np_absorbed"] == absorbed[-1] <= eps ** 2
+
+
+def test_epsilon_ladder_with_friction_source():
+    # ladder members are operator-split as the simulate run is, and their
+    # friction L1 distances fall strictly from epsilon 0.04 to 0.005; to
+    # horizon 1.0, since at 0.5 the coarsest distance is below the next
+    # one, under the rule that kept weak fronts as non-physical ones too
+    doc = FRICTION.replace("horizon: 0.5", "horizon: 1.0").replace(
+        "length: 1.0", "length: 2.0").replace(
+        "epsilon: 0.02", "epsilon: 0.02\n  epsilon_ladder: [0.04, 0.02, 0.01, 0.005]")
+    sc = parse_scenario(doc)
+    res = run_scenario(sc)
+    d = res.summary["l1_distances"]
+    assert len(d) == 3 and d[-1] > 0.0
+    assert all(b < a for a, b in zip(d, d[1:])), d
+    # the simulate run stands in for the member at its epsilon: fresh
+    # members split at the same step and stopped at the snapshot times
+    from gasnet.fronttracking import (
+        default_split_step,
+        init_approximation,
+        l1_distance,
+        operator_split_run,
+    )
+
+    finals = []
+    for eps in sc.run.epsilon_ladder:
+        state = init_approximation(sc.specs, sc.profiles, sc.constants, eps)
+        dt_split = default_split_step(state, 2.0 / 2)   # grid length / points
+        for t in (1.0 / 3, 2.0 / 3, 1.0):
+            operator_split_run(state, sc.run.source, t, dt_split)
+        finals.append(state)
+    x_max = max(2.0, finals[0].lambda_hat)
+    assert d == [l1_distance(a, b, x_max) for a, b in zip(finals, finals[1:])]
 
 
 SHIPPED = sorted((Path(__file__).parents[1] / "scenarios").glob("*.yaml"))
