@@ -39,9 +39,10 @@ class FieldMemo:
     """``state_fields`` once per distinct state object.
 
     Sampled grids repeat a few region states many times, so the same
-    state object gets one shared field dict.  The memo is keyed by
-    identity and holds every state it keyed, so no id is reused while it
-    lives.
+    state object gets one shared field dict: riemann sampling calls the
+    memo once per run of grid points in one region, and a simulate
+    snapshot once per grid point.  The memo is keyed by identity and
+    holds every state it keyed, so no id is reused while it lives.
     """
 
     def __init__(self, g: GasConstants):
@@ -97,37 +98,41 @@ _NESTED = (dict, list, tuple)
 def _encode(obj, memo):
     """Compact JSON text of ``obj``, equal to ``json.dumps(obj)``.
 
-    A dict or list of scalars goes to the C encoder whole; one holding
-    containers (a dict with string keys only) is joined here from its
-    items' texts.  Each container is encoded once per identity (``memo``),
-    which pays off because records share their x grid and repeat field
-    dicts.  The caller keeps ``obj`` alive while ``memo`` is in use, so ids
-    are not reused.
+    A dict or list of scalars goes to the C encoder whole, once per
+    identity: ``memo`` keeps its text, which pays off because records
+    share their x grid and repeat field dicts.  One holding containers (a
+    dict with string keys only) is joined here from its items' texts on
+    every visit and not kept, so the memo holds no record's text.  The
+    caller keeps ``obj`` alive while ``memo`` is in use, so ids are not
+    reused.
     """
-    key = id(obj)
-    text = memo.get(key)
-    if text is None:
-        if (isinstance(obj, dict) and any(isinstance(v, _NESTED) for v in obj.values())
-                and all(isinstance(k, str) for k in obj)):
-            text = "{" + ", ".join(f"{json.dumps(k)}: {_encode(v, memo)}"
-                                   for k, v in obj.items()) + "}"
-        elif isinstance(obj, (list, tuple)) and any(isinstance(v, _NESTED) for v in obj):
-            text = "[" + ", ".join(_encode(v, memo) for v in obj) + "]"
-        else:
-            text = json.dumps(obj)
-        memo[key] = text
+    text = memo.get(id(obj))
+    if text is not None:
+        return text
+    if (isinstance(obj, dict) and any(isinstance(v, _NESTED) for v in obj.values())
+            and all(isinstance(k, str) for k in obj)):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_encode(v, memo)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)) and any(isinstance(v, _NESTED) for v in obj):
+        # a sampled grid repeats each region's field dict: look it up inline
+        get = memo.get
+        return "[" + ", ".join([get(id(v)) or _encode(v, memo) for v in obj]) + "]"
+    text = memo[id(obj)] = json.dumps(obj)
     return text
 
 
 def write_json(records, stream, summary=None):
     """One JSON document ``{"records": [...], "summary": {...}}`` with one
     compact record per line and the summary indented; floats are
-    repr-exact and the bytes are deterministic."""
+    repr-exact and the bytes are deterministic.  All records share one
+    ``_encode`` memo, so a field dict or x grid that several records hold
+    is encoded once per document."""
+    memo = {}
     stream.write('{"records": [')
     sep = "\n"
     for rec in records:
         stream.write(sep)
-        stream.write(_encode(rec, {}))
+        stream.write(_encode(rec, memo))
         sep = ",\n"
     stream.write("\n]")
     if summary is not None:

@@ -10,6 +10,7 @@ Tie-breaking: a similarity coordinate xi that falls exactly on a shock,
 contact, or fan edge resolves to the right-limit state.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import kernels
@@ -197,33 +198,28 @@ def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
 
 
 def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: GasConstants):
-    """Sample a left-to-right list of waves at each ascending x/t in xis,
-    in one pass.
+    """Sample a left-to-right list of waves at the ascending x/t values
+    ``xis``, as runs ``[(state, count), ...]`` that expand to one state
+    per point.
 
     A point at a wave's leftmost speed lies right of it, past a shock or
-    contact and inside a fan; constant regions are returned as the
-    ``left_data``, ``wave.right`` and ``right_data`` objects themselves.
+    contact and inside a fan.  Each constant region is one run of the
+    ``left_data``, ``wave.right`` or ``right_data`` object itself, found
+    by bisecting the wave speeds; each point inside a fan is a run of 1.
     """
-    out = []
-    k = 0
+    runs = []
+    start = 0
     state = left_data
-    for xi in xis:
-        while k < len(waves):
-            wave = waves[k]
-            if xi < wave.leftmost_speed or (
-                    wave.kind == RAREFACTION and xi < wave.rightmost_speed):
-                break
-            state = wave.right
-            k += 1
-        if k == len(waves):
-            out.append(right_data)
-        elif xi < waves[k].leftmost_speed:
-            out.append(state)
-        else:
-            out.append(fan_state(waves[k], xi, g))
-    return out
-
-
-def sample_solution(sol, UL: PipeState, UR: PipeState, xi, g: GasConstants) -> PipeState:
-    """State of the self-similar solution at x/t = xi."""
-    return sample_waves(sol.waves, UL, UR, [xi], g)[0]
+    for wave in waves:
+        lo = max(start, bisect_left(xis, wave.leftmost_speed))
+        hi = lo
+        if wave.kind == RAREFACTION:
+            hi = max(lo, bisect_left(xis, wave.rightmost_speed))
+        if lo > start:
+            runs.append((state, lo - start))
+        runs += [(fan_state(wave, xis[i], g), 1) for i in range(lo, hi)]
+        start = hi
+        state = wave.right
+    if len(xis) > start:
+        runs.append((right_data, len(xis) - start))
+    return runs

@@ -110,13 +110,22 @@ class _Collector:
             raise ScenarioValidationError(self.violations)
 
 
+def _is_int(v):
+    # YAML booleans load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num(doc, path, key, errs, default=None, positive=False, required=False):
     if key not in doc:
         if required:
             errs.add(f"{path}.{key}", "missing required field")
         return default
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if not _is_number(v) or not math.isfinite(v):
         errs.add(f"{path}.{key}", f"must be a finite number, got {v!r}")
         return default
     if positive and not v > 0:
@@ -165,7 +174,7 @@ def _parse_profile(doc, path, model, g, errs):
                 if x is not None:
                     errs.add(f"{ppath}.x_right", "last piece must have x_right: null")
             else:
-                if not isinstance(x, (int, float)) or isinstance(x, bool) or not x > prev_x:
+                if not _is_number(x) or not x > prev_x:
                     errs.add(f"{ppath}.x_right",
                              f"must be a number > {prev_x}, got {x!r}")
                     return None
@@ -241,21 +250,21 @@ def _parse_run(doc, path, errs):
     run.tol = _num(doc, path, "tol", errs, default=run.tol, positive=True)
     run.tv_bound = _num(doc, path, "tv_bound", errs, default=None, positive=True)
     snaps = doc.get("snapshots", run.snapshots)
-    if not isinstance(snaps, int) or snaps < 1:
+    if not _is_int(snaps) or snaps < 1:
         errs.add(f"{path}.snapshots", f"must be a positive integer, got {snaps!r}")
     else:
         run.snapshots = snaps
     if "sample_times" in doc:
         ts = doc["sample_times"]
         if not isinstance(ts, list) or not all(
-                isinstance(t, (int, float)) and t > 0 for t in ts):
+                _is_number(t) and t > 0 for t in ts):
             errs.add(f"{path}.sample_times", "must be a list of positive numbers")
         else:
             run.sample_times = [float(t) for t in ts]
     if "epsilon_ladder" in doc:
         ls = doc["epsilon_ladder"]
         if not isinstance(ls, list) or not all(
-                isinstance(e, (int, float)) and e > 0 for e in ls):
+                _is_number(e) and e > 0 for e in ls):
             errs.add(f"{path}.epsilon_ladder", "must be a list of positive numbers")
         else:
             run.epsilon_ladder = [float(e) for e in ls]
@@ -264,7 +273,7 @@ def _parse_run(doc, path, errs):
         errs.add(f"{path}.grid", "must be a mapping")
     else:
         pts = grid.get("points", run.grid_points)
-        if not isinstance(pts, int) or pts < 2:
+        if not _is_int(pts) or pts < 2:
             errs.add(f"{path}.grid.points", f"must be an integer >= 2, got {pts!r}")
         else:
             run.grid_points = pts
@@ -281,7 +290,7 @@ def _parse_run(doc, path, errs):
         elif lf is not None and dia is not None:
             run.source = FrictionSource(lf, dia)
     max_events = doc.get("max_events", run.max_events)
-    if not isinstance(max_events, int) or max_events < 1:
+    if not _is_int(max_events) or max_events < 1:
         errs.add(f"{path}.max_events", "must be a positive integer")
     else:
         run.max_events = max_events
@@ -290,6 +299,68 @@ def _parse_run(doc, path, errs):
 
 # libyaml's parser when PyYAML was built with it; both report line and column
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the resolver and scalar constructors that both loaders use
+_RESOLVER = yaml.resolver.Resolver()
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_STR = _RESOLVER.DEFAULT_SCALAR_TAG
+
+
+class _Unsupported(Exception):
+    """YAML that ``_load`` leaves to ``yaml.load``: an anchor, alias,
+    explicit tag, merge key or non-scalar key, a second document, or a
+    plain scalar whose resolved tag has no constructor."""
+
+
+def _scalar(ev):
+    # quoted and block scalars resolve to str
+    tag = _RESOLVER.resolve(yaml.ScalarNode, ev.value, ev.implicit)
+    if tag == _STR:
+        return ev.value
+    construct = _CONSTRUCTOR.yaml_constructors.get(tag)
+    if construct is None:
+        raise _Unsupported
+    return construct(_CONSTRUCTOR, yaml.ScalarNode(tag, ev.value))
+
+
+def _build(events, ev):
+    """The value of the node that starts with event ``ev``."""
+    # an alias event carries the anchor it names
+    if ev.anchor is not None or ev.tag is not None:
+        raise _Unsupported
+    kind = type(ev)
+    if kind is yaml.ScalarEvent:
+        return _scalar(ev)
+    if kind is yaml.SequenceStartEvent:
+        out = []
+        ev = next(events)
+        while type(ev) is not yaml.SequenceEndEvent:
+            out.append(_build(events, ev))
+            ev = next(events)
+        return out
+    out = {}
+    ev = next(events)
+    while type(ev) is not yaml.MappingEndEvent:
+        if type(ev) is not yaml.ScalarEvent:
+            raise _Unsupported
+        key = _build(events, ev)
+        out[key] = _build(events, next(events))
+        ev = next(events)
+    return out
+
+
+def _load(text):
+    """``yaml.load(text, Loader=_LOADER)``, built from the parser's event
+    stream without PyYAML's node graph; raises ``_Unsupported`` for what
+    it leaves to ``yaml.load``."""
+    events = yaml.parse(text, Loader=_LOADER)
+    next(events)                                    # stream start
+    if type(next(events)) is yaml.StreamEndEvent:   # no document
+        return None
+    doc = _build(events, next(events))
+    next(events)                                    # document end
+    if type(next(events)) is not yaml.StreamEndEvent:
+        raise _Unsupported
+    return doc
 
 
 def parse_scenario(source) -> Scenario:
@@ -299,7 +370,10 @@ def parse_scenario(source) -> Scenario:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        try:
+            doc = _load(text)
+        except _Unsupported:
+            doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"not a well-formed YAML document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -492,8 +566,10 @@ def _run_riemann(sc: Scenario) -> RunResult:
         traces = {}
         for i, spec in enumerate(sc.specs):
             waves, trace = patterns[i]
-            states = sample_waves(waves, trace, data[i], [x / t for x in xs], g)
-            pipes[spec.id] = {"x": xs, "states": list(map(fields, states))}
+            states = []
+            for st, n in sample_waves(waves, trace, data[i], [x / t for x in xs], g):
+                states += [fields(st)] * n
+            pipes[spec.id] = {"x": xs, "states": states}
             traces[spec.id] = fields(trace)
         diag = {"residual_norm": sol.residual_norm, "iterations": sol.iterations}
         records.append(snapshot_record(t, pipes, traces, diag))

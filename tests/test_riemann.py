@@ -25,7 +25,6 @@ from gasnet.riemann import (
     RAREFACTION,
     SHOCK,
     fan_state,
-    sample_solution,
     sample_waves,
     solve_riemann_iso,
     solve_riemann_m1,
@@ -267,22 +266,29 @@ def test_riemann_invariants_constant_through_fans(rng):
     assert hits > 10
 
 
+def _first_state(sol, UL, UR, xi):
+    """State of the self-similar solution at x/t = xi: the one run that
+    sampling a single point gives."""
+    (state, count), = sample_waves(sol.waves, UL, UR, [xi], G)
+    assert count == 1
+    return state
+
+
 def test_sampling_regions():
     UL = m1_state(1.0, 0.0, 1.0, G)
     UR = m1_state(0.125, 0.0, 0.1, G)
     sol = solve_riemann_m1(UL, UR, G)
-    assert sample_solution(sol, UL, UR, -10.0, G) == UL
-    assert sample_solution(sol, UL, UR, +10.0, G) == UR
-    at0 = sample_solution(sol, UL, UR, 0.0, G)
+    assert _first_state(sol, UL, UR, -10.0) == UL
+    assert _first_state(sol, UL, UR, +10.0) == UR
+    at0 = _first_state(sol, UL, UR, 0.0)
     assert pressure(at0, G) == pytest.approx(sol.p_star, rel=1e-10)
     assert at0.u == pytest.approx(sol.u_star, rel=1e-10)
     # exactly at the shock: right limit
     s3 = sol.waves[2].speeds[0]
-    assert sample_solution(sol, UL, UR, s3, G) == UR
-    assert sample_solution(sol, UL, UR, s3 - 1e-9, G) != UR
+    assert _first_state(sol, UL, UR, s3) == UR
+    assert _first_state(sol, UL, UR, s3 - 1e-9) != UR
     # exactly at the contact: right limit (right star state)
-    assert sample_solution(sol, UL, UR, sol.u_star, G).rho == pytest.approx(
-        sol.rho_r_star)
+    assert _first_state(sol, UL, UR, sol.u_star).rho == pytest.approx(sol.rho_r_star)
 
 
 def _sample_at(waves, left, right, xi, g):
@@ -308,6 +314,7 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
         cases.append((iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5), 1.0),
                       iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5), 1.0)))
     kinds = set()
+    fan_points = 0
     for UL, UR in cases:
         if UL.model is Model.M1:
             waves = solve_riemann_m1(UL, UR, G).waves
@@ -318,19 +325,30 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
         edges = [s for w in waves for s in w.speeds]
         kinds.update(w.kind for w in waves)
         xis = sorted(list(rng.uniform(min(edges) - 1.0, max(edges) + 1.0, 40)) + edges)
-        got = sample_waves(waves, UL, UR, xis, G)
+        runs = sample_waves(waves, UL, UR, xis, G)
+        assert all(n > 0 for _, n in runs)
+        assert sum(n for _, n in runs) == len(xis)
+        assert all(a is not b for (a, _), (b, _) in zip(runs, runs[1:]))
         regions = [UL, UR] + [w.right for w in waves]
+        got = [st for st, n in runs for _ in range(n)]
         for xi, st in zip(xis, got):
             want = _sample_at(waves, UL, UR, xi, G)
             if any(want is r for r in regions):
                 assert st is want
             else:
                 assert st == want
+        # every fan point is its own run of 1
+        for st, n in runs:
+            if not any(st is r for r in regions):
+                assert n == 1
+                fan_points += 1
         for w in waves:
             if w.kind != RAREFACTION:
-                at = sample_waves(waves, UL, UR, [w.speeds[0]], G)[0]
-                assert at is (w.right if w is not waves[-1] else UR)
+                (at, n), = sample_waves(waves, UL, UR, [w.speeds[0]], G)
+                assert at is (w.right if w is not waves[-1] else UR) and n == 1
+        assert sample_waves(waves, UL, UR, [], G) == []
     assert kinds == {SHOCK, RAREFACTION, CONTACT}
+    assert fan_points > 0
 
 
 def test_fan_sampling_continuity(rng):

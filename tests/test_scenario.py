@@ -1,5 +1,6 @@
 """Scenario parsing, validation paths, execution, and output round trips."""
 
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from gasnet import ScenarioParseError, ScenarioValidationError
+from gasnet import ScenarioParseError, ScenarioValidationError, scenario
 from gasnet.fronttracking import init_approximation
 from gasnet.output import FieldMemo, read_json, render_csv, render_json, state_fields, write_json
 from gasnet.scenario import (
@@ -82,6 +85,20 @@ def test_violations_are_aggregated():
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(doc)
     assert len(err.value.violations) >= 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snapshots", "true"),
+    ("max_events", "true"),
+    ("sample_times", "[0.5, true]"),
+    ("epsilon_ladder", "[true]"),
+])
+def test_booleans_rejected_in_integer_and_number_list_fields(field, value):
+    # YAML booleans load as bool, a subclass of int: true would read as 1
+    doc = MINIMAL.replace("mode: riemann", f"mode: riemann\n  {field}: {value}")
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert any(v.startswith(f"run.{field}:") for v in err.value.violations)
 
 
 def test_duplicate_pipe_ids_rejected():
@@ -336,10 +353,122 @@ DOCUMENTS = {p.name: p.read_text() for p in SHIPPED}
 DOCUMENTS.update(MINIMAL=MINIMAL, COMPRESSOR=COMPRESSOR, FRICTION=FRICTION, SAMPLED=SAMPLED)
 
 
-@pytest.mark.parametrize("name", DOCUMENTS)
+RIEMANN_BATCH = "riemann_batch seed 3"
+
+
+def _riemann_batch_documents(seed):
+    """The benchmark's riemann_batch documents of one seed, from
+    gasbench/inputs.py (standard library only) loaded as a module of its
+    own."""
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("_gasbench_inputs",
+                                                  root / "gasbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    items, _ = module.generate("riemann_batch", seed, root)
+    return [text for _, text in items]
+
+
+def _typed(obj):
+    """``obj`` with every value's type spelled out, so that 1, 1.0 and
+    True, which compare equal, do not."""
+    if isinstance(obj, dict):
+        return ("dict", [(_typed(k), _typed(v)) for k, v in obj.items()])
+    if isinstance(obj, list):
+        return ("list", [_typed(v) for v in obj])
+    return (type(obj).__name__, repr(obj))
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS) + [RIEMANN_BATCH])
 def test_parse_matches_pure_python_loader(name):
-    text = DOCUMENTS[name]
-    assert parse_scenario(text).raw == yaml.load(text, Loader=yaml.SafeLoader)
+    texts = _riemann_batch_documents(3) if name == RIEMANN_BATCH else [DOCUMENTS[name]]
+    if name == RIEMANN_BATCH:
+        assert len(texts) == 206
+    for text in texts:
+        assert _typed(parse_scenario(text).raw) == _typed(
+            yaml.load(text, Loader=yaml.SafeLoader))
+
+
+# plain scalars of every implicit type the resolver knows, and strings
+# that look like them
+SCALARS = ["0", "7", "-12", "+3", "017", "0o17", "0x1F", "0b101", "1_000", "190:20:30",
+           "1.5", "-0.25", ".5", "6.02e+23", "1.0e-10", "1e3", "1_000.5", "190:20:30.15",
+           ".inf", "-.inf", "+.INF", ".nan", ".NaN", "~", "null", "Null",
+           "yes", "no", "on", "Off", "true", "FALSE", "y", "n",
+           "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5",
+           "'1.0'", '"3"', "'yes'", '"~"', "''", "M1", "M3", "riemann", "x_right", "a b"]
+KEYS = ["rho", "u", "kappa", "id", "M2", "'q'", "1", "2.5", "yes", "~", "2001-12-14"]
+
+
+def _flow(node):
+    """Scalars, flow-style and empty collections are written inline."""
+    return isinstance(node, str) or node[1] or not node[2]
+
+
+def _inline(node):
+    if isinstance(node, str):
+        return node
+    kind, _, items = node
+    if kind == "seq":
+        return "[" + ", ".join(_inline(v) for v in items) + "]"
+    return "{" + ", ".join(f"{k}: {_inline(v)}" for k, v in items) + "}"
+
+
+def _block(node, pad):
+    """Block-style lines of a collection at indentation pad."""
+    def after(v):
+        # what follows a key's colon or a sequence dash
+        return f" {_inline(v)}\n" if _flow(v) else "\n" + _block(v, pad + "  ")
+
+    kind, _, items = node
+    if kind == "seq":
+        return "".join(f"{pad}-{after(v)}" for v in items)
+    return "".join(f"{pad}{k}:{after(v)}" for k, v in items)
+
+
+# (kind, flow style, items): nested block and flow collections
+trees = hs.recursive(
+    hs.sampled_from(SCALARS),
+    lambda kids: (hs.tuples(hs.just("seq"), hs.booleans(), hs.lists(kids, max_size=4))
+                  | hs.tuples(hs.just("map"), hs.booleans(),
+                              hs.lists(hs.tuples(hs.sampled_from(KEYS), kids),
+                                       max_size=4))),
+    max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(trees)
+def test_event_builder_matches_pure_python_loader(tree):
+    text = _inline(tree) + "\n" if _flow(tree) else _block(tree, "")
+    assert _typed(scenario._load(text)) == _typed(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+# each construct the event builder leaves to yaml.load
+FALLBACK = {
+    "anchor": MINIMAL.replace("R: 1.0}", "R: &r 1.0}"),
+    "alias": MINIMAL.replace("R: 1.0}", "R: &r 1.0, s0: *r}"),
+    "explicit tag": MINIMAL.replace("gamma: 1.4", "gamma: !!float 1.4"),
+    "merge key": MINIMAL.replace("constants: {gamma: 1.4, R: 1.0}",
+                                 "constants: {<<: {gamma: 1.4}, R: 1.0}"),
+    "non-scalar key": MINIMAL + "? [1, 2]\n: x\n",
+    "second document": MINIMAL + "---\nrun: {mode: simulate}\n",
+    "no constructor": MINIMAL + "extra: =\n",
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK)
+def test_event_builder_falls_back_to_yaml_load(name):
+    text = FALLBACK[name]
+    with pytest.raises(scenario._Unsupported):
+        scenario._load(text)
+    try:
+        want = yaml.load(text, Loader=scenario._LOADER)
+    except yaml.YAMLError as exc:
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert str(err.value) == f"not a well-formed YAML document: {exc}"
+    else:
+        assert _typed(parse_scenario(text).raw) == _typed(want)
 
 
 @pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])
