@@ -33,7 +33,6 @@ from .errors import (
 from .junction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    Orientation,
     StarSolution,
     _newton,
     coupling_jacobian,
@@ -74,9 +73,7 @@ class CompressorProblem:
     full-Euler outlet, inlet-minus-outlet entropy.
     """
 
-    def __init__(self, inlet, outlet, control: CompressorControl,
-                 constants: GasConstants = None):
-        g = constants if constants is not None else GasConstants()
+    def __init__(self, inlet, outlet, control: CompressorControl, g: GasConstants):
         in_spec, in_state = inlet
         out_spec, out_state = outlet
         if in_spec.area != out_spec.area:
@@ -85,10 +82,6 @@ class CompressorProblem:
             raise NotSubsonic("inlet state must have strictly negative subsonic velocity")
         if classify_subsonic(out_state, g) is not FlowRegime.D_PLUS:
             raise NotSubsonic("outlet state must have strictly positive subsonic velocity")
-        if in_spec.orientation is Orientation.OUTGOING:
-            raise ValueError("inlet pipe is oriented incoming")
-        if out_spec.orientation is Orientation.INCOMING:
-            raise ValueError("outlet pipe is oriented outgoing")
         self.constants = g
         self.inlet = (in_spec, in_state)
         self.outlet = (out_spec, out_state)

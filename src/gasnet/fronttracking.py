@@ -44,7 +44,8 @@ strengths are dimensionless and comparable across models.  Non-physical
 fronts carry the nondimensionalized norm of their state jump.  The
 Glimm-type functionals V (weighted strength sum), Q (approaching-pair
 potential) and Y = V + K_hat_J * Q are evaluated from these measures;
-junction-bound families carry weight 2*K_J, junction-leaving ones 1.
+junction-bound families carry weight 2*K_J, junction-leaving ones and
+non-physical fronts 1.
 
 K_J is estimated once per run by probing the coupling solve with small
 incident waves on every pipe and approaching family; K_hat_J is then
@@ -59,7 +60,8 @@ next to them, so an event costs its own fronts and a C-level minimum
 over each touched pipe's pair times.  No front moves: a front is the
 line ``born_x + speed * (t - born_t)`` and ``Front.at`` evaluates it.
 The event loop keeps no Glimm totals; ``glimm()`` evaluates (V, Q, TV)
-on demand, in one pass over each pipe's fronts.  ``_rebuild()`` puts
+on demand, and ``_pipe_glimm`` walks each pipe's fronts once, with
+running strength sums per family for Q.  ``_rebuild()`` puts
 every pipe back in order from its fronts alone: it sorts them by
 (position, speed), chains them from the trace, and recomputes the pair
 times.  Initialization and ``apply_source`` end with it, and code that
@@ -93,6 +95,8 @@ from .riemann import (
     RAREFACTION,
     SHOCK,
     Wave,
+    _acoustic_wave_iso,
+    _acoustic_wave_m1,
     solve_riemann_iso,
     solve_riemann_m1,
 )
@@ -174,12 +178,9 @@ class PipeTrack:
         for f in self.fronts:
             yield f.right
 
-    def state_at(self, x, t):
-        return self.states_at([x], [f.at(t) for f in self.fronts])[0]
-
     def states_at(self, xs, pos):
-        """``state_at(x, t)`` for each ascending x in xs, in one pass, given
-        the fronts' positions ``pos`` at t."""
+        """The state at each ascending x in xs, in one pass, given the
+        fronts' positions ``pos``; at a front the state to its right."""
         out = []
         k = 0
         for x in xs:
@@ -187,34 +188,6 @@ class PipeTrack:
                 k += 1
             out.append(self.fronts[k - 1].right if k else self.trace)
         return out
-
-
-def _window_glimm(terms, weight):
-    """(V, Q, TV, non-physical strength) of a run of fronts, rear first.
-
-    ``terms`` holds (scaled strength, family index, shock, state-jump
-    norm) per front, family index 4 for non-physical fronts; ``weight``
-    the V weight per family index.  A rear front approaches one ahead
-    when its family is strictly larger, or equal with at least one
-    shock; same-family rarefaction or contact pairs never approach (their
-    curves compose exactly).  Non-physical fronts count as the fastest
-    family.  Q sums, over the fronts, the strength times the strengths of
-    the approaching fronts behind it, read off running sums per family
-    (``behind``) and of its shocks (``behind_shock``).
-    """
-    behind = [0.0] * 5
-    behind_shock = [0.0] * 5
-    v = q = tv = 0.0
-    for st, fam, shock, norm in terms:
-        v += weight[fam] * st
-        tv += norm
-        if fam != 4:
-            q += st * (sum(behind[fam + 1:])
-                       + (behind[fam] if shock else behind_shock[fam]))
-        behind[fam] += st
-        if shock:
-            behind_shock[fam] += st
-    return v, q, tv, behind[4]
 
 
 @dataclass(frozen=True)
@@ -227,8 +200,6 @@ class GlimmDiagnostics:
     Y: float
     TV: float
     front_count: int
-    K_J: float
-    K_hat_J: float
     np_strength: float
 
 
@@ -447,8 +418,6 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
 def coupling_wave_pattern(role, data: PipeState, sigma, tau, g):
     """Waves emitted into one pipe by a coupling solve, left to right,
     together with the new trace state."""
-    from .riemann import _acoustic_wave_iso, _acoustic_wave_m1
-
     if role == ISO:
         star = lax_iso(data.model, 2, sigma, data, g)
         return [_acoustic_wave_iso(2, data, star, g)], star
@@ -588,18 +557,6 @@ class FrontTrackingState:
         sc = self.scales[pipe_index].strength_scale(front.family, front.left.model)
         return abs(front.strength) / sc
 
-    def _weight(self, pipe_index, front):
-        if front.family == NONPHYSICAL:
-            return 1.0
-        towards = _APPROACHING[self.roles[pipe_index]]
-        return 2.0 * self.K_J if front.family in towards else 1.0
-
-    def _front_terms(self, i, f):
-        """(scaled strength, family index, shock, state-jump norm) of a
-        front on pipe i; non-physical fronts get family index 4."""
-        return (self._scaled_strength(i, f), 4 if f.family == NONPHYSICAL else f.family,
-                f.kind == SHOCK, self.scales[i].state_norm(f.left, f.right))
-
     def _rebuild(self):
         """Put every pipe in order from its fronts alone: sort them by
         (position, speed), chain them from the trace, and recompute the
@@ -616,10 +573,38 @@ class FrontTrackingState:
                 track.times.append(math.inf)
 
     def _pipe_glimm(self, i):
-        """(V, Q, TV, non-physical strength) of pipe i's fronts."""
+        """(V, Q, TV, non-physical strength) of pipe i's fronts, in one pass
+        from the rear (the junction) forward.
+
+        Non-physical fronts take family index 4, the fastest family, and V
+        weight 1; a physical front weighs 2 * K_J if its family runs toward
+        the junction, else 1.  A rear front approaches one ahead when its
+        family is strictly larger, or equal with at least one shock;
+        same-family rarefaction or contact pairs never approach (their
+        curves compose exactly).  Q sums, over the fronts, the strength
+        times the strengths of the approaching fronts behind it, read off
+        running sums per family (``behind``) and of its shocks
+        (``behind_shock``).  TV sums the scaled state jumps.
+        """
         towards = _APPROACHING[self.roles[i]]
         weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
-        return _window_glimm([self._front_terms(i, f) for f in self.pipes[i].fronts], weight)
+        scales = self.scales[i]
+        behind = [0.0] * 5
+        behind_shock = [0.0] * 5
+        v = q = tv = 0.0
+        for f in self.pipes[i].fronts:
+            st = self._scaled_strength(i, f)
+            fam = 4 if f.family == NONPHYSICAL else f.family
+            shock = f.kind == SHOCK
+            v += weight[fam] * st
+            tv += scales.state_norm(f.left, f.right)
+            if fam != 4:
+                q += st * (sum(behind[fam + 1:])
+                           + (behind[fam] if shock else behind_shock[fam]))
+            behind[fam] += st
+            if shock:
+                behind_shock[fam] += st
+        return v, q, tv, behind[4]
 
     def glimm(self) -> GlimmDiagnostics:
         """Glimm functionals of the live fronts, one pass over each pipe."""
@@ -631,14 +616,14 @@ class FrontTrackingState:
             tv += ptv
             np_strength += pnp
         n = sum(len(t.fronts) for t in self.pipes)
-        return GlimmDiagnostics(v, q, v + self.K_hat_J * q, tv, n,
-                                self.K_J, self.K_hat_J, np_strength)
+        return GlimmDiagnostics(v, q, v + self.K_hat_J * q, tv, n, np_strength)
 
     def traces(self):
         return [t.trace for t in self.pipes]
 
     def state_at(self, pipe_index, x):
-        return self.pipes[pipe_index].state_at(x, self.time)
+        track = self.pipes[pipe_index]
+        return track.states_at([x], [f.at(self.time) for f in track.fronts])[0]
 
     # -- event loop ------------------------------------------------------------
 
@@ -1031,13 +1016,16 @@ class Bump:
         return out
 
 
-def bump_test_functions(x_max, t_max, n=10):
-    """Smooth compactly supported bumps covering [0, x_max] x (0, t_max)."""
+_BUMPS = 10
+
+
+def bump_test_functions(x_max, t_max):
+    """Ten smooth compactly supported bumps covering [0, x_max] x (0, t_max)."""
     funcs = []
-    for k in range(n):
+    for k in range(_BUMPS):
         xc = (k % 5) * x_max / 5.0
         wx = x_max / 3.0 + (k % 3) * x_max / 10.0
-        tc = t_max * (0.25 + 0.5 * ((k * 7) % n) / max(n - 1, 1))
+        tc = t_max * (0.25 + 0.5 * ((k * 7) % _BUMPS) / (_BUMPS - 1))
         wt = t_max / 4.0
         funcs.append(Bump(xc, wx, tc, wt))
     return funcs

@@ -35,7 +35,6 @@ and one damped Newton (``_newton``) solves both.  ``coupling_residual``,
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -64,19 +63,15 @@ DEFAULT_MAX_ITER = 50
 MAX_BACKTRACKS = 30
 
 
-class Orientation(Enum):
-    INCOMING = "incoming"
-    OUTGOING = "outgoing"
-
-
 @dataclass(frozen=True)
 class PipeSpec:
-    """Geometry and model of one pipe attached to the junction."""
+    """Geometry and model of one pipe attached to the junction.  Whether
+    the pipe is incoming or outgoing follows from the sign of its velocity
+    at the junction (the subsonic sets D- and D+)."""
 
     id: str
     area: float
     model: Model
-    orientation: Orientation = None
 
     def __post_init__(self):
         if not self.area > 0.0:
@@ -103,15 +98,7 @@ def _classify_pipe(spec: PipeSpec, state: PipeState, g: GasConstants, where):
             f"{where}: initial state must be strictly subsonic with nonzero "
             f"velocity (u={state.u}, c={sound_speed(state, g)})"
         )
-    outgoing = regime is FlowRegime.D_PLUS
-    if spec.orientation is not None:
-        expect = Orientation.OUTGOING if outgoing else Orientation.INCOMING
-        if spec.orientation is not expect:
-            raise ValueError(
-                f"{where}: declared orientation {spec.orientation.value} does not "
-                f"match the flow direction of the initial state ({expect.value})"
-            )
-    return outgoing
+    return regime is FlowRegime.D_PLUS
 
 
 def _group(model: Model, outgoing: bool):
@@ -130,8 +117,7 @@ class JunctionProblem:
     pivot, then one entropy row per outgoing M1 pipe.
     """
 
-    def __init__(self, pipes, constants: GasConstants = None):
-        g = constants if constants is not None else GasConstants()
+    def __init__(self, pipes, g: GasConstants):
         entries = []
         for idx, (spec, state) in enumerate(pipes):
             outgoing = _classify_pipe(spec, state, g, f"pipe {spec.id!r}")
@@ -352,10 +338,6 @@ class StarSolution:
     residual_norm: float
     iterations: int
     extras: dict
-
-    @property
-    def assigned_kappa(self):
-        return self.extras.get("assigned_kappa")
 
 
 def _newton(problem, tol, max_iter, domain_errors):

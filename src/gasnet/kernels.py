@@ -9,10 +9,8 @@ the star parameter of a two-state Riemann problem.
 Every function here is a pure function of floats.  The star solvers
 return ``(value, residual, iterations)``, where ``residual`` is |f| of the
 equation they iterated, and raise ``VacuumFormation`` or
-``NoConvergence`` themselves.  There are no return codes: they served a
-compiled twin of this module that could not raise, and that twin is
-gone, so each star equation is written only here and callers need not
-re-evaluate it for the residual.
+``NoConvergence`` themselves, so callers need not re-evaluate a star
+equation for its residual.
 
 All branch switches put the joining point (rho* = rho_bar, p* = p_k) on
 the rarefaction side, where the closed forms stay regular.

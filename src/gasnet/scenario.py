@@ -90,10 +90,6 @@ class Scenario:
     run: RunConfig
     raw: dict = field(repr=False, default=None)
 
-    @property
-    def pipe_ids(self):
-        return [s.id for s in self.specs]
-
     def trace_states(self):
         return [p if isinstance(p, PipeState) else p[0][1] for p in self.profiles]
 
@@ -132,6 +128,26 @@ def _num(doc, path, key, errs, default=None, positive=False, required=False):
         errs.add(f"{path}.{key}", f"must be > 0, got {v!r}")
         return default
     return float(v)
+
+
+def _int(doc, path, key, errs, default, minimum):
+    v = doc.get(key, default)
+    if not _is_int(v) or v < minimum:
+        errs.add(f"{path}.{key}", f"must be an integer >= {minimum}, got {v!r}")
+        return default
+    return v
+
+
+def _positive_list(doc, path, key, errs):
+    """doc[key] as a list of floats, each finite and > 0; None if absent."""
+    if key not in doc:
+        return None
+    vs = doc[key]
+    if not isinstance(vs, list) or not all(
+            _is_number(v) and math.isfinite(v) and v > 0 for v in vs):
+        errs.add(f"{path}.{key}", "must be a list of finite positive numbers")
+        return None
+    return [float(v) for v in vs]
 
 
 def _parse_state(doc, path, model, g, errs):
@@ -174,9 +190,9 @@ def _parse_profile(doc, path, model, g, errs):
                 if x is not None:
                     errs.add(f"{ppath}.x_right", "last piece must have x_right: null")
             else:
-                if not _is_number(x) or not x > prev_x:
+                if not _is_number(x) or not math.isfinite(x) or not x > prev_x:
                     errs.add(f"{ppath}.x_right",
-                             f"must be a number > {prev_x}, got {x!r}")
+                             f"must be a finite number > {prev_x}, got {x!r}")
                     return None
                 prev_x = float(x)
             body = {k2: v for k2, v in piece.items() if k2 != "x_right"}
@@ -249,34 +265,14 @@ def _parse_run(doc, path, errs):
     run.epsilon = _num(doc, path, "epsilon", errs, default=run.epsilon, positive=True)
     run.tol = _num(doc, path, "tol", errs, default=run.tol, positive=True)
     run.tv_bound = _num(doc, path, "tv_bound", errs, default=None, positive=True)
-    snaps = doc.get("snapshots", run.snapshots)
-    if not _is_int(snaps) or snaps < 1:
-        errs.add(f"{path}.snapshots", f"must be a positive integer, got {snaps!r}")
-    else:
-        run.snapshots = snaps
-    if "sample_times" in doc:
-        ts = doc["sample_times"]
-        if not isinstance(ts, list) or not all(
-                _is_number(t) and t > 0 for t in ts):
-            errs.add(f"{path}.sample_times", "must be a list of positive numbers")
-        else:
-            run.sample_times = [float(t) for t in ts]
-    if "epsilon_ladder" in doc:
-        ls = doc["epsilon_ladder"]
-        if not isinstance(ls, list) or not all(
-                _is_number(e) and e > 0 for e in ls):
-            errs.add(f"{path}.epsilon_ladder", "must be a list of positive numbers")
-        else:
-            run.epsilon_ladder = [float(e) for e in ls]
+    run.snapshots = _int(doc, path, "snapshots", errs, run.snapshots, 1)
+    run.sample_times = _positive_list(doc, path, "sample_times", errs)
+    run.epsilon_ladder = _positive_list(doc, path, "epsilon_ladder", errs)
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         errs.add(f"{path}.grid", "must be a mapping")
     else:
-        pts = grid.get("points", run.grid_points)
-        if not _is_int(pts) or pts < 2:
-            errs.add(f"{path}.grid.points", f"must be an integer >= 2, got {pts!r}")
-        else:
-            run.grid_points = pts
+        run.grid_points = _int(grid, f"{path}.grid", "points", errs, run.grid_points, 2)
         run.grid_length = _num(grid, f"{path}.grid", "length", errs,
                                default=None, positive=True)
     src = doc.get("source", {"kind": "none"})
@@ -289,11 +285,7 @@ def _parse_run(doc, path, errs):
             errs.add(f"{path}.source.lambda_f", "must be >= 0")
         elif lf is not None and dia is not None:
             run.source = FrictionSource(lf, dia)
-    max_events = doc.get("max_events", run.max_events)
-    if not _is_int(max_events) or max_events < 1:
-        errs.add(f"{path}.max_events", "must be a positive integer")
-    else:
-        run.max_events = max_events
+    run.max_events = _int(doc, path, "max_events", errs, run.max_events, 1)
     return run
 
 
@@ -435,20 +427,21 @@ def parse_scenario(source) -> Scenario:
 
 
 def _validate_solver_invariants(sc: Scenario, errs):
+    """Checks across pipes, on a scenario whose fields all parsed (so a
+    compressor has both pipes)."""
     g = sc.constants
-    traces = sc.trace_states()
-    regimes = []
-    for spec, st, k in zip(sc.specs, traces, range(len(traces))):
-        regime = classify_subsonic(st, g)
+    if sc.kind == "junction":
+        initial = [f"topology.pipes[{k}].initial" for k in range(len(sc.specs))]
+    else:
+        initial = ["topology.inlet.initial", "topology.outlet.initial"]
+    regimes = [classify_subsonic(st, g) for st in sc.trace_states()]
+    for where, regime in zip(initial, regimes):
         if regime is FlowRegime.NOT_SUBSONIC:
-            errs.add(f"topology.pipes[{k}].initial" if sc.kind == "junction"
-                     else f"topology.{'inlet' if k == 0 else 'outlet'}.initial",
-                     "state must be strictly subsonic with nonzero velocity")
-        regimes.append(regime)
-    if any(r is FlowRegime.NOT_SUBSONIC for r in regimes):
+            errs.add(where, "state must be strictly subsonic with nonzero velocity")
+    if FlowRegime.NOT_SUBSONIC in regimes:
         return
     if sc.kind == "junction":
-        n_in = sum(1 for r in regimes if r is FlowRegime.D_MINUS)
+        n_in = regimes.count(FlowRegime.D_MINUS)
         if not 0 < n_in < len(regimes):
             errs.add("topology.pipes",
                      "need at least one incoming and one outgoing pipe "
@@ -456,18 +449,14 @@ def _validate_solver_invariants(sc: Scenario, errs):
     else:
         if regimes[0] is not FlowRegime.D_MINUS:
             errs.add("topology.inlet.initial", "inlet flow must run toward the compressor")
-        if len(regimes) > 1 and regimes[1] is not FlowRegime.D_PLUS:
+        if regimes[1] is not FlowRegime.D_PLUS:
             errs.add("topology.outlet.initial", "outlet flow must run away from the compressor")
-        if len(sc.specs) == 2 and sc.specs[0].area != sc.specs[1].area:
+        if sc.specs[0].area != sc.specs[1].area:
             errs.add("topology.outlet.area", "compressor pipes must have equal areas")
-        for k, prof in enumerate(sc.profiles):
-            if not isinstance(prof, PipeState) and sc.run.mode == "riemann":
-                errs.add("run.mode", "riemann mode needs constant initial states")
-    if sc.kind == "junction" and sc.run.mode == "riemann":
-        for k, prof in enumerate(sc.profiles):
+    if sc.run.mode == "riemann":
+        for where, prof in zip(initial, sc.profiles):
             if not isinstance(prof, PipeState):
-                errs.add(f"topology.pipes[{k}].initial",
-                         "riemann mode needs constant initial states")
+                errs.add(where, "riemann mode needs constant initial states")
 
 
 def normalized_document(sc: Scenario) -> dict:
@@ -476,10 +465,8 @@ def normalized_document(sc: Scenario) -> dict:
                          "s0": sc.constants.s0}}
 
     def state_doc(st):
-        from .thermo import pressure as _p
-
         if st.model is Model.M1:
-            return {"rho": st.rho, "u": st.u, "p": _p(st, sc.constants)}
+            return {"rho": st.rho, "u": st.u, "p": pressure(st, sc.constants)}
         return {"rho": st.rho, "u": st.u, "kappa": st.kappa}
 
     def profile_doc(prof):
@@ -487,11 +474,10 @@ def normalized_document(sc: Scenario) -> dict:
             return state_doc(prof)
         return {"pieces": [dict(x_right=x, **state_doc(st)) for x, st in prof]}
 
+    pipes = [dict(id=s.id, area=s.area, model=s.model.value, initial=profile_doc(p))
+             for s, p in zip(sc.specs, sc.profiles)]
     if sc.kind == "junction":
-        doc["topology"] = {"kind": "junction", "pipes": [
-            dict(id=s.id, area=s.area, model=s.model.value,
-                 initial=profile_doc(p))
-            for s, p in zip(sc.specs, sc.profiles)]}
+        doc["topology"] = {"kind": "junction", "pipes": pipes}
     else:
         control = {"kind": sc.control.kind}
         if sc.control.kind == ADIABATIC_HEAD:
@@ -499,16 +485,8 @@ def normalized_document(sc: Scenario) -> dict:
         else:
             control["p_star"] = sc.control.value
             control["cp_coeff"] = sc.control.cp_coeff
-        doc["topology"] = {
-            "kind": "compressor",
-            "inlet": dict(id=sc.specs[0].id, area=sc.specs[0].area,
-                          model=sc.specs[0].model.value,
-                          initial=profile_doc(sc.profiles[0])),
-            "outlet": dict(id=sc.specs[1].id, area=sc.specs[1].area,
-                           model=sc.specs[1].model.value,
-                           initial=profile_doc(sc.profiles[1])),
-            "control": control,
-        }
+        doc["topology"] = {"kind": "compressor", "inlet": pipes[0], "outlet": pipes[1],
+                           "control": control}
     run = {"mode": sc.run.mode, "horizon": sc.run.horizon,
            "epsilon": sc.run.epsilon, "tol": sc.run.tol,
            "snapshots": sc.run.snapshots,

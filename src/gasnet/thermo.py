@@ -110,9 +110,6 @@ class PipeState:
     def u(self):
         return self.q / self.rho
 
-    def replace_q(self, q):
-        return PipeState(self.model, self.rho, q, self.E, self.kappa)
-
 
 def m1_state(rho, u, p, g: GasConstants):
     """Build an M1 state from primitive variables."""
@@ -153,7 +150,6 @@ def thermo_quantities(state: PipeState, g: GasConstants) -> ThermoQuantities:
     gamma = g.gamma
     if state.model is Model.M1:
         p = pressure(state, g)
-        u = state.u
         s = g.cv * log(p / state.rho**gamma) + g.s0
         h = (state.E + p) / state.rho
         c = sqrt(gamma * p / state.rho)

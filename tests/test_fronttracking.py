@@ -44,6 +44,7 @@ from gasnet.fronttracking import (
 )
 from gasnet.compressor import POWER
 from gasnet.junction import JunctionProblem, PipeSpec, solve_junction
+from gasnet.laxcurves import ISO, M1_IN, M1_OUT
 from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave_m1
 from gasnet.scenario import trace_residuals
 
@@ -255,13 +256,14 @@ def test_glimm_single_front_and_pair():
 def test_glimm_functional_definitions():
     state = _rich_scenario()
     gl = state.glimm()
-    # V from scratch
+    # V from scratch; the data carries fronts of both weights
     v = 0.0
+    weights = set()
     for i, track in enumerate(state.pipes):
         for f in track.fronts:
-            w = state._weight(i, f)
-            assert w in (1.0, 2.0 * state.K_J)
-            v += w * state._scaled_strength(i, f)
+            weights.add(_v_weight(state, i, f))
+            v += _v_weight(state, i, f) * state._scaled_strength(i, f)
+    assert weights == {1.0, 2.0 * state.K_J}
     assert gl.V == pytest.approx(v, rel=1e-12)
     assert gl.Y == pytest.approx(gl.V + state.K_hat_J * gl.Q, rel=1e-12)
     assert gl.Q >= 0.0 and gl.TV > 0.0
@@ -559,13 +561,24 @@ def test_weak_form_residual_below_threshold():
 # -- oracle: Glimm functionals and stored pair times against the definitions --
 
 
+# families that run toward the junction, per pipe role: the 1-family
+# always, and the contact of an incoming full-Euler pipe
+_TOWARDS = {M1_OUT: (1,), M1_IN: (1, 2), ISO: (1,)}
+
+
+def _v_weight(state, i, f):
+    """V weight of front f on pipe i: 2 K_J for a junction-bound family,
+    1 for the others and for non-physical fronts (family 0)."""
+    return 2.0 * state.K_J if f.family in _TOWARDS[state.roles[i]] else 1.0
+
+
 def _reference_glimm(state):
     """(V, Q, TV) recomputed from the definitions, O(n^2) per pipe."""
     v = q = tv = 0.0
     for i, track in enumerate(state.pipes):
         fronts = track.fronts
         for f in fronts:
-            v += state._weight(i, f) * state._scaled_strength(i, f)
+            v += _v_weight(state, i, f) * state._scaled_strength(i, f)
             tv += track.scales.state_norm(f.left, f.right)
         if len(fronts) < 2:
             continue

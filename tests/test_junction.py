@@ -60,23 +60,6 @@ def test_problem_validation():
         PipeSpec("bad", 0.0, Model.M3)
 
 
-def test_orientation_declaration_checked():
-    from gasnet.junction import Orientation
-
-    st_in = iso_state(Model.M3, 1.0, -0.3, 1.0)
-    st_out = iso_state(Model.M3, 1.0, 0.3, 1.0)
-    ok = JunctionProblem([
-        (PipeSpec("a", 1.0, Model.M3, Orientation.INCOMING), st_in),
-        (PipeSpec("b", 1.0, Model.M3, Orientation.OUTGOING), st_out),
-    ], G)
-    assert ok.n == 2
-    with pytest.raises(ValueError):
-        JunctionProblem([
-            (PipeSpec("a", 1.0, Model.M3, Orientation.OUTGOING), st_in),
-            (PipeSpec("b", 1.0, Model.M3), st_out),
-        ], G)
-
-
 def test_no_convergence_with_zero_budget(rng):
     from gasnet import NoConvergence
 
@@ -312,7 +295,7 @@ def test_entropy_assignment_flag(rng):
     for p in prob.pipes:
         st_p = plain.star_states[p.input_index]
         if p.outgoing and p.spec.model.is_isentropic:
-            assert plain.assigned_kappa[p.spec.id] == pytest.approx(
+            assert plain.extras["assigned_kappa"][p.spec.id] == pytest.approx(
                 G.kappa_from_entropy(plain.s_star), rel=1e-12)
             assert st_p.kappa == p.state.kappa  # star state not mutated
 

@@ -47,7 +47,7 @@ run: {mode: riemann, grid: {points: 4, length: 1.0}}
 def test_minimal_document_parses():
     sc = parse_scenario(MINIMAL)
     assert sc.kind == "junction"
-    assert sc.pipe_ids == ["a", "b"]
+    assert [s.id for s in sc.specs] == ["a", "b"]
     assert sc.run.mode == "riemann"
 
 
@@ -92,13 +92,40 @@ def test_violations_are_aggregated():
     ("max_events", "true"),
     ("sample_times", "[0.5, true]"),
     ("epsilon_ladder", "[true]"),
+    ("snapshots", "0"),
+    ("grid.points", "1"),
+    ("max_events", "0"),
 ])
 def test_booleans_rejected_in_integer_and_number_list_fields(field, value):
-    # YAML booleans load as bool, a subclass of int: true would read as 1
-    doc = MINIMAL.replace("mode: riemann", f"mode: riemann\n  {field}: {value}")
+    # YAML booleans load as bool, a subclass of int: true would read as 1;
+    # the integer fields also reject values below their minimum
+    if field == "grid.points":
+        doc = MINIMAL.replace("points: 4", f"points: {value}")
+    else:
+        doc = MINIMAL.replace("mode: riemann", f"mode: riemann\n  {field}: {value}")
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(doc)
     assert any(v.startswith(f"run.{field}:") for v in err.value.violations)
+
+
+PIECEWISE = MINIMAL.replace(
+    "{rho: 1.0, u: -0.3, kappa: 1.0}",
+    "{pieces: [{x_right: 0.5, rho: 1.0, u: -0.3, kappa: 1.0},"
+    " {x_right: null, rho: 1.02, u: -0.3, kappa: 1.0}]}").replace("riemann", "simulate")
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan"])
+@pytest.mark.parametrize("path, old, new", [
+    ("run.sample_times", "mode: simulate", "mode: simulate\n  sample_times: [{}]"),
+    ("run.epsilon_ladder", "mode: simulate", "mode: simulate\n  epsilon_ladder: [{}, 0.05]"),
+    ("topology.pipes[0].initial.pieces[0].x_right", "x_right: 0.5", "x_right: {}"),
+], ids=["sample_times", "epsilon_ladder", "x_right"])
+def test_non_finite_values_rejected(path, old, new, value):
+    doc = PIECEWISE.replace(old, new.format(value))
+    assert doc != PIECEWISE
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert any(v.startswith(f"{path}:") for v in err.value.violations)
 
 
 def test_duplicate_pipe_ids_rejected():

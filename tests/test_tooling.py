@@ -1,9 +1,10 @@
 """Guards for edits that would otherwise fail only outside Tier-1: the
-benchmark's tracing wrappers and workloads, and module-level imports
-nothing uses."""
+benchmark's tracing wrappers and workloads, module-level imports nothing
+uses, and private functions nothing names."""
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,31 @@ def test_no_unused_module_level_imports():
     unused = [entry for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_functions(tree):
+    """The ``_``-prefixed module-level functions and methods of a module,
+    dunder methods excepted."""
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return [node for node in defs if node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _names(tree):
+    """Every name and attribute name read or written under ``tree``."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_private_function_is_referenced():
+    # a private helper that only its own body (or only a test) names is dead
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    count = Counter(name for tree in trees.values() for name in _names(tree))
+    unreferenced = [f"{filename}:{fn.lineno} {fn.name}"
+                    for filename, tree in trees.items() for fn in _private_functions(tree)
+                    if count[fn.name] == _names(fn).count(fn.name)]
+    assert unreferenced == []
