@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonPositiveDensity,
-    NonPositiveFlux,
-    NonPositivePressure,
-    NotSubsonic,
-    SubsonicViolation,
-)
+from .errors import NonPositiveFlux, NotSubsonic, SubsonicViolation
 from .junction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -193,8 +187,7 @@ def solve_compressor(problem: CompressorProblem, tol=DEFAULT_TOL,
     ``extras['idle_control']``.
     """
     g = problem.constants
-    x, (t1, t2), res, it = _newton(problem, tol, max_iter,
-                                   (NonPositiveDensity, NonPositivePressure, NonPositiveFlux))
+    x, (t1, t2), res, it = _newton(problem, tol, max_iter)
 
     if classify_subsonic(t1.state, g) is not FlowRegime.D_MINUS:
         raise SubsonicViolation("inlet star state left the incoming subsonic set")

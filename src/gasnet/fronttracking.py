@@ -95,8 +95,7 @@ from .riemann import (
     RAREFACTION,
     SHOCK,
     Wave,
-    _acoustic_wave_iso,
-    _acoustic_wave_m1,
+    _acoustic_wave,
     solve_riemann_iso,
     solve_riemann_m1,
 )
@@ -392,14 +391,12 @@ def _placed(fronts, x, t):
 
 
 def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
-                   epsilon, scales: PipeScales = None):
+                   epsilon, scales: PipeScales):
     """Exact local Riemann solution as a list of fronts.
 
     Shocks and contacts become single fronts at their exact speeds; each
     rarefaction is sliced into jumps of scaled strength <= epsilon.
     """
-    if scales is None:
-        scales = PipeScales(1.0, 1.0, 1.0, 1.0)
     if left.model is Model.M1:
         sol = solve_riemann_m1(left, right, g)
     else:
@@ -415,36 +412,38 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
     return fronts
 
 
-def coupling_wave_pattern(role, data: PipeState, sigma, tau, g):
-    """Waves emitted into one pipe by a coupling solve, left to right,
-    together with the new trace state."""
+def coupling_wave_pattern(role, data: PipeState, trace: PipeState, sigma, g):
+    """Waves a coupling solve emits into one pipe, left to right.
+
+    ``trace`` is the solve's own star state of the pipe, at curve
+    parameter ``sigma``; the waves lead from it to the pipe ``data``.
+    That is one outbound acoustic wave, which for an outgoing M1 pipe
+    follows the contact from the trace to ``lax_m1(3, sigma, data)``, the
+    only state evaluated here."""
     if role == ISO:
-        star = lax_iso(data.model, 2, sigma, data, g)
-        return [_acoustic_wave_iso(2, data, star, g)], star
-    mid = lax_m1(3, sigma, data, g)
-    wave3 = _acoustic_wave_m1(3, data, mid, sigma, g)
+        return [_acoustic_wave(2, data, trace, sigma, g)]
     if role == M1_IN:
-        return [wave3], mid
-    trace = lax_m1(2, tau, mid, g)
+        return [_acoustic_wave(3, data, trace, sigma, g)]
+    mid = lax_m1(3, sigma, data, g)
     contact = Wave(2, CONTACT, trace, mid, (mid.u,), mid.rho - trace.rho)
-    return [contact, wave3], trace
+    return [contact, _acoustic_wave(3, data, mid, sigma, g)]
 
 
 def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
     """(problem, solution, patterns) of the coupling at x = 0 for the pipe
     traces ``data``: a junction, or with a ``control`` a compressor from
     specs[0] into specs[1].  ``patterns[i]`` is (waves, trace): the waves
-    pipe i receives, left to right, and its new trace, for the role its
-    own trace gives it."""
+    pipe i receives, left to right, and its new trace, the solution's
+    star state, for the role its own trace gives it."""
     if control is None:
         problem = JunctionProblem(list(zip(specs, data)), g)
         sol = solve_junction(problem, tol=tol)
     else:
         problem = CompressorProblem((specs[0], data[0]), (specs[1], data[1]), control, g)
         sol = solve_compressor(problem, tol=tol)
-    patterns = [coupling_wave_pattern(role_of(st.model, st.u > 0.0), st, sigma,
-                                      0.0 if tau is None else tau, g)
-                for st, sigma, tau in zip(data, sol.sigma, sol.tau)]
+    patterns = [(coupling_wave_pattern(role_of(st.model, st.u > 0.0), st, trace, sigma, g),
+                 trace)
+                for st, trace, sigma in zip(data, sol.star_states, sol.sigma)]
     return problem, sol, patterns
 
 

@@ -14,10 +14,6 @@ the incoming pipe of maximal initial entropy, which keeps the entropy-mix
 derivative of the pivot column non-positive and hence the base Jacobian
 regular.
 
-Pipes are renumbered internally into the canonical block order
-[outgoing M1 | incoming M1 | incoming M2 | incoming M3 | outgoing M2/M3];
-solutions are reported in the caller's original pipe order.
-
 Junctions and compressors (:mod:`gasnet.compressor`) are one kind of
 problem: a coupling condition on the curve parameters x = (sigma, tau).
 Both problem classes provide
@@ -41,6 +37,7 @@ import numpy as np
 from .errors import (
     NoConvergence,
     NonPositiveDensity,
+    NonPositiveFlux,
     NonPositivePressure,
     NotSubsonic,
     SingularEntropyMix,
@@ -61,6 +58,10 @@ from .thermo import (
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 MAX_BACKTRACKS = 30
+# a trial step that raises one of these is halved; each problem raises
+# only its own (the entropy mix is a junction's, the flux a compressor's)
+_DOMAIN_ERRORS = (NonPositiveDensity, NonPositivePressure, NonPositiveFlux,
+                  SingularEntropyMix)
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,12 @@ class PipeSpec:
 
 @dataclass(frozen=True)
 class _Pipe:
-    """Internal per-pipe record in canonical order."""
+    """Internal per-pipe record."""
 
     spec: PipeSpec
     state: PipeState
     role: str
     outgoing: bool
-    input_index: int
 
 
 def _classify_pipe(spec: PipeSpec, state: PipeState, g: GasConstants, where):
@@ -101,60 +101,34 @@ def _classify_pipe(spec: PipeSpec, state: PipeState, g: GasConstants, where):
     return regime is FlowRegime.D_PLUS
 
 
-def _group(model: Model, outgoing: bool):
-    if model is Model.M1:
-        return 0 if outgoing else 1
-    if not outgoing:
-        return 2 if model is Model.M2 else 3
-    return 4 if model is Model.M2 else 5
-
-
 class JunctionProblem:
     """A single junction with N pipes, their initial states, and constants.
 
-    The parameter vector is x = (sigma_0..sigma_{N-1}, tau of each
-    outgoing M1 pipe); rows are mass, N-1 enthalpy rows against the
-    pivot, then one entropy row per outgoing M1 pipe.
+    Pipes keep the caller's order.  The parameter vector is
+    x = (sigma_0..sigma_{N-1}, tau of each outgoing M1 pipe); rows are
+    mass, N-1 enthalpy rows against the pivot, then one entropy row per
+    outgoing M1 pipe.
     """
 
     def __init__(self, pipes, g: GasConstants):
-        entries = []
-        for idx, (spec, state) in enumerate(pipes):
+        records = []
+        for spec, state in pipes:
             outgoing = _classify_pipe(spec, state, g, f"pipe {spec.id!r}")
-            entries.append((spec, state, outgoing, idx))
-        if len(entries) < 2:
+            records.append(_Pipe(spec, state, role_of(spec.model, outgoing), outgoing))
+        if len(records) < 2:
             raise ValueError("a junction needs at least two pipes")
-        n_in = sum(1 for e in entries if not e[2])
-        if n_in == 0 or n_in == len(entries):
+        self.constants = g
+        self.pipes = tuple(records)
+        self.n = len(self.pipes)
+        self.incoming = tuple(i for i, p in enumerate(self.pipes) if not p.outgoing)
+        if len(self.incoming) in (0, self.n):
             raise ValueError(
                 "a junction needs at least one incoming and one outgoing pipe"
             )
-        entries.sort(key=lambda e: (_group(e[0].model, e[2]), e[3]))
-
-        # Rotate the incoming pipe of maximal entropy to the head of its
-        # model block, so it can serve as the enthalpy pivot.
-        s_of = {}
-        for spec, state, outgoing, idx in entries:
-            s_of[idx] = thermo_quantities(state, g).s
-        incoming = [e for e in entries if not e[2]]
-        pivot_entry = max(incoming, key=lambda e: s_of[e[3]])
-        block = _group(pivot_entry[0].model, False)
-        first_of_block = next(i for i, e in enumerate(entries)
-                              if _group(e[0].model, e[2]) == block)
-        entries.remove(pivot_entry)
-        entries.insert(first_of_block, pivot_entry)
-
-        self.constants = g
-        self.pipes = tuple(
-            _Pipe(spec, state, role_of(spec.model, outgoing), outgoing, idx)
-            for spec, state, outgoing, idx in entries
-        )
-        self.n = len(self.pipes)
-        self.n0 = sum(1 for p in self.pipes if p.role == M1_OUT)
-        self.incoming = tuple(i for i, p in enumerate(self.pipes) if not p.outgoing)
         self.outgoing_m1 = tuple(i for i, p in enumerate(self.pipes) if p.role == M1_OUT)
-        self.pivot = next(i for i, p in enumerate(self.pipes)
-                          if p.input_index == pivot_entry[3])
+        self.n0 = len(self.outgoing_m1)
+        self.pivot = max(self.incoming,
+                         key=lambda i: thermo_quantities(self.pipes[i].state, g).s)
         self.dim = self.n + self.n0
         self._tau_col = {j: self.n + k for k, j in enumerate(self.outgoing_m1)}
 
@@ -171,12 +145,6 @@ class JunctionProblem:
         )
         tau0 = np.zeros(self.n0)
         return sigma0, tau0
-
-    def to_input_order(self, values):
-        out = [None] * self.n
-        for i, p in enumerate(self.pipes):
-            out[p.input_index] = values[i]
-        return tuple(out)
 
     def traces(self, x):
         g = self.constants
@@ -326,8 +294,8 @@ def pivot_blocks(problem: JunctionProblem, x=None):
 class StarSolution:
     """Junction trace states and the parameters that generate them.
 
-    All per-pipe tuples are in the caller's original pipe order; ``tau``
-    holds None for pipes without a contact parameter.
+    All per-pipe tuples are in the problem's pipe order; ``tau`` holds
+    None for pipes without a contact parameter.
     """
 
     star_states: tuple
@@ -340,7 +308,7 @@ class StarSolution:
     extras: dict
 
 
-def _newton(problem, tol, max_iter, domain_errors):
+def _newton(problem, tol, max_iter):
     """Damped Newton with Armijo backtracking on the scaled residual,
     started at the base parameters.
 
@@ -370,7 +338,7 @@ def _newton(problem, tol, max_iter, domain_errors):
             try:
                 trial = problem.traces((x + alpha * step).tolist())
                 fn = problem.residual(trial) / scales
-            except domain_errors:
+            except _DOMAIN_ERRORS:
                 alpha *= 0.5
                 continue
             if np.linalg.norm(fn) <= (1.0 - 1e-4 * alpha) * norm0:
@@ -397,17 +365,15 @@ def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
     """
     g = problem.constants
     n = problem.n
-    x, traces, res, it = _newton(problem, tol, max_iter,
-                                 (NonPositiveDensity, NonPositivePressure, SingularEntropyMix))
+    x, traces, res, it = _newton(problem, tol, max_iter)
 
     sigma, tau = x[:n], x[n:]
-    s_star = _entropy_mix_from(problem, traces) if problem.incoming else None
+    s_star = _entropy_mix_from(problem, traces)
     h_star = traces[problem.pivot].h
 
-    states = []
     assigned = {}
-    for i, p in enumerate(problem.pipes):
-        st = traces[i].state
+    for p, t in zip(problem.pipes, traces):
+        st = t.state
         regime = classify_subsonic(st, g)
         want = FlowRegime.D_PLUS if p.outgoing else FlowRegime.D_MINUS
         if regime is not want:
@@ -417,14 +383,12 @@ def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
             )
         if p.outgoing and p.spec.model.is_isentropic:
             assigned[p.spec.id] = g.kappa_from_entropy(s_star)
-        states.append(st)
 
     tau_of = dict(zip(problem.outgoing_m1, tau))
-    tau_full = [tau_of.get(i) for i in range(n)]
     return StarSolution(
-        star_states=problem.to_input_order(states),
-        sigma=problem.to_input_order(sigma),
-        tau=problem.to_input_order(tau_full),
+        star_states=tuple(t.state for t in traces),
+        sigma=tuple(sigma),
+        tau=tuple(tau_of.get(i) for i in range(n)),
         h_star=h_star,
         s_star=s_star,
         residual_norm=float(res),
@@ -450,9 +414,9 @@ def verify_coupling(sol: StarSolution, problem: JunctionProblem) -> CouplingDiag
     """
     g = problem.constants
     m_sc, h_sc = problem.row_scales[:2].tolist()
-    states = {i: sol.star_states[problem.pipes[i].input_index] for i in range(problem.n)}
-    mass = sum(problem.pipes[i].spec.area * states[i].q for i in range(problem.n))
-    hs = [thermo_quantities(states[i], g).h for i in range(problem.n)]
+    states = sol.star_states
+    mass = sum(p.spec.area * st.q for p, st in zip(problem.pipes, states))
+    hs = [thermo_quantities(st, g).h for st in states]
     spread = (max(hs) - min(hs)) / h_sc
     ent = 0.0
     if problem.n0 and sol.s_star is not None:

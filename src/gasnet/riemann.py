@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import kernels
-from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
+from .thermo import GasConstants, Model, PipeState, eigenvalues, pressure, sound_speed
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -66,28 +66,25 @@ class RiemannSolutionIso:
     iterations: int
 
 
-def _acoustic_wave_m1(family, data: PipeState, star: PipeState, p_star, g):
-    """Family-1 or family-3 wave between pipe data and its star state."""
-    p_data = pressure(data, g)
-    c_data = sound_speed(data, g)
-    c_star = sound_speed(star, g)
+def _acoustic_wave(family, data: PipeState, star: PipeState, param_star, g):
+    """The family-1 wave from pipe data to its star state, or the
+    right-going wave (family 3 of M1, family 2 of M2/M3) from the star
+    state to the data.  ``param_star`` is the star's curve parameter,
+    pressure for M1 and density otherwise; the strength is its jump over
+    the data's."""
+    param_data = pressure(data, g) if data.model is Model.M1 else data.rho
     # a pressure rise of a few ulps can leave the star density equal to
     # the data density; that jump has no shock speed and is taken as a
     # (vanishing) rarefaction
-    shock = p_star > p_data and star.rho != data.rho
-    if family == 1:
-        left, right = data, star
-        if shock:
-            speeds = ((star.q - data.q) / (star.rho - data.rho),)
-        else:
-            speeds = (data.u - c_data, star.u - c_star)
+    shock = param_star > param_data and star.rho != data.rho
+    left, right = (data, star) if family == 1 else (star, data)
+    if shock:
+        speeds = ((right.q - left.q) / (right.rho - left.rho),)
     else:
-        left, right = star, data
-        if shock:
-            speeds = ((data.q - star.q) / (data.rho - star.rho),)
-        else:
-            speeds = (star.u + c_star, data.u + c_data)
-    return Wave(family, SHOCK if shock else RAREFACTION, left, right, speeds, p_star - p_data)
+        k = 0 if family == 1 else -1
+        speeds = (eigenvalues(left, g)[k], eigenvalues(right, g)[k])
+    return Wave(family, SHOCK if shock else RAREFACTION, left, right, speeds,
+                param_star - param_data)
 
 
 def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionM1:
@@ -107,29 +104,11 @@ def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSo
     right_star = PipeState(Model.M1, rho_r_star, rho_r_star * u_star,
                            E=p_star / (gamma - 1.0) + 0.5 * rho_r_star * u_star**2)
     waves = (
-        _acoustic_wave_m1(1, UL, left_star, p_star, g),
+        _acoustic_wave(1, UL, left_star, p_star, g),
         Wave(2, CONTACT, left_star, right_star, (u_star,), rho_r_star - rho_l_star),
-        _acoustic_wave_m1(3, UR, right_star, p_star, g),
+        _acoustic_wave(3, UR, right_star, p_star, g),
     )
     return RiemannSolutionM1(p_star, u_star, rho_l_star, rho_r_star, waves, res, it)
-
-
-def _acoustic_wave_iso(family, data: PipeState, star: PipeState, g):
-    c_data = sound_speed(data, g)
-    c_star = sound_speed(star, g)
-    shock = star.rho > data.rho
-    if family == 1:
-        left, right = data, star
-        lam_d = data.u - c_data if data.model is Model.M2 else -c_data
-        lam_s = star.u - c_star if star.model is Model.M2 else -c_star
-        speeds = ((star.q - data.q) / (star.rho - data.rho),) if shock else (lam_d, lam_s)
-    else:
-        left, right = star, data
-        lam_d = data.u + c_data if data.model is Model.M2 else c_data
-        lam_s = star.u + c_star if star.model is Model.M2 else c_star
-        speeds = ((data.q - star.q) / (data.rho - star.rho),) if shock else (lam_s, lam_d)
-    return Wave(family, SHOCK if shock else RAREFACTION, left, right,
-                speeds, star.rho - data.rho)
 
 
 def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionIso:
@@ -156,8 +135,8 @@ def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannS
         q_star = UL.q - kernels.theta3(rho_star, UL.rho, kappa, gamma)
     star = PipeState(model, rho_star, q_star, kappa=kappa)
     waves = (
-        _acoustic_wave_iso(1, UL, star, g),
-        _acoustic_wave_iso(2, UR, star, g),
+        _acoustic_wave(1, UL, star, rho_star, g),
+        _acoustic_wave(2, UR, star, rho_star, g),
     )
     return RiemannSolutionIso(rho_star, q_star, waves, res, it)
 

@@ -30,6 +30,7 @@ raising.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import yaml
@@ -111,8 +112,15 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite(v):
+    """v is a number, not a bool, with a finite float value; an integer
+    beyond the float range has none."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _num(doc, path, key, errs, default=None, positive=False, required=False):
@@ -121,7 +129,7 @@ def _num(doc, path, key, errs, default=None, positive=False, required=False):
             errs.add(f"{path}.{key}", "missing required field")
         return default
     v = doc[key]
-    if not _is_number(v) or not math.isfinite(v):
+    if not _is_finite(v):
         errs.add(f"{path}.{key}", f"must be a finite number, got {v!r}")
         return default
     if positive and not v > 0:
@@ -144,7 +152,7 @@ def _positive_list(doc, path, key, errs):
         return None
     vs = doc[key]
     if not isinstance(vs, list) or not all(
-            _is_number(v) and math.isfinite(v) and v > 0 for v in vs):
+            _is_finite(v) and v > 0 for v in vs):
         errs.add(f"{path}.{key}", "must be a list of finite positive numbers")
         return None
     return [float(v) for v in vs]
@@ -190,7 +198,7 @@ def _parse_profile(doc, path, model, g, errs):
                 if x is not None:
                     errs.add(f"{ppath}.x_right", "last piece must have x_right: null")
             else:
-                if not _is_number(x) or not math.isfinite(x) or not x > prev_x:
+                if not _is_finite(x) or not x > prev_x:
                     errs.add(f"{ppath}.x_right",
                              f"must be a finite number > {prev_x}, got {x!r}")
                     return None
@@ -574,7 +582,6 @@ def _run_riemann(sc: Scenario) -> RunResult:
     else:
         summary["pressure_ratio"] = sol.extras["pressure_ratio"]
         summary["head"] = sol.extras["head"]
-        summary["control_residual"] = sol.residual_norm
         if "power" in sol.extras:
             summary["power"] = sol.extras["power"]
         if sol.extras.get("idle_control"):
@@ -699,6 +706,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
     glimm = state.glimm()
     ratios = [r.v_plus / r.v_minus for r in state.interactions
               if r.kind in ("junction", "reflection") and r.v_minus > 0]
+    kinds = Counter(r.kind for r in state.interactions)
     test_funcs = bump_test_functions((sc.run.grid_length or 1.0), sc.run.horizon)
     summary = {
         "mode": "simulate",
@@ -707,7 +715,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "epsilon": sc.run.epsilon,
         "horizon": sc.run.horizon,
         "events": state.events,
-        "interactions": len(state.interactions),
+        "interactions": {k: kinds[k] for k in ("collision", "junction", "reflection")},
         "front_count": glimm.front_count,
         "K_J": state.K_J,
         "K_hat_J": state.K_hat_J,

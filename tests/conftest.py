@@ -108,12 +108,11 @@ def perturb(state, rel, g, rng=None):
 def perturb_problem(problem, rel, rng):
     """New junction problem with every initial state perturbed by <= rel.
 
-    Pipes are listed in the original input order, so solutions of the
-    perturbed and reference problems are directly comparable.
+    Pipes keep their order, so solutions of the perturbed and reference
+    problems are directly comparable.
     """
-    ordered = sorted(problem.pipes, key=lambda p: p.input_index)
     pipes = [(p.spec, perturb(p.state, rel, problem.constants, rng))
-             for p in ordered]
+             for p in problem.pipes]
     return JunctionProblem(pipes, problem.constants)
 
 

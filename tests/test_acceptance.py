@@ -78,8 +78,7 @@ def test_criterion_1_fixed_point_exactness():
         sol = solve_junction(prob)
         assert sol.iterations == 0, "fixed point required a Newton correction"
         assert sol.residual_norm <= 1e-12
-        for p in prob.pipes:
-            st = sol.star_states[p.input_index]
+        for p, st in zip(prob.pipes, sol.star_states):
             assert st.rho == pytest.approx(p.state.rho, rel=1e-12)
             assert st.q == pytest.approx(p.state.q, rel=1e-12, abs=1e-14)
 
@@ -195,7 +194,6 @@ def test_criterion_6_lipschitz_stability():
         sol0 = solve_junction(base)
         ref = np.concatenate([[s.rho for s in sol0.star_states],
                               [s.q for s in sol0.star_states]])
-        base_in_order = sorted(base.pipes, key=lambda p: p.input_index)
 
         # initial-state perturbations
         ratios = []
@@ -204,9 +202,8 @@ def test_criterion_6_lipschitz_stability():
             sol = solve_junction(prob)
             out = np.concatenate([[s.rho for s in sol.star_states],
                                   [s.q for s in sol.star_states]])
-            prob_in_order = sorted(prob.pipes, key=lambda p: p.input_index)
             inp = sum(abs(a.state.rho - b.state.rho) + abs(a.state.q - b.state.q)
-                      for a, b in zip(prob_in_order, base_in_order))
+                      for a, b in zip(prob.pipes, base.pipes))
             ratios.append(np.abs(out - ref).sum() / inp)
         assert max(ratios) / min(ratios) < 2.0, f"state ratios {ratios}"
 
@@ -216,7 +213,7 @@ def test_criterion_6_lipschitz_stability():
             drng = np.random.default_rng(trial + 99)
             pipes = []
             dv = 0.0
-            for p in base_in_order:
+            for p in base.pipes:
                 factor = 1.0 + delta * drng.uniform(-1.0, 1.0)
                 dv += abs(p.spec.area * (factor - 1.0))
                 pipes.append((PipeSpec(p.spec.id, p.spec.area * factor,

@@ -12,15 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import balanced_compressor, build_fixed_point_junction, perturb_problem
-from gasnet import (
-    GasConstants,
-    Model,
-    NonPositiveDensity,
-    NonPositiveFlux,
-    NonPositivePressure,
-    SingularEntropyMix,
-    thermo_quantities,
-)
+from gasnet import GasConstants, Model, sound_speed, thermo_quantities
 from gasnet.compressor import ADIABATIC_HEAD, POWER
 from gasnet.junction import (
     DEFAULT_MAX_ITER,
@@ -79,8 +71,7 @@ def test_jacobian_matches_finite_differences(problem, seed):
 @PROPERTY
 @given(problems)
 def test_newton_returns_the_traces_of_its_iterate(problem):
-    errors = (NonPositiveDensity, NonPositivePressure, NonPositiveFlux, SingularEntropyMix)
-    x, traces, res, _ = _newton(problem, DEFAULT_TOL, DEFAULT_MAX_ITER, errors)
+    x, traces, res, _ = _newton(problem, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert res <= DEFAULT_TOL
     assert list(traces) == list(problem.traces(x))
 
@@ -88,18 +79,31 @@ def test_newton_returns_the_traces_of_its_iterate(problem):
 @PROPERTY
 @given(junctions(), hs.data())
 def test_junction_solution_independent_of_pipe_order(problem, data):
-    ordered = sorted(problem.pipes, key=lambda p: p.input_index)
+    # every per-pipe result follows its pipe, within 1e-10 relative; q is
+    # relative to the pipe's rho*c, tau (a density shift) to its density,
+    # and s_star to the entropy row scale gamma*cv, since it may be near 0
+    pipes = problem.pipes
     perm = data.draw(hs.permutations(range(problem.n)))
-    shuffled = JunctionProblem([(ordered[k].spec, ordered[k].state) for k in perm], G)
+    shuffled = JunctionProblem([(pipes[k].spec, pipes[k].state) for k in perm], G)
+    assert [p.spec for p in shuffled.pipes] == [pipes[k].spec for k in perm]
     a, b = solve_junction(problem), solve_junction(shuffled)
+    rel = 1e-10
     for pos, k in enumerate(perm):
-        assert abs(b.sigma[pos] - a.sigma[k]) <= 1e-10 * abs(a.sigma[k])
+        st = pipes[k].state
+        assert abs(b.sigma[pos] - a.sigma[k]) <= rel * abs(a.sigma[k])
         if a.tau[k] is None:
             assert b.tau[pos] is None
         else:
-            # tau is a density shift: relative to the pipe's density
-            rho = ordered[k].state.rho
-            assert abs(b.tau[pos] - a.tau[k]) <= 1e-10 * max(abs(a.tau[k]), rho)
+            assert abs(b.tau[pos] - a.tau[k]) <= rel * max(abs(a.tau[k]), st.rho)
+        sa, sb = a.star_states[k], b.star_states[pos]
+        assert abs(sb.rho - sa.rho) <= rel * sa.rho
+        assert abs(sb.q - sa.q) <= rel * st.rho * sound_speed(st, G)
+        if sa.model is Model.M1:
+            assert abs(sb.E - sa.E) <= rel * sa.E
+        else:
+            assert sb.kappa == sa.kappa
+    assert abs(b.h_star - a.h_star) <= rel * abs(a.h_star)
+    assert abs(b.s_star - a.s_star) <= rel * max(abs(a.s_star), G.gamma * G.cv)
 
 
 @PROPERTY
@@ -109,7 +113,7 @@ def test_outgoing_m1_pipes_carry_the_entropy_mix(problem):
     # entropy of the incoming traces; entropy is relative to the solver's
     # entropy row scale gamma*cv, since s = cv ln(kappa) + s0 may be near 0
     sol = solve_junction(problem)
-    pipes = sorted(problem.pipes, key=lambda p: p.input_index)
+    pipes = problem.pipes
     flux = num = 0.0
     for p, st in zip(pipes, sol.star_states):
         if not p.outgoing:

@@ -15,6 +15,7 @@ from conftest import (
     balanced_compressor,
     build_fixed_point_junction,
     perturb,
+    perturb_problem,
     state_from_enthalpy,
 )
 from gasnet import (
@@ -40,15 +41,17 @@ from gasnet.fronttracking import (
     flux_vector,
     init_approximation,
     l1_distance,
+    solve_coupling,
     weak_form_residual,
 )
 from gasnet.compressor import POWER
 from gasnet.junction import JunctionProblem, PipeSpec, solve_junction
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT
-from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave_m1
+from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave
 from gasnet.scenario import trace_residuals
 
 G = GasConstants(gamma=1.4, R=1.0)
+UNIT_SCALES = PipeScales(1.0, 1.0, 1.0, 1.0)
 
 
 def balanced_m3_junction(n_out=2, f_in=0.3, f_out=0.25, h_star=3.0, kappa=1.0):
@@ -92,12 +95,12 @@ def test_accurate_solver_structures():
     # pure shock: exactly one front
     left = iso_state(Model.M3, 1.0, 0.2, 1.0)
     right = apply_wave(1, 0.15, left, G)
-    fronts = accurate_solve(left, right, G, epsilon=0.01)
+    fronts = accurate_solve(left, right, G, 0.01, UNIT_SCALES)
     assert len(fronts) == 1 and fronts[0].kind == SHOCK and fronts[0].family == 1
     # pure rarefaction of width w: ceil(w / eps) slices
     right = apply_wave(1, -0.15, left, G)
     for eps in (0.04, 0.02, 0.01):
-        fronts = accurate_solve(left, right, G, epsilon=eps)
+        fronts = accurate_solve(left, right, G, eps, UNIT_SCALES)
         assert len(fronts) == ceil(0.15 / eps)
         assert all(f.kind == RAREFACTION and f.family == 1 for f in fronts)
         assert sum(f.strength for f in fronts) == pytest.approx(-0.15, rel=1e-12)
@@ -105,7 +108,7 @@ def test_accurate_solver_structures():
     # Sod-type data: 1-fan, contact, 3-shock
     UL = m1_state(1.0, 0.0, 1.0, G)
     UR = m1_state(0.125, 0.0, 0.1, G)
-    fronts = accurate_solve(UL, UR, G, epsilon=0.05)
+    fronts = accurate_solve(UL, UR, G, 0.05, UNIT_SCALES)
     kinds = [(f.family, f.kind) for f in fronts]
     assert (2, "contact") in kinds
     assert (3, SHOCK) in kinds
@@ -128,6 +131,23 @@ def test_junction_emission_matches_coupling_solve():
         assert emitted == pytest.approx(sol.sigma[i] - base, abs=1e-12)
         assert state.pipes[i].trace.rho == pytest.approx(
             sol.star_states[i].rho, rel=1e-12)
+
+    # with outgoing M1 pipes: each pipe's new trace is the solution's own
+    # star state, and its waves chain from that trace to the pipe data
+    base = build_fixed_point_junction(np.random.default_rng(16), G,
+                                      [Model.M1, Model.M2], [Model.M1, Model.M1, Model.M3])
+    prob = perturb_problem(base, 0.01, np.random.default_rng(17))
+    specs, data = [p.spec for p in prob.pipes], [p.state for p in prob.pipes]
+    _, sol, patterns = solve_coupling(specs, data, G)
+    assert [p.role for p in prob.pipes].count(M1_OUT) == 2
+    for i, (waves, trace) in enumerate(patterns):
+        assert trace is sol.star_states[i]
+        assert waves[0].left is trace
+        for a, b in zip(waves, waves[1:]):
+            assert a.right is b.left
+        assert waves[-1].right is data[i]
+        if prob.pipes[i].role == M1_OUT:
+            assert [w.family for w in waves] == [2, 3]
 
 
 def test_two_front_collision_timing():
@@ -841,9 +861,8 @@ def test_oracle_m1_runs(rng):
     # outgoing M2 pipe (the entropy mix), and at an M1-to-M1 compressor;
     # every interaction with those contacts is checked
     prob = build_fixed_point_junction(rng, G, [Model.M1], [Model.M1, Model.M2])
-    pipes = sorted(prob.pipes, key=lambda p: p.input_index)
     comp = balanced_compressor(rng, G, Model.M1, Model.M1)
-    cases = [([p.spec for p in pipes], [p.state for p in pipes], None),
+    cases = [([p.spec for p in prob.pipes], [p.state for p in prob.pipes], None),
              ([comp.inlet[0], comp.outlet[0]], [comp.inlet[1], comp.outlet[1]], comp.control)]
     for specs, states, control in cases:
         # one interior jump of relative size 0.01 per pipe
@@ -870,7 +889,7 @@ def test_star_pressure_a_rounding_step_above_data():
     star = m1_state(out.rho, out.u, p_star, G)
     assert star.rho == out.rho
     for family, left, right in ((1, out, star), (3, star, out)):
-        wave = _acoustic_wave_m1(family, out, star, p_star, G)
+        wave = _acoustic_wave(family, out, star, p_star, G)
         assert (wave.kind, wave.left, wave.right) == (RAREFACTION, left, right)
         assert wave.strength == p_star - pressure(out, G) > 0.0
 

@@ -203,8 +203,7 @@ def test_fixed_point_solve_zero_iterations(rng):
         sol = solve_junction(prob)
         assert sol.iterations == 0
         assert sol.residual_norm <= 1e-12
-        for p in prob.pipes:
-            st = sol.star_states[p.input_index]
+        for p, st in zip(prob.pipes, sol.star_states):
             assert st.rho == pytest.approx(p.state.rho, rel=1e-12)
             assert st.q == pytest.approx(p.state.q, rel=1e-12, abs=1e-13)
 
@@ -254,11 +253,7 @@ def test_perturbed_solutions_match_oracle(rng):
         assert diag.max_enthalpy_spread <= 1e-8
         assert diag.max_entropy_residual <= 1e-8
         x_oracle = _brute_force_solve(prob)
-        x_sol = np.concatenate([
-            [sol.sigma[p.input_index] for p in prob.pipes],
-            [sol.tau[p.input_index] for p in prob.pipes
-             if sol.tau[p.input_index] is not None],
-        ])
+        x_sol = np.concatenate([sol.sigma, [t for t in sol.tau if t is not None]])
         assert np.allclose(x_sol, x_oracle, rtol=1e-8, atol=1e-12)
 
 
@@ -292,8 +287,7 @@ def test_entropy_assignment_flag(rng):
     base = build_fixed_point_junction(rng, G, models_in, models_out)
     prob = perturb_problem(base, 0.005, rng)
     plain = solve_junction(prob)
-    for p in prob.pipes:
-        st_p = plain.star_states[p.input_index]
+    for p, st_p in zip(prob.pipes, plain.star_states):
         if p.outgoing and p.spec.model.is_isentropic:
             assert plain.extras["assigned_kappa"][p.spec.id] == pytest.approx(
                 G.kappa_from_entropy(plain.s_star), rel=1e-12)
@@ -306,15 +300,13 @@ def test_lipschitz_stability_monitored(rng):
     sol0 = solve_junction(base)
     ref = np.concatenate([[s.rho for s in sol0.star_states],
                           [s.q for s in sol0.star_states]])
-    base_in_order = sorted(base.pipes, key=lambda p: p.input_index)
     ratios = []
     for delta in (1e-2, 1e-3, 1e-4):
         prob = perturb_problem(base, delta, np.random.default_rng(7))
         sol = solve_junction(prob)
         out = np.concatenate([[s.rho for s in sol.star_states],
                               [s.q for s in sol.star_states]])
-        prob_in_order = sorted(prob.pipes, key=lambda p: p.input_index)
         inp = sum(abs(a.state.rho - b.state.rho) + abs(a.state.q - b.state.q)
-                  for a, b in zip(prob_in_order, base_in_order))
+                  for a, b in zip(prob.pipes, base.pipes))
         ratios.append(np.abs(out - ref).sum() / inp)
     assert max(ratios) / min(ratios) < 2.0

@@ -114,12 +114,15 @@ PIECEWISE = MINIMAL.replace(
     " {x_right: null, rho: 1.02, u: -0.3, kappa: 1.0}]}").replace("riemann", "simulate")
 
 
-@pytest.mark.parametrize("value", [".inf", ".nan"])
+# an integer beyond the float range has no finite float value
+@pytest.mark.parametrize("value", [".inf", ".nan", pytest.param("1" + "0" * 400, id="1e400")])
 @pytest.mark.parametrize("path, old, new", [
     ("run.sample_times", "mode: simulate", "mode: simulate\n  sample_times: [{}]"),
     ("run.epsilon_ladder", "mode: simulate", "mode: simulate\n  epsilon_ladder: [{}, 0.05]"),
     ("topology.pipes[0].initial.pieces[0].x_right", "x_right: 0.5", "x_right: {}"),
-], ids=["sample_times", "epsilon_ladder", "x_right"])
+    ("run.horizon", "mode: simulate", "mode: simulate\n  horizon: {}"),
+    ("topology.pipes[0].area", "a, area: 1.0", "a, area: {}"),
+], ids=["sample_times", "epsilon_ladder", "x_right", "horizon", "area"])
 def test_non_finite_values_rejected(path, old, new, value):
     doc = PIECEWISE.replace(old, new.format(value))
     assert doc != PIECEWISE
@@ -208,6 +211,10 @@ def test_simulate_mode_with_snapshots():
         assert rec["diagnostics"]["mass"] <= 1e-9
         assert "V" in rec["diagnostics"]
     assert res.summary["events"] > 0
+    # one interaction record per event, counted by kind, zeros included
+    counts = res.summary["interactions"]
+    assert list(counts) == ["collision", "junction", "reflection"]
+    assert sum(counts.values()) == res.summary["events"]
 
 
 def test_simulate_honours_run_tol(monkeypatch):
