@@ -1,38 +1,36 @@
 """Two-pipe compressor coupling for adiabatic-head and power control.
 
-The residual stacks mass conservation, the adiabatic pressure-rise balance
-(head control) or its power form, and, when the outlet runs the full Euler
-model, equality of specific entropy across the machine.  For isentropic
-outlets the entropy condition is absorbed by assigning the inlet entropy
-to the outlet region, and the system reduces to two equations.
+A compressor is the junction coupling of :mod:`gasnet.junction` between
+one incoming and one outgoing pipe of equal area, built as
+``JunctionProblem(pipes, g, control)``.  Two rows change: the control's
+pressure-rise balance minus the control value replaces equality of total
+enthalpy, and the entropy condition of a full-Euler outlet, whose mix
+has the inlet as its only incoming pipe, reads s_outlet = s_inlet.  For
+isentropic outlets the entropy condition is absorbed by assigning the
+inlet entropy to the outlet region, and the system reduces to two
+equations.
 
-The determinant-sign diagnostics of :func:`proof_determinant` are computed
-with the pressure-rise and entropy rows oriented as (control - balance)
-and (s_outlet - s_inlet); the residual itself is reported with the
-conventional orientation (balance - control, s_inlet - s_outlet).  Row
-signs do not affect the solution, only the determinant's sign.
-
-:class:`CompressorProblem` implements the coupling-problem protocol of
-:mod:`gasnet.junction` (``traces``, unscaled ``residual`` and
-``jacobian``, ``row_scales``, ``fd_floor``) on x = (sigma1, sigma2[, tau2]),
-so the junction's Newton, ``coupling_residual``, ``coupling_jacobian``
-and ``fd_jacobian`` serve it unchanged.
+:class:`CompressorControl` provides the balance, its gradient and its
+row scale.  The determinant-sign diagnostics of :func:`proof_determinant`
+are computed with the pressure-rise row oriented as (control - balance);
+the residual itself keeps (balance - control).  Row signs do not affect
+the solution, only the determinant's sign.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPositiveFlux, NotSubsonic, SubsonicViolation
+from .errors import NonPositiveFlux
 from .junction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    JunctionProblem,
     StarSolution,
-    _newton,
+    _solve,
     coupling_jacobian,
 )
-from .laxcurves import M1_OUT, base_parameter, role_of, trace_eval
-from .thermo import FlowRegime, GasConstants, classify_subsonic, sound_speed
+from .thermo import GasConstants, PipeState, temperature
 
 ADIABATIC_HEAD = "CP1"
 POWER = "CP2"
@@ -59,163 +57,78 @@ class CompressorControl:
             if self.cp_coeff is None or not self.cp_coeff > 0.0:
                 raise ValueError("power control needs a positive cp_coeff")
 
+    @staticmethod
+    def head(T_in, p_in, p_out, g: GasConstants):
+        """Adiabatic head cp * T_in * ((p_out/p_in)^((gamma-1)/gamma) - 1)."""
+        return g.cp * T_in * ((p_out / p_in) ** ((g.gamma - 1.0) / g.gamma) - 1.0)
 
-class CompressorProblem:
-    """Compressor between an incoming and an outgoing pipe of equal area.
+    def balance(self, T_in, p_in, p_out, q_out, g: GasConstants):
+        """The controlled quantity at inlet temperature and pressure and
+        outlet pressure and mass flux: the head, or the power
+        cp_coeff * q_out * head."""
+        head = self.head(T_in, p_in, p_out, g)
+        if self.kind == ADIABATIC_HEAD:
+            return head
+        if q_out <= 0.0:
+            raise NonPositiveFlux(f"power balance evaluated at outlet flux {q_out:g}")
+        return self.cp_coeff * q_out * head
 
-    Rows are mass, the pressure-rise balance minus the control and, for a
-    full-Euler outlet, inlet-minus-outlet entropy.
-    """
-
-    def __init__(self, inlet, outlet, control: CompressorControl, g: GasConstants):
-        in_spec, in_state = inlet
-        out_spec, out_state = outlet
-        if in_spec.area != out_spec.area:
-            raise ValueError("compressor pipes must have equal surface sections")
-        if classify_subsonic(in_state, g) is not FlowRegime.D_MINUS:
-            raise NotSubsonic("inlet state must have strictly negative subsonic velocity")
-        if classify_subsonic(out_state, g) is not FlowRegime.D_PLUS:
-            raise NotSubsonic("outlet state must have strictly positive subsonic velocity")
-        self.constants = g
-        self.inlet = (in_spec, in_state)
-        self.outlet = (out_spec, out_state)
-        self.control = control
-        self.roles = (role_of(in_state.model, False), role_of(out_state.model, True))
-        self.m1_outlet = self.roles[1] == M1_OUT
-        self.dim = 3 if self.m1_outlet else 2
-        self.idle = control.value == 0.0
-
-        a = in_spec.area
-        mass = a * (in_state.rho * sound_speed(in_state, g)
-                    + out_state.rho * sound_speed(out_state, g))
-        gamma = g.gamma
-        C = gamma * g.R / (gamma - 1.0)
-        T1 = trace_eval(self.roles[0], in_state, g,
-                        base_parameter(self.roles[0], in_state, g)).T
-        rise = C * T1
-        if control.kind == POWER:
-            rise *= control.cp_coeff * abs(in_state.q)
-            C *= control.cp_coeff
-        self._rise_coeff = C
-        self.row_scales = np.array(
-            (mass, max(abs(control.value), rise), gamma * g.cv)[:self.dim])
-        self.fd_floor = np.array((1e-6, 1e-6, out_state.rho)[:self.dim])
-
-    def base_parameters(self):
-        g = self.constants
-        return np.array([
-            base_parameter(self.roles[0], self.inlet[1], g),
-            base_parameter(self.roles[1], self.outlet[1], g),
-        ]), (np.zeros(1) if self.m1_outlet else np.zeros(0))
-
-    def traces(self, x):
-        g = self.constants
-        tau2 = x[2] if self.m1_outlet else 0.0
-        return (trace_eval(self.roles[0], self.inlet[1], g, x[0]),
-                trace_eval(self.roles[1], self.outlet[1], g, x[1], tau2))
-
-    def residual(self, traces):
-        """Mass, pressure-rise balance minus control, and (full-Euler
-        outlets only) inlet-minus-outlet entropy."""
-        t1, t2 = traces
-        g = self.constants
+    def gradient(self, t_in, t_out, g: GasConstants):
+        """Derivatives of the balance at the traces ``t_in`` and ``t_out``
+        with respect to (sigma_in, sigma_out, tau_out)."""
         e = (g.gamma - 1.0) / g.gamma
-        rise = self._rise_coeff * t1.T * ((t2.p / t1.p)**e - 1.0)
-        if self.control.kind == POWER:
-            if t2.q <= 0.0:
-                raise NonPositiveFlux(f"power balance evaluated at outlet flux {t2.q:g}")
-            rise *= t2.q
-        out = np.empty(self.dim)
-        out[0] = t1.q + t2.q
-        out[1] = rise - self.control.value
-        if self.m1_outlet:
-            out[2] = t1.s - t2.s
-        return out
+        re = (t_out.p / t_in.p) ** e
+        # d/dsigma_in of T_in*((p_out/p_in)^e - 1); the ratio pulls in -dp_in/p_in
+        d_in = g.cp * (t_in.dT_dsigma * (re - 1.0) - t_in.T * e * re * t_in.dp_dsigma / t_in.p)
+        k = g.cp * t_in.T * e * re / t_out.p
+        d_out, d_tau = k * t_out.dp_dsigma, k * t_out.dp_dtau
+        if self.kind == ADIABATIC_HEAD:
+            return d_in, d_out, d_tau
+        head = g.cp * t_in.T * (re - 1.0)
+        c, q = self.cp_coeff, t_out.q
+        return (c * q * d_in, c * (t_out.dq_dsigma * head + q * d_out),
+                c * (t_out.dq_dtau * head + q * d_tau))
 
-    def jacobian(self, traces):
-        """Closed-form derivative w.r.t. (sigma1, sigma2[, tau2])."""
-        t1, t2 = traces
-        g = self.constants
-        e = (g.gamma - 1.0) / g.gamma
-        C = self._rise_coeff
-        re = (t2.p / t1.p)**e
-        power = self.control.kind == POWER
-        J = np.zeros((self.dim, self.dim))
-        J[0, 0] = t1.dq_dsigma
-        J[0, 1] = t2.dq_dsigma
-
-        # d/dsigma1 of T1*((p2/p1)^e - 1); the ratio term pulls in -dp1/p1
-        base2 = C * (t1.dT_dsigma * (re - 1.0)
-                     - t1.T * e * re * t1.dp_dsigma / t1.p)
-        dsig2 = C * t1.T * e * re * t2.dp_dsigma / t2.p
-        rise = C * t1.T * (re - 1.0)
-        if power:
-            J[1, 0] = t2.q * base2
-            J[1, 1] = t2.dq_dsigma * rise + t2.q * dsig2
-        else:
-            J[1, 0] = base2
-            J[1, 1] = dsig2
-        if self.m1_outlet:
-            J[0, 2] = t2.dq_dtau
-            dtau2 = C * t1.T * e * re * t2.dp_dtau / t2.p
-            J[1, 2] = t2.dq_dtau * rise + t2.q * dtau2 if power else dtau2
-            J[2, 0] = t1.ds_dsigma
-            J[2, 1] = -t2.ds_dsigma
-            J[2, 2] = -t2.ds_dtau
-        return J
+    def row_scale(self, inlet: PipeState, g: GasConstants):
+        """max(|value|, cp * T_in), with the power form's cp_coeff * |q_in|
+        on the second term, so an idle control keeps a finite scale."""
+        rise = g.cp * temperature(inlet, g)
+        if self.kind == POWER:
+            rise *= self.cp_coeff * abs(inlet.q)
+        return max(abs(self.value), rise)
 
 
-def proof_determinant(problem: CompressorProblem, params=None):
+def proof_determinant(problem: JunctionProblem, params=None):
     """Base-point Jacobian determinant in the orientation used by the
-    regularity argument: rows (mass, control - balance, s2 - s1)."""
+    regularity argument: rows (mass, control - balance, s_out - s_in), so
+    only the balance row is flipped."""
     if params is None:
         params = np.concatenate(problem.base_parameters())
     J = coupling_jacobian(problem, params)
     J[1] = -J[1]
-    if problem.m1_outlet:
-        J[2] = -J[2]
     return float(np.linalg.det(J))
 
 
-def solve_compressor(problem: CompressorProblem, tol=DEFAULT_TOL,
+def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL,
                      max_iter=DEFAULT_MAX_ITER) -> StarSolution:
     """Solve the compressor coupling for both trace star states.
 
     For isentropic outlets the realized inlet entropy is recorded as the
     outlet's entropy assignment (``extras['assigned_kappa']``).  Idle
     controls (value 0) are accepted and flagged in
-    ``extras['idle_control']``.
+    ``extras['idle_control']``.  ``h_star`` is None: total enthalpy is not
+    a compressor condition.
     """
     g = problem.constants
-    x, (t1, t2), res, it = _newton(problem, tol, max_iter)
-
-    if classify_subsonic(t1.state, g) is not FlowRegime.D_MINUS:
-        raise SubsonicViolation("inlet star state left the incoming subsonic set")
-    if classify_subsonic(t2.state, g) is not FlowRegime.D_PLUS:
-        raise SubsonicViolation("outlet star state left the outgoing subsonic set")
-
-    e = (g.gamma - 1.0) / g.gamma
-    head = g.gamma * g.R / (g.gamma - 1.0) * t1.T * ((t2.p / t1.p) ** e - 1.0)
+    control = problem.control
+    sol, (t1, t2) = _solve(problem, tol, max_iter)
+    head = control.head(t1.T, t1.p, t2.p, g)
     extras = {
         "pressure_ratio": t2.p / t1.p,
         "head": head,
-        "idle_control": problem.idle,
-        "assigned_kappa": {},
+        "idle_control": control.value == 0.0,
+        **sol.extras,
     }
-    if problem.control.kind == POWER:
-        extras["power"] = problem.control.cp_coeff * t2.q * head
-    s_star = t1.s
-    if not problem.m1_outlet:
-        extras["assigned_kappa"][problem.outlet[0].id] = g.kappa_from_entropy(s_star)
-
-    tau2 = x[2] if problem.m1_outlet else None
-    return StarSolution(
-        star_states=(t1.state, t2.state),
-        sigma=(x[0], x[1]),
-        tau=(None, tau2),
-        h_star=None,
-        s_star=s_star,
-        residual_norm=float(res),
-        iterations=it,
-        extras=extras,
-    )
+    if control.kind == POWER:
+        extras["power"] = control.cp_coeff * t2.q * head
+    return replace(sol, h_star=None, extras=extras)

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .compressor import CompressorProblem, solve_compressor
+from .compressor import solve_compressor
 from .errors import (
     EventBudgetExhausted,
     EventStarvation,
@@ -435,12 +435,9 @@ def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
     specs[0] into specs[1].  ``patterns[i]`` is (waves, trace): the waves
     pipe i receives, left to right, and its new trace, the solution's
     star state, for the role its own trace gives it."""
-    if control is None:
-        problem = JunctionProblem(list(zip(specs, data)), g)
-        sol = solve_junction(problem, tol=tol)
-    else:
-        problem = CompressorProblem((specs[0], data[0]), (specs[1], data[1]), control, g)
-        sol = solve_compressor(problem, tol=tol)
+    problem = JunctionProblem(list(zip(specs, data)), g, control)
+    solve = solve_junction if control is None else solve_compressor
+    sol = solve(problem, tol=tol)
     patterns = [(coupling_wave_pattern(role_of(st.model, st.u > 0.0), st, trace, sigma, g),
                  trace)
                 for st, trace, sigma in zip(data, sol.star_states, sol.sigma)]

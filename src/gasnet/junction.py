@@ -1,12 +1,15 @@
-"""Entropy-preserving junction coupling for the generalized Riemann problem.
+"""Entropy-preserving coupling of pipes at a junction or a compressor.
 
 The trace state of every pipe is written as a point on its wave curve
 (see :mod:`gasnet.laxcurves`); the coupling residual stacks
 
 * total mass flux through the junction,
-* pairwise equality of total enthalpy against a pivot pipe,
+* pairwise equality of total enthalpy against a pivot pipe, or at a
+  compressor the control's pressure-rise balance minus the control value
+  (:class:`gasnet.compressor.CompressorControl`),
 * for each outgoing full-Euler pipe, equality of its specific entropy
-  with the flux-weighted entropy mix of the incoming pipes,
+  with the flux-weighted entropy mix of the incoming pipes (at a
+  compressor, whose one incoming pipe is the mix, s_out = s_in),
 
 and is driven to zero by a damped Newton iteration started at the base
 parameters, where the residual vanishes for balanced data.  The pivot is
@@ -14,9 +17,7 @@ the incoming pipe of maximal initial entropy, which keeps the entropy-mix
 derivative of the pivot column non-positive and hence the base Jacobian
 regular.
 
-Junctions and compressors (:mod:`gasnet.compressor`) are one kind of
-problem: a coupling condition on the curve parameters x = (sigma, tau).
-Both problem classes provide
+:class:`JunctionProblem` provides
 
 * ``base_parameters()``: the (sigma, tau) blocks of the starting point,
 * ``traces(x)``: the per-pipe :class:`~gasnet.laxcurves.TraceEval`,
@@ -25,12 +26,15 @@ Both problem classes provide
 * ``fd_floor``: the per-column floor of the finite-difference step
   (1e-6 for sigma columns, the pipe density for tau columns),
 
-and one damped Newton (``_newton``) solves both.  ``coupling_residual``,
+and one damped Newton (``_newton``) solves it.  ``coupling_residual``,
 ``coupling_jacobian`` and the central-difference reference
-``fd_jacobian`` evaluate either kind at a parameter vector.
+``fd_jacobian`` evaluate it at a parameter vector, and
+:func:`state_residuals` rechecks the coupling conditions from one state
+per pipe.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,15 +55,17 @@ from .thermo import (
     Model,
     PipeState,
     classify_subsonic,
+    pressure,
     sound_speed,
+    temperature,
     thermo_quantities,
 )
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 MAX_BACKTRACKS = 30
-# a trial step that raises one of these is halved; each problem raises
-# only its own (the entropy mix is a junction's, the flux a compressor's)
+# a trial step that raises one of these is halved; only a power-controlled
+# compressor raises NonPositiveFlux
 _DOMAIN_ERRORS = (NonPositiveDensity, NonPositivePressure, NonPositiveFlux,
                   SingularEntropyMix)
 
@@ -108,16 +114,30 @@ class JunctionProblem:
     x = (sigma_0..sigma_{N-1}, tau of each outgoing M1 pipe); rows are
     mass, N-1 enthalpy rows against the pivot, then one entropy row per
     outgoing M1 pipe.
+
+    With a ``control`` the problem is a compressor from pipe 0 (incoming)
+    into pipe 1 (outgoing) of equal area, and the control's balance minus
+    its value replaces the one enthalpy row.
     """
 
-    def __init__(self, pipes, g: GasConstants):
+    def __init__(self, pipes, g: GasConstants, control=None):
         records = []
         for spec, state in pipes:
             outgoing = _classify_pipe(spec, state, g, f"pipe {spec.id!r}")
             records.append(_Pipe(spec, state, role_of(spec.model, outgoing), outgoing))
+        if control is not None:
+            if len(records) != 2:
+                raise ValueError("a compressor joins exactly two pipes")
+            if records[0].outgoing:
+                raise NotSubsonic("inlet state must have strictly negative subsonic velocity")
+            if not records[1].outgoing:
+                raise NotSubsonic("outlet state must have strictly positive subsonic velocity")
+            if records[0].spec.area != records[1].spec.area:
+                raise ValueError("compressor pipes must have equal surface sections")
         if len(records) < 2:
             raise ValueError("a junction needs at least two pipes")
         self.constants = g
+        self.control = control
         self.pipes = tuple(records)
         self.n = len(self.pipes)
         self.incoming = tuple(i for i, p in enumerate(self.pipes) if not p.outgoing)
@@ -129,13 +149,18 @@ class JunctionProblem:
         self.n0 = len(self.outgoing_m1)
         self.pivot = max(self.incoming,
                          key=lambda i: thermo_quantities(self.pipes[i].state, g).s)
+        # the pipe of each enthalpy row 1..N-1, against the pivot
+        self._enthalpy_rows = tuple(j for j in range(self.n) if j != self.pivot)
         self.dim = self.n + self.n0
         self._tau_col = {j: self.n + k for k, j in enumerate(self.outgoing_m1)}
 
         mass = sum(p.spec.area * p.state.rho * sound_speed(p.state, g) for p in self.pipes)
-        h_sc = max(abs(thermo_quantities(p.state, g).h) for p in self.pipes)
-        self.row_scales = np.array([mass] + [max(h_sc, 1e-300)] * (self.n - 1)
-                                   + [g.gamma * g.cv] * self.n0)
+        if control is None:
+            h_sc = max(abs(thermo_quantities(p.state, g).h) for p in self.pipes)
+            middle = [max(h_sc, 1e-300)] * (self.n - 1)
+        else:
+            middle = [control.row_scale(self.pipes[0].state, g)]
+        self.row_scales = np.array([mass] + middle + [g.gamma * g.cv] * self.n0)
         self.fd_floor = np.array([1e-6] * self.n
                                  + [self.pipes[j].state.rho for j in self.outgoing_m1])
 
@@ -157,17 +182,17 @@ class JunctionProblem:
         n, piv = self.n, self.pivot
         out = np.empty(self.dim)
         out[0] = sum(self.pipes[i].spec.area * traces[i].q for i in range(n))
-        row = 1
-        for j in range(n):
-            if j == piv:
-                continue
-            out[row] = traces[piv].h - traces[j].h
-            row += 1
+        if self.control is None:
+            for row, j in enumerate(self._enthalpy_rows, 1):
+                out[row] = traces[piv].h - traces[j].h
+        else:
+            t_in, t_out = traces
+            out[1] = (self.control.balance(t_in.T, t_in.p, t_out.p, t_out.q, self.constants)
+                      - self.control.value)
         if self.n0:
             s_star = _entropy_mix_from(self, traces)
-            for j in self.outgoing_m1:
+            for row, j in enumerate(self.outgoing_m1, n):
                 out[row] = traces[j].s - s_star
-                row += 1
         return out
 
     def jacobian(self, traces):
@@ -183,15 +208,17 @@ class JunctionProblem:
             if i in tau_col:
                 J[0, tau_col[i]] = a * traces[i].dq_dtau
 
-        row = 1
-        for j in range(n):
-            if j == piv:
-                continue
-            J[row, piv] = traces[piv].dh_dsigma
-            J[row, j] -= traces[j].dh_dsigma
-            if j in tau_col:
-                J[row, tau_col[j]] = -traces[j].dh_dtau
-            row += 1
+        if self.control is None:
+            for row, j in enumerate(self._enthalpy_rows, 1):
+                J[row, piv] = traces[piv].dh_dsigma
+                J[row, j] -= traces[j].dh_dsigma
+                if j in tau_col:
+                    J[row, tau_col[j]] = -traces[j].dh_dtau
+        else:
+            J[1, 0], J[1, 1], d_tau = self.control.gradient(traces[0], traces[1],
+                                                            self.constants)
+            if 1 in tau_col:
+                J[1, tau_col[1]] = d_tau
 
         if self.n0:
             den = sum(self.pipes[i].spec.area * traces[i].q for i in self.incoming)
@@ -202,17 +229,16 @@ class JunctionProblem:
                 a = self.pipes[i].spec.area
                 t = traces[i]
                 ds_star[i] = a * (t.dq_dsigma * t.s + t.q * t.ds_dsigma - s_star * t.dq_dsigma) / den
-            for j in self.outgoing_m1:
+            for row, j in enumerate(self.outgoing_m1, n):
                 J[row, j] = traces[j].ds_dsigma
                 J[row, tau_col[j]] = traces[j].ds_dtau
                 for i in self.incoming:
                     J[row, i] -= ds_star[i]
-                row += 1
         return J
 
 
 def coupling_residual(problem, x):
-    """Unscaled coupling residual of a junction or compressor problem at x."""
+    """Unscaled coupling residual of the problem at x."""
     return problem.residual(problem.traces(x))
 
 
@@ -243,6 +269,8 @@ def entropy_mix(problem: JunctionProblem, sigma):
 
 
 def _entropy_mix_from(problem: JunctionProblem, traces):
+    """Flux-weighted entropy of the incoming pipes, from per-pipe
+    ``traces`` that carry a mass flux ``q`` and an entropy ``s``."""
     num = 0.0
     den = 0.0
     scale = 0.0
@@ -268,19 +296,11 @@ def pivot_blocks(problem: JunctionProblem, x=None):
     if x is None:
         x = np.concatenate(problem.base_parameters())
     J = coupling_jacobian(problem, x)
-    n, piv = problem.n, problem.pivot
-    enth_row = {}
-    row = 1
-    for j in range(n):
-        if j == piv:
-            continue
-        enth_row[j] = row
-        row += 1
+    enth_row = {j: row for row, j in enumerate(problem._enthalpy_rows, 1)}
     blocks = []
-    for k, j in enumerate(problem.outgoing_m1):
+    for sr, j in enumerate(problem.outgoing_m1, problem.n):
         er = enth_row[j]
-        sr = n + k
-        cols = (j, piv, problem._tau_col[j])
+        cols = (j, problem.pivot, problem._tau_col[j])
         block = np.array([
             [J[0, c] for c in cols],
             [J[er, c] for c in cols],
@@ -355,21 +375,15 @@ def _newton(problem, tol, max_iter):
     )
 
 
-def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER) -> StarSolution:
-    """Solve the junction coupling system for the trace star states.
-
-    The returned entropy mix is assigned to outgoing isentropic pipes as
-    solution metadata (``extras['assigned_kappa']``); their star states
-    keep the kappa of their initial data.
-    """
+def _solve(problem: JunctionProblem, tol, max_iter):
+    """(StarSolution, traces) at the Newton's accepted iterate, with every
+    star state checked to stay in its pipe's subsonic set."""
     g = problem.constants
     n = problem.n
     x, traces, res, it = _newton(problem, tol, max_iter)
 
     sigma, tau = x[:n], x[n:]
     s_star = _entropy_mix_from(problem, traces)
-    h_star = traces[problem.pivot].h
 
     assigned = {}
     for p, t in zip(problem.pipes, traces):
@@ -385,16 +399,60 @@ def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
             assigned[p.spec.id] = g.kappa_from_entropy(s_star)
 
     tau_of = dict(zip(problem.outgoing_m1, tau))
-    return StarSolution(
+    sol = StarSolution(
         star_states=tuple(t.state for t in traces),
         sigma=tuple(sigma),
         tau=tuple(tau_of.get(i) for i in range(n)),
-        h_star=h_star,
+        h_star=traces[problem.pivot].h,
         s_star=s_star,
         residual_norm=float(res),
         iterations=it,
         extras={"assigned_kappa": assigned},
     )
+    return sol, traces
+
+
+def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
+                   max_iter=DEFAULT_MAX_ITER) -> StarSolution:
+    """Solve the junction coupling system for the trace star states.
+
+    The returned entropy mix is assigned to outgoing isentropic pipes as
+    solution metadata (``extras['assigned_kappa']``); their star states
+    keep the kappa of their initial data.
+    """
+    return _solve(problem, tol, max_iter)[0]
+
+
+def state_residuals(problem: JunctionProblem, states) -> dict:
+    """The coupling conditions recomputed from one state per pipe, each
+    divided by its row scale of ``problem``:
+
+    * ``mass``: |sum of area * q|;
+    * ``enthalpy_spread`` at a junction: max - min of the total enthalpies;
+    * ``control`` at a compressor: |balance - control value|;
+    * ``entropy``, only where an outgoing full-Euler pipe exists: the
+      largest |s_j - mix| over those pipes, the mix recomputed from the
+      incoming states.
+    """
+    g = problem.constants
+    scales = problem.row_scales.tolist()
+    tq = [thermo_quantities(st, g) for st in states]
+    mass = sum(p.spec.area * st.q for p, st in zip(problem.pipes, states))
+    out = {"mass": abs(mass) / scales[0]}
+    control = problem.control
+    if control is None:
+        hs = [t.h for t in tq]
+        out["enthalpy_spread"] = (max(hs) - min(hs)) / scales[1]
+    else:
+        st_in, st_out = states
+        rise = control.balance(temperature(st_in, g), pressure(st_in, g),
+                               pressure(st_out, g), st_out.q, g)
+        out["control"] = abs(rise - control.value) / scales[1]
+    if problem.n0:
+        mix = _entropy_mix_from(problem, [SimpleNamespace(q=st.q, s=t.s)
+                                          for st, t in zip(states, tq)])
+        out["entropy"] = max(abs(tq[j].s - mix) for j in problem.outgoing_m1) / scales[-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -405,23 +463,9 @@ class CouplingDiagnostics:
 
 
 def verify_coupling(sol: StarSolution, problem: JunctionProblem) -> CouplingDiagnostics:
-    """Re-check the coupling conditions directly from the star states.
-
-    This path recomputes q, h, s from the states (not from the curve
-    parameters), so it exercises a different evaluation route than the
-    solver.  Residuals are nondimensionalized against the problem's
-    mass/enthalpy/entropy row scales.
-    """
-    g = problem.constants
-    m_sc, h_sc = problem.row_scales[:2].tolist()
-    states = sol.star_states
-    mass = sum(p.spec.area * st.q for p, st in zip(problem.pipes, states))
-    hs = [thermo_quantities(st, g).h for st in states]
-    spread = (max(hs) - min(hs)) / h_sc
-    ent = 0.0
-    if problem.n0 and sol.s_star is not None:
-        s_sc = float(problem.row_scales[-1])   # an entropy row
-        for j in problem.outgoing_m1:
-            s_j = thermo_quantities(states[j], g).s
-            ent = max(ent, abs(s_j - sol.s_star) / s_sc)
-    return CouplingDiagnostics(abs(mass) / m_sc, spread, ent)
+    """The :func:`state_residuals` of a junction's star states.  They are
+    recomputed from the states alone, not from the curve parameters or the
+    solution's ``h_star`` and ``s_star``; ``max_entropy_residual`` is 0.0
+    where no outgoing full-Euler pipe carries an entropy condition."""
+    r = state_residuals(problem, sol.star_states)
+    return CouplingDiagnostics(r["mass"], r["enthalpy_spread"], r.get("entropy", 0.0))

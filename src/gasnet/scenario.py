@@ -48,7 +48,7 @@ from .fronttracking import (
     solve_coupling,
     weak_form_residual,
 )
-from .junction import PipeSpec, verify_coupling
+from .junction import JunctionProblem, PipeSpec, state_residuals
 from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
 from .thermo import (
@@ -60,8 +60,6 @@ from .thermo import (
     iso_state,
     m1_state,
     pressure,
-    temperature,
-    thermo_quantities,
 )
 
 
@@ -563,7 +561,6 @@ def _run_riemann(sc: Scenario) -> RunResult:
     summary = {
         "mode": "riemann",
         "kind": sc.kind,
-        "converged": True,
         "iterations": sol.iterations,
         "residual_norm": sol.residual_norm,
         "sigma": {s.id: sol.sigma[i] for i, s in enumerate(sc.specs)},
@@ -572,18 +569,14 @@ def _run_riemann(sc: Scenario) -> RunResult:
         "s_star": sol.s_star,
     }
     if sc.kind == "junction":
-        diag = verify_coupling(sol, problem)
         summary["h_star"] = sol.h_star
-        summary["max_residuals"] = {
-            "mass": diag.mass_residual,
-            "enthalpy_spread": diag.max_enthalpy_spread,
-            "entropy": diag.max_entropy_residual,
-        }
+        summary["max_residuals"] = state_residuals(problem, sol.star_states)
     else:
         summary["pressure_ratio"] = sol.extras["pressure_ratio"]
         summary["head"] = sol.extras["head"]
         if "power" in sol.extras:
             summary["power"] = sol.extras["power"]
+        summary["max_residuals"] = state_residuals(problem, sol.star_states)
         if sol.extras.get("idle_control"):
             summary["warnings"] = ["idle control value 0: uniqueness outside "
                                    "the guaranteed neighborhood"]
@@ -591,44 +584,10 @@ def _run_riemann(sc: Scenario) -> RunResult:
 
 
 def trace_residuals(state, specs, g: GasConstants, control=None):
-    """Coupling residuals recomputed directly from the current traces.
-
-    At a compressor, ``control`` is the pressure-rise balance minus the
-    control value, divided by the larger of the control value and the
-    balance's coefficient (the compressor solve's own row scale, so an
-    idle control stays finite), and ``entropy``, for a full-Euler outlet,
-    is |s_inlet - s_outlet| / (gamma * cv)."""
+    """:func:`~gasnet.junction.state_residuals` of the current traces,
+    against the row scales of a coupling problem built on them."""
     traces = state.traces()
-    mass = sum(s.area * tr.q for s, tr in zip(specs, traces))
-    mass_scale = sum(s.area * tr.rho * thermo_quantities(tr, g).c
-                     for s, tr in zip(specs, traces))
-    out = {"mass": abs(mass) / mass_scale}
-    if control is None:
-        hs = [thermo_quantities(tr, g).h for tr in traces]
-        out["enthalpy_spread"] = (max(hs) - min(hs)) / max(abs(h) for h in hs)
-        incoming = [(s, tr) for s, tr in zip(specs, traces) if tr.u < 0]
-        den = sum(s.area * tr.q for s, tr in incoming)
-        if den != 0.0:
-            s_star = sum(s.area * tr.q * thermo_quantities(tr, g).s
-                         for s, tr in incoming) / den
-            ent = 0.0
-            for s, tr in zip(specs, traces):
-                if tr.u > 0 and tr.model is Model.M1:
-                    ent = max(ent, abs(thermo_quantities(tr, g).s - s_star))
-            out["entropy"] = ent / (g.gamma * g.cv)
-    else:
-        inlet, outlet = traces
-        e = (g.gamma - 1.0) / g.gamma
-        coeff = g.gamma * g.R / (g.gamma - 1.0) * temperature(inlet, g)
-        rise = coeff * ((pressure(outlet, g) / pressure(inlet, g)) ** e - 1.0)
-        if control.kind == POWER:
-            coeff *= control.cp_coeff * abs(inlet.q)
-            rise *= control.cp_coeff * outlet.q
-        out["control"] = abs(rise - control.value) / max(control.value, coeff)
-        if outlet.model is Model.M1:
-            out["entropy"] = (abs(thermo_quantities(inlet, g).s - thermo_quantities(outlet, g).s)
-                              / (g.gamma * g.cv))
-    return out
+    return state_residuals(JunctionProblem(list(zip(specs, traces)), g, control), traces)
 
 
 def _stops(sc: Scenario):
@@ -711,7 +670,6 @@ def _run_simulate(sc: Scenario) -> RunResult:
     summary = {
         "mode": "simulate",
         "kind": sc.kind,
-        "converged": True,
         "epsilon": sc.run.epsilon,
         "horizon": sc.run.horizon,
         "events": state.events,

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import settings
 
 from gasnet import GasConstants, Model, iso_state, m1_state, thermo_quantities
-from gasnet.compressor import (
-    ADIABATIC_HEAD,
-    POWER,
-    CompressorControl,
-    CompressorProblem,
-)
+from gasnet.compressor import ADIABATIC_HEAD, POWER, CompressorControl
 from gasnet.junction import JunctionProblem, PipeSpec
 
 # One hypothesis profile for every property test: fixed example sequences,
@@ -145,5 +140,5 @@ def balanced_compressor(rng, g, m_in, m_out, kind=ADIABATIC_HEAD, cp_coeff=0.9,
     else:
         control = CompressorControl(POWER, cp_coeff * q2 * head, cp_coeff=cp_coeff)
     area = rng.uniform(0.5, 2.0)
-    return CompressorProblem((PipeSpec("in", area, m_in), st1),
-                             (PipeSpec("out", area, m_out), st2), control, g)
+    return JunctionProblem([(PipeSpec("in", area, m_in), st1),
+                            (PipeSpec("out", area, m_out), st2)], g, control)

@@ -24,7 +24,6 @@ from gasnet.compressor import (
     ADIABATIC_HEAD,
     POWER,
     CompressorControl,
-    CompressorProblem,
     proof_determinant,
     solve_compressor,
 )
@@ -379,7 +378,7 @@ def test_criterion_10_compressor_consistency():
         m_in = models[rng.integers(0, 3)]
         m_out = models[rng.integers(0, 3)]
         prob = balanced_compressor(rng, G, m_in, m_out, POWER)
-        spec, st = prob.inlet
+        spec, st = prob.pipes[0].spec, prob.pipes[0].state
         factor = 1.0 + 0.004 * rng.uniform(-1.0, 1.0)
         if st.model is Model.M1:
             from gasnet import PipeState
@@ -388,13 +387,14 @@ def test_criterion_10_compressor_consistency():
         else:
             st_p = iso_state(st.model, st.rho * factor,
                              st.q / (st.rho * factor), st.kappa)
-        pert = CompressorProblem((spec, st_p), prob.outlet, prob.control, G)
+        out = prob.pipes[1]
+        pert = JunctionProblem([(spec, st_p), (out.spec, out.state)], G, prob.control)
         sol = solve_compressor(pert)
         solved += 1
         q2 = sol.star_states[1].q
         head = prob.control.value / (prob.control.cp_coeff * q2)
-        sol_h = solve_compressor(CompressorProblem(
-            pert.inlet, pert.outlet, CompressorControl(ADIABATIC_HEAD, head), G))
+        sol_h = solve_compressor(JunctionProblem(
+            [(p.spec, p.state) for p in pert.pipes], G, CompressorControl(ADIABATIC_HEAD, head)))
         for a, b in zip(sol.star_states, sol_h.star_states):
             assert a.rho == pytest.approx(b.rho, rel=1e-6)
             assert a.q == pytest.approx(b.q, rel=1e-6)

@@ -21,11 +21,16 @@ from gasnet.compressor import (
     ADIABATIC_HEAD,
     POWER,
     CompressorControl,
-    CompressorProblem,
     proof_determinant,
     solve_compressor,
 )
-from gasnet.junction import PipeSpec, coupling_jacobian, coupling_residual, fd_jacobian
+from gasnet.junction import (
+    JunctionProblem,
+    PipeSpec,
+    coupling_jacobian,
+    coupling_residual,
+    fd_jacobian,
+)
 
 G = GasConstants(gamma=1.4, R=1.0)
 GSI = GasConstants(gamma=1.4, R=287.0)
@@ -46,11 +51,11 @@ def test_problem_validation():
     st2 = iso_state(Model.M3, 1.0, +0.3, 1.0)
     ctrl = CompressorControl(ADIABATIC_HEAD, 0.0)
     with pytest.raises(ValueError):
-        CompressorProblem((PipeSpec("a", 1.0, Model.M3), st1),
-                          (PipeSpec("b", 2.0, Model.M3), st2), ctrl, G)
+        JunctionProblem([(PipeSpec("a", 1.0, Model.M3), st1),
+                         (PipeSpec("b", 2.0, Model.M3), st2)], G, ctrl)
     with pytest.raises(NotSubsonic):
-        CompressorProblem((PipeSpec("a", 1.0, Model.M3), st2),
-                          (PipeSpec("b", 1.0, Model.M3), st2), ctrl, G)
+        JunctionProblem([(PipeSpec("a", 1.0, Model.M3), st2),
+                         (PipeSpec("b", 1.0, Model.M3), st2)], G, ctrl)
 
 
 def test_head_balance_value_si():
@@ -64,9 +69,9 @@ def test_head_balance_value_si():
     # outlet at double pressure along the isentrope of the inlet
     rho2 = rho1 * 2.0 ** (1.0 / 1.4)
     st2 = m1_state(rho2, -st1.q / rho2, 2.0 * p1, GSI)
-    prob = CompressorProblem((PipeSpec("a", 1.0, Model.M1), st1),
-                             (PipeSpec("b", 1.0, Model.M1), st2),
-                             CompressorControl(ADIABATIC_HEAD, 0.0), GSI)
+    prob = JunctionProblem([(PipeSpec("a", 1.0, Model.M1), st1),
+                            (PipeSpec("b", 1.0, Model.M1), st2)],
+                           GSI, CompressorControl(ADIABATIC_HEAD, 0.0))
     sigma0, tau0 = prob.base_parameters()
     res = coupling_residual(prob, np.concatenate([sigma0, tau0]))
     assert res[1] == pytest.approx(expected, rel=1e-10)   # H* = 0 here
@@ -82,7 +87,7 @@ def test_balanced_data_is_fixed_point(rng):
                 assert sol.iterations == 0
                 assert sol.residual_norm <= 1e-12
                 assert sol.star_states[0].rho == pytest.approx(
-                    prob.inlet[1].rho, rel=1e-12)
+                    prob.pipes[0].state.rho, rel=1e-12)
 
 
 def test_power_balance_needs_positive_flux(rng):
@@ -153,14 +158,34 @@ def test_entropy_condition_temperature_ratio(rng):
 
 
 def perturb_inlet(prob, factor):
-    spec, st = prob.inlet
+    spec, st = prob.pipes[0].spec, prob.pipes[0].state
     if st.model is Model.M1:
         from gasnet import PipeState
 
         st2 = PipeState(Model.M1, st.rho * factor, st.q, E=st.E * factor)
     else:
         st2 = iso_state(st.model, st.rho * factor, st.q / (st.rho * factor), st.kappa)
-    return CompressorProblem((spec, st2), prob.outlet, prob.control, prob.constants)
+    out = prob.pipes[1]
+    return JunctionProblem([(spec, st2), (out.spec, out.state)], prob.constants, prob.control)
+
+
+def test_solution_independent_of_the_common_area(rng):
+    # the mass row carries the area its row scale carries, so the scaled
+    # system, and with it the Newton path, does not depend on the area
+    for kind in (ADIABATIC_HEAD, POWER):
+        for m_in in MODELS:
+            for m_out in MODELS:
+                prob = perturb_inlet(balanced_compressor(rng, G, m_in, m_out, kind), 1.01)
+                sol1, sol2 = (solve_compressor(JunctionProblem(
+                    [(PipeSpec(p.spec.id, area, p.spec.model), p.state) for p in prob.pipes],
+                    G, prob.control)) for area in (1.0, 2.0))
+                assert sol1.iterations == sol2.iterations
+                assert sol2.residual_norm == pytest.approx(sol1.residual_norm, rel=1e-12)
+                for a, b in zip(sol1.star_states, sol2.star_states):
+                    assert b.rho == pytest.approx(a.rho, rel=1e-12)
+                    assert b.q == pytest.approx(a.q, rel=1e-12)
+                    if a.model is Model.M1:
+                        assert b.E == pytest.approx(a.E, rel=1e-12)
 
 
 def test_solution_against_2d_bisection_oracle(rng):
@@ -187,7 +212,7 @@ def test_solution_against_2d_bisection_oracle(rng):
     def rise_residual(s1):
         return residual_rows(s1, mass_solve(s1))[1]
 
-    lo, hi = pert.inlet[1].rho * 0.8, pert.inlet[1].rho * 1.2
+    lo, hi = pert.pipes[0].state.rho * 0.8, pert.pipes[0].state.rho * 1.2
     assert rise_residual(lo) * rise_residual(hi) < 0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -210,8 +235,8 @@ def test_power_to_head_consistency(rng):
         sol = solve_compressor(pert)
         q2 = sol.star_states[1].q
         head = prob.control.value / (prob.control.cp_coeff * q2)
-        prob_h = CompressorProblem(pert.inlet, pert.outlet,
-                                   CompressorControl(ADIABATIC_HEAD, head), G)
+        prob_h = JunctionProblem([(p.spec, p.state) for p in pert.pipes], G,
+                                 CompressorControl(ADIABATIC_HEAD, head))
         sol_h = solve_compressor(prob_h)
         for a, b in zip(sol.star_states, sol_h.star_states):
             assert a.rho == pytest.approx(b.rho, rel=1e-6)
@@ -221,9 +246,9 @@ def test_power_to_head_consistency(rng):
 def test_idle_control_flagged(rng):
     st1 = iso_state(Model.M3, 1.0, -0.3, 1.0)
     st2 = iso_state(Model.M3, 1.0, +0.3, 1.0)
-    prob = CompressorProblem((PipeSpec("a", 1.0, Model.M3), st1),
-                             (PipeSpec("b", 1.0, Model.M3), st2),
-                             CompressorControl(ADIABATIC_HEAD, 0.0), G)
+    prob = JunctionProblem([(PipeSpec("a", 1.0, Model.M3), st1),
+                            (PipeSpec("b", 1.0, Model.M3), st2)],
+                           G, CompressorControl(ADIABATIC_HEAD, 0.0))
     sol = solve_compressor(prob)
     assert sol.extras["idle_control"] is True
     assert sol.residual_norm <= 1e-12
@@ -233,7 +258,7 @@ def test_entropy_assignment_for_iso_outlet(rng):
     prob = balanced_compressor(rng, G, Model.M1, Model.M2, ADIABATIC_HEAD)
     pert = perturb_inlet(prob, 1.003)
     sol = solve_compressor(pert)
-    out_id = prob.outlet[0].id
+    out_id = prob.pipes[1].spec.id
     assert sol.extras["assigned_kappa"][out_id] == pytest.approx(
         G.kappa_from_entropy(sol.s_star), rel=1e-12)
-    assert sol.star_states[1].kappa == pert.outlet[1].kappa  # star state not mutated
+    assert sol.star_states[1].kappa == pert.pipes[1].state.kappa  # star state not mutated

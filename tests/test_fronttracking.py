@@ -863,7 +863,7 @@ def test_oracle_m1_runs(rng):
     prob = build_fixed_point_junction(rng, G, [Model.M1], [Model.M1, Model.M2])
     comp = balanced_compressor(rng, G, Model.M1, Model.M1)
     cases = [([p.spec for p in prob.pipes], [p.state for p in prob.pipes], None),
-             ([comp.inlet[0], comp.outlet[0]], [comp.inlet[1], comp.outlet[1]], comp.control)]
+             ([p.spec for p in comp.pipes], [p.state for p in comp.pipes], comp.control)]
     for specs, states, control in cases:
         # one interior jump of relative size 0.01 per pipe
         profiles = [[(0.3 + 0.2 * k, st), (None, perturb(st, 0.01, G))]
@@ -881,7 +881,7 @@ def test_star_pressure_a_rounding_step_above_data():
     # data density and a shock speed would divide by zero: the wave is a
     # vanishing rarefaction instead
     comp = balanced_compressor(np.random.default_rng(4), G, Model.M1, Model.M1, kind=POWER)
-    specs, data = [comp.inlet[0], comp.outlet[0]], [comp.inlet[1], comp.outlet[1]]
+    specs, data = [p.spec for p in comp.pipes], [p.state for p in comp.pipes]
     state = init_approximation(specs, data, G, epsilon=0.02, control=comp.control)
     assert state.K_J >= 2.0
     out = data[1]

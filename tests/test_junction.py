@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    balanced_compressor,
     build_fixed_point_junction,
     perturb_problem,
     random_model_mix,
@@ -29,8 +30,10 @@ from gasnet.junction import (
     fd_jacobian,
     pivot_blocks,
     solve_junction,
+    state_residuals,
     verify_coupling,
 )
+from gasnet.compressor import solve_compressor
 
 G = GasConstants(gamma=1.4, R=1.0)
 
@@ -278,6 +281,13 @@ def test_verify_coupling_detects_corruption(rng):
     bad = replace(sol, star_states=tuple(bad_states))
     diag2 = verify_coupling(bad, base)
     assert max(diag2.mass_residual, diag2.max_enthalpy_spread) > 1e-6
+    # a compressor outlet off its control: same density change, same flux
+    comp = balanced_compressor(rng, G, Model.M1, Model.M2)
+    st_in, st_out = solve_compressor(comp).star_states
+    assert max(state_residuals(comp, [st_in, st_out]).values()) <= 1e-12
+    bad_out = iso_state(st_out.model, st_out.rho * 1.01, st_out.q / (st_out.rho * 1.01),
+                        st_out.kappa)
+    assert state_residuals(comp, [st_in, bad_out])["control"] > 1e-6
 
 
 def test_entropy_assignment_flag(rng):
