@@ -11,15 +11,13 @@ inlet entropy to the outlet region, and the system reduces to two
 equations.
 
 :class:`CompressorControl` provides the balance, its gradient and its
-row scale.  The determinant-sign diagnostics of :func:`proof_determinant`
-are computed with the pressure-rise row oriented as (control - balance);
-the residual itself keeps (balance - control).  Row signs do not affect
-the solution, only the determinant's sign.
+row scale.  The residual keeps the pressure-rise row as (balance -
+control); the regularity argument orients it as (control - balance),
+which flips only the sign of the base Jacobian's determinant, not the
+solution.
 """
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import NonPositiveFlux
 from .junction import (
@@ -28,7 +26,6 @@ from .junction import (
     JunctionProblem,
     StarSolution,
     _solve,
-    coupling_jacobian,
 )
 from .thermo import GasConstants, PipeState, temperature
 
@@ -96,17 +93,6 @@ class CompressorControl:
         if self.kind == POWER:
             rise *= self.cp_coeff * abs(inlet.q)
         return max(abs(self.value), rise)
-
-
-def proof_determinant(problem: JunctionProblem, params=None):
-    """Base-point Jacobian determinant in the orientation used by the
-    regularity argument: rows (mass, control - balance, s_out - s_in), so
-    only the balance row is flipped."""
-    if params is None:
-        params = np.concatenate(problem.base_parameters())
-    J = coupling_jacobian(problem, params)
-    J[1] = -J[1]
-    return float(np.linalg.det(J))
 
 
 def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL,

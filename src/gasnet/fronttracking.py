@@ -69,15 +69,15 @@ edits ``PipeTrack.fronts`` directly must call it.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments: one Python step per segment computes its
-jump defect with ``flux_vector``, and each test bump is then evaluated
-by numpy over the segments that meet its support, five Simpson nodes
-each, with one ``math.exp`` per node inside the support.
+jump defect, with one ``flux_vector`` per distinct state, and each test
+bump is then evaluated by numpy over the segments that meet its support,
+five Simpson nodes each, with one ``math.exp`` per node inside the
+support.  It is the only user of numpy in gasnet, and imports it when
+called, so the coupling solves and the event loop run without it.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .compressor import solve_compressor
@@ -933,8 +933,9 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
     segment whose space-time bounding box lies outside a bump's open
     support, by a relative margin of 1e-9, contributes zero and is skipped.
 
-    The defect of each segment is computed once, by ``flux_vector``; the
-    segments that carry one become float columns.  Each bump is then
+    The defect of each segment is computed once, from the ``flux_vector``
+    of its two states, each evaluated once per state object; the segments
+    that carry a defect become float columns.  Each bump is then
     evaluated by ``Bump.values`` on the five Simpson nodes of all its
     remaining segments at once, one node column at a time, with exp taken
     by ``math.exp`` on the points inside the support, and the segment
@@ -942,12 +943,19 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
     its order are those of the scalar rule (``Bump.__call__`` per node,
     one running sum), so the result is bit-identical to it.
     """
+    import numpy as np
+
     g = state.g
+    fluxes = {}   # id of a state -> its flux; adjacent segments share states
     cols = []
     for seg in state.segments:
         sc = state.scales[seg.pipe]
-        fl = flux_vector(seg.left, g)
-        fr = flux_vector(seg.right, g)
+        fl = fluxes.get(id(seg.left))
+        if fl is None:
+            fl = fluxes[id(seg.left)] = flux_vector(seg.left, g)
+        fr = fluxes.get(id(seg.right))
+        if fr is None:
+            fr = fluxes[id(seg.right)] = flux_vector(seg.right, g)
         du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
         f_scales = (sc.q, sc.q * sc.q / sc.rho)
         defect = 0.0
@@ -1001,6 +1009,8 @@ class Bump:
     def values(self, x, t):
         """``self(x, t)`` at each point of the float arrays x and t, bit for
         bit: the same operations in the same order, exp by ``math.exp``."""
+        import numpy as np
+
         sx = (x - self.xc) / self.wx
         st = (t - self.tc) / self.wt
         inside = (np.abs(sx) < 1.0) & (np.abs(st) < 1.0)

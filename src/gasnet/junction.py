@@ -26,17 +26,16 @@ regular.
 * ``fd_floor``: the per-column floor of the finite-difference step
   (1e-6 for sigma columns, the pipe density for tau columns),
 
-and one damped Newton (``_newton``) solves it.  ``coupling_residual``,
-``coupling_jacobian`` and the central-difference reference
-``fd_jacobian`` evaluate it at a parameter vector, and
+all as Python lists, and one damped Newton (``_newton``) solves it, each
+step by Gaussian elimination with partial pivoting on the scaled
+Jacobian; the system has dimension at most 2N for N pipes.
 :func:`state_residuals` rechecks the coupling conditions from one state
 per pipe.
 """
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
 
 from .errors import (
     NoConvergence,
@@ -160,16 +159,12 @@ class JunctionProblem:
             middle = [max(h_sc, 1e-300)] * (self.n - 1)
         else:
             middle = [control.row_scale(self.pipes[0].state, g)]
-        self.row_scales = np.array([mass] + middle + [g.gamma * g.cv] * self.n0)
-        self.fd_floor = np.array([1e-6] * self.n
-                                 + [self.pipes[j].state.rho for j in self.outgoing_m1])
+        self.row_scales = [mass] + middle + [g.gamma * g.cv] * self.n0
+        self.fd_floor = [1e-6] * self.n + [self.pipes[j].state.rho for j in self.outgoing_m1]
 
     def base_parameters(self):
-        sigma0 = np.array(
-            [base_parameter(p.role, p.state, self.constants) for p in self.pipes]
-        )
-        tau0 = np.zeros(self.n0)
-        return sigma0, tau0
+        sigma0 = [base_parameter(p.role, p.state, self.constants) for p in self.pipes]
+        return sigma0, [0.0] * self.n0
 
     def traces(self, x):
         g = self.constants
@@ -179,20 +174,17 @@ class JunctionProblem:
 
     def residual(self, traces):
         """Coupling residual of dimension N + (number of outgoing M1 pipes)."""
-        n, piv = self.n, self.pivot
-        out = np.empty(self.dim)
-        out[0] = sum(self.pipes[i].spec.area * traces[i].q for i in range(n))
+        out = [sum(p.spec.area * t.q for p, t in zip(self.pipes, traces))]
         if self.control is None:
-            for row, j in enumerate(self._enthalpy_rows, 1):
-                out[row] = traces[piv].h - traces[j].h
+            h_piv = traces[self.pivot].h
+            out += [h_piv - traces[j].h for j in self._enthalpy_rows]
         else:
             t_in, t_out = traces
-            out[1] = (self.control.balance(t_in.T, t_in.p, t_out.p, t_out.q, self.constants)
-                      - self.control.value)
+            out.append(self.control.balance(t_in.T, t_in.p, t_out.p, t_out.q, self.constants)
+                       - self.control.value)
         if self.n0:
             s_star = _entropy_mix_from(self, traces)
-            for row, j in enumerate(self.outgoing_m1, n):
-                out[row] = traces[j].s - s_star
+            out += [traces[j].s - s_star for j in self.outgoing_m1]
         return out
 
     def jacobian(self, traces):
@@ -200,25 +192,25 @@ class JunctionProblem:
         exact on both curve branches."""
         n, piv = self.n, self.pivot
         tau_col = self._tau_col
-        J = np.zeros((self.dim, self.dim))
+        J = [[0.0] * self.dim for _ in range(self.dim)]
 
         for i, p in enumerate(self.pipes):
             a = p.spec.area
-            J[0, i] = a * traces[i].dq_dsigma
+            J[0][i] = a * traces[i].dq_dsigma
             if i in tau_col:
-                J[0, tau_col[i]] = a * traces[i].dq_dtau
+                J[0][tau_col[i]] = a * traces[i].dq_dtau
 
         if self.control is None:
             for row, j in enumerate(self._enthalpy_rows, 1):
-                J[row, piv] = traces[piv].dh_dsigma
-                J[row, j] -= traces[j].dh_dsigma
+                J[row][piv] = traces[piv].dh_dsigma
+                J[row][j] -= traces[j].dh_dsigma
                 if j in tau_col:
-                    J[row, tau_col[j]] = -traces[j].dh_dtau
+                    J[row][tau_col[j]] = -traces[j].dh_dtau
         else:
-            J[1, 0], J[1, 1], d_tau = self.control.gradient(traces[0], traces[1],
+            J[1][0], J[1][1], d_tau = self.control.gradient(traces[0], traces[1],
                                                             self.constants)
             if 1 in tau_col:
-                J[1, tau_col[1]] = d_tau
+                J[1][tau_col[1]] = d_tau
 
         if self.n0:
             den = sum(self.pipes[i].spec.area * traces[i].q for i in self.incoming)
@@ -230,42 +222,11 @@ class JunctionProblem:
                 t = traces[i]
                 ds_star[i] = a * (t.dq_dsigma * t.s + t.q * t.ds_dsigma - s_star * t.dq_dsigma) / den
             for row, j in enumerate(self.outgoing_m1, n):
-                J[row, j] = traces[j].ds_dsigma
-                J[row, tau_col[j]] = traces[j].ds_dtau
+                J[row][j] = traces[j].ds_dsigma
+                J[row][tau_col[j]] = traces[j].ds_dtau
                 for i in self.incoming:
-                    J[row, i] -= ds_star[i]
+                    J[row][i] -= ds_star[i]
         return J
-
-
-def coupling_residual(problem, x):
-    """Unscaled coupling residual of the problem at x."""
-    return problem.residual(problem.traces(x))
-
-
-def coupling_jacobian(problem, x):
-    """Closed-form Jacobian of the unscaled coupling residual at x."""
-    return problem.jacobian(problem.traces(x))
-
-
-def fd_jacobian(problem, x):
-    """Central-difference Jacobian of the coupling residual at x: the
-    independent reference for :func:`coupling_jacobian`.  Column k steps
-    by 1e-6 * max(|x_k|, fd_floor_k)."""
-    x = np.asarray(x, dtype=float)
-    J = np.empty((problem.dim, problem.dim))
-    for col in range(problem.dim):
-        h = 1e-6 * max(abs(x[col]), problem.fd_floor[col])
-        xp, xm = x.copy(), x.copy()
-        xp[col] += h
-        xm[col] -= h
-        J[:, col] = (coupling_residual(problem, xp) - coupling_residual(problem, xm)) / (2.0 * h)
-    return J
-
-
-def entropy_mix(problem: JunctionProblem, sigma):
-    """Flux-weighted entropy of the incoming pipes at parameters sigma."""
-    x = np.concatenate([sigma, np.zeros(problem.n0)])
-    return _entropy_mix_from(problem, problem.traces(x))
 
 
 def _entropy_mix_from(problem: JunctionProblem, traces):
@@ -286,30 +247,6 @@ def _entropy_mix_from(problem: JunctionProblem, traces):
     return num / den
 
 
-def pivot_blocks(problem: JunctionProblem, x=None):
-    """The 3x3 blocks that control regularity when outgoing M1 pipes exist.
-
-    Block j couples (sigma_j, sigma_pivot, tau_j) of outgoing M1 pipe j
-    through the mass row, its enthalpy row, and its entropy row; x
-    defaults to the base parameters.
-    """
-    if x is None:
-        x = np.concatenate(problem.base_parameters())
-    J = coupling_jacobian(problem, x)
-    enth_row = {j: row for row, j in enumerate(problem._enthalpy_rows, 1)}
-    blocks = []
-    for sr, j in enumerate(problem.outgoing_m1, problem.n):
-        er = enth_row[j]
-        cols = (j, problem.pivot, problem._tau_col[j])
-        block = np.array([
-            [J[0, c] for c in cols],
-            [J[er, c] for c in cols],
-            [J[sr, c] for c in cols],
-        ])
-        blocks.append(block)
-    return blocks
-
-
 @dataclass(frozen=True)
 class StarSolution:
     """Junction trace states and the parameters that generate them.
@@ -328,49 +265,72 @@ class StarSolution:
     extras: dict
 
 
+def _linear_solve(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting.  A is
+    a list of row lists and b a list; both are overwritten.  Raises
+    ``SingularJacobian`` on a zero pivot."""
+    n = len(b)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        if A[p][k] == 0.0:
+            raise SingularJacobian(f"coupling Jacobian is singular: zero pivot in column {k}")
+        A[k], A[p] = A[p], A[k]
+        b[k], b[p] = b[p], b[k]
+        row_k = A[k]
+        for i in range(k + 1, n):
+            f = A[i][k] / row_k[k]
+            if f:   # most rows below the mass row are sparse
+                row_i = A[i]
+                for j in range(k + 1, n):
+                    row_i[j] -= f * row_k[j]
+                b[i] -= f * b[k]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        row_i = A[i]
+        x[i] = (b[i] - sum(row_i[j] * x[j] for j in range(i + 1, n))) / row_i[i]
+    return x
+
+
 def _newton(problem, tol, max_iter):
     """Damped Newton with Armijo backtracking on the scaled residual,
     started at the base parameters.
 
     Returns (x, traces, residual, iterations), where ``traces`` are the
-    traces of the accepted iterate x; the Jacobian of each step is built
-    from the traces that gave its residual.  x is a list and traces are
-    evaluated on it, so neither carries numpy scalars.
+    traces of the accepted iterate x, a list; the Jacobian of each step is
+    built from the traces that gave its residual.
     """
     scales = problem.row_scales
-    x = np.concatenate(problem.base_parameters())
-    traces = problem.traces(x.tolist())
-    fx = problem.residual(traces) / scales
+    sigma, tau = problem.base_parameters()
+    x = sigma + tau
+    traces = problem.traces(x)
+    fx = [r / s for r, s in zip(problem.residual(traces), scales)]
     for it in range(max_iter + 1):
-        res = np.linalg.norm(fx, np.inf)
+        res = max(map(abs, fx))
         if res <= tol:
-            return x.tolist(), traces, res, it
+            return x, traces, res, it
         if it == max_iter:
             break
-        J = problem.jacobian(traces) / scales[:, None]
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"coupling Jacobian is singular: {exc}") from exc
-        norm0 = np.linalg.norm(fx)
+        J = [[v / s for v in row] for row, s in zip(problem.jacobian(traces), scales)]
+        step = _linear_solve(J, [-f for f in fx])
+        norm0 = math.hypot(*fx)
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
+            trial_x = [xi + alpha * si for xi, si in zip(x, step)]
             try:
-                trial = problem.traces((x + alpha * step).tolist())
-                fn = problem.residual(trial) / scales
+                trial = problem.traces(trial_x)
+                fn = [r / s for r, s in zip(problem.residual(trial), scales)]
             except _DOMAIN_ERRORS:
                 alpha *= 0.5
                 continue
-            if np.linalg.norm(fn) <= (1.0 - 1e-4 * alpha) * norm0:
+            if math.hypot(*fn) <= (1.0 - 1e-4 * alpha) * norm0:
                 break
             alpha *= 0.5
         else:
             raise NoConvergence("line search stalled", residual=res, iterations=it)
-        x = x + alpha * step
-        traces, fx = trial, fn
+        x, traces, fx = trial_x, trial, fn
     raise NoConvergence(
         f"no convergence in {max_iter} iterations",
-        residual=float(res),
+        residual=res,
         iterations=max_iter,
     )
 
@@ -405,7 +365,7 @@ def _solve(problem: JunctionProblem, tol, max_iter):
         tau=tuple(tau_of.get(i) for i in range(n)),
         h_star=traces[problem.pivot].h,
         s_star=s_star,
-        residual_norm=float(res),
+        residual_norm=res,
         iterations=it,
         extras={"assigned_kappa": assigned},
     )
@@ -435,7 +395,7 @@ def state_residuals(problem: JunctionProblem, states) -> dict:
       incoming states.
     """
     g = problem.constants
-    scales = problem.row_scales.tolist()
+    scales = problem.row_scales
     tq = [thermo_quantities(st, g) for st in states]
     mass = sum(p.spec.area * st.q for p, st in zip(problem.pipes, states))
     out = {"mass": abs(mass) / scales[0]}

@@ -1,0 +1,101 @@
+"""Test-only references for the coupling problem, on numpy: the
+central-difference Jacobian, the entropy mix at given parameters, the
+determinants of the regularity argument, and the coupling Newton with
+numpy's LAPACK solve.  ``JunctionProblem`` returns Python lists; these
+helpers take and return arrays and floats."""
+
+import numpy as np
+
+from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
+
+
+def residual_at(problem, x):
+    """The unscaled coupling residual at parameters x, as an array."""
+    return np.array(problem.residual(problem.traces([float(v) for v in x])))
+
+
+def jacobian_at(problem, x):
+    """The closed-form Jacobian at parameters x, as an array."""
+    return np.array(problem.jacobian(problem.traces([float(v) for v in x])))
+
+
+def fd_jacobian(problem, x):
+    """Central-difference Jacobian of the coupling residual at x: the
+    independent reference for ``problem.jacobian``.  Column k steps by
+    1e-6 * max(|x_k|, fd_floor_k)."""
+    x = np.asarray(x, dtype=float)
+    J = np.empty((problem.dim, problem.dim))
+    for col in range(problem.dim):
+        h = 1e-6 * max(abs(x[col]), problem.fd_floor[col])
+        xp, xm = x.copy(), x.copy()
+        xp[col] += h
+        xm[col] -= h
+        J[:, col] = (residual_at(problem, xp) - residual_at(problem, xm)) / (2.0 * h)
+    return J
+
+
+def base_point(problem):
+    """The base parameters (sigma, tau) as one array."""
+    return np.concatenate(problem.base_parameters())
+
+
+def entropy_mix(problem, sigma):
+    """Flux-weighted entropy of the incoming pipes at parameters sigma."""
+    x = [float(v) for v in sigma] + [0.0] * problem.n0
+    return _entropy_mix_from(problem, problem.traces(x))
+
+
+def pivot_blocks(problem, x=None):
+    """The 3x3 blocks that control regularity when outgoing M1 pipes exist.
+
+    Block j couples (sigma_j, sigma_pivot, tau_j) of outgoing M1 pipe j
+    through the mass row, its enthalpy row, and its entropy row; x
+    defaults to the base parameters.  Rows are mass, one enthalpy row per
+    pipe other than the pivot (in pipe order), then one entropy row per
+    outgoing M1 pipe; the tau columns follow the N sigma columns.
+    """
+    J = jacobian_at(problem, base_point(problem) if x is None else x)
+    others = [j for j in range(problem.n) if j != problem.pivot]
+    blocks = []
+    for k, j in enumerate(problem.outgoing_m1):
+        er, sr = 1 + others.index(j), problem.n + k
+        cols = [j, problem.pivot, problem.n + k]
+        blocks.append(J[np.ix_([0, er, sr], cols)])
+    return blocks
+
+
+def proof_determinant(problem, params=None):
+    """Base-point Jacobian determinant of a compressor in the orientation
+    used by the regularity argument: rows (mass, control - balance,
+    s_out - s_in), so only the balance row is flipped."""
+    J = jacobian_at(problem, base_point(problem) if params is None else params)
+    J[1] = -J[1]
+    return float(np.linalg.det(J))
+
+
+def numpy_newton(problem, tol, max_iter):
+    """The coupling Newton of ``junction._newton`` with numpy's LAPACK
+    solve and norms: (x, iterations) as arrays, for drift checks of the
+    list-based solve."""
+    scales = np.array(problem.row_scales)
+    x = base_point(problem)
+    fx = residual_at(problem, x) / scales
+    for it in range(max_iter + 1):
+        if np.linalg.norm(fx, np.inf) <= tol:
+            return x, it
+        step = np.linalg.solve(jacobian_at(problem, x) / scales[:, None], -fx)
+        norm0 = np.linalg.norm(fx)
+        alpha = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            try:
+                fn = residual_at(problem, x + alpha * step) / scales
+            except _DOMAIN_ERRORS:
+                alpha *= 0.5
+                continue
+            if np.linalg.norm(fn) <= (1.0 - 1e-4 * alpha) * norm0:
+                break
+            alpha *= 0.5
+        else:
+            raise AssertionError("reference line search stalled")
+        x, fx = x + alpha * step, fn
+    raise AssertionError("reference Newton did not converge")

@@ -875,15 +875,31 @@ def test_oracle_m1_runs(rng):
             assert _np_strength(state) <= 0.1 * eps, (eps, _np_strength(state))
 
 
-def test_star_pressure_a_rounding_step_above_data():
+def test_star_pressure_a_rounding_step_above_data(monkeypatch):
     # on this draw a K_J probe's coupling solve puts the outlet's star
     # pressure a rounding step above its data pressure, so phi returns the
     # data density and a shock speed would divide by zero: the wave is a
-    # vanishing rarefaction instead
-    comp = balanced_compressor(np.random.default_rng(4), G, Model.M1, Model.M1, kind=POWER)
+    # vanishing rarefaction instead; the spy sees the tracker reach it
+    import gasnet.fronttracking as ft
+
+    seen = []
+
+    def spy(family, data, star, param_star, g):
+        wave = _acoustic_wave(family, data, star, param_star, g)
+        if param_star == nextafter(pressure(data, g), inf):
+            seen.append((data, star, param_star, wave))
+        return wave
+
+    monkeypatch.setattr(ft, "_acoustic_wave", spy)
+    comp = balanced_compressor(np.random.default_rng(15), G, Model.M1, Model.M1, kind=POWER)
     specs, data = [p.spec for p in comp.pipes], [p.state for p in comp.pipes]
     state = init_approximation(specs, data, G, epsilon=0.02, control=comp.control)
     assert state.K_J >= 2.0
+    assert seen
+    for probe, star, p_star, wave in seen:
+        assert star.rho == probe.rho
+        assert (wave.kind, wave.left, wave.right) == (RAREFACTION, star, probe)
+        assert wave.strength == p_star - pressure(probe, G) > 0.0
     out = data[1]
     p_star = nextafter(pressure(out, G), inf)
     star = m1_state(out.rho, out.u, p_star, G)

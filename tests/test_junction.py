@@ -17,6 +17,7 @@ from gasnet import (
     GasConstants,
     Model,
     NotSubsonic,
+    SingularJacobian,
     iso_state,
     m1_state,
     thermo_quantities,
@@ -24,16 +25,13 @@ from gasnet import (
 from gasnet.junction import (
     JunctionProblem,
     PipeSpec,
-    coupling_jacobian,
-    coupling_residual,
-    entropy_mix,
-    fd_jacobian,
-    pivot_blocks,
+    _linear_solve,
     solve_junction,
     state_residuals,
     verify_coupling,
 )
 from gasnet.compressor import solve_compressor
+from reference import entropy_mix, fd_jacobian, jacobian_at, pivot_blocks, residual_at
 
 G = GasConstants(gamma=1.4, R=1.0)
 
@@ -73,6 +71,20 @@ def test_no_convergence_with_zero_budget(rng):
         solve_junction(prob, max_iter=0)
 
 
+def test_singular_jacobian_raises(rng):
+    # an exactly singular matrix meets a zero pivot, with or without a row
+    # swap, and the Newton passes the error on
+    for A in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]],
+              [[2.0, 1.0, 1.0], [4.0, 2.0, 2.0], [1.0, 1.0, 3.0]]):
+        with pytest.raises(SingularJacobian):
+            _linear_solve(A, [1.0] * len(A))
+    models_in, models_out = random_model_mix(rng, 3)
+    prob = perturb_problem(build_fixed_point_junction(rng, G, models_in, models_out), 0.01, rng)
+    prob.jacobian = lambda traces: [[1.0] * prob.dim for _ in range(prob.dim)]
+    with pytest.raises(SingularJacobian):
+        solve_junction(prob)
+
+
 def test_entropy_mix_weighted_mean(rng):
     # two incoming pipes with area*flux weights 2:1 and entropies 0 and 3
     g = GasConstants(gamma=1.4, R=0.4)  # cv = 1
@@ -108,7 +120,7 @@ def test_phi_zero_at_balanced_base(rng):
         models_in, models_out = random_model_mix(rng, int(rng.integers(2, 7)))
         prob = build_fixed_point_junction(rng, G, models_in, models_out)
         sigma0, tau0 = prob.base_parameters()
-        phi = coupling_residual(prob, np.concatenate([sigma0, tau0])) / prob.row_scales
+        phi = residual_at(prob, np.concatenate([sigma0, tau0])) / prob.row_scales
         assert np.abs(phi).max() <= 1e-12
 
 
@@ -118,7 +130,7 @@ def test_two_pipe_passthrough_base():
     prob = JunctionProblem([(PipeSpec("a", 1.0, Model.M3), st_in),
                             (PipeSpec("b", 1.0, Model.M3), st_out)], G)
     sigma0, tau0 = prob.base_parameters()
-    assert np.abs(coupling_residual(prob, np.concatenate([sigma0, tau0]))).max() <= 1e-14
+    assert np.abs(residual_at(prob, np.concatenate([sigma0, tau0]))).max() <= 1e-14
 
 
 def test_phi_first_order_response():
@@ -133,7 +145,7 @@ def test_phi_first_order_response():
     out_idx = next(i for i, p in enumerate(prob.pipes) if p.outgoing)
     sigma = sigma0.copy()
     sigma[out_idx] += delta
-    phi = coupling_residual(prob, np.concatenate([sigma, tau0]))
+    phi = residual_at(prob, np.concatenate([sigma, tau0]))
     c = thermo_quantities(st_out, G).c
     lam2 = c
     assert phi[0] == pytest.approx(1.0 * lam2 * delta, rel=1e-6)
@@ -146,14 +158,14 @@ def test_jacobian_analytic_vs_fd(rng):
         models_in, models_out = random_model_mix(rng, n)
         prob = build_fixed_point_junction(rng, G, models_in, models_out)
         sigma0, tau0 = prob.base_parameters()
-        Ja = coupling_jacobian(prob, np.concatenate([sigma0, tau0]))
+        Ja = jacobian_at(prob, np.concatenate([sigma0, tau0]))
         Jf = fd_jacobian(prob, np.concatenate([sigma0, tau0]))
         ok, err = _jac_close(Ja, Jf)
         assert ok, f"base-point Jacobian mismatch {err:g}"
         # off the base point (both branch types get exercised)
         sigma = sigma0 * rng.uniform(0.92, 1.08, size=len(sigma0))
         tau = tau0 + rng.uniform(-0.03, 0.03, size=len(tau0))
-        Ja = coupling_jacobian(prob, np.concatenate([sigma, tau]))
+        Ja = jacobian_at(prob, np.concatenate([sigma, tau]))
         Jf = fd_jacobian(prob, np.concatenate([sigma, tau]))
         ok, err = _jac_close(Ja, Jf)
         assert ok, f"off-base Jacobian mismatch {err:g}"
@@ -193,7 +205,7 @@ def test_simplified_jacobian_nonsingular_when_no_m1_out(rng):
         assert prob.n0 == 0
         found += 1
         sigma0, tau0 = prob.base_parameters()
-        J = coupling_jacobian(prob, np.concatenate([sigma0, tau0]))
+        J = jacobian_at(prob, np.concatenate([sigma0, tau0]))
         assert J.shape == (prob.n, prob.n)
         assert abs(np.linalg.det(J)) > 0.0
         assert np.linalg.cond(J) < 1e12
@@ -236,10 +248,10 @@ def _brute_force_solve(problem, tol=1e-11, max_iter=400):
     x = np.concatenate([sigma, tau])
     damping = 0.5
     for _ in range(max_iter):
-        f = coupling_residual(problem, x) / problem.row_scales
+        f = residual_at(problem, x) / problem.row_scales
         if np.abs(f).max() <= tol:
             return x
-        J = fd_jacobian(problem, x) / problem.row_scales[:, None]
+        J = fd_jacobian(problem, x) / np.array(problem.row_scales)[:, None]
         x = x - damping * np.linalg.solve(J, f)
     raise AssertionError("oracle did not converge")
 

@@ -1,9 +1,13 @@
 """Guards for edits that would otherwise fail only outside Tier-1: the
 benchmark's tracing wrappers and workloads, module-level imports nothing
-uses, and private functions nothing names."""
+uses, private functions nothing names, and numpy kept off the import path
+of riemann mode and ``gasnet check``."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +134,42 @@ def test_every_private_function_is_referenced():
                     for filename, tree in trees.items() for fn in _private_functions(tree)
                     if count[fn.name] == _names(fn).count(fn.name)]
     assert unreferenced == []
+
+
+_RIEMANN_WITHOUT_NUMPY = """
+import sys
+import gasnet.cli, gasnet.fronttracking, gasnet.output, gasnet.scenario
+out, scenarios = sys.argv[1], sys.argv[2:]
+args = [a for path in scenarios for a in ("--scenario", path)]
+for argv in (["check", *args], ["riemann", *args, "--out", out],
+             ["riemann", *args, "--out", out, "--format", "csv"]):
+    assert gasnet.cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_riemann_mode_does_not_import_numpy(tmp_path):
+    # numpy serves only the weak-form diagnostic of simulate mode: a fresh
+    # process that imports the CLI's modules and the tracker, checks and
+    # solves the shipped riemann-mode scenarios and writes JSON and CSV
+    # leaves it unloaded; and no module of src/gasnet imports it at the top
+    scenarios = [str(ROOT / "scenarios" / name)
+                 for name in ("y_junction_riemann.yaml", "compressor_head.yaml")]
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _RIEMANN_WITHOUT_NUMPY, str(tmp_path),
+                          *scenarios], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "[]", run.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "compressor_head-summary.json", "compressor_head.csv", "compressor_head.json",
+        "y_junction_riemann-summary.json", "y_junction_riemann.csv", "y_junction_riemann.json"]
+    top_level = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                 for node in ast.parse(path.read_text()).body if _imports_numpy(node)]
+    assert top_level == []
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
