@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .errors import GasnetError, ScenarioParseError, ScenarioValidationError
 from .output import read_json, write_csv, write_json
-from .scenario import parse_scenario, run_scenario
+from .scenario import override_run, parse_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,13 +73,11 @@ def _build_parser():
 
 
 def _apply_overrides(sc, args, mode):
-    sc.run.mode = mode
-    if args.epsilon is not None:
-        sc.run.epsilon = args.epsilon
-    if args.horizon is not None:
-        sc.run.horizon = args.horizon
-    if args.tol is not None:
-        sc.run.tol = args.tol
+    """``sc`` with the subcommand's mode and the flags' run fields, checked
+    as the document's own fields are."""
+    fields = {key: getattr(args, key) for key in ("epsilon", "horizon", "tol")
+              if getattr(args, key) is not None}
+    return override_run(sc, mode=mode, **fields)
 
 
 def _write_result(result, path, out_dir, fmt):
@@ -103,8 +101,7 @@ def _write_result(result, path, out_dir, fmt):
 
 
 def _run_one(path, args, mode):
-    sc = parse_scenario(path)
-    _apply_overrides(sc, args, mode)
+    sc = _apply_overrides(parse_scenario(path), args, mode)
     result = run_scenario(sc)
     _write_result(result, path, args.out, args.format)
     return result
@@ -151,15 +148,7 @@ def _cmd_diagnose(args):
         if not records:
             print("no records found")
             return
-        report = []
-        for rec in records:
-            diag = dict(rec.get("diagnostics", {}))
-            entry = {"time": rec["time"]}
-            for key in ("mass", "enthalpy_spread", "entropy", "V", "Q", "Y",
-                        "TV", "np_strength", "front_count"):
-                if key in diag:
-                    entry[key] = diag[key]
-            report.append(entry)
+        report = [{"time": rec["time"], **rec.get("diagnostics", {})} for rec in records]
         json.dump({"records_checked": len(records),
                    "summary": summary, "per_snapshot": report},
                   sys.stdout, indent=1)

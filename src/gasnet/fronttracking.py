@@ -52,20 +52,29 @@ incident waves on every pipe and approaching family; K_hat_J is then
 chosen with K_hat_J * V(0) < min(K_J, 1), which makes Y non-increasing
 at interactions for sufficiently weak data.
 
+Every front is a jump along a Lax wave curve of ``laxcurves``: fan
+slices and the fronts of the simplified step take their parameters,
+curve points and fan-edge speeds from it, and ``riemann._shock`` alone
+decides shock or rarefaction, for them and for the Riemann solvers.
+
 Cost per event.  Each pipe keeps the absolute meeting time of every
 adjacent front pair in ``times``, parallel to ``fronts``.  A collision,
 a junction event or a reflection splices the fronts it replaces into
 each pipe it touches, rechains them and recomputes only the pair times
 next to them, so an event costs its own fronts and a C-level minimum
-over each touched pipe's pair times.  No front moves: a front is the
-line ``born_x + speed * (t - born_t)`` and ``Front.at`` evaluates it.
-The event loop keeps no Glimm totals; ``glimm()`` evaluates (V, Q, TV)
-on demand, and ``_pipe_glimm`` walks each pipe's fronts once, with
-running strength sums per family for Q.  ``_rebuild()`` puts
-every pipe back in order from its fronts alone: it sorts them by
-(position, speed), chains them from the trace, and recomputes the pair
-times.  Initialization and ``apply_source`` end with it, and code that
-edits ``PipeTrack.fronts`` directly must call it.
+over each touched pipe's pair times.  Every coupling solve goes through
+``_emit``, which sets all traces and splices the emitted fronts at the
+front of each pipe.  Adjacent same-family rarefaction fronts diverge
+and contacts are parallel, so a collision never pairs two of them.  No
+front moves: a front is the line ``born_x + speed * (t - born_t)`` and
+``Front.at`` evaluates it.  The event loop keeps no Glimm totals;
+``glimm()`` evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks
+each pipe's fronts once, with running strength sums per family for Q.
+``_rebuild()`` puts every pipe back in order from its fronts alone: it
+sorts them by (position, speed), chains them from the trace, and
+recomputes the pair times.  Initialization and ``apply_source`` call it
+on the interior fronts before they emit, and code that edits
+``PipeTrack.fronts`` directly must call it.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments: one Python step per segment computes its
@@ -89,13 +98,23 @@ from .errors import (
     SubsonicViolation,
 )
 from .junction import DEFAULT_TOL, JunctionProblem, solve_junction
-from .laxcurves import ISO, M1_IN, M1_OUT, lax_iso, lax_m1, role_of
+from .laxcurves import (
+    ISO,
+    M1_IN,
+    M1_OUT,
+    curve_parameter,
+    curve_point,
+    fan_edge_speed,
+    lax_m1,
+    role_of,
+)
 from .riemann import (
     CONTACT,
     RAREFACTION,
     SHOCK,
     Wave,
     _acoustic_wave,
+    _shock,
     solve_riemann_iso,
     solve_riemann_m1,
 )
@@ -260,34 +279,19 @@ def flux_vector(state: PipeState, g: GasConstants):
     return (state.q, p)
 
 
-def _char_speed(family, state, g):
-    lam = eigenvalues(state, g)
-    if state.model is Model.M1:
-        return lam[family - 1]
-    return lam[0] if family == 1 else lam[1]
-
-
-def _param(family, state, g):
-    """Curve parameter carried by a state for the given wave family."""
-    if state.model is Model.M1 and family != 2:
-        return pressure(state, g)
-    return state.rho
-
-
 def _front_from_jump(family, left, right, g):
-    """Physical front for a family-k jump with its exact speed."""
+    """Physical front for a family-k jump: a contact, or an acoustic jump
+    from the data side (left for family 1, else right) that ``_shock``
+    makes a shock at its exact speed or a rarefaction at the speed of its
+    right state."""
     if left.model is Model.M1 and family == 2:
         return Front(2, CONTACT, left.u, right.rho - left.rho, left, right)
-    pl = _param(family, left, g)
-    pr = _param(family, right, g)
-    strength = pr - pl if family == 1 else pl - pr
-    if strength > 0.0:
+    data, star = (left, right) if family == 1 else (right, left)
+    strength = curve_parameter(family, star, g) - curve_parameter(family, data, g)
+    if _shock(strength, data, star):
         speed = (right.q - left.q) / (right.rho - left.rho)
-        kind = SHOCK
-    else:
-        speed = _char_speed(family, right, g)
-        kind = RAREFACTION
-    return Front(family, kind, speed, strength, left, right)
+        return Front(family, SHOCK, speed, strength, left, right)
+    return Front(family, RAREFACTION, fan_edge_speed(family, right, g), strength, left, right)
 
 
 def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
@@ -297,9 +301,9 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
     """
     model = left.model
     gamma = g.gamma
+    if family == 1:
+        return curve_point(1, curve_parameter(1, left, g) + strength, left, g)
     if model is Model.M1:
-        if family == 1:
-            return lax_m1(1, pressure(left, g) + strength, left, g)
         if family == 2:
             return lax_m1(2, strength, left, g)
         # family 3 applied from the left: invert the parameterization
@@ -315,8 +319,6 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
         u_x = left.u - kernels.psi(p_w, p_x, rho_x, gamma)
         E_x = p_x / (gamma - 1.0) + 0.5 * rho_x * u_x * u_x
         return PipeState(Model.M1, rho_x, rho_x * u_x, E=E_x)
-    if family == 1:
-        return lax_iso(model, 1, left.rho + strength, left, g)
     rho_x = left.rho - strength
     if rho_x <= 0.0:
         raise NonPositiveDensity(f"wave of strength {strength} from rho={left.rho}")
@@ -334,42 +336,22 @@ def _slice_fan(wave: Wave, g, eps_param):
     Slice states lie on the exact wave curve; every slice travels at the
     characteristic speed of its right state, which orders the fan.
     """
-    width = abs(wave.strength)
-    m = max(1, math.ceil(width / eps_param - 1e-12))
-    model = wave.left.model
-    if model is Model.M1 and wave.family == 1:
-        data, data_left = wave.left, True
-        curve = lambda p: lax_m1(1, p, data, g)
-    elif model is Model.M1:
-        data, data_left = wave.right, False
-        curve = lambda p: lax_m1(3, p, data, g)
-    elif wave.family == 1:
-        data, data_left = wave.left, True
-        curve = lambda p: lax_iso(model, 1, p, data, g)
-    else:
-        data, data_left = wave.right, False
-        curve = lambda p: lax_iso(model, 2, p, data, g)
-    p0 = _param(wave.family, wave.left, g)
-    p1 = _param(wave.family, wave.right, g)
+    family = wave.family
+    m = max(1, math.ceil(abs(wave.strength) / eps_param - 1e-12))
+    data = wave.left if family == 1 else wave.right
+    p0 = curve_parameter(family, wave.left, g)
+    p1 = curve_parameter(family, wave.right, g)
     fronts = []
-    prev = wave.left
+    prev, p_prev = wave.left, p0
     for k in range(1, m + 1):
-        state = curve(p0 + (p1 - p0) * k / m) if k < m else wave.right
-        if data_left:
-            strength = _param(wave.family, state, g) - _param(wave.family, prev, g)
-        else:
-            strength = _param(wave.family, prev, g) - _param(wave.family, state, g)
-        speed = _char_speed(wave.family, state, g)
-        fronts.append(Front(wave.family, RAREFACTION, speed, strength, prev, state))
-        prev = state
+        state = curve_point(family, p0 + (p1 - p0) * k / m, data, g) if k < m else wave.right
+        p = curve_parameter(family, state, g)
+        # the signed parameter step, positive on the shock side
+        strength = p - p_prev if family == 1 else p_prev - p
+        fronts.append(Front(family, RAREFACTION, fan_edge_speed(family, state, g),
+                            strength, prev, state))
+        prev, p_prev = state, p
     return fronts
-
-
-def wave_to_fronts(wave: Wave, g, eps_param):
-    if wave.kind == RAREFACTION:
-        return _slice_fan(wave, g, eps_param)
-    return [Front(wave.family, wave.kind, wave.speeds[0], wave.strength,
-                  wave.left, wave.right)]
 
 
 def _wave_fronts(waves, g, epsilon, scales: PipeScales):
@@ -378,8 +360,12 @@ def _wave_fronts(waves, g, epsilon, scales: PipeScales):
     fronts = []
     for w in waves:
         sc = scales.strength_scale(w.family, w.left.model)
-        if abs(w.strength) >= _STRENGTH_FLOOR * sc:
-            fronts.extend(wave_to_fronts(w, g, epsilon * sc))
+        if abs(w.strength) < _STRENGTH_FLOOR * sc:
+            continue
+        if w.kind == RAREFACTION:
+            fronts += _slice_fan(w, g, epsilon * sc)
+        else:
+            fronts.append(Front(w.family, w.kind, w.speeds[0], w.strength, w.left, w.right))
     return fronts
 
 
@@ -473,29 +459,28 @@ class FrontTrackingState:
         for spec, piecelist in zip(self.specs, pieces):
             st0 = piecelist[0][1]
             c0 = sound_speed(st0, self.g)
-            param = pressure(st0, self.g) if st0.model is Model.M1 else st0.rho
             E_sc = st0.E if st0.model is Model.M1 else 1.0
-            self.scales.append(PipeScales(param, st0.rho, st0.rho * c0, E_sc))
+            self.scales.append(PipeScales(curve_parameter(1, st0, self.g), st0.rho,
+                                          st0.rho * c0, E_sc))
             self.roles.append(role_of(st0.model, st0.u > 0.0))
             for _, st in piecelist:
                 lam_max = max(lam_max, max(abs(v) for v in eigenvalues(st, self.g)))
         self.lambda_max = lam_max
         self.lambda_hat = 1.1 * lam_max
 
-        # resolve the coupling, then probe around the solved traces, where
-        # the coupling residual is zero; K_J weights V, so it is fixed
-        # before V(0) is taken
-        patterns = self._coupling_patterns(traces0)
-        self.K_J = self._estimate_kj([trace for _, trace in patterns])
         self.pipes = []
         for i, piecelist in enumerate(pieces):
-            track = PipeTrack(self.specs[i], patterns[i][1], self.scales[i])
-            track.fronts = self._pattern_fronts(i, patterns[i][0])
+            track = PipeTrack(self.specs[i], traces0[i], self.scales[i])
             for (x, left), (_, right) in zip(piecelist, piecelist[1:]):
                 track.fronts += _placed(accurate_solve(left, right, self.g, epsilon,
                                                        self.scales[i]), x, 0.0)
             self.pipes.append(track)
         self._rebuild()
+        # resolve the coupling, then probe around the solved traces, where
+        # the coupling residual is zero; K_J weights V, so it is fixed
+        # before V(0) is taken
+        self._emit(traces0)
+        self.K_J = self._estimate_kj(self.traces())
         v0 = sum(self._pipe_glimm(i)[0] for i in range(len(self.pipes)))
         self.K_hat_J = 0.5 * min(self.K_J, 1.0) / v0 if v0 > 0.0 else 1.0
 
@@ -516,11 +501,19 @@ class FrontTrackingState:
                         f"{w.rightmost_speed:g}")
         return patterns
 
-    def _pattern_fronts(self, i, waves):
-        """Fronts of the waves a coupling solve emits into pipe i, born at
-        the junction now."""
-        return _placed(_wave_fronts(waves, self.g, self.epsilon, self.scales[i]),
-                       0.0, self.time)
+    def _emit(self, data, hit=None):
+        """Solve the coupling at the pipe traces ``data``, set every trace
+        to its solved state and splice the emitted fronts, born at the
+        junction now, in front of each pipe's fronts, in place of the
+        first front of pipe ``hit``; returns their summed scaled strength."""
+        v_plus = 0.0
+        for j, (waves, trace) in enumerate(self._coupling_patterns(data)):
+            self.pipes[j].trace = trace
+            new = _placed(_wave_fronts(waves, self.g, self.epsilon, self.scales[j]),
+                          0.0, self.time)
+            self._splice(j, 0, 1 if j == hit else 0, new)
+            v_plus += sum(self._scaled_strength(j, f) for f in new)
+        return v_plus
 
     def _estimate_kj(self, traces0):
         """Probe the coupling solve with small incident waves."""
@@ -716,15 +709,7 @@ class FrontTrackingState:
         va, vb = self._scaled_strength(i, a), self._scaled_strength(i, b)
         self._retire(i, a, self.time)
         self._retire(i, b, self.time)
-        if (a.family == b.family and a.family != NONPHYSICAL
-                and a.kind != SHOCK and b.kind != SHOCK):
-            # same-family rarefaction (or contact) jumps compose exactly:
-            # merge on the curve and re-slice, no defect is produced
-            merged = Wave(a.family, a.kind, a.left, b.right, (a.speed,),
-                          a.strength + b.strength)
-            sc = self.scales[i].strength_scale(a.family, a.left.model)
-            new = wave_to_fronts(merged, self.g, self.epsilon * sc)
-        elif a.family == NONPHYSICAL or va * vb < self.rho_simpl:
+        if a.family == NONPHYSICAL or va * vb < self.rho_simpl:
             new = self._simplified_interaction(i, a, b)
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
@@ -763,16 +748,9 @@ class FrontTrackingState:
             new = _placed([self._np_front(i, track.trace, data_i)], 0.0, self.time)
             self._splice(i, 0, 1, new)
             return "reflection", i, v_minus, new[0].strength
-        data = [t.trace for t in self.pipes]
+        data = self.traces()
         data[i] = data_i
-        patterns = self._coupling_patterns(data)
-        v_plus = 0.0
-        for j, track_j in enumerate(self.pipes):
-            track_j.trace = patterns[j][1]
-            new = self._pattern_fronts(j, patterns[j][0])
-            self._splice(j, 0, 1 if j == i else 0, new)
-            v_plus += sum(self._scaled_strength(j, f) for f in new)
-        return "junction", i, v_minus, v_plus
+        return "junction", i, v_minus, self._emit(data, hit=i)
 
     # -- operator splitting ------------------------------------------------
 
@@ -836,14 +814,10 @@ class FrontTrackingState:
                 ahead = behind
             track.trace = ahead
             track.fronts = new_fronts[::-1]
-        if not changed_any:
-            return
-        # traces moved: re-establish the coupling conditions at x = 0
-        patterns = self._coupling_patterns([t.trace for t in self.pipes])
-        for j, track_j in enumerate(self.pipes):
-            track_j.trace = patterns[j][1]
-            track_j.fronts = self._pattern_fronts(j, patterns[j][0]) + track_j.fronts
-        self._rebuild()
+        if changed_any:
+            # traces moved: re-establish the coupling conditions at x = 0
+            self._rebuild()
+            self._emit(self.traces())
 
     def finalize_segments(self):
         """Close the open trajectory pieces of all live fronts."""
@@ -867,24 +841,17 @@ def _normalize_profile(profile):
 
 
 def init_approximation(specs, profiles, constants: GasConstants, epsilon,
-                       control=None, tv_bound=None, tol=DEFAULT_TOL,
-                       **options) -> FrontTrackingState:
+                       control=None, tol=DEFAULT_TOL, **options) -> FrontTrackingState:
     """Build the t=0 piecewise-constant approximation.
 
     ``profiles`` holds, per pipe, a constant PipeState or a list of
     (x_right, state) pieces whose last entry has x_right=None.  Interior
     jumps are resolved by the accurate solver and the coupling problem at
     x=0 by :func:`solve_coupling`; this and every later coupling solve of
-    the run use the Newton tolerance ``tol``.  With ``tv_bound`` the scaled
-    total variation of the data is checked against the configured bound.
+    the run use the Newton tolerance ``tol``.
     """
-    state = FrontTrackingState(specs, profiles, constants, epsilon,
-                               control=control, tol=tol, **options)
-    if tv_bound is not None:
-        tv = state.glimm().TV
-        if tv > tv_bound:
-            raise ValueError(f"initial total variation {tv:g} exceeds bound {tv_bound:g}")
-    return state
+    return FrontTrackingState(specs, profiles, constants, epsilon,
+                              control=control, tol=tol, **options)
 
 
 def operator_split_run(state: FrontTrackingState, source, horizon, dt_split):

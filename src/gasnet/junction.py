@@ -47,7 +47,7 @@ from .errors import (
     SingularJacobian,
     SubsonicViolation,
 )
-from .laxcurves import M1_OUT, base_parameter, role_of, trace_eval
+from .laxcurves import M1_OUT, curve_parameter, role_of, trace_eval
 from .thermo import (
     FlowRegime,
     GasConstants,
@@ -163,7 +163,7 @@ class JunctionProblem:
         self.fd_floor = [1e-6] * self.n + [self.pipes[j].state.rho for j in self.outgoing_m1]
 
     def base_parameters(self):
-        sigma0 = [base_parameter(p.role, p.state, self.constants) for p in self.pipes]
+        sigma0 = [curve_parameter(1, p.state, self.constants) for p in self.pipes]
         return sigma0, [0.0] * self.n0
 
     def traces(self, x):

@@ -1,4 +1,11 @@
-"""Wave-curve parameterizations and their derivatives.
+"""Wave curves of M1/M2/M3 and the junction traces on them.
+
+One rule per model: :func:`curve_parameter` is pressure for the full
+Euler acoustic families and density for the isentropic ones (the M1
+contact is parameterized by the density shift tau), :func:`curve_point`
+is the state at a parameter and :func:`fan_edge_speed` the speed that
+bounds a rarefaction fan.  The Riemann solvers, the front tracker and
+the coupling solvers all read their waves off these curves.
 
 The coupling solvers express every junction trace as a point on a wave
 curve through the pipe's initial state:
@@ -8,21 +15,16 @@ curve through the pipe's initial state:
                                by the contact shift tau,
 * isentropic pipes (both):     U*(sigma)      on the outbound curve.
 
-Curve parameters are pressure for the full Euler acoustic families and
-density for the isentropic families and the contact shift.  Besides the
-curve points themselves this module provides the trace quantities
-(q, h, s, p, T) and their exact parameter derivatives on both the shock
-and rarefaction branches; at the base parameters these reduce to simple
-closed forms in (rho, c, u) which are exposed separately by
-:func:`curve_derivatives_at_base` and used as an independent cross-check.
+:func:`trace_eval` gives the trace quantities (q, h, s, p, T) and their
+exact parameter derivatives on both the shock and rarefaction branches.
 """
 
 from dataclasses import dataclass
 from math import log
 
 from . import kernels
-from .errors import NonPositiveDensity, NotSubsonic
-from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
+from .errors import NonPositiveDensity
+from .thermo import GasConstants, Model, PipeState, eigenvalues, pressure
 
 # Roles a pipe can play in the coupling parameterization.
 M1_OUT = "M1_out"
@@ -71,6 +73,28 @@ def lax_iso(model: Model, family, sigma, base: PipeState, g: GasConstants):
     else:
         raise ValueError("lax_iso handles M2/M3 only")
     return PipeState(model, sigma, q, kappa=base.kappa)
+
+
+def curve_parameter(family, state: PipeState, g: GasConstants):
+    """Parameter of ``state`` on a family's wave curve: pressure for the
+    full Euler acoustic families, density otherwise."""
+    if state.model is Model.M1 and family != 2:
+        return pressure(state, g)
+    return state.rho
+
+
+def curve_point(family, param, data: PipeState, g: GasConstants):
+    """Point at ``param`` on the family's wave curve through ``data``
+    (:func:`lax_m1` or :func:`lax_iso`)."""
+    if data.model is Model.M1:
+        return lax_m1(family, param, data, g)
+    return lax_iso(data.model, family, param, data, g)
+
+
+def fan_edge_speed(family, state: PipeState, g: GasConstants):
+    """Characteristic speed of an acoustic family at ``state``: the
+    slowest for family 1, the fastest for the right-going family."""
+    return eigenvalues(state, g)[0 if family == 1 else -1]
 
 
 @dataclass(frozen=True)
@@ -176,50 +200,3 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
         state, q, h, s, sigma, T, dq, dh, ds, 1.0, dT,
         dq_dtau, dh_dtau, ds_dtau, 0.0, dT_dtau,
     )
-
-
-def base_parameter(role, base: PipeState, g: GasConstants):
-    """Curve parameter at which the curve returns the base state."""
-    if role == ISO:
-        return base.rho
-    return pressure(base, g)
-
-
-def curve_derivatives_at_base(role, base: PipeState, g: GasConstants):
-    """Base-point derivative formulas of the trace quantities.
-
-    These are the closed forms in (rho, u, c) that the coupling Jacobian
-    takes at the base parameters; they are kept independent of
-    :func:`trace_eval` so the two can be checked against each other.
-    Requires |u| < c (a flow direction is not needed here).
-    """
-    if not abs(base.u) < sound_speed(base, g):
-        raise NotSubsonic(f"base state with u={base.u} is not subsonic")
-    gamma = g.gamma
-    rho = base.rho
-    u = base.u
-    c = sound_speed(base, g)
-    out = {}
-    if role in (M1_OUT, M1_IN):
-        lam3 = u + c
-        out["dq_dsigma"] = lam3 / c**2
-        out["dh_dsigma"] = lam3 / (c * rho)
-        out["ds_dsigma"] = 0.0
-        out["dp_dsigma"] = 1.0
-        out["dT_dsigma"] = (gamma - 1.0) / (gamma * g.R * rho)
-        if role == M1_OUT:
-            out["dq_dtau"] = u
-            out["dh_dtau"] = -(c**2) / ((gamma - 1.0) * rho)
-            out["ds_dtau"] = -gamma * g.cv / rho
-            out["dp_dtau"] = 0.0
-            out["dT_dtau"] = -(c**2) / (gamma * g.R * rho)
-    elif role == ISO:
-        lam2 = u + c if base.model is Model.M2 else c
-        out["dq_dsigma"] = lam2
-        out["dh_dsigma"] = lam2 * c / rho
-        out["ds_dsigma"] = 0.0
-        out["dp_dsigma"] = c**2
-        out["dT_dsigma"] = (gamma - 1.0) * base.kappa * rho ** (gamma - 2.0) / g.R
-    else:
-        raise ValueError(f"unknown pipe role {role!r}")
-    return out

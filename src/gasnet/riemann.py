@@ -14,7 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import kernels
-from .thermo import GasConstants, Model, PipeState, eigenvalues, pressure, sound_speed
+from .laxcurves import curve_parameter, fan_edge_speed
+from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -66,25 +67,29 @@ class RiemannSolutionIso:
     iterations: int
 
 
+def _shock(strength, data: PipeState, star: PipeState):
+    """Whether an acoustic jump from ``data`` to ``star`` of signed
+    ``strength`` (positive on the compressive side) is a shock.  A
+    pressure rise of a few ulps can leave the star density equal to the
+    data density; that jump has no shock speed and is taken as a
+    (vanishing) rarefaction."""
+    return strength > 0.0 and star.rho != data.rho
+
+
 def _acoustic_wave(family, data: PipeState, star: PipeState, param_star, g):
     """The family-1 wave from pipe data to its star state, or the
     right-going wave (family 3 of M1, family 2 of M2/M3) from the star
     state to the data.  ``param_star`` is the star's curve parameter,
     pressure for M1 and density otherwise; the strength is its jump over
     the data's."""
-    param_data = pressure(data, g) if data.model is Model.M1 else data.rho
-    # a pressure rise of a few ulps can leave the star density equal to
-    # the data density; that jump has no shock speed and is taken as a
-    # (vanishing) rarefaction
-    shock = param_star > param_data and star.rho != data.rho
+    strength = param_star - curve_parameter(family, data, g)
+    shock = _shock(strength, data, star)
     left, right = (data, star) if family == 1 else (star, data)
     if shock:
         speeds = ((right.q - left.q) / (right.rho - left.rho),)
     else:
-        k = 0 if family == 1 else -1
-        speeds = (eigenvalues(left, g)[k], eigenvalues(right, g)[k])
-    return Wave(family, SHOCK if shock else RAREFACTION, left, right, speeds,
-                param_star - param_data)
+        speeds = (fan_edge_speed(family, left, g), fan_edge_speed(family, right, g))
+    return Wave(family, SHOCK if shock else RAREFACTION, left, right, speeds, strength)
 
 
 def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionM1:

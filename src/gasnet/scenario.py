@@ -376,7 +376,17 @@ def parse_scenario(source) -> Scenario:
         raise ScenarioParseError(f"not a well-formed YAML document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario must be a YAML mapping")
+    return _scenario_from(doc)
 
+
+def override_run(sc: Scenario, **fields) -> Scenario:
+    """``sc`` with the given ``run`` fields replaced, validated as if its
+    document had carried them."""
+    return _scenario_from({**sc.raw, "run": {**(sc.raw.get("run") or {}), **fields}})
+
+
+def _scenario_from(doc) -> Scenario:
+    """Validate a loaded scenario mapping."""
     errs = _Collector()
     cdoc = doc.get("constants", {})
     gamma = _num(cdoc, "constants", "gamma", errs, default=1.4)
@@ -597,42 +607,37 @@ def _stops(sc: Scenario):
     return [horizon * k / sc.run.snapshots for k in range(1, sc.run.snapshots)] + [horizon]
 
 
-def _start(sc: Scenario, epsilon):
-    """The t = 0 approximation at ``epsilon`` and the splitting step, None
-    without a source."""
-    state = init_approximation(sc.specs, sc.profiles, sc.constants, epsilon,
-                               control=sc.control, tv_bound=sc.run.tv_bound,
-                               tol=sc.run.tol, max_events=sc.run.max_events)
-    if sc.run.source is None:
-        return state, None
-    dx = (sc.run.grid_length or 1.0) / sc.run.grid_points
-    return state, default_split_step(state, dx)
-
-
-def _advance(sc: Scenario, state, t, dt_split):
-    """Run to t; with a friction source operator-split in steps of dt_split."""
-    if dt_split is None:
-        state.run(t)
-    else:
-        operator_split_run(state, sc.run.source, t, dt_split)
-
-
 def _absorbed(sc: Scenario, state):
     """``np_absorbed`` of a run with a source; only source steps absorb
     fronts, so homogeneous runs report nothing."""
     return {} if sc.run.source is None else {"np_absorbed": state.np_absorbed}
 
 
-def _simulate_once(sc: Scenario):
-    """One tracked run with a snapshot record at each of ``_stops``; with a
-    friction source the run is operator-split between snapshots."""
+def _simulate(sc: Scenario, epsilon, records=None):
+    """The tracked run at ``epsilon``, stopped at each of ``_stops``; with
+    a friction source it is operator-split between the stops, so the run
+    at the scenario's epsilon is the same with or without ``records``.
+    With a ``records`` list a snapshot record is appended at each stop."""
     g = sc.constants
-    state, dt_split = _start(sc, sc.run.epsilon)
+    state = init_approximation(sc.specs, sc.profiles, g, epsilon, control=sc.control,
+                               tol=sc.run.tol, max_events=sc.run.max_events)
+    if sc.run.tv_bound is not None:
+        tv = state.glimm().TV
+        if tv > sc.run.tv_bound:
+            raise ScenarioValidationError([
+                f"run.tv_bound: initial total variation {tv:g} at epsilon {epsilon:g} "
+                f"exceeds the bound {sc.run.tv_bound:g}"])
+    dt_split = None if sc.run.source is None else default_split_step(
+        state, (sc.run.grid_length or 1.0) / sc.run.grid_points)
     xs = _grid(sc)
     fields = FieldMemo(g)
-    records = []
     for t in _stops(sc):
-        _advance(sc, state, t, dt_split)
+        if dt_split is None:
+            state.run(t)
+        else:
+            operator_split_run(state, sc.run.source, t, dt_split)
+        if records is None:
+            continue
         glimm = state.glimm()
         pipes = {}
         traces = {}
@@ -645,22 +650,13 @@ def _simulate_once(sc: Scenario):
                 "front_count": glimm.front_count, "events": state.events}
         diag.update(trace_residuals(state, sc.specs, g, sc.control))
         records.append(snapshot_record(t, pipes, traces, diag))
-    return state, records
-
-
-def _ladder_member(sc: Scenario, epsilon):
-    """The run at ``epsilon`` without snapshots, stopped where the simulate
-    run stops: with a source the stops end splitting steps, so the member
-    at the run's epsilon is the simulate run itself."""
-    state, dt_split = _start(sc, epsilon)
-    for t in _stops(sc):
-        _advance(sc, state, t, dt_split)
     return state
 
 
 def _run_simulate(sc: Scenario) -> RunResult:
     g = sc.constants
-    state, records = _simulate_once(sc)
+    records = []
+    state = _simulate(sc, sc.run.epsilon, records)
     state.finalize_segments()
     glimm = state.glimm()
     ratios = [r.v_plus / r.v_minus for r in state.interactions
@@ -685,7 +681,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
     }
     if sc.run.epsilon_ladder:
         # members only feed the L1 distances
-        finals = [state if eps == sc.run.epsilon else _ladder_member(sc, eps)
+        finals = [state if eps == sc.run.epsilon else _simulate(sc, eps)
                   for eps in sc.run.epsilon_ladder]
         x_max = max(sc.run.grid_length or 1.0,
                     state.lambda_hat * sc.run.horizon)

@@ -1,12 +1,56 @@
 """Test-only references for the coupling problem, on numpy: the
-central-difference Jacobian, the entropy mix at given parameters, the
-determinants of the regularity argument, and the coupling Newton with
-numpy's LAPACK solve.  ``JunctionProblem`` returns Python lists; these
-helpers take and return arrays and floats."""
+base-point closed forms of the trace derivatives, the central-difference
+Jacobian, the entropy mix at given parameters, the determinants of the
+regularity argument, and the coupling Newton with numpy's LAPACK
+solve.  ``JunctionProblem`` returns Python lists; these helpers take and
+return arrays and floats."""
 
 import numpy as np
 
+from gasnet.errors import NotSubsonic
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
+from gasnet.laxcurves import ISO, M1_IN, M1_OUT
+from gasnet.thermo import Model, sound_speed
+
+
+def curve_derivatives_at_base(role, base, g):
+    """Base-point derivative formulas of the trace quantities.
+
+    These are the closed forms in (rho, u, c) that the coupling Jacobian
+    takes at the base parameters; they are kept independent of
+    ``laxcurves.trace_eval`` so the two can be checked against each other.
+    Requires |u| < c (a flow direction is not needed here).
+    """
+    if not abs(base.u) < sound_speed(base, g):
+        raise NotSubsonic(f"base state with u={base.u} is not subsonic")
+    gamma = g.gamma
+    rho = base.rho
+    u = base.u
+    c = sound_speed(base, g)
+    out = {}
+    if role in (M1_OUT, M1_IN):
+        lam3 = u + c
+        out["dq_dsigma"] = lam3 / c**2
+        out["dh_dsigma"] = lam3 / (c * rho)
+        out["ds_dsigma"] = 0.0
+        out["dp_dsigma"] = 1.0
+        out["dT_dsigma"] = (gamma - 1.0) / (gamma * g.R * rho)
+        if role == M1_OUT:
+            out["dq_dtau"] = u
+            out["dh_dtau"] = -(c**2) / ((gamma - 1.0) * rho)
+            out["ds_dtau"] = -gamma * g.cv / rho
+            out["dp_dtau"] = 0.0
+            out["dT_dtau"] = -(c**2) / (gamma * g.R * rho)
+    elif role == ISO:
+        lam2 = u + c if base.model is Model.M2 else c
+        out["dq_dsigma"] = lam2
+        out["dh_dsigma"] = lam2 * c / rho
+        out["ds_dsigma"] = 0.0
+        out["dp_dsigma"] = c**2
+        out["dT_dsigma"] = (gamma - 1.0) * base.kappa * rho ** (gamma - 2.0) / g.R
+    else:
+        raise ValueError(f"unknown pipe role {role!r}")
+    return out
 
 
 def residual_at(problem, x):

@@ -151,3 +151,55 @@ def test_determinism_same_seed(scenario_file, tmp_path):
     main(["simulate", "--scenario", str(scenario_file), "--out", str(out2),
           "--epsilon", "0.01"])
     assert (out1 / "good.json").read_bytes() == (out2 / "good.json").read_bytes()
+
+
+SHIPPED = Path(__file__).parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("flags, path, message", [
+    (["simulate", "--epsilon", "-1"], "run.epsilon", "must be > 0"),
+    (["simulate", "--horizon", "nan"], "run.horizon", "must be a finite number"),
+    (["riemann", "--tol", "-1"], "run.tol", "must be > 0"),
+])
+def test_overrides_are_validated(tmp_path, capsys, flags, path, message):
+    # a flag's run field passes the document's own checks: exit 2 with its
+    # field path, and nothing written
+    out = tmp_path / "out"
+    code = main([flags[0], "--scenario", str(SHIPPED / "y_junction_riemann.yaml"),
+                 "--out", str(out), *flags[1:]])
+    assert code == EXIT_VALIDATION
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_riemann_subcommand_checks_its_mode(capsys):
+    # the subcommand's mode goes through the cross-pipe checks: piecewise
+    # profiles are rejected as they are with mode: riemann in the document
+    code = main(["riemann", "--scenario", str(SHIPPED / "y_junction_tracking.yaml")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "topology.pipes[0].initial: riemann mode needs constant initial states" in err
+
+
+def test_tv_bound_exceeded_is_a_validation_failure(tmp_path, capsys):
+    text = (SHIPPED / "y_junction_tracking.yaml").read_text()
+    path = tmp_path / "tv.yaml"
+    path.write_text(text.replace("\nrun:\n", "\nrun:\n  tv_bound: 1.0e-6\n"), encoding="utf-8")
+    assert "tv_bound" in parse_scenario(str(path)).raw["run"]
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+    assert "run.tv_bound: initial total variation" in capsys.readouterr().err
+
+
+def test_diagnose_reports_every_stored_key(tmp_path, capsys):
+    # a compressor run keeps its control residual, and every run the events
+    out = tmp_path / "res"
+    assert main(["simulate", "--scenario", str(SHIPPED / "compressor_head.yaml"),
+                 "--horizon", "0.2", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out / "compressor_head.json")]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    records = json.loads((out / "compressor_head.json").read_text())["records"]
+    assert doc["records_checked"] == len(records) > 0
+    for entry, rec in zip(doc["per_snapshot"], records):
+        assert entry == {"time": rec["time"], **rec["diagnostics"]}
+        assert {"control", "events", "mass"} <= set(entry)

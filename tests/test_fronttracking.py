@@ -675,6 +675,10 @@ def _oracle_run(state, horizon):
     traces after every junction or reflection event; returns the number
     of events.
 
+    No collision pairs two physical non-shock fronts of one family:
+    adjacent same-family rarefactions diverge and contacts are parallel,
+    so the tracker has no merge rule for them.
+
     Every front's position is also carried incrementally, moved by
     speed * dt at each step, and must stay within 1e-12 of the position
     its trajectory gives."""
@@ -688,6 +692,10 @@ def _oracle_run(state, horizon):
         else:
             assert ev[1:] == ref[1:]
             assert abs(ev[0] - ref[0]) <= 1e-12 * max(1.0, ref[0])
+            if ev[1] == "collision" and ev[0] <= horizon:
+                a, b = state.pipes[ev[2]].fronts[ev[3]:ev[3] + 2]
+                assert not (a.family == b.family != NONPHYSICAL
+                            and SHOCK not in (a.kind, b.kind)), (a, b)
         events, t0 = state.events, state.time
         t = state.advance(horizon)
         n += state.events - events

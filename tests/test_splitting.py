@@ -187,11 +187,8 @@ def _shed_source_step(state, source, t0, dt):
             new_fronts += _placed(solved, x, state.time)
         track.trace = shifted[0]
         track.fronts = new_fronts
-    patterns = state._coupling_patterns(state.traces())
-    for j, track in enumerate(state.pipes):
-        track.trace = patterns[j][1]
-        track.fronts = state._pattern_fronts(j, patterns[j][0]) + track.fronts
     state._rebuild()
+    state._emit(state.traces())
 
 
 @pytest.mark.parametrize("epsilon", [0.04, 0.02])
