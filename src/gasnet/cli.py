@@ -125,6 +125,9 @@ def _guard(fn, what):
         return EXIT_VALIDATION
     except GasnetError as exc:
         print(f"{what}: solver error: {exc}", file=sys.stderr)
+        # where a tracked run raised it: epsilon, event or step, pipe, time
+        for note in getattr(exc, "__notes__", ()):
+            print(f"  {note}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"{what}: I/O error: {exc}", file=sys.stderr)

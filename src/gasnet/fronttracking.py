@@ -47,10 +47,14 @@ potential) and Y = V + K_hat_J * Q are evaluated from these measures;
 junction-bound families carry weight 2*K_J, junction-leaving ones and
 non-physical fronts 1.
 
-K_J is estimated once per run by probing the coupling solve with small
-incident waves on every pipe and approaching family; K_hat_J is then
-chosen with K_hat_J * V(0) < min(K_J, 1), which makes Y non-increasing
-at interactions for sufficiently weak data.
+K_J is estimated once per scenario by probing the coupling solve with
+small incident waves on every pipe and approaching family.  The probes
+start from the traces of the t = 0 coupling solve and use the per-pipe
+scales, neither of which depends on epsilon, so an epsilon-ladder member
+(``ladder_of``) takes the estimate of the scenario's own run.  Each run
+then chooses K_hat_J with K_hat_J * V(0) < min(K_J, 1), since V(0)
+depends on epsilon; this makes Y non-increasing at interactions for
+sufficiently weak data.
 
 Every front is a jump along a Lax wave curve of ``laxcurves``: fan
 slices and the fronts of the simplified step take their parameters,
@@ -77,16 +81,18 @@ on the interior fronts before they emit, and code that edits
 ``PipeTrack.fronts`` directly must call it.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
-run over the retired segments: one Python step per segment computes its
-jump defect, with one ``flux_vector`` per distinct state, and each test
-bump is then evaluated by numpy over the segments that meet its support,
-five Simpson nodes each, with one ``math.exp`` per node inside the
-support.  It is the only user of numpy in gasnet, and imports it when
-called, so the coupling solves and the event loop run without it.
+run over the retired segments, which a ladder member does not keep: one
+Python step per segment computes its jump defect, with one
+``flux_vector`` per distinct state, and each test bump is then evaluated
+by numpy over the segments that meet its support, five Simpson nodes
+each, with one ``math.exp`` per node inside the support.  It is the only
+user of numpy in gasnet, and imports it when called, so the coupling
+solves and the event loop run without it.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .compressor import solve_compressor
@@ -221,8 +227,10 @@ class GlimmDiagnostics:
     np_strength: float
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
+    """One resolved event.  A named tuple: a run makes one per event, and
+    a tuple is about three times cheaper to build than a frozen dataclass."""
+
     time: float
     kind: str  # "collision" | "junction" | "reflection"
     pipe: int
@@ -230,8 +238,7 @@ class InteractionRecord:
     v_plus: float
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Closed trajectory piece of one front, for weak-form diagnostics."""
 
     pipe: int
@@ -431,10 +438,17 @@ def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
 
 
 class FrontTrackingState:
-    """Owns the evolving piecewise-constant approximation of one run."""
+    """Owns the evolving piecewise-constant approximation of one run.
+
+    ``ladder_of`` is a run of the same data at another epsilon: this run
+    then takes its K_J, which does not depend on epsilon, instead of
+    probing the coupling again, and keeps no segments (``segments`` stays
+    empty), since only that run's weak-form residual reads them.
+    """
 
     def __init__(self, specs, profiles, constants: GasConstants, epsilon,
-                 control=None, max_events=DEFAULT_MAX_EVENTS, tol=DEFAULT_TOL):
+                 control=None, max_events=DEFAULT_MAX_EVENTS, tol=DEFAULT_TOL,
+                 ladder_of=None):
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         self.g = constants
@@ -448,6 +462,7 @@ class FrontTrackingState:
         self.np_absorbed = 0.0   # L1 change of the regions absorbed by apply_source
         self.interactions = []
         self.segments = []
+        self.keep_segments = ladder_of is None
         self.specs = list(specs)
 
         pieces = [_normalize_profile(p) for p in profiles]
@@ -480,7 +495,10 @@ class FrontTrackingState:
         # the coupling residual is zero; K_J weights V, so it is fixed
         # before V(0) is taken
         self._emit(traces0)
-        self.K_J = self._estimate_kj(self.traces())
+        if ladder_of is None:
+            self.K_J, self.kj_probes_skipped = self._estimate_kj(self.traces())
+        else:
+            self.K_J, self.kj_probes_skipped = ladder_of.K_J, ladder_of.kj_probes_skipped
         v0 = sum(self._pipe_glimm(i)[0] for i in range(len(self.pipes)))
         self.K_hat_J = 0.5 * min(self.K_J, 1.0) / v0 if v0 > 0.0 else 1.0
 
@@ -516,9 +534,11 @@ class FrontTrackingState:
         return v_plus
 
     def _estimate_kj(self, traces0):
-        """Probe the coupling solve with small incident waves."""
+        """(K_J, skipped): probe the coupling solve with small incident
+        waves; ``skipped`` counts the probes whose solve raised."""
         ratio = 1.0
         h = 1e-4
+        skipped = 0
         for i in range(len(self.specs)):
             for fam in _APPROACHING[self.roles[i]]:
                 sc = self.scales[i].strength_scale(fam, traces0[i].model)
@@ -529,6 +549,7 @@ class FrontTrackingState:
                         data[i] = data_i
                         patterns = self._coupling_patterns(data)
                     except GasnetError:
+                        skipped += 1
                         continue
                     v_plus = sum(
                         abs(w.strength) / self.scales[j].strength_scale(w.family, w.left.model)
@@ -536,7 +557,7 @@ class FrontTrackingState:
                     ratio = max(ratio, v_plus / h)
                     # reflection route: the jump goes into one non-physical front
                     ratio = max(ratio, self.scales[i].state_norm(data_i, traces0[i]) / h)
-        return 2.0 * ratio
+        return 2.0 * ratio, skipped
 
     # -- strengths and functionals --------------------------------------------
 
@@ -661,7 +682,7 @@ class FrontTrackingState:
             times[j] = self._pair_time(fronts, j)
 
     def _retire(self, pipe_index, front, t1):
-        if t1 > front.born_t:
+        if self.keep_segments and t1 > front.born_t:
             self.segments.append(Segment(pipe_index, front.born_t, t1, front.born_x,
                                          front.speed, front.left, front.right))
 
@@ -670,7 +691,9 @@ class FrontTrackingState:
 
         Returns the new time; when no event precedes the horizon the state
         is moved there instead.  Raises EventStarvation when no event
-        exists and no horizon was given.
+        exists and no horizon was given.  A GasnetError raised for the
+        event, the budget's included, carries a note naming epsilon, the
+        event number and kind, the pipe and the time.
         """
         ev = self._next_event()
         if ev is None and horizon is None:
@@ -680,16 +703,20 @@ class FrontTrackingState:
             return self.time
         self.time, kind, i, k = ev
         self.events += 1
-        if self.events > self.max_events:
-            live = sum(len(t.fronts) for t in self.pipes)
-            raise EventBudgetExhausted(
-                f"event budget {self.max_events} exhausted at time {self.time:.6g} "
-                f"after {self.events} events with {live} live fronts",
-                time=self.time, events=self.events, live_fronts=live)
-        if kind == "junction":
-            rec_kind, pipe, v_minus, v_plus = self._handle_junction(i)
-        else:
-            rec_kind, pipe, v_minus, v_plus = self._handle_collision(i, k)
+        try:
+            if self.events > self.max_events:
+                live = sum(len(t.fronts) for t in self.pipes)
+                raise EventBudgetExhausted(
+                    f"event budget {self.max_events} exhausted at time {self.time:.6g} "
+                    f"after {self.events} events with {live} live fronts",
+                    time=self.time, events=self.events, live_fronts=live)
+            if kind == "junction":
+                rec_kind, pipe, v_minus, v_plus = self._handle_junction(i)
+            else:
+                rec_kind, pipe, v_minus, v_plus = self._handle_collision(i, k)
+        except GasnetError as exc:
+            self._add_context(exc, f"event {self.events} ({kind})", i)
+            raise
         self.interactions.append(InteractionRecord(
             self.time, rec_kind, pipe, v_minus, v_plus))
         return self.time
@@ -769,55 +796,76 @@ class FrontTrackingState:
         state change of each absorbed region times its width.  Finally
         the coupling is re-solved at the new traces.
         """
-        g = self.g
         changed_any = False
-        for i, track in enumerate(self.pipes):
-            regions = list(track.states())
-            shifted = []
-            for st in regions:
-                rates = source.evaluate(t0, st, g)
-                if all(r == 0.0 for r in rates):
-                    shifted.append(st)
-                    continue
-                if st.model is Model.M1:
-                    new = PipeState(st.model, st.rho + dt * rates[0],
-                                    st.q + dt * rates[1], E=st.E + dt * rates[2])
-                else:
-                    new = PipeState(st.model, st.rho + dt * rates[0],
-                                    st.q + dt * rates[1], kappa=st.kappa)
-                c = sound_speed(new, g)
-                if not abs(new.u) < c:
-                    raise SubsonicViolation(
-                        f"source pushed a state on pipe {track.spec.id!r} out of "
-                        f"the subsonic region (u={new.u:g}, c={c:g})")
-                shifted.append(new)
-            if all(a is b for a, b in zip(regions, shifted)):
-                continue
-            changed_any = True
-            fronts = track.fronts
-            pos = [f.at(self.time) for f in fronts]
-            ahead = shifted[-1]
-            new_fronts = []     # right to left
-            for k in range(len(fronts) - 1, -1, -1):
-                f, behind = fronts[k], shifted[k]
-                if behind is regions[k] and ahead is regions[k + 1]:
-                    new_fronts.append(f)
-                    ahead = behind
-                    continue
-                self._retire(i, f, self.time)
-                if f.family == NONPHYSICAL or self._scaled_strength(i, f) < self.rho_simpl:
-                    width = pos[k] - (pos[k - 1] if k else 0.0)
-                    self.np_absorbed += self.scales[i].state_norm(behind, ahead) * width
-                    continue
-                solved = accurate_solve(behind, ahead, g, self.epsilon, self.scales[i])
-                new_fronts += reversed(_placed(solved, pos[k], self.time))
-                ahead = behind
-            track.trace = ahead
-            track.fronts = new_fronts[::-1]
+        for i in range(len(self.pipes)):
+            try:
+                if self._source_step(i, source, t0, dt):
+                    changed_any = True
+            except GasnetError as exc:
+                self._add_context(exc, "source step", i)
+                raise
         if changed_any:
             # traces moved: re-establish the coupling conditions at x = 0
             self._rebuild()
-            self._emit(self.traces())
+            try:
+                self._emit(self.traces())
+            except GasnetError as exc:
+                self._add_context(exc, "coupling re-solve after the source step")
+                raise
+
+    def _source_step(self, i, source, t0, dt):
+        """The source step of ``apply_source`` on pipe i, without the
+        coupling re-solve; returns whether any region of the pipe moved."""
+        g = self.g
+        track = self.pipes[i]
+        regions = list(track.states())
+        shifted = []
+        for st in regions:
+            rates = source.evaluate(t0, st, g)
+            if all(r == 0.0 for r in rates):
+                shifted.append(st)
+                continue
+            if st.model is Model.M1:
+                new = PipeState(st.model, st.rho + dt * rates[0],
+                                st.q + dt * rates[1], E=st.E + dt * rates[2])
+            else:
+                new = PipeState(st.model, st.rho + dt * rates[0],
+                                st.q + dt * rates[1], kappa=st.kappa)
+            c = sound_speed(new, g)
+            if not abs(new.u) < c:
+                raise SubsonicViolation(
+                    f"source pushed a state on pipe {track.spec.id!r} out of "
+                    f"the subsonic region (u={new.u:g}, c={c:g})")
+            shifted.append(new)
+        if all(a is b for a, b in zip(regions, shifted)):
+            return False
+        fronts = track.fronts
+        pos = [f.at(self.time) for f in fronts]
+        ahead = shifted[-1]
+        new_fronts = []     # right to left
+        for k in range(len(fronts) - 1, -1, -1):
+            f, behind = fronts[k], shifted[k]
+            if behind is regions[k] and ahead is regions[k + 1]:
+                new_fronts.append(f)
+                ahead = behind
+                continue
+            self._retire(i, f, self.time)
+            if f.family == NONPHYSICAL or self._scaled_strength(i, f) < self.rho_simpl:
+                width = pos[k] - (pos[k - 1] if k else 0.0)
+                self.np_absorbed += self.scales[i].state_norm(behind, ahead) * width
+                continue
+            solved = accurate_solve(behind, ahead, g, self.epsilon, self.scales[i])
+            new_fronts += reversed(_placed(solved, pos[k], self.time))
+            ahead = behind
+        track.trace = ahead
+        track.fronts = new_fronts[::-1]
+        return True
+
+    def _add_context(self, exc, what, pipe=None):
+        """Note on ``exc`` where the run raised it: epsilon, ``what``, the
+        pipe of index ``pipe`` if given, and the time."""
+        where = "" if pipe is None else f" on pipe {self.specs[pipe].id!r}"
+        exc.add_note(f"epsilon {self.epsilon:g}: {what}{where} at t = {self.time:.6g}")
 
     def finalize_segments(self):
         """Close the open trajectory pieces of all live fronts."""
@@ -848,7 +896,8 @@ def init_approximation(specs, profiles, constants: GasConstants, epsilon,
     (x_right, state) pieces whose last entry has x_right=None.  Interior
     jumps are resolved by the accurate solver and the coupling problem at
     x=0 by :func:`solve_coupling`; this and every later coupling solve of
-    the run use the Newton tolerance ``tol``.
+    the run use the Newton tolerance ``tol``.  The other ``options``,
+    ``max_events`` and ``ladder_of``, are those of :class:`FrontTrackingState`.
     """
     return FrontTrackingState(specs, profiles, constants, epsilon,
                               control=control, tol=tol, **options)

@@ -30,6 +30,7 @@ raising.
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -613,14 +614,17 @@ def _absorbed(sc: Scenario, state):
     return {} if sc.run.source is None else {"np_absorbed": state.np_absorbed}
 
 
-def _simulate(sc: Scenario, epsilon, records=None):
+def _simulate(sc: Scenario, epsilon, records=None, ladder_of=None):
     """The tracked run at ``epsilon``, stopped at each of ``_stops``; with
     a friction source it is operator-split between the stops, so the run
     at the scenario's epsilon is the same with or without ``records``.
-    With a ``records`` list a snapshot record is appended at each stop."""
+    With a ``records`` list a snapshot record is appended at each stop.
+    A ladder member passes the scenario's own run as ``ladder_of``
+    (see ``FrontTrackingState``)."""
     g = sc.constants
     state = init_approximation(sc.specs, sc.profiles, g, epsilon, control=sc.control,
-                               tol=sc.run.tol, max_events=sc.run.max_events)
+                               tol=sc.run.tol, max_events=sc.run.max_events,
+                               ladder_of=ladder_of)
     if sc.run.tv_bound is not None:
         tv = state.glimm().TV
         if tv > sc.run.tv_bound:
@@ -650,7 +654,27 @@ def _simulate(sc: Scenario, epsilon, records=None):
                 "front_count": glimm.front_count, "events": state.events}
         diag.update(trace_residuals(state, sc.specs, g, sc.control))
         records.append(snapshot_record(t, pipes, traces, diag))
+    _log_run(state)
     return state
+
+
+def _log_run(state):
+    """One INFO line on the ``gasnet`` logger about a finished tracked run.
+    Nothing can have enabled that logger unless the logging module is
+    loaded, so it is not imported here (that takes about 9 ms)."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
+    log = logging.getLogger("gasnet")
+    if not log.isEnabledFor(logging.INFO):
+        return
+    kinds = Counter(r.kind for r in state.interactions)
+    log.info("tracked run at epsilon %g: %d events (%d collision, %d junction, "
+             "%d reflection), %d live fronts, K_J %.6g (probes that raised and "
+             "were skipped: %d)", state.epsilon, state.events, kinds["collision"],
+             kinds["junction"], kinds["reflection"],
+             sum(len(t.fronts) for t in state.pipes), state.K_J,
+             state.kj_probes_skipped)
 
 
 def _run_simulate(sc: Scenario) -> RunResult:
@@ -680,8 +704,9 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "weak_form_residual": weak_form_residual(state, test_funcs, sc.run.horizon),
     }
     if sc.run.epsilon_ladder:
-        # members only feed the L1 distances
-        finals = [state if eps == sc.run.epsilon else _simulate(sc, eps)
+        # members only feed the L1 distances: they take the run's K_J and
+        # keep no segments
+        finals = [state if eps == sc.run.epsilon else _simulate(sc, eps, ladder_of=state)
                   for eps in sc.run.epsilon_ladder]
         x_max = max(sc.run.grid_length or 1.0,
                     state.lambda_hat * sc.run.horizon)

@@ -203,3 +203,38 @@ def test_diagnose_reports_every_stored_key(tmp_path, capsys):
     for entry, rec in zip(doc["per_snapshot"], records):
         assert entry == {"time": rec["time"], **rec["diagnostics"]}
         assert {"control", "events", "mass"} <= set(entry)
+
+
+def test_solver_error_in_a_ladder_member_names_it(tmp_path, monkeypatch, capsys):
+    # a solver error in a ladder member's event loop keeps its type, so the
+    # CLI exits 3, and carries a note naming the member's epsilon, the
+    # event, the pipe and the time, which the CLI prints under the error
+    import gasnet.fronttracking as ft
+    from gasnet import NoConvergence
+    from test_scenario import LADDER_TRACKING
+
+    sc = parse_scenario(LADDER_TRACKING)
+    assert sc.run.epsilon_ladder == [0.04, 0.02, 0.01]
+    west_rho = sc.profiles[1][0][1].rho    # the density scale of pipe west
+    calls = []
+    accurate = ft.accurate_solve
+
+    def spy(left, right, g, epsilon, scales):
+        if epsilon == 0.01 and scales.rho == west_rho:
+            calls.append(None)
+            # the first two calls solve the pipe's interior jumps at t = 0
+            if len(calls) == 4:
+                raise NoConvergence("spy")
+        return accurate(left, right, g, epsilon, scales)
+
+    monkeypatch.setattr(ft, "accurate_solve", spy)
+    with pytest.raises(NoConvergence) as err:
+        run_scenario(sc)
+    (note,) = err.value.__notes__
+    assert note.startswith("epsilon 0.01: event ")
+    assert " (collision) on pipe 'west' at t = " in note
+    calls.clear()
+    path = tmp_path / "ladder.yaml"
+    path.write_text(LADDER_TRACKING, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
+    assert f"{path}: solver error: spy\n  {note}\n" in capsys.readouterr().err

@@ -4,6 +4,7 @@ and the Glimm functionals."""
 import random
 import warnings
 from math import ceil, inf, isinf, nextafter, sqrt
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -825,6 +826,9 @@ def test_event_budget_exhausted_carries_context():
     assert exc.live_fronts == sum(len(t.fronts) for t in state.pipes)
     for text in ("budget 5", f"{exc.time:.6g}", "6 events", f"{exc.live_fronts} live fronts"):
         assert text in str(exc)
+    # in a ladder the note names the member that ran out
+    (note,) = exc.__notes__
+    assert note.startswith("epsilon 0.005: event 6 (") and note.endswith(f"at t = {exc.time:.6g}")
 
 
 def test_scheduler_ties_follow_scan_order():
@@ -863,24 +867,55 @@ def test_glimm_totals_after_largest_ladder():
     _assert_glimm_matches(state)
 
 
-def test_oracle_m1_runs(rng):
-    # an outgoing full-Euler pipe receives a contact from every coupling
-    # solve: at a junction of an incoming and an outgoing M1 pipe and an
-    # outgoing M2 pipe (the entropy mix), and at an M1-to-M1 compressor;
-    # every interaction with those contacts is checked
+def _m1_cases(rng):
+    """(specs, profiles, control) of a junction of an incoming and an
+    outgoing M1 pipe and an outgoing M2 pipe (the entropy mix), and of an
+    M1-to-M1 compressor, with one interior jump of relative size 0.01 per
+    pipe."""
     prob = build_fixed_point_junction(rng, G, [Model.M1], [Model.M1, Model.M2])
     comp = balanced_compressor(rng, G, Model.M1, Model.M1)
-    cases = [([p.spec for p in prob.pipes], [p.state for p in prob.pipes], None),
-             ([p.spec for p in comp.pipes], [p.state for p in comp.pipes], comp.control)]
-    for specs, states, control in cases:
-        # one interior jump of relative size 0.01 per pipe
-        profiles = [[(0.3 + 0.2 * k, st), (None, perturb(st, 0.01, G))]
-                    for k, st in enumerate(states)]
+    cases = []
+    for pipes, control in ((prob.pipes, None), (comp.pipes, comp.control)):
+        profiles = [[(0.3 + 0.2 * k, p.state), (None, perturb(p.state, 0.01, G))]
+                    for k, p in enumerate(pipes)]
+        cases.append(([p.spec for p in pipes], profiles, control))
+    return cases
+
+
+def test_oracle_m1_runs(rng):
+    # an outgoing full-Euler pipe receives a contact from every coupling
+    # solve, at the junction and at the compressor of _m1_cases; every
+    # interaction with those contacts is checked
+    for specs, profiles, control in _m1_cases(rng):
         for eps in (0.04, 0.02):
             state = init_approximation(specs, profiles, G, epsilon=eps, control=control)
             assert _oracle_run(state, 1.5) >= 10
             assert {r.kind for r in state.interactions} >= {"collision", "junction"}
             assert _np_strength(state) <= 0.1 * eps, (eps, _np_strength(state))
+
+
+def test_kj_does_not_depend_on_epsilon(rng):
+    # the premise of a ladder member taking the run's K_J: the estimate is
+    # the same float at every epsilon, on the shipped tracking scenario,
+    # the shipped compressor run as simulate, the M1 junction and
+    # compressor of the oracle runs and the mixed-model oracle data
+    from test_acceptance import _mixed_model_tracking_scenario
+
+    from gasnet.scenario import override_run, parse_scenario
+
+    root = Path(__file__).parents[1] / "scenarios"
+    cases = []
+    for name in ("y_junction_tracking.yaml", "compressor_head.yaml"):
+        sc = override_run(parse_scenario(str(root / name)), mode="simulate")
+        cases.append((sc.specs, sc.profiles, sc.constants, sc.control))
+    cases += [(specs, profiles, G, control) for specs, profiles, control in _m1_cases(rng)]
+    epsilons = (0.04, 0.02, 0.01, 0.005)
+    for specs, profiles, g, control in cases:
+        kjs = [init_approximation(specs, profiles, g, eps, control=control).K_J
+               for eps in epsilons]
+        assert all(kj == kjs[0] for kj in kjs), kjs
+    kjs = [_mixed_model_tracking_scenario(epsilon=eps).K_J for eps in epsilons]
+    assert all(kj == kjs[0] for kj in kjs), kjs
 
 
 def test_star_pressure_a_rounding_step_above_data(monkeypatch):

@@ -277,14 +277,32 @@ def test_simulate_honours_run_tol(monkeypatch):
     assert len(seen) > 1 and set(seen) == {1e-13}
 
 
+# the two-pipe document with a ladder around its own epsilon
+LADDER_MINIMAL = MINIMAL.replace(
+    "mode: riemann", "mode: simulate\n  horizon: 0.4\n  epsilon: 0.02\n"
+    "  epsilon_ladder: [0.04, 0.02, 0.01]\n  snapshots: 2").replace(
+    "{rho: 1.0, u: 0.3, kappa: 1.0}",
+    "{pieces: [{x_right: 0.3, rho: 1.0, u: 0.3, kappa: 1.0},"
+    " {x_right: null, rho: 0.9, u: 0.3, kappa: 1.0}]}")
+
+
+def _ladder_tracking():
+    """The shipped tracking document, with strong jumps in feed and west,
+    to horizon 1 with a ladder around epsilon 0.02."""
+    doc = (Path(__file__).parents[1] / "scenarios" / "y_junction_tracking.yaml").read_text()
+    for old, new in (("horizon: 3.0", "horizon: 1.0"),
+                     ("epsilon: 0.005", "epsilon: 0.02\n  epsilon_ladder: [0.04, 0.02, 0.01]"),
+                     ("rho: 0.6511749095767044", "rho: 0.58"),
+                     ("rho: 0.6797182229652565", "rho: 0.62")):
+        doc = doc.replace(old, new)
+    return doc
+
+
+LADDER_TRACKING = _ladder_tracking()
+
+
 def test_epsilon_ladder_summary():
-    doc = MINIMAL.replace("mode: riemann",
-                          "mode: simulate\n  horizon: 0.4\n  epsilon: 0.02\n"
-                          "  epsilon_ladder: [0.04, 0.02, 0.01]\n  snapshots: 2")
-    doc = doc.replace("{rho: 1.0, u: 0.3, kappa: 1.0}",
-                      "{pieces: [{x_right: 0.3, rho: 1.0, u: 0.3, kappa: 1.0},"
-                      " {x_right: null, rho: 0.9, u: 0.3, kappa: 1.0}]}")
-    sc = parse_scenario(doc)
+    sc = parse_scenario(LADDER_MINIMAL)
     res = run_scenario(sc)
     assert len(res.summary["l1_distances"]) == 2
     assert all(d >= 0 for d in res.summary["l1_distances"])
@@ -293,16 +311,9 @@ def test_epsilon_ladder_summary():
 def test_epsilon_ladder_reuses_simulate_run():
     # the simulate run, stopped at every snapshot, stands in for the ladder
     # member at its epsilon: the distances equal those of fresh members.
-    # The shipped tracking document, with strong jumps in feed and west.
     from gasnet.fronttracking import init_approximation, l1_distance
 
-    doc = (Path(__file__).parents[1] / "scenarios" / "y_junction_tracking.yaml").read_text()
-    for old, new in (("horizon: 3.0", "horizon: 1.0"),
-                     ("epsilon: 0.005", "epsilon: 0.02\n  epsilon_ladder: [0.04, 0.02, 0.01]"),
-                     ("rho: 0.6511749095767044", "rho: 0.58"),
-                     ("rho: 0.6797182229652565", "rho: 0.62")):
-        doc = doc.replace(old, new)
-    sc = parse_scenario(doc)
+    sc = parse_scenario(LADDER_TRACKING)
     res = run_scenario(sc)
     assert len(res.records) == 6 and res.summary["events"] > 200
     finals = [init_approximation(sc.specs, sc.profiles, sc.constants, eps).run(1.0)
@@ -382,15 +393,18 @@ def test_simulate_mode_with_friction_source():
     assert 0.0 < res.summary["final"]["np_absorbed"] == absorbed[-1] <= eps ** 2
 
 
+# the friction document to horizon 1.0 with a ladder from 0.04 to 0.005
+LADDER_FRICTION = FRICTION.replace("horizon: 0.5", "horizon: 1.0").replace(
+    "length: 1.0", "length: 2.0").replace(
+    "epsilon: 0.02", "epsilon: 0.02\n  epsilon_ladder: [0.04, 0.02, 0.01, 0.005]")
+
+
 def test_epsilon_ladder_with_friction_source():
     # ladder members are operator-split as the simulate run is, and their
     # friction L1 distances fall strictly from epsilon 0.04 to 0.005; to
     # horizon 1.0, since at 0.5 the coarsest distance is below the next
     # one, under the rule that kept weak fronts as non-physical ones too
-    doc = FRICTION.replace("horizon: 0.5", "horizon: 1.0").replace(
-        "length: 1.0", "length: 2.0").replace(
-        "epsilon: 0.02", "epsilon: 0.02\n  epsilon_ladder: [0.04, 0.02, 0.01, 0.005]")
-    sc = parse_scenario(doc)
+    sc = parse_scenario(LADDER_FRICTION)
     res = run_scenario(sc)
     d = res.summary["l1_distances"]
     assert len(d) == 3 and d[-1] > 0.0
@@ -413,6 +427,120 @@ def test_epsilon_ladder_with_friction_source():
         finals.append(state)
     x_max = max(2.0, finals[0].lambda_hat)
     assert d == [l1_distance(a, b, x_max) for a, b in zip(finals, finals[1:])]
+
+
+LADDERS = {"LADDER_MINIMAL": LADDER_MINIMAL, "LADDER_TRACKING": LADDER_TRACKING,
+           "LADDER_FRICTION": LADDER_FRICTION}
+
+
+def _tracked_runs(monkeypatch):
+    """(kwargs, state) of every run that run_scenario builds from here on,
+    in order, and the number of K_J estimates made meanwhile."""
+    from gasnet.fronttracking import FrontTrackingState
+
+    runs, estimates = [], []
+    estimate = FrontTrackingState._estimate_kj
+
+    def spy_init(*args, **kwargs):
+        state = init_approximation(*args, **kwargs)
+        runs.append((kwargs, state))
+        return state
+
+    def spy_estimate(self, traces):
+        estimates.append(self.epsilon)
+        return estimate(self, traces)
+
+    monkeypatch.setattr(scenario, "init_approximation", spy_init)
+    monkeypatch.setattr(FrontTrackingState, "_estimate_kj", spy_estimate)
+    return runs, estimates
+
+
+def _fronts(state):
+    return [[(f.family, f.kind, f.speed, f.strength, f.born_x, f.born_t, f.left, f.right)
+             for f in track.fronts] for track in state.pipes]
+
+
+@pytest.mark.parametrize("name", list(LADDERS))
+def test_ladder_members_match_fresh_runs(name, monkeypatch):
+    # a member takes the run's K_J and keeps no segments, and is otherwise
+    # the run a fresh init_approximation makes at its epsilon: the same
+    # events, interaction records and live fronts
+    from gasnet.fronttracking import default_split_step, operator_split_run
+
+    sc = parse_scenario(LADDERS[name])
+    runs, estimates = _tracked_runs(monkeypatch)
+    run_scenario(sc)
+    main = runs[0][1]
+    assert estimates == [sc.run.epsilon]
+    members = runs[1:]
+    assert [m.epsilon for _, m in members] == [
+        eps for eps in sc.run.epsilon_ladder if eps != sc.run.epsilon]
+    for kwargs, member in members:
+        assert kwargs["ladder_of"] is main
+        fresh = init_approximation(sc.specs, sc.profiles, sc.constants, member.epsilon,
+                                   control=sc.control, tol=sc.run.tol,
+                                   max_events=sc.run.max_events)
+        if sc.run.source is None:
+            fresh.run(sc.run.horizon)
+        else:
+            dt_split = default_split_step(fresh, sc.run.grid_length / sc.run.grid_points)
+            for t in scenario._stops(sc):
+                operator_split_run(fresh, sc.run.source, t, dt_split)
+        assert member.time == fresh.time == sc.run.horizon
+        assert member.events == fresh.events > 0
+        assert member.interactions == fresh.interactions
+        assert len(member.interactions) == member.events
+        assert _fronts(member) == _fronts(fresh)
+        assert member.traces() == fresh.traces()
+        assert (member.K_J, member.K_hat_J) == (fresh.K_J, fresh.K_hat_J)
+        assert member.np_absorbed == fresh.np_absorbed
+        assert member.segments == [] and fresh.segments
+    assert main.segments
+
+
+def test_tracked_runs_log_one_info_line(monkeypatch, caplog):
+    # one INFO line per tracked run, ladder members included; the K_J probe
+    # whose coupling solve raises is counted as skipped, and a member
+    # reports the run's estimate; nothing is logged below INFO
+    import logging
+
+    import gasnet.fronttracking as ft
+    from gasnet import SubsonicViolation
+
+    calls = []
+    solve = ft.solve_junction
+
+    def spy(problem, **kwargs):
+        calls.append(None)
+        # the first solve sets up the run, the next ones are K_J probes
+        if len(calls) == 2:
+            raise SubsonicViolation("spy")
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(ft, "solve_junction", spy)
+    sc = parse_scenario(LADDER_MINIMAL)
+    runs, _ = _tracked_runs(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="gasnet"):
+        run_scenario(sc)
+    assert caplog.records == []
+    runs.clear()
+    calls.clear()
+    with caplog.at_level(logging.INFO, logger="gasnet"):
+        res = run_scenario(sc)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "gasnet" and r.levelno == logging.INFO]
+    assert len(lines) == len(runs) == 3
+    for line, (_, state) in zip(lines, runs):
+        counts = {k: sum(r.kind == k for r in state.interactions)
+                  for k in ("collision", "junction", "reflection")}
+        live = sum(len(t.fronts) for t in state.pipes)
+        assert line == (
+            f"tracked run at epsilon {state.epsilon:g}: {state.events} events "
+            f"({counts['collision']} collision, {counts['junction']} junction, "
+            f"{counts['reflection']} reflection), {live} live fronts, "
+            f"K_J {state.K_J:.6g} (probes that raised and were skipped: 1)")
+    assert runs[0][1].kj_probes_skipped == 1
+    assert res.summary["events"] == runs[0][1].events
 
 
 SHIPPED = sorted((Path(__file__).parents[1] / "scenarios").glob("*.yaml"))

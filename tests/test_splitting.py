@@ -142,8 +142,28 @@ def test_source_leaving_subsonic_region_raises():
     specs, profiles = two_pipe_passthrough()
     state = init_approximation(specs, profiles, G, epsilon=0.01)
     state.run(0.5)
-    with pytest.raises(SubsonicViolation):
+    with pytest.raises(SubsonicViolation) as err:
         state.apply_source(EjectorSource(), 0.0, 0.5)
+    # the error says where the run raised it
+    assert err.value.__notes__ == ["epsilon 0.01: source step on pipe 'a' at t = 0.5"]
+
+
+def test_coupling_error_after_source_step_says_so(monkeypatch):
+    import gasnet.fronttracking as ft
+    from gasnet import NoConvergence
+
+    specs, profiles = two_pipe_passthrough()
+    state = init_approximation(specs, profiles, G, epsilon=0.01)
+    state.run(0.5)
+
+    def fail(problem, **kwargs):
+        raise NoConvergence("spy")
+
+    monkeypatch.setattr(ft, "solve_junction", fail)
+    with pytest.raises(NoConvergence) as err:
+        state.apply_source(ConstantSource(-0.01), 0.0, 0.5)
+    assert err.value.__notes__ == [
+        "epsilon 0.01: coupling re-solve after the source step at t = 0.5"]
 
 
 def test_splitting_with_fronts_keeps_coupling_satisfied():
