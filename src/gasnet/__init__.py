@@ -4,7 +4,6 @@ wave-front-tracking simulator with Glimm-functional diagnostics."""
 
 from .errors import (
     EventBudgetExhausted,
-    EventStarvation,
     GasnetError,
     NoConvergence,
     NonPositiveDensity,

@@ -99,9 +99,7 @@ def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL,
                      max_iter=DEFAULT_MAX_ITER) -> StarSolution:
     """Solve the compressor coupling for both trace star states.
 
-    For isentropic outlets the realized inlet entropy is recorded as the
-    outlet's entropy assignment (``extras['assigned_kappa']``).  Idle
-    controls (value 0) are accepted and flagged in
+    Idle controls (value 0) are accepted and flagged in
     ``extras['idle_control']``.  ``h_star`` is None: total enthalpy is not
     a compressor condition.
     """
@@ -113,7 +111,6 @@ def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL,
         "pressure_ratio": t2.p / t1.p,
         "head": head,
         "idle_control": control.value == 0.0,
-        **sol.extras,
     }
     if control.kind == POWER:
         extras["power"] = control.cp_coeff * t2.q * head

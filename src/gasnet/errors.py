@@ -46,10 +46,6 @@ class SubsonicViolation(GasnetError):
     """A solver produced a state outside the admissible subsonic sets."""
 
 
-class EventStarvation(GasnetError):
-    """The event loop found no future event on an unbounded horizon."""
-
-
 class EventBudgetExhausted(GasnetError):
     """The event loop used up its max_events budget before the horizon."""
 

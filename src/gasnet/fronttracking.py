@@ -98,7 +98,6 @@ from . import kernels
 from .compressor import solve_compressor
 from .errors import (
     EventBudgetExhausted,
-    EventStarvation,
     GasnetError,
     NonPositiveDensity,
     SubsonicViolation,
@@ -248,13 +247,6 @@ class Segment(NamedTuple):
     speed: float
     left: PipeState
     right: PipeState
-
-
-class ZeroSource:
-    """G = 0."""
-
-    def evaluate(self, t, state, g):
-        return (0.0, 0.0, 0.0) if state.model is Model.M1 else (0.0, 0.0)
 
 
 class FrictionSource:
@@ -427,13 +419,12 @@ def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
     traces ``data``: a junction, or with a ``control`` a compressor from
     specs[0] into specs[1].  ``patterns[i]`` is (waves, trace): the waves
     pipe i receives, left to right, and its new trace, the solution's
-    star state, for the role its own trace gives it."""
+    star state, for the role the problem gives it."""
     problem = JunctionProblem(list(zip(specs, data)), g, control)
     solve = solve_junction if control is None else solve_compressor
     sol = solve(problem, tol=tol)
-    patterns = [(coupling_wave_pattern(role_of(st.model, st.u > 0.0), st, trace, sigma, g),
-                 trace)
-                for st, trace, sigma in zip(data, sol.star_states, sol.sigma)]
+    patterns = [(coupling_wave_pattern(p.role, st, trace, sigma, g), trace)
+                for p, st, trace, sigma in zip(problem.pipes, data, sol.star_states, sol.sigma)]
     return problem, sol, patterns
 
 
@@ -686,19 +677,16 @@ class FrontTrackingState:
             self.segments.append(Segment(pipe_index, front.born_t, t1, front.born_x,
                                          front.speed, front.left, front.right))
 
-    def advance(self, horizon=None):
-        """Advance to the next event and resolve it.
+    def advance(self, horizon):
+        """Advance to the next event before ``horizon`` and resolve it.
 
         Returns the new time; when no event precedes the horizon the state
-        is moved there instead.  Raises EventStarvation when no event
-        exists and no horizon was given.  A GasnetError raised for the
-        event, the budget's included, carries a note naming epsilon, the
-        event number and kind, the pipe and the time.
+        is moved there instead.  A GasnetError raised for the event, the
+        budget's included, carries a note naming epsilon, the event number
+        and kind, the pipe and the time.
         """
         ev = self._next_event()
-        if ev is None and horizon is None:
-            raise EventStarvation("no pending event and no horizon")
-        if ev is None or (horizon is not None and ev[0] > horizon):
+        if ev is None or ev[0] > horizon:
             self.time = max(self.time, horizon)
             return self.time
         self.time, kind, i, k = ev

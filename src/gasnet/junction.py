@@ -23,8 +23,6 @@ regular.
 * ``traces(x)``: the per-pipe :class:`~gasnet.laxcurves.TraceEval`,
 * ``residual(traces)`` and ``jacobian(traces)``, both unscaled,
 * ``row_scales``: the per-row scales of the nondimensionalized residual,
-* ``fd_floor``: the per-column floor of the finite-difference step
-  (1e-6 for sigma columns, the pipe density for tau columns),
 
 all as Python lists, and one damped Newton (``_newton``) solves it, each
 step by Gaussian elimination with partial pivoting on the scaled
@@ -160,7 +158,6 @@ class JunctionProblem:
         else:
             middle = [control.row_scale(self.pipes[0].state, g)]
         self.row_scales = [mass] + middle + [g.gamma * g.cv] * self.n0
-        self.fd_floor = [1e-6] * self.n + [self.pipes[j].state.rho for j in self.outgoing_m1]
 
     def base_parameters(self):
         sigma0 = [curve_parameter(1, p.state, self.constants) for p in self.pipes]
@@ -345,7 +342,6 @@ def _solve(problem: JunctionProblem, tol, max_iter):
     sigma, tau = x[:n], x[n:]
     s_star = _entropy_mix_from(problem, traces)
 
-    assigned = {}
     for p, t in zip(problem.pipes, traces):
         st = t.state
         regime = classify_subsonic(st, g)
@@ -355,8 +351,6 @@ def _solve(problem: JunctionProblem, tol, max_iter):
                 f"pipe {p.spec.id!r}: star state left {want.value} "
                 f"(u={st.u:g}, c={sound_speed(st, g):g})"
             )
-        if p.outgoing and p.spec.model.is_isentropic:
-            assigned[p.spec.id] = g.kappa_from_entropy(s_star)
 
     tau_of = dict(zip(problem.outgoing_m1, tau))
     sol = StarSolution(
@@ -367,7 +361,7 @@ def _solve(problem: JunctionProblem, tol, max_iter):
         s_star=s_star,
         residual_norm=res,
         iterations=it,
-        extras={"assigned_kappa": assigned},
+        extras={},
     )
     return sol, traces
 
@@ -376,9 +370,8 @@ def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
                    max_iter=DEFAULT_MAX_ITER) -> StarSolution:
     """Solve the junction coupling system for the trace star states.
 
-    The returned entropy mix is assigned to outgoing isentropic pipes as
-    solution metadata (``extras['assigned_kappa']``); their star states
-    keep the kappa of their initial data.
+    ``s_star`` is the entropy mix of the incoming pipes; the star states of
+    outgoing isentropic pipes keep the kappa of their initial data.
     """
     return _solve(problem, tol, max_iter)[0]
 

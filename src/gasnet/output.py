@@ -146,12 +146,6 @@ def read_json(stream):
     return doc.get("records", []), doc.get("summary")
 
 
-def render_csv(records):
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
-
-
 def render_json(records, summary=None):
     buf = io.StringIO()
     write_json(records, buf, summary)

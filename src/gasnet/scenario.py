@@ -60,7 +60,6 @@ from .thermo import (
     classify_subsonic,
     iso_state,
     m1_state,
-    pressure,
 )
 
 
@@ -241,26 +240,24 @@ def _parse_control(doc, path, errs):
         errs.add(path, "control must be a mapping")
         return None
     kind = doc.get("kind")
-    if kind == ADIABATIC_HEAD:
-        h = _num(doc, path, "h_star", errs, required=True)
-        if h is None or h < 0:
-            errs.add(f"{path}.h_star", "must be >= 0")
-            return None
-        return CompressorControl(ADIABATIC_HEAD, h)
-    if kind == POWER:
-        p = _num(doc, path, "p_star", errs, required=True)
-        cp = _num(doc, path, "cp_coeff", errs, positive=True, required=True)
-        if p is None or cp is None or p < 0:
-            return None
-        return CompressorControl(POWER, p, cp_coeff=cp)
-    errs.add(f"{path}.kind", f"must be CP1 or CP2, got {kind!r}")
-    return None
+    if kind not in (ADIABATIC_HEAD, POWER):
+        errs.add(f"{path}.kind", f"must be CP1 or CP2, got {kind!r}")
+        return None
+    value = _num(doc, path, "h_star" if kind == ADIABATIC_HEAD else "p_star", errs,
+                 required=True)
+    cp = _num(doc, path, "cp_coeff", errs, required=True) if kind == POWER else None
+    if value is None or (kind == POWER and cp is None):
+        return None
+    # CompressorControl alone checks the values
+    try:
+        return CompressorControl(kind, value, cp_coeff=cp)
+    except ValueError as exc:
+        errs.add(path, str(exc))
+        return None
 
 
 def _parse_run(doc, path, errs):
     run = RunConfig()
-    if doc is None:
-        return run
     if not isinstance(doc, dict):
         errs.add(path, "run must be a mapping")
         return run
@@ -284,7 +281,7 @@ def _parse_run(doc, path, errs):
                                default=None, positive=True)
     src = doc.get("source", {"kind": "none"})
     if not isinstance(src, dict) or src.get("kind", "none") not in ("none", "friction"):
-        errs.add(f"{path}.source", "kind must be none or friction")
+        errs.add(f"{path}.source", "must be a mapping with kind none or friction")
     elif src.get("kind") == "friction":
         lf = _num(src, f"{path}.source", "lambda_f", errs, required=True)
         dia = _num(src, f"{path}.source", "diameter", errs, positive=True, required=True)
@@ -390,6 +387,9 @@ def _scenario_from(doc) -> Scenario:
     """Validate a loaded scenario mapping."""
     errs = _Collector()
     cdoc = doc.get("constants", {})
+    if not isinstance(cdoc, dict):
+        errs.add("constants", "constants must be a mapping")
+        cdoc = {}
     gamma = _num(cdoc, "constants", "gamma", errs, default=1.4)
     R = _num(cdoc, "constants", "R", errs, default=287.0)
     s0 = _num(cdoc, "constants", "s0", errs, default=0.0)
@@ -401,7 +401,8 @@ def _scenario_from(doc) -> Scenario:
 
     topo = doc.get("topology")
     if not isinstance(topo, dict):
-        errs.add("topology", "missing topology block")
+        errs.add("topology", "missing topology block" if topo is None
+                 else "topology must be a mapping")
         errs.raise_if_any()
     kind = topo.get("kind", "junction")
     specs, profiles, control = [], [], None
@@ -434,7 +435,7 @@ def _scenario_from(doc) -> Scenario:
         if ids.count(pid) > 1:
             errs.add("topology", f"pipe id {pid!r} defined more than once")
 
-    run = _parse_run(doc.get("run"), "run", errs)
+    run = _parse_run(doc.get("run", {}), "run", errs)
     errs.raise_if_any()
 
     scenario = Scenario(g, kind, specs, profiles, control, run, raw=doc)
@@ -474,60 +475,6 @@ def _validate_solver_invariants(sc: Scenario, errs):
         for where, prof in zip(initial, sc.profiles):
             if not isinstance(prof, PipeState):
                 errs.add(where, "riemann mode needs constant initial states")
-
-
-def normalized_document(sc: Scenario) -> dict:
-    """Canonical dict form of a scenario (stable field order and types)."""
-    doc = {"constants": {"gamma": sc.constants.gamma, "R": sc.constants.R,
-                         "s0": sc.constants.s0}}
-
-    def state_doc(st):
-        if st.model is Model.M1:
-            return {"rho": st.rho, "u": st.u, "p": pressure(st, sc.constants)}
-        return {"rho": st.rho, "u": st.u, "kappa": st.kappa}
-
-    def profile_doc(prof):
-        if isinstance(prof, PipeState):
-            return state_doc(prof)
-        return {"pieces": [dict(x_right=x, **state_doc(st)) for x, st in prof]}
-
-    pipes = [dict(id=s.id, area=s.area, model=s.model.value, initial=profile_doc(p))
-             for s, p in zip(sc.specs, sc.profiles)]
-    if sc.kind == "junction":
-        doc["topology"] = {"kind": "junction", "pipes": pipes}
-    else:
-        control = {"kind": sc.control.kind}
-        if sc.control.kind == ADIABATIC_HEAD:
-            control["h_star"] = sc.control.value
-        else:
-            control["p_star"] = sc.control.value
-            control["cp_coeff"] = sc.control.cp_coeff
-        doc["topology"] = {"kind": "compressor", "inlet": pipes[0], "outlet": pipes[1],
-                           "control": control}
-    run = {"mode": sc.run.mode, "horizon": sc.run.horizon,
-           "epsilon": sc.run.epsilon, "tol": sc.run.tol,
-           "snapshots": sc.run.snapshots,
-           "grid": {"points": sc.run.grid_points}}
-    if sc.run.grid_length is not None:
-        run["grid"]["length"] = sc.run.grid_length
-    if sc.run.sample_times is not None:
-        run["sample_times"] = sc.run.sample_times
-    if sc.run.epsilon_ladder is not None:
-        run["epsilon_ladder"] = sc.run.epsilon_ladder
-    if sc.run.tv_bound is not None:
-        run["tv_bound"] = sc.run.tv_bound
-    if isinstance(sc.run.source, FrictionSource):
-        run["source"] = {"kind": "friction", "lambda_f": sc.run.source.lambda_f,
-                         "diameter": sc.run.source.diameter}
-    else:
-        run["source"] = {"kind": "none"}
-    run["max_events"] = sc.run.max_events
-    doc["run"] = run
-    return doc
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    return yaml.safe_dump(normalized_document(sc), sort_keys=False)
 
 
 # -- execution ---------------------------------------------------------------
@@ -581,16 +528,15 @@ def _run_riemann(sc: Scenario) -> RunResult:
     }
     if sc.kind == "junction":
         summary["h_star"] = sol.h_star
-        summary["max_residuals"] = state_residuals(problem, sol.star_states)
     else:
         summary["pressure_ratio"] = sol.extras["pressure_ratio"]
         summary["head"] = sol.extras["head"]
         if "power" in sol.extras:
             summary["power"] = sol.extras["power"]
-        summary["max_residuals"] = state_residuals(problem, sol.star_states)
-        if sol.extras.get("idle_control"):
-            summary["warnings"] = ["idle control value 0: uniqueness outside "
-                                   "the guaranteed neighborhood"]
+    summary["max_residuals"] = state_residuals(problem, sol.star_states)
+    if sol.extras.get("idle_control"):
+        summary["warnings"] = ["idle control value 0: uniqueness outside "
+                               "the guaranteed neighborhood"]
     return RunResult(records, summary)
 
 

@@ -3,13 +3,17 @@ base-point closed forms of the trace derivatives, the central-difference
 Jacobian, the entropy mix at given parameters, the determinants of the
 regularity argument, and the coupling Newton with numpy's LAPACK
 solve.  ``JunctionProblem`` returns Python lists; these helpers take and
-return arrays and floats."""
+return arrays and floats.  Also the zero source of operator splitting and
+CSV output as one string."""
+
+import io
 
 import numpy as np
 
 from gasnet.errors import NotSubsonic
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT
+from gasnet.output import write_csv
 from gasnet.thermo import Model, sound_speed
 
 
@@ -66,11 +70,13 @@ def jacobian_at(problem, x):
 def fd_jacobian(problem, x):
     """Central-difference Jacobian of the coupling residual at x: the
     independent reference for ``problem.jacobian``.  Column k steps by
-    1e-6 * max(|x_k|, fd_floor_k)."""
+    1e-6 * max(|x_k|, floor_k), where the floor is 1e-6 for a sigma
+    column and the pipe density for a tau column."""
     x = np.asarray(x, dtype=float)
+    floor = [1e-6] * problem.n + [problem.pipes[j].state.rho for j in problem.outgoing_m1]
     J = np.empty((problem.dim, problem.dim))
     for col in range(problem.dim):
-        h = 1e-6 * max(abs(x[col]), problem.fd_floor[col])
+        h = 1e-6 * max(abs(x[col]), floor[col])
         xp, xm = x.copy(), x.copy()
         xp[col] += h
         xm[col] -= h
@@ -143,3 +149,17 @@ def numpy_newton(problem, tol, max_iter):
             raise AssertionError("reference line search stalled")
         x, fx = x + alpha * step, fn
     raise AssertionError("reference Newton did not converge")
+
+
+class ZeroSource:
+    """G = 0."""
+
+    def evaluate(self, t, state, g):
+        return (0.0, 0.0, 0.0) if state.model is Model.M1 else (0.0, 0.0)
+
+
+def render_csv(records):
+    """``output.write_csv`` of ``records`` as one string."""
+    buf = io.StringIO()
+    write_csv(records, buf)
+    return buf.getvalue()

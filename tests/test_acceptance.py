@@ -28,7 +28,6 @@ from gasnet.compressor import (
 )
 from gasnet.fronttracking import (
     FrictionSource,
-    ZeroSource,
     init_approximation,
     l1_distance,
     operator_split_run,
@@ -39,7 +38,7 @@ from gasnet.junction import (
     solve_junction,
     verify_coupling,
 )
-from reference import fd_jacobian, jacobian_at, pivot_blocks, proof_determinant
+from reference import ZeroSource, fd_jacobian, jacobian_at, pivot_blocks, proof_determinant
 from gasnet.riemann import SHOCK, solve_riemann_iso, solve_riemann_m1
 from test_riemann import bisect_p_star, bisect_rho_star, rankine_hugoniot_residual
 

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from gasnet.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from gasnet.scenario import parse_scenario, run_scenario
@@ -238,3 +239,62 @@ def test_solver_error_in_a_ladder_member_names_it(tmp_path, monkeypatch, capsys)
     path.write_text(LADDER_TRACKING, encoding="utf-8")
     assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
     assert f"{path}: solver error: spy\n  {note}\n" in capsys.readouterr().err
+
+
+COMPRESSOR = """
+constants: {gamma: 1.4, R: 1.0}
+topology:
+  kind: compressor
+  inlet:  {id: lo, area: 1.0, model: M2, initial: {rho: 1.0, u: -0.1, kappa: 1.0}}
+  outlet: {id: hi, area: 1.0, model: M2, initial: {rho: 1.0, u: 0.1, kappa: 1.0}}
+  control: {kind: CP1, h_star: 0.01}
+run: {mode: riemann, grid: {points: 4, length: 1.0}}
+"""
+
+# every block that must be a mapping, as (document, keys to it)
+MAPPING_BLOCKS = [
+    (GOOD, ["constants"]),
+    (GOOD, ["topology"]),
+    (GOOD, ["topology", "pipes", 1]),
+    (GOOD, ["topology", "pipes", 0, "initial"]),
+    (COMPRESSOR, ["topology", "control"]),
+    (GOOD, ["run"]),
+    (GOOD, ["run", "grid"]),
+    (GOOD, ["run", "source"]),
+]
+
+
+def _field_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+@pytest.mark.parametrize("value", [None, 5, ["x"]], ids=["null", "scalar", "list"])
+@pytest.mark.parametrize("base, keys", MAPPING_BLOCKS,
+                         ids=[_field_path(keys) for _, keys in MAPPING_BLOCKS])
+def test_block_that_is_not_a_mapping_fails_check(tmp_path, capsys, base, keys, value):
+    path = tmp_path / "doc.yaml"
+    path.write_text(base, encoding="utf-8")
+    assert main(["check", "--scenario", str(path)]) == EXIT_OK
+    doc = yaml.safe_load(base)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--scenario", str(path)]) == EXIT_VALIDATION
+    assert f"\n  {_field_path(keys)}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["riemann", "simulate"])
+def test_negative_power_control_fails_in_both_modes(tmp_path, capsys, mode):
+    # CompressorControl's own check rejects the value at topology.control,
+    # so the document neither runs as a junction nor dies unvalidated
+    path = tmp_path / "cp2.yaml"
+    path.write_text(COMPRESSOR.replace("{kind: CP1, h_star: 0.01}",
+                                       "{kind: CP2, p_star: -1, cp_coeff: 1}"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([mode, "--scenario", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"{path}: validation failed:\n  topology.control: control value must be non-negative\n"
+    assert not out.exists()

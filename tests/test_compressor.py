@@ -252,7 +252,4 @@ def test_entropy_assignment_for_iso_outlet(rng):
     prob = balanced_compressor(rng, G, Model.M1, Model.M2, ADIABATIC_HEAD)
     pert = perturb_inlet(prob, 1.003)
     sol = solve_compressor(pert)
-    out_id = prob.pipes[1].spec.id
-    assert sol.extras["assigned_kappa"][out_id] == pytest.approx(
-        G.kappa_from_entropy(sol.s_star), rel=1e-12)
     assert sol.star_states[1].kappa == pert.pipes[1].state.kappa  # star state not mutated

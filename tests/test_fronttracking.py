@@ -20,7 +20,6 @@ from conftest import (
     state_from_enthalpy,
 )
 from gasnet import (
-    EventStarvation,
     GasConstants,
     Model,
     PipeState,
@@ -74,8 +73,6 @@ def test_balanced_constant_data_has_no_fronts():
     assert sum(len(t.fronts) for t in state.pipes) == 0
     gl = state.glimm()
     assert gl.V == gl.Q == gl.Y == gl.TV == 0.0
-    with pytest.raises(EventStarvation):
-        state.advance(horizon=None)
     t = state.advance(horizon=2.0)
     assert t == 2.0
 

@@ -311,8 +311,6 @@ def test_entropy_assignment_flag(rng):
     plain = solve_junction(prob)
     for p, st_p in zip(prob.pipes, plain.star_states):
         if p.outgoing and p.spec.model.is_isentropic:
-            assert plain.extras["assigned_kappa"][p.spec.id] == pytest.approx(
-                G.kappa_from_entropy(plain.s_star), rel=1e-12)
             assert st_p.kappa == p.state.kappa  # star state not mutated
 
 

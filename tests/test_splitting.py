@@ -11,7 +11,6 @@ from gasnet.fronttracking import (
     _STRENGTH_FLOOR,
     NONPHYSICAL,
     FrictionSource,
-    ZeroSource,
     _placed,
     accurate_solve,
     bump_test_functions,
@@ -21,6 +20,7 @@ from gasnet.fronttracking import (
     weak_form_residual,
 )
 from gasnet.junction import PipeSpec
+from reference import ZeroSource
 
 G = GasConstants(gamma=1.4, R=1.0)
 

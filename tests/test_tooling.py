@@ -1,11 +1,13 @@
 """Guards for edits that would otherwise fail only outside Tier-1: the
 benchmark's tracing wrappers and workloads, module-level imports nothing
-uses, private functions nothing names, and numpy kept off the import path
-of riemann mode and ``gasnet check``."""
+uses, private functions nothing names, public functions and classes that
+only tests name, and numpy kept off the import path of riemann mode and
+``gasnet check``."""
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -134,6 +136,26 @@ def test_every_private_function_is_referenced():
                     for filename, tree in trees.items() for fn in _private_functions(tree)
                     if count[fn.name] == _names(fn).count(fn.name)]
     assert unreferenced == []
+
+
+
+def test_every_public_name_has_a_caller():
+    # a public module-level function or class must be named somewhere in
+    # src/gasnet outside its own definition, by the benchmark or in the
+    # README; one that only tests name is dead (__init__.py only re-exports)
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    count = Counter(name for tree in trees.values() for name in _names(tree))
+    bench = {name for path in sorted((ROOT / "gasbench").glob("*.py"))
+             for name in _names(ast.parse(path.read_text()))}
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    public = [(filename, node) for filename, tree in trees.items() if filename != "__init__.py"
+              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert public
+    uncalled = [f"{filename}:{node.lineno} {node.name}" for filename, node in public
+                if count[node.name] == _names(node).count(node.name)
+                and node.name not in bench and node.name not in readme]
+    assert uncalled == []
 
 
 _RIEMANN_WITHOUT_NUMPY = """
