@@ -20,13 +20,7 @@ solution.
 from dataclasses import dataclass, replace
 
 from .errors import NonPositiveFlux
-from .junction import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    JunctionProblem,
-    StarSolution,
-    _solve,
-)
+from .junction import DEFAULT_TOL, JunctionProblem, StarSolution, _solve
 from .thermo import GasConstants, PipeState, temperature
 
 ADIABATIC_HEAD = "CP1"
@@ -95,8 +89,7 @@ class CompressorControl:
         return max(abs(self.value), rise)
 
 
-def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL,
-                     max_iter=DEFAULT_MAX_ITER) -> StarSolution:
+def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL) -> StarSolution:
     """Solve the compressor coupling for both trace star states.
 
     Idle controls (value 0) are accepted and flagged in
@@ -105,7 +98,7 @@ def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL,
     """
     g = problem.constants
     control = problem.control
-    sol, (t1, t2) = _solve(problem, tol, max_iter)
+    sol, (t1, t2) = _solve(problem, tol)
     head = control.head(t1.T, t1.p, t2.p, g)
     extras = {
         "pressure_ratio": t2.p / t1.p,

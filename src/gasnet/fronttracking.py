@@ -62,23 +62,23 @@ curve points and fan-edge speeds from it, and ``riemann._shock`` alone
 decides shock or rarefaction, for them and for the Riemann solvers.
 
 Cost per event.  Each pipe keeps the absolute meeting time of every
-adjacent front pair in ``times``, parallel to ``fronts``.  A collision,
-a junction event or a reflection splices the fronts it replaces into
-each pipe it touches, rechains them and recomputes only the pair times
-next to them, so an event costs its own fronts and a C-level minimum
-over each touched pipe's pair times.  Every coupling solve goes through
+adjacent front pair in ``times``, parallel to ``fronts``.  Fronts enter
+a pipe only through ``_splice``, which replaces a run of fronts by new
+ones already in order, rechains them from the state behind them and
+recomputes only the pair times next to them.  Initialization splices
+each pipe's interior fronts into the empty pipe, a source step splices
+its re-solved fronts over the whole pipe, and a collision, a junction
+event or a reflection splices the fronts it replaces into each pipe it
+touches, so an event costs its own fronts and a C-level minimum over
+each touched pipe's pair times.  Every coupling solve goes through
 ``_emit``, which sets all traces and splices the emitted fronts at the
-front of each pipe.  Adjacent same-family rarefaction fronts diverge
-and contacts are parallel, so a collision never pairs two of them.  No
-front moves: a front is the line ``born_x + speed * (t - born_t)`` and
-``Front.at`` evaluates it.  The event loop keeps no Glimm totals;
-``glimm()`` evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks
-each pipe's fronts once, with running strength sums per family for Q.
-``_rebuild()`` puts every pipe back in order from its fronts alone: it
-sorts them by (position, speed), chains them from the trace, and
-recomputes the pair times.  Initialization and ``apply_source`` call it
-on the interior fronts before they emit, and code that edits
-``PipeTrack.fronts`` directly must call it.
+front of each pipe; the t = 0 solve also fixes each pipe's role.
+Adjacent same-family rarefaction fronts diverge and contacts are
+parallel, so a collision never pairs two of them.  No front moves: a
+front is the line ``born_x + speed * (t - born_t)`` and ``Front.at``
+evaluates it.  The event loop keeps no Glimm totals; ``glimm()``
+evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks each pipe's
+fronts once, with running strength sums per family for Q.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments, which a ladder member does not keep: one
@@ -111,7 +111,6 @@ from .laxcurves import (
     curve_point,
     fan_edge_speed,
     lax_m1,
-    role_of,
 )
 from .riemann import (
     CONTACT,
@@ -189,11 +188,9 @@ class PipeScales:
 class PipeTrack:
     """Piecewise-constant state of one pipe: trace state plus ordered fronts."""
 
-    def __init__(self, spec, trace, scales):
-        self.spec = spec
+    def __init__(self, trace):
         self.trace = trace
         self.fronts = []
-        self.scales = scales
         self.times = []      # times[k]: absolute meeting time of fronts k, k+1
 
     def states(self):
@@ -460,32 +457,29 @@ class FrontTrackingState:
         traces0 = [p[0][1] for p in pieces]
 
         self.scales = []
-        self.roles = []
         lam_max = 0.0
-        for spec, piecelist in zip(self.specs, pieces):
+        for piecelist in pieces:
             st0 = piecelist[0][1]
             c0 = sound_speed(st0, self.g)
             E_sc = st0.E if st0.model is Model.M1 else 1.0
             self.scales.append(PipeScales(curve_parameter(1, st0, self.g), st0.rho,
                                           st0.rho * c0, E_sc))
-            self.roles.append(role_of(st0.model, st0.u > 0.0))
             for _, st in piecelist:
                 lam_max = max(lam_max, max(abs(v) for v in eigenvalues(st, self.g)))
         self.lambda_max = lam_max
         self.lambda_hat = 1.1 * lam_max
 
-        self.pipes = []
+        self.pipes = [PipeTrack(trace) for trace in traces0]
         for i, piecelist in enumerate(pieces):
-            track = PipeTrack(self.specs[i], traces0[i], self.scales[i])
+            fronts = []
             for (x, left), (_, right) in zip(piecelist, piecelist[1:]):
-                track.fronts += _placed(accurate_solve(left, right, self.g, epsilon,
-                                                       self.scales[i]), x, 0.0)
-            self.pipes.append(track)
-        self._rebuild()
+                fronts += _placed(accurate_solve(left, right, self.g, epsilon,
+                                                 self.scales[i]), x, 0.0)
+            self._splice(i, 0, 0, fronts)
         # resolve the coupling, then probe around the solved traces, where
         # the coupling residual is zero; K_J weights V, so it is fixed
-        # before V(0) is taken
-        self._emit(traces0)
+        # before V(0) is taken; the pipe roles are those of that solve
+        self.roles = [p.role for p in self._emit(traces0)[0].pipes]
         if ladder_of is None:
             self.K_J, self.kj_probes_skipped = self._estimate_kj(self.traces())
         else:
@@ -496,10 +490,11 @@ class FrontTrackingState:
     # -- coupling ------------------------------------------------------------
 
     def _coupling_patterns(self, data):
-        """Solve the coupling at the pipe traces ``data``; per pipe, the
-        emitted waves and the new trace.  A wave that would run into the
-        junction raises SubsonicViolation."""
-        _, _, patterns = solve_coupling(self.specs, data, self.g, self.control, self.tol)
+        """Solve the coupling at the pipe traces ``data``; the coupling
+        problem, and per pipe the emitted waves and the new trace.  A wave
+        that would run into the junction raises SubsonicViolation."""
+        problem, _, patterns = solve_coupling(self.specs, data, self.g, self.control,
+                                              self.tol)
         for spec, scales, (waves, _) in zip(self.specs, self.scales, patterns):
             for w in waves:
                 sc = scales.strength_scale(w.family, w.left.model)
@@ -508,21 +503,23 @@ class FrontTrackingState:
                     raise SubsonicViolation(
                         f"emitted wave on pipe {spec.id!r} has speed "
                         f"{w.rightmost_speed:g}")
-        return patterns
+        return problem, patterns
 
     def _emit(self, data, hit=None):
         """Solve the coupling at the pipe traces ``data``, set every trace
         to its solved state and splice the emitted fronts, born at the
         junction now, in front of each pipe's fronts, in place of the
-        first front of pipe ``hit``; returns their summed scaled strength."""
+        first front of pipe ``hit``; returns the coupling problem and the
+        fronts' summed scaled strength."""
+        problem, patterns = self._coupling_patterns(data)
         v_plus = 0.0
-        for j, (waves, trace) in enumerate(self._coupling_patterns(data)):
+        for j, (waves, trace) in enumerate(patterns):
             self.pipes[j].trace = trace
             new = _placed(_wave_fronts(waves, self.g, self.epsilon, self.scales[j]),
                           0.0, self.time)
             self._splice(j, 0, 1 if j == hit else 0, new)
             v_plus += sum(self._scaled_strength(j, f) for f in new)
-        return v_plus
+        return problem, v_plus
 
     def _estimate_kj(self, traces0):
         """(K_J, skipped): probe the coupling solve with small incident
@@ -538,7 +535,7 @@ class FrontTrackingState:
                         data_i = apply_wave(fam, sign * h * sc, traces0[i], self.g)
                         data = list(traces0)
                         data[i] = data_i
-                        patterns = self._coupling_patterns(data)
+                        _, patterns = self._coupling_patterns(data)
                     except GasnetError:
                         skipped += 1
                         continue
@@ -557,21 +554,6 @@ class FrontTrackingState:
             return front.strength
         sc = self.scales[pipe_index].strength_scale(front.family, front.left.model)
         return abs(front.strength) / sc
-
-    def _rebuild(self):
-        """Put every pipe in order from its fronts alone: sort them by
-        (position, speed), chain them from the trace, and recompute the
-        pair times."""
-        for track in self.pipes:
-            fronts = track.fronts
-            fronts.sort(key=lambda f: (f.at(self.time), f.speed))
-            prev = track.trace
-            for f in fronts:
-                f.left = prev
-                prev = f.right
-            track.times = [self._pair_time(fronts, k) for k in range(len(fronts) - 1)]
-            if fronts:
-                track.times.append(math.inf)
 
     def _pipe_glimm(self, i):
         """(V, Q, TV, non-physical strength) of pipe i's fronts, in one pass
@@ -765,7 +747,7 @@ class FrontTrackingState:
             return "reflection", i, v_minus, new[0].strength
         data = self.traces()
         data[i] = data_i
-        return "junction", i, v_minus, self._emit(data, hit=i)
+        return "junction", i, v_minus, self._emit(data, hit=i)[1]
 
     # -- operator splitting ------------------------------------------------
 
@@ -794,7 +776,6 @@ class FrontTrackingState:
                 raise
         if changed_any:
             # traces moved: re-establish the coupling conditions at x = 0
-            self._rebuild()
             try:
                 self._emit(self.traces())
             except GasnetError as exc:
@@ -822,7 +803,7 @@ class FrontTrackingState:
             c = sound_speed(new, g)
             if not abs(new.u) < c:
                 raise SubsonicViolation(
-                    f"source pushed a state on pipe {track.spec.id!r} out of "
+                    f"source pushed a state on pipe {self.specs[i].id!r} out of "
                     f"the subsonic region (u={new.u:g}, c={c:g})")
             shifted.append(new)
         if all(a is b for a, b in zip(regions, shifted)):
@@ -846,7 +827,7 @@ class FrontTrackingState:
             new_fronts += reversed(_placed(solved, pos[k], self.time))
             ahead = behind
         track.trace = ahead
-        track.fronts = new_fronts[::-1]
+        self._splice(i, 0, len(fronts), new_fronts[::-1])
         return True
 
     def _add_context(self, exc, what, pipe=None):

@@ -27,8 +27,9 @@ regular.
 all as Python lists, and one damped Newton (``_newton``) solves it, each
 step by Gaussian elimination with partial pivoting on the scaled
 Jacobian; the system has dimension at most 2N for N pipes.
-:func:`state_residuals` rechecks the coupling conditions from one state
-per pipe.
+:func:`classify_pipes` alone decides which pipes are incoming and which
+data form a coupling problem; :func:`state_residuals` rechecks the
+coupling conditions from one state per pipe.
 """
 
 import math
@@ -92,16 +93,38 @@ class _Pipe:
     outgoing: bool
 
 
-def _classify_pipe(spec: PipeSpec, state: PipeState, g: GasConstants, where):
-    if spec.model is not state.model:
-        raise ValueError(f"{where}: spec model {spec.model} != state model {state.model}")
-    regime = classify_subsonic(state, g)
-    if regime is FlowRegime.NOT_SUBSONIC:
-        raise NotSubsonic(
-            f"{where}: initial state must be strictly subsonic with nonzero "
-            f"velocity (u={state.u}, c={sound_speed(state, g)})"
-        )
-    return regime is FlowRegime.D_PLUS
+def classify_pipes(pipes, g: GasConstants, control=None):
+    """Whether each (spec, state) pair of ``pipes`` is outgoing.  Raises
+    NotSubsonic or ValueError at the first pipe or rule outside the
+    coupling problem: a state not strictly subsonic, no incoming or no
+    outgoing pipe, or at a compressor (``control``) an inlet that is not
+    incoming, an outlet that is not outgoing, or unequal areas."""
+    outgoing = []
+    for spec, state in pipes:
+        if spec.model is not state.model:
+            raise ValueError(f"pipe {spec.id!r}: spec model {spec.model} "
+                             f"!= state model {state.model}")
+        regime = classify_subsonic(state, g)
+        if regime is FlowRegime.NOT_SUBSONIC:
+            raise NotSubsonic(
+                f"pipe {spec.id!r}: initial state must be strictly subsonic with nonzero "
+                f"velocity (u={state.u}, c={sound_speed(state, g)})"
+            )
+        outgoing.append(regime is FlowRegime.D_PLUS)
+    if control is not None:
+        if len(pipes) != 2:
+            raise ValueError("a compressor joins exactly two pipes")
+        if outgoing[0]:
+            raise NotSubsonic("inlet state must have strictly negative subsonic velocity")
+        if not outgoing[1]:
+            raise NotSubsonic("outlet state must have strictly positive subsonic velocity")
+        if pipes[0][0].area != pipes[1][0].area:
+            raise ValueError("compressor pipes must have equal surface sections")
+    # this also rejects fewer than two pipes
+    if all(outgoing) or not any(outgoing):
+        raise ValueError("a junction needs at least one incoming and one outgoing pipe "
+                         "(N > dim(I_i) > 0)")
+    return outgoing
 
 
 class JunctionProblem:
@@ -118,30 +141,13 @@ class JunctionProblem:
     """
 
     def __init__(self, pipes, g: GasConstants, control=None):
-        records = []
-        for spec, state in pipes:
-            outgoing = _classify_pipe(spec, state, g, f"pipe {spec.id!r}")
-            records.append(_Pipe(spec, state, role_of(spec.model, outgoing), outgoing))
-        if control is not None:
-            if len(records) != 2:
-                raise ValueError("a compressor joins exactly two pipes")
-            if records[0].outgoing:
-                raise NotSubsonic("inlet state must have strictly negative subsonic velocity")
-            if not records[1].outgoing:
-                raise NotSubsonic("outlet state must have strictly positive subsonic velocity")
-            if records[0].spec.area != records[1].spec.area:
-                raise ValueError("compressor pipes must have equal surface sections")
-        if len(records) < 2:
-            raise ValueError("a junction needs at least two pipes")
+        sides = classify_pipes(pipes, g, control)
         self.constants = g
         self.control = control
-        self.pipes = tuple(records)
+        self.pipes = tuple(_Pipe(spec, state, role_of(spec.model, out), out)
+                           for (spec, state), out in zip(pipes, sides))
         self.n = len(self.pipes)
         self.incoming = tuple(i for i, p in enumerate(self.pipes) if not p.outgoing)
-        if len(self.incoming) in (0, self.n):
-            raise ValueError(
-                "a junction needs at least one incoming and one outgoing pipe"
-            )
         self.outgoing_m1 = tuple(i for i, p in enumerate(self.pipes) if p.role == M1_OUT)
         self.n0 = len(self.outgoing_m1)
         self.pivot = max(self.incoming,
@@ -332,12 +338,12 @@ def _newton(problem, tol, max_iter):
     )
 
 
-def _solve(problem: JunctionProblem, tol, max_iter):
+def _solve(problem: JunctionProblem, tol):
     """(StarSolution, traces) at the Newton's accepted iterate, with every
     star state checked to stay in its pipe's subsonic set."""
     g = problem.constants
     n = problem.n
-    x, traces, res, it = _newton(problem, tol, max_iter)
+    x, traces, res, it = _newton(problem, tol, DEFAULT_MAX_ITER)
 
     sigma, tau = x[:n], x[n:]
     s_star = _entropy_mix_from(problem, traces)
@@ -366,14 +372,13 @@ def _solve(problem: JunctionProblem, tol, max_iter):
     return sol, traces
 
 
-def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER) -> StarSolution:
+def solve_junction(problem: JunctionProblem, tol=DEFAULT_TOL) -> StarSolution:
     """Solve the junction coupling system for the trace star states.
 
     ``s_star`` is the entropy mix of the incoming pipes; the star states of
     outgoing isentropic pipes keep the kappa of their initial data.
     """
-    return _solve(problem, tol, max_iter)[0]
+    return _solve(problem, tol)[0]
 
 
 def state_residuals(problem: JunctionProblem, states) -> dict:

@@ -26,7 +26,10 @@ M1 initial states are given as {rho, u, p}, isentropic ones as
 {rho, u, kappa}; piecewise-constant profiles use
 ``initial: {pieces: [{x_right: 0.5, rho: ..}, {x_right: null, ..}]}``.
 Validation aggregates all violations with their field paths before
-raising.
+raising; a key its block does not read is one too (``unknown field``).
+The one exception is the cross-pipe rule of the coupling problem, which
+``junction.classify_pipes`` alone judges: it reports only its first
+failure, at ``topology``, once every field has parsed.
 """
 
 import math
@@ -49,18 +52,11 @@ from .fronttracking import (
     solve_coupling,
     weak_form_residual,
 )
-from .junction import JunctionProblem, PipeSpec, state_residuals
+from .errors import NotSubsonic
+from .junction import DEFAULT_TOL, JunctionProblem, PipeSpec, classify_pipes, state_residuals
 from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
-from .thermo import (
-    FlowRegime,
-    GasConstants,
-    Model,
-    PipeState,
-    classify_subsonic,
-    iso_state,
-    m1_state,
-)
+from .thermo import GasConstants, Model, PipeState, iso_state, m1_state
 
 
 @dataclass
@@ -69,11 +65,11 @@ class RunConfig:
     horizon: float = 1.0
     epsilon: float = 0.01
     epsilon_ladder: list = None
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     snapshots: int = 10
     sample_times: list = None
     grid_points: int = 32
-    grid_length: float = None
+    grid_length: float = 1.0
     source: object = None
     tv_bound: float = None
     max_events: int = DEFAULT_MAX_EVENTS
@@ -144,6 +140,14 @@ def _int(doc, path, key, errs, default, minimum):
     return v
 
 
+def _unknown(doc, path, known, errs):
+    """One violation per key of the mapping ``doc`` that its block, at
+    ``path`` (empty at the top level), does not read."""
+    for key in doc:
+        if key not in known:
+            errs.add(f"{path}.{key}" if path else str(key), "unknown field")
+
+
 def _positive_list(doc, path, key, errs):
     """doc[key] as a list of floats, each finite and > 0; None if absent."""
     if key not in doc:
@@ -160,18 +164,17 @@ def _parse_state(doc, path, model, g, errs):
     if not isinstance(doc, dict):
         errs.add(path, "state must be a mapping")
         return None
+    # an M1 state carries p, an isentropic one kappa
+    third = "p" if model is Model.M1 else "kappa"
+    _unknown(doc, path, ("rho", "u", third), errs)
     rho = _num(doc, path, "rho", errs, positive=True, required=True)
     u = _num(doc, path, "u", errs, required=True)
     if model is Model.M1:
         p = _num(doc, path, "p", errs, positive=True, required=True)
-        if "kappa" in doc:
-            errs.add(f"{path}.kappa", "M1 states take p, not kappa")
         if None in (rho, u, p):
             return None
         return m1_state(rho, u, p, g)
     kappa = _num(doc, path, "kappa", errs, positive=True, required=True)
-    if "p" in doc:
-        errs.add(f"{path}.p", f"{model.value} states take kappa, not p")
     if None in (rho, u, kappa):
         return None
     return iso_state(model, rho, u, kappa)
@@ -179,6 +182,7 @@ def _parse_state(doc, path, model, g, errs):
 
 def _parse_profile(doc, path, model, g, errs):
     if isinstance(doc, dict) and "pieces" in doc:
+        _unknown(doc, path, ("pieces",), errs)
         pieces = doc["pieces"]
         if not isinstance(pieces, list) or not pieces:
             errs.add(f"{path}.pieces", "must be a non-empty list")
@@ -214,6 +218,7 @@ def _parse_pipe(doc, path, g, errs):
     if not isinstance(doc, dict):
         errs.add(path, "pipe must be a mapping")
         return None, None
+    _unknown(doc, path, ("id", "area", "model", "initial"), errs)
     pid = doc.get("id")
     if not isinstance(pid, str) or not pid:
         errs.add(f"{path}.id", "missing or empty pipe id")
@@ -243,6 +248,8 @@ def _parse_control(doc, path, errs):
     if kind not in (ADIABATIC_HEAD, POWER):
         errs.add(f"{path}.kind", f"must be CP1 or CP2, got {kind!r}")
         return None
+    _unknown(doc, path, ("kind", "h_star") if kind == ADIABATIC_HEAD
+             else ("kind", "p_star", "cp_coeff"), errs)
     value = _num(doc, path, "h_star" if kind == ADIABATIC_HEAD else "p_star", errs,
                  required=True)
     cp = _num(doc, path, "cp_coeff", errs, required=True) if kind == POWER else None
@@ -261,6 +268,9 @@ def _parse_run(doc, path, errs):
     if not isinstance(doc, dict):
         errs.add(path, "run must be a mapping")
         return run
+    _unknown(doc, path, ("mode", "horizon", "epsilon", "tol", "tv_bound", "snapshots",
+                         "sample_times", "epsilon_ladder", "grid", "source", "max_events"),
+             errs)
     mode = doc.get("mode", "riemann")
     if mode not in ("riemann", "simulate"):
         errs.add(f"{path}.mode", f"must be riemann or simulate, got {mode!r}")
@@ -276,13 +286,17 @@ def _parse_run(doc, path, errs):
     if not isinstance(grid, dict):
         errs.add(f"{path}.grid", "must be a mapping")
     else:
+        _unknown(grid, f"{path}.grid", ("points", "length"), errs)
         run.grid_points = _int(grid, f"{path}.grid", "points", errs, run.grid_points, 2)
         run.grid_length = _num(grid, f"{path}.grid", "length", errs,
-                               default=None, positive=True)
+                               default=run.grid_length, positive=True)
     src = doc.get("source", {"kind": "none"})
     if not isinstance(src, dict) or src.get("kind", "none") not in ("none", "friction"):
         errs.add(f"{path}.source", "must be a mapping with kind none or friction")
-    elif src.get("kind") == "friction":
+    elif src.get("kind") != "friction":
+        _unknown(src, f"{path}.source", ("kind",), errs)
+    else:
+        _unknown(src, f"{path}.source", ("kind", "lambda_f", "diameter"), errs)
         lf = _num(src, f"{path}.source", "lambda_f", errs, required=True)
         dia = _num(src, f"{path}.source", "diameter", errs, positive=True, required=True)
         if lf is not None and lf < 0:
@@ -386,16 +400,17 @@ def override_run(sc: Scenario, **fields) -> Scenario:
 def _scenario_from(doc) -> Scenario:
     """Validate a loaded scenario mapping."""
     errs = _Collector()
+    _unknown(doc, "", ("constants", "topology", "run"), errs)
     cdoc = doc.get("constants", {})
     if not isinstance(cdoc, dict):
         errs.add("constants", "constants must be a mapping")
         cdoc = {}
-    gamma = _num(cdoc, "constants", "gamma", errs, default=1.4)
-    R = _num(cdoc, "constants", "R", errs, default=287.0)
-    s0 = _num(cdoc, "constants", "s0", errs, default=0.0)
+    _unknown(cdoc, "constants", ("gamma", "R", "s0"), errs)
+    # GasConstants alone holds the defaults of the keys a document leaves out
+    given = {key: _num(cdoc, "constants", key, errs) for key in ("gamma", "R", "s0")}
     try:
-        g = GasConstants(gamma=gamma, R=R, s0=s0)
-    except (ValueError, TypeError) as exc:
+        g = GasConstants(**{key: v for key, v in given.items() if v is not None})
+    except ValueError as exc:
         errs.add("constants", str(exc))
         errs.raise_if_any()
 
@@ -407,6 +422,7 @@ def _scenario_from(doc) -> Scenario:
     kind = topo.get("kind", "junction")
     specs, profiles, control = [], [], None
     if kind == "junction":
+        _unknown(topo, "topology", ("kind", "pipes"), errs)
         pipes = topo.get("pipes")
         if not isinstance(pipes, list) or len(pipes) < 2:
             errs.add("topology.pipes", "a junction needs a list of at least two pipes")
@@ -417,6 +433,7 @@ def _scenario_from(doc) -> Scenario:
                 specs.append(spec)
                 profiles.append(profile)
     elif kind == "compressor":
+        _unknown(topo, "topology", ("kind", "inlet", "outlet", "control"), errs)
         for name in ("inlet", "outlet"):
             if name not in topo:
                 errs.add(f"topology.{name}", "missing pipe")
@@ -446,35 +463,19 @@ def _scenario_from(doc) -> Scenario:
 
 def _validate_solver_invariants(sc: Scenario, errs):
     """Checks across pipes, on a scenario whose fields all parsed (so a
-    compressor has both pipes)."""
-    g = sc.constants
-    if sc.kind == "junction":
-        initial = [f"topology.pipes[{k}].initial" for k in range(len(sc.specs))]
-    else:
-        initial = ["topology.inlet.initial", "topology.outlet.initial"]
-    regimes = [classify_subsonic(st, g) for st in sc.trace_states()]
-    for where, regime in zip(initial, regimes):
-        if regime is FlowRegime.NOT_SUBSONIC:
-            errs.add(where, "state must be strictly subsonic with nonzero velocity")
-    if FlowRegime.NOT_SUBSONIC in regimes:
-        return
-    if sc.kind == "junction":
-        n_in = regimes.count(FlowRegime.D_MINUS)
-        if not 0 < n_in < len(regimes):
-            errs.add("topology.pipes",
-                     "need at least one incoming and one outgoing pipe "
-                     "(N > dim(I_i) > 0)")
-    else:
-        if regimes[0] is not FlowRegime.D_MINUS:
-            errs.add("topology.inlet.initial", "inlet flow must run toward the compressor")
-        if regimes[1] is not FlowRegime.D_PLUS:
-            errs.add("topology.outlet.initial", "outlet flow must run away from the compressor")
-        if sc.specs[0].area != sc.specs[1].area:
-            errs.add("topology.outlet.area", "compressor pipes must have equal areas")
+    compressor has both pipes).  ``classify_pipes`` alone judges whether
+    the pipes form a coupling problem; its first violation is recorded at
+    ``topology``."""
+    try:
+        classify_pipes(list(zip(sc.specs, sc.trace_states())), sc.constants, sc.control)
+    except (NotSubsonic, ValueError) as exc:
+        errs.add("topology", str(exc))
     if sc.run.mode == "riemann":
-        for where, prof in zip(initial, sc.profiles):
+        pipes = ([f"pipes[{k}]" for k in range(len(sc.specs))] if sc.kind == "junction"
+                 else ["inlet", "outlet"])
+        for pipe, prof in zip(pipes, sc.profiles):
             if not isinstance(prof, PipeState):
-                errs.add(where, "riemann mode needs constant initial states")
+                errs.add(f"topology.{pipe}.initial", "riemann mode needs constant initial states")
 
 
 # -- execution ---------------------------------------------------------------
@@ -487,11 +488,8 @@ class RunResult:
 
 
 def _grid(sc: Scenario):
-    length = sc.run.grid_length
-    if length is None:
-        length = 1.0
     n = sc.run.grid_points
-    return [length * (k + 0.5) / n for k in range(n)]
+    return [sc.run.grid_length * (k + 0.5) / n for k in range(n)]
 
 
 def _run_riemann(sc: Scenario) -> RunResult:
@@ -578,7 +576,7 @@ def _simulate(sc: Scenario, epsilon, records=None, ladder_of=None):
                 f"run.tv_bound: initial total variation {tv:g} at epsilon {epsilon:g} "
                 f"exceeds the bound {sc.run.tv_bound:g}"])
     dt_split = None if sc.run.source is None else default_split_step(
-        state, (sc.run.grid_length or 1.0) / sc.run.grid_points)
+        state, sc.run.grid_length / sc.run.grid_points)
     xs = _grid(sc)
     fields = FieldMemo(g)
     for t in _stops(sc):
@@ -632,7 +630,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
     ratios = [r.v_plus / r.v_minus for r in state.interactions
               if r.kind in ("junction", "reflection") and r.v_minus > 0]
     kinds = Counter(r.kind for r in state.interactions)
-    test_funcs = bump_test_functions((sc.run.grid_length or 1.0), sc.run.horizon)
+    test_funcs = bump_test_functions(sc.run.grid_length, sc.run.horizon)
     summary = {
         "mode": "simulate",
         "kind": sc.kind,
@@ -654,8 +652,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
         # keep no segments
         finals = [state if eps == sc.run.epsilon else _simulate(sc, eps, ladder_of=state)
                   for eps in sc.run.epsilon_ladder]
-        x_max = max(sc.run.grid_length or 1.0,
-                    state.lambda_hat * sc.run.horizon)
+        x_max = max(sc.run.grid_length, state.lambda_hat * sc.run.horizon)
         summary["epsilon_ladder"] = sc.run.epsilon_ladder
         summary["l1_distances"] = [
             l1_distance(a, b, x_max) for a, b in zip(finals, finals[1:])

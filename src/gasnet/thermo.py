@@ -16,7 +16,7 @@ uniform across the hierarchy.
 
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, log, sqrt
+from math import log, sqrt
 
 from .errors import NonPositivePressure
 
@@ -66,9 +66,6 @@ class GasConstants:
     @property
     def cp(self):
         return self.gamma * self.R / (self.gamma - 1.0)
-
-    def kappa_from_entropy(self, s):
-        return exp((s - self.s0) / self.cv)
 
     def entropy_from_kappa(self, kappa):
         return self.cv * log(kappa) + self.s0

@@ -65,7 +65,7 @@ def build_fixed_point_junction(rng, g, models_in, models_out, h_star=None,
         num += spec.area * st.q * s
         den += spec.area * st.q
     s_star = num / den
-    kappa_star = g.kappa_from_entropy(s_star)
+    kappa_star = exp((s_star - g.s0) / g.cv)
     Q_in = -den
     outs = []
     for m in models_out:

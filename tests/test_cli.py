@@ -173,6 +173,22 @@ def test_overrides_are_validated(tmp_path, capsys, flags, path, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, path", [
+    ("tol: 1.0e-10", "tolerance: 1.0e-3", "run.tolerance"),
+    ("points: 64", "pionts: 8", "run.grid.pionts"),
+    ("kind: junction", "kind: junction\n  inlet: 5", "topology.inlet"),
+    ("mode: riemann", "mode: riemann\n  horizon_s: 3", "run.horizon_s"),
+], ids=["tolerance", "pionts", "inlet", "horizon_s"])
+def test_unknown_field_fails_check(tmp_path, capsys, old, new, path):
+    # a misspelt or misplaced key is not silently left at its default
+    text = (SHIPPED / "y_junction_riemann.yaml").read_text()
+    assert text.count(old) == 1
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["check", "--scenario", str(doc)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"{doc}: validation failed:\n  {path}: unknown field\n"
+
+
 def test_riemann_subcommand_checks_its_mode(capsys):
     # the subcommand's mode goes through the cross-pipe checks: piecewise
     # profiles are rejected as they are with mode: riemann in the document

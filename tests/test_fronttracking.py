@@ -1,9 +1,8 @@
 """Front tracking: initialization, accurate/simplified solvers, event loop,
 and the Glimm functionals."""
 
-import random
 import warnings
-from math import ceil, inf, isinf, nextafter, sqrt
+from math import ceil, inf, nextafter, sqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -164,8 +163,7 @@ def test_two_front_collision_timing():
     assert f1.speed > 0 and f2.speed > 0
     if f1.speed <= f2.speed:
         pytest.skip("constructed fronts do not approach")
-    track.fronts = [f1, f2]
-    state._rebuild()
+    state._splice(1, 0, len(track.fronts), [f1, f2])
     dt_expected = (0.5 - 0.2) / (f1.speed - f2.speed)
     t = state.advance(horizon=1e9)
     assert t == pytest.approx(dt_expected, rel=1e-12)
@@ -185,8 +183,7 @@ def test_same_family_shock_merge_sheds_nonphysical():
     f2 = _front_from_jump(2, mid, right, G)
     assert f1.speed > f2.speed
     f1.born_x, f2.born_x = 0.2, 0.4
-    track.fronts = [f1, f2]
-    state._rebuild()
+    state._splice(1, 0, len(track.fronts), [f1, f2])
     v1, v2 = f1.strength, f2.strength
     state.advance(horizon=1e9)
     fams = [f.family for f in track.fronts]
@@ -210,14 +207,13 @@ def test_weak_wave_reflection_keeps_other_pipes_silent():
     st = track.trace
     # family-1 wave on the incoming pipe runs toward the junction; strength
     # far below rho_simpl = epsilon^3
-    tiny = 1e-4 * state.rho_simpl * track.scales.param
+    tiny = 1e-4 * state.rho_simpl * state.scales[0].param
     behind = apply_wave(1, tiny, st, G)
 
     f = _front_from_jump(1, st, behind, G)
     f.born_x = 0.1
     assert f.speed < 0
-    track.fronts = [f]
-    state._rebuild()
+    state._splice(0, 0, len(track.fronts), [f])
     trace_before = [t.trace for t in state.pipes]
     state.advance(horizon=1e9)
     assert [len(t.fronts) for t in state.pipes] == [1, 0, 0]
@@ -254,8 +250,7 @@ def test_glimm_single_front_and_pair():
     # one junction-leaving (family 2) front of scaled strength w: V = w, Q = 0
     f1 = _front_from_jump(2, st, apply_wave(2, 0.01 * st.rho, st, G), G)
     f1.born_x = 0.3
-    track.fronts = [f1]
-    state._rebuild()
+    state._splice(1, 0, len(track.fronts), [f1])
     w1 = state._scaled_strength(1, f1)
     gl = state.glimm()
     assert gl.V == pytest.approx(w1, rel=1e-12)
@@ -263,8 +258,7 @@ def test_glimm_single_front_and_pair():
     # add an approaching front behind it (same family, rear one a shock)
     f2 = _front_from_jump(2, st, apply_wave(2, 0.02 * st.rho, st, G), G)
     f2.born_x = 0.1
-    track.fronts = [f2, f1]
-    state._rebuild()
+    state._splice(1, 0, len(track.fronts), [f2, f1])
     w2 = state._scaled_strength(1, f2)
     gl = state.glimm()
     assert gl.Q == pytest.approx(w1 * w2, rel=1e-12)
@@ -597,7 +591,7 @@ def _reference_glimm(state):
         fronts = track.fronts
         for f in fronts:
             v += _v_weight(state, i, f) * state._scaled_strength(i, f)
-            tv += track.scales.state_norm(f.left, f.right)
+            tv += state.scales[i].state_norm(f.left, f.right)
         if len(fronts) < 2:
             continue
         fam = np.array([99 if f.family == NONPHYSICAL else f.family for f in fronts])
@@ -651,7 +645,7 @@ def _assert_glimm_matches(state):
         for f in track.fronts:
             if f.family != NONPHYSICAL:
                 ref = _front_from_jump(f.family, f.left, f.right, state.g).strength
-                floor = _STRENGTH_FLOOR * track.scales.strength_scale(f.family, f.left.model)
+                floor = _STRENGTH_FLOOR * state.scales[i].strength_scale(f.family, f.left.model)
                 assert abs(f.strength - ref) <= 1e-12 * abs(ref) + floor, (i, f, ref)
 
 
@@ -667,11 +661,29 @@ def _assert_coupling_holds(state):
         assert res.get("entropy", 0.0) <= 1e-8, res
 
 
+def _assert_laid_out(state):
+    """Each pipe as ``_splice`` lays it out: fronts in (position, speed)
+    order, each front's left state the right state of the one behind it
+    (the trace for the first), and the stored pair times those of
+    ``_pair_time`` now.  Checked after initialization and source steps,
+    which lay out every pipe at one time; the event loop's later pair
+    times carry the rounding of their own time."""
+    for track in state.pipes:
+        fronts = track.fronts
+        keys = [(f.at(state.time), f.speed) for f in fronts]
+        assert keys == sorted(keys)
+        behind = [track.trace] + [f.right for f in fronts]
+        assert all(f.left is b for f, b in zip(fronts, behind))
+        times = [state._pair_time(fronts, k) for k in range(len(fronts) - 1)]
+        assert track.times == times + [inf] * bool(fronts)
+
+
 def _oracle_run(state, horizon):
     """Advance to the horizon, checking the scheduler before and the
     functionals after every event, and the coupling residual of the
     traces after every junction or reflection event; returns the number
-    of events.
+    of events.  The state is one just initialized or source-stepped, so
+    its layout is checked first.
 
     No collision pairs two physical non-shock fronts of one family:
     adjacent same-family rarefactions diverge and contacts are parallel,
@@ -680,6 +692,7 @@ def _oracle_run(state, horizon):
     Every front's position is also carried incrementally, moved by
     speed * dt at each step, and must stay within 1e-12 of the position
     its trajectory gives."""
+    _assert_laid_out(state)
     _assert_glimm_matches(state)
     moved = {f: f.at(state.time) for t in state.pipes for f in t.fronts}
     n = 0
@@ -753,6 +766,7 @@ def test_oracle_friction_split_run():
         t0 = state.time
         events += _oracle_run(state, t0 + 0.1)
         state.apply_source(src, t0, 0.1)
+        _assert_laid_out(state)
         _assert_glimm_matches(state)
         _assert_coupling_holds(state)
     assert events >= 500
@@ -773,8 +787,7 @@ def test_source_step_absorbs_weak_fronts(monkeypatch):
     weak = ft._front_from_jump(2, st, mid, G)
     strong = ft._front_from_jump(2, mid, right, G)
     weak.born_x, strong.born_x = 0.3, 0.6
-    track.fronts = [weak, strong]
-    state._rebuild()
+    state._splice(1, 0, len(track.fronts), [weak, strong])
     assert ft._STRENGTH_FLOOR < state._scaled_strength(1, weak) < state.rho_simpl
     assert state._scaled_strength(1, strong) > state.rho_simpl
 
@@ -806,7 +819,7 @@ def test_source_step_absorbs_weak_fronts(monkeypatch):
         prev = f.right
     assert prev == shifted(right)
     # the region [0, 0.3) behind the weak front took shifted(mid)
-    assert state.np_absorbed == track.scales.state_norm(shifted(st), shifted(mid)) * 0.3
+    assert state.np_absorbed == state.scales[1].state_norm(shifted(st), shifted(mid)) * 0.3
     _assert_glimm_matches(state)
 
 
@@ -834,7 +847,7 @@ def test_scheduler_ties_follow_scan_order():
     specs, profiles = balanced_m3_junction()
     state = init_approximation(specs, profiles, G, epsilon=0.01)
 
-    for track in state.pipes[1:]:
+    for i, track in enumerate(state.pipes[1:], 1):
         st = track.trace
         fronts = []
         for x in (0.25, 1.25):
@@ -847,8 +860,7 @@ def test_scheduler_ties_follow_scan_order():
         # the scheduler reads only positions and speeds: copy the first pair's
         fronts[2].speed, fronts[3].speed = fronts[0].speed, fronts[1].speed
         assert fronts[0].speed > fronts[1].speed
-        track.fronts = fronts
-    state._rebuild()
+        state._splice(i, 0, len(track.fronts), fronts)
     ev = state._next_event()
     assert ev == _reference_next_event(state)
     assert ev[1:] == ("collision", 1, 0)
@@ -889,6 +901,18 @@ def test_oracle_m1_runs(rng):
             assert _oracle_run(state, 1.5) >= 10
             assert {r.kind for r in state.interactions} >= {"collision", "junction"}
             assert _np_strength(state) <= 0.1 * eps, (eps, _np_strength(state))
+
+
+def test_roles_are_those_of_the_t0_coupling_problem(rng):
+    # the tracker takes each pipe's role from the coupling problem of its
+    # t = 0 solve: on the M1 junction (an incoming and an outgoing
+    # full-Euler pipe) and the M1 compressor of _m1_cases
+    for specs, profiles, control in _m1_cases(rng):
+        state = init_approximation(specs, profiles, G, epsilon=0.04, control=control)
+        problem = JunctionProblem([(spec, prof[0][1]) for spec, prof in zip(specs, profiles)],
+                                  G, control)
+        assert state.roles == [p.role for p in problem.pipes]
+        assert {M1_IN, M1_OUT} <= set(state.roles)
 
 
 def test_kj_does_not_depend_on_epsilon(rng):
@@ -948,29 +972,3 @@ def test_star_pressure_a_rounding_step_above_data(monkeypatch):
         wave = _acoustic_wave(family, out, star, p_star, G)
         assert (wave.kind, wave.left, wave.right) == (RAREFACTION, left, right)
         assert wave.strength == p_star - pressure(out, G) > 0.0
-
-
-def test_rebuild_restores_order_from_any_permutation():
-    # the sort by (position, speed) restores the order the event loop
-    # keeps, and the rebuild depends on the fronts alone, not their order;
-    # at t = 0 the fronts of each interior jump share one position
-    state = ladder_scenario(0.005)
-    shuffle = random.Random(5).shuffle
-    for horizon in (0.0, 0.6):
-        state.run(horizon)
-        order = [list(t.fronts) for t in state.pipes]
-        gl, running_times = state.glimm(), [t for p in state.pipes for t in p.times]
-        state._rebuild()
-        assert [t.fronts for t in state.pipes] == order
-        assert state.glimm() == gl
-        # the event loop's pair times carry their own rounding
-        times = [list(t.times) for t in state.pipes]
-        for a, b in zip(running_times, [t for p in times for t in p]):
-            assert a == b if isinf(b) else abs(a - b) <= 1e-12 * b, (a, b)
-        for track in state.pipes:
-            shuffle(track.fronts)
-        assert [t.fronts for t in state.pipes] != order
-        state._rebuild()
-        assert [t.fronts for t in state.pipes] == order
-        assert [t.times for t in state.pipes] == times
-        assert state.glimm() == gl

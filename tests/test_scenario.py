@@ -11,8 +11,18 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from gasnet import ScenarioParseError, ScenarioValidationError, scenario
+from gasnet import (
+    GasConstants,
+    Model,
+    NotSubsonic,
+    ScenarioParseError,
+    ScenarioValidationError,
+    iso_state,
+    scenario,
+)
+from gasnet.compressor import CompressorControl
 from gasnet.fronttracking import init_approximation
+from gasnet.junction import JunctionProblem, PipeSpec
 from gasnet.output import FieldMemo, read_json, render_json, state_fields, write_json
 from gasnet.scenario import parse_scenario, run_scenario
 from reference import render_csv
@@ -74,6 +84,81 @@ def test_sonic_state_rejected():
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(doc)
     assert any("subsonic" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("doc, old, new", [
+    (MINIMAL, "u: 0.3", "u: 3.0"),
+    (MINIMAL, "u: 0.3", "u: -0.3"),
+    (COMPRESSOR, "u: -80.0", "u: 80.0"),
+    (COMPRESSOR, "u: 61.54", "u: -61.54"),
+    (COMPRESSOR, "outlet: {id: hi, area: 1.0", "outlet: {id: hi, area: 2.0"),
+], ids=["sonic-pipe", "all-incoming", "inlet-flows-away", "outlet-flows-in", "unequal-areas"])
+def test_cross_pipe_violation_is_the_coupling_problems_error(doc, old, new):
+    # the validator reports the error JunctionProblem raises on the same
+    # data, word for word, once, at topology
+    text = doc.replace(old, new)
+    assert text != doc
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(text)
+    raw = yaml.safe_load(text)
+    topo = raw["topology"]
+    pipes = topo["pipes"] if topo["kind"] == "junction" else [topo["inlet"], topo["outlet"]]
+    data = []
+    for p in pipes:
+        model, st = Model(p["model"]), p["initial"]
+        data.append((PipeSpec(p["id"], float(p["area"]), model),
+                     iso_state(model, float(st["rho"]), float(st["u"]), float(st["kappa"]))))
+    control = topo.get("control")
+    if control is not None:
+        control = CompressorControl(control["kind"], float(control["h_star"]))
+    with pytest.raises((NotSubsonic, ValueError)) as exc:
+        JunctionProblem(data, GasConstants(**raw["constants"]), control)
+    assert err.value.violations == [f"topology: {exc.value}"]
+
+
+# (document, text, its replacement, path of the unknown key)
+UNKNOWN_FIELDS = [
+    (MINIMAL, "model: M3, initial: {rho: 1.0, u: -0.3, kappa: 1.0}",
+     "model: M1, initial: {rho: 1.0, u: -0.3, p: 1.0, kappa: 1.0}",
+     "topology.pipes[0].initial.kappa"),
+    (MINIMAL, "initial: {rho: 1.0, u: 0.3, kappa: 1.0}",
+     "initial: {rho: 1.0, u: 0.3, kappa: 1.0, p: 1.0}", "topology.pipes[1].initial.p"),
+    (MINIMAL, "initial: {rho: 1.0, u: 0.3, kappa: 1.0}",
+     "initial: {pieces: [{x_right: null, rho: 1.0, u: 0.3, kappa: 1.0}], x_right: 0.5}",
+     "topology.pipes[1].initial.x_right"),
+    (MINIMAL, "initial: {rho: 1.0, u: 0.3, kappa: 1.0}",
+     "initial: {pieces: [{x_right: null, rho: 1.0, u: 0.3, kappa: 1.0, E: 2.0}]}",
+     "topology.pipes[1].initial.pieces[0].E"),
+    (MINIMAL, "{id: b, area: 1.0,", "{id: b, area: 1.0, diameter: 0.5,",
+     "topology.pipes[1].diameter"),
+    (MINIMAL, "kind: junction", "kind: junction\n  control: {kind: CP1, h_star: 1.0}",
+     "topology.control"),
+    (COMPRESSOR, "kind: compressor", "kind: compressor\n  pipes: []", "topology.pipes"),
+    (COMPRESSOR, "h_star: 25000.0}", "h_star: 25000.0, cp_coeff: 1.0}",
+     "topology.control.cp_coeff"),
+    (COMPRESSOR, "{kind: CP1, h_star: 25000.0}", "{kind: CP2, p_star: 1.0, cp_coeff: 1.0, "
+     "h_star: 1.0}", "topology.control.h_star"),
+    (MINIMAL, "grid:", "source: {kind: none, lambda_f: 0.1}\n  grid:", "run.source.lambda_f"),
+    (MINIMAL, "grid:", "source: {kind: friction, lambda_f: 0.1, diameter: 0.5, D: 0.5}\n  grid:",
+     "run.source.D"),
+    (MINIMAL, "constants: {gamma: 1.4, R: 1.0}", "constants: {gamma: 1.4, R: 1.0, cv: 2.5}",
+     "constants.cv"),
+    (MINIMAL, "run:", "runs: {}\nrun:", "runs"),
+]
+
+
+@pytest.mark.parametrize("doc, old, new, path", UNKNOWN_FIELDS,
+                         ids=["M1-state", "M3-state", "profile", "piece", "pipe",
+                              "junction-topology", "compressor-topology", "CP1-control",
+                              "CP2-control", "none-source", "friction-source", "constants",
+                              "top-level"])
+def test_unknown_field_in_each_block(doc, old, new, path):
+    # a key that its block, of its kind, does not read is one violation
+    text = doc.replace(old, new, 1)
+    assert text != doc
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(text)
+    assert err.value.violations == [f"{path}: unknown field"]
 
 
 def test_violations_are_aggregated():

@@ -206,8 +206,7 @@ def _shed_source_step(state, source, t0, dt):
                 solved = accurate_solve(l_new, r_new, state.g, state.epsilon, state.scales[i])
             new_fronts += _placed(solved, x, state.time)
         track.trace = shifted[0]
-        track.fronts = new_fronts
-    state._rebuild()
+        state._splice(i, 0, len(track.fronts), new_fronts)
     state._emit(state.traces())
 
 
