@@ -9,8 +9,10 @@ Subcommands::
     gasnet diagnose --results results/records.json        print the stored
                                                           diagnostics
 
-Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
-4 I/O error.  The environment variable GASNET_LOG sets the log level.
+Each ``--scenario`` PATH is read as a file; ``--horizon``, ``--tol`` and
+(simulate only) ``--epsilon`` replace the document's run fields.  Exit
+codes: 0 success, 2 validation failure, 3 solver non-convergence, 4 I/O
+error.  The environment variable GASNET_LOG sets the log level.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .errors import GasnetError, ScenarioParseError, ScenarioValidationError
 from .output import read_json, write_csv, write_json
-from .scenario import override_run, parse_scenario, run_scenario
+from .scenario import parse_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -47,15 +49,12 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"gasnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", action="append", required=True,
-                           metavar="PATH", help="scenario document (repeatable)")
+    def add_common(p):
+        p.add_argument("--scenario", action="append", required=True,
+                       metavar="PATH", help="scenario document (repeatable)")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: print summary only)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="override run.epsilon")
         p.add_argument("--horizon", type=float, default=None,
                        help="override run.horizon")
         p.add_argument("--tol", type=float, default=None, help="override run.tol")
@@ -64,20 +63,13 @@ def _build_parser():
     add_common(p_riemann)
     p_sim = sub.add_parser("simulate", help="wave-front-tracking simulation")
     add_common(p_sim)
+    p_sim.add_argument("--epsilon", type=float, default=None, help="override run.epsilon")
     p_check = sub.add_parser("check", help="validate a scenario document")
     p_check.add_argument("--scenario", action="append", required=True, metavar="PATH")
     p_diag = sub.add_parser("diagnose", help="print the diagnostics stored in a results file")
     p_diag.add_argument("--results", required=True, metavar="PATH",
                         help="records.json produced by riemann/simulate")
     return parser
-
-
-def _apply_overrides(sc, args, mode):
-    """``sc`` with the subcommand's mode and the flags' run fields, checked
-    as the document's own fields are."""
-    fields = {key: getattr(args, key) for key in ("epsilon", "horizon", "tol")
-              if getattr(args, key) is not None}
-    return override_run(sc, mode=mode, **fields)
 
 
 def _write_result(result, path, out_dir, fmt):
@@ -101,7 +93,9 @@ def _write_result(result, path, out_dir, fmt):
 
 
 def _run_one(path, args, mode):
-    sc = _apply_overrides(parse_scenario(path), args, mode)
+    flags = {key: v for key in ("epsilon", "horizon", "tol")
+             if (v := getattr(args, key, None)) is not None}
+    sc = parse_scenario(Path(path).read_text(encoding="utf-8"), mode=mode, **flags)
     result = run_scenario(sc)
     _write_result(result, path, args.out, args.format)
     return result
@@ -138,7 +132,7 @@ def _cmd_check(args):
     code = EXIT_OK
     for path in args.scenario:
         def check():
-            parse_scenario(path)
+            parse_scenario(Path(path).read_text(encoding="utf-8"))
             print(f"{path}: ok")
         code = max(code, _guard(check, path))
     return code

@@ -14,11 +14,11 @@ evolves by propagating finitely many fronts:
   rho_simpl) are reflected into a single non-physical front so no other
   pipe is disturbed and the junction traces keep satisfying the coupling
   conditions;
-* a source step (``apply_source``) shifts the constant regions; a front
-  whose adjacent regions moved is re-solved by the accurate step, or,
-  when it is non-physical or its strength is below rho_simpl, absorbed:
-  it is dropped and the bounded region behind it takes the state ahead
-  of it.
+* a source step (``apply_source``) shifts the momentum of the constant
+  regions; a front whose adjacent regions moved is re-solved by the
+  accurate step, or, when it is non-physical or its strength is below
+  rho_simpl, absorbed: it is dropped and the bounded region behind it
+  takes the state ahead of it.
 
 The threshold is rho_simpl = epsilon * epsilon**2 = epsilon**3: two fan
 slices have a strength product of at most epsilon**2, so the threshold
@@ -127,6 +127,8 @@ from .thermo import (
     Model,
     PipeState,
     eigenvalues,
+    iso_state,
+    m1_state,
     pressure,
     sound_speed,
 )
@@ -247,10 +249,10 @@ class Segment(NamedTuple):
 
 
 class FrictionSource:
-    """Pipe friction acting on the momentum balance.
+    """Pipe friction, which acts on the momentum balance alone.
 
-    Rate (0, -lambda_f * q|q| / (2 * D * rho) [, 0]); the energy component
-    of the full Euler model is left untouched.
+    The source step reads a source only through ``momentum_rate``, the
+    rate of change of q at a state; rho, the M1 energy E and kappa stay.
     """
 
     def __init__(self, lambda_f, diameter):
@@ -259,11 +261,9 @@ class FrictionSource:
         self.lambda_f = lambda_f
         self.diameter = diameter
 
-    def evaluate(self, t, state, g):
-        dq = -self.lambda_f * state.q * abs(state.q) / (2.0 * self.diameter * state.rho)
-        if state.model is Model.M1:
-            return (0.0, dq, 0.0)
-        return (0.0, dq)
+    def momentum_rate(self, state):
+        """-lambda_f * q|q| / (2 * D * rho)."""
+        return -self.lambda_f * state.q * abs(state.q) / (2.0 * self.diameter * state.rho)
 
 
 def flux_vector(state: PipeState, g: GasConstants):
@@ -312,16 +312,13 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
         else:
             mu2 = (gamma - 1.0) / (gamma + 1.0)
             rho_x = left.rho * (mu2 * p_w + p_x) / (p_w + mu2 * p_x)
-        u_x = left.u - kernels.psi(p_w, p_x, rho_x, gamma)
-        E_x = p_x / (gamma - 1.0) + 0.5 * rho_x * u_x * u_x
-        return PipeState(Model.M1, rho_x, rho_x * u_x, E=E_x)
+        return m1_state(rho_x, left.u - kernels.psi(p_w, p_x, rho_x, gamma), p_x, g)
     rho_x = left.rho - strength
     if rho_x <= 0.0:
         raise NonPositiveDensity(f"wave of strength {strength} from rho={left.rho}")
     if model is Model.M2:
         inc = kernels.theta2(left.rho, rho_x, left.kappa, gamma)
-        u_x = (left.q - inc) / left.rho
-        return PipeState(Model.M2, rho_x, rho_x * u_x, kappa=left.kappa)
+        return iso_state(Model.M2, rho_x, (left.q - inc) / left.rho, left.kappa)
     inc = kernels.theta3(left.rho, rho_x, left.kappa, gamma)
     return PipeState(Model.M3, rho_x, left.q - inc, kappa=left.kappa)
 
@@ -751,11 +748,12 @@ class FrontTrackingState:
 
     # -- operator splitting ------------------------------------------------
 
-    def apply_source(self, source, t0, dt):
-        """Add dt * G(t0, .) to every constant region, then re-resolve.
+    def apply_source(self, source, dt):
+        """Add dt * ``source.momentum_rate`` to the momentum of every
+        constant region, then re-resolve.
 
         Each pipe's fronts are walked right to left.  A front whose
-        adjacent states are unchanged (G = 0 on both sides) is kept
+        adjacent states are unchanged (rate 0 on both sides) is kept
         bit-for-bit.  A non-physical front, or a physical one of scaled
         strength below rho_simpl, whose adjacent states changed is
         absorbed: it is dropped, and the bounded region behind it takes
@@ -769,7 +767,7 @@ class FrontTrackingState:
         changed_any = False
         for i in range(len(self.pipes)):
             try:
-                if self._source_step(i, source, t0, dt):
+                if self._source_step(i, source, dt):
                     changed_any = True
             except GasnetError as exc:
                 self._add_context(exc, "source step", i)
@@ -782,7 +780,7 @@ class FrontTrackingState:
                 self._add_context(exc, "coupling re-solve after the source step")
                 raise
 
-    def _source_step(self, i, source, t0, dt):
+    def _source_step(self, i, source, dt):
         """The source step of ``apply_source`` on pipe i, without the
         coupling re-solve; returns whether any region of the pipe moved."""
         g = self.g
@@ -790,16 +788,11 @@ class FrontTrackingState:
         regions = list(track.states())
         shifted = []
         for st in regions:
-            rates = source.evaluate(t0, st, g)
-            if all(r == 0.0 for r in rates):
+            rate = source.momentum_rate(st)
+            if rate == 0.0:
                 shifted.append(st)
                 continue
-            if st.model is Model.M1:
-                new = PipeState(st.model, st.rho + dt * rates[0],
-                                st.q + dt * rates[1], E=st.E + dt * rates[2])
-            else:
-                new = PipeState(st.model, st.rho + dt * rates[0],
-                                st.q + dt * rates[1], kappa=st.kappa)
+            new = PipeState(st.model, st.rho, st.q + dt * rate, E=st.E, kappa=st.kappa)
             c = sound_speed(new, g)
             if not abs(new.u) < c:
                 raise SubsonicViolation(
@@ -876,10 +869,9 @@ def operator_split_run(state: FrontTrackingState, source, horizon, dt_split):
     """Euler polygonal: homogeneous evolution over each dt_split, then the
     source step."""
     while state.time < horizon * (1.0 - 1e-15):
-        t0 = state.time
-        dt = min(dt_split, horizon - t0)
-        state.run(t0 + dt)
-        state.apply_source(source, t0, dt)
+        dt = min(dt_split, horizon - state.time)
+        state.run(state.time + dt)
+        state.apply_source(source, dt)
     return state
 
 

@@ -24,7 +24,7 @@ from math import log
 
 from . import kernels
 from .errors import NonPositiveDensity
-from .thermo import GasConstants, Model, PipeState, eigenvalues, pressure
+from .thermo import GasConstants, Model, PipeState, eigenvalues, m1_state, pressure
 
 # Roles a pipe can play in the coupling parameterization.
 M1_OUT = "M1_out"
@@ -57,8 +57,7 @@ def lax_m1(family, param, base: PipeState, g: GasConstants):
     p_k = pressure(base, g)
     rho = kernels.phi(sigma, p_k, base.rho, gamma)
     dpsi = kernels.psi(sigma, p_k, base.rho, gamma)
-    u = base.u - dpsi if family == 1 else base.u + dpsi
-    return PipeState(Model.M1, rho, rho * u, E=sigma / (gamma - 1.0) + 0.5 * rho * u * u)
+    return m1_state(rho, base.u - dpsi if family == 1 else base.u + dpsi, sigma, g)
 
 
 def lax_iso(model: Model, family, sigma, base: PipeState, g: GasConstants):
@@ -127,11 +126,11 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
     """
     gamma = g.gamma
     cv = g.cv
+    if sigma <= 0.0:
+        raise NonPositiveDensity(f"curve parameter sigma={sigma}")
 
     if role == ISO:
         kappa = base.kappa
-        if sigma <= 0.0:
-            raise NonPositiveDensity(f"curve parameter sigma={sigma}")
         p = kappa * sigma**gamma
         dp = kappa * gamma * sigma ** (gamma - 1.0)
         T = p / (g.R * sigma)
@@ -158,8 +157,6 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
 
     # Full Euler: fast acoustic curve from the data, then (outgoing only)
     # the contact shift.  Pressure after the contact equals sigma.
-    if sigma <= 0.0:
-        raise NonPositiveDensity(f"curve parameter sigma={sigma}")
     p_k = pressure(base, g)
     rho_v = kernels.phi(sigma, p_k, base.rho, gamma)
     drho_v = kernels.dphi(sigma, p_k, base.rho, gamma)
@@ -192,8 +189,7 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
     ds = cv * (1.0 / sigma - gamma * drho / rho)
     T = sigma / (g.R * rho)
     dT = (rho - sigma * drho) / (g.R * rho**2)
-    E = sigma / (gamma - 1.0) + 0.5 * rho * u * u
-    state = PipeState(Model.M1, rho, q, E=E)
+    state = m1_state(rho, u, sigma, g)
     if role == M1_IN:
         return TraceEval(state, q, h, s, sigma, T, dq, dh, ds, 1.0, dT)
     return TraceEval(

@@ -14,8 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import kernels
-from .laxcurves import curve_parameter, fan_edge_speed
-from .thermo import GasConstants, Model, PipeState, pressure, sound_speed
+from .laxcurves import curve_parameter, curve_point, fan_edge_speed
+from .thermo import GasConstants, Model, PipeState, iso_state, m1_state, pressure, sound_speed
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -130,20 +130,17 @@ def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannS
         raise ValueError("use solve_riemann_m1 for the full Euler model")
     if UL.kappa != UR.kappa:
         raise ValueError("isentropic Riemann data must share kappa")
-    gamma = g.gamma
-    kappa = UL.kappa
+    gamma, kappa = g.gamma, UL.kappa
     if model is Model.M2:
         rho_star, res, it = kernels.solve_rho_star_m2(UL.rho, UL.u, UR.rho, UR.u, kappa, gamma)
-        q_star = UL.u * rho_star - kernels.theta2(rho_star, UL.rho, kappa, gamma)
     else:
         rho_star, res, it = kernels.solve_rho_star_m3(UL.rho, UL.q, UR.rho, UR.q, kappa, gamma)
-        q_star = UL.q - kernels.theta3(rho_star, UL.rho, kappa, gamma)
-    star = PipeState(model, rho_star, q_star, kappa=kappa)
+    star = curve_point(1, rho_star, UL, g)
     waves = (
         _acoustic_wave(1, UL, star, rho_star, g),
         _acoustic_wave(2, UR, star, rho_star, g),
     )
-    return RiemannSolutionIso(rho_star, q_star, waves, res, it)
+    return RiemannSolutionIso(rho_star, star.q, waves, res, it)
 
 
 def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
@@ -175,10 +172,10 @@ def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
         u = xi - c
     if model is Model.M2:
         rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
-        return PipeState(Model.M2, rho, rho * u, kappa=kappa)
+        return iso_state(Model.M2, rho, u, kappa)
     rho = anchor.rho * (c / c_a) ** (2.0 / (gamma - 1.0))
     p = pressure(anchor, g) * (c / c_a) ** (2.0 * gamma / (gamma - 1.0))
-    return PipeState(Model.M1, rho, rho * u, E=p / (gamma - 1.0) + 0.5 * rho * u * u)
+    return m1_state(rho, u, p, g)
 
 
 def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: GasConstants):

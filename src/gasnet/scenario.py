@@ -25,6 +25,8 @@ three blocks::
 M1 initial states are given as {rho, u, p}, isentropic ones as
 {rho, u, kappa}; piecewise-constant profiles use
 ``initial: {pieces: [{x_right: 0.5, rho: ..}, {x_right: null, ..}]}``.
+``parse_scenario`` validates a document's text, read by its caller, once,
+with the caller's ``run`` fields in place of the document's own.
 Validation aggregates all violations with their field paths before
 raising; a key its block does not read is one too (``unknown field``).
 The one exception is the cross-pipe rule of the coupling problem, which
@@ -35,7 +37,7 @@ failure, at ``topology``, once every field has parsed.
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -83,7 +85,6 @@ class Scenario:
     profiles: list                  # per pipe: PipeState or [(x_right, state), ...]
     control: CompressorControl
     run: RunConfig
-    raw: dict = field(repr=False, default=None)
 
     def trace_states(self):
         return [p if isinstance(p, PipeState) else p[0][1] for p in self.profiles]
@@ -169,15 +170,12 @@ def _parse_state(doc, path, model, g, errs):
     _unknown(doc, path, ("rho", "u", third), errs)
     rho = _num(doc, path, "rho", errs, positive=True, required=True)
     u = _num(doc, path, "u", errs, required=True)
-    if model is Model.M1:
-        p = _num(doc, path, "p", errs, positive=True, required=True)
-        if None in (rho, u, p):
-            return None
-        return m1_state(rho, u, p, g)
-    kappa = _num(doc, path, "kappa", errs, positive=True, required=True)
-    if None in (rho, u, kappa):
+    p_or_kappa = _num(doc, path, third, errs, positive=True, required=True)
+    if None in (rho, u, p_or_kappa):
         return None
-    return iso_state(model, rho, u, kappa)
+    if model is Model.M1:
+        return m1_state(rho, u, p_or_kappa, g)
+    return iso_state(model, rho, u, p_or_kappa)
 
 
 def _parse_profile(doc, path, model, g, errs):
@@ -373,12 +371,8 @@ def _load(text):
     return doc
 
 
-def parse_scenario(source) -> Scenario:
-    """Parse and validate a scenario document (text or file path)."""
-    text = source
-    if "\n" not in source and (source.endswith((".yaml", ".yml")) or "/" in source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def _document(text):
+    """The mapping of a scenario document's text."""
     try:
         try:
             doc = _load(text)
@@ -388,13 +382,16 @@ def parse_scenario(source) -> Scenario:
         raise ScenarioParseError(f"not a well-formed YAML document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario must be a YAML mapping")
+    return doc
+
+
+def parse_scenario(text, **run) -> Scenario:
+    """Parse and validate a scenario document's text, with the ``run``
+    fields given in place of the document's own."""
+    doc = _document(text)
+    if run and isinstance(doc.get("run", {}), dict):
+        doc["run"] = {**doc.get("run", {}), **run}
     return _scenario_from(doc)
-
-
-def override_run(sc: Scenario, **fields) -> Scenario:
-    """``sc`` with the given ``run`` fields replaced, validated as if its
-    document had carried them."""
-    return _scenario_from({**sc.raw, "run": {**(sc.raw.get("run") or {}), **fields}})
 
 
 def _scenario_from(doc) -> Scenario:
@@ -455,7 +452,7 @@ def _scenario_from(doc) -> Scenario:
     run = _parse_run(doc.get("run", {}), "run", errs)
     errs.raise_if_any()
 
-    scenario = Scenario(g, kind, specs, profiles, control, run, raw=doc)
+    scenario = Scenario(g, kind, specs, profiles, control, run)
     _validate_solver_invariants(scenario, errs)
     errs.raise_if_any()
     return scenario

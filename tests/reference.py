@@ -152,10 +152,10 @@ def numpy_newton(problem, tol, max_iter):
 
 
 class ZeroSource:
-    """G = 0."""
+    """A momentum rate of 0."""
 
-    def evaluate(self, t, state, g):
-        return (0.0, 0.0, 0.0) if state.model is Model.M1 else (0.0, 0.0)
+    def momentum_rate(self, state):
+        return 0.0
 
 
 def render_csv(records):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from gasnet.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+from gasnet.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from gasnet.scenario import parse_scenario, run_scenario
 
 GOOD = """
@@ -124,7 +124,7 @@ def test_simulate_out_then_diagnose(scenario_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", "--results", str(out / "good.json")]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    sc = parse_scenario(str(scenario_file))
+    sc = parse_scenario(scenario_file.read_text())
     sc.run.mode, sc.run.horizon, sc.run.epsilon = "simulate", 0.4, 0.01
     records = run_scenario(sc).records
     assert doc["records_checked"] == sc.run.snapshots == len(records)
@@ -198,11 +198,33 @@ def test_riemann_subcommand_checks_its_mode(capsys):
     assert "topology.pipes[0].initial: riemann mode needs constant initial states" in err
 
 
+def test_scenario_paths_are_read_as_files(tmp_path, monkeypatch, capsys):
+    # a name with no directory part and no .yaml suffix is a path like any
+    # other: a readable file is checked, a missing one is an I/O error
+    monkeypatch.chdir(tmp_path)
+    Path("yjr.txt").write_text((SHIPPED / "y_junction_riemann.yaml").read_text(),
+                               encoding="utf-8")
+    assert main(["check", "--scenario", "yjr.txt"]) == EXIT_OK
+    assert capsys.readouterr().out == "yjr.txt: ok\n"
+    for command in ("check", "riemann"):
+        assert main([command, "--scenario", "missing"]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("missing: I/O error")
+
+
+def test_riemann_takes_no_epsilon(capsys):
+    # riemann mode never reads run.epsilon, so its subcommand has no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["riemann", "--scenario", str(SHIPPED / "y_junction_riemann.yaml"),
+              "--epsilon", "0.1"])
+    assert exc.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+
+
 def test_tv_bound_exceeded_is_a_validation_failure(tmp_path, capsys):
     text = (SHIPPED / "y_junction_tracking.yaml").read_text()
     path = tmp_path / "tv.yaml"
     path.write_text(text.replace("\nrun:\n", "\nrun:\n  tv_bound: 1.0e-6\n"), encoding="utf-8")
-    assert "tv_bound" in parse_scenario(str(path)).raw["run"]
+    assert parse_scenario(path.read_text()).run.tv_bound == 1.0e-6
     assert main(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
     assert "run.tv_bound: initial total variation" in capsys.readouterr().err
 

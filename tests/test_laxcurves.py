@@ -165,3 +165,14 @@ def test_family2_negative_density_raises():
 
     with pytest.raises(NonPositiveDensity):
         lax_m1(2, -1.5, base, GU)
+
+
+@pytest.mark.parametrize("family", [1, 3])
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_acoustic_point_at_non_positive_pressure_raises(family, sigma):
+    # the state comes from m1_state, which rejects the pressure before a
+    # complex or zero density reaches PipeState
+    from gasnet import NonPositivePressure
+
+    with pytest.raises(NonPositivePressure):
+        lax_m1(family, sigma, m1_state(1.0, 0.1, 1.0, GU), GU)

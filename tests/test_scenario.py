@@ -672,7 +672,7 @@ def test_parse_matches_pure_python_loader(name):
     if name == RIEMANN_BATCH:
         assert len(texts) == 206
     for text in texts:
-        assert _typed(parse_scenario(text).raw) == _typed(
+        assert _typed(scenario._document(text)) == _typed(
             yaml.load(text, Loader=yaml.SafeLoader))
 
 
@@ -755,7 +755,7 @@ def test_event_builder_falls_back_to_yaml_load(name):
             parse_scenario(text)
         assert str(err.value) == f"not a well-formed YAML document: {exc}"
     else:
-        assert _typed(parse_scenario(text).raw) == _typed(want)
+        assert _typed(scenario._document(text)) == _typed(want)
 
 
 @pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])
@@ -799,7 +799,7 @@ def test_render_json_without_records_or_summary():
 def test_sampled_states_are_the_region_objects():
     # the simulate sampler's one pass per pipe returns what a scan per grid
     # point returns, object for object, and fields are computed once per object
-    sc = parse_scenario(str(SHIPPED_TRACKING))
+    sc = parse_scenario(SHIPPED_TRACKING.read_text())
     state = init_approximation(sc.specs, sc.profiles, sc.constants, sc.run.epsilon)
     xs = [k / 16 for k in range(64)]
     fields = FieldMemo(sc.constants)

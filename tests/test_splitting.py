@@ -6,7 +6,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from gasnet import GasConstants, Model, PipeState, SubsonicViolation, iso_state
+from gasnet import GasConstants, Model, PipeState, SubsonicViolation, iso_state, m1_state
 from gasnet.fronttracking import (
     _STRENGTH_FLOOR,
     NONPHYSICAL,
@@ -71,10 +71,8 @@ class ConstantSource:
     def __init__(self, dq):
         self.dq = dq
 
-    def evaluate(self, t, state, g):
-        if state.model is Model.M1:
-            return (0.0, self.dq, 0.0)
-        return (0.0, self.dq)
+    def momentum_rate(self, state):
+        return self.dq
 
 
 def test_constant_source_single_step_is_euler_increment():
@@ -84,11 +82,10 @@ def test_constant_source_single_step_is_euler_increment():
     state = init_approximation(specs, profiles, G, epsilon=0.01)
     src = FrictionSource(lambda_f=0.02, diameter=0.5)
     q0_in, q0_out = profiles[0].q, profiles[1].q
-    rates = [src.evaluate(0.0, profiles[0], G)[1],
-             src.evaluate(0.0, profiles[1], G)[1]]
+    rates = [src.momentum_rate(profiles[0]), src.momentum_rate(profiles[1])]
     dt = 1e-3
     state.run(dt)
-    state.apply_source(src, 0.0, dt)
+    state.apply_source(src, dt)
     assert state.pipes[0].trace.q == pytest.approx(q0_in + dt * rates[0], rel=1e-12)
     assert state.pipes[1].trace.q == pytest.approx(q0_out + dt * rates[1], rel=1e-12)
     # the symmetric shift keeps the coupling balanced: no fronts appear
@@ -123,9 +120,8 @@ def test_friction_decreases_flux_monotonically():
     state = init_approximation(specs, profiles, G, epsilon=0.01)
     qs = [abs(state.pipes[1].trace.q)]
     for _ in range(10):
-        t0 = state.time
-        state.run(t0 + 0.1)
-        state.apply_source(src, t0, 0.1)
+        state.run(state.time + 0.1)
+        state.apply_source(src, 0.1)
         qs.append(abs(state.pipes[1].trace.q))
         assert state.pipes[1].trace.rho == pytest.approx(profiles[1].rho, rel=1e-12)
     assert all(b < a for a, b in zip(qs, qs[1:]))
@@ -134,8 +130,8 @@ def test_friction_decreases_flux_monotonically():
 class EjectorSource:
     """Pushes the momentum up hard enough to leave the subsonic region."""
 
-    def evaluate(self, t, state, g):
-        return (0.0, 100.0 * state.rho)
+    def momentum_rate(self, state):
+        return 100.0 * state.rho
 
 
 def test_source_leaving_subsonic_region_raises():
@@ -143,7 +139,7 @@ def test_source_leaving_subsonic_region_raises():
     state = init_approximation(specs, profiles, G, epsilon=0.01)
     state.run(0.5)
     with pytest.raises(SubsonicViolation) as err:
-        state.apply_source(EjectorSource(), 0.0, 0.5)
+        state.apply_source(EjectorSource(), 0.5)
     # the error says where the run raised it
     assert err.value.__notes__ == ["epsilon 0.01: source step on pipe 'a' at t = 0.5"]
 
@@ -161,7 +157,7 @@ def test_coupling_error_after_source_step_says_so(monkeypatch):
 
     monkeypatch.setattr(ft, "solve_junction", fail)
     with pytest.raises(NoConvergence) as err:
-        state.apply_source(ConstantSource(-0.01), 0.0, 0.5)
+        state.apply_source(ConstantSource(-0.01), 0.5)
     assert err.value.__notes__ == [
         "epsilon 0.01: coupling re-solve after the source step at t = 0.5"]
 
@@ -184,7 +180,41 @@ def test_splitting_with_fronts_keeps_coupling_satisfied():
     assert weak == pytest.approx(8.5813e-5, rel=1e-3)
 
 
-def _shed_source_step(state, source, t0, dt):
+@pytest.mark.parametrize("model", [Model.M1, Model.M2])
+def test_source_step_shifts_only_the_momentum(model):
+    # friction acts on the momentum balance alone: on full-Euler and
+    # isentropic pipes alike the far field keeps its density and its
+    # energy or kappa, its momentum moves by dt times the rate, and the
+    # re-solved coupling holds
+    c = sqrt(G.gamma)
+
+    def st(rho, u):
+        # the isentrope p = rho**gamma of kappa = 1
+        return m1_state(rho, u, rho**G.gamma, G) if model is Model.M1 else iso_state(
+            model, rho, u, 1.0)
+
+    specs = [PipeSpec("a", 1.0, model), PipeSpec("b", 1.0, model)]
+    profiles = [[(0.4, st(1.0, -0.3 * c)), (None, st(1.03, -0.3 * c))],
+                [(0.6, st(1.0, 0.3 * c)), (None, st(0.97, 0.3 * c))]]
+    state = init_approximation(specs, profiles, G, epsilon=0.02)
+    state.run(0.3)
+    far = [track.fronts[-1].right for track in state.pipes]
+    src = FrictionSource(0.05, 0.5)
+    state.apply_source(src, 0.1)
+    for before, track in zip(far, state.pipes):
+        after = track.fronts[-1].right
+        assert after.rho == before.rho
+        assert (after.E, after.kappa) == (before.E, before.kappa)
+        assert after.q == before.q + 0.1 * src.momentum_rate(before)
+        assert after.q != before.q
+    from gasnet.scenario import trace_residuals
+
+    res = trace_residuals(state, specs, G)
+    assert res["mass"] <= 1e-9
+    assert res["enthalpy_spread"] <= 1e-8
+
+
+def _shed_source_step(state, source, dt):
     """Reference source step that keeps every weak front, for isentropic
     pipes and a source that moves every region: each front is re-solved by
     the accurate step or, when it is non-physical or weaker than rho_simpl,
@@ -193,9 +223,8 @@ def _shed_source_step(state, source, t0, dt):
         regions = list(track.states())
         shifted = []
         for st in regions:
-            rates = source.evaluate(t0, st, state.g)
-            shifted.append(PipeState(st.model, st.rho + dt * rates[0],
-                                     st.q + dt * rates[1], kappa=st.kappa))
+            shifted.append(PipeState(st.model, st.rho, st.q + dt * source.momentum_rate(st),
+                                     kappa=st.kappa))
         new_fronts = []
         for k, f in enumerate(track.fronts):
             l_new, r_new = shifted[k], shifted[k + 1]
@@ -223,9 +252,9 @@ def test_absorbed_l1_matches_shedding_reference(epsilon):
         t0 = state.time
         state.run(t0 + 0.1)
         ref = copy.deepcopy(state)
-        _shed_source_step(ref, src, t0, 0.1)
+        _shed_source_step(ref, src, 0.1)
         before = state.np_absorbed
-        state.apply_source(src, t0, 0.1)
+        state.apply_source(src, 0.1)
         increment = state.np_absorbed - before
         dist = l1_distance(state, ref, 1e6)
         assert abs(dist - increment) <= 1e-12 * increment + _STRENGTH_FLOOR, (t0, dist, increment)

@@ -1,8 +1,8 @@
 """Guards for edits that would otherwise fail only outside Tier-1: the
 benchmark's tracing wrappers and workloads, module-level imports nothing
 uses, private functions nothing names, public functions, classes and
-methods that only tests name, and numpy kept off the import path of
-riemann mode and ``gasnet check``."""
+methods that only tests name, parameters that no body reads, and numpy
+kept off the import path of riemann mode and ``gasnet check``."""
 
 import ast
 import importlib.util
@@ -139,6 +139,16 @@ def test_every_private_function_is_referenced():
 
 
 
+def _bench_names():
+    """Every name, attribute name and constant in gasbench/*.py."""
+    bench = set()
+    for path in sorted((ROOT / "gasbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bench.update(_names(tree))
+        bench.update(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant))
+    return bench
+
+
 def test_every_public_name_has_a_caller():
     # a public module-level function or class, or a public method of a
     # class, must be named somewhere in src/gasnet outside its own
@@ -147,11 +157,7 @@ def test_every_public_name_has_a_caller():
     # what it traces by strings
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     count = Counter(name for tree in trees.values() for name in _names(tree))
-    bench = set()
-    for path in sorted((ROOT / "gasbench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        bench.update(_names(tree))
-        bench.update(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant))
+    bench = _bench_names()
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     defs = []
     for filename, tree in trees.items():
@@ -167,6 +173,28 @@ def test_every_public_name_has_a_caller():
                 if count[node.name] == _names(node).count(node.name)
                 and node.name not in bench and node.name not in readme]
     assert uncalled == []
+
+
+def _unread_parameters(fn):
+    """The parameters of function ``fn`` that its body never reads."""
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in params if name not in read]
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a knob that does nothing; the benchmark
+    # fixes the signatures of the functions it names
+    bench = _bench_names()
+    unread = [f"{path.name}:{fn.lineno} {fn.name}({name})"
+              for path in sorted(SRC.glob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, ast.FunctionDef) and fn.name not in bench
+              for name in _unread_parameters(fn)]
+    assert unread == []
 
 
 _RIEMANN_WITHOUT_NUMPY = """
