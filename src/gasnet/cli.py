@@ -9,10 +9,12 @@ Subcommands::
     gasnet diagnose --results results/records.json        print the stored
                                                           diagnostics
 
-Each ``--scenario`` PATH is read as a file; ``--horizon``, ``--tol`` and
-(simulate only) ``--epsilon`` replace the document's run fields.  Exit
-codes: 0 success, 2 validation failure, 3 solver non-convergence, 4 I/O
-error.  The environment variable GASNET_LOG sets the log level.
+Each ``--scenario`` PATH is read as a UTF-8 file; ``--horizon``,
+``--tol`` and (simulate only) ``--epsilon`` replace the document's run
+fields.  Exit codes: 0 success, 2 validation failure (a scenario file
+that is not UTF-8 and a ``--results`` file that is not a results
+document included), 3 solver non-convergence, 4 I/O error.  The
+environment variable GASNET_LOG sets the log level.
 """
 
 import argparse
@@ -92,10 +94,19 @@ def _write_result(result, path, out_dir, fmt):
     log.info("wrote results for %s to %s", path, out)
 
 
+def _read_scenario(path):
+    """The text of the scenario file at ``path``; one that is not UTF-8
+    raises ScenarioParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _run_one(path, args, mode):
     flags = {key: v for key in ("epsilon", "horizon", "tol")
              if (v := getattr(args, key, None)) is not None}
-    sc = parse_scenario(Path(path).read_text(encoding="utf-8"), mode=mode, **flags)
+    sc = parse_scenario(_read_scenario(path), mode=mode, **flags)
     result = run_scenario(sc)
     _write_result(result, path, args.out, args.format)
     return result
@@ -132,25 +143,31 @@ def _cmd_check(args):
     code = EXIT_OK
     for path in args.scenario:
         def check():
-            parse_scenario(Path(path).read_text(encoding="utf-8"))
+            parse_scenario(_read_scenario(path))
             print(f"{path}: ok")
         code = max(code, _guard(check, path))
     return code
 
 
 def _cmd_diagnose(args):
-    def diagnose():
-        with open(args.results, "r", encoding="utf-8") as fh:
+    path = args.results
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             records, summary = read_json(fh)
-        if not records:
-            print("no records found")
-            return
-        report = [{"time": rec["time"], **rec.get("diagnostics", {})} for rec in records]
-        json.dump({"records_checked": len(records),
-                   "summary": summary, "per_snapshot": report},
-                  sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    return _guard(diagnose, args.results)
+    except OSError as exc:
+        print(f"{path}: I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        print(f"{path}: not a results document: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not records:
+        print("no records found")
+        return EXIT_OK
+    report = [{"time": rec["time"], **rec.get("diagnostics", {})} for rec in records]
+    json.dump({"records_checked": len(records), "summary": summary, "per_snapshot": report},
+              sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return EXIT_OK
 
 
 def main(argv=None):

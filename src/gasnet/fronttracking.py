@@ -58,8 +58,11 @@ sufficiently weak data.
 
 Every front is a jump along a Lax wave curve of ``laxcurves``: fan
 slices and the fronts of the simplified step take their parameters,
-curve points and fan-edge speeds from it, and ``riemann._shock`` alone
-decides shock or rarefaction, for them and for the Riemann solvers.
+curve points and fan-edge speeds from it.  A front is a
+``riemann.Front``, the type the Riemann solvers and the coupling
+patterns build, and ``riemann._acoustic_wave`` alone builds every
+acoustic wave and front but the fan slices, which are rarefactions by
+construction, so it alone decides shock or rarefaction.
 
 Cost per event.  Each pipe keeps the absolute meeting time of every
 adjacent front pair in ``times``, parallel to ``fronts``.  Fronts enter
@@ -116,9 +119,8 @@ from .riemann import (
     CONTACT,
     RAREFACTION,
     SHOCK,
-    Wave,
+    Front,
     _acoustic_wave,
-    _shock,
     solve_riemann_iso,
     solve_riemann_m1,
 )
@@ -139,31 +141,6 @@ _SPEED_TIE = 1e-12        # relative speed gap treated as parallel
 DEFAULT_MAX_EVENTS = 500_000
 
 _APPROACHING = {M1_OUT: (1,), M1_IN: (1, 2), ISO: (1,)}
-
-
-class Front:
-    """A moving discontinuity inside one pipe."""
-
-    __slots__ = ("family", "kind", "speed", "strength",
-                 "left", "right", "born_t", "born_x")
-
-    def __init__(self, family, kind, speed, strength, left, right):
-        self.family = family
-        self.kind = kind
-        self.speed = speed
-        self.strength = strength
-        self.left = left
-        self.right = right
-        self.born_t = 0.0   # set by _placed
-        self.born_x = 0.0
-
-    def at(self, t):
-        """Position at time t."""
-        return self.born_x + self.speed * (t - self.born_t)
-
-    def __repr__(self):
-        return (f"Front(fam={self.family}, {self.kind}, x0={self.born_x:.6g}, "
-                f"t0={self.born_t:.6g}, s={self.speed:.6g}, v={self.strength:.6g})")
 
 
 @dataclass
@@ -276,18 +253,12 @@ def flux_vector(state: PipeState, g: GasConstants):
 
 
 def _front_from_jump(family, left, right, g):
-    """Physical front for a family-k jump: a contact, or an acoustic jump
-    from the data side (left for family 1, else right) that ``_shock``
-    makes a shock at its exact speed or a rarefaction at the speed of its
-    right state."""
+    """Physical front for a family-k jump: a contact, or the acoustic wave
+    from the data side (left for family 1, else right) to the other."""
     if left.model is Model.M1 and family == 2:
         return Front(2, CONTACT, left.u, right.rho - left.rho, left, right)
     data, star = (left, right) if family == 1 else (right, left)
-    strength = curve_parameter(family, star, g) - curve_parameter(family, data, g)
-    if _shock(strength, data, star):
-        speed = (right.q - left.q) / (right.rho - left.rho)
-        return Front(family, SHOCK, speed, strength, left, right)
-    return Front(family, RAREFACTION, fan_edge_speed(family, right, g), strength, left, right)
+    return _acoustic_wave(family, data, star, curve_parameter(family, star, g), g)
 
 
 def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
@@ -323,7 +294,7 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
     return PipeState(Model.M3, rho_x, left.q - inc, kappa=left.kappa)
 
 
-def _slice_fan(wave: Wave, g, eps_param):
+def _slice_fan(wave: Front, g, eps_param):
     """Split a rarefaction into jumps of parameter width <= eps_param.
 
     Slice states lie on the exact wave curve; every slice travels at the
@@ -348,8 +319,9 @@ def _slice_fan(wave: Wave, g, eps_param):
 
 
 def _wave_fronts(waves, g, epsilon, scales: PipeScales):
-    """Fronts of the waves above the strength floor, left to right; each
-    rarefaction is sliced into jumps of scaled strength <= epsilon."""
+    """Fronts of the waves above the strength floor, left to right: each
+    shock or contact is its own front, and each rarefaction is sliced into
+    jumps of scaled strength <= epsilon."""
     fronts = []
     for w in waves:
         sc = scales.strength_scale(w.family, w.left.model)
@@ -358,7 +330,7 @@ def _wave_fronts(waves, g, epsilon, scales: PipeScales):
         if w.kind == RAREFACTION:
             fronts += _slice_fan(w, g, epsilon * sc)
         else:
-            fronts.append(Front(w.family, w.kind, w.speeds[0], w.strength, w.left, w.right))
+            fronts.append(w)
     return fronts
 
 
@@ -404,7 +376,7 @@ def coupling_wave_pattern(role, data: PipeState, trace: PipeState, sigma, g):
     if role == M1_IN:
         return [_acoustic_wave(3, data, trace, sigma, g)]
     mid = lax_m1(3, sigma, data, g)
-    contact = Wave(2, CONTACT, trace, mid, (mid.u,), mid.rho - trace.rho)
+    contact = Front(2, CONTACT, mid.u, mid.rho - trace.rho, trace, mid)
     return [contact, _acoustic_wave(3, data, mid, sigma, g)]
 
 
@@ -495,11 +467,10 @@ class FrontTrackingState:
         for spec, scales, (waves, _) in zip(self.specs, self.scales, patterns):
             for w in waves:
                 sc = scales.strength_scale(w.family, w.left.model)
-                if w.kind != RAREFACTION and w.rightmost_speed <= 0.0 \
+                if w.kind != RAREFACTION and w.speed <= 0.0 \
                         and abs(w.strength) > _STRENGTH_FLOOR * sc:
                     raise SubsonicViolation(
-                        f"emitted wave on pipe {spec.id!r} has speed "
-                        f"{w.rightmost_speed:g}")
+                        f"emitted wave on pipe {spec.id!r} has speed {w.speed:g}")
         return problem, patterns
 
     def _emit(self, data, hit=None):
@@ -536,9 +507,8 @@ class FrontTrackingState:
                     except GasnetError:
                         skipped += 1
                         continue
-                    v_plus = sum(
-                        abs(w.strength) / self.scales[j].strength_scale(w.family, w.left.model)
-                        for j in range(len(self.specs)) for w in patterns[j][0])
+                    v_plus = sum(self._scaled_strength(j, w)
+                                 for j in range(len(self.specs)) for w in patterns[j][0])
                     ratio = max(ratio, v_plus / h)
                     # reflection route: the jump goes into one non-physical front
                     ratio = max(ratio, self.scales[i].state_norm(data_i, traces0[i]) / h)

@@ -115,7 +115,6 @@ class TraceEval:
     dh_dtau: float = 0.0
     ds_dtau: float = 0.0
     dp_dtau: float = 0.0
-    dT_dtau: float = 0.0
 
 
 def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceEval:
@@ -167,7 +166,7 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
     if role == M1_IN:
         rho = rho_v
         drho = drho_v
-        dq_dtau = dh_dtau = ds_dtau = dT_dtau = 0.0
+        dq_dtau = dh_dtau = ds_dtau = 0.0
         tau = 0.0
     elif role == M1_OUT:
         rho = rho_v + tau
@@ -177,7 +176,6 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
         dq_dtau = u
         dh_dtau = -gamma * sigma / ((gamma - 1.0) * rho**2)
         ds_dtau = -gamma * cv / rho
-        dT_dtau = -sigma / (g.R * rho**2)
     else:
         raise ValueError(f"unknown pipe role {role!r}")
 
@@ -190,9 +188,4 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
     T = sigma / (g.R * rho)
     dT = (rho - sigma * drho) / (g.R * rho**2)
     state = m1_state(rho, u, sigma, g)
-    if role == M1_IN:
-        return TraceEval(state, q, h, s, sigma, T, dq, dh, ds, 1.0, dT)
-    return TraceEval(
-        state, q, h, s, sigma, T, dq, dh, ds, 1.0, dT,
-        dq_dtau, dh_dtau, ds_dtau, 0.0, dT_dtau,
-    )
+    return TraceEval(state, q, h, s, sigma, T, dq, dh, ds, 1.0, dT, dq_dtau, dh_dtau, ds_dtau)

@@ -142,8 +142,16 @@ def write_json(records, stream, summary=None):
 
 
 def read_json(stream):
+    """(records, summary) of a document ``write_json`` wrote; ``ValueError``
+    if the stream is not JSON or not such a document."""
     doc = json.load(stream)
-    return doc.get("records", []), doc.get("summary")
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if not isinstance(records, list) or not all(
+            isinstance(r, dict) and "time" in r and isinstance(r.get("diagnostics", {}), dict)
+            for r in records):
+        raise ValueError('expected {"records": [...]}, each record a mapping with a '
+                         '"time" and, if it has them, a mapping of "diagnostics"')
+    return records, doc.get("summary")
 
 
 def render_json(records, summary=None):

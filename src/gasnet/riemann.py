@@ -2,9 +2,13 @@
 
 The star parameter is found by a bracket-guarded Newton iteration on the
 scalar wave-curve equation of each model (pressure for full Euler, density
-for the isentropic pair).  Solutions carry the elementary waves as
-explicit records so that callers can sample the self-similar profile or
-slice rarefaction fans into fronts.
+for the isentropic pair).  A solution is its elementary waves, left to
+right: each is a ``Front`` born at the origin, so ``w.at(t)`` is its
+self-similar position, and the front tracker, the coupling patterns and
+the Riemann solvers build the same type.  A shock or contact travels at
+``speed``; a rarefaction's ``speed`` is its tail (right edge) and its
+head is ``fan_edge_speed(w.family, w.left, g)``.  ``_acoustic_wave``
+alone builds every acoustic wave.
 
 Tie-breaking: a similarity coordinate xi that falls exactly on a shock,
 contact, or fan edge resolves to the right-limit state.
@@ -22,58 +26,43 @@ RAREFACTION = "rarefaction"
 CONTACT = "contact"
 
 
+class Front:
+    """An elementary wave in one pipe: a shock, a contact or a rarefaction
+    (a whole fan in a Riemann solution, one slice of it in the tracker),
+    or the tracker's non-physical front.  ``strength`` is the signed jump
+    of the curve parameter; positive values are shocks."""
+
+    __slots__ = ("family", "kind", "speed", "strength",
+                 "left", "right", "born_t", "born_x")
+
+    def __init__(self, family, kind, speed, strength, left, right):
+        self.family = family
+        self.kind = kind
+        self.speed = speed
+        self.strength = strength
+        self.left = left
+        self.right = right
+        self.born_t = 0.0   # the origin, until the tracker places it
+        self.born_x = 0.0
+
+    def at(self, t):
+        """Position at time t."""
+        return self.born_x + self.speed * (t - self.born_t)
+
+    def __repr__(self):
+        return (f"Front(fam={self.family}, {self.kind}, x0={self.born_x:.6g}, "
+                f"t0={self.born_t:.6g}, s={self.speed:.6g}, v={self.strength:.6g})")
+
+
 @dataclass(frozen=True)
-class Wave:
-    """One elementary wave: family, type, adjacent states, and speeds.
+class RiemannSolution:
+    """The star parameter (p* for M1, rho* for M2/M3), the waves left to
+    right, and the star solve's residual and iteration count."""
 
-    ``speeds`` is (s,) for shocks and contacts and (head, tail) for
-    rarefaction fans, ordered left edge first.  ``strength`` is the signed
-    jump of the curve parameter; positive values are shocks.
-    """
-
-    family: int
-    kind: str
-    left: PipeState
-    right: PipeState
-    speeds: tuple
-    strength: float
-
-    @property
-    def leftmost_speed(self):
-        return self.speeds[0]
-
-    @property
-    def rightmost_speed(self):
-        return self.speeds[-1]
-
-
-@dataclass(frozen=True)
-class RiemannSolutionM1:
-    p_star: float
-    u_star: float
-    rho_l_star: float
-    rho_r_star: float
+    star: float
     waves: tuple
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class RiemannSolutionIso:
-    rho_star: float
-    q_star: float
-    waves: tuple
-    residual: float
-    iterations: int
-
-
-def _shock(strength, data: PipeState, star: PipeState):
-    """Whether an acoustic jump from ``data`` to ``star`` of signed
-    ``strength`` (positive on the compressive side) is a shock.  A
-    pressure rise of a few ulps can leave the star density equal to the
-    data density; that jump has no shock speed and is taken as a
-    (vanishing) rarefaction."""
-    return strength > 0.0 and star.rho != data.rho
 
 
 def _acoustic_wave(family, data: PipeState, star: PipeState, param_star, g):
@@ -81,18 +70,20 @@ def _acoustic_wave(family, data: PipeState, star: PipeState, param_star, g):
     right-going wave (family 3 of M1, family 2 of M2/M3) from the star
     state to the data.  ``param_star`` is the star's curve parameter,
     pressure for M1 and density otherwise; the strength is its jump over
-    the data's."""
+    the data's.  A positive strength is a shock at its exact speed, except
+    that a pressure rise of a few ulps can leave the star density equal to
+    the data density: that jump has no shock speed and is taken as a
+    (vanishing) rarefaction, which travels at the speed of its right
+    state."""
     strength = param_star - curve_parameter(family, data, g)
-    shock = _shock(strength, data, star)
     left, right = (data, star) if family == 1 else (star, data)
-    if shock:
-        speeds = ((right.q - left.q) / (right.rho - left.rho),)
-    else:
-        speeds = (fan_edge_speed(family, left, g), fan_edge_speed(family, right, g))
-    return Wave(family, SHOCK if shock else RAREFACTION, left, right, speeds, strength)
+    if strength > 0.0 and star.rho != data.rho:
+        speed = (right.q - left.q) / (right.rho - left.rho)
+        return Front(family, SHOCK, speed, strength, left, right)
+    return Front(family, RAREFACTION, fan_edge_speed(family, right, g), strength, left, right)
 
 
-def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionM1:
+def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolution:
     """Exact solution of the full Euler Riemann problem.
 
     Raises ``VacuumFormation`` for data that admit no positive-density
@@ -110,13 +101,13 @@ def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSo
                            E=p_star / (gamma - 1.0) + 0.5 * rho_r_star * u_star**2)
     waves = (
         _acoustic_wave(1, UL, left_star, p_star, g),
-        Wave(2, CONTACT, left_star, right_star, (u_star,), rho_r_star - rho_l_star),
+        Front(2, CONTACT, u_star, rho_r_star - rho_l_star, left_star, right_star),
         _acoustic_wave(3, UR, right_star, p_star, g),
     )
-    return RiemannSolutionM1(p_star, u_star, rho_l_star, rho_r_star, waves, res, it)
+    return RiemannSolution(p_star, waves, res, it)
 
 
-def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolutionIso:
+def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSolution:
     """Exact solution of the isentropic Riemann problem, in the model
     (M2 or M3) that both states carry.
 
@@ -140,10 +131,10 @@ def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannS
         _acoustic_wave(1, UL, star, rho_star, g),
         _acoustic_wave(2, UR, star, rho_star, g),
     )
-    return RiemannSolutionIso(rho_star, star.q, waves, res, it)
+    return RiemannSolution(rho_star, waves, res, it)
 
 
-def fan_state(wave: Wave, xi, g: GasConstants) -> PipeState:
+def fan_state(wave: Front, xi, g: GasConstants) -> PipeState:
     """State inside a rarefaction fan at similarity coordinate xi.
 
     The Riemann invariant of the crossing family and (M1) the entropy of
@@ -183,19 +174,20 @@ def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: Gas
     ``xis``, as runs ``[(state, count), ...]`` that expand to one state
     per point.
 
-    A point at a wave's leftmost speed lies right of it, past a shock or
-    contact and inside a fan.  Each constant region is one run of the
-    ``left_data``, ``wave.right`` or ``right_data`` object itself, found
-    by bisecting the wave speeds; each point inside a fan is a run of 1.
+    A point at a wave's left edge lies right of it, past a shock or
+    contact and inside a fan; a fan's left edge is its head.  Each
+    constant region is one run of the ``left_data``, ``wave.right`` or
+    ``right_data`` object itself, found by bisecting the wave speeds; each
+    point inside a fan is a run of 1.
     """
     runs = []
     start = 0
     state = left_data
     for wave in waves:
-        lo = max(start, bisect_left(xis, wave.leftmost_speed))
-        hi = lo
-        if wave.kind == RAREFACTION:
-            hi = max(lo, bisect_left(xis, wave.rightmost_speed))
+        fan = wave.kind == RAREFACTION
+        head = fan_edge_speed(wave.family, wave.left, g) if fan else wave.speed
+        lo = max(start, bisect_left(xis, head))
+        hi = max(lo, bisect_left(xis, wave.speed)) if fan else lo
         if lo > start:
             runs.append((state, lo - start))
         runs += [(fan_state(wave, xis[i], g), 1) for i in range(lo, hi)]

@@ -211,6 +211,30 @@ def test_scenario_paths_are_read_as_files(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("missing: I/O error")
 
 
+@pytest.mark.parametrize("command", ["check", "riemann"])
+def test_scenario_that_is_not_utf8_is_a_validation_failure(tmp_path, capsys, command):
+    # a byte that is not UTF-8, here in a comment, is a parse error naming
+    # the file, not a traceback
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(GOOD.encode() + b"# caf\xe9\n")
+    assert main([command, "--scenario", str(path)]) == EXIT_VALIDATION
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[1,2]", "{}", '{"records": [1]}',
+    '{"records": [{"time": 0, "diagnostics": 3}]}',
+], ids=["not-json", "list", "no-records", "record-not-a-mapping", "diagnostics-not-a-mapping"])
+def test_diagnose_rejects_a_file_that_is_not_a_results_document(tmp_path, capsys, text):
+    # one line naming the file and exit 2; a directory stays an I/O error
+    path = tmp_path / "records.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["diagnose", "--results", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: not a results document: ") and err.count("\n") == 1
+    assert main(["diagnose", "--results", str(tmp_path)]) == EXIT_IO
+
+
 def test_riemann_takes_no_epsilon(capsys):
     # riemann mode never reads run.epsilon, so its subcommand has no flag for it
     with pytest.raises(SystemExit) as exc:

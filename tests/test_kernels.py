@@ -358,8 +358,7 @@ def test_star_solves_match_return_code_reference(pair, max_iter):
     assert SOLVERS[model](*args, kernels.TOL, max_iter) == expected
     if max_iter == kernels.MAX_ITER:
         sol = solve_riemann_m1(UL, UR, G) if model is Model.M1 else solve_riemann_iso(UL, UR, G)
-        star = sol.p_star if model is Model.M1 else sol.rho_star
-        assert (star, sol.residual, sol.iterations) == expected
+        assert (sol.star, sol.residual, sol.iterations) == expected
 
 
 @pytest.mark.parametrize("model", [Model.M1, Model.M2, Model.M3])

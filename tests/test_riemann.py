@@ -20,6 +20,7 @@ from gasnet import (
     pressure,
     thermo_quantities,
 )
+from gasnet.laxcurves import fan_edge_speed
 from gasnet.riemann import (
     CONTACT,
     RAREFACTION,
@@ -32,6 +33,13 @@ from gasnet.riemann import (
 
 G = GasConstants(gamma=1.4, R=1.0)
 GAMMA = 1.4
+
+
+def _speeds(w):
+    """(s,) for a shock or contact, (head, tail) for a rarefaction fan."""
+    if w.kind == RAREFACTION:
+        return fan_edge_speed(w.family, w.left, G), w.speed
+    return (w.speed,)
 
 
 # -- independent oracles -------------------------------------------------
@@ -113,7 +121,7 @@ def rankine_hugoniot_residual(wave, g):
     else:
         ul = np.array([wave.left.rho, wave.left.q])
         ur = np.array([wave.right.rho, wave.right.q])
-    s = wave.speeds[0]
+    s = wave.speed
     return np.linalg.norm(fl - fr - s * (ul - ur)) / max(np.linalg.norm(fl), 1e-300)
 
 
@@ -123,22 +131,22 @@ def rankine_hugoniot_residual(wave, g):
 def test_identity_data():
     UL = m1_state(1.0, 0.3, 1.0, G)
     sol = solve_riemann_m1(UL, UL, G)
-    assert sol.p_star == pytest.approx(1.0, rel=1e-12)
-    assert sol.u_star == pytest.approx(0.3, rel=1e-12)
-    assert sol.rho_l_star == pytest.approx(1.0, rel=1e-12)
+    assert sol.star == pytest.approx(1.0, rel=1e-12)
+    assert sol.waves[1].speed == pytest.approx(0.3, rel=1e-12)
+    assert sol.waves[0].right.rho == pytest.approx(1.0, rel=1e-12)
     L = iso_state(Model.M3, 1.2, 0.1, 1.0)
     s3 = solve_riemann_iso(L, L, G)
-    assert s3.rho_star == pytest.approx(1.2, rel=1e-12)
-    assert s3.q_star == pytest.approx(0.12, rel=1e-12)
+    assert s3.star == pytest.approx(1.2, rel=1e-12)
+    assert s3.waves[0].right.q == pytest.approx(0.12, rel=1e-12)
 
 
 def test_sod_star_values():
     UL = m1_state(1.0, 0.0, 1.0, G)
     UR = m1_state(0.125, 0.0, 0.1, G)
     sol = solve_riemann_m1(UL, UR, G)
-    assert sol.p_star == pytest.approx(0.30313, abs=1e-5)
-    assert sol.u_star == pytest.approx(0.92745, abs=1e-5)
-    assert sol.p_star == pytest.approx(bisect_p_star(UL, UR), abs=1e-10)
+    assert sol.star == pytest.approx(0.30313, abs=1e-5)
+    assert sol.waves[1].speed == pytest.approx(0.92745, abs=1e-5)
+    assert sol.star == pytest.approx(bisect_p_star(UL, UR), abs=1e-10)
     kinds = [w.kind for w in sol.waves]
     assert kinds == [RAREFACTION, "contact", SHOCK]
 
@@ -148,8 +156,8 @@ def test_symmetric_compression():
     UL = m1_state(1.0, +a, 1.0, G)
     UR = m1_state(1.0, -a, 1.0, G)
     sol = solve_riemann_m1(UL, UR, G)
-    assert sol.u_star == pytest.approx(0.0, abs=1e-10)
-    assert sol.rho_l_star == pytest.approx(sol.rho_r_star, rel=1e-12)
+    assert sol.waves[1].speed == pytest.approx(0.0, abs=1e-10)
+    assert sol.waves[0].right.rho == pytest.approx(sol.waves[2].left.rho, rel=1e-12)
 
 
 def test_m3_symmetric():
@@ -157,18 +165,18 @@ def test_m3_symmetric():
     L = iso_state(Model.M3, 1.0, +a, 1.0)
     R = iso_state(Model.M3, 1.0, -a, 1.0)
     sol = solve_riemann_iso(L, R, G)
-    assert sol.q_star == pytest.approx(0.0, abs=1e-10)
+    assert sol.waves[0].right.q == pytest.approx(0.0, abs=1e-10)
     # rho* solves 2*theta3(rho*) = 2a against the shared base state
-    assert _theta3_oracle(sol.rho_star, 1.0, 1.0) == pytest.approx(a, abs=1e-10)
+    assert _theta3_oracle(sol.star, 1.0, 1.0) == pytest.approx(a, abs=1e-10)
 
 
 def test_m2_example_against_oracle():
     L = iso_state(Model.M2, 1.0, 0.3, 1.0)
     R = iso_state(Model.M2, 0.8, 0.0, 1.0)
     sol = solve_riemann_iso(L, R, G)
-    assert sol.rho_star == pytest.approx(bisect_rho_star(L, R, Model.M2), abs=1e-8)
-    assert sol.rho_star == pytest.approx(1.017365098560751, rel=1e-10)
-    assert sol.q_star == pytest.approx(0.2844494054481642, rel=1e-10)
+    assert sol.star == pytest.approx(bisect_rho_star(L, R, Model.M2), abs=1e-8)
+    assert sol.star == pytest.approx(1.017365098560751, rel=1e-10)
+    assert sol.waves[0].right.q == pytest.approx(0.2844494054481642, rel=1e-10)
 
 
 def test_vacuum_raises():
@@ -196,8 +204,8 @@ def test_left_right_consistency(rng):
                       rng.uniform(0.3, 3.0), G)
         sol = solve_riemann_m1(UL, UR, G)
         p_l, p_r = pressure(UL, G), pressure(UR, G)
-        lhs = UL.u - _psi_oracle(sol.p_star, p_l, UL.rho)
-        rhs = UR.u + _psi_oracle(sol.p_star, p_r, UR.rho)
+        lhs = UL.u - _psi_oracle(sol.star, p_l, UL.rho)
+        rhs = UR.u + _psi_oracle(sol.star, p_r, UR.rho)
         assert lhs == pytest.approx(rhs, abs=5e-10)
 
 
@@ -210,13 +218,13 @@ def test_random_solutions_match_oracle_and_rh(rng):
             UR = m1_state(rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5),
                           rng.uniform(0.3, 3.0), G)
             sol = solve_riemann_m1(UL, UR, G)
-            assert sol.p_star == pytest.approx(bisect_p_star(UL, UR), abs=1e-8)
+            assert sol.star == pytest.approx(bisect_p_star(UL, UR), abs=1e-8)
         else:
             kappa = rng.uniform(0.5, 2.0)
             UL = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
             UR = iso_state(model, rng.uniform(0.3, 3.0), rng.uniform(-0.4, 0.4), kappa)
             sol = solve_riemann_iso(UL, UR, G)
-            assert sol.rho_star == pytest.approx(
+            assert sol.star == pytest.approx(
                 bisect_rho_star(UL, UR, model), abs=1e-8)
         for w in sol.waves:
             if w.kind == SHOCK:
@@ -244,7 +252,7 @@ def test_riemann_invariants_constant_through_fans(rng):
             if w.kind != RAREFACTION or abs(w.strength) < 1e-8:
                 continue
             hits += 1
-            head, tail = w.speeds
+            head, tail = _speeds(w)
             anchor = w.left
             tq_a = thermo_quantities(anchor, G)
             sign = -1.0 if w.family == 1 else +1.0
@@ -281,23 +289,24 @@ def test_sampling_regions():
     assert _first_state(sol, UL, UR, -10.0) == UL
     assert _first_state(sol, UL, UR, +10.0) == UR
     at0 = _first_state(sol, UL, UR, 0.0)
-    assert pressure(at0, G) == pytest.approx(sol.p_star, rel=1e-10)
-    assert at0.u == pytest.approx(sol.u_star, rel=1e-10)
+    assert pressure(at0, G) == pytest.approx(sol.star, rel=1e-10)
+    assert at0.u == pytest.approx(sol.waves[1].speed, rel=1e-10)
     # exactly at the shock: right limit
-    s3 = sol.waves[2].speeds[0]
+    s3 = sol.waves[2].speed
     assert _first_state(sol, UL, UR, s3) == UR
     assert _first_state(sol, UL, UR, s3 - 1e-9) != UR
     # exactly at the contact: right limit (right star state)
-    assert _first_state(sol, UL, UR, sol.u_star).rho == pytest.approx(sol.rho_r_star)
+    contact = sol.waves[1]
+    assert _first_state(sol, UL, UR, contact.speed).rho == pytest.approx(contact.right.rho)
 
 
 def _sample_at(waves, left, right, xi, g):
     """Per-point reference: scan the waves left to right for one xi."""
     state = left
     for wave in waves:
-        if xi < wave.leftmost_speed:
+        if xi < _speeds(wave)[0]:
             return state
-        if wave.kind == RAREFACTION and xi < wave.rightmost_speed:
+        if wave.kind == RAREFACTION and xi < wave.speed:
             return fan_state(wave, xi, g)
         state = wave.right
     return right
@@ -322,7 +331,7 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
             waves = solve_riemann_iso(UL, UR, G).waves
         # random points plus every shock, contact and fan edge, where the
         # right limit wins
-        edges = [s for w in waves for s in w.speeds]
+        edges = [s for w in waves for s in _speeds(w)]
         kinds.update(w.kind for w in waves)
         xis = sorted(list(rng.uniform(min(edges) - 1.0, max(edges) + 1.0, 40)) + edges)
         runs = sample_waves(waves, UL, UR, xis, G)
@@ -344,7 +353,7 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
                 fan_points += 1
         for w in waves:
             if w.kind != RAREFACTION:
-                (at, n), = sample_waves(waves, UL, UR, [w.speeds[0]], G)
+                (at, n), = sample_waves(waves, UL, UR, [w.speed], G)
                 assert at is (w.right if w is not waves[-1] else UR) and n == 1
         assert sample_waves(waves, UL, UR, [], G) == []
     assert kinds == {SHOCK, RAREFACTION, CONTACT}
@@ -356,11 +365,11 @@ def test_fan_sampling_continuity(rng):
     UR = m1_state(0.125, 0.0, 0.1, G)
     sol = solve_riemann_m1(UL, UR, G)
     fan = sol.waves[0]
-    head, tail = fan.speeds
+    head, tail = _speeds(fan)
     st_head = fan_state(fan, head, G)
     st_tail = fan_state(fan, tail, G)
     assert st_head.rho == pytest.approx(UL.rho, rel=1e-12)
-    assert st_tail.rho == pytest.approx(sol.rho_l_star, rel=1e-12)
+    assert st_tail.rho == pytest.approx(fan.right.rho, rel=1e-12)
 
 
 def test_wave_speed_ordering(rng):
@@ -370,5 +379,5 @@ def test_wave_speed_ordering(rng):
         UR = m1_state(rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5),
                       rng.uniform(0.3, 3.0), G)
         sol = solve_riemann_m1(UL, UR, G)
-        speeds = [s for w in sol.waves for s in w.speeds]
+        speeds = [s for w in sol.waves for s in _speeds(w)]
         assert all(a <= b + 1e-12 for a, b in zip(speeds, speeds[1:]))

@@ -1,7 +1,8 @@
 """Guards for edits that would otherwise fail only outside Tier-1: the
 benchmark's tracing wrappers and workloads, module-level imports nothing
 uses, private functions nothing names, public functions, classes and
-methods that only tests name, parameters that no body reads, and numpy
+methods that only tests name, parameters that no body reads, declared
+fields that nothing reads, and numpy
 kept off the import path of riemann mode and ``gasnet check``."""
 
 import ast
@@ -194,6 +195,40 @@ def test_every_parameter_is_read():
               for fn in ast.walk(ast.parse(path.read_text()))
               if isinstance(fn, ast.FunctionDef) and fn.name not in bench
               for name in _unread_parameters(fn)]
+    assert unread == []
+
+
+def _declared_fields(cls):
+    """(line, name) of every field class ``cls`` declares: an annotated
+    class-level name, a ``__slots__`` entry, or a ``self.x =`` in
+    ``__init__``."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.lineno, node.target.id
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            yield from ((node.lineno, c.value) for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            yield from ((t.lineno, t.attr) for t in ast.walk(node)
+                        if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                        and isinstance(t.value, ast.Name) and t.value.id == "self")
+
+
+def test_every_declared_field_is_read():
+    # a field that src/gasnet never reads as an attribute, and that neither
+    # the benchmark nor the README names, is computed and stored for nothing
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    named = _bench_names() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    classes = [(filename, cls) for filename, tree in trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    assert any(name == "born_x" for _, cls in classes      # slots are scanned
+               for _, name in _declared_fields(cls))
+    unread = [f"{filename}:{line} {cls.name}.{name}" for filename, cls in classes
+              for line, name in _declared_fields(cls)
+              if name not in read and name not in named]
     assert unread == []
 
 
