@@ -16,7 +16,7 @@ three blocks::
       #   control: {kind: CP2, p_star: 5.0e6, cp_coeff: 0.9}
     run:
       mode: riemann                       # or: simulate
-      horizon: 0.5
+      horizon: 0.5                        # riemann mode: or sample_times: [..], not both
       epsilon: 0.02
       tol: 1.0e-10
       grid: {points: 64, length: 2.0}
@@ -25,8 +25,9 @@ three blocks::
 M1 initial states are given as {rho, u, p}, isentropic ones as
 {rho, u, kappa}; piecewise-constant profiles use
 ``initial: {pieces: [{x_right: 0.5, rho: ..}, {x_right: null, ..}]}``.
-``parse_scenario`` validates a document's text, read by its caller, once,
-with the caller's ``run`` fields in place of the document's own.
+``parse_scenario`` loads a document's text, read by its caller, as
+``yaml.safe_load`` would, and validates it once, with the caller's
+``run`` fields in place of the document's own.
 Validation aggregates all violations with their field paths before
 raising; a key its block does not read is one too (``unknown field``).
 The one exception is the cross-pipe rule of the coupling problem, which
@@ -36,13 +37,14 @@ failure, at ``topology``, once every field has parsed.
 
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import yaml
+from yaml.constructor import ConstructorError, SafeConstructor
 
 from .compressor import ADIABATIC_HEAD, POWER, CompressorControl
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import NotSubsonic, ScenarioParseError, ScenarioValidationError
 from .fronttracking import (
     DEFAULT_MAX_EVENTS,
     FrictionSource,
@@ -54,7 +56,6 @@ from .fronttracking import (
     solve_coupling,
     weak_form_residual,
 )
-from .errors import NotSubsonic
 from .junction import DEFAULT_TOL, JunctionProblem, PipeSpec, classify_pipes, state_residuals
 from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
@@ -273,6 +274,8 @@ def _parse_run(doc, path, errs):
     if mode not in ("riemann", "simulate"):
         errs.add(f"{path}.mode", f"must be riemann or simulate, got {mode!r}")
     run.mode = mode
+    if mode == "riemann" and "sample_times" in doc and "horizon" in doc:
+        errs.add(f"{path}.horizon", "riemann mode samples at sample_times and never reads it")
     run.horizon = _num(doc, path, "horizon", errs, default=run.horizon, positive=True)
     run.epsilon = _num(doc, path, "epsilon", errs, default=run.epsilon, positive=True)
     run.tol = _num(doc, path, "tol", errs, default=run.tol, positive=True)
@@ -305,79 +308,75 @@ def _parse_run(doc, path, errs):
     return run
 
 
-# libyaml's parser when PyYAML was built with it; both report line and column
+# libyaml's parser and composer when PyYAML has them; both give line and column
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# the resolver and scalar constructors that both loaders use
-_RESOLVER = yaml.resolver.Resolver()
-_CONSTRUCTOR = yaml.constructor.SafeConstructor()
-_STR = _RESOLVER.DEFAULT_SCALAR_TAG
+_TAG = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+# safe_load's constructors of the implicit scalar types, and the instance
+# whose stateless methods (these and flatten_mapping) every parse shares
+_SCALARS = {_TAG + name: SafeConstructor.yaml_constructors[_TAG + name]
+            for name in ("null", "bool", "int", "float", "timestamp")}
+_CONSTRUCTOR = SafeConstructor()
 
 
-class _Unsupported(Exception):
-    """YAML that ``_load`` leaves to ``yaml.load``: an anchor, alias,
-    explicit tag, merge key or non-scalar key, a second document, or a
-    plain scalar whose resolved tag has no constructor."""
-
-
-def _scalar(ev):
-    # quoted and block scalars resolve to str
-    tag = _RESOLVER.resolve(yaml.ScalarNode, ev.value, ev.implicit)
-    if tag == _STR:
-        return ev.value
-    construct = _CONSTRUCTOR.yaml_constructors.get(tag)
-    if construct is None:
-        raise _Unsupported
-    return construct(_CONSTRUCTOR, yaml.ScalarNode(tag, ev.value))
-
-
-def _build(events, ev):
-    """The value of the node that starts with event ``ev``."""
-    # an alias event carries the anchor it names
-    if ev.anchor is not None or ev.tag is not None:
-        raise _Unsupported
-    kind = type(ev)
-    if kind is yaml.ScalarEvent:
-        return _scalar(ev)
-    if kind is yaml.SequenceStartEvent:
-        out = []
-        ev = next(events)
-        while type(ev) is not yaml.SequenceEndEvent:
-            out.append(_build(events, ev))
-            ev = next(events)
-        return out
-    out = {}
-    ev = next(events)
-    while type(ev) is not yaml.MappingEndEvent:
-        if type(ev) is not yaml.ScalarEvent:
-            raise _Unsupported
-        key = _build(events, ev)
-        out[key] = _build(events, next(events))
-        ev = next(events)
+def _value(node, built, pending):
+    """What ``yaml.safe_load`` builds of ``node``.  A default sequence or
+    mapping is returned empty, kept in ``built`` under its node's id (an
+    alias is its anchor's object, a recursive one closes its cycle) and
+    queued on ``pending`` for ``_load`` to fill; any other tagged node
+    goes to a fresh ``SafeConstructor``."""
+    kind = type(node)
+    if kind is yaml.ScalarNode and node.tag == _STR:
+        return node.value
+    if kind is yaml.ScalarNode and node.tag in _SCALARS:
+        try:
+            return _SCALARS[node.tag](_CONSTRUCTOR, node)
+        except (ValueError, LookupError, AttributeError) as exc:
+            # a date that does not exist, `!!int abc`, `!!bool abc`, ...
+            raise ConstructorError(None, None, f"cannot construct {node.tag} from "
+                                   f"{node.value!r}: {exc}", node.start_mark) from exc
+    if id(node) in built:
+        return built[id(node)]
+    if kind is yaml.SequenceNode and node.tag == _SEQ:
+        out = built[id(node)] = []
+    elif kind is yaml.MappingNode and node.tag == _MAP:
+        out = built[id(node)] = {}
+    else:
+        # !!set, !!omap, !!pairs, !!binary, local tags, collection tags on scalars
+        return SafeConstructor().construct_document(node)
+    pending.append(node)
     return out
 
 
 def _load(text):
-    """``yaml.load(text, Loader=_LOADER)``, built from the parser's event
-    stream without PyYAML's node graph; raises ``_Unsupported`` for what
-    it leaves to ``yaml.load``."""
-    events = yaml.parse(text, Loader=_LOADER)
-    next(events)                                    # stream start
-    if type(next(events)) is yaml.StreamEndEvent:   # no document
-        return None
-    doc = _build(events, next(events))
-    next(events)                                    # document end
-    if type(next(events)) is not yaml.StreamEndEvent:
-        raise _Unsupported
+    """``yaml.safe_load(text)``, built by ``_value`` from libyaml's node
+    graph.  Collections are filled first in, first out, as safe_load fills
+    them, so of several construction errors the same one is raised."""
+    root = yaml.compose(text, Loader=_LOADER)
+    built, pending = {}, deque()
+    doc = None if root is None else _value(root, built, pending)
+    while pending:
+        node = pending.popleft()
+        out = built[id(node)]
+        if type(node) is yaml.SequenceNode:
+            out += [_value(item, built, pending) for item in node.value]
+            continue
+        _CONSTRUCTOR.flatten_mapping(node)      # `<<` merges, `=` keys
+        for key_node, value_node in node.value:
+            key = _value(key_node, built, pending)
+            try:
+                hash(key)
+            except TypeError:
+                raise ConstructorError("while constructing a mapping", node.start_mark,
+                                       "found unhashable key", key_node.start_mark) from None
+            out[key] = _value(value_node, built, pending)
     return doc
 
 
 def _document(text):
     """The mapping of a scenario document's text."""
     try:
-        try:
-            doc = _load(text)
-        except _Unsupported:
-            doc = yaml.load(text, Loader=_LOADER)
+        doc = _load(text)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"not a well-formed YAML document: {exc}") from exc
     if not isinstance(doc, dict):

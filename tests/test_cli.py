@@ -360,3 +360,71 @@ def test_negative_power_control_fails_in_both_modes(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err == f"{path}: validation failed:\n  topology.control: control value must be non-negative\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["2001-02-30", "!!int abc", "!!float abc", "!!bool abc",
+                                   "!!timestamp abc"])
+def test_scalar_its_type_cannot_hold_is_a_parse_error(tmp_path, capsys, value):
+    # a date that does not exist or a tagged scalar its constructor cannot
+    # build exits 2 naming its line and column, not with a traceback
+    text = (SHIPPED / "y_junction_riemann.yaml").read_text()
+    line = text[:text.index("tol: 1.0e-10")].count("\n") + 1
+    path = tmp_path / "doc.yaml"
+    path.write_text(text.replace("tol: 1.0e-10", f"tol: {value}"), encoding="utf-8")
+    assert main(["check", "--scenario", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: validation failed:\n  not a well-formed YAML document: ")
+    assert err.endswith(f"line {line}, column 8\n")
+
+
+def test_riemann_horizon_with_sample_times_is_a_violation(capsys):
+    # riemann mode samples at run.sample_times when it has them, so a
+    # horizon, from the document or the flag, would never be read
+    path = SHIPPED / "y_junction_riemann.yaml"
+    code = main(["riemann", "--scenario", str(path), "--horizon", "0.3"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"{path}: validation failed:\n"
+        "  run.horizon: riemann mode samples at sample_times and never reads it\n")
+    # simulate mode reads the horizon and not the sample times
+    assert parse_scenario(path.read_text(), mode="simulate", horizon=0.3).run.horizon == 0.3
+
+
+@pytest.mark.parametrize("command", ["riemann", "simulate"])
+def test_without_out_the_summary_goes_to_stdout(scenario_file, capsys, command):
+    assert main([command, "--scenario", str(scenario_file)]) == EXIT_OK
+    summary = run_scenario(parse_scenario(GOOD, mode=command)).summary
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(summary))
+
+
+def test_diagnose_without_records(tmp_path, capsys):
+    path = tmp_path / "records.json"
+    path.write_text('{"records": []}', encoding="utf-8")
+    assert main(["diagnose", "--results", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "no records found\n"
+
+
+def _compressor_summary(tmp_path, capsys, control):
+    """The riemann summary that the CLI prints for COMPRESSOR under
+    ``control``, and the outlet's trace q of the run."""
+    text = COMPRESSOR.replace("{kind: CP1, h_star: 0.01}", control)
+    path = tmp_path / "compressor.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["riemann", "--scenario", str(path)]) == EXIT_OK
+    q_out = run_scenario(parse_scenario(text)).records[0]["traces"]["hi"]["q"]
+    return json.loads(capsys.readouterr().out), q_out
+
+
+def test_power_control_summary_carries_the_power(tmp_path, capsys):
+    summary, q_out = _compressor_summary(tmp_path, capsys,
+                                         "{kind: CP2, p_star: 0.001, cp_coeff: 0.9}")
+    assert summary["power"] == pytest.approx(0.9 * q_out * summary["head"], rel=1e-12)
+    assert summary["power"] == pytest.approx(0.001, rel=1e-8)
+    assert "warnings" not in summary
+
+
+def test_idle_head_control_summary_carries_a_warning(tmp_path, capsys):
+    summary, _ = _compressor_summary(tmp_path, capsys, "{kind: CP1, h_star: 0}")
+    assert summary["warnings"] == [
+        "idle control value 0: uniqueness outside the guaranteed neighborhood"]
+    assert "power" not in summary

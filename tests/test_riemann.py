@@ -16,6 +16,7 @@ from gasnet import (
     VacuumFormation,
     eigenvalues,
     iso_state,
+    kernels,
     m1_state,
     pressure,
     thermo_quantities,
@@ -177,6 +178,25 @@ def test_m2_example_against_oracle():
     assert sol.star == pytest.approx(bisect_rho_star(L, R, Model.M2), abs=1e-8)
     assert sol.star == pytest.approx(1.017365098560751, rel=1e-10)
     assert sol.waves[0].right.q == pytest.approx(0.2844494054481642, rel=1e-10)
+
+
+@pytest.mark.parametrize("model", [Model.M1, Model.M2, Model.M3])
+def test_colliding_streams_solve_through_two_shocks(model):
+    # u = +-5 against sound speeds near 1: for M2 and M3 the star density
+    # (10.95 for M2) lies above the initial bracket 2 max(rho_l, rho_r), so
+    # the bracket must grow first; for M1 the two-rarefaction guess already
+    # brackets p* (32.1 against 145.6)
+    if model is Model.M1:
+        sol = solve_riemann_m1(m1_state(1.0, 5.0, 1.0, G), m1_state(1.0, -5.0, 1.0, G), G)
+    else:
+        sol = solve_riemann_iso(iso_state(model, 1.0, 5.0, 1.0),
+                                iso_state(model, 1.0, -5.0, 1.0), G)
+        assert sol.star > 2.0
+    assert sol.residual <= kernels.TOL
+    shocks = [sol.waves[0], sol.waves[-1]]
+    assert [w.kind for w in shocks] == [SHOCK, SHOCK]
+    for w in shocks:
+        assert rankine_hugoniot_residual(w, G) <= 1e-12
 
 
 def test_vacuum_raises():

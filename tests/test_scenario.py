@@ -168,6 +168,50 @@ def test_violations_are_aggregated():
     assert len(err.value.violations) >= 3
 
 
+B_INITIAL = "initial: {rho: 1.0, u: 0.3, kappa: 1.0}"
+
+
+# (document, text, its replacement, the one violation it makes)
+VIOLATIONS = [
+    (MINIMAL, B_INITIAL, "initial: {pieces: []}",
+     "topology.pipes[1].initial.pieces: must be a non-empty list"),
+    (MINIMAL, B_INITIAL, "initial: {pieces: 3}",
+     "topology.pipes[1].initial.pieces: must be a non-empty list"),
+    (MINIMAL, B_INITIAL, "initial: {pieces: [3]}",
+     "topology.pipes[1].initial.pieces[0]: must be a mapping"),
+    (MINIMAL, B_INITIAL, "initial: {pieces: [{x_right: 0.5, rho: 1.0, u: 0.3, kappa: 1.0}]}",
+     "topology.pipes[1].initial.pieces[0].x_right: last piece must have x_right: null"),
+    (MINIMAL, "{id: a, ", "{", "topology.pipes[0].id: missing or empty pipe id"),
+    (MINIMAL, "{id: a, ", "{id: '', ", "topology.pipes[0].id: missing or empty pipe id"),
+    (MINIMAL, ", initial: {rho: 1.0, u: -0.3, kappa: 1.0}}", "}",
+     "topology.pipes[0].initial: missing initial state"),
+    (MINIMAL, "mode: riemann", "mode: sideways",
+     "run.mode: must be riemann or simulate, got 'sideways'"),
+    (MINIMAL, "mode: riemann",
+     "mode: simulate\n  source: {kind: friction, lambda_f: -1.0, diameter: 0.1}",
+     "run.source.lambda_f: must be >= 0"),
+    (MINIMAL, "gamma: 1.4", "gamma: 1.0", "constants: gamma must exceed 1, got 1.0"),
+    (MINIMAL, "- {id: a,", "# - {id: a,",
+     "topology.pipes: a junction needs a list of at least two pipes"),
+    (COMPRESSOR, "  inlet:", "  # inlet:", "topology.inlet: missing pipe"),
+    (COMPRESSOR, "  outlet:", "  # outlet:", "topology.outlet: missing pipe"),
+    (MINIMAL, "kind: junction", "kind: ring",
+     "topology.kind: must be junction or compressor, got 'ring'"),
+]
+
+
+@pytest.mark.parametrize("doc, old, new, violation", VIOLATIONS,
+                         ids=["empty-pieces", "pieces-not-a-list", "piece-not-a-mapping",
+                              "last-x_right", "no-id", "empty-id", "no-initial", "mode",
+                              "negative-lambda_f", "gamma", "one-pipe", "no-inlet",
+                              "no-outlet", "topology-kind"])
+def test_each_violation_names_its_path(doc, old, new, violation):
+    assert doc.count(old) == 1
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc.replace(old, new))
+    assert err.value.violations == [violation]
+
+
 @pytest.mark.parametrize("field, value", [
     ("snapshots", "true"),
     ("max_events", "true"),
@@ -640,7 +684,7 @@ DOCUMENTS = {p.name: p.read_text() for p in SHIPPED}
 DOCUMENTS.update(MINIMAL=MINIMAL, COMPRESSOR=COMPRESSOR, FRICTION=FRICTION, SAMPLED=SAMPLED)
 
 
-RIEMANN_BATCH = "riemann_batch seed 3"
+BATCHES = {f"riemann_batch seed {seed}": seed for seed in (3, 11, 71)}
 
 
 def _riemann_batch_documents(seed):
@@ -656,24 +700,49 @@ def _riemann_batch_documents(seed):
     return [text for _, text in items]
 
 
-def _typed(obj):
+def _typed(obj, path=()):
     """``obj`` with every value's type spelled out, so that 1, 1.0 and
-    True, which compare equal, do not."""
+    True, which compare equal, do not; a container met again inside
+    itself is ``("cycle", k)``, k its depth on the path from the root."""
+    if isinstance(obj, (dict, list)):
+        if id(obj) in path:
+            return ("cycle", path.index(id(obj)))
+        path += (id(obj),)
     if isinstance(obj, dict):
-        return ("dict", [(_typed(k), _typed(v)) for k, v in obj.items()])
+        return ("dict", [(_typed(k, path), _typed(v, path)) for k, v in obj.items()])
     if isinstance(obj, list):
-        return ("list", [_typed(v) for v in obj])
+        return ("list", [_typed(v, path) for v in obj])
     return (type(obj).__name__, repr(obj))
 
 
-@pytest.mark.parametrize("name", list(DOCUMENTS) + [RIEMANN_BATCH])
+@pytest.mark.parametrize("name", list(DOCUMENTS) + list(BATCHES))
 def test_parse_matches_pure_python_loader(name):
-    texts = _riemann_batch_documents(3) if name == RIEMANN_BATCH else [DOCUMENTS[name]]
-    if name == RIEMANN_BATCH:
+    texts = _riemann_batch_documents(BATCHES[name]) if name in BATCHES else [DOCUMENTS[name]]
+    if name == "riemann_batch seed 3":
         assert len(texts) == 206
     for text in texts:
-        assert _typed(scenario._document(text)) == _typed(
-            yaml.load(text, Loader=yaml.SafeLoader))
+        assert _typed(scenario._document(text)) == _typed(yaml.safe_load(text))
+
+
+def _outcome(load, text):
+    """``("value", typed value)`` of ``load(text)``, or ``("error", text)``
+    of the YAMLError it raises."""
+    try:
+        return ("value", _typed(load(text)))
+    except yaml.YAMLError as exc:
+        return ("error", str(exc))
+
+
+def _assert_loads_as_safe_load(text):
+    """``scenario._load(text)`` is ``yaml.safe_load(text)``, or raises the
+    YAMLError safe_load with libyaml raises, word for word (the
+    pure-Python loader's marks also quote the line); returns the
+    outcome."""
+    want = _outcome(lambda t: yaml.load(t, Loader=scenario._LOADER), text)
+    assert _outcome(scenario._load, text) == want
+    if want[0] == "value":
+        assert want == _outcome(yaml.safe_load, text)
+    return want
 
 
 # plain scalars of every implicit type the resolver knows, and strings
@@ -684,53 +753,77 @@ SCALARS = ["0", "7", "-12", "+3", "017", "0o17", "0x1F", "0b101", "1_000", "190:
            "yes", "no", "on", "Off", "true", "FALSE", "y", "n",
            "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5",
            "'1.0'", '"3"', "'yes'", '"~"', "''", "M1", "M3", "riemann", "x_right", "a b"]
-KEYS = ["rho", "u", "kappa", "id", "M2", "'q'", "1", "2.5", "yes", "~", "2001-12-14"]
+# scalars with an explicit tag, each one its constructor builds
+TAGGED = ["!!str 1.5", "!!str yes", "!!str ~", "!!str 'q'", "!!int 7", "!!int 0x1F",
+          "!!float 7", "!!float -.inf", "!!bool on", "!!null ''", "!!timestamp 2001-12-14",
+          "!!binary aGVsbG8="]
+KEYS = ["rho", "u", "kappa", "id", "M2", "'q'", "1", "2.5", "yes", "~", "2001-12-14", "<<"]
 
 
-def _flow(node):
-    """Scalars, flow-style and empty collections are written inline."""
-    return isinstance(node, str) or node[1] or not node[2]
+class _Writer:
+    """YAML text of a drawn tree, in document order.  An anchored node
+    gets the next name ``aN``.  An alias names the last anchor written,
+    an enclosing node's included, so it can close a cycle; in the value
+    of a ``<<`` merge key it names the last mapping already written, as a
+    merge of a mapping into itself recurses without end."""
+
+    def __init__(self):
+        self.anchors = []
+        self.maps = []
+
+    def write(self, node, merge=False, pad=None):
+        """``node`` in flow style; with ``pad``, what follows a key's colon
+        or a sequence dash: the flow text, or a block collection's anchor
+        and its items at indentation ``pad``."""
+        kind, anchored, flow, body = node
+        if kind == "alias":
+            names = self.maps if merge else self.anchors
+            text = f"*{names[-1]}" if names else "~"
+            return text if pad is None else f" {text}\n"
+        name = prop = ""
+        if anchored:
+            name = f"a{len(self.anchors)}"
+            self.anchors.append(name)
+            prop = f"&{name} "
+        block = pad is not None and kind != "scalar" and not flow and body
+        if kind == "scalar":
+            text = prop + body
+        elif block:
+            items = [("-", v) for v in body] if kind == "seq" else [(f"{k}:", v) for k, v in body]
+            text = (" " + prop).rstrip() + "\n" + "".join(
+                pad + lead + self.write(v, merge or lead == "<<:", pad + "  ")
+                for lead, v in items)
+        elif kind == "seq":
+            text = prop + "[" + ", ".join(self.write(v, merge) for v in body) + "]"
+        else:
+            text = prop + "{" + ", ".join(f"{k}: {self.write(v, merge or k == '<<')}"
+                                          for k, v in body) + "}"
+        if kind == "map" and name:
+            self.maps.append(name)
+        return text if pad is None or block else f" {text}\n"
 
 
-def _inline(node):
-    if isinstance(node, str):
-        return node
-    kind, _, items = node
-    if kind == "seq":
-        return "[" + ", ".join(_inline(v) for v in items) + "]"
-    return "{" + ", ".join(f"{k}: {_inline(v)}" for k, v in items) + "}"
-
-
-def _block(node, pad):
-    """Block-style lines of a collection at indentation pad."""
-    def after(v):
-        # what follows a key's colon or a sequence dash
-        return f" {_inline(v)}\n" if _flow(v) else "\n" + _block(v, pad + "  ")
-
-    kind, _, items = node
-    if kind == "seq":
-        return "".join(f"{pad}-{after(v)}" for v in items)
-    return "".join(f"{pad}{k}:{after(v)}" for k, v in items)
-
-
-# (kind, flow style, items): nested block and flow collections
+# (kind, anchored, flow style, body): plain and tagged scalars, aliases,
+# and nested block and flow collections
 trees = hs.recursive(
-    hs.sampled_from(SCALARS),
-    lambda kids: (hs.tuples(hs.just("seq"), hs.booleans(), hs.lists(kids, max_size=4))
-                  | hs.tuples(hs.just("map"), hs.booleans(),
-                              hs.lists(hs.tuples(hs.sampled_from(KEYS), kids),
-                                       max_size=4))),
+    hs.tuples(hs.just("scalar"), hs.booleans(), hs.just(True), hs.sampled_from(SCALARS))
+    | hs.tuples(hs.just("scalar"), hs.booleans(), hs.just(True), hs.sampled_from(TAGGED))
+    | hs.just(("alias", False, True, None)),
+    lambda kids: (hs.tuples(hs.just("seq"), hs.booleans(), hs.booleans(),
+                            hs.lists(kids, max_size=4))
+                  | hs.tuples(hs.just("map"), hs.booleans(), hs.booleans(),
+                              hs.lists(hs.tuples(hs.sampled_from(KEYS), kids), max_size=4))),
     max_leaves=24)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(trees)
 def test_event_builder_matches_pure_python_loader(tree):
-    text = _inline(tree) + "\n" if _flow(tree) else _block(tree, "")
-    assert _typed(scenario._load(text)) == _typed(yaml.load(text, Loader=yaml.SafeLoader))
+    _assert_loads_as_safe_load(_Writer().write(tree, pad=""))
 
 
-# each construct the event builder leaves to yaml.load
+# constructs an event-stream builder would leave to yaml.load, and the
+# node kinds that safe_load builds besides plain scalars, lists and dicts
 FALLBACK = {
     "anchor": MINIMAL.replace("R: 1.0}", "R: &r 1.0}"),
     "alias": MINIMAL.replace("R: 1.0}", "R: &r 1.0, s0: *r}"),
@@ -740,22 +833,32 @@ FALLBACK = {
     "non-scalar key": MINIMAL + "? [1, 2]\n: x\n",
     "second document": MINIMAL + "---\nrun: {mode: simulate}\n",
     "no constructor": MINIMAL + "extra: =\n",
+    "set": MINIMAL + "extra: !!set {a, b}\n",
+    "omap": MINIMAL + "extra: !!omap [{a: 1}, {b: 2}]\n",
+    "pairs": MINIMAL + "extra: !!pairs [{a: 1}, {a: 2}]\n",
+    "local tag": MINIMAL + "extra: !local 1\n",
+    "sequence tag on a scalar": MINIMAL + "extra: !!seq 1\n",
+    "string tag on a sequence": MINIMAL + "extra: !!str [1]\n",
+    "= key": MINIMAL + "extra: {=: 1}\n",
+    "merge list with an override": MINIMAL.replace(
+        "constants: {gamma: 1.4, R: 1.0}",
+        "constants: {<<: [{gamma: 1.3}, {gamma: 1.2, R: 2.0, s0: 0.5}], R: 1.0}"),
+    "recursive alias": MINIMAL + "extra: &e [1, {e: *e}]\n",
+    "undefined alias": MINIMAL + "extra: *nowhere\n",
+    "mapping as a key": MINIMAL + "? {a: 1}\n: x\n",
 }
 
 
 @pytest.mark.parametrize("name", FALLBACK)
 def test_event_builder_falls_back_to_yaml_load(name):
     text = FALLBACK[name]
-    with pytest.raises(scenario._Unsupported):
-        scenario._load(text)
-    try:
-        want = yaml.load(text, Loader=scenario._LOADER)
-    except yaml.YAMLError as exc:
+    kind, want = _assert_loads_as_safe_load(text)
+    if kind == "error":
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
-        assert str(err.value) == f"not a well-formed YAML document: {exc}"
+        assert str(err.value) == f"not a well-formed YAML document: {want}"
     else:
-        assert _typed(scenario._document(text)) == _typed(want)
+        assert _typed(scenario._document(text)) == want
 
 
 @pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])

@@ -269,3 +269,21 @@ def _imports_numpy(node):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+YAML_LOADS = {"load", "safe_load", "full_load", "unsafe_load", "parse"}
+
+
+def test_scenarios_have_one_yaml_loader():
+    # documents go through yaml.compose and scenario._value alone: no
+    # module calls or imports a second way to load YAML
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in YAML_LOADS
+                    and isinstance(node.value, ast.Name) and node.value.id == "yaml"):
+                found.append(f"{path.name}:{node.lineno} yaml.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("yaml"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in YAML_LOADS]
+    assert found == []
