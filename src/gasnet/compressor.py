@@ -17,36 +17,39 @@ which flips only the sign of the base Jacobian's determinant, not the
 solution.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import NonPositiveFlux
 from .junction import DEFAULT_TOL, JunctionProblem, StarSolution, _solve
-from .thermo import GasConstants, PipeState, temperature
+from .thermo import GasConstants, PipeState, _Checked, temperature
 
 ADIABATIC_HEAD = "CP1"
 POWER = "CP2"
 
 
-@dataclass(frozen=True)
-class CompressorControl:
+class _ControlFields(NamedTuple):
+    kind: str
+    value: float
+    cp_coeff: float
+
+
+class CompressorControl(_Checked, _ControlFields):
     """Either a prescribed adiabatic head H* (J/kg) or power P* (W).
 
     Power control carries the proportionality coefficient relating power
     to mass flux times head (P = cp_coeff * q * H).
     """
 
-    kind: str
-    value: float
-    cp_coeff: float = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (ADIABATIC_HEAD, POWER):
-            raise ValueError(f"control kind must be CP1 or CP2, got {self.kind!r}")
-        if self.value < 0.0:
+    def __new__(cls, kind, value, cp_coeff=None):
+        if kind not in (ADIABATIC_HEAD, POWER):
+            raise ValueError(f"control kind must be CP1 or CP2, got {kind!r}")
+        if value < 0.0:
             raise ValueError("control value must be non-negative")
-        if self.kind == POWER:
-            if self.cp_coeff is None or not self.cp_coeff > 0.0:
-                raise ValueError("power control needs a positive cp_coeff")
+        if kind == POWER and (cp_coeff is None or not cp_coeff > 0.0):
+            raise ValueError("power control needs a positive cp_coeff")
+        return tuple.__new__(cls, (kind, value, cp_coeff))
 
     @staticmethod
     def head(T_in, p_in, p_out, g: GasConstants):
@@ -107,4 +110,4 @@ def solve_compressor(problem: JunctionProblem, tol=DEFAULT_TOL) -> StarSolution:
     }
     if control.kind == POWER:
         extras["power"] = control.cp_coeff * t2.q * head
-    return replace(sol, h_star=None, extras=extras)
+    return sol._replace(h_star=None, extras=extras)

@@ -94,7 +94,6 @@ solves and the event loop run without it.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import kernels
@@ -143,8 +142,7 @@ DEFAULT_MAX_EVENTS = 500_000
 _APPROACHING = {M1_OUT: (1,), M1_IN: (1, 2), ISO: (1,)}
 
 
-@dataclass
-class PipeScales:
+class PipeScales(NamedTuple):
     """Per-pipe nondimensionalization fixed at t = 0."""
 
     param: float   # pressure scale (M1) or density scale (M2/M3)
@@ -189,8 +187,7 @@ class PipeTrack:
         return out
 
 
-@dataclass(frozen=True)
-class GlimmDiagnostics:
+class GlimmDiagnostics(NamedTuple):
     """Glimm-type functionals of the current front configuration, and the
     summed scaled strength of its non-physical fronts."""
 
@@ -203,8 +200,7 @@ class GlimmDiagnostics:
 
 
 class InteractionRecord(NamedTuple):
-    """One resolved event.  A named tuple: a run makes one per event, and
-    a tuple is about three times cheaper to build than a frozen dataclass."""
+    """One resolved event; a run makes one per event."""
 
     time: float
     kind: str  # "collision" | "junction" | "reflection"

@@ -33,8 +33,8 @@ coupling conditions from one state per pipe.
 """
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import (
     NoConvergence,
@@ -52,6 +52,7 @@ from .thermo import (
     GasConstants,
     Model,
     PipeState,
+    _Checked,
     classify_subsonic,
     pressure,
     sound_speed,
@@ -68,23 +69,26 @@ _DOMAIN_ERRORS = (NonPositiveDensity, NonPositivePressure, NonPositiveFlux,
                   SingularEntropyMix)
 
 
-@dataclass(frozen=True)
-class PipeSpec:
-    """Geometry and model of one pipe attached to the junction.  Whether
-    the pipe is incoming or outgoing follows from the sign of its velocity
-    at the junction (the subsonic sets D- and D+)."""
-
+class _PipeSpecFields(NamedTuple):
     id: str
     area: float
     model: Model
 
-    def __post_init__(self):
-        if not self.area > 0.0:
-            raise ValueError(f"pipe {self.id!r}: area must be positive")
+
+class PipeSpec(_Checked, _PipeSpecFields):
+    """Geometry and model of one pipe attached to the junction.  Whether
+    the pipe is incoming or outgoing follows from the sign of its velocity
+    at the junction (the subsonic sets D- and D+)."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, area, model):
+        if not area > 0.0:
+            raise ValueError(f"pipe {id!r}: area must be positive")
+        return tuple.__new__(cls, (id, area, model))
 
 
-@dataclass(frozen=True)
-class _Pipe:
+class _Pipe(NamedTuple):
     """Internal per-pipe record."""
 
     spec: PipeSpec
@@ -250,8 +254,7 @@ def _entropy_mix_from(problem: JunctionProblem, traces):
     return num / den
 
 
-@dataclass(frozen=True)
-class StarSolution:
+class StarSolution(NamedTuple):
     """Junction trace states and the parameters that generate them.
 
     All per-pipe tuples are in the problem's pipe order; ``tau`` holds
@@ -413,8 +416,7 @@ def state_residuals(problem: JunctionProblem, states) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class CouplingDiagnostics:
+class CouplingDiagnostics(NamedTuple):
     mass_residual: float
     max_enthalpy_spread: float
     max_entropy_residual: float

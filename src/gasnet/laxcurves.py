@@ -19,8 +19,8 @@ curve through the pipe's initial state:
 exact parameter derivatives on both the shock and rarefaction branches.
 """
 
-from dataclasses import dataclass
 from math import log
+from typing import NamedTuple
 
 from . import kernels
 from .errors import NonPositiveDensity
@@ -96,8 +96,7 @@ def fan_edge_speed(family, state: PipeState, g: GasConstants):
     return eigenvalues(state, g)[0 if family == 1 else -1]
 
 
-@dataclass(frozen=True)
-class TraceEval:
+class TraceEval(NamedTuple):
     """Trace quantities and exact parameter derivatives at (sigma, tau)."""
 
     state: PipeState

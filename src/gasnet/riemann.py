@@ -15,7 +15,7 @@ contact, or fan edge resolves to the right-limit state.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .laxcurves import curve_parameter, curve_point, fan_edge_speed
@@ -54,8 +54,7 @@ class Front:
                 f"t0={self.born_t:.6g}, s={self.speed:.6g}, v={self.strength:.6g})")
 
 
-@dataclass(frozen=True)
-class RiemannSolution:
+class RiemannSolution(NamedTuple):
     """The star parameter (p* for M1, rho* for M2/M3), the waves left to
     right, and the star solve's residual and iteration count."""
 

@@ -38,7 +38,7 @@ failure, at ``topology``, once every field has parsed.
 import math
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 from yaml.constructor import ConstructorError, SafeConstructor
@@ -62,8 +62,7 @@ from .riemann import sample_waves
 from .thermo import GasConstants, Model, PipeState, iso_state, m1_state
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str = "riemann"
     horizon: float = 1.0
     epsilon: float = 0.01
@@ -78,8 +77,7 @@ class RunConfig:
     max_events: int = DEFAULT_MAX_EVENTS
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     constants: GasConstants
     kind: str                       # "junction" | "compressor"
     specs: list
@@ -273,24 +271,24 @@ def _parse_run(doc, path, errs):
     mode = doc.get("mode", "riemann")
     if mode not in ("riemann", "simulate"):
         errs.add(f"{path}.mode", f"must be riemann or simulate, got {mode!r}")
-    run.mode = mode
     if mode == "riemann" and "sample_times" in doc and "horizon" in doc:
         errs.add(f"{path}.horizon", "riemann mode samples at sample_times and never reads it")
-    run.horizon = _num(doc, path, "horizon", errs, default=run.horizon, positive=True)
-    run.epsilon = _num(doc, path, "epsilon", errs, default=run.epsilon, positive=True)
-    run.tol = _num(doc, path, "tol", errs, default=run.tol, positive=True)
-    run.tv_bound = _num(doc, path, "tv_bound", errs, default=None, positive=True)
-    run.snapshots = _int(doc, path, "snapshots", errs, run.snapshots, 1)
-    run.sample_times = _positive_list(doc, path, "sample_times", errs)
-    run.epsilon_ladder = _positive_list(doc, path, "epsilon_ladder", errs)
+    fields = {"mode": mode}     # replace the defaults in ``run``, at the end
+    fields["horizon"] = _num(doc, path, "horizon", errs, default=run.horizon, positive=True)
+    fields["epsilon"] = _num(doc, path, "epsilon", errs, default=run.epsilon, positive=True)
+    fields["tol"] = _num(doc, path, "tol", errs, default=run.tol, positive=True)
+    fields["tv_bound"] = _num(doc, path, "tv_bound", errs, default=None, positive=True)
+    fields["snapshots"] = _int(doc, path, "snapshots", errs, run.snapshots, 1)
+    fields["sample_times"] = _positive_list(doc, path, "sample_times", errs)
+    fields["epsilon_ladder"] = _positive_list(doc, path, "epsilon_ladder", errs)
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         errs.add(f"{path}.grid", "must be a mapping")
     else:
         _unknown(grid, f"{path}.grid", ("points", "length"), errs)
-        run.grid_points = _int(grid, f"{path}.grid", "points", errs, run.grid_points, 2)
-        run.grid_length = _num(grid, f"{path}.grid", "length", errs,
-                               default=run.grid_length, positive=True)
+        fields["grid_points"] = _int(grid, f"{path}.grid", "points", errs, run.grid_points, 2)
+        fields["grid_length"] = _num(grid, f"{path}.grid", "length", errs,
+                                     default=run.grid_length, positive=True)
     src = doc.get("source", {"kind": "none"})
     if not isinstance(src, dict) or src.get("kind", "none") not in ("none", "friction"):
         errs.add(f"{path}.source", "must be a mapping with kind none or friction")
@@ -303,9 +301,9 @@ def _parse_run(doc, path, errs):
         if lf is not None and lf < 0:
             errs.add(f"{path}.source.lambda_f", "must be >= 0")
         elif lf is not None and dia is not None:
-            run.source = FrictionSource(lf, dia)
-    run.max_events = _int(doc, path, "max_events", errs, run.max_events, 1)
-    return run
+            fields["source"] = FrictionSource(lf, dia)
+    fields["max_events"] = _int(doc, path, "max_events", errs, run.max_events, 1)
+    return run._replace(**fields)
 
 
 # libyaml's parser and composer when PyYAML has them; both give line and column
@@ -317,6 +315,9 @@ _STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
 _SCALARS = {_TAG + name: SafeConstructor.yaml_constructors[_TAG + name]
             for name in ("null", "bool", "int", "float", "timestamp")}
 _CONSTRUCTOR = SafeConstructor()
+# libyaml's composer recurses in C, once per nesting level, and tens of
+# thousands of levels overflow the stack; no text this long nests deeper
+_MAX_DEPTH = 10_000
 
 
 def _value(node, built, pending):
@@ -352,6 +353,8 @@ def _load(text):
     """``yaml.safe_load(text)``, built by ``_value`` from libyaml's node
     graph.  Collections are filled first in, first out, as safe_load fills
     them, so of several construction errors the same one is raised."""
+    if len(text) > _MAX_DEPTH:
+        _check_depth(text)
     root = yaml.compose(text, Loader=_LOADER)
     built, pending = {}, deque()
     doc = None if root is None else _value(root, built, pending)
@@ -371,6 +374,20 @@ def _load(text):
                                        "found unhashable key", key_node.start_mark) from None
             out[key] = _value(value_node, built, pending)
     return doc
+
+
+def _check_depth(text):
+    """Raise ScenarioParseError at the first collection of ``text`` nested
+    deeper than ``_MAX_DEPTH``, on parser events, which libyaml makes in a loop."""
+    loader, depth = _LOADER(text), 0
+    while loader.check_event():
+        event = loader.get_event()
+        depth += (isinstance(event, yaml.CollectionStartEvent)
+                  - isinstance(event, yaml.CollectionEndEvent))
+        if depth > _MAX_DEPTH:
+            m = event.start_mark
+            raise ScenarioParseError(f"collections nest deeper than {_MAX_DEPTH} levels "
+                                     f"at line {m.line + 1}, column {m.column + 1}")
 
 
 def _document(text):
@@ -477,8 +494,7 @@ def _validate_solver_invariants(sc: Scenario, errs):
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     records: list
     summary: dict
 

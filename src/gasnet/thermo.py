@@ -14,9 +14,9 @@ inverts kappa = exp((s - s0)/cv) exactly and makes entropy comparisons
 uniform across the hierarchy.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from math import log, sqrt
+from typing import NamedTuple
 
 from .errors import NonPositivePressure
 
@@ -39,25 +39,37 @@ class FlowRegime(Enum):
     NOT_SUBSONIC = "not-subsonic"
 
 
-@dataclass(frozen=True)
-class GasConstants:
+class _Checked:
+    """First base of a named tuple whose ``__new__`` checks its fields:
+    ``_make``, and ``_replace``, which copies through it, check too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class _GasConstantsFields(NamedTuple):
+    gamma: float
+    R: float
+    s0: float
+
+
+class GasConstants(_Checked, _GasConstantsFields):
     """Adiabatic exponent, specific gas constant, and reference entropy.
 
     The specific heats follow from gamma and R:  cv = R/(gamma-1),
     cp = gamma*cv, so R = cp - cv and gamma = cp/cv hold by construction.
     """
 
-    gamma: float = 1.4
-    R: float = 287.0
-    s0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if self.s0 < 0.0:
-            raise ValueError(f"s0 must be non-negative, got {self.s0}")
+    def __new__(cls, gamma=1.4, R=287.0, s0=0.0):
+        if not gamma > 1.0:
+            raise ValueError(f"gamma must exceed 1, got {gamma}")
+        if not R > 0.0:
+            raise ValueError(f"R must be positive, got {R}")
+        if s0 < 0.0:
+            raise ValueError(f"s0 must be non-negative, got {s0}")
+        return tuple.__new__(cls, (gamma, R, s0))
 
     @property
     def cv(self):
@@ -71,8 +83,15 @@ class GasConstants:
         return self.cv * log(kappa) + self.s0
 
 
-@dataclass(frozen=True)
-class PipeState:
+class _PipeStateFields(NamedTuple):
+    model: Model
+    rho: float
+    q: float
+    E: float
+    kappa: float
+
+
+class PipeState(_Checked, _PipeStateFields):
     """Conservative state of one pipe cross-section.
 
     ``E`` is required for M1 and must be absent otherwise; ``kappa`` is
@@ -81,27 +100,24 @@ class PipeState:
     :func:`pressure` raises :class:`NonPositivePressure`.
     """
 
-    model: Model
-    rho: float
-    q: float
-    E: float = None
-    kappa: float = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError(f"density must be positive, got {self.rho}")
-        if self.model is Model.M1:
-            if self.E is None:
+    def __new__(cls, model, rho, q, E=None, kappa=None):
+        if not rho > 0.0:
+            raise ValueError(f"density must be positive, got {rho}")
+        if model is Model.M1:
+            if E is None:
                 raise ValueError("M1 states carry a total energy density E")
-            if self.kappa is not None:
+            if kappa is not None:
                 raise ValueError("M1 states do not carry kappa")
         else:
-            if self.kappa is None:
-                raise ValueError(f"{self.model.value} states carry kappa")
-            if not self.kappa > 0.0:
-                raise ValueError(f"kappa must be positive, got {self.kappa}")
-            if self.E is not None:
-                raise ValueError(f"{self.model.value} states do not carry E")
+            if kappa is None:
+                raise ValueError(f"{model.value} states carry kappa")
+            if not kappa > 0.0:
+                raise ValueError(f"kappa must be positive, got {kappa}")
+            if E is not None:
+                raise ValueError(f"{model.value} states do not carry E")
+        return tuple.__new__(cls, (model, rho, q, E, kappa))
 
     @property
     def u(self):
@@ -135,8 +151,7 @@ def pressure(state: PipeState, g: GasConstants):
     return state.kappa * state.rho**g.gamma
 
 
-@dataclass(frozen=True)
-class ThermoQuantities:
+class ThermoQuantities(NamedTuple):
     s: float
     h: float
     c: float

@@ -1,6 +1,9 @@
 """Command-line front end: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,8 +127,7 @@ def test_simulate_out_then_diagnose(scenario_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", "--results", str(out / "good.json")]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    sc = parse_scenario(scenario_file.read_text())
-    sc.run.mode, sc.run.horizon, sc.run.epsilon = "simulate", 0.4, 0.01
+    sc = parse_scenario(scenario_file.read_text(), mode="simulate", horizon=0.4, epsilon=0.01)
     records = run_scenario(sc).records
     assert doc["records_checked"] == sc.run.snapshots == len(records)
     for entry, rec in zip(doc["per_snapshot"], records):
@@ -428,3 +430,26 @@ def test_idle_head_control_summary_carries_a_warning(tmp_path, capsys):
     assert summary["warnings"] == [
         "idle control value 0: uniqueness outside the guaranteed neighborhood"]
     assert "power" not in summary
+
+
+DEEP = 30_000
+
+
+@pytest.mark.parametrize("text, where", [
+    ("a: " + "[" * DEEP + "]" * DEEP + "\n", "line 1, column 10003"),
+    ("a:\n" + "- " * DEEP + "x\n", "line 2, column 19999"),
+], ids=["flow", "block"])
+def test_deeply_nested_document_fails_validation(tmp_path, text, where):
+    # libyaml's composer recurses in C and kills the process on these
+    # documents; the depth scan rejects them first, at the collection
+    # that is one level too deep (run in a process of its own)
+    path = tmp_path / "deep.yaml"
+    path.write_text(text, encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "gasnet.cli", "check", "--scenario", str(path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_VALIDATION, run.stderr[-2000:]
+    assert run.stderr == (f"{path}: validation failed:\n"
+                          f"  collections nest deeper than 10000 levels at {where}\n")

@@ -281,8 +281,6 @@ def test_verify_coupling_detects_corruption(rng):
     assert max(diag.mass_residual, diag.max_enthalpy_spread,
                diag.max_entropy_residual) <= 1e-12
     # corrupt one star state
-    from dataclasses import replace
-
     bad_states = list(sol.star_states)
     st = bad_states[0]
     if st.model is Model.M1:
@@ -291,7 +289,7 @@ def test_verify_coupling_detects_corruption(rng):
         bad_states[0] = PipeState(Model.M1, st.rho * 1.01, st.q, E=st.E)
     else:
         bad_states[0] = iso_state(st.model, st.rho * 1.01, st.u, st.kappa)
-    bad = replace(sol, star_states=tuple(bad_states))
+    bad = sol._replace(star_states=tuple(bad_states))
     diag2 = verify_coupling(bad, base)
     assert max(diag2.mass_residual, diag2.max_enthalpy_spread) > 1e-6
     # a compressor outlet off its control: same density change, same flux

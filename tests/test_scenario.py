@@ -914,3 +914,17 @@ def test_sampled_states_are_the_region_objects():
             assert all(a is state.state_at(i, x) for a, x in zip(got, xs))
             assert all(fields(a) is fields(a) == state_fields(a, sc.constants)
                        for a in got)
+
+
+@pytest.mark.parametrize("levels", [10_000, 10_001])
+def test_depth_bound_is_exact(levels):
+    # a long text is rejected at the first collection deeper than 10,000
+    # levels, the top mapping included, and one 10,000 deep goes on to
+    # validation
+    text = "a:\n" + "- " * (levels - 1) + "x\n"
+    if levels > 10_000:
+        with pytest.raises(ScenarioParseError, match="nest deeper than 10000 levels"):
+            parse_scenario(text)
+    else:
+        with pytest.raises(ScenarioValidationError, match="a: unknown field"):
+            parse_scenario(text)

@@ -1,6 +1,5 @@
 """State construction, EOS evaluation, eigenvalues, and classification."""
 
-from dataclasses import replace
 from math import exp, sqrt
 
 import numpy as np
@@ -19,6 +18,8 @@ from gasnet import (
     pressure,
     thermo_quantities,
 )
+from gasnet.compressor import CompressorControl
+from gasnet.junction import PipeSpec
 
 G = GasConstants(gamma=1.4, R=1.0)
 SQ14 = sqrt(1.4)
@@ -50,6 +51,53 @@ def test_state_field_discipline():
         PipeState(Model.M3, -1.0, 0.0, kappa=1.0)
     with pytest.raises(ValueError):
         PipeState(Model.M2, 1.0, 0.0, kappa=-2.0)
+
+
+M1_STATE = (PipeState, dict(model=Model.M1, rho=1.0, q=0.5, E=2.5))
+M2_STATE = (PipeState, dict(model=Model.M2, rho=1.0, q=0.5, kappa=1.0))
+M3_STATE = (PipeState, dict(model=Model.M3, rho=1.0, q=0.5, kappa=1.0))
+CONSTANTS = (GasConstants, dict(gamma=1.4, R=1.0, s0=0.0))
+HEAD = (CompressorControl, dict(kind="CP1", value=1.0))
+POWER = (CompressorControl, dict(kind="CP2", value=1.0, cp_coeff=0.5))
+SPEC = (PipeSpec, dict(id="a", area=1.0, model=Model.M2))
+
+
+@pytest.mark.parametrize("valid, change, message", [
+    (M2_STATE, dict(rho=0.0), "density must be positive, got 0.0"),
+    (M3_STATE, dict(rho=-1.0), "density must be positive, got -1.0"),
+    (M1_STATE, dict(rho=float("nan")), "density must be positive, got nan"),
+    (M1_STATE, dict(E=None), "M1 states carry a total energy density E"),
+    (M1_STATE, dict(kappa=1.0), "M1 states do not carry kappa"),
+    (M2_STATE, dict(kappa=None), "M2 states carry kappa"),
+    (M3_STATE, dict(kappa=None), "M3 states carry kappa"),
+    (M2_STATE, dict(kappa=0.0), "kappa must be positive, got 0.0"),
+    (M3_STATE, dict(kappa=-2.0), "kappa must be positive, got -2.0"),
+    (M2_STATE, dict(E=1.0), "M2 states do not carry E"),
+    (M3_STATE, dict(E=1.0), "M3 states do not carry E"),
+    (CONSTANTS, dict(gamma=1.0), "gamma must exceed 1, got 1.0"),
+    (CONSTANTS, dict(R=0.0), "R must be positive, got 0.0"),
+    (CONSTANTS, dict(R=-1.0), "R must be positive, got -1.0"),
+    (CONSTANTS, dict(s0=-0.1), "s0 must be non-negative, got -0.1"),
+    (HEAD, dict(kind="CP3"), "control kind must be CP1 or CP2, got 'CP3'"),
+    (HEAD, dict(value=-1.0), "control value must be non-negative"),
+    (POWER, dict(value=-1.0), "control value must be non-negative"),
+    (POWER, dict(cp_coeff=None), "power control needs a positive cp_coeff"),
+    (POWER, dict(cp_coeff=0.0), "power control needs a positive cp_coeff"),
+    (SPEC, dict(area=0.0), "pipe 'a': area must be positive"),
+    (SPEC, dict(area=-1.0), "pipe 'a': area must be positive"),
+])
+def test_value_types_check_construction_and_copies(valid, change, message):
+    # the constructor, _replace and _make of a checked value type reject
+    # the same fields with the same message
+    cls, fields = valid
+    value = cls(**fields)
+    assert type(value._replace()) is cls and value._replace() == value
+    bad = {**value._asdict(), **change}
+    for build in (lambda: cls(**{**fields, **change}), lambda: value._replace(**change),
+                  lambda: cls._make(bad.values())):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_pressure_all_models():
@@ -146,4 +194,4 @@ def test_classification_reflection_symmetry(rng):
         u = rng.uniform(0.05, 0.95) * sqrt(G.gamma * p / rho)
         st = m1_state(rho, u, p, G)
         assert classify_subsonic(st, G) is FlowRegime.D_PLUS
-        assert classify_subsonic(replace(st, q=-st.q), G) is FlowRegime.D_MINUS
+        assert classify_subsonic(st._replace(q=-st.q), G) is FlowRegime.D_MINUS

@@ -2,8 +2,8 @@
 benchmark's tracing wrappers and workloads, module-level imports nothing
 uses, private functions nothing names, public functions, classes and
 methods that only tests name, parameters that no body reads, declared
-fields that nothing reads, and numpy
-kept off the import path of riemann mode and ``gasnet check``."""
+fields that nothing reads, numpy kept off the import path of riemann
+mode and ``gasnet check``, and dataclasses kept off that of the CLI."""
 
 import ast
 import importlib.util
@@ -261,14 +261,40 @@ def test_riemann_mode_does_not_import_numpy(tmp_path):
         "compressor_head-summary.json", "compressor_head.csv", "compressor_head.json",
         "y_junction_riemann-summary.json", "y_junction_riemann.csv", "y_junction_riemann.json"]
     top_level = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
-                 for node in ast.parse(path.read_text()).body if _imports_numpy(node)]
+                 for node in ast.parse(path.read_text()).body if _imports(node, "numpy")]
     assert top_level == []
 
 
-def _imports_numpy(node):
+def _imports(node, package):
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        return any(alias.name.split(".")[0] == package for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package
+
+
+_LOADED_BY_CLI_MODULES = """
+import sys
+before = set(sys.modules)
+import gasnet.cli, gasnet.fronttracking, gasnet.output, gasnet.scenario
+print(sorted(name for name in ("dataclasses", "inspect")
+             if name in sys.modules and name not in before))
+"""
+
+
+def test_cli_modules_load_neither_dataclasses_nor_inspect():
+    # gasnet's value types are named tuples: a fresh process that imports
+    # the CLI's modules and the tracker loads neither dataclasses nor the
+    # inspect module it imports (about 11 ms of start-up with cached
+    # bytecode); and no module of src/gasnet imports dataclasses, at the
+    # top or in a function
+    pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _LOADED_BY_CLI_MODULES],
+                         env=dict(os.environ, PYTHONPATH=pythonpath),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n", run.stdout
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _imports(node, "dataclasses")]
+    assert found == []
 
 
 YAML_LOADS = {"load", "safe_load", "full_load", "unsafe_load", "parse"}
