@@ -38,11 +38,10 @@ def state_fields(state: PipeState, g: GasConstants):
 class FieldMemo:
     """``state_fields`` once per distinct state object.
 
-    Sampled grids repeat a few region states many times, so the same
-    state object gets one shared field dict: riemann sampling calls the
-    memo once per run of grid points in one region, and a simulate
-    snapshot once per grid point.  The memo is keyed by identity and
-    holds every state it keyed, so no id is reused while it lives.
+    A record holds one field dict per run of grid points in one state,
+    and a state object recurs in later runs and records, so it gets one
+    shared dict.  The memo is keyed by identity and holds every state it
+    keyed, so no id is reused while it lives.
     """
 
     def __init__(self, g: GasConstants):
@@ -57,82 +56,59 @@ class FieldMemo:
 
 
 def state_from_fields(fields, g: GasConstants):
+    """The state a field dict of ``state_fields`` describes.  ``g`` is not
+    read; it stays for callers that pass it positionally."""
     model = Model(fields["model"])
     if model is Model.M1:
-        rho = fields["rho"]
-        return PipeState(model, rho, fields["q"], E=fields["E"])
+        return PipeState(model, fields["rho"], fields["q"], E=fields["E"])
     return PipeState(model, fields["rho"], fields["q"], kappa=fields["kappa"])
 
 
-def snapshot_record(time, pipe_samples, traces, diagnostics):
-    """A plain-dict snapshot: sampled grids, trace states and diagnostics.
+def snapshot_record(time, xs, pipe_runs, traces, diagnostics, fields):
+    """A plain-dict snapshot: grid, sampled states, traces, diagnostics.
 
-    ``pipe_samples`` maps pipe id -> {"x": [...], "states": [field dicts]};
-    ``traces`` maps pipe id -> field dict.  Grids and field dicts may be
-    shared between pipes, grid points and records.
+    ``pipe_runs`` maps pipe id -> ``[(state, count), ...]``, runs of
+    grid points in one state from the left, and ``traces`` maps pipe id
+    -> state; ``fields`` (a ``FieldMemo``) turns each state into its
+    field dict.  A record's pipe holds ``[[count, field dict], ...]``,
+    which expands to one field dict per point of ``xs``.  Grids and
+    field dicts may be shared between pipes, runs and records.
     """
     return {
         "time": time,
-        "pipes": pipe_samples,
-        "traces": traces,
+        "x": xs,
+        "pipes": {pid: [[n, fields(st)] for st, n in runs] for pid, runs in pipe_runs.items()},
+        "traces": {pid: fields(st) for pid, st in traces.items()},
         "diagnostics": diagnostics,
     }
 
 
 def write_csv(records, stream):
-    """One row per (time, pipe, grid point); header always written."""
+    """One row per (time, pipe, grid point), each run expanded over its
+    stretch of the grid; header always written."""
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for rec in records:
-        t = float(rec["time"])
-        for pipe_id in rec["pipes"]:
-            samples = rec["pipes"][pipe_id]
-            for x, st in zip(samples["x"], samples["states"]):
-                w.writerow([repr(t), pipe_id, repr(float(x))] +
-                           [repr(float(st[c])) for c in CSV_COLUMNS[3:]])
-
-
-_NESTED = (dict, list, tuple)
-
-
-def _encode(obj, memo):
-    """Compact JSON text of ``obj``, equal to ``json.dumps(obj)``.
-
-    A dict or list of scalars goes to the C encoder whole, once per
-    identity: ``memo`` keeps its text, which pays off because records
-    share their x grid and repeat field dicts.  One holding containers (a
-    dict with string keys only) is joined here from its items' texts on
-    every visit and not kept, so the memo holds no record's text.  The
-    caller keeps ``obj`` alive while ``memo`` is in use, so ids are not
-    reused.
-    """
-    text = memo.get(id(obj))
-    if text is not None:
-        return text
-    if (isinstance(obj, dict) and any(isinstance(v, _NESTED) for v in obj.values())
-            and all(isinstance(k, str) for k in obj)):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_encode(v, memo)}"
-                               for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)) and any(isinstance(v, _NESTED) for v in obj):
-        # a sampled grid repeats each region's field dict: look it up inline
-        get = memo.get
-        return "[" + ", ".join([get(id(v)) or _encode(v, memo) for v in obj]) + "]"
-    text = memo[id(obj)] = json.dumps(obj)
-    return text
+        t = repr(float(rec["time"]))
+        xs = rec["x"]
+        for pipe_id, runs in rec["pipes"].items():
+            start = 0
+            for count, st in runs:
+                values = [repr(float(st[c])) for c in CSV_COLUMNS[3:]]
+                w.writerows([t, pipe_id, repr(float(x))] + values
+                            for x in xs[start:start + count])
+                start += count
 
 
 def write_json(records, stream, summary=None):
     """One JSON document ``{"records": [...], "summary": {...}}`` with one
-    compact record per line and the summary indented; floats are
-    repr-exact and the bytes are deterministic.  All records share one
-    ``_encode`` memo, so a field dict or x grid that several records hold
-    is encoded once per document."""
-    memo = {}
+    compact record per line, each one ``json.dumps``, and the summary
+    indented; floats are repr-exact and the bytes are deterministic."""
     stream.write('{"records": [')
     sep = "\n"
     for rec in records:
         stream.write(sep)
-        stream.write(_encode(rec, memo))
+        stream.write(json.dumps(rec))
         sep = ",\n"
     stream.write("\n]")
     if summary is not None:

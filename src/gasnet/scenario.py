@@ -38,6 +38,7 @@ failure, at ``topology``, once every field has parsed.
 import math
 import sys
 from collections import Counter, deque
+from itertools import groupby
 from typing import NamedTuple
 
 import yaml
@@ -504,6 +505,12 @@ def _grid(sc: Scenario):
     return [sc.run.grid_length * (k + 0.5) / n for k in range(n)]
 
 
+def _runs(states):
+    """``[(state, count), ...]``, one run per stretch of the same state
+    object in a list of per-point states."""
+    return [(same[0], len(same)) for same in (list(g) for _, g in groupby(states, id))]
+
+
 def _run_riemann(sc: Scenario) -> RunResult:
     g = sc.constants
     data = sc.trace_states()
@@ -512,19 +519,14 @@ def _run_riemann(sc: Scenario) -> RunResult:
     xs = _grid(sc)
     times = sc.run.sample_times or [sc.run.horizon]
     fields = FieldMemo(g)
+    traces = {spec.id: trace for spec, (_, trace) in zip(sc.specs, patterns)}
     records = []
     for t in times:
-        pipes = {}
-        traces = {}
-        for i, spec in enumerate(sc.specs):
-            waves, trace = patterns[i]
-            states = []
-            for st, n in sample_waves(waves, trace, data[i], [x / t for x in xs], g):
-                states += [fields(st)] * n
-            pipes[spec.id] = {"x": xs, "states": states}
-            traces[spec.id] = fields(trace)
+        xis = [x / t for x in xs]
+        pipes = {spec.id: sample_waves(waves, trace, d, xis, g)
+                 for spec, (waves, trace), d in zip(sc.specs, patterns, data)}
         diag = {"residual_norm": sol.residual_norm, "iterations": sol.iterations}
-        records.append(snapshot_record(t, pipes, traces, diag))
+        records.append(snapshot_record(t, xs, pipes, traces, diag, fields))
 
     summary = {
         "mode": "riemann",
@@ -603,26 +605,29 @@ def _simulate(sc: Scenario, epsilon, records=None, ladder_of=None):
         traces = {}
         for spec, track in zip(sc.specs, state.pipes):
             pos = [f.at(state.time) for f in track.fronts]
-            pipes[spec.id] = {"x": xs, "states": list(map(fields, track.states_at(xs, pos)))}
-            traces[spec.id] = fields(track.trace)
+            pipes[spec.id] = _runs(track.states_at(xs, pos))
+            traces[spec.id] = track.trace
         diag = {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
                 "np_strength": glimm.np_strength, **_absorbed(sc, state),
                 "front_count": glimm.front_count, "events": state.events}
         diag.update(trace_residuals(state, sc.specs, g, sc.control))
-        records.append(snapshot_record(t, pipes, traces, diag))
+        records.append(snapshot_record(t, xs, pipes, traces, diag, fields))
     _log_run(state)
     return state
 
 
-def _log_run(state):
-    """One INFO line on the ``gasnet`` logger about a finished tracked run.
-    Nothing can have enabled that logger unless the logging module is
-    loaded, so it is not imported here (that takes about 9 ms)."""
+def info_log():
+    """The ``gasnet`` logger if it logs INFO, else None.  Only a loaded
+    logging module can have enabled it, so this does not import one
+    (that takes about 7 ms)."""
     logging = sys.modules.get("logging")
-    if logging is None:
-        return
-    log = logging.getLogger("gasnet")
-    if not log.isEnabledFor(logging.INFO):
+    log = None if logging is None else logging.getLogger("gasnet")
+    return log if log is not None and log.isEnabledFor(logging.INFO) else None
+
+
+def _log_run(state):
+    """One INFO line on the ``gasnet`` logger about a finished tracked run."""
+    if (log := info_log()) is None:
         return
     kinds = Counter(r.kind for r in state.interactions)
     log.info("tracked run at epsilon %g: %d events (%d collision, %d junction, "

@@ -3,8 +3,9 @@ base-point closed forms of the trace derivatives, the central-difference
 Jacobian, the entropy mix at given parameters, the determinants of the
 regularity argument, and the coupling Newton with numpy's LAPACK
 solve.  ``JunctionProblem`` returns Python lists; these helpers take and
-return arrays and floats.  Also the zero source of operator splitting and
-CSV output as one string."""
+return arrays and floats.  Also the zero source of operator splitting,
+CSV output as one string, the per-point sampler of a Riemann solution
+and the per-point pipe records that a snapshot's runs expand to."""
 
 import io
 
@@ -12,8 +13,9 @@ import numpy as np
 
 from gasnet.errors import NotSubsonic
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
-from gasnet.laxcurves import ISO, M1_IN, M1_OUT
+from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
 from gasnet.output import write_csv
+from gasnet.riemann import RAREFACTION, fan_state
 from gasnet.thermo import Model, sound_speed
 
 
@@ -163,3 +165,27 @@ def render_csv(records):
     buf = io.StringIO()
     write_csv(records, buf)
     return buf.getvalue()
+
+
+def sample_at(waves, left, right, xi, g):
+    """Per-point reference of ``riemann.sample_waves``: scan the waves
+    left to right for one xi = x/t; at a wave's left edge the state to
+    its right, and a fan's left edge is its head."""
+    state = left
+    for wave in waves:
+        fan = wave.kind == RAREFACTION
+        if xi < (fan_edge_speed(wave.family, wave.left, g) if fan else wave.speed):
+            return state
+        if fan and xi < wave.speed:
+            return fan_state(wave, xi, g)
+        state = wave.right
+    return right
+
+
+def expand_pipes(record):
+    """The per-point pipe records ``{pipe id: {"x": [...], "states":
+    [field dicts]}}`` that the ``[count, field dict]`` runs of a snapshot
+    record expand to, one field dict per grid point."""
+    return {pipe_id: {"x": record["x"],
+                      "states": [fields for count, fields in runs for _ in range(count)]}
+            for pipe_id, runs in record["pipes"].items()}

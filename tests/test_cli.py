@@ -453,3 +453,18 @@ def test_deeply_nested_document_fails_validation(tmp_path, text, where):
     assert run.returncode == EXIT_VALIDATION, run.stderr[-2000:]
     assert run.stderr == (f"{path}: validation failed:\n"
                           f"  collections nest deeper than 10000 levels at {where}\n")
+
+
+def test_info_log_prints_where_results_went(scenario_file, tmp_path):
+    # GASNET_LOG loads logging on demand; at INFO the run still reports
+    # where it wrote its results (run in a process of its own)
+    out = tmp_path / "results"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, GASNET_LOG="INFO", PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "gasnet.cli", "riemann", "--scenario",
+                          str(scenario_file), "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stderr == f"INFO gasnet: wrote results for {scenario_file} to {out}\n"
+    assert (out / "good.json").exists()

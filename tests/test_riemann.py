@@ -31,6 +31,7 @@ from gasnet.riemann import (
     solve_riemann_iso,
     solve_riemann_m1,
 )
+from reference import sample_at
 
 G = GasConstants(gamma=1.4, R=1.0)
 GAMMA = 1.4
@@ -320,18 +321,6 @@ def test_sampling_regions():
     assert _first_state(sol, UL, UR, contact.speed).rho == pytest.approx(contact.right.rho)
 
 
-def _sample_at(waves, left, right, xi, g):
-    """Per-point reference: scan the waves left to right for one xi."""
-    state = left
-    for wave in waves:
-        if xi < _speeds(wave)[0]:
-            return state
-        if wave.kind == RAREFACTION and xi < wave.speed:
-            return fan_state(wave, xi, g)
-        state = wave.right
-    return right
-
-
 def test_sample_waves_one_pass_matches_per_point_scan(rng):
     cases = [(m1_state(1.0, 0.0, 1.0, G), m1_state(0.125, 0.0, 0.1, G))]
     for _ in range(20):
@@ -361,7 +350,7 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
         regions = [UL, UR] + [w.right for w in waves]
         got = [st for st, n in runs for _ in range(n)]
         for xi, st in zip(xis, got):
-            want = _sample_at(waves, UL, UR, xi, G)
+            want = sample_at(waves, UL, UR, xi, G)
             if any(want is r for r in regions):
                 assert st is want
             else:

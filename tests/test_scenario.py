@@ -25,7 +25,7 @@ from gasnet.fronttracking import init_approximation
 from gasnet.junction import JunctionProblem, PipeSpec
 from gasnet.output import FieldMemo, read_json, render_json, state_fields, write_json
 from gasnet.scenario import parse_scenario, run_scenario
-from reference import render_csv
+from reference import expand_pipes, render_csv, sample_at
 
 MINIMAL = """
 constants: {gamma: 1.4, R: 1.0}
@@ -864,6 +864,11 @@ def test_event_builder_falls_back_to_yaml_load(name):
 @pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])
 def test_render_json_matches_json_dumps(name):
     res = run_scenario(parse_scenario(DOCUMENTS[name]))
+    # each record holds its grid once and each pipe as [count, fields] runs
+    for rec in res.records:
+        assert list(rec) == ["time", "x", "pipes", "traces", "diagnostics"]
+        assert all(type(run) is list and [type(v) for v in run] == [int, dict]
+                   for runs in rec["pipes"].values() for run in runs)
     out = render_json(res.records, res.summary)
     ref = json.dumps({"records": res.records, "summary": res.summary}, indent=1)
     assert json.loads(out) == json.loads(ref)
@@ -901,7 +906,8 @@ def test_render_json_without_records_or_summary():
 
 def test_sampled_states_are_the_region_objects():
     # the simulate sampler's one pass per pipe returns what a scan per grid
-    # point returns, object for object, and fields are computed once per object
+    # point returns, object for object, fields are computed once per object,
+    # and a snapshot folds each stretch of one object into one run
     sc = parse_scenario(SHIPPED_TRACKING.read_text())
     state = init_approximation(sc.specs, sc.profiles, sc.constants, sc.run.epsilon)
     xs = [k / 16 for k in range(64)]
@@ -914,6 +920,100 @@ def test_sampled_states_are_the_region_objects():
             assert all(a is state.state_at(i, x) for a, x in zip(got, xs))
             assert all(fields(a) is fields(a) == state_fields(a, sc.constants)
                        for a in got)
+            runs = scenario._runs(got)
+            assert len(runs) < len(got)
+            expanded = [a for a, n in runs for _ in range(n)]
+            assert len(expanded) == len(got)
+            assert all(a is b for a, b in zip(expanded, got))
+            assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
+
+
+def test_shipped_riemann_scenario_renders_under_10_kb():
+    # 2 sample times x 3 pipes x 64 points, held as a few runs per pipe
+    res = run_scenario(parse_scenario(DOCUMENTS["y_junction_riemann.yaml"]))
+    assert len(render_json(res.records, res.summary).encode()) < 10_000
+
+
+ORACLE_SEEDS = {f"riemann_batch seed {seed}": seed for seed in (3, 11, 47)}
+# every shipped scenario in both modes; the tracking scenario's pieces are
+# not the constant states a riemann-mode document needs
+ORACLE_SHIPPED = {f"{p.name} {mode}": (p, mode) for p in SHIPPED
+                  for mode in ("riemann", "simulate")
+                  if not (p == SHIPPED_TRACKING and mode == "riemann")}
+
+
+def _per_point_states(sc, records, patterns):
+    """For each record, pipe id -> the state at each grid point, sampled
+    point by point from the solution: ``sample_at`` of the coupling's
+    wave ``patterns`` at x/t in riemann mode, ``state_at`` of the tracked
+    run at each stop in simulate mode."""
+    xs = scenario._grid(sc)
+
+    def pipes(state_at):
+        return {spec.id: [state_at(i, x) for x in xs] for i, spec in enumerate(sc.specs)}
+
+    if sc.run.mode == "riemann":
+        data = sc.trace_states()
+        for rec in records:
+            t = rec["time"]
+            yield pipes(lambda i, x: sample_at(*patterns[i], data[i], x / t, sc.constants))
+        return
+    assert sc.run.source is None
+    state = init_approximation(sc.specs, sc.profiles, sc.constants, sc.run.epsilon,
+                               control=sc.control, tol=sc.run.tol,
+                               max_events=sc.run.max_events)
+    for t in scenario._stops(sc):
+        state.run(t)
+        yield pipes(state.state_at)
+
+
+def _kept_solves(monkeypatch):
+    """The list every later ``scenario.solve_coupling`` result is appended
+    to: a riemann run's wave patterns, for the reference sampler."""
+    solved = []
+    solve = scenario.solve_coupling
+
+    def keep(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(scenario, "solve_coupling", keep)
+    return solved
+
+
+def _assert_runs_expand_to_per_point_records(sc, solved):
+    solved.clear()
+    records = run_scenario(sc).records
+    patterns = solved[0][2] if solved else None
+    for rec, want in zip(records, _per_point_states(sc, records, patterns), strict=True):
+        assert rec["x"] == scenario._grid(sc)
+        for pipe_id, pipe in expand_pipes(rec).items():
+            runs = rec["pipes"][pipe_id]
+            assert all(count > 0 for count, _ in runs)
+            assert sum(count for count, _ in runs) == len(rec["x"])
+            assert all(a[1] is not b[1] for a, b in zip(runs, runs[1:]))
+            assert pipe["x"] is rec["x"] and len(pipe["states"]) == len(want[pipe_id])
+            # every point's (field dict, reference state) pair, each distinct
+            # pair once, bit for bit: the C encoder writes a float as its repr
+            pairs = {(id(d), id(st)): (d, st) for d, st in zip(pipe["states"], want[pipe_id])}
+            for d, st in pairs.values():
+                assert json.dumps(d) == json.dumps(state_fields(st, sc.constants))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SEEDS))
+def test_riemann_batch_runs_expand_to_per_point_records(name, monkeypatch):
+    texts = _riemann_batch_documents(ORACLE_SEEDS[name])
+    assert len(texts) == 206
+    solved = _kept_solves(monkeypatch)
+    for text in texts:
+        _assert_runs_expand_to_per_point_records(parse_scenario(text), solved)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SHIPPED))
+def test_shipped_runs_expand_to_per_point_records(name, monkeypatch):
+    path, mode = ORACLE_SHIPPED[name]
+    _assert_runs_expand_to_per_point_records(parse_scenario(path.read_text(), mode=mode),
+                                             _kept_solves(monkeypatch))
 
 
 @pytest.mark.parametrize("levels", [10_000, 10_001])

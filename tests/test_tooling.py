@@ -275,23 +275,28 @@ _LOADED_BY_CLI_MODULES = """
 import sys
 before = set(sys.modules)
 import gasnet.cli, gasnet.fronttracking, gasnet.output, gasnet.scenario
-print(sorted(name for name in ("dataclasses", "inspect")
-             if name in sys.modules and name not in before))
+code = gasnet.cli.main(["riemann", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(code, sorted(name for name in ("dataclasses", "inspect", "logging")
+                   if name in sys.modules and name not in before))
 """
 
 
-def test_cli_modules_load_neither_dataclasses_nor_inspect():
+def test_cli_modules_load_neither_dataclasses_nor_inspect(tmp_path):
     # gasnet's value types are named tuples: a fresh process that imports
     # the CLI's modules and the tracker loads neither dataclasses nor the
     # inspect module it imports (about 11 ms of start-up with cached
     # bytecode); and no module of src/gasnet imports dataclasses, at the
-    # top or in a function
+    # top or in a function.  Without GASNET_LOG a CLI run that writes
+    # results does not load logging either (about 7 ms)
     pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _LOADED_BY_CLI_MODULES],
-                         env=dict(os.environ, PYTHONPATH=pythonpath),
+    env = {k: v for k, v in os.environ.items() if k != "GASNET_LOG"}
+    run = subprocess.run([sys.executable, "-c", _LOADED_BY_CLI_MODULES,
+                          str(ROOT / "scenarios" / "y_junction_riemann.yaml"), str(tmp_path)],
+                         env=dict(env, PYTHONPATH=pythonpath),
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n", run.stdout
+    assert run.stdout == "0 []\n", run.stdout
+    assert (tmp_path / "y_junction_riemann.json").exists()
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if _imports(node, "dataclasses")]
     assert found == []
