@@ -69,7 +69,9 @@ class CompressorControl(_Checked, _ControlFields):
 
     def gradient(self, t_in, t_out, g: GasConstants):
         """Derivatives of the balance at the traces ``t_in`` and ``t_out``
-        with respect to (sigma_in, sigma_out, tau_out)."""
+        with respect to (sigma_in, sigma_out, tau_out), which
+        ``JunctionProblem.newton_step`` takes for a junction's
+        (h_sigma,pivot, -h_sigma,j, -h_tau,j)."""
         e = (g.gamma - 1.0) / g.gamma
         re = (t_out.p / t_in.p) ** e
         # d/dsigma_in of T_in*((p_out/p_in)^e - 1); the ratio pulls in -dp_in/p_in

@@ -39,7 +39,7 @@ class SingularEntropyMix(GasnetError):
 
 
 class SingularJacobian(GasnetError):
-    """The coupling Jacobian could not be factorized."""
+    """A coupling Newton step met an exact zero divisor: the Jacobian is singular."""
 
 
 class SubsonicViolation(GasnetError):

@@ -21,12 +21,12 @@ regular.
 
 * ``base_parameters()``: the (sigma, tau) blocks of the starting point,
 * ``traces(x)``: the per-pipe :class:`~gasnet.laxcurves.TraceEval`,
-* ``residual(traces)`` and ``jacobian(traces)``, both unscaled,
-* ``row_scales``: the per-row scales of the nondimensionalized residual,
+* ``residual(traces)``, unscaled, and ``row_scales``, its row scales,
+* ``newton_step(traces, residual)``: the step, by elimination through
+  the changes of the pivot's row quantity and of the entropy mix, in
+  O(N) for N pipes with no Jacobian matrix,
 
-all as Python lists, and one damped Newton (``_newton``) solves it, each
-step by Gaussian elimination with partial pivoting on the scaled
-Jacobian; the system has dimension at most 2N for N pipes.
+all as Python lists, and one damped Newton (``_newton``) solves it.
 :func:`classify_pipes` alone decides which pipes are incoming and which
 data form a coupling problem; :func:`state_residuals` rechecks the
 coupling conditions from one state per pipe.
@@ -194,46 +194,63 @@ class JunctionProblem:
             out += [traces[j].s - s_star for j in self.outgoing_m1]
         return out
 
-    def jacobian(self, traces):
-        """Closed-form derivative of the residual w.r.t. (sigma, tau),
-        exact on both curve branches."""
-        n, piv = self.n, self.pivot
-        tau_col = self._tau_col
-        J = [[0.0] * self.dim for _ in range(self.dim)]
-
-        for i, p in enumerate(self.pipes):
-            a = p.spec.area
-            J[0][i] = a * traces[i].dq_dsigma
-            if i in tau_col:
-                J[0][tau_col[i]] = a * traces[i].dq_dtau
-
+    def newton_step(self, traces, residual):
+        """The Newton step for the unscaled ``residual`` at ``traces``, by
+        elimination through two scalars: dH, the change of the pivot's row
+        quantity (h_pivot, or the balance at a compressor), and dS, the
+        change of the entropy mix.  Every other row alone, or an outgoing
+        M1 pipe's 2x2 (row, entropy) block, makes that pipe's step affine
+        in dH and dS; dS is affine in dH through the incoming pipes, and
+        the mass row gives dH.  An exact zero divisor raises
+        ``SingularJacobian`` naming its pipe or row."""
+        pipes, piv, col = self.pipes, self.pivot, self._tau_col
         if self.control is None:
-            for row, j in enumerate(self._enthalpy_rows, 1):
-                J[row][piv] = traces[piv].dh_dsigma
-                J[row][j] -= traces[j].dh_dsigma
-                if j in tau_col:
-                    J[row][tau_col[j]] = -traces[j].dh_dtau
+            d_piv = traces[piv].dh_dsigma
+            rows = [(traces[j].dh_dsigma, traces[j].dh_dtau) for j in self._enthalpy_rows]
         else:
-            J[1][0], J[1][1], d_tau = self.control.gradient(traces[0], traces[1],
-                                                            self.constants)
-            if 1 in tau_col:
-                J[1][tau_col[1]] = d_tau
-
-        if self.n0:
-            den = sum(self.pipes[i].spec.area * traces[i].q for i in self.incoming)
+            # the balance's gradient in place of (h_sigma,piv, -h_sigma,j, -h_tau,j)
+            d_piv, d_out, d_tau = self.control.gradient(traces[0], traces[1], self.constants)
+            rows = [(-d_out, -d_tau)]
+        if d_piv == 0.0:
+            raise SingularJacobian(f"pivot pipe {pipes[piv].spec.id!r}: zero row derivative")
+        # column -> (a0, a1, w): its step is a0 + a1 * dH, its mass-row entry w
+        aff = {piv: (0.0, 1.0 / d_piv, pipes[piv].spec.area * traces[piv].dq_dsigma)}
+        blocks = []
+        for j, (g_s, g_t), r in zip(self._enthalpy_rows, rows, residual[1:]):
+            if j in col:
+                blocks.append((j, g_s, g_t, r))
+            elif g_s == 0.0:
+                raise SingularJacobian(f"pipe {pipes[j].spec.id!r}: zero row derivative")
+            else:
+                aff[j] = (r / g_s, 1.0 / g_s, pipes[j].spec.area * traces[j].dq_dsigma)
+        if blocks:
             s_star = _entropy_mix_from(self, traces)
-            # d s*/d sigma_i for incoming pipes (zero columns otherwise)
-            ds_star = {}
+            den = sum(pipes[i].spec.area * traces[i].q for i in self.incoming)
+            s0 = s1 = 0.0
             for i in self.incoming:
-                a = self.pipes[i].spec.area
                 t = traces[i]
-                ds_star[i] = a * (t.dq_dsigma * t.s + t.q * t.ds_dsigma - s_star * t.dq_dsigma) / den
-            for row, j in enumerate(self.outgoing_m1, n):
-                J[row][j] = traces[j].ds_dsigma
-                J[row][tau_col[j]] = traces[j].ds_dtau
-                for i in self.incoming:
-                    J[row][i] -= ds_star[i]
-        return J
+                d = pipes[i].spec.area * (t.dq_dsigma * t.s + t.q * t.ds_dsigma
+                                          - s_star * t.dq_dsigma) / den
+                s0 += d * aff[i][0]
+                s1 += d * aff[i][1]
+            for j, g_s, g_t, r in blocks:
+                t, a = traces[j], pipes[j].spec.area
+                det = g_s * t.ds_dtau - g_t * t.ds_dsigma
+                if det == 0.0:
+                    raise SingularJacobian(f"pipe {pipes[j].spec.id!r}: singular 2x2 block")
+                e = s0 - residual[col[j]]
+                aff[j] = ((t.ds_dtau * r - g_t * e) / det, (t.ds_dtau - g_t * s1) / det,
+                          a * t.dq_dsigma)
+                aff[col[j]] = ((g_s * e - t.ds_dsigma * r) / det, (g_s * s1 - t.ds_dsigma) / det,
+                               a * t.dq_dtau)
+        m0 = m1 = 0.0
+        for a0, a1, w in aff.values():
+            m0 += w * a0
+            m1 += w * a1
+        if m1 == 0.0:
+            raise SingularJacobian("mass row: zero coefficient of dH")
+        dh = (-residual[0] - m0) / m1
+        return [aff[k][0] + aff[k][1] * dh for k in range(self.dim)]
 
 
 def _entropy_mix_from(problem: JunctionProblem, traces):
@@ -271,60 +288,35 @@ class StarSolution(NamedTuple):
     extras: dict
 
 
-def _linear_solve(A, b):
-    """x with A x = b, by Gaussian elimination with partial pivoting.  A is
-    a list of row lists and b a list; both are overwritten.  Raises
-    ``SingularJacobian`` on a zero pivot."""
-    n = len(b)
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(A[i][k]))
-        if A[p][k] == 0.0:
-            raise SingularJacobian(f"coupling Jacobian is singular: zero pivot in column {k}")
-        A[k], A[p] = A[p], A[k]
-        b[k], b[p] = b[p], b[k]
-        row_k = A[k]
-        for i in range(k + 1, n):
-            f = A[i][k] / row_k[k]
-            if f:   # most rows below the mass row are sparse
-                row_i = A[i]
-                for j in range(k + 1, n):
-                    row_i[j] -= f * row_k[j]
-                b[i] -= f * b[k]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        row_i = A[i]
-        x[i] = (b[i] - sum(row_i[j] * x[j] for j in range(i + 1, n))) / row_i[i]
-    return x
-
-
 def _newton(problem, tol, max_iter):
     """Damped Newton with Armijo backtracking on the scaled residual,
     started at the base parameters.
 
     Returns (x, traces, residual, iterations), where ``traces`` are the
-    traces of the accepted iterate x, a list; the Jacobian of each step is
-    built from the traces that gave its residual.
+    traces of the accepted iterate x, a list; each step is
+    ``problem.newton_step`` at the traces that gave its residual.
     """
     scales = problem.row_scales
     sigma, tau = problem.base_parameters()
     x = sigma + tau
     traces = problem.traces(x)
-    fx = [r / s for r, s in zip(problem.residual(traces), scales)]
+    r = problem.residual(traces)
+    fx = [v / s for v, s in zip(r, scales)]
     for it in range(max_iter + 1):
         res = max(map(abs, fx))
         if res <= tol:
             return x, traces, res, it
         if it == max_iter:
             break
-        J = [[v / s for v in row] for row, s in zip(problem.jacobian(traces), scales)]
-        step = _linear_solve(J, [-f for f in fx])
+        step = problem.newton_step(traces, r)
         norm0 = math.hypot(*fx)
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             trial_x = [xi + alpha * si for xi, si in zip(x, step)]
             try:
                 trial = problem.traces(trial_x)
-                fn = [r / s for r, s in zip(problem.residual(trial), scales)]
+                rn = problem.residual(trial)
+                fn = [v / s for v, s in zip(rn, scales)]
             except _DOMAIN_ERRORS:
                 alpha *= 0.5
                 continue
@@ -333,7 +325,7 @@ def _newton(problem, tol, max_iter):
             alpha *= 0.5
         else:
             raise NoConvergence("line search stalled", residual=res, iterations=it)
-        x, traces, fx = trial_x, trial, fn
+        x, traces, r, fx = trial_x, trial, rn, fn
     raise NoConvergence(
         f"no convergence in {max_iter} iterations",
         residual=res,

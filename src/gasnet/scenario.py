@@ -316,9 +316,11 @@ _STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
 _SCALARS = {_TAG + name: SafeConstructor.yaml_constructors[_TAG + name]
             for name in ("null", "bool", "int", "float", "timestamp")}
 _CONSTRUCTOR = SafeConstructor()
-# libyaml's composer recurses in C, once per nesting level, and tens of
-# thousands of levels overflow the stack; no text this long nests deeper
-_MAX_DEPTH = 10_000
+# libyaml's composer recurses in C, once per nesting level, and parses flow
+# nesting in time quadratic in its depth; every collection holds one of
+# _INDICATORS, so a text with no more of them than this nests no deeper
+_MAX_DEPTH = 1_000
+_INDICATORS = "[{-:?"
 
 
 def _value(node, built, pending):
@@ -354,7 +356,7 @@ def _load(text):
     """``yaml.safe_load(text)``, built by ``_value`` from libyaml's node
     graph.  Collections are filled first in, first out, as safe_load fills
     them, so of several construction errors the same one is raised."""
-    if len(text) > _MAX_DEPTH:
+    if sum(map(text.count, _INDICATORS)) > _MAX_DEPTH:
         _check_depth(text)
     root = yaml.compose(text, Loader=_LOADER)
     built, pending = {}, deque()

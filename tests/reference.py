@@ -1,9 +1,10 @@
 """Test-only references for the coupling problem, on numpy: the
 base-point closed forms of the trace derivatives, the central-difference
 Jacobian, the entropy mix at given parameters, the determinants of the
-regularity argument, and the coupling Newton with numpy's LAPACK
-solve.  ``JunctionProblem`` returns Python lists; these helpers take and
-return arrays and floats.  Also the zero source of operator splitting,
+regularity argument, the dense closed-form Jacobian that the
+elimination of ``newton_step`` avoids, and the coupling Newton with
+numpy's LAPACK solve on it.  ``JunctionProblem`` returns Python lists;
+these helpers take and return arrays and floats.  Also the zero source of operator splitting,
 CSV output as one string, the per-point sampler of a Riemann solution
 and the per-point pipe records that a snapshot's runs expand to."""
 
@@ -64,14 +65,50 @@ def residual_at(problem, x):
     return np.array(problem.residual(problem.traces([float(v) for v in x])))
 
 
+def dense_jacobian(problem, traces):
+    """Closed-form derivative of the unscaled residual w.r.t. (sigma, tau)
+    at ``traces``, as a dense array: the oracle of the elimination in
+    ``problem.newton_step``, exact on both curve branches."""
+    n, piv, pipes = problem.n, problem.pivot, problem.pipes
+    tau_col = {j: n + k for k, j in enumerate(problem.outgoing_m1)}
+    J = np.zeros((problem.dim, problem.dim))
+    for i, p in enumerate(pipes):
+        J[0, i] = p.spec.area * traces[i].dq_dsigma
+        if i in tau_col:
+            J[0, tau_col[i]] = p.spec.area * traces[i].dq_dtau
+    others = [j for j in range(n) if j != piv]
+    if problem.control is None:
+        for row, j in enumerate(others, 1):
+            J[row, piv] = traces[piv].dh_dsigma
+            J[row, j] -= traces[j].dh_dsigma
+            if j in tau_col:
+                J[row, tau_col[j]] = -traces[j].dh_dtau
+    else:
+        J[1, 0], J[1, 1], d_tau = problem.control.gradient(traces[0], traces[1],
+                                                           problem.constants)
+        if 1 in tau_col:
+            J[1, tau_col[1]] = d_tau
+    if problem.n0:
+        den = sum(pipes[i].spec.area * traces[i].q for i in problem.incoming)
+        s_star = _entropy_mix_from(problem, traces)
+        for row, j in enumerate(problem.outgoing_m1, n):
+            J[row, j] = traces[j].ds_dsigma
+            J[row, tau_col[j]] = traces[j].ds_dtau
+            for i in problem.incoming:
+                t = traces[i]
+                J[row, i] -= pipes[i].spec.area * (t.dq_dsigma * t.s + t.q * t.ds_dsigma
+                                                   - s_star * t.dq_dsigma) / den
+    return J
+
+
 def jacobian_at(problem, x):
     """The closed-form Jacobian at parameters x, as an array."""
-    return np.array(problem.jacobian(problem.traces([float(v) for v in x])))
+    return dense_jacobian(problem, problem.traces([float(v) for v in x]))
 
 
 def fd_jacobian(problem, x):
     """Central-difference Jacobian of the coupling residual at x: the
-    independent reference for ``problem.jacobian``.  Column k steps by
+    independent reference for ``dense_jacobian``.  Column k steps by
     1e-6 * max(|x_k|, floor_k), where the floor is 1e-6 for a sigma
     column and the pipe density for a tau column."""
     x = np.asarray(x, dtype=float)

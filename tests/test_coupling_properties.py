@@ -2,8 +2,8 @@
 
 Junctions of 2-6 pipes mixing M1, M2 and M3, and compressors (CP1/CP2,
 all nine inlet/outlet model pairs), a little off balance: the closed-form
-Jacobian against central differences, the Gaussian elimination and the
-Newton against numpy's LAPACK solve, the traces Newton returns against
+Jacobian against central differences, the elimination of each Newton step
+and the Newton against numpy's LAPACK solve on that Jacobian, the traces Newton returns against
 the traces of its iterate, junction solutions under any ordering of
 the pipes, and the entropy mix carried by outgoing full-Euler pipes.
 """
@@ -19,11 +19,10 @@ from gasnet.junction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     JunctionProblem,
-    _linear_solve,
     _newton,
     solve_junction,
 )
-from reference import fd_jacobian, jacobian_at, numpy_newton
+from reference import dense_jacobian, fd_jacobian, jacobian_at, numpy_newton
 from test_compressor import perturb_inlet
 from test_junction import _jac_close
 
@@ -72,18 +71,36 @@ def test_jacobian_matches_finite_differences(problem, seed):
 @PROPERTY
 @given(problems)
 def test_elimination_matches_numpy_solve(problem):
-    # the scaled base Jacobian against the first Newton right-hand side and
-    # a vector of ones; largest relative gap seen over 3,000 random
-    # junctions and compressors: 1.1e-15 (condition numbers up to 32)
+    # the step against numpy's solve with the scaled dense base Jacobian, for
+    # the first Newton right-hand side and a vector of ones (a residual of
+    # minus the row scales); largest relative gap seen over 3,000 random
+    # junctions and compressors: 3.9e-15
     sigma, tau = problem.base_parameters()
     traces = problem.traces(sigma + tau)
-    scales = problem.row_scales
-    J = [[v / s for v in row] for row, s in zip(problem.jacobian(traces), scales)]
-    newton_rhs = [-r / s for r, s in zip(problem.residual(traces), scales)]
-    for b in (newton_rhs, [1.0] * problem.dim):
-        ref = np.linalg.solve(np.array(J), np.array(b))
-        x = np.array(_linear_solve([row[:] for row in J], list(b)))
+    scales = np.array(problem.row_scales)
+    J = dense_jacobian(problem, traces) / scales[:, None]
+    residual = problem.residual(traces)
+    for r in (residual, list(-scales)):
+        ref = np.linalg.solve(J, -np.array(r) / scales)
+        x = np.array(problem.newton_step(traces, r))
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_wide_mixed_junction_matches_the_numpy_newton():
+    # 24-32 pipes of all three models, beyond the strategy's 2-6: the same
+    # iteration count as the dense numpy Newton and sigma within 1e-13
+    rng = np.random.default_rng(28)
+    for n in (24, 28, 32):
+        models = [MODELS[k % 3] for k in rng.permutation(n)]
+        n_in = n // 3
+        base = build_fixed_point_junction(rng, G, models[:n_in], models[n_in:])
+        problem = perturb_problem(base, 0.02, rng)
+        assert problem.n0 > 0 and len(problem.incoming) == n_in
+        x, _, _, it = _newton(problem, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        ref, ref_it = numpy_newton(problem, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert it == ref_it >= 2
+        for a, b in zip(x[:n], ref[:n]):
+            assert abs(a - b) <= 1e-13 * abs(b)
 
 
 @PROPERTY

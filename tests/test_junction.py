@@ -26,7 +26,6 @@ from gasnet import junction
 from gasnet.junction import (
     JunctionProblem,
     PipeSpec,
-    _linear_solve,
     solve_junction,
     state_residuals,
     verify_coupling,
@@ -73,16 +72,32 @@ def test_no_convergence_with_zero_budget(rng):
 
 
 def test_singular_jacobian_raises(rng):
-    # an exactly singular matrix meets a zero pivot, with or without a row
-    # swap, and the Newton passes the error on
-    for A in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]],
-              [[2.0, 1.0, 1.0], [4.0, 2.0, 2.0], [1.0, 1.0, 3.0]]):
-        with pytest.raises(SingularJacobian):
-            _linear_solve(A, [1.0] * len(A))
-    models_in, models_out = random_model_mix(rng, 3)
-    prob = perturb_problem(build_fixed_point_junction(rng, G, models_in, models_out), 0.01, rng)
-    prob.jacobian = lambda traces: [[1.0] * prob.dim for _ in range(prob.dim)]
-    with pytest.raises(SingularJacobian):
+    # each division of the elimination meets an exact zero in turn: the
+    # pivot's derivative, a 1x1 row, an outgoing M1 pipe's 2x2 block and
+    # the mass row's coefficient of dH; the error names the pipe or the row,
+    # and the Newton passes it on
+    base = build_fixed_point_junction(rng, G, [Model.M2, Model.M1], [Model.M3, Model.M1])
+    prob = perturb_problem(base, 0.01, rng)
+    traces = prob.traces(sum(prob.base_parameters(), []))
+    residual = prob.residual(traces)
+    ids = [p.spec.id for p in prob.pipes]
+    iso_out, m1_out = ids.index("out0"), ids.index("out1")
+    no_mass = dict.fromkeys(range(prob.n), {"dq_dsigma": 0.0, "dq_dtau": 0.0})
+    for zeros, named in (({prob.pivot: {"dh_dsigma": 0.0}}, repr(ids[prob.pivot])),
+                         ({iso_out: {"dh_dsigma": 0.0}}, "'out0'"),
+                         ({m1_out: {"ds_dsigma": 0.0, "ds_dtau": 0.0}}, "'out1'"),
+                         (no_mass, "mass row")):
+        patched = [t._replace(**zeros.get(i, {})) for i, t in enumerate(traces)]
+        with pytest.raises(SingularJacobian, match=named):
+            prob.newton_step(patched, residual)
+    # a compressor's balance row, whose inlet derivative stands for the pivot's
+    comp = balanced_compressor(rng, G, Model.M2, Model.M1)
+    t_in, t_out = comp.traces(sum(comp.base_parameters(), []))
+    with pytest.raises(SingularJacobian, match="'in'"):
+        comp.newton_step([t_in._replace(dT_dsigma=0.0, dp_dsigma=0.0), t_out], [1.0] * comp.dim)
+    evaluate = prob.traces
+    prob.traces = lambda x: [t._replace(dq_dsigma=0.0, dq_dtau=0.0) for t in evaluate(x)]
+    with pytest.raises(SingularJacobian, match="mass row"):
         solve_junction(prob)
 
 

@@ -1016,15 +1016,29 @@ def test_shipped_runs_expand_to_per_point_records(name, monkeypatch):
                                              _kept_solves(monkeypatch))
 
 
-@pytest.mark.parametrize("levels", [10_000, 10_001])
+@pytest.mark.parametrize("levels", [1_000, 1_001])
 def test_depth_bound_is_exact(levels):
-    # a long text is rejected at the first collection deeper than 10,000
-    # levels, the top mapping included, and one 10,000 deep goes on to
-    # validation
+    # a text is rejected at the first collection deeper than 1,000 levels,
+    # the top mapping included, and one 1,000 deep (with exactly 1,000
+    # collection indicators, so not scanned) goes on to validation
     text = "a:\n" + "- " * (levels - 1) + "x\n"
-    if levels > 10_000:
-        with pytest.raises(ScenarioParseError, match="nest deeper than 10000 levels"):
+    if levels > 1_000:
+        with pytest.raises(ScenarioParseError, match="nest deeper than 1000 levels"):
             parse_scenario(text)
     else:
         with pytest.raises(ScenarioValidationError, match="a: unknown field"):
             parse_scenario(text)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("a: " + "[" * 5_000 + "]" * 5_000 + "\n", 1003),
+    ("? " * 5_000 + "x\n", 2001),
+], ids=["flow", "explicit keys"])
+def test_deep_nesting_is_a_parse_error(text, column):
+    # 5,000 levels of flow nesting, under the earlier bound of 10,000, cost
+    # libyaml's quadratic flow parse about a quarter second; the scan now
+    # rejects the first collection deeper than 1,000 levels, also where
+    # only `?` indicators open the collections
+    with pytest.raises(ScenarioParseError,
+                       match=f"deeper than 1000 levels at line 1, column {column}$"):
+        parse_scenario(text)
