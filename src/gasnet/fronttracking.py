@@ -78,19 +78,24 @@ each touched pipe's pair times.  Every coupling solve goes through
 front of each pipe; the t = 0 solve also fixes each pipe's role.
 Adjacent same-family rarefaction fronts diverge and contacts are
 parallel, so a collision never pairs two of them.  No front moves: a
-front is the line ``born_x + speed * (t - born_t)`` and ``Front.at``
-evaluates it.  The event loop keeps no Glimm totals; ``glimm()``
-evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks each pipe's
-fronts once, with running strength sums per family for Q.
+front is the line ``born_x + speed * (t - born_t)``; pair times and
+collision midpoints evaluate it inline, and ``Front.at`` elsewhere.  A
+front's scaled strength is one division, ``abs(strength)`` by its
+pipe's ``family_scales`` entry for its family, and a fan slice's speed
+is the one edge eigenvalue that ``fan_edge_speed`` computes.  The event
+loop keeps no Glimm totals; ``glimm()`` evaluates (V, Q, TV) on demand,
+and ``_pipe_glimm`` walks each pipe's fronts once, with running strength
+sums per family for Q.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments, which a ladder member does not keep: one
 Python step per segment computes its jump defect, with one
-``flux_vector`` per distinct state, and each test bump is then evaluated
-by numpy over the segments that meet its support, five Simpson nodes
-each, with one ``math.exp`` per node inside the support.  It is the only
-user of numpy in gasnet, and imports it when called, so the coupling
-solves and the event loop run without it.
+``flux_vector`` per distinct state, and numpy then evaluates every test
+bump on every segment at once, as bumps x segments arrays at each of the
+five Simpson nodes, with one ``math.exp`` per node inside a bump's
+support, and sums each bump's terms by one sequential ``cumsum``.  It is
+the only user of numpy in gasnet, and imports it when called, so the
+coupling solves and the event loop run without it.
 """
 
 import math
@@ -422,13 +427,20 @@ class FrontTrackingState:
         traces0 = [p[0][1] for p in pieces]
 
         self.scales = []
+        # per pipe, the strength scale of each front family, indexed by
+        # family; a non-physical strength is a scaled state norm already,
+        # so its entry is 1.0, and a front's scaled strength is
+        # abs(strength) / family_scales[i][family] for every front
+        self.family_scales = []
         lam_max = 0.0
         for piecelist in pieces:
             st0 = piecelist[0][1]
             c0 = sound_speed(st0, self.g)
             E_sc = st0.E if st0.model is Model.M1 else 1.0
-            self.scales.append(PipeScales(curve_parameter(1, st0, self.g), st0.rho,
-                                          st0.rho * c0, E_sc))
+            sc = PipeScales(curve_parameter(1, st0, self.g), st0.rho, st0.rho * c0, E_sc)
+            self.scales.append(sc)
+            self.family_scales.append(
+                (1.0,) + tuple(sc.strength_scale(fam, st0.model) for fam in (1, 2, 3)))
             for _, st in piecelist:
                 lam_max = max(lam_max, max(abs(v) for v in eigenvalues(st, self.g)))
         self.lambda_max = lam_max
@@ -482,7 +494,8 @@ class FrontTrackingState:
             new = _placed(_wave_fronts(waves, self.g, self.epsilon, self.scales[j]),
                           0.0, self.time)
             self._splice(j, 0, 1 if j == hit else 0, new)
-            v_plus += sum(self._scaled_strength(j, f) for f in new)
+            fs = self.family_scales[j]
+            v_plus += sum(abs(f.strength) / fs[f.family] for f in new)
         return problem, v_plus
 
     def _estimate_kj(self, traces0):
@@ -513,10 +526,7 @@ class FrontTrackingState:
     # -- strengths and functionals --------------------------------------------
 
     def _scaled_strength(self, pipe_index, front):
-        if front.family == NONPHYSICAL:
-            return front.strength
-        sc = self.scales[pipe_index].strength_scale(front.family, front.left.model)
-        return abs(front.strength) / sc
+        return abs(front.strength) / self.family_scales[pipe_index][front.family]
 
     def _pipe_glimm(self, i):
         """(V, Q, TV, non-physical strength) of pipe i's fronts, in one pass
@@ -534,12 +544,12 @@ class FrontTrackingState:
         """
         towards = _APPROACHING[self.roles[i]]
         weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
-        scales = self.scales[i]
+        scales, fs = self.scales[i], self.family_scales[i]
         behind = [0.0] * 5
         behind_shock = [0.0] * 5
         v = q = tv = 0.0
         for f in self.pipes[i].fronts:
-            st = self._scaled_strength(i, f)
+            st = abs(f.strength) / fs[f.family]
             fam = 4 if f.family == NONPHYSICAL else f.family
             shock = f.kind == SHOCK
             v += weight[fam] * st
@@ -601,7 +611,9 @@ class FrontTrackingState:
         rel = a.speed - b.speed
         if rel <= _SPEED_TIE * max(abs(a.speed), abs(b.speed)):
             return math.inf
-        return self.time + max((b.at(self.time) - a.at(self.time)) / rel, 0.0)
+        t = self.time
+        gap = (b.born_x + b.speed * (t - b.born_t)) - (a.born_x + a.speed * (t - a.born_t))
+        return t + max(gap / rel, 0.0)
 
     def _splice(self, i, k, n_old, new):
         """Replace fronts k..k+n_old-1 of pipe i by ``new``, rechain them
@@ -665,16 +677,18 @@ class FrontTrackingState:
     def _handle_collision(self, i, k):
         track = self.pipes[i]
         a, b = track.fronts[k], track.fronts[k + 1]
-        x = 0.5 * (a.at(self.time) + b.at(self.time))
-        va, vb = self._scaled_strength(i, a), self._scaled_strength(i, b)
+        t = self.time
+        x = 0.5 * ((a.born_x + a.speed * (t - a.born_t)) + (b.born_x + b.speed * (t - b.born_t)))
+        fs = self.family_scales[i]
+        va, vb = abs(a.strength) / fs[a.family], abs(b.strength) / fs[b.family]
         self._retire(i, a, self.time)
         self._retire(i, b, self.time)
         if a.family == NONPHYSICAL or va * vb < self.rho_simpl:
             new = self._simplified_interaction(i, a, b)
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
-        self._splice(i, k, 2, _placed(new, x, self.time))
-        return "collision", i, va + vb, sum(self._scaled_strength(i, f) for f in new)
+        self._splice(i, k, 2, _placed(new, x, t))
+        return "collision", i, va + vb, sum(abs(f.strength) / fs[f.family] for f in new)
 
     def _np_front(self, i, left, right):
         return Front(NONPHYSICAL, "nonphysical", self.lambda_hat,
@@ -878,13 +892,15 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
 
     The defect of each segment is computed once, from the ``flux_vector``
     of its two states, each evaluated once per state object; the segments
-    that carry a defect become float columns.  Each bump is then
-    evaluated by ``Bump.values`` on the five Simpson nodes of all its
-    remaining segments at once, one node column at a time, with exp taken
-    by ``math.exp`` on the points inside the support, and the segment
-    terms are summed sequentially in segment order.  Every operation and
-    its order are those of the scalar rule (``Bump.__call__`` per node,
-    one running sum), so the result is bit-identical to it.
+    that carry a defect become float columns.  All bumps are then
+    evaluated at once on the five Simpson nodes of all segments, one
+    bumps x segments array per node, with exp taken by ``math.exp`` on
+    the points inside a bump's support of the segments not skipped for
+    it, and each bump's segment terms are summed sequentially in segment
+    order.  Every operation and its order are those of the scalar rule
+    (``Bump.__call__`` per node, one running sum per bump); a skipped
+    segment adds an exact 0.0 to a non-negative sum, which leaves it
+    unchanged, so the result is bit-identical to that rule.
     """
     import numpy as np
 
@@ -909,27 +925,29 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
             defect += abs(dE) / (sc.q * sc.E / sc.rho)
         if defect != 0.0:
             cols += (seg.t0, seg.t1, seg.x0, seg.speed, defect)
+    bumps = [(*phi_f.support, phi_f.xc, phi_f.wx, phi_f.tc, phi_f.wt)
+             for phi_f in test_functions]
+    if not cols or not bumps:
+        return 0.0
     t0, t1, x0, speed, defect = np.array(cols, dtype=float).reshape(-1, 5).T
     x1 = x0 + speed * (t1 - t0)
     x_lo, x_hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    # bump parameters as columns: every array below has one row per bump
+    # and one column per segment
+    xa, xb, ta, tb, xc, wx, tc, wt = np.array(bumps, dtype=float).T[:, :, None]
+    mx = 1e-9 * (np.abs(xa) + np.abs(xb))
+    mt = 1e-9 * (np.abs(ta) + np.abs(tb))
+    near = (x_hi > xa - mx) & (x_lo < xb + mx) & (t1 > ta - mt) & (t0 < tb + mt)
+    h = (t1 - t0) / 4
+    acc = 0.0
+    for j, w in enumerate((1, 4, 2, 4, 1)):
+        t = t0 + j * h
+        acc = acc + w * _bump_values(xc, wx, tc, wt, x0 + speed * (t - t0), t, near)
+    totals = np.cumsum(defect * np.abs(acc * h / 3.0), axis=1)[:, -1]
     worst = 0.0
-    for phi_f in test_functions:
-        xa, xb, ta, tb = phi_f.support
-        mx = 1e-9 * (abs(xa) + abs(xb))
-        mt = 1e-9 * (abs(ta) + abs(tb))
-        near = np.flatnonzero((x_hi > xa - mx) & (x_lo < xb + mx)
-                              & (t1 > ta - mt) & (t0 < tb + mt))
-        total = 0.0
-        if near.size:
-            tn, xn, vn = t0[near], x0[near], speed[near]
-            h = (t1[near] - tn) / 4
-            acc = 0.0
-            for j, w in enumerate((1, 4, 2, 4, 1)):
-                t = tn + j * h
-                acc = acc + w * phi_f.values(xn + vn * (t - tn), t)
-            total = np.cumsum(defect[near] * np.abs(acc * h / 3.0))[-1]
+    for total in totals.tolist():
         worst = max(worst, total / max(horizon, 1e-300))
-    return float(worst)
+    return worst
 
 
 class Bump:
@@ -949,20 +967,21 @@ class Bump:
             return 0.0
         return math.exp(2.0 - 1.0 / (1.0 - sx * sx) - 1.0 / (1.0 - st * st))
 
-    def values(self, x, t):
-        """``self(x, t)`` at each point of the float arrays x and t, bit for
-        bit: the same operations in the same order, exp by ``math.exp``."""
-        import numpy as np
 
-        sx = (x - self.xc) / self.wx
-        st = (t - self.tc) / self.wt
-        inside = (np.abs(sx) < 1.0) & (np.abs(st) < 1.0)
-        sx = np.where(inside, sx, 0.0)
-        st = np.where(inside, st, 0.0)
-        arg = 2.0 - 1.0 / (1.0 - sx * sx) - 1.0 / (1.0 - st * st)
-        out = np.zeros(arg.shape)
-        out[inside] = list(map(math.exp, arg[inside].tolist()))
-        return out
+def _bump_values(xc, wx, tc, wt, x, t, keep):
+    """``Bump(xc, wx, tc, wt)(x, t)`` on float arrays, broadcast, bit for
+    bit (the same operations in the same order, exp by ``math.exp``);
+    0.0 where the boolean array ``keep`` is false."""
+    import numpy as np
+
+    sx = (x - xc) / wx
+    st = (t - tc) / wt
+    inside = (np.abs(sx) < 1.0) & (np.abs(st) < 1.0) & keep
+    sx, st = sx[inside], st[inside]
+    arg = 2.0 - 1.0 / (1.0 - sx * sx) - 1.0 / (1.0 - st * st)
+    out = np.zeros(inside.shape)
+    out[inside] = np.fromiter(map(math.exp, arg.tolist()), float, arg.size)
+    return out
 
 
 _BUMPS = 10

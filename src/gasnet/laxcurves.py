@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .errors import NonPositiveDensity
-from .thermo import GasConstants, Model, PipeState, eigenvalues, m1_state, pressure
+from .thermo import GasConstants, Model, PipeState, edge_eigenvalue, m1_state, pressure
 
 # Roles a pipe can play in the coupling parameterization.
 M1_OUT = "M1_out"
@@ -93,7 +93,7 @@ def curve_point(family, param, data: PipeState, g: GasConstants):
 def fan_edge_speed(family, state: PipeState, g: GasConstants):
     """Characteristic speed of an acoustic family at ``state``: the
     slowest for family 1, the fastest for the right-going family."""
-    return eigenvalues(state, g)[0 if family == 1 else -1]
+    return edge_eigenvalue(state, g, family != 1)
 
 
 class TraceEval(NamedTuple):

@@ -194,15 +194,24 @@ def temperature(state: PipeState, g: GasConstants):
     return pressure(state, g) / (g.R * state.rho)
 
 
-def eigenvalues(state: PipeState, g: GasConstants):
-    """Characteristic speeds, ordered; a 3-tuple for M1, a 2-tuple otherwise."""
+def edge_eigenvalue(state: PipeState, g: GasConstants, fastest):
+    """The fastest characteristic speed if ``fastest``, else the slowest:
+    u + c or u - c, and c or -c for M3, whose waves are not carried by
+    the flow."""
     c = sound_speed(state, g)
-    u = state.u
+    if state.model is Model.M3:
+        return c if fastest else -c
+    return state.u + c if fastest else state.u - c
+
+
+def eigenvalues(state: PipeState, g: GasConstants):
+    """Characteristic speeds, ordered; a 3-tuple for M1, a 2-tuple
+    otherwise: the two edge eigenvalues, with the M1 contact speed u
+    between them."""
+    slowest, fastest = edge_eigenvalue(state, g, False), edge_eigenvalue(state, g, True)
     if state.model is Model.M1:
-        return (u - c, u, u + c)
-    if state.model is Model.M2:
-        return (u - c, u + c)
-    return (-c, c)
+        return (slowest, state.u, fastest)
+    return (slowest, fastest)
 
 
 def classify_subsonic(state: PipeState, g: GasConstants) -> FlowRegime:

@@ -6,13 +6,18 @@ elimination of ``newton_step`` avoids, and the coupling Newton with
 numpy's LAPACK solve on it.  ``JunctionProblem`` returns Python lists;
 these helpers take and return arrays and floats.  Also the zero source of operator splitting,
 CSV output as one string, the per-point sampler of a Riemann solution
-and the per-point pipe records that a snapshot's runs expand to."""
+and the per-point pipe records that a snapshot's runs expand to.  And
+the definitions that faster code must repeat bit for bit: the
+characteristic speeds as one tuple, the fan-edge speed read off it, and
+the weak-form residual by the scalar Simpson rule, segment by segment
+and bump by bump."""
 
 import io
 
 import numpy as np
 
 from gasnet.errors import NotSubsonic
+from gasnet.fronttracking import flux_vector
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
 from gasnet.output import write_csv
@@ -226,3 +231,60 @@ def expand_pipes(record):
     return {pipe_id: {"x": record["x"],
                       "states": [fields for count, fields in runs for _ in range(count)]}
             for pipe_id, runs in record["pipes"].items()}
+
+
+def eigenvalue_tuple(state, g):
+    """The characteristic speeds of ``state``, ordered, all computed
+    together: the definition ``thermo.eigenvalues`` and
+    ``thermo.edge_eigenvalue`` must match bit for bit."""
+    c = sound_speed(state, g)
+    u = state.u
+    if state.model is Model.M1:
+        return (u - c, u, u + c)
+    if state.model is Model.M2:
+        return (u - c, u + c)
+    return (-c, c)
+
+
+def fan_edge_speed_from_tuple(family, state, g):
+    """The fan-edge speed read off the whole tuple of speeds: the slowest
+    for family 1, else the fastest."""
+    return eigenvalue_tuple(state, g)[0 if family == 1 else -1]
+
+
+def scalar_weak_form_residual(state, test_functions, horizon):
+    """``fronttracking.weak_form_residual`` by its definition: the jump
+    defect of every segment, then for each test function one running sum
+    over every segment of the Simpson rule on five nodes, each node a
+    scalar call of the test function."""
+    g = state.g
+    defects = []
+    for seg in state.segments:
+        sc = state.scales[seg.pipe]
+        fl = flux_vector(seg.left, g)
+        fr = flux_vector(seg.right, g)
+        du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
+        f_scales = (sc.q, sc.q * sc.q / sc.rho)
+        defect = 0.0
+        for c in range(2):
+            defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
+        if seg.left.model is Model.M1:
+            dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
+            defect += abs(dE) / (sc.q * sc.E / sc.rho)
+        if defect != 0.0:
+            defects.append((seg, defect))
+    worst = 0.0
+    for phi_f in test_functions:
+        total = 0.0
+        for seg, defect in defects:
+            n = 4
+            h = (seg.t1 - seg.t0) / n
+            acc = 0.0
+            for j in range(n + 1):
+                t = seg.t0 + j * h
+                x = seg.x0 + seg.speed * (t - seg.t0)
+                w = 1 if j in (0, n) else (4 if j % 2 else 2)
+                acc += w * phi_f(x, t)
+            total += defect * abs(acc * h / 3.0)
+        worst = max(worst, total / max(horizon, 1e-300))
+    return worst

@@ -33,11 +33,11 @@ from gasnet.fronttracking import (
     FrontTrackingState,
     PipeScales,
     Segment,
+    _bump_values,
     _front_from_jump,
     accurate_solve,
     apply_wave,
     bump_test_functions,
-    flux_vector,
     init_approximation,
     l1_distance,
     solve_coupling,
@@ -48,6 +48,7 @@ from gasnet.junction import JunctionProblem, PipeSpec, solve_junction
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT
 from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave
 from gasnet.scenario import trace_residuals
+from reference import scalar_weak_form_residual
 
 G = GasConstants(gamma=1.4, R=1.0)
 UNIT_SCALES = PipeScales(1.0, 1.0, 1.0, 1.0)
@@ -404,43 +405,9 @@ def test_epsilon_ladder_nonphysical_strength_is_order_epsilon():
         assert fine <= 0.6 * coarse, residuals
 
 
-def _reference_weak_form_residual(state, test_functions, horizon):
-    """weak_form_residual evaluating every test function on every segment."""
-    g = state.g
-    defects = []
-    for seg in state.segments:
-        sc = state.scales[seg.pipe]
-        fl = flux_vector(seg.left, g)
-        fr = flux_vector(seg.right, g)
-        du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
-        f_scales = (sc.q, sc.q * sc.q / sc.rho)
-        defect = 0.0
-        for c in range(2):
-            defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
-        if seg.left.model is Model.M1:
-            dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
-            defect += abs(dE) / (sc.q * sc.E / sc.rho)
-        if defect != 0.0:
-            defects.append((seg, defect))
-    worst = 0.0
-    for phi_f in test_functions:
-        total = 0.0
-        for seg, defect in defects:
-            n = 4
-            h = (seg.t1 - seg.t0) / n
-            acc = 0.0
-            for j in range(n + 1):
-                t = seg.t0 + j * h
-                x = seg.x0 + seg.speed * (t - seg.t0)
-                w = 1 if j in (0, n) else (4 if j % 2 else 2)
-                acc += w * phi_f(x, t)
-            total += defect * abs(acc * h / 3.0)
-        worst = max(worst, total / max(horizon, 1e-300))
-    return worst
-
-
 def test_weak_form_support_culling_is_exact():
-    # skipping segments outside a bump's support only drops exact zeros
+    # skipping segments outside a bump's support only drops exact zeros,
+    # for one bump per call and for all ten bumps in one call
     from gasnet.fronttracking import (
         FrictionSource,
         bump_test_functions,
@@ -458,7 +425,10 @@ def test_weak_form_support_culling_is_exact():
         state.run(1.0)
         state.finalize_segments()
         assert (each_bump(weak_form_residual, state, 4.0)
-                == each_bump(_reference_weak_form_residual, state, 4.0))
+                == each_bump(scalar_weak_form_residual, state, 4.0))
+        funcs = bump_test_functions(4.0, 1.0)
+        assert (weak_form_residual(state, funcs, 1.0)
+                == scalar_weak_form_residual(state, funcs, 1.0))
     # epsilon 0.007: absorbing weak fronts at the source steps leaves too
     # few segments at 0.01 for the floor below
     specs, profiles = perturbed_scenario()
@@ -467,33 +437,55 @@ def test_weak_form_support_culling_is_exact():
     state.finalize_segments()
     res = each_bump(weak_form_residual, state, 1.0)
     assert len(state.segments) > 5000 and min(res) > 0.0
-    assert res == each_bump(_reference_weak_form_residual, state, 1.0)
+    assert res == each_bump(scalar_weak_form_residual, state, 1.0)
+    funcs = bump_test_functions(1.0, 1.0)
+    assert weak_form_residual(state, funcs, 1.0) == scalar_weak_form_residual(state, funcs, 1.0)
 
 
 def test_bump_values_match_scalar_definition():
-    # the array method is the scalar definition bit for bit, 0.0 on and
-    # beyond the support edges, and divides by zero nowhere
+    # the array evaluation is the scalar definition bit for bit, 0.0 on and
+    # beyond the support edges, and divides by zero nowhere; evaluated for
+    # all bumps at once, one row per bump, each row is that bump's scalar
+    # definition where the row's culling mask holds and 0.0 elsewhere
+    def values(phi, x, t):
+        return _bump_values(phi.xc, phi.wx, phi.tc, phi.wt, x, t, True)
+
     rng = np.random.default_rng(7)
     bumps = bump_test_functions(4.0, 1.2) + [Bump(0.5, 0.25, 0.75, 0.5)]
     for phi in bumps:
         xa, xb, ta, tb = phi.support
         x = rng.uniform(xa - 0.1, xb + 0.1, 2000)
         t = rng.uniform(ta - 0.1, tb + 0.1, 2000)
-        assert phi.values(x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
+        assert values(phi, x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
         near = np.nextafter([xa, xb], phi.xc)    # just inside the x edges
         x, t = np.repeat(near, 3), np.tile([ta, phi.tc, tb], 2)
-        assert phi.values(x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
+        assert values(phi, x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
     # |sx| = 1 and |st| = 1 exactly: the dyadic bump's edges
     phi = bumps[-1]
     x = np.array([0.25, 0.75, 0.5, 0.5, 0.25, 0.75, 0.6])
     t = np.array([0.75, 0.75, 0.25, 1.25, 0.25, 1.25, 1.25])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        edge = phi.values(x, t).tolist()
-        far = phi.values(np.array([-1e300, -3.0, 7.0, 1e300]),
-                         np.array([0.75, -1e300, 1e300, 0.75])).tolist()
+        edge = values(phi, x, t).tolist()
+        far = values(phi, np.array([-1e300, -3.0, 7.0, 1e300]),
+                     np.array([0.75, -1e300, 1e300, 0.75])).tolist()
     assert edge == [phi(a, b) for a, b in zip(x, t)] == [0.0] * 7
     assert far == [0.0] * 4
+    # all bumps at once, on points inside, on and just inside the support
+    # edges, and far away
+    xc, wx, tc, wt = np.array([(b.xc, b.wx, b.tc, b.wt) for b in bumps]).T[:, :, None]
+    sup = np.array([b.support for b in bumps])
+    x = np.concatenate([rng.uniform(-1.5, 5.5, 500), sup[:, :2].ravel(),
+                        np.nextafter(sup[:, :2], xc[:, :1]).ravel(), [-1e300, 1e300]])
+    t = rng.choice(np.concatenate([rng.uniform(-0.5, 2.0, 200), sup[:, 2:].ravel(),
+                                   tc.ravel(), [-1e300, 1e300]]), x.size)
+    keep = rng.random((len(bumps), x.size)) < 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _bump_values(xc, wx, tc, wt, x, t, keep).tolist()
+    for phi, row, mask in zip(bumps, rows, keep):
+        assert row == [phi(a, b) if k else 0.0 for a, b, k in zip(x, t, mask)]
+    assert min(map(max, rows)) > 0.0
 
 
 def _stub_state(segments, n_pipes):
@@ -540,12 +532,16 @@ def _segment_sets(draw):
 @settings(max_examples=100)
 @given(_segment_sets(), hs.sampled_from([1.0, 1.2]))
 def test_weak_form_kernel_matches_scalar_reference(case, horizon):
+    # each bump alone, and all bumps in one call
     state, phi = case
     funcs = [phi] + bump_test_functions(2.0, horizon)
     for bump in funcs:
         res = weak_form_residual(state, [bump], horizon)
         assert type(res) is float
-        assert res == _reference_weak_form_residual(state, [bump], horizon)
+        assert res == scalar_weak_form_residual(state, [bump], horizon)
+    res = weak_form_residual(state, funcs, horizon)
+    assert type(res) is float
+    assert res == scalar_weak_form_residual(state, funcs, horizon)
 
 
 def test_weak_form_residual_without_defects_is_zero():

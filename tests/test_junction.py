@@ -16,6 +16,8 @@ from conftest import (
 from gasnet import (
     GasConstants,
     Model,
+    NonPositiveDensity,
+    NoConvergence,
     NotSubsonic,
     SingularJacobian,
     iso_state,
@@ -69,6 +71,55 @@ def test_no_convergence_with_zero_budget(rng):
     prob = perturb_problem(base, 0.01, rng)
     with pytest.raises(NoConvergence):
         junction._newton(prob, junction.DEFAULT_TOL, 0)
+
+
+class _LineProblem:
+    """What ``junction._newton`` reads of a coupling problem, for one
+    unknown: residual x - 1 at row scale 1, a Newton step ``gain`` times
+    the exact one, and traces that raise NonPositiveDensity below
+    ``floor``.  ``trials`` records every x whose traces were asked for."""
+
+    row_scales = [1.0]
+
+    def __init__(self, x0, gain, floor):
+        self.x0, self.gain, self.floor = x0, gain, floor
+        self.trials = []
+
+    def base_parameters(self):
+        return [self.x0], []
+
+    def traces(self, x):
+        self.trials.append(list(x))
+        if x[0] < self.floor:
+            raise NonPositiveDensity(f"x = {x[0]} below {self.floor}")
+        return list(x)
+
+    def residual(self, traces):
+        return [traces[0] - 1.0]
+
+    def newton_step(self, traces, residual):
+        return [-self.gain * residual[0]]
+
+
+def test_newton_halves_a_step_that_leaves_the_domain():
+    # from x = 2 the full step of 4 lands at -2, outside the domain, and is
+    # halved; the half step to 0 fails the Armijo test and is halved again,
+    # onto the root
+    prob = _LineProblem(2.0, 4.0, -1.0)
+    assert junction._newton(prob, 1e-12, 10) == ([1.0], [1.0], 0.0, 1)
+    assert prob.trials == [[2.0], [-2.0], [0.0], [1.0]]
+
+
+@pytest.mark.parametrize("gain, floor", [(-1.0, -1.0), (1.0, 2.0)])
+def test_newton_raises_when_the_line_search_stalls(gain, floor):
+    # an uphill step, or steps whose every trial leaves the domain: all
+    # MAX_BACKTRACKS trials fail, and the Newton raises with the residual
+    # and iteration count of the iterate it could not improve
+    prob = _LineProblem(2.0, gain, floor)
+    with pytest.raises(NoConvergence, match="line search stalled") as info:
+        junction._newton(prob, 1e-12, 10)
+    assert (info.value.residual, info.value.iterations) == (1.0, 0)
+    assert len(prob.trials) == 1 + junction.MAX_BACKTRACKS
 
 
 def test_singular_jacobian_raises(rng):

@@ -376,6 +376,32 @@ def test_exhausted_budget_raises_with_residual(model):
     assert info.value.residual == ref.value.residual > 1e-12
 
 
+def test_bracketed_newton_falls_back_to_bisection():
+    # a zero derivative, and a Newton step that leaves the bracket, both
+    # bisect [lo, hi] = [0, 2] after the first residual: x = 1 is the root
+    # exactly, found at the second iteration either way
+    for df in (lambda x: 0.0, lambda x: 1e-3):
+        assert kernels._bracketed_newton(lambda x: x - 1.0, df, True, 2.0, 0.0, 4.0,
+                                         1e-12, 50, "line") == (1.0, 0.0, 2)
+    assert kernels._bracketed_newton(lambda x: 1.0 - x, lambda x: 0.0, False, 2.0, 0.0, 4.0,
+                                     1e-12, 50, "line") == (1.0, 0.0, 2)
+
+
+def test_bracketed_newton_returns_when_the_bracket_collapses():
+    # a step from -1 to +1 between the adjacent floats below and at 1.0 has
+    # no root: bisection shrinks the bracket to those two floats, its
+    # midpoint rounds onto the iterate, and the solve returns that iterate
+    # with its residual instead of running out the budget
+    def step(x):
+        return 1.0 if x >= 1.0 else -1.0
+
+    assert kernels._bracketed_newton(step, lambda x: 0.0, True, 2.0, 0.0, 4.0,
+                                     0.5, 200, "step") == (1.0, 1.0, 56)
+    with pytest.raises(NoConvergence) as info:
+        kernels._bracketed_newton(step, lambda x: 0.0, True, 2.0, 0.0, 4.0, 0.5, 55, "step")
+    assert (info.value.residual, info.value.iterations) == (1.0, 55)
+
+
 def test_single_kernel_module():
     assert gasnet.laxcurves.kernels is kernels
     assert gasnet.riemann.kernels is kernels

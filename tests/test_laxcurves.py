@@ -4,6 +4,7 @@ from math import exp, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gasnet import GasConstants, Model, NotSubsonic, PipeState, iso_state, m1_state
 from gasnet.laxcurves import (
@@ -11,11 +12,13 @@ from gasnet.laxcurves import (
     M1_IN,
     M1_OUT,
     curve_parameter,
+    fan_edge_speed,
     lax_iso,
     lax_m1,
     trace_eval,
 )
-from reference import curve_derivatives_at_base
+from reference import curve_derivatives_at_base, fan_edge_speed_from_tuple
+from test_thermo import model_states
 
 G = GasConstants(gamma=1.4, R=287.0)
 GU = GasConstants(gamma=1.4, R=1.0)
@@ -176,3 +179,13 @@ def test_acoustic_point_at_non_positive_pressure_raises(family, sigma):
 
     with pytest.raises(NonPositivePressure):
         lax_m1(family, sigma, m1_state(1.0, 0.1, 1.0, GU), GU)
+
+
+@settings(max_examples=300)
+@given(model_states())
+def test_fan_edge_speed_matches_the_eigenvalue_tuple(st):
+    # the one eigenvalue fan_edge_speed computes is the entry of the whole
+    # tuple it replaces, bit for bit, for every family of the model
+    families = (1, 2, 3) if st.model is Model.M1 else (1, 2)
+    assert ([fan_edge_speed(k, st, GU).hex() for k in families]
+            == [fan_edge_speed_from_tuple(k, st, GU).hex() for k in families])

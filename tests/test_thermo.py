@@ -4,6 +4,8 @@ from math import exp, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from gasnet import (
     FlowRegime,
@@ -20,6 +22,8 @@ from gasnet import (
 )
 from gasnet.compressor import CompressorControl
 from gasnet.junction import PipeSpec
+from gasnet.thermo import edge_eigenvalue
+from reference import eigenvalue_tuple
 
 G = GasConstants(gamma=1.4, R=1.0)
 SQ14 = sqrt(1.4)
@@ -172,6 +176,38 @@ def test_eigenvalues_increasing_for_subsonic(rng):
             st = iso_state(model, rho, c_frac * c, kappa)
         lam = eigenvalues(st, G)
         assert all(a < b for a, b in zip(lam, lam[1:]))
+
+
+@hs.composite
+def model_states(draw):
+    """An M1, M2 or M3 state at Mach fraction u/c in (-1, 1): at rest,
+    within one part in 1e12 (or one ulp) of sonic either way, or anywhere
+    between."""
+    model = draw(hs.sampled_from(list(Model)))
+    rho = draw(hs.floats(0.05, 20.0))
+    near_sonic = [s * (1.0 - e) for s in (1.0, -1.0) for e in (1e-12, 2.0**-53)]
+    f = draw(hs.one_of(hs.just(0.0), hs.sampled_from(near_sonic),
+                       hs.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)))
+    if model is Model.M1:
+        p = draw(hs.floats(0.05, 20.0))
+        return m1_state(rho, f * sqrt(G.gamma * p / rho), p, G)
+    kappa = draw(hs.floats(0.1, 10.0))
+    return iso_state(model, rho, f * sqrt(kappa * G.gamma * rho ** (G.gamma - 1.0)), kappa)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300)
+@given(model_states())
+def test_eigenvalues_match_the_tuple_definition(st):
+    # each edge eigenvalue computed alone, and the tuple built from them,
+    # equal the speeds computed together bit for bit, signed zeros included
+    ref = eigenvalue_tuple(st, G)
+    assert _bits(eigenvalues(st, G)) == _bits(ref)
+    assert _bits([edge_eigenvalue(st, G, False), edge_eigenvalue(st, G, True)]) \
+        == _bits([ref[0], ref[-1]])
 
 
 def test_classify_subsonic():
