@@ -56,6 +56,15 @@ then chooses K_hat_J with K_hat_J * V(0) < min(K_J, 1), since V(0)
 depends on epsilon; this makes Y non-increasing at interactions for
 sufficiently weak data.
 
+Every front the accurate step emits is an exact Lax jump to rounding,
+which the strength floor ``_STRENGTH_FLOOR`` (1e-11) relies on: the
+star solves of ``kernels`` return the two-rarefaction closed form or a
+Newton root converged to rounding, so a front misses the curve point of
+its own strength by about 1e-15 (scaled state norm).  A simplified
+interaction rebuilds states from strengths and sheds any miss as a
+non-physical front, so a miss above the floor would be one more front
+that overtakes everything ahead of it.
+
 Every front is a jump along a Lax wave curve of ``laxcurves``: fan
 slices and the fronts of the simplified step take their parameters,
 curve points and fan-edge speeds from it.  A front is a

@@ -261,15 +261,25 @@ def _parse_control(doc, path, errs):
         return None
 
 
-def _parse_run(doc, path, errs):
+# run keys that a mode never reads; ``epsilon`` stays allowed in a riemann
+# document, which ``gasnet simulate`` also runs with the document's epsilon
+_UNREAD = {"riemann": ("epsilon_ladder", "tv_bound", "snapshots", "source", "max_events"),
+           "simulate": ("sample_times",)}
+
+
+def _parse_run(doc, path, errs, overrides):
+    """The run block ``doc``, with the fields of ``overrides`` in place of
+    its own."""
     run = RunConfig()
     if not isinstance(doc, dict):
         errs.add(path, "run must be a mapping")
         return run
+    declared = doc.get("mode", "riemann")
+    doc = {**doc, **overrides}
     _unknown(doc, path, ("mode", "horizon", "epsilon", "tol", "tv_bound", "snapshots",
                          "sample_times", "epsilon_ladder", "grid", "source", "max_events"),
              errs)
-    mode = doc.get("mode", "riemann")
+    mode = doc.get("mode", declared)
     if mode not in ("riemann", "simulate"):
         errs.add(f"{path}.mode", f"must be riemann or simulate, got {mode!r}")
     if mode == "riemann" and "sample_times" in doc and "horizon" in doc:
@@ -304,6 +314,14 @@ def _parse_run(doc, path, errs):
         elif lf is not None and dia is not None:
             fields["source"] = FrictionSource(lf, dia)
     fields["max_events"] = _int(doc, path, "max_events", errs, run.max_events, 1)
+    # a key the mode never reads, and that has no violation of its own, is
+    # one; a document run in the other mode keeps the keys of its own
+    if mode == declared:
+        for key in _UNREAD.get(mode, ()):
+            at = f"{path}.{key}"
+            if key in doc and not any(v.startswith((f"{at}:", f"{at}."))
+                                      for v in errs.violations):
+                errs.add(at, f"{mode} mode never reads it")
     return run._replace(**fields)
 
 
@@ -407,14 +425,12 @@ def _document(text):
 def parse_scenario(text, **run) -> Scenario:
     """Parse and validate a scenario document's text, with the ``run``
     fields given in place of the document's own."""
-    doc = _document(text)
-    if run and isinstance(doc.get("run", {}), dict):
-        doc["run"] = {**doc.get("run", {}), **run}
-    return _scenario_from(doc)
+    return _scenario_from(_document(text), run)
 
 
-def _scenario_from(doc) -> Scenario:
-    """Validate a loaded scenario mapping."""
+def _scenario_from(doc, run_overrides) -> Scenario:
+    """Validate a loaded scenario mapping, with the ``run_overrides``
+    fields in place of its run block's own."""
     errs = _Collector()
     _unknown(doc, "", ("constants", "topology", "run"), errs)
     cdoc = doc.get("constants", {})
@@ -468,7 +484,7 @@ def _scenario_from(doc) -> Scenario:
         if ids.count(pid) > 1:
             errs.add("topology", f"pipe id {pid!r} defined more than once")
 
-    run = _parse_run(doc.get("run", {}), "run", errs)
+    run = _parse_run(doc.get("run", {}), "run", errs, run_overrides)
     errs.raise_if_any()
 
     scenario = Scenario(g, kind, specs, profiles, control, run)

@@ -383,6 +383,35 @@ def test_epsilon_refinement_decreases_l1():
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:])), dists
 
 
+def test_accurate_step_emits_exact_lax_jumps(monkeypatch):
+    # every shock, and every acoustic front up to scaled strength 1e-3,
+    # that the accurate step emits is the jump of its own strength along
+    # its wave curve to rounding: a simplified interaction rebuilds states
+    # from strengths and sheds a miss above the strength floor (1e-11) as
+    # a non-physical front
+    import gasnet.fronttracking as ft
+    from test_splitting import perturbed_scenario
+
+    checked = []
+
+    def checking(left, right, g, epsilon, scales):
+        fronts = accurate_solve(left, right, g, epsilon, scales)
+        for f in fronts:
+            sc = scales.strength_scale(f.family, f.left.model)
+            if f.kind == SHOCK or (f.kind == RAREFACTION and abs(f.strength) <= 1e-3 * sc):
+                miss = scales.state_norm(apply_wave(f.family, f.strength, f.left, g), f.right)
+                checked.append(miss)
+                assert miss <= 1e-13, (f, miss)
+        return fronts
+
+    monkeypatch.setattr(ft, "accurate_solve", checking)
+    ladder_scenario(0.01).run(1.2)
+    specs, profiles = perturbed_scenario()
+    state = init_approximation(specs, profiles, G, epsilon=0.02)
+    ft.operator_split_run(state, ft.FrictionSource(0.02, 0.5), 0.3, dt_split=0.1)
+    assert len(checked) > 80
+
+
 def _np_strength(state):
     """Summed scaled strength of the live non-physical fronts."""
     return sum(state._scaled_strength(i, f) for i, track in enumerate(state.pipes)

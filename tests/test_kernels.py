@@ -1,9 +1,10 @@
 """Wave-function kernels: frozen values, smoothness, monotonicity, star
-solves against the earlier return-code protocol, and a single kernel
-module shared by every solver."""
+solves against the earlier return-code protocol, star roots exact to
+rounding, and a single kernel module shared by every solver."""
 
-from math import sqrt
+from math import nextafter, sqrt, ulp
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gasnet import (
     GasConstants,
     Model,
     NoConvergence,
+    PipeState,
     VacuumFormation,
     iso_state,
     kernels,
@@ -158,14 +160,19 @@ def test_vacuum_detection():
 # A copy of the earlier star solves: the kernels returned (value,
 # iterations) with -1 for an exhausted budget and -2 for vacuum, and the
 # Riemann solvers re-evaluated each equation for the residual and turned
-# the codes into exceptions.
+# the codes into exceptions.  The copy starts from the two-rarefaction
+# closed form, returns it when it lies on both rarefaction branches, and
+# accepts a Newton iterate within tol only after a Newton step of
+# relative size <= 2**-26 or at an exact zero, and any iterate whose
+# Newton correction rounds to nothing, as the kernels do now.
 
 
 def _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter):
     increasing = f(lo) < 0.0
+    polished = False
     for it in range(1, max_iter + 1):
         fx = f(x)
-        if abs(fx) <= tol:
+        if abs(fx) <= tol and (polished or fx == 0.0):
             return x, it
         below = fx < 0.0 if increasing else fx > 0.0
         if below:
@@ -176,11 +183,14 @@ def _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter):
         step_ok = d != 0.0
         if step_ok:
             x_new = x - fx / d
+            if x_new == x:
+                return x, it
             step_ok = lo < x_new < hi
         if not step_ok:
             x_new = 0.5 * (lo + hi)
         if x_new == x:
             return x, it
+        polished = step_ok and abs(x_new - x) <= 2.0**-26 * x
         x = x_new
     return x, -1
 
@@ -198,7 +208,9 @@ def _ref_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, tol, max_iter):
     c_l = sqrt(gamma * p_l / rho_l)
     c_r = sqrt(gamma * p_r / rho_r)
     du = u_r - u_l
-    if 2.0 * (c_l + c_r) / (gamma - 1.0) <= du:
+    e = 0.5 * (gamma - 1.0) / gamma
+    num = c_l + c_r - 0.5 * (gamma - 1.0) * du
+    if num <= 0.0:
         return 0.0, -2
 
     def f(p):
@@ -207,8 +219,9 @@ def _ref_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, tol, max_iter):
     def df(p):
         return kernels.dpsi(p, p_l, rho_l, gamma) + kernels.dpsi(p, p_r, rho_r, gamma)
 
-    e = 0.5 * (gamma - 1.0) / gamma
-    guess = ((c_l + c_r - 0.5 * (gamma - 1.0) * du) / (c_l / p_l**e + c_r / p_r**e)) ** (1.0 / e)
+    guess = (num / (c_l / p_l**e + c_r / p_r**e)) ** (1.0 / e)
+    if guess <= min(p_l, p_r):
+        return guess, 1
     lo = 1e-14 * min(p_l, p_r)
     hi = 2.0 * max(p_l, p_r, guess)
     grow = 0
@@ -221,10 +234,27 @@ def _ref_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, tol, max_iter):
     return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
 
 
+def _ref_iso_star(f, df, guess, rho_l, rho_r, tol, max_iter):
+    """The M2/M3 solve from the closed-form ``guess`` (f decreasing)."""
+    if guess <= min(rho_l, rho_r):
+        return guess, 1
+    lo = 1e-14 * min(rho_l, rho_r)
+    hi = 2.0 * max(rho_l, rho_r, guess)
+    grow = 0
+    while f(hi) > 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 200:
+            return 0.0, -1
+    x = min(max(guess, lo * 2.0), hi * 0.5)
+    return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+
+
 def _ref_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol, max_iter):
-    c_l = kernels.iso_sound_speed(rho_l, kappa, gamma)
-    c_r = kernels.iso_sound_speed(rho_r, kappa, gamma)
-    if 2.0 * (c_l + c_r) / (gamma - 1.0) <= u_r - u_l:
+    beta = 0.5 * (gamma - 1.0)
+    a = 2.0 * sqrt(kappa * gamma) / (gamma - 1.0)
+    base = 0.5 * (rho_l**beta + rho_r**beta + (u_l - u_r) / a)
+    if base <= 0.0:
         return 0.0, -2
 
     def f(rho):
@@ -235,24 +265,14 @@ def _ref_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol, max_iter):
         return ((u_l - u_r) - kernels.dtheta2(rho, rho_l, kappa, gamma)
                 - kernels.dtheta2(rho, rho_r, kappa, gamma))
 
-    lo = 1e-14 * min(rho_l, rho_r)
-    hi = 2.0 * max(rho_l, rho_r)
-    grow = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            return 0.0, -1
-    x = 0.5 * (rho_l + rho_r)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+    return _ref_iso_star(f, df, base ** (1.0 / beta), rho_l, rho_r, tol, max_iter)
 
 
 def _ref_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol, max_iter):
-    c_l = kernels.iso_sound_speed(rho_l, kappa, gamma)
-    c_r = kernels.iso_sound_speed(rho_r, kappa, gamma)
-    if q_l - q_r + 2.0 * (c_l * rho_l + c_r * rho_r) / (gamma + 1.0) <= 0.0:
+    delta = 0.5 * (gamma + 1.0)
+    b = 2.0 * sqrt(kappa * gamma) / (gamma + 1.0)
+    base = 0.5 * (rho_l**delta + rho_r**delta + (q_l - q_r) / b)
+    if base <= 0.0:
         return 0.0, -2
 
     def f(rho):
@@ -263,18 +283,7 @@ def _ref_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol, max_iter):
         return (-kernels.dtheta3(rho, rho_l, kappa, gamma)
                 - kernels.dtheta3(rho, rho_r, kappa, gamma))
 
-    lo = 1e-14 * min(rho_l, rho_r)
-    hi = 2.0 * max(rho_l, rho_r)
-    grow = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            return 0.0, -1
-    x = 0.5 * (rho_l + rho_r)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    return _ref_bracketed_newton(f, df, x, lo, hi, tol, max_iter)
+    return _ref_iso_star(f, df, base ** (1.0 / delta), rho_l, rho_r, tol, max_iter)
 
 
 def _reference_solve(model, args, tol, max_iter):
@@ -332,7 +341,7 @@ def _subsonic_pairs(draw):
             p = draw(hs.floats(0.3, 3.0))
             states.append(m1_state(rho, mach * sqrt(GAMMA * p / rho), p, G))
         else:
-            c = kernels.iso_sound_speed(rho, kappa, GAMMA)
+            c = sqrt(kappa * GAMMA * rho ** (GAMMA - 1.0))
             states.append(iso_state(model, rho, mach * c, kappa))
     return states
 
@@ -374,6 +383,141 @@ def test_exhausted_budget_raises_with_residual(model):
         SOLVERS[model](*args, 1e-12, 1)
     assert info.value.iterations == 1
     assert info.value.residual == ref.value.residual > 1e-12
+
+
+# -- star roots exact to rounding ---------------------------------------------
+
+EPS = 2.0**-52
+
+
+def _star_equation(model, args):
+    """The star equation of ``model`` as the kernels solve it: (f, df,
+    increasing, gross, closed), where ``gross(x)`` is the magnitude of the
+    terms f adds up (as on its rarefaction branches), so a rounding of f
+    moves its root by about EPS * gross / |df|, and ``closed`` is the
+    two-rarefaction root, computed here from its formula."""
+    gamma = GAMMA
+    if model is Model.M1:
+        rho_l, u_l, p_l, rho_r, u_r, p_r, _ = args
+        e = 0.5 * (gamma - 1.0) / gamma
+        c_l, c_r = sqrt(gamma * p_l / rho_l), sqrt(gamma * p_r / rho_r)
+        sides = ((p_l, rho_l, c_l), (p_r, rho_r, c_r))
+
+        def f(p):
+            return sum(kernels.psi(p, pk, rk, gamma) for pk, rk, _ in sides) + (u_r - u_l)
+
+        def df(p):
+            return sum(kernels.dpsi(p, pk, rk, gamma) for pk, rk, _ in sides)
+
+        def gross(p):
+            return abs(u_r - u_l) + sum(2.0 * ck / (gamma - 1.0) * (1.0 + (p / pk) ** e)
+                                        for pk, _, ck in sides)
+
+        num = c_l + c_r - 0.5 * (gamma - 1.0) * (u_r - u_l)
+        closed = (num / (c_l / p_l**e + c_r / p_r**e)) ** (1.0 / e)
+        return f, df, True, gross, closed
+    rho_l, v_l, rho_r, v_r, kappa, _ = args
+    if model is Model.M2:
+        theta, dtheta = kernels.theta2, kernels.dtheta2
+        power, coef = 0.5 * (gamma - 1.0), 2.0 * sqrt(kappa * gamma) / (gamma - 1.0)
+    else:
+        theta, dtheta = kernels.theta3, kernels.dtheta3
+        power, coef = 0.5 * (gamma + 1.0), 2.0 * sqrt(kappa * gamma) / (gamma + 1.0)
+    # M2 iterates (u_l - u_r) rho - theta2 - theta2, M3 (q_l - q_r) - theta3 - theta3
+    weight = (lambda rho: rho) if model is Model.M2 else (lambda rho: 1.0)
+
+    def f(rho):
+        return ((v_l - v_r) * weight(rho) - theta(rho, rho_l, kappa, gamma)
+                - theta(rho, rho_r, kappa, gamma))
+
+    def df(rho):
+        d = -dtheta(rho, rho_l, kappa, gamma) - dtheta(rho, rho_r, kappa, gamma)
+        return d + (v_l - v_r) if model is Model.M2 else d
+
+    def gross(rho):
+        return weight(rho) * (abs(v_l - v_r)
+                              + coef * (2.0 * rho**power + rho_l**power + rho_r**power))
+
+    closed = (0.5 * (rho_l**power + rho_r**power + (v_l - v_r) / coef)) ** (1.0 / power)
+    return f, df, False, gross, closed
+
+
+def _bisected_root(f, increasing, x):
+    """The sign change of f nearest x, as two adjacent floats: a bracket
+    grown from x in doubling steps, then bisected."""
+    sign = 1.0 if increasing else -1.0
+    lo, hi, step = x, x, ulp(x)
+    while not sign * f(lo) < 0.0:
+        lo, step = lo - step, 2.0 * step
+    step = ulp(x)
+    while sign * f(hi) < 0.0:
+        hi, step = hi + step, 2.0 * step
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if sign * f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+_CURVES = ("psi", "theta2", "theta3")
+_SLOPES = ("dpsi", "dtheta2", "dtheta3")
+
+
+@settings(max_examples=300)
+@given(_subsonic_pairs())
+def test_star_roots_are_exact_to_rounding(pair):
+    # every star root lies within 4 roundings of its equation of the sign
+    # change that bisection down to adjacent floats finds.  One rounding
+    # of the equation is 3 to 17 ulps of the root here; a bound of 4 ulps
+    # fails both for Newton roots (5 ulps seen on M1 data) and for the
+    # closed form, which carries the rounding of its base through the
+    # power 1/beta (5 for M2, 7 for M1) and misses by up to about 20 ulps
+    UL, UR = pair
+    model = UL.model
+    args = _kernel_args(UL, UR)
+    mocks = {name: mock.patch.object(kernels, name, wraps=getattr(kernels, name))
+             for name in _CURVES + _SLOPES}
+    calls = {name: m.start() for name, m in mocks.items()}
+    try:
+        value, res, it = SOLVERS[model](*args)
+    except VacuumFormation:
+        # M3 data with |u| < c can still open a vacuum
+        assert model is Model.M3
+        return
+    finally:
+        mock.patch.stopall()
+    f, df, increasing, gross, closed = _star_equation(model, args)
+    lo, hi = _bisected_root(f, increasing, value)
+    ref = lo if abs(value - lo) <= abs(value - hi) else hi
+    assert abs(value - ref) <= 4.0 * EPS * gross(ref) / abs(df(ref))
+    assert res == abs(f(value))
+    data = (args[2], args[5]) if model is Model.M1 else (args[0], args[2])
+    if closed <= min(data):
+        # two rarefactions: the closed form after one residual evaluation
+        assert (value, it) == (closed, 1)
+        assert sum(calls[name].call_count for name in _CURVES) == 2
+        assert sum(calls[name].call_count for name in _SLOPES) == 0
+
+
+@pytest.mark.parametrize("model", [Model.M2, Model.M3])
+def test_star_a_rounding_above_equal_densities(model):
+    # equal densities and a flux difference far below rounding: the closed
+    # form lands a float or two above the data density; one float above
+    # it, rho**gamma equals the data's, so the shock slope's sqrt(g) is 0:
+    # the slope there is the rarefaction slope that the shock slope meets
+    # (theta is C1), and a Newton correction that rounds to nothing ends
+    # the solve instead of a bisection from the far end of the bracket
+    rho = 1.7820500160308304
+    above = nextafter(rho, 2.0)
+    assert above**GAMMA == rho**GAMMA
+    for dtheta in (kernels.dtheta2, kernels.dtheta3):
+        assert dtheta(above, rho, 1.0, GAMMA) == pytest.approx(dtheta(rho, rho, 1.0, GAMMA),
+                                                               rel=1e-15)
+    UL, UR = iso_state(model, rho, 0.0, 1.0), PipeState(model, rho, 1e-300, kappa=1.0)
+    value, res, it = SOLVERS[model](*_kernel_args(UL, UR))
+    assert value in (rho, above) and it <= 2 and res <= 1e-299
 
 
 def test_bracketed_newton_falls_back_to_bisection():

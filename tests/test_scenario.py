@@ -212,6 +212,27 @@ def test_each_violation_names_its_path(doc, old, new, violation):
     assert err.value.violations == [violation]
 
 
+@pytest.mark.parametrize("mode, line", [
+    ("riemann", "epsilon_ladder: [0.1]"),
+    ("riemann", "tv_bound: 1.0e-12"),
+    ("riemann", "snapshots: 3"),
+    ("riemann", "source: {kind: friction, lambda_f: 100.0, diameter: 0.01}"),
+    ("riemann", "max_events: 10"),
+    ("simulate", "sample_times: [0.5]"),
+], ids=["epsilon_ladder", "tv_bound", "snapshots", "source", "max_events", "sample_times"])
+def test_run_key_the_mode_never_reads_is_a_violation(mode, line):
+    # riemann mode runs no tracker and simulate mode samples at its
+    # snapshots, so each of these keys would be ignored without a word
+    key = line.split(":")[0]
+    doc = MINIMAL.replace("mode: riemann", f"mode: {mode}\n  {line}")
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert err.value.violations == [f"run.{key}: {mode} mode never reads it"]
+    # run in the other mode, a document keeps the keys of its own mode
+    other = "simulate" if mode == "riemann" else "riemann"
+    assert parse_scenario(doc, mode=other).run.mode == other
+
+
 @pytest.mark.parametrize("field, value", [
     ("snapshots", "true"),
     ("max_events", "true"),
@@ -467,7 +488,7 @@ def test_piecewise_edges_must_increase():
 
 
 def test_friction_source_parsed():
-    doc = MINIMAL.replace(
+    doc = MINIMAL.replace("mode: riemann", "mode: simulate").replace(
         "run:", "run:\n  source: {kind: friction, lambda_f: 0.02, diameter: 0.5}")
     sc = parse_scenario(doc)
     from gasnet.fronttracking import FrictionSource

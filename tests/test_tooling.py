@@ -318,3 +318,25 @@ def test_scenarios_have_one_yaml_loader():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if alias.name in YAML_LOADS]
     assert found == []
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # hypothesis's report hook raises a DeprecationWarning for a failing
+    # property; under filterwarnings = error that was an INTERNALERROR,
+    # which ended the session before the tests after it ran
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given\n"
+        "from hypothesis import strategies as hs\n\n\n"
+        "@given(hs.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n != n\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_pair.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in proc.stdout, out
