@@ -5,10 +5,11 @@ evolves by propagating finitely many fronts:
 
 * the *accurate* step solves local Riemann problems exactly and slices
   rarefaction fans into jumps of scaled strength <= epsilon;
-* the *simplified* step handles interactions whose scaled strength
-  product falls below rho_simpl (and every interaction with a
-  non-physical front) by reusing the incoming strengths and shedding
-  the mismatch into a non-physical front at the fixed speed lambda_hat;
+* the *simplified* step handles every interaction with a non-physical
+  front and, on full-Euler (M1) pipes only, every collision whose scaled
+  strength product falls below rho_simpl, by reusing the incoming
+  strengths and shedding the mismatch into a non-physical front at the
+  fixed speed lambda_hat;
 * fronts reaching x = 0 either trigger a full coupling re-solve, which
   emits waves on every pipe, or (non-physical, or strength below
   rho_simpl) are reflected into a single non-physical front so no other
@@ -30,12 +31,23 @@ fronts tends to 0 with epsilon (Bressan, Hyperbolic Systems of
 Conservation Laws, 2000, ch. 7; Baiti & Jenssen, J. Math. Anal. Appl.
 217, 1998); with epsilon**2, nearly every slice-slice interaction took
 the simplified path, and on the test ladder the live non-physical
-strength stayed near 0.004 from epsilon 0.04 down to 0.005.  The source
-step uses the same threshold because re-solving a weak jump whose two
-sides moved emits a wave in each family, so each step could double the
-fronts.  ``glimm()`` reports the live non-physical strength as
-``np_strength``, and ``np_absorbed`` the L1 change the source steps made
-by absorbing fronts.
+strength stayed near 0.004 from epsilon 0.04 down to 0.005.
+
+The collision threshold applies to M1 pipes only.  Non-physical fronts
+exist to bound the number of fronts of an n x n system, where an
+accurate weak interaction emits a front in every family (Bressan 2000,
+ch. 7).  M2 and M3 are 2 x 2 systems: two colliding fronts leave at most
+one front per family, and a rarefaction among them stays one front
+unless the collision widens it past epsilon, so the accurate step keeps
+the front count there (Holden & Risebro, Front Tracking for Hyperbolic
+Conservation Laws, 2002).  On M2 and M3 pipes every collision of two
+physical fronts therefore takes the accurate step, however weak, and
+sheds no non-physical front.  Reflections at x = 0 and the source step
+keep rho_simpl on every model.  The source step uses it because
+re-solving a weak jump whose two sides moved emits a wave in each
+family, so each step could double the fronts.  ``glimm()`` reports the
+live non-physical strength as ``np_strength``, and ``np_absorbed`` the
+L1 change the source steps made by absorbing fronts.
 
 Wave strength is measured as the jump of the curve parameter, divided by
 a per-pipe scale fixed at t = 0 (pressure scale for full-Euler acoustic
@@ -91,7 +103,11 @@ front is the line ``born_x + speed * (t - born_t)``; pair times and
 collision midpoints evaluate it inline, and ``Front.at`` elsewhere.  A
 front's scaled strength is one division, ``abs(strength)`` by its
 pipe's ``family_scales`` entry for its family, and a fan slice's speed
-is the one edge eigenvalue that ``fan_edge_speed`` computes.  The event
+is the one edge eigenvalue that ``fan_edge_speed`` computes.  An
+isentropic rarefaction of scaled strength <= epsilon, such as a weak
+collision emits, is kept as its own front by ``_wave_fronts`` instead of
+going through ``_slice_fan``, which would recompute its curve parameters
+and edge speed to rebuild the same front.  The event
 loop keeps no Glimm totals; ``glimm()`` evaluates (V, Q, TV) on demand,
 and ``_pipe_glimm`` walks each pipe's fronts once, with running strength
 sums per family for Q.
@@ -331,13 +347,19 @@ def _slice_fan(wave: Front, g, eps_param):
 def _wave_fronts(waves, g, epsilon, scales: PipeScales):
     """Fronts of the waves above the strength floor, left to right: each
     shock or contact is its own front, and each rarefaction is sliced into
-    jumps of scaled strength <= epsilon."""
+    jumps of scaled strength <= epsilon.
+
+    An isentropic rarefaction already that weak is kept as it is: its one
+    slice would rebuild the same front from the same states.  A full-Euler
+    one is always sliced, since its single slice takes its pressure from
+    the state's energy and can differ from the wave by rounding."""
     fronts = []
     for w in waves:
         sc = scales.strength_scale(w.family, w.left.model)
-        if abs(w.strength) < _STRENGTH_FLOOR * sc:
+        strength = abs(w.strength)
+        if strength < _STRENGTH_FLOOR * sc:
             continue
-        if w.kind == RAREFACTION:
+        if w.kind == RAREFACTION and (strength > epsilon * sc or w.left.model is Model.M1):
             fronts += _slice_fan(w, g, epsilon * sc)
         else:
             fronts.append(w)
@@ -692,7 +714,7 @@ class FrontTrackingState:
         va, vb = abs(a.strength) / fs[a.family], abs(b.strength) / fs[b.family]
         self._retire(i, a, self.time)
         self._retire(i, b, self.time)
-        if a.family == NONPHYSICAL or va * vb < self.rho_simpl:
+        if a.family == NONPHYSICAL or (va * vb < self.rho_simpl and a.left.model is Model.M1):
             new = self._simplified_interaction(i, a, b)
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])

@@ -100,6 +100,19 @@ def perturb(state, rel, g, rng=None):
     return iso_state(state.model, state.rho * fr, u_new, state.kappa)
 
 
+def end_to_end(profiles, period):
+    """The piecewise profiles ``profiles`` (each a list of ``(x_right,
+    state)`` pairs ending with ``(None, state)``, every edge below
+    ``period``) laid end to end: profile k is shifted by k * period and
+    its last state held up to (k + 1) * period; the last one ends
+    unbounded."""
+    out = []
+    for k, pieces in enumerate(profiles):
+        out += [(x + k * period, st) for x, st in pieces[:-1]]
+        out.append((None if k == len(profiles) - 1 else (k + 1) * period, pieces[-1][1]))
+    return out
+
+
 def perturb_problem(problem, rel, rng):
     """New junction problem with every initial state perturbed by <= rel.
 

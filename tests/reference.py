@@ -8,7 +8,8 @@ these helpers take and return arrays and floats.  Also the zero source of operat
 CSV output as one string, the per-point sampler of a Riemann solution
 and the per-point pipe records that a snapshot's runs expand to.  And
 the definitions that faster code must repeat bit for bit: the
-characteristic speeds as one tuple, the fan-edge speed read off it, and
+characteristic speeds as one tuple, the fan-edge speed read off it, the
+tracker's fronts of a list of waves with every rarefaction sliced, and
 the weak-form residual by the scalar Simpson rule, segment by segment
 and bump by bump."""
 
@@ -17,7 +18,7 @@ import io
 import numpy as np
 
 from gasnet.errors import NotSubsonic
-from gasnet.fronttracking import flux_vector
+from gasnet.fronttracking import _STRENGTH_FLOOR, _slice_fan, flux_vector
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
 from gasnet.output import write_csv
@@ -250,6 +251,23 @@ def fan_edge_speed_from_tuple(family, state, g):
     """The fan-edge speed read off the whole tuple of speeds: the slowest
     for family 1, else the fastest."""
     return eigenvalue_tuple(state, g)[0 if family == 1 else -1]
+
+
+def sliced_wave_fronts(waves, g, epsilon, scales):
+    """``fronttracking._wave_fronts`` by its definition: the fronts of the
+    waves above the strength floor, left to right, each shock or contact
+    its own front and each rarefaction sliced by ``_slice_fan`` into jumps
+    of scaled strength <= epsilon, a single slice included."""
+    fronts = []
+    for w in waves:
+        sc = scales.strength_scale(w.family, w.left.model)
+        if abs(w.strength) < _STRENGTH_FLOOR * sc:
+            continue
+        if w.kind == RAREFACTION:
+            fronts += _slice_fan(w, g, epsilon * sc)
+        else:
+            fronts.append(w)
+    return fronts
 
 
 def scalar_weak_form_residual(state, test_functions, horizon):

@@ -465,9 +465,15 @@ def test_epsilon_ladder_summary():
 def test_epsilon_ladder_reuses_simulate_run():
     # the simulate run, stopped at every snapshot, stands in for the ladder
     # member at its epsilon: the distances equal those of fresh members.
+    # Four more strong jumps on pipe east give the run over 200 events.
     from gasnet.fronttracking import init_approximation, l1_distance
 
-    sc = parse_scenario(LADDER_TRACKING)
+    flow = "u: 0.27386127875258304, kappa: 1.0"
+    east = f"          - {{x_right: null, rho: 0.6799222812729615, {flow}}}\n"
+    pieces = "".join(f"          - {{x_right: {x}, rho: {rho}, {flow}}}\n"
+                     for x, rho in ((0.7, 0.62), (0.85, 0.68), (1.0, 0.62), ("null", 0.68)))
+    assert east in LADDER_TRACKING
+    sc = parse_scenario(LADDER_TRACKING.replace(east, pieces))
     res = run_scenario(sc)
     assert len(res.records) == 6 and res.summary["events"] > 200
     finals = [init_approximation(sc.specs, sc.profiles, sc.constants, eps).run(1.0)
@@ -839,7 +845,7 @@ trees = hs.recursive(
 
 @settings(max_examples=300)
 @given(trees)
-def test_event_builder_matches_pure_python_loader(tree):
+def test_random_yaml_trees_load_as_safe_load(tree):
     _assert_loads_as_safe_load(_Writer().write(tree, pad=""))
 
 
