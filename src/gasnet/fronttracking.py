@@ -29,9 +29,7 @@ shed a non-physical front, of strength of the order of that product.
 Front tracking converges only if the total strength of non-physical
 fronts tends to 0 with epsilon (Bressan, Hyperbolic Systems of
 Conservation Laws, 2000, ch. 7; Baiti & Jenssen, J. Math. Anal. Appl.
-217, 1998); with epsilon**2, nearly every slice-slice interaction took
-the simplified path, and on the test ladder the live non-physical
-strength stayed near 0.004 from epsilon 0.04 down to 0.005.
+217, 1998).
 
 The collision threshold applies to M1 pipes only.  Non-physical fronts
 exist to bound the number of fronts of an n x n system, where an
@@ -89,37 +87,30 @@ Cost per event.  Each pipe keeps the absolute meeting time of every
 adjacent front pair in ``times``, parallel to ``fronts``.  Fronts enter
 a pipe only through ``_splice``, which replaces a run of fronts by new
 ones already in order, rechains them from the state behind them and
-recomputes only the pair times next to them.  Initialization splices
-each pipe's interior fronts into the empty pipe, a source step splices
-its re-solved fronts over the whole pipe, and a collision, a junction
-event or a reflection splices the fronts it replaces into each pipe it
-touches, so an event costs its own fronts and a C-level minimum over
-each touched pipe's pair times.  Every coupling solve goes through
-``_emit``, which sets all traces and splices the emitted fronts at the
-front of each pipe; the t = 0 solve also fixes each pipe's role.
+recomputes only the pair times next to them: initialization, source
+steps and every event splice, so an event costs its own fronts and a
+C-level minimum over each touched pipe's pair times.  Every coupling
+solve goes through ``_emit``, which sets all traces and splices the
+emitted fronts at the front of each pipe; the t = 0 solve also fixes
+each pipe's role.
 Adjacent same-family rarefaction fronts diverge and contacts are
 parallel, so a collision never pairs two of them.  No front moves: a
 front is the line ``born_x + speed * (t - born_t)``; pair times and
 collision midpoints evaluate it inline, and ``Front.at`` elsewhere.  A
 front's scaled strength is one division, ``abs(strength)`` by its
 pipe's ``family_scales`` entry for its family, and a fan slice's speed
-is the one edge eigenvalue that ``fan_edge_speed`` computes.  An
-isentropic rarefaction of scaled strength <= epsilon, such as a weak
-collision emits, is kept as its own front by ``_wave_fronts`` instead of
-going through ``_slice_fan``, which would recompute its curve parameters
-and edge speed to rebuild the same front.  The event
-loop keeps no Glimm totals; ``glimm()`` evaluates (V, Q, TV) on demand,
-and ``_pipe_glimm`` walks each pipe's fronts once, with running strength
-sums per family for Q.
+is the one edge eigenvalue that ``fan_edge_speed`` computes.  On M2/M3
+pipes the two waves of ``solve_riemann_iso`` share its star state, so
+``accurate_solve`` passes them through ``_wave_fronts`` and only snaps
+the chain's ends, and ``_handle_collision`` places the fronts and sums
+their scaled strength in one loop.  The event loop keeps no Glimm
+totals; ``glimm()`` evaluates (V, Q, TV) on demand, and ``_pipe_glimm``
+walks each pipe's fronts once, with running strength sums per family
+for Q.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
-run over the retired segments, which a ladder member does not keep: one
-Python step per segment computes its jump defect, with one
-``flux_vector`` per distinct state, and numpy then evaluates every test
-bump on every segment at once, as bumps x segments arrays at each of the
-five Simpson nodes, with one ``math.exp`` per node inside a bump's
-support, and sums each bump's terms by one sequential ``cumsum``.  It is
-the only user of numpy in gasnet, and imports it when called, so the
+run over the retired segments, which a ladder member does not keep.  It
+is the only user of numpy in gasnet, and imports it when called, so the
 coupling solves and the event loop run without it.
 """
 
@@ -154,8 +145,10 @@ from .riemann import (
     solve_riemann_m1,
 )
 from .thermo import (
+    M1,
+    M2,
+    M3,
     GasConstants,
-    Model,
     PipeState,
     eigenvalues,
     iso_state,
@@ -181,13 +174,13 @@ class PipeScales(NamedTuple):
     E: float
 
     def strength_scale(self, family, model):
-        if model is Model.M1 and family == 2:
+        if family == 2 and model is M1:
             return self.rho
         return self.param
 
     def state_norm(self, a: PipeState, b: PipeState):
         n = abs(a.rho - b.rho) / self.rho + abs(a.q - b.q) / self.q
-        if a.model is Model.M1:
+        if a.model is M1:
             n += abs(a.E - b.E) / self.E
         return n
 
@@ -271,9 +264,9 @@ class FrictionSource:
 
 def flux_vector(state: PipeState, g: GasConstants):
     p = pressure(state, g)
-    if state.model is Model.M1:
+    if state.model is M1:
         return (state.q, state.q * state.u + p, state.u * (state.E + p))
-    if state.model is Model.M2:
+    if state.model is M2:
         return (state.q, state.q * state.u + p)
     return (state.q, p)
 
@@ -281,10 +274,11 @@ def flux_vector(state: PipeState, g: GasConstants):
 def _front_from_jump(family, left, right, g):
     """Physical front for a family-k jump: a contact, or the acoustic wave
     from the data side (left for family 1, else right) to the other."""
-    if left.model is Model.M1 and family == 2:
+    if left.model is M1 and family == 2:
         return Front(2, CONTACT, left.u, right.rho - left.rho, left, right)
     data, star = (left, right) if family == 1 else (right, left)
-    return _acoustic_wave(family, data, star, curve_parameter(family, star, g), g)
+    return _acoustic_wave(family, data, star, curve_parameter(family, data, g),
+                          curve_parameter(family, star, g), g)
 
 
 def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
@@ -296,7 +290,7 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
     gamma = g.gamma
     if family == 1:
         return curve_point(1, curve_parameter(1, left, g) + strength, left, g)
-    if model is Model.M1:
+    if model is M1:
         if family == 2:
             return lax_m1(2, strength, left, g)
         # family 3 applied from the left: invert the parameterization
@@ -313,11 +307,11 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
     rho_x = left.rho - strength
     if rho_x <= 0.0:
         raise NonPositiveDensity(f"wave of strength {strength} from rho={left.rho}")
-    if model is Model.M2:
+    if model is M2:
         inc = kernels.theta2(left.rho, rho_x, left.kappa, gamma)
-        return iso_state(Model.M2, rho_x, (left.q - inc) / left.rho, left.kappa)
+        return iso_state(M2, rho_x, (left.q - inc) / left.rho, left.kappa)
     inc = kernels.theta3(left.rho, rho_x, left.kappa, gamma)
-    return PipeState(Model.M3, rho_x, left.q - inc, kappa=left.kappa)
+    return PipeState(M3, rho_x, left.q - inc, kappa=left.kappa)
 
 
 def _slice_fan(wave: Front, g, eps_param):
@@ -345,21 +339,17 @@ def _slice_fan(wave: Front, g, eps_param):
 
 
 def _wave_fronts(waves, g, epsilon, scales: PipeScales):
-    """Fronts of the waves above the strength floor, left to right: each
-    shock or contact is its own front, and each rarefaction is sliced into
-    jumps of scaled strength <= epsilon.
-
-    An isentropic rarefaction already that weak is kept as it is: its one
-    slice would rebuild the same front from the same states.  A full-Euler
-    one is always sliced, since its single slice takes its pressure from
-    the state's energy and can differ from the wave by rounding."""
+    """Fronts of the waves above the strength floor, left to right: shocks
+    and contacts as they are, rarefactions sliced to scaled strength <=
+    epsilon but for isentropic ones already that weak (a full-Euler single
+    slice takes its pressure from the energy, so it can differ by rounding)."""
     fronts = []
     for w in waves:
         sc = scales.strength_scale(w.family, w.left.model)
         strength = abs(w.strength)
         if strength < _STRENGTH_FLOOR * sc:
             continue
-        if w.kind == RAREFACTION and (strength > epsilon * sc or w.left.model is Model.M1):
+        if w.kind == RAREFACTION and (strength > epsilon * sc or w.left.model is M1):
             fronts += _slice_fan(w, g, epsilon * sc)
         else:
             fronts.append(w)
@@ -375,22 +365,17 @@ def _placed(fronts, x, t):
 
 def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
                    epsilon, scales: PipeScales):
-    """Exact local Riemann solution as a list of fronts.
-
-    Shocks and contacts become single fronts at their exact speeds; each
-    rarefaction is sliced into jumps of scaled strength <= epsilon.
-    """
-    if left.model is Model.M1:
-        sol = solve_riemann_m1(left, right, g)
+    """Exact local Riemann solution from ``left`` to ``right`` as unplaced
+    fronts: rarefactions sliced to scaled strength <= epsilon, and waves
+    below the strength floor dropped, the chain closing across them."""
+    if left.model is M1:
+        fronts = _wave_fronts(solve_riemann_m1(left, right, g).waves, g, epsilon, scales)
+        for a, b in zip(fronts, fronts[1:]):
+            b.left = a.right
     else:
-        sol = solve_riemann_iso(left, right, g)
-    fronts = _wave_fronts(sol.waves, g, epsilon, scales)
-    prev = left
-    for f in fronts:
-        f.left = prev
-        prev = f.right
+        fronts = _wave_fronts(solve_riemann_iso(left, right, g).waves, g, epsilon, scales)
     if fronts:
-        # snap the tail across dropped zero-strength waves
+        fronts[0].left = left
         fronts[-1].right = right
     return fronts
 
@@ -404,12 +389,12 @@ def coupling_wave_pattern(role, data: PipeState, trace: PipeState, sigma, g):
     follows the contact from the trace to ``lax_m1(3, sigma, data)``, the
     only state evaluated here."""
     if role == ISO:
-        return [_acoustic_wave(2, data, trace, sigma, g)]
+        return [_acoustic_wave(2, data, trace, data.rho, sigma, g)]
     if role == M1_IN:
-        return [_acoustic_wave(3, data, trace, sigma, g)]
+        return [_acoustic_wave(3, data, trace, pressure(data, g), sigma, g)]
     mid = lax_m1(3, sigma, data, g)
     contact = Front(2, CONTACT, mid.u, mid.rho - trace.rho, trace, mid)
-    return [contact, _acoustic_wave(3, data, mid, sigma, g)]
+    return [contact, _acoustic_wave(3, data, mid, pressure(data, g), sigma, g)]
 
 
 def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
@@ -458,16 +443,14 @@ class FrontTrackingState:
         traces0 = [p[0][1] for p in pieces]
 
         self.scales = []
-        # per pipe, the strength scale of each front family, indexed by
-        # family; a non-physical strength is a scaled state norm already,
-        # so its entry is 1.0, and a front's scaled strength is
-        # abs(strength) / family_scales[i][family] for every front
+        # per pipe, each family's strength scale, indexed by family; 1.0 for
+        # non-physical fronts, whose strength is a scaled state norm already
         self.family_scales = []
         lam_max = 0.0
         for piecelist in pieces:
             st0 = piecelist[0][1]
             c0 = sound_speed(st0, self.g)
-            E_sc = st0.E if st0.model is Model.M1 else 1.0
+            E_sc = st0.E if st0.model is M1 else 1.0
             sc = PipeScales(curve_parameter(1, st0, self.g), st0.rho, st0.rho * c0, E_sc)
             self.scales.append(sc)
             self.family_scales.append(
@@ -618,8 +601,9 @@ class FrontTrackingState:
         """(time, kind, pipe, index) of the earliest future event, or None.
 
         Each pipe offers its junction arrival and its earliest stored pair
-        time.  Ties go to the lower pipe, then to the junction, then to
-        the lower index.
+        time.  Equal times go to the lower pipe, the junction, then the
+        lower index; events that meet at one exact time are ordered by the
+        rounding their stored times carry from the events that set them.
         """
         best = None
         for i, track in enumerate(self.pipes):
@@ -714,12 +698,16 @@ class FrontTrackingState:
         va, vb = abs(a.strength) / fs[a.family], abs(b.strength) / fs[b.family]
         self._retire(i, a, self.time)
         self._retire(i, b, self.time)
-        if a.family == NONPHYSICAL or (va * vb < self.rho_simpl and a.left.model is Model.M1):
+        if a.family == NONPHYSICAL or (va * vb < self.rho_simpl and a.left.model is M1):
             new = self._simplified_interaction(i, a, b)
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
-        self._splice(i, k, 2, _placed(new, x, t))
-        return "collision", i, va + vb, sum(abs(f.strength) / fs[f.family] for f in new)
+        v_plus = 0.0
+        for f in new:
+            f.born_x, f.born_t = x, t
+            v_plus += abs(f.strength) / fs[f.family]
+        self._splice(i, k, 2, new)
+        return "collision", i, va + vb, v_plus
 
     def _np_front(self, i, left, right):
         return Front(NONPHYSICAL, "nonphysical", self.lambda_hat,
@@ -951,7 +939,7 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
         defect = 0.0
         for c in range(2):
             defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
-        if seg.left.model is Model.M1:
+        if seg.left.model is M1:
             dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
             defect += abs(dE) / (sc.q * sc.E / sc.rho)
         if defect != 0.0:

@@ -154,16 +154,16 @@ class JunctionProblem:
         self.incoming = tuple(i for i, p in enumerate(self.pipes) if not p.outgoing)
         self.outgoing_m1 = tuple(i for i, p in enumerate(self.pipes) if p.role == M1_OUT)
         self.n0 = len(self.outgoing_m1)
-        self.pivot = max(self.incoming,
-                         key=lambda i: thermo_quantities(self.pipes[i].state, g).s)
+        tq = [thermo_quantities(p.state, g) for p in self.pipes]
+        self.pivot = max(self.incoming, key=lambda i: tq[i].s)
         # the pipe of each enthalpy row 1..N-1, against the pivot
         self._enthalpy_rows = tuple(j for j in range(self.n) if j != self.pivot)
         self.dim = self.n + self.n0
         self._tau_col = {j: self.n + k for k, j in enumerate(self.outgoing_m1)}
 
-        mass = sum(p.spec.area * p.state.rho * sound_speed(p.state, g) for p in self.pipes)
+        mass = sum(p.spec.area * p.state.rho * t.c for p, t in zip(self.pipes, tq))
         if control is None:
-            h_sc = max(abs(thermo_quantities(p.state, g).h) for p in self.pipes)
+            h_sc = max(abs(t.h) for t in tq)
             middle = [max(h_sc, 1e-300)] * (self.n - 1)
         else:
             middle = [control.row_scale(self.pipes[0].state, g)]

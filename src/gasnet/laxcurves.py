@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .errors import NonPositiveDensity
-from .thermo import GasConstants, Model, PipeState, edge_eigenvalue, m1_state, pressure
+from .thermo import M1, M2, M3, GasConstants, Model, PipeState, edge_eigenvalue, m1_state, pressure
 
 # Roles a pipe can play in the coupling parameterization.
 M1_OUT = "M1_out"
@@ -33,7 +33,7 @@ ISO = "iso_in_or_out"
 
 
 def role_of(model: Model, outgoing: bool):
-    if model is Model.M1:
+    if model is M1:
         return M1_OUT if outgoing else M1_IN
     return ISO
 
@@ -52,7 +52,7 @@ def lax_m1(family, param, base: PipeState, g: GasConstants):
         if rho <= 0.0:
             raise NonPositiveDensity(f"contact shift tau={tau} from rho={base.rho}")
         u = base.u
-        return PipeState(Model.M1, rho, base.q + tau * u, E=base.E + 0.5 * tau * u * u)
+        return PipeState(M1, rho, base.q + tau * u, E=base.E + 0.5 * tau * u * u)
     sigma = param
     p_k = pressure(base, g)
     rho = kernels.phi(sigma, p_k, base.rho, gamma)
@@ -63,10 +63,10 @@ def lax_m1(family, param, base: PipeState, g: GasConstants):
 def lax_iso(model: Model, family, sigma, base: PipeState, g: GasConstants):
     """Point on the family-1/2 wave curve through an M2 or M3 base state."""
     gamma = g.gamma
-    if model is Model.M2:
+    if model is M2:
         inc = kernels.theta2(sigma, base.rho, base.kappa, gamma)
         q = base.u * sigma - inc if family == 1 else base.u * sigma + inc
-    elif model is Model.M3:
+    elif model is M3:
         inc = kernels.theta3(sigma, base.rho, base.kappa, gamma)
         q = base.q - inc if family == 1 else base.q + inc
     else:
@@ -77,7 +77,7 @@ def lax_iso(model: Model, family, sigma, base: PipeState, g: GasConstants):
 def curve_parameter(family, state: PipeState, g: GasConstants):
     """Parameter of ``state`` on a family's wave curve: pressure for the
     full Euler acoustic families, density otherwise."""
-    if state.model is Model.M1 and family != 2:
+    if state.model is M1 and family != 2:
         return pressure(state, g)
     return state.rho
 
@@ -85,7 +85,7 @@ def curve_parameter(family, state: PipeState, g: GasConstants):
 def curve_point(family, param, data: PipeState, g: GasConstants):
     """Point at ``param`` on the family's wave curve through ``data``
     (:func:`lax_m1` or :func:`lax_iso`)."""
-    if data.model is Model.M1:
+    if data.model is M1:
         return lax_m1(family, param, data, g)
     return lax_iso(data.model, family, param, data, g)
 
@@ -134,7 +134,7 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
         T = p / (g.R * sigma)
         dT = (gamma - 1.0) * kappa * sigma ** (gamma - 2.0) / g.R
         s = g.entropy_from_kappa(kappa)
-        if base.model is Model.M2:
+        if base.model is M2:
             inc = kernels.theta2(sigma, base.rho, kappa, gamma)
             dinc = kernels.dtheta2(sigma, base.rho, kappa, gamma)
             q = base.u * sigma + inc

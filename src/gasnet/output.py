@@ -5,6 +5,7 @@ import io
 import json
 
 from .thermo import (
+    M1,
     GasConstants,
     Model,
     PipeState,
@@ -59,7 +60,7 @@ def state_from_fields(fields, g: GasConstants):
     """The state a field dict of ``state_fields`` describes.  ``g`` is not
     read; it stays for callers that pass it positionally."""
     model = Model(fields["model"])
-    if model is Model.M1:
+    if model is M1:
         return PipeState(model, fields["rho"], fields["q"], E=fields["E"])
     return PipeState(model, fields["rho"], fields["q"], kappa=fields["kappa"])
 

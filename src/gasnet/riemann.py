@@ -8,7 +8,9 @@ self-similar position, and the front tracker, the coupling patterns and
 the Riemann solvers build the same type.  A shock or contact travels at
 ``speed``; a rarefaction's ``speed`` is its tail (right edge) and its
 head is ``fan_edge_speed(w.family, w.left, g)``.  ``_acoustic_wave``
-alone builds every acoustic wave.
+alone builds every acoustic wave.  ``solve_riemann_iso`` is also the
+tracker's accurate step on M2/M3 pipes: its star state is one ``lax_iso``
+point that both waves share, so they chain as they are.
 
 Tie-breaking: a similarity coordinate xi that falls exactly on a shock,
 contact, or fan edge resolves to the right-limit state.
@@ -18,8 +20,8 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from . import kernels
-from .laxcurves import curve_parameter, curve_point, fan_edge_speed
-from .thermo import GasConstants, Model, PipeState, iso_state, m1_state, pressure, sound_speed
+from .laxcurves import fan_edge_speed, lax_iso
+from .thermo import M1, M2, M3, GasConstants, PipeState, iso_state, m1_state, pressure, sound_speed
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -64,17 +66,18 @@ class RiemannSolution(NamedTuple):
     iterations: int
 
 
-def _acoustic_wave(family, data: PipeState, star: PipeState, param_star, g):
+def _acoustic_wave(family, data: PipeState, star: PipeState, param_data, param_star, g):
     """The family-1 wave from pipe data to its star state, or the
     right-going wave (family 3 of M1, family 2 of M2/M3) from the star
-    state to the data.  ``param_star`` is the star's curve parameter,
-    pressure for M1 and density otherwise; the strength is its jump over
-    the data's.  A positive strength is a shock at its exact speed, except
-    that a pressure rise of a few ulps can leave the star density equal to
-    the data density: that jump has no shock speed and is taken as a
+    state to the data.  ``param_data`` and ``param_star`` are the curve
+    parameters of data and star, pressure for M1 and density otherwise,
+    which every caller already holds; the strength is their difference.
+    A positive strength is a shock at its exact speed, except that a
+    pressure rise of a few ulps can leave the star density equal to the
+    data density: that jump has no shock speed and is taken as a
     (vanishing) rarefaction, which travels at the speed of its right
     state."""
-    strength = param_star - curve_parameter(family, data, g)
+    strength = param_star - param_data
     left, right = (data, star) if family == 1 else (star, data)
     if strength > 0.0 and star.rho != data.rho:
         speed = (right.q - left.q) / (right.rho - left.rho)
@@ -94,14 +97,14 @@ def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSo
     u_star = UL.u - kernels.psi(p_star, p_l, UL.rho, gamma)
     rho_l_star = kernels.phi(p_star, p_l, UL.rho, gamma)
     rho_r_star = kernels.phi(p_star, p_r, UR.rho, gamma)
-    left_star = PipeState(Model.M1, rho_l_star, rho_l_star * u_star,
+    left_star = PipeState(M1, rho_l_star, rho_l_star * u_star,
                           E=p_star / (gamma - 1.0) + 0.5 * rho_l_star * u_star**2)
-    right_star = PipeState(Model.M1, rho_r_star, rho_r_star * u_star,
+    right_star = PipeState(M1, rho_r_star, rho_r_star * u_star,
                            E=p_star / (gamma - 1.0) + 0.5 * rho_r_star * u_star**2)
     waves = (
-        _acoustic_wave(1, UL, left_star, p_star, g),
+        _acoustic_wave(1, UL, left_star, p_l, p_star, g),
         Front(2, CONTACT, u_star, rho_r_star - rho_l_star, left_star, right_star),
-        _acoustic_wave(3, UR, right_star, p_star, g),
+        _acoustic_wave(3, UR, right_star, p_r, p_star, g),
     )
     return RiemannSolution(p_star, waves, res, it)
 
@@ -116,20 +119,18 @@ def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannS
     model = UL.model
     if UR.model is not model:
         raise ValueError(f"Riemann data mix models {model.value} and {UR.model.value}")
-    if model is Model.M1:
+    if model is M1:
         raise ValueError("use solve_riemann_m1 for the full Euler model")
     if UL.kappa != UR.kappa:
         raise ValueError("isentropic Riemann data must share kappa")
     gamma, kappa = g.gamma, UL.kappa
-    if model is Model.M2:
+    if model is M2:
         rho_star, res, it = kernels.solve_rho_star_m2(UL.rho, UL.u, UR.rho, UR.u, kappa, gamma)
     else:
         rho_star, res, it = kernels.solve_rho_star_m3(UL.rho, UL.q, UR.rho, UR.q, kappa, gamma)
-    star = curve_point(1, rho_star, UL, g)
-    waves = (
-        _acoustic_wave(1, UL, star, rho_star, g),
-        _acoustic_wave(2, UR, star, rho_star, g),
-    )
+    star = lax_iso(model, 1, rho_star, UL, g)
+    waves = (_acoustic_wave(1, UL, star, UL.rho, rho_star, g),
+             _acoustic_wave(2, UR, star, UR.rho, rho_star, g))
     return RiemannSolution(rho_star, waves, res, it)
 
 
@@ -146,13 +147,13 @@ def fan_state(wave: Front, xi, g: GasConstants) -> PipeState:
     model = wave.left.model
     kappa = wave.left.kappa
     anchor = wave.left if wave.family == 1 else wave.right
-    if model is Model.M3:
+    if model is M3:
         # the characteristic speed is +-c, so xi pins the density directly
         c = -xi if wave.family == 1 else xi
         rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
         theta = kernels.theta3(rho, anchor.rho, kappa, gamma)
         q = anchor.q - theta if wave.family == 1 else anchor.q + theta
-        return PipeState(Model.M3, rho, q, kappa=kappa)
+        return PipeState(M3, rho, q, kappa=kappa)
     c_a = sound_speed(anchor, g)
     if wave.family == 1:
         c = ((gamma - 1.0) * (anchor.u - xi) + 2.0 * c_a) / (gamma + 1.0)
@@ -160,9 +161,9 @@ def fan_state(wave: Front, xi, g: GasConstants) -> PipeState:
     else:
         c = ((gamma - 1.0) * (xi - anchor.u) + 2.0 * c_a) / (gamma + 1.0)
         u = xi - c
-    if model is Model.M2:
+    if model is M2:
         rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
-        return iso_state(Model.M2, rho, u, kappa)
+        return iso_state(M2, rho, u, kappa)
     rho = anchor.rho * (c / c_a) ** (2.0 / (gamma - 1.0))
     p = pressure(anchor, g) * (c / c_a) ** (2.0 * gamma / (gamma - 1.0))
     return m1_state(rho, u, p, g)

@@ -60,7 +60,7 @@ from .fronttracking import (
 from .junction import DEFAULT_TOL, JunctionProblem, PipeSpec, classify_pipes, state_residuals
 from .output import FieldMemo, snapshot_record
 from .riemann import sample_waves
-from .thermo import GasConstants, Model, PipeState, iso_state, m1_state
+from .thermo import M1, GasConstants, Model, PipeState, iso_state, m1_state
 
 
 class RunConfig(NamedTuple):
@@ -166,14 +166,14 @@ def _parse_state(doc, path, model, g, errs):
         errs.add(path, "state must be a mapping")
         return None
     # an M1 state carries p, an isentropic one kappa
-    third = "p" if model is Model.M1 else "kappa"
+    third = "p" if model is M1 else "kappa"
     _unknown(doc, path, ("rho", "u", third), errs)
     rho = _num(doc, path, "rho", errs, positive=True, required=True)
     u = _num(doc, path, "u", errs, required=True)
     p_or_kappa = _num(doc, path, third, errs, positive=True, required=True)
     if None in (rho, u, p_or_kappa):
         return None
-    if model is Model.M1:
+    if model is M1:
         return m1_state(rho, u, p_or_kappa, g)
     return iso_state(model, rho, u, p_or_kappa)
 

@@ -28,7 +28,12 @@ class Model(Enum):
 
     @property
     def is_isentropic(self):
-        return self is not Model.M1
+        return self is not M1
+
+
+# the members as module constants: on Python 3.11 ``EnumType.__getattr__``
+# sends every ``Model.M1`` through the metaclass's slow attribute path
+M1, M2, M3 = Model.M1, Model.M2, Model.M3
 
 
 class FlowRegime(Enum):
@@ -105,7 +110,7 @@ class PipeState(_Checked, _PipeStateFields):
     def __new__(cls, model, rho, q, E=None, kappa=None):
         if not rho > 0.0:
             raise ValueError(f"density must be positive, got {rho}")
-        if model is Model.M1:
+        if model is M1:
             if E is None:
                 raise ValueError("M1 states carry a total energy density E")
             if kappa is not None:
@@ -129,19 +134,19 @@ def m1_state(rho, u, p, g: GasConstants):
     if not p > 0.0:
         raise NonPositivePressure(f"pressure must be positive, got {p}")
     E = p / (g.gamma - 1.0) + 0.5 * rho * u * u
-    return PipeState(Model.M1, rho, rho * u, E=E)
+    return PipeState(M1, rho, rho * u, E=E)
 
 
 def iso_state(model, rho, u, kappa):
     """Build an M2 or M3 state from primitive variables."""
-    if model is Model.M1:
+    if model is M1:
         raise ValueError("use m1_state for the full Euler model")
     return PipeState(model, rho, rho * u, kappa=kappa)
 
 
 def pressure(state: PipeState, g: GasConstants):
     """Pressure from the model's equation of state."""
-    if state.model is Model.M1:
+    if state.model is M1:
         p = (g.gamma - 1.0) * (state.E - 0.5 * state.q * state.q / state.rho)
         if p <= 0.0:
             raise NonPositivePressure(
@@ -160,7 +165,7 @@ class ThermoQuantities(NamedTuple):
 def thermo_quantities(state: PipeState, g: GasConstants) -> ThermoQuantities:
     """Specific entropy, total enthalpy, and sound speed of a state."""
     gamma = g.gamma
-    if state.model is Model.M1:
+    if state.model is M1:
         p = pressure(state, g)
         s = g.cv * log(p / state.rho**gamma) + g.s0
         h = (state.E + p) / state.rho
@@ -169,23 +174,23 @@ def thermo_quantities(state: PipeState, g: GasConstants) -> ThermoQuantities:
     s = g.entropy_from_kappa(state.kappa)
     c = sqrt(state.kappa * gamma * state.rho ** (gamma - 1.0))
     h = state.kappa * gamma * state.rho ** (gamma - 1.0) / (gamma - 1.0)
-    if state.model is Model.M2:
+    if state.model is M2:
         h += 0.5 * state.u**2
     return ThermoQuantities(s, h, c)
 
 
 def sound_speed(state: PipeState, g: GasConstants):
-    if state.model is Model.M1:
+    if state.model is M1:
         return sqrt(g.gamma * pressure(state, g) / state.rho)
     return sqrt(state.kappa * g.gamma * state.rho ** (g.gamma - 1.0))
 
 
 def total_energy(state: PipeState, g: GasConstants):
     """Total energy density; for M2 the kinetic part is kept, for M3 dropped."""
-    if state.model is Model.M1:
+    if state.model is M1:
         return state.E
     E = state.kappa * state.rho**g.gamma / (g.gamma - 1.0)
-    if state.model is Model.M2:
+    if state.model is M2:
         E += 0.5 * state.q * state.u
     return E
 
@@ -199,7 +204,7 @@ def edge_eigenvalue(state: PipeState, g: GasConstants, fastest):
     u + c or u - c, and c or -c for M3, whose waves are not carried by
     the flow."""
     c = sound_speed(state, g)
-    if state.model is Model.M3:
+    if state.model is M3:
         return c if fastest else -c
     return state.u + c if fastest else state.u - c
 
@@ -209,7 +214,7 @@ def eigenvalues(state: PipeState, g: GasConstants):
     otherwise: the two edge eigenvalues, with the M1 contact speed u
     between them."""
     slowest, fastest = edge_eigenvalue(state, g, False), edge_eigenvalue(state, g, True)
-    if state.model is Model.M1:
+    if state.model is M1:
         return (slowest, state.u, fastest)
     return (slowest, fastest)
 

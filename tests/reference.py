@@ -9,7 +9,8 @@ CSV output as one string, the per-point sampler of a Riemann solution
 and the per-point pipe records that a snapshot's runs expand to.  And
 the definitions that faster code must repeat bit for bit: the
 characteristic speeds as one tuple, the fan-edge speed read off it, the
-tracker's fronts of a list of waves with every rarefaction sliced, and
+tracker's fronts of a list of waves with every rarefaction sliced, its
+accurate step on M2/M3 data built from the public Riemann solver, and
 the weak-form residual by the scalar Simpson rule, segment by segment
 and bump by bump."""
 
@@ -22,7 +23,7 @@ from gasnet.fronttracking import _STRENGTH_FLOOR, _slice_fan, flux_vector
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
 from gasnet.output import write_csv
-from gasnet.riemann import RAREFACTION, fan_state
+from gasnet.riemann import RAREFACTION, fan_state, solve_riemann_iso
 from gasnet.thermo import Model, sound_speed
 
 
@@ -267,6 +268,21 @@ def sliced_wave_fronts(waves, g, epsilon, scales):
             fronts += _slice_fan(w, g, epsilon * sc)
         else:
             fronts.append(w)
+    return fronts
+
+
+def accurate_iso_fronts(left, right, g, epsilon, scales):
+    """``fronttracking.accurate_solve`` on M2/M3 data by its definition:
+    the waves of ``solve_riemann_iso`` through ``sliced_wave_fronts``,
+    then rechained from ``left``, each front's left state the right state
+    of the front before it, and the last front's right state ``right``."""
+    fronts = sliced_wave_fronts(solve_riemann_iso(left, right, g).waves, g, epsilon, scales)
+    prev = left
+    for f in fronts:
+        f.left = prev
+        prev = f.right
+    if fronts:
+        fronts[-1].right = right
     return fronts
 
 

@@ -50,7 +50,7 @@ from gasnet.laxcurves import ISO, M1_IN, M1_OUT
 from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave, solve_riemann_iso, solve_riemann_m1
 from gasnet.scenario import trace_residuals
 from gasnet.thermo import sound_speed
-from reference import scalar_weak_form_residual, sliced_wave_fronts
+from reference import accurate_iso_fronts, scalar_weak_form_residual, sliced_wave_fronts
 
 G = GasConstants(gamma=1.4, R=1.0)
 UNIT_SCALES = PipeScales(1.0, 1.0, 1.0, 1.0)
@@ -562,6 +562,53 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
         assert _front_fields(got) == _front_fields(sliced_wave_fronts(waves, G, 0.04, scales))
         fans += len(fan)
     assert fans > 50
+
+
+@hs.composite
+def _iso_riemann_data(draw):
+    """(left, right, epsilon, scales): M2 or M3 Riemann data made of a
+    1-wave and a 2-wave of drawn scaled strengths, each a shock, a
+    rarefaction narrower or wider than epsilon, or a wave below the
+    strength floor of either sign."""
+    model = draw(hs.sampled_from([Model.M2, Model.M3]))
+    left = _iso_state(model, draw(hs.floats(0.5, 2.0)), draw(hs.floats(-0.6, 0.6)),
+                      draw(hs.floats(0.7, 1.4)))
+    param = left.rho * draw(hs.floats(0.5, 1.5))
+    scales = PipeScales(param, param, param, 1.0)
+    eps = draw(hs.sampled_from([0.04, 0.02, 0.01, 0.005]))
+    state = left
+    for family in (1, 2):
+        kind = draw(hs.sampled_from(["shock", "narrow", "wide", "floor"]))
+        if kind == "shock":
+            v = 10.0 ** draw(hs.floats(-9.0, -0.6))
+        elif kind == "narrow":
+            v = -0.999 * eps * 10.0 ** draw(hs.floats(-6.0, 0.0))
+        elif kind == "wide":
+            v = -min(eps * draw(hs.floats(1.01, 30.0)), 0.3)
+        else:
+            v = draw(hs.sampled_from([1.0, -1.0])) * 10.0 ** draw(hs.floats(-17.0, -11.001))
+        state = apply_wave(family, v * param, state, G)
+    return left, state, eps, scales
+
+
+@settings(max_examples=200)
+@given(_iso_riemann_data())
+def test_accurate_solve_matches_public_riemann_step(case):
+    # the accurate step on M2/M3 data returns, field for field,
+    # the fronts of solve_riemann_iso sliced by definition and rechained,
+    # and its chain runs from the data objects themselves
+    left, right, eps, scales = case
+    got = accurate_solve(left, right, G, eps, scales)
+    assert _front_fields(got) == _front_fields(accurate_iso_fronts(left, right, G, eps, scales))
+    if got:
+        assert got[0].left is left and got[-1].right is right
+
+
+def test_accurate_solve_rejects_mixed_isentropic_data():
+    m2 = iso_state(Model.M2, 1.0, 0.1, 1.0)
+    for right in (iso_state(Model.M3, 1.0, 0.1, 1.0), iso_state(Model.M2, 1.0, 0.1, 1.1)):
+        with pytest.raises(ValueError):
+            accurate_solve(m2, right, G, 0.01, UNIT_SCALES)
 
 
 def _np_strength(state):
@@ -1125,8 +1172,8 @@ def test_star_pressure_a_rounding_step_above_data(monkeypatch):
 
     seen = []
 
-    def spy(family, data, star, param_star, g):
-        wave = _acoustic_wave(family, data, star, param_star, g)
+    def spy(family, data, star, param_data, param_star, g):
+        wave = _acoustic_wave(family, data, star, param_data, param_star, g)
         if param_star == nextafter(pressure(data, g), inf):
             seen.append((data, star, param_star, wave))
         return wave
@@ -1146,6 +1193,6 @@ def test_star_pressure_a_rounding_step_above_data(monkeypatch):
     star = m1_state(out.rho, out.u, p_star, G)
     assert star.rho == out.rho
     for family, left, right in ((1, out, star), (3, star, out)):
-        wave = _acoustic_wave(family, out, star, p_star, G)
+        wave = _acoustic_wave(family, out, star, pressure(out, G), p_star, G)
         assert (wave.kind, wave.left, wave.right) == (RAREFACTION, left, right)
         assert wave.strength == p_star - pressure(out, G) > 0.0
