@@ -26,8 +26,9 @@ M1 initial states are given as {rho, u, p}, isentropic ones as
 {rho, u, kappa}; piecewise-constant profiles use
 ``initial: {pieces: [{x_right: 0.5, rho: ..}, {x_right: null, ..}]}``.
 ``parse_scenario`` loads a document's text, read by its caller, as
-``yaml.safe_load`` would, and validates it once, with the caller's
-``run`` fields in place of the document's own.
+``yaml.safe_load`` would (``document``, imported on the first parse),
+and validates it once, with the caller's ``run`` fields in place of the
+document's own.
 Validation aggregates all violations with their field paths before
 raising; a key its block does not read is one too (``unknown field``).
 The one exception is the cross-pipe rule of the coupling problem, which
@@ -37,15 +38,12 @@ failure, at ``topology``, once every field has parsed.
 
 import math
 import sys
-from collections import Counter, deque
+from collections import Counter
 from itertools import groupby
 from typing import NamedTuple
 
-import yaml
-from yaml.constructor import ConstructorError, SafeConstructor
-
 from .compressor import ADIABATIC_HEAD, POWER, CompressorControl
-from .errors import NotSubsonic, ScenarioParseError, ScenarioValidationError
+from .errors import NotSubsonic, ScenarioValidationError
 from .fronttracking import (
     DEFAULT_MAX_EVENTS,
     FrictionSource,
@@ -325,107 +323,13 @@ def _parse_run(doc, path, errs, overrides):
     return run._replace(**fields)
 
 
-# libyaml's parser and composer when PyYAML has them; both give line and column
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_TAG = "tag:yaml.org,2002:"
-_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
-# safe_load's constructors of the implicit scalar types, and the instance
-# whose stateless methods (these and flatten_mapping) every parse shares
-_SCALARS = {_TAG + name: SafeConstructor.yaml_constructors[_TAG + name]
-            for name in ("null", "bool", "int", "float", "timestamp")}
-_CONSTRUCTOR = SafeConstructor()
-# libyaml's composer recurses in C, once per nesting level, and parses flow
-# nesting in time quadratic in its depth; every collection holds one of
-# _INDICATORS, so a text with no more of them than this nests no deeper
-_MAX_DEPTH = 1_000
-_INDICATORS = "[{-:?"
-
-
-def _value(node, built, pending):
-    """What ``yaml.safe_load`` builds of ``node``.  A default sequence or
-    mapping is returned empty, kept in ``built`` under its node's id (an
-    alias is its anchor's object, a recursive one closes its cycle) and
-    queued on ``pending`` for ``_load`` to fill; any other tagged node
-    goes to a fresh ``SafeConstructor``."""
-    kind = type(node)
-    if kind is yaml.ScalarNode and node.tag == _STR:
-        return node.value
-    if kind is yaml.ScalarNode and node.tag in _SCALARS:
-        try:
-            return _SCALARS[node.tag](_CONSTRUCTOR, node)
-        except (ValueError, LookupError, AttributeError) as exc:
-            # a date that does not exist, `!!int abc`, `!!bool abc`, ...
-            raise ConstructorError(None, None, f"cannot construct {node.tag} from "
-                                   f"{node.value!r}: {exc}", node.start_mark) from exc
-    if id(node) in built:
-        return built[id(node)]
-    if kind is yaml.SequenceNode and node.tag == _SEQ:
-        out = built[id(node)] = []
-    elif kind is yaml.MappingNode and node.tag == _MAP:
-        out = built[id(node)] = {}
-    else:
-        # !!set, !!omap, !!pairs, !!binary, local tags, collection tags on scalars
-        return SafeConstructor().construct_document(node)
-    pending.append(node)
-    return out
-
-
-def _load(text):
-    """``yaml.safe_load(text)``, built by ``_value`` from libyaml's node
-    graph.  Collections are filled first in, first out, as safe_load fills
-    them, so of several construction errors the same one is raised."""
-    if sum(map(text.count, _INDICATORS)) > _MAX_DEPTH:
-        _check_depth(text)
-    root = yaml.compose(text, Loader=_LOADER)
-    built, pending = {}, deque()
-    doc = None if root is None else _value(root, built, pending)
-    while pending:
-        node = pending.popleft()
-        out = built[id(node)]
-        if type(node) is yaml.SequenceNode:
-            out += [_value(item, built, pending) for item in node.value]
-            continue
-        _CONSTRUCTOR.flatten_mapping(node)      # `<<` merges, `=` keys
-        for key_node, value_node in node.value:
-            key = _value(key_node, built, pending)
-            try:
-                hash(key)
-            except TypeError:
-                raise ConstructorError("while constructing a mapping", node.start_mark,
-                                       "found unhashable key", key_node.start_mark) from None
-            out[key] = _value(value_node, built, pending)
-    return doc
-
-
-def _check_depth(text):
-    """Raise ScenarioParseError at the first collection of ``text`` nested
-    deeper than ``_MAX_DEPTH``, on parser events, which libyaml makes in a loop."""
-    loader, depth = _LOADER(text), 0
-    while loader.check_event():
-        event = loader.get_event()
-        depth += (isinstance(event, yaml.CollectionStartEvent)
-                  - isinstance(event, yaml.CollectionEndEvent))
-        if depth > _MAX_DEPTH:
-            m = event.start_mark
-            raise ScenarioParseError(f"collections nest deeper than {_MAX_DEPTH} levels "
-                                     f"at line {m.line + 1}, column {m.column + 1}")
-
-
-def _document(text):
-    """The mapping of a scenario document's text."""
-    try:
-        doc = _load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"not a well-formed YAML document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("scenario must be a YAML mapping")
-    return doc
-
-
 def parse_scenario(text, **run) -> Scenario:
     """Parse and validate a scenario document's text, with the ``run``
-    fields given in place of the document's own."""
-    return _scenario_from(_document(text), run)
+    fields given in place of the document's own.  The loader, and PyYAML
+    with it, is imported on the first call."""
+    from .document import load_document
+
+    return _scenario_from(load_document(text), run)
 
 
 def _scenario_from(doc, run_overrides) -> Scenario:

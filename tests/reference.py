@@ -9,22 +9,23 @@ CSV output as one string, the per-point sampler of a Riemann solution
 and the per-point pipe records that a snapshot's runs expand to.  And
 the definitions that faster code must repeat bit for bit: the
 characteristic speeds as one tuple, the fan-edge speed read off it, the
-tracker's fronts of a list of waves with every rarefaction sliced, its
-accurate step on M2/M3 data built from the public Riemann solver, and
+tracker's fronts of a list of waves with every rarefaction sliced, and
+its accurate step on M2/M3 data built from the public Riemann solver.  And
 the weak-form residual by the scalar Simpson rule, segment by segment
-and bump by bump."""
+and bump by bump, with the flux vector of its jump defects, which the
+array pass repeats to within a stated tolerance."""
 
 import io
 
 import numpy as np
 
 from gasnet.errors import NotSubsonic
-from gasnet.fronttracking import _STRENGTH_FLOOR, _slice_fan, flux_vector
+from gasnet.fronttracking import _STRENGTH_FLOOR, _slice_fan
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
 from gasnet.output import write_csv
 from gasnet.riemann import RAREFACTION, fan_state, solve_riemann_iso
-from gasnet.thermo import Model, sound_speed
+from gasnet.thermo import Model, pressure, sound_speed
 
 
 def curve_derivatives_at_base(role, base, g):
@@ -284,6 +285,17 @@ def accurate_iso_fronts(left, right, g, epsilon, scales):
     if fronts:
         fronts[-1].right = right
     return fronts
+
+
+def flux_vector(state, g):
+    """The flux of the conservation law at ``state``: (q, q u + p) on M2,
+    (q, p) on M3, and on M1 also the energy flux u (E + p)."""
+    p = pressure(state, g)
+    if state.model is Model.M1:
+        return (state.q, state.q * state.u + p, state.u * (state.E + p))
+    if state.model is Model.M2:
+        return (state.q, state.q * state.u + p)
+    return (state.q, p)
 
 
 def scalar_weak_form_residual(state, test_functions, horizon):

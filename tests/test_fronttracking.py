@@ -34,7 +34,6 @@ from gasnet.fronttracking import (
     FrontTrackingState,
     PipeScales,
     Segment,
-    _bump_values,
     _front_from_jump,
     accurate_solve,
     apply_wave,
@@ -633,30 +632,38 @@ def test_epsilon_ladder_nonphysical_strength_is_order_epsilon():
         assert fine <= 0.6 * coarse, residuals
 
 
-def test_weak_form_support_culling_is_exact():
-    # skipping segments outside a bump's support only drops exact zeros,
-    # for one bump per call and for all ten bumps in one call
-    from gasnet.fronttracking import (
-        FrictionSource,
-        bump_test_functions,
-        operator_split_run,
-        weak_form_residual,
-    )
-    from test_splitting import perturbed_scenario
+# The array pass takes its jump defects from the scalar rule bit for bit;
+# only exp differs, np.exp against math.exp, by at most one ulp.  Every
+# term of a bump's sum is non-negative, so that ulp moves each term, and
+# each sum, by a few ulps relative, with no cancellation to magnify it
+# (at most 4.0e-16, about two ulps, on the data of the tests below);
+# 1e-13 is about 450 ulps.
+WEAK_FORM_RTOL = 1e-13
 
-    def each_bump(fn, state, x_max):
-        # one bump at a time: the maximum over bumps would hide all but one
-        return [fn(state, [phi], 1.0) for phi in bump_test_functions(x_max, 1.0)]
+
+def _assert_weak_form_matches_reference(state, x_max, horizon):
+    """``weak_form_residual`` within WEAK_FORM_RTOL of the scalar rule for
+    each bump alone (the maximum over bumps would hide all but one) and
+    for all ten in one call, whose reference is the largest of the
+    single ones; returns the single ones."""
+    funcs = bump_test_functions(x_max, horizon)
+    want = [scalar_weak_form_residual(state, [phi], horizon) for phi in funcs]
+    got = [weak_form_residual(state, [phi], horizon) for phi in funcs]
+    assert got == pytest.approx(want, rel=WEAK_FORM_RTOL, abs=0.0)
+    assert weak_form_residual(state, funcs, horizon) == pytest.approx(
+        max(want), rel=WEAK_FORM_RTOL, abs=0.0)
+    return got
+
+
+def test_weak_form_matches_scalar_reference_on_runs():
+    from gasnet.fronttracking import FrictionSource, operator_split_run
+    from test_splitting import perturbed_scenario
 
     for eps in (0.02, 0.01):
         state = ladder_scenario(eps)
         state.run(1.0)
         state.finalize_segments()
-        assert (each_bump(weak_form_residual, state, 4.0)
-                == each_bump(scalar_weak_form_residual, state, 4.0))
-        funcs = bump_test_functions(4.0, 1.0)
-        assert (weak_form_residual(state, funcs, 1.0)
-                == scalar_weak_form_residual(state, funcs, 1.0))
+        _assert_weak_form_matches_reference(state, 4.0, 1.0)
     # epsilon 0.005: absorbing weak fronts at the source steps and
     # colliding every pair of physical fronts by the accurate step leave
     # too few segments at 0.007 (about 3,700) for the floor below
@@ -664,57 +671,31 @@ def test_weak_form_support_culling_is_exact():
     state = init_approximation(specs, profiles, G, epsilon=0.005)
     operator_split_run(state, FrictionSource(0.02, 0.5), 1.0, 0.1)
     state.finalize_segments()
-    res = each_bump(weak_form_residual, state, 1.0)
+    res = _assert_weak_form_matches_reference(state, 1.0, 1.0)
     assert len(state.segments) > 5000 and min(res) > 0.0
-    assert res == each_bump(scalar_weak_form_residual, state, 1.0)
-    funcs = bump_test_functions(1.0, 1.0)
-    assert weak_form_residual(state, funcs, 1.0) == scalar_weak_form_residual(state, funcs, 1.0)
 
 
-def test_bump_values_match_scalar_definition():
-    # the array evaluation is the scalar definition bit for bit, 0.0 on and
-    # beyond the support edges, and divides by zero nowhere; evaluated for
-    # all bumps at once, one row per bump, each row is that bump's scalar
-    # definition where the row's culling mask holds and 0.0 elsewhere
-    def values(phi, x, t):
-        return _bump_values(phi.xc, phi.wx, phi.tc, phi.wt, x, t, True)
+def test_weak_form_matches_scalar_reference_across_models(rng):
+    # the M1 energy row and M3's momentum flux: the M1 junction of
+    # _m1_cases with friction, its M1-to-M1 compressor, and an all-M3
+    # junction with two jumps per pipe
+    from gasnet.fronttracking import FrictionSource, operator_split_run
 
-    rng = np.random.default_rng(7)
-    bumps = bump_test_functions(4.0, 1.2) + [Bump(0.5, 0.25, 0.75, 0.5)]
-    for phi in bumps:
-        xa, xb, ta, tb = phi.support
-        x = rng.uniform(xa - 0.1, xb + 0.1, 2000)
-        t = rng.uniform(ta - 0.1, tb + 0.1, 2000)
-        assert values(phi, x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
-        near = np.nextafter([xa, xb], phi.xc)    # just inside the x edges
-        x, t = np.repeat(near, 3), np.tile([ta, phi.tc, tb], 2)
-        assert values(phi, x, t).tolist() == [phi(a, b) for a, b in zip(x, t)]
-    # |sx| = 1 and |st| = 1 exactly: the dyadic bump's edges
-    phi = bumps[-1]
-    x = np.array([0.25, 0.75, 0.5, 0.5, 0.25, 0.75, 0.6])
-    t = np.array([0.75, 0.75, 0.25, 1.25, 0.25, 1.25, 1.25])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        edge = values(phi, x, t).tolist()
-        far = values(phi, np.array([-1e300, -3.0, 7.0, 1e300]),
-                     np.array([0.75, -1e300, 1e300, 0.75])).tolist()
-    assert edge == [phi(a, b) for a, b in zip(x, t)] == [0.0] * 7
-    assert far == [0.0] * 4
-    # all bumps at once, on points inside, on and just inside the support
-    # edges, and far away
-    xc, wx, tc, wt = np.array([(b.xc, b.wx, b.tc, b.wt) for b in bumps]).T[:, :, None]
-    sup = np.array([b.support for b in bumps])
-    x = np.concatenate([rng.uniform(-1.5, 5.5, 500), sup[:, :2].ravel(),
-                        np.nextafter(sup[:, :2], xc[:, :1]).ravel(), [-1e300, 1e300]])
-    t = rng.choice(np.concatenate([rng.uniform(-0.5, 2.0, 200), sup[:, 2:].ravel(),
-                                   tc.ravel(), [-1e300, 1e300]]), x.size)
-    keep = rng.random((len(bumps), x.size)) < 0.8
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = _bump_values(xc, wx, tc, wt, x, t, keep).tolist()
-    for phi, row, mask in zip(bumps, rows, keep):
-        assert row == [phi(a, b) if k else 0.0 for a, b, k in zip(x, t, mask)]
-    assert min(map(max, rows)) > 0.0
+    (specs, profiles, _), (c_specs, c_profiles, control) = _m1_cases(rng)
+    prob = build_fixed_point_junction(rng, G, [Model.M3], [Model.M3, Model.M3])
+    m3_profiles = [[(0.2 + 0.1 * k, p.state), (0.5 + 0.1 * k, perturb(p.state, 0.01, G, rng)),
+                    (None, perturb(p.state, 0.01, G, rng))] for k, p in enumerate(prob.pipes)]
+    # to 0.75 the junction makes about 800 events and 2,200 segments
+    junction = init_approximation(specs, profiles, G, epsilon=0.04)
+    operator_split_run(junction, FrictionSource(0.02, 0.5), 0.75, 0.1)
+    compressor = init_approximation(c_specs, c_profiles, G, epsilon=0.02, control=control)
+    compressor.run(1.5)
+    m3 = init_approximation([p.spec for p in prob.pipes], m3_profiles, G, epsilon=0.02)
+    m3.run(1.5)
+    for state in (junction, compressor, m3):
+        state.finalize_segments()
+        assert {r.kind for r in state.interactions} >= {"collision", "junction"}
+        assert min(_assert_weak_form_matches_reference(state, 1.0, state.time)) > 0.0
 
 
 def _stub_state(segments, n_pipes):
@@ -734,7 +715,7 @@ def _segment_sets(draw):
     exact (zero-defect) jumps, speed-0 segments, and segments that start,
     end or lie on the support edges, cross them or stay outside."""
     phi = draw(_bumps)
-    xa, xb, ta, tb = phi.support
+    xa, xb, ta, tb = phi.xc - phi.wx, phi.xc + phi.wx, phi.tc - phi.wt, phi.tc + phi.wt
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     models = (Model.M1, Model.M2)
 
@@ -764,13 +745,11 @@ def test_weak_form_kernel_matches_scalar_reference(case, horizon):
     # each bump alone, and all bumps in one call
     state, phi = case
     funcs = [phi] + bump_test_functions(2.0, horizon)
-    for bump in funcs:
-        res = weak_form_residual(state, [bump], horizon)
+    for bumps in [[bump] for bump in funcs] + [funcs]:
+        res = weak_form_residual(state, bumps, horizon)
         assert type(res) is float
-        assert res == scalar_weak_form_residual(state, [bump], horizon)
-    res = weak_form_residual(state, funcs, horizon)
-    assert type(res) is float
-    assert res == scalar_weak_form_residual(state, funcs, horizon)
+        assert res == pytest.approx(scalar_weak_form_residual(state, bumps, horizon),
+                                    rel=WEAK_FORM_RTOL, abs=0.0)
 
 
 def test_weak_form_residual_without_defects_is_zero():

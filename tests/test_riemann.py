@@ -31,7 +31,7 @@ from gasnet.riemann import (
     solve_riemann_iso,
     solve_riemann_m1,
 )
-from reference import sample_at
+from reference import flux_vector, sample_at
 
 G = GasConstants(gamma=1.4, R=1.0)
 GAMMA = 1.4
@@ -113,8 +113,6 @@ def bisect_rho_star(left, right, model, lo=1e-8, hi=10.0, iters=200):
 
 
 def rankine_hugoniot_residual(wave, g):
-    from gasnet.fronttracking import flux_vector
-
     fl = np.array(flux_vector(wave.left, g))
     fr = np.array(flux_vector(wave.right, g))
     if wave.left.model is Model.M1:

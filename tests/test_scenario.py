@@ -17,6 +17,7 @@ from gasnet import (
     NotSubsonic,
     ScenarioParseError,
     ScenarioValidationError,
+    document,
     iso_state,
     scenario,
 )
@@ -748,7 +749,7 @@ def test_parse_matches_pure_python_loader(name):
     if name == "riemann_batch seed 3":
         assert len(texts) == 206
     for text in texts:
-        assert _typed(scenario._document(text)) == _typed(yaml.safe_load(text))
+        assert _typed(document.load_document(text)) == _typed(yaml.safe_load(text))
 
 
 def _outcome(load, text):
@@ -761,12 +762,12 @@ def _outcome(load, text):
 
 
 def _assert_loads_as_safe_load(text):
-    """``scenario._load(text)`` is ``yaml.safe_load(text)``, or raises the
+    """``document._load(text)`` is ``yaml.safe_load(text)``, or raises the
     YAMLError safe_load with libyaml raises, word for word (the
     pure-Python loader's marks also quote the line); returns the
     outcome."""
-    want = _outcome(lambda t: yaml.load(t, Loader=scenario._LOADER), text)
-    assert _outcome(scenario._load, text) == want
+    want = _outcome(lambda t: yaml.load(t, Loader=document._LOADER), text)
+    assert _outcome(document._load, text) == want
     if want[0] == "value":
         assert want == _outcome(yaml.safe_load, text)
     return want
@@ -885,7 +886,7 @@ def test_event_builder_falls_back_to_yaml_load(name):
             parse_scenario(text)
         assert str(err.value) == f"not a well-formed YAML document: {want}"
     else:
-        assert _typed(scenario._document(text)) == want
+        assert _typed(document.load_document(text)) == want
 
 
 @pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])

@@ -3,7 +3,8 @@ benchmark's tracing wrappers and workloads, module-level imports nothing
 uses, private functions nothing names, public functions, classes and
 methods that only tests name, parameters that no body reads, declared
 fields that nothing reads, numpy kept off the import path of riemann
-mode and ``gasnet check``, and dataclasses kept off that of the CLI."""
+mode and ``gasnet check``, PyYAML off that of the tracker and ``gasnet
+diagnose``, and dataclasses off that of the CLI."""
 
 import ast
 import importlib.util
@@ -302,11 +303,58 @@ def test_cli_modules_load_neither_dataclasses_nor_inspect(tmp_path):
     assert found == []
 
 
+_TRACKER_WITHOUT_YAML = """
+import json, sys
+import gasnet.cli
+from gasnet.fronttracking import (FrictionSource, bump_test_functions, init_approximation,
+                                  operator_split_run, weak_form_residual)
+from gasnet.junction import PipeSpec
+from gasnet.scenario import trace_residuals
+from gasnet.thermo import M2, GasConstants, iso_state
+g = GasConstants(gamma=1.4, R=1.0)
+u = 0.3 * 1.4 ** 0.5
+specs = [PipeSpec("a", 1.0, M2), PipeSpec("b", 1.0, M2)]
+profiles = [[(0.4, iso_state(M2, 1.0, -u, 1.0)), (None, iso_state(M2, 1.03, -u, 1.0))],
+            [(0.6, iso_state(M2, 1.0, u, 1.0)), (None, iso_state(M2, 0.97, u, 1.0))]]
+state = init_approximation(specs, profiles, g, epsilon=0.02)
+operator_split_run(state, FrictionSource(0.02, 0.5), 0.5, 0.1)
+state.finalize_segments()
+assert max(trace_residuals(state, specs, g).values()) < 1e-9
+assert weak_form_residual(state, bump_test_functions(1.0, 0.5), 0.5) > 0.0
+assert gasnet.cli.main(["diagnose", "--results", sys.argv[1]]) == 0
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] in ("yaml", "_yaml"))))
+"""
+
+
+def test_tracker_and_diagnose_do_not_import_yaml(tmp_path):
+    # PyYAML serves only the parsing of scenario documents: a fresh process
+    # that runs the tracker with friction from Python objects, computes its
+    # trace and weak-form residuals and diagnoses a results file leaves it
+    # unloaded; and gasnet.document alone imports it, at the top or in a
+    # function
+    from gasnet.cli import main
+
+    results = tmp_path / "out"
+    assert main(["riemann", "--scenario", str(ROOT / "scenarios" / "y_junction_riemann.yaml"),
+                 "--out", str(results)]) == 0
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _TRACKER_WITHOUT_YAML,
+                          str(results / "y_junction_riemann.json")],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "[]", run.stdout
+    found = sorted({path.name for path in SRC.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text())) if _imports(node, "yaml")})
+    assert found == ["document.py"]
+
+
 YAML_LOADS = {"load", "safe_load", "full_load", "unsafe_load", "parse"}
 
 
 def test_scenarios_have_one_yaml_loader():
-    # documents go through yaml.compose and scenario._value alone: no
+    # documents go through yaml.compose and document._value alone: no
     # module calls or imports a second way to load YAML
     found = []
     for path in sorted(SRC.glob("*.py")):
