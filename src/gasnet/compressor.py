@@ -45,7 +45,7 @@ class CompressorControl(_Checked, _ControlFields):
     def __new__(cls, kind, value, cp_coeff=None):
         if kind not in (ADIABATIC_HEAD, POWER):
             raise ValueError(f"control kind must be CP1 or CP2, got {kind!r}")
-        if value < 0.0:
+        if not value >= 0.0:
             raise ValueError("control value must be non-negative")
         if kind == POWER and (cp_coeff is None or not cp_coeff > 0.0):
             raise ValueError("power control needs a positive cp_coeff")

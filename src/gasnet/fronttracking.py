@@ -90,23 +90,26 @@ ones already in order, rechains them from the state behind them and
 recomputes only the pair times next to them: initialization, source
 steps and every event splice, so an event costs its own fronts and a
 C-level minimum over each touched pipe's pair times.  Every coupling
-solve goes through ``_emit``, which sets all traces and splices the
-emitted fronts at the front of each pipe; the t = 0 solve also fixes
-each pipe's role.
+solve but the K_J probes goes through ``_emit``, which sets all traces
+and splices the emitted fronts at the front of each pipe; the t = 0
+solve also fixes each pipe's role.
 Adjacent same-family rarefaction fronts diverge and contacts are
 parallel, so a collision never pairs two of them.  No front moves: a
 front is the line ``born_x + speed * (t - born_t)``; pair times and
 collision midpoints evaluate it inline, and ``Front.at`` elsewhere.  A
 front's scaled strength is one division, ``abs(strength)`` by its
-pipe's ``family_scales`` entry for its family, and a fan slice's speed
-is the one edge eigenvalue that ``fan_edge_speed`` computes.  On M2/M3
-pipes the two waves of ``solve_riemann_iso`` share its star state, so
-``accurate_solve`` passes them through ``_wave_fronts`` and only snaps
-the chain's ends, and ``_handle_collision`` places the fronts and sums
-their scaled strength in one loop.  The event loop keeps no Glimm
-totals; ``glimm()`` evaluates (V, Q, TV) on demand, and ``_pipe_glimm``
-walks each pipe's fronts once, with running strength sums per family
-for Q.
+pipe's ``PipeScales.family`` entry for its family, and a fan slice's
+speed is the one edge eigenvalue that ``fan_edge_speed`` computes.
+Every front the accurate step or a coupling solve makes passes one
+gate, ``_wave_fronts``: it drops the waves below the strength floor,
+slices rarefactions and closes the chain across a dropped wave, so
+``accurate_solve`` is one Riemann solve, that gate and a snap of the
+chain's ends for every model, and ``_emit`` checks that each emitted
+shock or contact leaves the junction before it changes any pipe.
+``_handle_collision`` places the fronts and sums their scaled strength
+in one loop.  The event loop keeps no Glimm totals; ``glimm()``
+evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks each pipe's
+fronts once, with running strength sums per family for Q.
 
 The weak-form diagnostic (``weak_form_residual``) is one pass after the
 run over the retired segments, which a ladder member does not keep: a
@@ -170,17 +173,14 @@ _APPROACHING = {M1_OUT: (1,), M1_IN: (1, 2), ISO: (1,)}
 
 
 class PipeScales(NamedTuple):
-    """Per-pipe nondimensionalization fixed at t = 0."""
+    """Per-pipe nondimensionalization fixed at t = 0.  ``family[k]`` scales
+    family-k strengths: pressure (M1 acoustic families) or density, and 1.0
+    for non-physical fronts, whose strength is a scaled state norm already."""
 
-    param: float   # pressure scale (M1) or density scale (M2/M3)
     rho: float
     q: float
     E: float
-
-    def strength_scale(self, family, model):
-        if family == 2 and model is M1:
-            return self.rho
-        return self.param
+    family: tuple
 
     def state_norm(self, a: PipeState, b: PipeState):
         n = abs(a.rho - b.rho) / self.rho + abs(a.q - b.q) / self.q
@@ -337,17 +337,22 @@ def _wave_fronts(waves, g, epsilon, scales: PipeScales):
     """Fronts of the waves above the strength floor, left to right: shocks
     and contacts as they are, rarefactions sliced to scaled strength <=
     epsilon but for isentropic ones already that weak (a full-Euler single
-    slice takes its pressure from the energy, so it can differ by rounding)."""
+    slice takes its pressure from the energy, so it can differ by rounding).
+    Each wave's first front starts from the last front kept, so the chain
+    closes across a dropped wave; kept neighbours share that state already."""
     fronts = []
     for w in waves:
-        sc = scales.strength_scale(w.family, w.left.model)
+        sc = scales.family[w.family]
         strength = abs(w.strength)
         if strength < _STRENGTH_FLOOR * sc:
             continue
         if w.kind == RAREFACTION and (strength > epsilon * sc or w.left.model is M1):
-            fronts += _slice_fan(w, g, epsilon * sc)
+            new = _slice_fan(w, g, epsilon * sc)
         else:
-            fronts.append(w)
+            new = [w]
+        if fronts:
+            new[0].left = fronts[-1].right
+        fronts += new
     return fronts
 
 
@@ -363,12 +368,8 @@ def accurate_solve(left: PipeState, right: PipeState, g: GasConstants,
     """Exact local Riemann solution from ``left`` to ``right`` as unplaced
     fronts: rarefactions sliced to scaled strength <= epsilon, and waves
     below the strength floor dropped, the chain closing across them."""
-    if left.model is M1:
-        fronts = _wave_fronts(solve_riemann_m1(left, right, g).waves, g, epsilon, scales)
-        for a, b in zip(fronts, fronts[1:]):
-            b.left = a.right
-    else:
-        fronts = _wave_fronts(solve_riemann_iso(left, right, g).waves, g, epsilon, scales)
+    solve = solve_riemann_m1 if left.model is M1 else solve_riemann_iso
+    fronts = _wave_fronts(solve(left, right, g).waves, g, epsilon, scales)
     if fronts:
         fronts[0].left = left
         fronts[-1].right = right
@@ -418,8 +419,8 @@ class FrontTrackingState:
     def __init__(self, specs, profiles, constants: GasConstants, epsilon,
                  control=None, max_events=DEFAULT_MAX_EVENTS, tol=DEFAULT_TOL,
                  ladder_of=None):
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.g = constants
         self.epsilon = epsilon
         self.rho_simpl = epsilon ** 3
@@ -438,18 +439,14 @@ class FrontTrackingState:
         traces0 = [p[0][1] for p in pieces]
 
         self.scales = []
-        # per pipe, each family's strength scale, indexed by family; 1.0 for
-        # non-physical fronts, whose strength is a scaled state norm already
-        self.family_scales = []
         lam_max = 0.0
         for piecelist in pieces:
             st0 = piecelist[0][1]
             c0 = sound_speed(st0, self.g)
             E_sc = st0.E if st0.model is M1 else 1.0
-            sc = PipeScales(curve_parameter(1, st0, self.g), st0.rho, st0.rho * c0, E_sc)
-            self.scales.append(sc)
-            self.family_scales.append(
-                (1.0,) + tuple(sc.strength_scale(fam, st0.model) for fam in (1, 2, 3)))
+            # each family's strength scale is its curve parameter at st0
+            self.scales.append(PipeScales(st0.rho, st0.rho * c0, E_sc, (1.0,) + tuple(
+                curve_parameter(fam, st0, self.g) for fam in (1, 2, 3))))
             for _, st in piecelist:
                 lam_max = max(lam_max, max(abs(v) for v in eigenvalues(st, self.g)))
         self.lambda_max = lam_max
@@ -475,35 +472,28 @@ class FrontTrackingState:
 
     # -- coupling ------------------------------------------------------------
 
-    def _coupling_patterns(self, data):
-        """Solve the coupling at the pipe traces ``data``; the coupling
-        problem, and per pipe the emitted waves and the new trace.  A wave
-        that would run into the junction raises SubsonicViolation."""
-        problem, _, patterns = solve_coupling(self.specs, data, self.g, self.control,
-                                              self.tol)
-        for spec, scales, (waves, _) in zip(self.specs, self.scales, patterns):
-            for w in waves:
-                sc = scales.strength_scale(w.family, w.left.model)
-                if w.kind != RAREFACTION and w.speed <= 0.0 \
-                        and abs(w.strength) > _STRENGTH_FLOOR * sc:
-                    raise SubsonicViolation(
-                        f"emitted wave on pipe {spec.id!r} has speed {w.speed:g}")
-        return problem, patterns
-
     def _emit(self, data, hit=None):
         """Solve the coupling at the pipe traces ``data``, set every trace
         to its solved state and splice the emitted fronts, born at the
         junction now, in front of each pipe's fronts, in place of the
         first front of pipe ``hit``; returns the coupling problem and the
-        fronts' summed scaled strength."""
-        problem, patterns = self._coupling_patterns(data)
+        fronts' summed scaled strength.  An emitted shock or contact that
+        would not leave the junction raises SubsonicViolation before any
+        trace or front changes."""
+        problem, _, patterns = solve_coupling(self.specs, data, self.g, self.control,
+                                              self.tol)
+        emitted = [_wave_fronts(waves, self.g, self.epsilon, sc)
+                   for (waves, _), sc in zip(patterns, self.scales)]
+        for spec, new in zip(self.specs, emitted):
+            for f in new:
+                if f.kind != RAREFACTION and f.speed <= 0.0:
+                    raise SubsonicViolation(
+                        f"emitted wave on pipe {spec.id!r} has speed {f.speed:g}")
         v_plus = 0.0
-        for j, (waves, trace) in enumerate(patterns):
+        for j, ((_, trace), new) in enumerate(zip(patterns, emitted)):
             self.pipes[j].trace = trace
-            new = _placed(_wave_fronts(waves, self.g, self.epsilon, self.scales[j]),
-                          0.0, self.time)
-            self._splice(j, 0, 1 if j == hit else 0, new)
-            fs = self.family_scales[j]
+            self._splice(j, 0, 1 if j == hit else 0, _placed(new, 0.0, self.time))
+            fs = self.scales[j].family
             v_plus += sum(abs(f.strength) / fs[f.family] for f in new)
         return problem, v_plus
 
@@ -515,13 +505,14 @@ class FrontTrackingState:
         skipped = 0
         for i in range(len(self.specs)):
             for fam in _APPROACHING[self.roles[i]]:
-                sc = self.scales[i].strength_scale(fam, traces0[i].model)
+                sc = self.scales[i].family[fam]
                 for sign in (1.0, -1.0):
                     try:
                         data_i = apply_wave(fam, sign * h * sc, traces0[i], self.g)
                         data = list(traces0)
                         data[i] = data_i
-                        _, patterns = self._coupling_patterns(data)
+                        patterns = solve_coupling(self.specs, data, self.g,
+                                                  self.control, self.tol)[2]
                     except GasnetError:
                         skipped += 1
                         continue
@@ -535,7 +526,7 @@ class FrontTrackingState:
     # -- strengths and functionals --------------------------------------------
 
     def _scaled_strength(self, pipe_index, front):
-        return abs(front.strength) / self.family_scales[pipe_index][front.family]
+        return abs(front.strength) / self.scales[pipe_index].family[front.family]
 
     def _pipe_glimm(self, i):
         """(V, Q, TV, non-physical strength) of pipe i's fronts, in one pass
@@ -553,7 +544,8 @@ class FrontTrackingState:
         """
         towards = _APPROACHING[self.roles[i]]
         weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
-        scales, fs = self.scales[i], self.family_scales[i]
+        scales = self.scales[i]
+        fs = scales.family
         behind = [0.0] * 5
         behind_shock = [0.0] * 5
         v = q = tv = 0.0
@@ -689,7 +681,7 @@ class FrontTrackingState:
         a, b = track.fronts[k], track.fronts[k + 1]
         t = self.time
         x = 0.5 * ((a.born_x + a.speed * (t - a.born_t)) + (b.born_x + b.speed * (t - b.born_t)))
-        fs = self.family_scales[i]
+        fs = self.scales[i].family
         va, vb = abs(a.strength) / fs[a.family], abs(b.strength) / fs[b.family]
         self._retire(i, a, self.time)
         self._retire(i, b, self.time)

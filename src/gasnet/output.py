@@ -31,7 +31,7 @@ def state_fields(state: PipeState, g: GasConstants):
         "h": tq.h,
         "c": tq.c,
     }
-    if state.model.is_isentropic:
+    if state.model is not M1:
         out["kappa"] = state.kappa
     return out
 

@@ -26,10 +26,6 @@ class Model(Enum):
     M2 = "M2"
     M3 = "M3"
 
-    @property
-    def is_isentropic(self):
-        return self is not M1
-
 
 # the members as module constants: on Python 3.11 ``EnumType.__getattr__``
 # sends every ``Model.M1`` through the metaclass's slow attribute path
@@ -72,7 +68,7 @@ class GasConstants(_Checked, _GasConstantsFields):
             raise ValueError(f"gamma must exceed 1, got {gamma}")
         if not R > 0.0:
             raise ValueError(f"R must be positive, got {R}")
-        if s0 < 0.0:
+        if not s0 >= 0.0:
             raise ValueError(f"s0 must be non-negative, got {s0}")
         return tuple.__new__(cls, (gamma, R, s0))
 

@@ -24,7 +24,7 @@ from gasnet.fronttracking import _STRENGTH_FLOOR, _slice_fan
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
 from gasnet.output import write_csv
-from gasnet.riemann import RAREFACTION, fan_state, solve_riemann_iso
+from gasnet.riemann import RAREFACTION, fan_state, solve_riemann_iso, solve_riemann_m1
 from gasnet.thermo import Model, pressure, sound_speed
 
 
@@ -259,10 +259,11 @@ def sliced_wave_fronts(waves, g, epsilon, scales):
     """``fronttracking._wave_fronts`` by its definition: the fronts of the
     waves above the strength floor, left to right, each shock or contact
     its own front and each rarefaction sliced by ``_slice_fan`` into jumps
-    of scaled strength <= epsilon, a single slice included."""
+    of scaled strength <= epsilon, a single slice included.  The chain is
+    not closed across a dropped wave here; ``accurate_fronts`` closes it."""
     fronts = []
     for w in waves:
-        sc = scales.strength_scale(w.family, w.left.model)
+        sc = scales.family[w.family]
         if abs(w.strength) < _STRENGTH_FLOOR * sc:
             continue
         if w.kind == RAREFACTION:
@@ -272,12 +273,14 @@ def sliced_wave_fronts(waves, g, epsilon, scales):
     return fronts
 
 
-def accurate_iso_fronts(left, right, g, epsilon, scales):
-    """``fronttracking.accurate_solve`` on M2/M3 data by its definition:
-    the waves of ``solve_riemann_iso`` through ``sliced_wave_fronts``,
-    then rechained from ``left``, each front's left state the right state
-    of the front before it, and the last front's right state ``right``."""
-    fronts = sliced_wave_fronts(solve_riemann_iso(left, right, g).waves, g, epsilon, scales)
+def accurate_fronts(left, right, g, epsilon, scales):
+    """``fronttracking.accurate_solve`` by its definition: the waves of
+    ``solve_riemann_m1`` (M1 data) or ``solve_riemann_iso`` (M2/M3 data)
+    through ``sliced_wave_fronts``, then rechained from ``left``, each
+    front's left state the right state of the front before it, and the
+    last front's right state ``right``."""
+    solve = solve_riemann_m1 if left.model is Model.M1 else solve_riemann_iso
+    fronts = sliced_wave_fronts(solve(left, right, g).waves, g, epsilon, scales)
     prev = left
     for f in fronts:
         f.left = prev

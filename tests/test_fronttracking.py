@@ -46,13 +46,21 @@ from gasnet.fronttracking import (
 from gasnet.compressor import POWER
 from gasnet.junction import JunctionProblem, PipeSpec, solve_junction
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT
-from gasnet.riemann import RAREFACTION, SHOCK, _acoustic_wave, solve_riemann_iso, solve_riemann_m1
+from gasnet.errors import SubsonicViolation
+from gasnet.riemann import (
+    RAREFACTION,
+    SHOCK,
+    Front,
+    _acoustic_wave,
+    solve_riemann_iso,
+    solve_riemann_m1,
+)
 from gasnet.scenario import trace_residuals
 from gasnet.thermo import sound_speed
-from reference import accurate_iso_fronts, scalar_weak_form_residual, sliced_wave_fronts
+from reference import accurate_fronts, scalar_weak_form_residual, sliced_wave_fronts
 
 G = GasConstants(gamma=1.4, R=1.0)
-UNIT_SCALES = PipeScales(1.0, 1.0, 1.0, 1.0)
+UNIT_SCALES = PipeScales(1.0, 1.0, 1.0, (1.0, 1.0, 1.0, 1.0))
 
 
 def balanced_m3_junction(n_out=2, f_in=0.3, f_out=0.25, h_star=3.0, kappa=1.0):
@@ -182,7 +190,7 @@ def test_same_family_shock_merge_sheds_nonphysical():
     state = init_approximation(specs, profiles, G, epsilon=0.05)
     track = state.pipes[1]
     st = track.trace
-    p_scale = state.scales[1].param
+    p_scale = state.scales[1].family[3]
     mid = apply_wave(3, 0.01 * p_scale, st, G)
     right = apply_wave(3, 0.004 * p_scale, mid, G)
 
@@ -216,7 +224,7 @@ def test_weak_wave_reflection_keeps_other_pipes_silent():
     st = track.trace
     # family-1 wave on the incoming pipe runs toward the junction; strength
     # far below rho_simpl = epsilon^3
-    tiny = 1e-4 * state.rho_simpl * state.scales[0].param
+    tiny = 1e-4 * state.rho_simpl * state.scales[0].family[1]
     behind = apply_wave(1, tiny, st, G)
 
     f = _front_from_jump(1, st, behind, G)
@@ -257,6 +265,48 @@ def _rich_scenario(amp=0.001, epsilon=0.005, parts=(1.0,)):
 
     copies = zip(*(pattern(amp * part) for part in parts))
     return init_approximation(specs, [end_to_end(c, 0.7) for c in copies], G, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -0.01])
+def test_epsilon_must_be_positive_and_finite(epsilon):
+    # nan fails every slicing comparison, so it would keep whole fans as
+    # one front, and inf would reflect every junction hit
+    specs, profiles = balanced_m3_junction()
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+        init_approximation(specs, profiles, G, epsilon=epsilon)
+
+
+def test_emitted_front_into_the_junction_raises_before_any_pipe_changes(monkeypatch):
+    # a coupling solve whose pattern sends a shock of negative speed into
+    # the last pipe is refused with that pipe's id, and no trace, front or
+    # pair time of any pipe has changed
+    import gasnet.fronttracking as ft
+
+    state = _rich_scenario(amp=0.001, epsilon=0.01)
+    last = len(state.pipes) - 1
+
+    def into_the_junction(specs, data, g, control=None, tol=None):
+        problem, sol, patterns = solve_coupling(specs, data, g, control, tol)
+        trace = patterns[last][1]
+        ahead = iso_state(trace.model, 1.2 * trace.rho, trace.u, trace.kappa)
+        patterns[last] = ([Front(2, SHOCK, -0.1, 0.2 * trace.rho, trace, ahead)], trace)
+        return problem, sol, patterns
+
+    def snapshot():
+        return [(t.trace, list(t.fronts), list(t.times),
+                 [(f.left, f.right, f.born_x, f.born_t) for f in t.fronts])
+                for t in state.pipes]
+
+    before = snapshot()
+    assert sum(len(fronts) for _, fronts, _, _ in before) > 0
+    monkeypatch.setattr(ft, "solve_coupling", into_the_junction)
+    with pytest.raises(SubsonicViolation, match=f"pipe {state.specs[last].id!r}"):
+        state._emit(state.traces())
+    after = snapshot()
+    for (trace, fronts, times, chain), (trace2, fronts2, times2, chain2) in zip(before, after):
+        assert trace2 is trace and times2 == times
+        assert len(fronts2) == len(fronts) and all(a is b for a, b in zip(fronts, fronts2))
+        assert all(a is b for old, new in zip(chain, chain2) for a, b in zip(old, new))
 
 
 def test_glimm_single_front_and_pair():
@@ -416,7 +466,7 @@ def test_accurate_step_emits_exact_lax_jumps(monkeypatch):
     def checking(left, right, g, epsilon, scales):
         fronts = accurate_solve(left, right, g, epsilon, scales)
         for f in fronts:
-            sc = scales.strength_scale(f.family, f.left.model)
+            sc = scales.family[f.family]
             if f.kind == SHOCK or (f.kind == RAREFACTION and abs(f.strength) <= 1e-3 * sc):
                 miss = scales.state_norm(apply_wave(f.family, f.strength, f.left, g), f.right)
                 checked.append(miss)
@@ -440,7 +490,7 @@ def _iso_state(model, rho, mach, kappa):
 def _iso_scales(st):
     """The per-pipe scales the tracker fixes for an M2 or M3 pipe whose
     data start at st."""
-    return PipeScales(st.rho, st.rho, st.rho * sound_speed(st, G), 1.0)
+    return PipeScales(st.rho, st.rho * sound_speed(st, G), 1.0, (1.0, st.rho, st.rho, st.rho))
 
 
 @hs.composite
@@ -462,8 +512,8 @@ def _weak_collisions(draw):
     vb = min(10.0 ** draw(hs.floats(-6.0, 0.0)) * eps**3 / va, 0.2)
     cap = (1.0 - eps) * eps
     va, vb = (min(v, cap) if sign < 0 else v for v, sign in ((va, sa), (vb, sb)))
-    mid = apply_wave(fa, sa * va * scales.param, st, G)
-    right = apply_wave(fb, sb * vb * scales.param, mid, G)
+    mid = apply_wave(fa, sa * va * scales.family[fa], st, G)
+    right = apply_wave(fb, sb * vb * scales.family[fb], mid, G)
     a, b = _front_from_jump(fa, st, mid, G), _front_from_jump(fb, mid, right, G)
     assume(a.speed > b.speed and va * vb < eps**3)
     return a, b, eps, scales
@@ -484,7 +534,7 @@ def test_weak_collisions_on_2x2_pipes_keep_the_front_count(case):
     assert [f.family for f in out] == sorted({f.family for f in out})
     dropped = sum(scales.state_norm(w.left, w.right)
                   for w in solve_riemann_iso(a.left, b.right, G).waves
-                  if abs(w.strength) < _STRENGTH_FLOOR * scales.param)
+                  if abs(w.strength) < _STRENGTH_FLOOR * scales.family[w.family])
     for f in out:
         if f.kind != RAREFACTION:
             miss = scales.state_norm(apply_wave(f.family, f.strength, f.left, G), f.right)
@@ -526,8 +576,9 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
             got = ft._wave_fronts(waves, G, eps, scales)
             assert _front_fields(got) == _front_fields(sliced_wave_fronts(waves, G, eps, scales))
             for w in waves:
-                if w.kind == RAREFACTION and abs(w.strength) >= _STRENGTH_FLOOR * scales.param:
-                    if abs(w.strength) <= eps * scales.param:
+                sc = scales.family[w.family]
+                if w.kind == RAREFACTION and abs(w.strength) >= _STRENGTH_FLOOR * sc:
+                    if abs(w.strength) <= eps * sc:
                         kept += 1
                         assert w in got
                     else:
@@ -551,10 +602,12 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
         right = m1_state(left.rho * (1.0 + rel * rng.uniform(-1.0, 1.0)),
                          left.u + rel * rng.uniform(-1.0, 1.0),
                          pressure(left, G) * (1.0 + rel * rng.uniform(-1.0, 1.0)), G)
-        scales = PipeScales(pressure(left, G), left.rho, left.rho * sound_speed(left, G), left.E)
+        p = pressure(left, G)
+        scales = PipeScales(left.rho, left.rho * sound_speed(left, G), left.E,
+                            (1.0, p, left.rho, p))
         waves = solve_riemann_m1(left, right, G).waves
         fan = [w for w in waves if w.kind == RAREFACTION
-               and abs(w.strength) >= _STRENGTH_FLOOR * scales.param]
+               and abs(w.strength) >= _STRENGTH_FLOOR * scales.family[w.family]]
         calls.clear()
         got = ft._wave_fronts(waves, G, 0.04, scales)
         assert calls == fan
@@ -564,19 +617,27 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
 
 
 @hs.composite
-def _iso_riemann_data(draw):
-    """(left, right, epsilon, scales): M2 or M3 Riemann data made of a
-    1-wave and a 2-wave of drawn scaled strengths, each a shock, a
-    rarefaction narrower or wider than epsilon, or a wave below the
-    strength floor of either sign."""
-    model = draw(hs.sampled_from([Model.M2, Model.M3]))
-    left = _iso_state(model, draw(hs.floats(0.5, 2.0)), draw(hs.floats(-0.6, 0.6)),
-                      draw(hs.floats(0.7, 1.4)))
-    param = left.rho * draw(hs.floats(0.5, 1.5))
-    scales = PipeScales(param, param, param, 1.0)
+def _riemann_data(draw):
+    """(left, right, epsilon, scales): Riemann data made of one wave per
+    family of drawn scaled strengths: on M2 or M3 a 1-wave and a 2-wave,
+    on M1 a 1-wave, a contact and a 3-wave.  Each is a shock, a
+    rarefaction narrower or wider than epsilon (for the contact a density
+    rise, a small or a larger drop), or a wave below the strength floor of
+    either sign."""
+    model = draw(hs.sampled_from([Model.M1, Model.M2, Model.M3]))
+    rho, mach = draw(hs.floats(0.5, 2.0)), draw(hs.floats(-0.6, 0.6))
+    if model is Model.M1:
+        p = draw(hs.floats(0.5, 2.0))
+        left = m1_state(rho, mach * sqrt(G.gamma * p / rho), p, G)
+        p_param, rho_param = p * draw(hs.floats(0.5, 1.5)), rho * draw(hs.floats(0.5, 1.5))
+        scales = PipeScales(rho, rho, left.E, (1.0, p_param, rho_param, p_param))
+    else:
+        left = _iso_state(model, rho, mach, draw(hs.floats(0.7, 1.4)))
+        param = left.rho * draw(hs.floats(0.5, 1.5))
+        scales = PipeScales(param, param, 1.0, (1.0, param, param, param))
     eps = draw(hs.sampled_from([0.04, 0.02, 0.01, 0.005]))
     state = left
-    for family in (1, 2):
+    for family in ((1, 2, 3) if model is Model.M1 else (1, 2)):
         kind = draw(hs.sampled_from(["shock", "narrow", "wide", "floor"]))
         if kind == "shock":
             v = 10.0 ** draw(hs.floats(-9.0, -0.6))
@@ -586,19 +647,20 @@ def _iso_riemann_data(draw):
             v = -min(eps * draw(hs.floats(1.01, 30.0)), 0.3)
         else:
             v = draw(hs.sampled_from([1.0, -1.0])) * 10.0 ** draw(hs.floats(-17.0, -11.001))
-        state = apply_wave(family, v * param, state, G)
+        state = apply_wave(family, v * scales.family[family], state, G)
     return left, state, eps, scales
 
 
 @settings(max_examples=200)
-@given(_iso_riemann_data())
+@given(_riemann_data())
 def test_accurate_solve_matches_public_riemann_step(case):
-    # the accurate step on M2/M3 data returns, field for field,
-    # the fronts of solve_riemann_iso sliced by definition and rechained,
-    # and its chain runs from the data objects themselves
+    # the accurate step returns, field for field, the fronts of the
+    # model's public Riemann solver sliced by definition and rechained (on
+    # M1 data across a dropped contact too), and its chain runs from the
+    # data objects themselves
     left, right, eps, scales = case
     got = accurate_solve(left, right, G, eps, scales)
-    assert _front_fields(got) == _front_fields(accurate_iso_fronts(left, right, G, eps, scales))
+    assert _front_fields(got) == _front_fields(accurate_fronts(left, right, G, eps, scales))
     if got:
         assert got[0].left is left and got[-1].right is right
 
@@ -700,8 +762,8 @@ def test_weak_form_matches_scalar_reference_across_models(rng):
 
 def _stub_state(segments, n_pipes):
     """What weak_form_residual reads of a run: segments, scales and g."""
-    return SimpleNamespace(segments=segments, scales=[PipeScales(1.0, 1.0, 0.3, 2.5)] * n_pipes,
-                           g=G)
+    return SimpleNamespace(segments=segments, g=G,
+                           scales=[PipeScales(1.0, 0.3, 2.5, (1.0, 1.0, 1.0, 1.0))] * n_pipes)
 
 
 # dyadic boxes, so that segments can start, end or lie on an edge exactly
@@ -849,7 +911,7 @@ def _assert_glimm_matches(state):
         for f in track.fronts:
             if f.family != NONPHYSICAL:
                 ref = _front_from_jump(f.family, f.left, f.right, state.g).strength
-                floor = _STRENGTH_FLOOR * state.scales[i].strength_scale(f.family, f.left.model)
+                floor = _STRENGTH_FLOOR * state.scales[i].family[f.family]
                 assert abs(f.strength - ref) <= 1e-12 * abs(ref) + floor, (i, f, ref)
 
 

@@ -89,6 +89,10 @@ SPEC = (PipeSpec, dict(id="a", area=1.0, model=Model.M2))
     (POWER, dict(cp_coeff=0.0), "power control needs a positive cp_coeff"),
     (SPEC, dict(area=0.0), "pipe 'a': area must be positive"),
     (SPEC, dict(area=-1.0), "pipe 'a': area must be positive"),
+    # nan fails every comparison, so each guard is written to reject it
+    (CONSTANTS, dict(s0=float("nan")), "s0 must be non-negative, got nan"),
+    (HEAD, dict(value=float("nan")), "control value must be non-negative"),
+    (POWER, dict(value=float("nan")), "control value must be non-negative"),
 ])
 def test_value_types_check_construction_and_copies(valid, change, message):
     # the constructor, _replace and _make of a checked value type reject
