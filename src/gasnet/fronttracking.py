@@ -102,12 +102,15 @@ pipe's ``PipeScales.family`` entry for its family, and a fan slice's
 speed is the one edge eigenvalue that ``fan_edge_speed`` computes.
 Every front the accurate step or a coupling solve makes passes one
 gate, ``_wave_fronts``: it drops the waves below the strength floor,
-slices rarefactions and closes the chain across a dropped wave, so
+slices the rarefactions wider than epsilon, keeps a weaker one whole on
+every model, and closes the chain across a dropped wave, so
 ``accurate_solve`` is one Riemann solve, that gate and a snap of the
 chain's ends for every model, and ``_emit`` checks that each emitted
-shock or contact leaves the junction before it changes any pipe.
-``_handle_collision`` places the fronts and sums their scaled strength
-in one loop.  The event loop keeps no Glimm totals; ``glimm()``
+shock or contact leaves the junction before it changes any pipe.  Every
+event places its new fronts with ``_placed``.  A collision reads scaled
+strengths only for the M1 threshold and appends one shared record; only
+junction and reflection records carry strengths, the ones the K_J bound
+reads.  The event loop keeps no Glimm totals; ``glimm()``
 evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks each pipe's
 fronts once, with running strength sums per family for Q.
 
@@ -227,13 +230,18 @@ class GlimmDiagnostics(NamedTuple):
 
 
 class InteractionRecord(NamedTuple):
-    """One resolved event; a run makes one per event."""
+    """One resolved event; a run appends one per event.  A junction or
+    reflection record holds the scaled strength arriving at x = 0
+    (``v_minus``) and the summed scaled strength leaving it (``v_plus``),
+    whose ratio K_J bounds; every collision appends the one shared
+    ``_COLLISION``, whose strengths are None, since no code reads them."""
 
-    time: float
     kind: str  # "collision" | "junction" | "reflection"
-    pipe: int
-    v_minus: float
-    v_plus: float
+    v_minus: float | None
+    v_plus: float | None
+
+
+_COLLISION = InteractionRecord("collision", None, None)
 
 
 class Segment(NamedTuple):
@@ -334,19 +342,19 @@ def _slice_fan(wave: Front, g, eps_param):
 
 
 def _wave_fronts(waves, g, epsilon, scales: PipeScales):
-    """Fronts of the waves above the strength floor, left to right: shocks
-    and contacts as they are, rarefactions sliced to scaled strength <=
-    epsilon but for isentropic ones already that weak (a full-Euler single
-    slice takes its pressure from the energy, so it can differ by rounding).
-    Each wave's first front starts from the last front kept, so the chain
-    closes across a dropped wave; kept neighbours share that state already."""
+    """Fronts of the waves above the strength floor, left to right: shocks,
+    contacts and rarefactions of scaled strength <= epsilon as they are,
+    on every model, and wider rarefactions sliced to scaled strength <=
+    epsilon.  Each wave's first front starts from the last front kept, so
+    the chain closes across a dropped wave; kept neighbours share that
+    state already."""
     fronts = []
     for w in waves:
         sc = scales.family[w.family]
         strength = abs(w.strength)
         if strength < _STRENGTH_FLOOR * sc:
             continue
-        if w.kind == RAREFACTION and (strength > epsilon * sc or w.left.model is M1):
+        if w.kind == RAREFACTION and strength > epsilon * sc:
             new = _slice_fan(w, g, epsilon * sc)
         else:
             new = [w]
@@ -477,7 +485,7 @@ class FrontTrackingState:
         to its solved state and splice the emitted fronts, born at the
         junction now, in front of each pipe's fronts, in place of the
         first front of pipe ``hit``; returns the coupling problem and the
-        fronts' summed scaled strength.  An emitted shock or contact that
+        fronts emitted into each pipe.  An emitted shock or contact that
         would not leave the junction raises SubsonicViolation before any
         trace or front changes."""
         problem, _, patterns = solve_coupling(self.specs, data, self.g, self.control,
@@ -489,13 +497,10 @@ class FrontTrackingState:
                 if f.kind != RAREFACTION and f.speed <= 0.0:
                     raise SubsonicViolation(
                         f"emitted wave on pipe {spec.id!r} has speed {f.speed:g}")
-        v_plus = 0.0
         for j, ((_, trace), new) in enumerate(zip(patterns, emitted)):
             self.pipes[j].trace = trace
             self._splice(j, 0, 1 if j == hit else 0, _placed(new, 0.0, self.time))
-            fs = self.scales[j].family
-            v_plus += sum(abs(f.strength) / fs[f.family] for f in new)
-        return problem, v_plus
+        return problem, emitted
 
     def _estimate_kj(self, traces0):
         """(K_J, skipped): probe the coupling solve with small incident
@@ -658,14 +663,13 @@ class FrontTrackingState:
                     f"after {self.events} events with {live} live fronts",
                     time=self.time, events=self.events, live_fronts=live)
             if kind == "junction":
-                rec_kind, pipe, v_minus, v_plus = self._handle_junction(i)
+                record = self._handle_junction(i)
             else:
-                rec_kind, pipe, v_minus, v_plus = self._handle_collision(i, k)
+                record = self._handle_collision(i, k)
         except GasnetError as exc:
             self._add_context(exc, f"event {self.events} ({kind})", i)
             raise
-        self.interactions.append(InteractionRecord(
-            self.time, rec_kind, pipe, v_minus, v_plus))
+        self.interactions.append(record)
         return self.time
 
     def run(self, horizon):
@@ -681,20 +685,15 @@ class FrontTrackingState:
         a, b = track.fronts[k], track.fronts[k + 1]
         t = self.time
         x = 0.5 * ((a.born_x + a.speed * (t - a.born_t)) + (b.born_x + b.speed * (t - b.born_t)))
-        fs = self.scales[i].family
-        va, vb = abs(a.strength) / fs[a.family], abs(b.strength) / fs[b.family]
-        self._retire(i, a, self.time)
-        self._retire(i, b, self.time)
-        if a.family == NONPHYSICAL or (va * vb < self.rho_simpl and a.left.model is M1):
+        self._retire(i, a, t)
+        self._retire(i, b, t)
+        if a.family == NONPHYSICAL or (a.left.model is M1 and self._scaled_strength(i, a)
+                                       * self._scaled_strength(i, b) < self.rho_simpl):
             new = self._simplified_interaction(i, a, b)
         else:
             new = accurate_solve(a.left, b.right, self.g, self.epsilon, self.scales[i])
-        v_plus = 0.0
-        for f in new:
-            f.born_x, f.born_t = x, t
-            v_plus += abs(f.strength) / fs[f.family]
-        self._splice(i, k, 2, new)
-        return "collision", i, va + vb, v_plus
+        self._splice(i, k, 2, _placed(new, x, t))
+        return _COLLISION
 
     def _np_front(self, i, left, right):
         return Front(NONPHYSICAL, "nonphysical", self.lambda_hat,
@@ -727,10 +726,12 @@ class FrontTrackingState:
         if v_minus < self.rho_simpl or front.family == NONPHYSICAL:
             new = _placed([self._np_front(i, track.trace, data_i)], 0.0, self.time)
             self._splice(i, 0, 1, new)
-            return "reflection", i, v_minus, new[0].strength
+            return InteractionRecord("reflection", v_minus, new[0].strength)
         data = self.traces()
         data[i] = data_i
-        return "junction", i, v_minus, self._emit(data, hit=i)[1]
+        emitted = self._emit(data, hit=i)[1]
+        return InteractionRecord("junction", v_minus, sum(
+            sum(self._scaled_strength(j, f) for f in new) for j, new in enumerate(emitted)))
 
     # -- operator splitting ------------------------------------------------
 

@@ -173,14 +173,18 @@ def _bracketed_newton(f, df, increasing, guess, lo, hi, tol, max_iter, what):
     return x, res, max_iter
 
 
-def _star_root(f, df, increasing, start, rarefactions, lo, hi, tol, max_iter, what):
-    """Star root from the two-rarefaction closed form ``start``: the root
-    itself when ``rarefactions`` (the start lies on the rarefaction
-    branch of both wave curves), returned with its residual after one
-    evaluation of f; otherwise the start of ``_bracketed_newton``."""
-    if rarefactions:
+def _star_root(f, df, increasing, start, a, b, tol, max_iter, what):
+    """Star root from the two-rarefaction closed form ``start`` for the
+    data parameters ``a`` and ``b`` (p_l and p_r, or rho_l and rho_r):
+    the root itself when start <= min(a, b), on the rarefaction branch of
+    both wave curves, returned with its residual after one evaluation of
+    f; otherwise the start of ``_bracketed_newton`` in the bracket
+    [1e-14 min(a, b), 2 max(a, b, start)]."""
+    low = min(a, b)
+    if start <= low:
         return start, abs(f(start)), 1
-    return _bracketed_newton(f, df, increasing, start, lo, hi, tol, max_iter, what)
+    return _bracketed_newton(f, df, increasing, start, 1e-14 * low, 2.0 * max(a, b, start),
+                             tol, max_iter, what)
 
 
 def _vacuum(what):
@@ -212,8 +216,7 @@ def solve_p_star_m1(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma,
         return dpsi(p, p_l, rho_l, gamma) + dpsi(p, p_r, rho_r, gamma)
 
     start = (num / (c_l / p_l**e + c_r / p_r**e)) ** (1.0 / e)
-    return _star_root(f, df, True, start, start <= min(p_l, p_r), 1e-14 * min(p_l, p_r),
-                      2.0 * max(p_l, p_r, start), tol, max_iter, what)
+    return _star_root(f, df, True, start, p_l, p_r, tol, max_iter, what)
 
 
 def solve_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol=TOL, max_iter=MAX_ITER):
@@ -237,8 +240,7 @@ def solve_rho_star_m2(rho_l, u_l, rho_r, u_r, kappa, gamma, tol=TOL, max_iter=MA
         return (u_l - u_r) - dtheta2(rho, rho_l, kappa, gamma) - dtheta2(rho, rho_r, kappa, gamma)
 
     start = base ** (1.0 / beta)
-    return _star_root(f, df, False, start, start <= min(rho_l, rho_r), 1e-14 * min(rho_l, rho_r),
-                      2.0 * max(rho_l, rho_r, start), tol, max_iter, what)
+    return _star_root(f, df, False, start, rho_l, rho_r, tol, max_iter, what)
 
 
 def solve_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol=TOL, max_iter=MAX_ITER):
@@ -262,5 +264,4 @@ def solve_rho_star_m3(rho_l, q_l, rho_r, q_r, kappa, gamma, tol=TOL, max_iter=MA
         return -dtheta3(rho, rho_l, kappa, gamma) - dtheta3(rho, rho_r, kappa, gamma)
 
     start = base ** (1.0 / delta)
-    return _star_root(f, df, False, start, start <= min(rho_l, rho_r), 1e-14 * min(rho_l, rho_r),
-                      2.0 * max(rho_l, rho_r, start), tol, max_iter, what)
+    return _star_root(f, df, False, start, rho_l, rho_r, tol, max_iter, what)

@@ -95,15 +95,11 @@ def solve_riemann_m1(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannSo
     p_l, p_r = pressure(UL, g), pressure(UR, g)
     p_star, res, it = kernels.solve_p_star_m1(UL.rho, UL.u, p_l, UR.rho, UR.u, p_r, gamma)
     u_star = UL.u - kernels.psi(p_star, p_l, UL.rho, gamma)
-    rho_l_star = kernels.phi(p_star, p_l, UL.rho, gamma)
-    rho_r_star = kernels.phi(p_star, p_r, UR.rho, gamma)
-    left_star = PipeState(M1, rho_l_star, rho_l_star * u_star,
-                          E=p_star / (gamma - 1.0) + 0.5 * rho_l_star * u_star**2)
-    right_star = PipeState(M1, rho_r_star, rho_r_star * u_star,
-                           E=p_star / (gamma - 1.0) + 0.5 * rho_r_star * u_star**2)
+    left_star = m1_state(kernels.phi(p_star, p_l, UL.rho, gamma), u_star, p_star, g)
+    right_star = m1_state(kernels.phi(p_star, p_r, UR.rho, gamma), u_star, p_star, g)
     waves = (
         _acoustic_wave(1, UL, left_star, p_l, p_star, g),
-        Front(2, CONTACT, u_star, rho_r_star - rho_l_star, left_star, right_star),
+        Front(2, CONTACT, u_star, right_star.rho - left_star.rho, left_star, right_star),
         _acoustic_wave(3, UR, right_star, p_r, p_star, g),
     )
     return RiemannSolution(p_star, waves, res, it)

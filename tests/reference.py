@@ -255,18 +255,20 @@ def fan_edge_speed_from_tuple(family, state, g):
     return eigenvalue_tuple(state, g)[0 if family == 1 else -1]
 
 
-def sliced_wave_fronts(waves, g, epsilon, scales):
-    """``fronttracking._wave_fronts`` by its definition: the fronts of the
-    waves above the strength floor, left to right, each shock or contact
-    its own front and each rarefaction sliced by ``_slice_fan`` into jumps
-    of scaled strength <= epsilon, a single slice included.  The chain is
-    not closed across a dropped wave here; ``accurate_fronts`` closes it."""
+def sliced_wave_fronts(waves, g, epsilon, scales, keep_weak=False):
+    """The fronts of the waves above the strength floor, left to right,
+    each shock or contact its own front and each rarefaction sliced by
+    ``_slice_fan`` into jumps of scaled strength <= epsilon, a single slice
+    included; with ``keep_weak``, a rarefaction already that weak is its
+    own front, which is ``fronttracking._wave_fronts`` by its definition.
+    The chain is not closed across a dropped wave here;
+    ``accurate_fronts`` closes it."""
     fronts = []
     for w in waves:
         sc = scales.family[w.family]
         if abs(w.strength) < _STRENGTH_FLOOR * sc:
             continue
-        if w.kind == RAREFACTION:
+        if w.kind == RAREFACTION and not (keep_weak and abs(w.strength) <= epsilon * sc):
             fronts += _slice_fan(w, g, epsilon * sc)
         else:
             fronts.append(w)
@@ -276,11 +278,12 @@ def sliced_wave_fronts(waves, g, epsilon, scales):
 def accurate_fronts(left, right, g, epsilon, scales):
     """``fronttracking.accurate_solve`` by its definition: the waves of
     ``solve_riemann_m1`` (M1 data) or ``solve_riemann_iso`` (M2/M3 data)
-    through ``sliced_wave_fronts``, then rechained from ``left``, each
-    front's left state the right state of the front before it, and the
-    last front's right state ``right``."""
+    through ``sliced_wave_fronts`` with ``keep_weak``, then rechained from
+    ``left``, each front's left state the right state of the front before
+    it, and the last front's right state ``right``."""
     solve = solve_riemann_m1 if left.model is Model.M1 else solve_riemann_iso
-    fronts = sliced_wave_fronts(solve(left, right, g).waves, g, epsilon, scales)
+    fronts = sliced_wave_fronts(solve(left, right, g).waves, g, epsilon, scales,
+                                keep_weak=True)
     prev = left
     for f in fronts:
         f.left = prev

@@ -2,7 +2,7 @@
 and the Glimm functionals."""
 
 import warnings
-from math import ceil, inf, nextafter, sqrt
+from math import ceil, inf, nextafter, sqrt, ulp
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -549,8 +549,9 @@ def _front_fields(fronts):
 
 def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
     # an M2 or M3 rarefaction of scaled strength <= epsilon is kept as its
-    # own front; the fronts equal those of slicing every rarefaction, bit
-    # for bit, on random Riemann solutions and coupling patterns
+    # own front, which is its single slice: the fronts equal those of
+    # slicing every rarefaction, bit for bit, on random Riemann solutions
+    # and coupling patterns
     import gasnet.fronttracking as ft
 
     cases = []   # (waves, scales): waves of one pipe
@@ -585,8 +586,12 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
                         sliced += 1
     assert kept > 500 and sliced > 100, (kept, sliced)
 
-    # full-Euler rarefactions still go through _slice_fan, a single slice
-    # included
+    # on M1 pipes too a rarefaction of scaled strength <= epsilon is kept
+    # whole and never reaches _slice_fan, while wider fans are sliced; the
+    # fronts equal those of slicing every rarefaction field for field but
+    # for the strength of a kept wave: a single slice takes its pressure
+    # from the energy of its states, within 4 ulps of the pressure scale
+    # (2 ulps at most in 19,000 drawn waves)
     calls = []
     slice_fan = ft._slice_fan
 
@@ -595,7 +600,7 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
         return slice_fan(wave, g, eps_param)
 
     monkeypatch.setattr(ft, "_slice_fan", spy)
-    fans = 0
+    kept = sliced = 0
     for _ in range(100):
         left = m1_state(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0), G)
         rel = float(10.0 ** rng.uniform(-4.0, -1.0))
@@ -606,14 +611,50 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
         scales = PipeScales(left.rho, left.rho * sound_speed(left, G), left.E,
                             (1.0, p, left.rho, p))
         waves = solve_riemann_m1(left, right, G).waves
-        fan = [w for w in waves if w.kind == RAREFACTION
-               and abs(w.strength) >= _STRENGTH_FLOOR * scales.family[w.family]]
-        calls.clear()
-        got = ft._wave_fronts(waves, G, 0.04, scales)
-        assert calls == fan
-        assert _front_fields(got) == _front_fields(sliced_wave_fronts(waves, G, 0.04, scales))
-        fans += len(fan)
-    assert fans > 50
+        fans = [w for w in waves if w.kind == RAREFACTION
+                and abs(w.strength) >= _STRENGTH_FLOOR * scales.family[w.family]]
+        for eps in (0.04, 0.01, 0.005):
+            weak = [w for w in fans if abs(w.strength) <= eps * scales.family[w.family]]
+            calls.clear()
+            got = ft._wave_fronts(waves, G, eps, scales)
+            assert calls == [w for w in fans if w not in weak]
+            ref = sliced_wave_fronts(waves, G, eps, scales)
+            assert len(got) == len(ref)
+            for f, r in zip(got, ref):
+                if f in weak:
+                    assert abs(f.strength - r.strength) <= 4 * ulp(p)
+                    f = Front(f.family, f.kind, f.speed, r.strength, f.left, f.right)
+                assert _front_fields([f]) == _front_fields([r])
+            kept += len(weak)
+            sliced += len(calls)
+    assert kept > 200 and sliced > 30, (kept, sliced)
+
+
+def test_m1_friction_run_matches_slicing_every_rarefaction(monkeypatch):
+    # an all-M1 friction run that keeps its weak rarefactions whole makes
+    # the events and live fronts of the same run slicing every rarefaction
+    # (the rule before), and its TV to rounding
+    import gasnet.fronttracking as ft
+
+    c = sqrt(G.gamma)
+
+    def run():
+        def st(rho, u):
+            return m1_state(rho, u, rho**G.gamma, G)
+
+        specs = [PipeSpec("a", 1.0, Model.M1), PipeSpec("b", 1.0, Model.M1)]
+        profiles = [[(0.4, st(1.0, -0.3 * c)), (None, st(1.03, -0.3 * c))],
+                    [(0.6, st(1.0, 0.3 * c)), (None, st(0.97, 0.3 * c))]]
+        state = init_approximation(specs, profiles, G, epsilon=0.02)
+        ft.operator_split_run(state, ft.FrictionSource(0.02, 0.5), 1.0, dt_split=0.1)
+        return state.events, state.glimm()
+
+    events, gl = run()
+    monkeypatch.setattr(ft, "_wave_fronts", sliced_wave_fronts)
+    ref_events, ref_gl = run()
+    assert events == ref_events and events > 1000
+    assert gl.front_count == ref_gl.front_count
+    assert gl.TV == pytest.approx(ref_gl.TV, rel=1e-12)
 
 
 @hs.composite

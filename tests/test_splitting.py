@@ -1,7 +1,7 @@
 """Operator splitting: source-free degeneracy, Euler stepping, friction."""
 
 import copy
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 import pytest
@@ -172,6 +172,15 @@ def test_splitting_with_fronts_keeps_coupling_satisfied():
     res = trace_residuals(state, specs, G)
     assert res["mass"] <= 1e-9
     assert res["enthalpy_spread"] <= 1e-8
+    # one record per event, of every kind; only junction and reflection
+    # records carry strengths, finite ones
+    assert len(state.interactions) == state.events
+    assert {r.kind for r in state.interactions} == {"collision", "junction", "reflection"}
+    for r in state.interactions:
+        if r.kind == "collision":
+            assert r.v_minus is None and r.v_plus is None
+        else:
+            assert isfinite(r.v_minus) and isfinite(r.v_plus)
     # absorbing weak fronts at the source steps moves the weak-form
     # residual by 2.3e-4 relative from the 8.5813e-5 of the rule that
     # kept them alive as non-physical fronts

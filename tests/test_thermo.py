@@ -66,33 +66,40 @@ POWER = (CompressorControl, dict(kind="CP2", value=1.0, cp_coeff=0.5))
 SPEC = (PipeSpec, dict(id="a", area=1.0, model=Model.M2))
 
 
+def _row(n, valid, change, message):
+    """One row of the table below under the id pytest gave it by position
+    when the table took no ids, so that a row inserted anywhere, with an id
+    of its own (``pytest.param(..., id="M2-rho-zero")``), renames no other."""
+    return pytest.param(valid, change, message, id=f"valid{n}-change{n}-{message}")
+
+
 @pytest.mark.parametrize("valid, change, message", [
-    (M2_STATE, dict(rho=0.0), "density must be positive, got 0.0"),
-    (M3_STATE, dict(rho=-1.0), "density must be positive, got -1.0"),
-    (M1_STATE, dict(rho=float("nan")), "density must be positive, got nan"),
-    (M1_STATE, dict(E=None), "M1 states carry a total energy density E"),
-    (M1_STATE, dict(kappa=1.0), "M1 states do not carry kappa"),
-    (M2_STATE, dict(kappa=None), "M2 states carry kappa"),
-    (M3_STATE, dict(kappa=None), "M3 states carry kappa"),
-    (M2_STATE, dict(kappa=0.0), "kappa must be positive, got 0.0"),
-    (M3_STATE, dict(kappa=-2.0), "kappa must be positive, got -2.0"),
-    (M2_STATE, dict(E=1.0), "M2 states do not carry E"),
-    (M3_STATE, dict(E=1.0), "M3 states do not carry E"),
-    (CONSTANTS, dict(gamma=1.0), "gamma must exceed 1, got 1.0"),
-    (CONSTANTS, dict(R=0.0), "R must be positive, got 0.0"),
-    (CONSTANTS, dict(R=-1.0), "R must be positive, got -1.0"),
-    (CONSTANTS, dict(s0=-0.1), "s0 must be non-negative, got -0.1"),
-    (HEAD, dict(kind="CP3"), "control kind must be CP1 or CP2, got 'CP3'"),
-    (HEAD, dict(value=-1.0), "control value must be non-negative"),
-    (POWER, dict(value=-1.0), "control value must be non-negative"),
-    (POWER, dict(cp_coeff=None), "power control needs a positive cp_coeff"),
-    (POWER, dict(cp_coeff=0.0), "power control needs a positive cp_coeff"),
-    (SPEC, dict(area=0.0), "pipe 'a': area must be positive"),
-    (SPEC, dict(area=-1.0), "pipe 'a': area must be positive"),
+    _row(0, M2_STATE, dict(rho=0.0), "density must be positive, got 0.0"),
+    _row(1, M3_STATE, dict(rho=-1.0), "density must be positive, got -1.0"),
+    _row(2, M1_STATE, dict(rho=float("nan")), "density must be positive, got nan"),
+    _row(3, M1_STATE, dict(E=None), "M1 states carry a total energy density E"),
+    _row(4, M1_STATE, dict(kappa=1.0), "M1 states do not carry kappa"),
+    _row(5, M2_STATE, dict(kappa=None), "M2 states carry kappa"),
+    _row(6, M3_STATE, dict(kappa=None), "M3 states carry kappa"),
+    _row(7, M2_STATE, dict(kappa=0.0), "kappa must be positive, got 0.0"),
+    _row(8, M3_STATE, dict(kappa=-2.0), "kappa must be positive, got -2.0"),
+    _row(9, M2_STATE, dict(E=1.0), "M2 states do not carry E"),
+    _row(10, M3_STATE, dict(E=1.0), "M3 states do not carry E"),
+    _row(11, CONSTANTS, dict(gamma=1.0), "gamma must exceed 1, got 1.0"),
+    _row(12, CONSTANTS, dict(R=0.0), "R must be positive, got 0.0"),
+    _row(13, CONSTANTS, dict(R=-1.0), "R must be positive, got -1.0"),
+    _row(14, CONSTANTS, dict(s0=-0.1), "s0 must be non-negative, got -0.1"),
+    _row(15, HEAD, dict(kind="CP3"), "control kind must be CP1 or CP2, got 'CP3'"),
+    _row(16, HEAD, dict(value=-1.0), "control value must be non-negative"),
+    _row(17, POWER, dict(value=-1.0), "control value must be non-negative"),
+    _row(18, POWER, dict(cp_coeff=None), "power control needs a positive cp_coeff"),
+    _row(19, POWER, dict(cp_coeff=0.0), "power control needs a positive cp_coeff"),
+    _row(20, SPEC, dict(area=0.0), "pipe 'a': area must be positive"),
+    _row(21, SPEC, dict(area=-1.0), "pipe 'a': area must be positive"),
     # nan fails every comparison, so each guard is written to reject it
-    (CONSTANTS, dict(s0=float("nan")), "s0 must be non-negative, got nan"),
-    (HEAD, dict(value=float("nan")), "control value must be non-negative"),
-    (POWER, dict(value=float("nan")), "control value must be non-negative"),
+    _row(22, CONSTANTS, dict(s0=float("nan")), "s0 must be non-negative, got nan"),
+    _row(23, HEAD, dict(value=float("nan")), "control value must be non-negative"),
+    _row(24, POWER, dict(value=float("nan")), "control value must be non-negative"),
 ])
 def test_value_types_check_construction_and_copies(valid, change, message):
     # the constructor, _replace and _make of a checked value type reject
