@@ -114,14 +114,19 @@ reads.  The event loop keeps no Glimm totals; ``glimm()``
 evaluates (V, Q, TV) on demand, and ``_pipe_glimm`` walks each pipe's
 fronts once, with running strength sums per family for Q.
 
-The weak-form diagnostic (``weak_form_residual``) is one pass after the
-run over the retired segments, which a ladder member does not keep: a
-Python loop gathers them into float columns, and numpy does the rest,
-with no culling to the bumps' supports.  Its jump defects are those of
-the scalar rule bit for bit; only exp, by ``np.exp``, may differ from
-``math.exp`` by one ulp, so the residual stays within a few ulps of the
-scalar rule.  It is the only user of numpy in gasnet, and imports it
-when called, so the coupling solves and the event loop run without it.
+A run measures its own error by ``error_indicator``, one pure-Python
+pass after the run over the retired segments, which a ladder member
+does not keep: each segment's scaled Rankine-Hugoniot defect
+|speed * [U] - [F]| times its lifetime, summed by front kind (Bressan
+2000, ch. 2, the error formula, and ch. 7).  Shocks and contacts add
+rounding, or the coupling Newton tolerance on M1 pipes; the rarefaction
+slices and non-physical fronts carry the error.  The bump weak form (``weak_form_residual``) is a library
+diagnostic bounded by that sum over the horizon, since every bump lies
+in [0, 1] and Simpson's weights are positive: a Python loop gathers the
+segments into float columns and numpy does the rest.  It is the only
+user of numpy in gasnet and imports it when called; no scenario run
+calls it, so the coupling solves, the event loop and the CLI run
+without numpy.
 """
 
 import math
@@ -245,7 +250,11 @@ _COLLISION = InteractionRecord("collision", None, None)
 
 
 class Segment(NamedTuple):
-    """Closed trajectory piece of one front, for weak-form diagnostics."""
+    """Closed trajectory piece of one front, from its birth at (x0, t0) to
+    its retirement at t1, for the run's error indicator and the weak-form
+    diagnostic.  ``kind`` is the front's: rarefaction (a fan slice, or a
+    rarefaction kept whole), shock, contact or nonphysical; the error
+    indicator splits its sum by it."""
 
     pipe: int
     t0: float
@@ -254,6 +263,7 @@ class Segment(NamedTuple):
     speed: float
     left: PipeState
     right: PipeState
+    kind: str
 
 
 class FrictionSource:
@@ -421,7 +431,7 @@ class FrontTrackingState:
     ``ladder_of`` is a run of the same data at another epsilon: this run
     then takes its K_J, which does not depend on epsilon, instead of
     probing the coupling again, and keeps no segments (``segments`` stays
-    empty), since only that run's weak-form residual reads them.
+    empty), since only that run's error indicator reads them.
     """
 
     def __init__(self, specs, profiles, constants: GasConstants, epsilon,
@@ -639,7 +649,7 @@ class FrontTrackingState:
     def _retire(self, pipe_index, front, t1):
         if self.keep_segments and t1 > front.born_t:
             self.segments.append(Segment(pipe_index, front.born_t, t1, front.born_x,
-                                         front.speed, front.left, front.right))
+                                         front.speed, front.left, front.right, front.kind))
 
     def advance(self, horizon):
         """Advance to the next event before ``horizon`` and resolve it.
@@ -882,6 +892,44 @@ def l1_distance(state_a: FrontTrackingState, state_b: FrontTrackingState, x_max)
                                   tb.states_at(mids, pb)):
             total += sc.state_norm(sa, sb) * (xr - xl)
     return total
+
+
+_INDICATOR_GROUP = {RAREFACTION: "slices", "nonphysical": "nonphysical",
+                    SHOCK: "jumps", CONTACT: "jumps"}
+
+
+def error_indicator(state: FrontTrackingState):
+    """The run's front-tracking error indicator E, from its segments.
+
+    E sums, over the retired segments, the componentwise-scaled jump
+    defect |speed * [U] - [F]| times the segment's lifetime t1 - t0
+    (Bressan 2000, ch. 2, the error formula): a dict of the three sums
+    by front kind, ``slices`` (rarefactions), ``nonphysical`` and
+    ``jumps`` (shocks and contacts, exact up to rounding or the coupling
+    Newton tolerance).  The flux is
+    (q, q u + p) on M2, (q, p) on M3 and on M1 also u (E + p); the
+    component scales are those of ``weak_form_residual``, which E / T
+    bounds.  Call it after ``finalize_segments``.
+    """
+    g = state.g
+    f_scales = [(sc.q, sc.q * sc.q / sc.rho, sc.q * sc.E / sc.rho) for sc in state.scales]
+    totals = {"slices": 0.0, "nonphysical": 0.0, "jumps": 0.0}
+    for seg in state.segments:
+        left, right, speed = seg.left, seg.right, seg.speed
+        fs = f_scales[seg.pipe]
+        pl, pr = pressure(left, g), pressure(right, g)
+        ul, ur = left.q / left.rho, right.q / right.rho
+        if left.model is M3:
+            fl, fr = pl, pr
+        else:
+            fl, fr = left.q * ul + pl, right.q * ur + pr
+        defect = (abs(speed * (right.rho - left.rho) - (right.q - left.q)) / fs[0]
+                  + abs(speed * (right.q - left.q) - (fr - fl)) / fs[1])
+        if left.model is M1:
+            defect += abs(speed * (right.E - left.E)
+                          - (ur * (right.E + pr) - ul * (left.E + pl))) / fs[2]
+        totals[_INDICATOR_GROUP[seg.kind]] += defect * (seg.t1 - seg.t0)
+    return totals
 
 
 def weak_form_residual(state: FrontTrackingState, test_functions, horizon):

@@ -47,13 +47,12 @@ from .errors import NotSubsonic, ScenarioValidationError
 from .fronttracking import (
     DEFAULT_MAX_EVENTS,
     FrictionSource,
-    bump_test_functions,
     default_split_step,
+    error_indicator,
     init_approximation,
     l1_distance,
     operator_split_run,
     solve_coupling,
-    weak_form_residual,
 )
 from .junction import DEFAULT_TOL, JunctionProblem, PipeSpec, classify_pipes, state_residuals
 from .output import FieldMemo, snapshot_record
@@ -569,7 +568,10 @@ def _run_simulate(sc: Scenario) -> RunResult:
     ratios = [r.v_plus / r.v_minus for r in state.interactions
               if r.kind in ("junction", "reflection") and r.v_minus > 0]
     kinds = Counter(r.kind for r in state.interactions)
-    test_funcs = bump_test_functions(sc.run.grid_length, sc.run.horizon)
+    indicator = error_indicator(state)
+    if log := info_log():
+        log.info("error indicator at epsilon %g: slices %.6g, nonphysical %.6g, "
+                 "jumps %.6g", state.epsilon, *indicator.values())
     summary = {
         "mode": "simulate",
         "kind": sc.kind,
@@ -584,11 +586,11 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "final": {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
                   "np_strength": glimm.np_strength, **_absorbed(sc, state)},
         "max_residuals": trace_residuals(state, sc.specs, g, sc.control),
-        "weak_form_residual": weak_form_residual(state, test_funcs, sc.run.horizon),
+        "error_indicator": indicator,
     }
     if sc.run.epsilon_ladder:
         # members only feed the L1 distances: they take the run's K_J and
-        # keep no segments
+        # keep no segments, so they report no error indicator
         finals = [state if eps == sc.run.epsilon else _simulate(sc, eps, ladder_of=state)
                   for eps in sc.run.epsilon_ladder]
         x_max = max(sc.run.grid_length, state.lambda_hat * sc.run.horizon)

@@ -11,9 +11,11 @@ the definitions that faster code must repeat bit for bit: the
 characteristic speeds as one tuple, the fan-edge speed read off it, the
 tracker's fronts of a list of waves with every rarefaction sliced, and
 its accurate step on M2/M3 data built from the public Riemann solver.  And
-the weak-form residual by the scalar Simpson rule, segment by segment
-and bump by bump, with the flux vector of its jump defects, which the
-array pass repeats to within a stated tolerance."""
+the jump defect of a front segment from the flux vector, with the two
+diagnostics built on it: the run's error indicator, which the tracker
+repeats bit for bit, and the weak-form residual by the scalar Simpson
+rule, segment by segment and bump by bump, which the array pass repeats
+to within a stated tolerance."""
 
 import io
 
@@ -304,27 +306,42 @@ def flux_vector(state, g):
     return (state.q, p)
 
 
+def jump_defect(state, seg):
+    """The componentwise-scaled jump defect |speed [U] - [F]| of one
+    segment of a run, with the run's per-pipe scales."""
+    g = state.g
+    sc = state.scales[seg.pipe]
+    fl = flux_vector(seg.left, g)
+    fr = flux_vector(seg.right, g)
+    du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
+    f_scales = (sc.q, sc.q * sc.q / sc.rho)
+    defect = 0.0
+    for c in range(2):
+        defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
+    if seg.left.model is Model.M1:
+        dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
+        defect += abs(dE) / (sc.q * sc.E / sc.rho)
+    return defect
+
+
+def scalar_error_indicator(state):
+    """``fronttracking.error_indicator`` by its definition: the jump
+    defect of every segment times its lifetime, summed in segment order
+    by front kind."""
+    group = {"rarefaction": "slices", "nonphysical": "nonphysical",
+             "shock": "jumps", "contact": "jumps"}
+    totals = {"slices": 0.0, "nonphysical": 0.0, "jumps": 0.0}
+    for seg in state.segments:
+        totals[group[seg.kind]] += jump_defect(state, seg) * (seg.t1 - seg.t0)
+    return totals
+
+
 def scalar_weak_form_residual(state, test_functions, horizon):
     """``fronttracking.weak_form_residual`` by its definition: the jump
     defect of every segment, then for each test function one running sum
     over every segment of the Simpson rule on five nodes, each node a
     scalar call of the test function."""
-    g = state.g
-    defects = []
-    for seg in state.segments:
-        sc = state.scales[seg.pipe]
-        fl = flux_vector(seg.left, g)
-        fr = flux_vector(seg.right, g)
-        du = (seg.right.rho - seg.left.rho, seg.right.q - seg.left.q)
-        f_scales = (sc.q, sc.q * sc.q / sc.rho)
-        defect = 0.0
-        for c in range(2):
-            defect += abs(seg.speed * du[c] - (fr[c] - fl[c])) / f_scales[c]
-        if seg.left.model is Model.M1:
-            dE = seg.speed * (seg.right.E - seg.left.E) - (fr[2] - fl[2])
-            defect += abs(dE) / (sc.q * sc.E / sc.rho)
-        if defect != 0.0:
-            defects.append((seg, defect))
+    defects = [(seg, d) for seg in state.segments if (d := jump_defect(state, seg)) != 0.0]
     worst = 0.0
     for phi_f in test_functions:
         total = 0.0

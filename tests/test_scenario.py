@@ -659,8 +659,39 @@ def test_ladder_members_match_fresh_runs(name, monkeypatch):
     assert main.segments
 
 
+# The benchmark's seed-3 ladder as full runs: the slices' indicator at
+# epsilon 0.04 / 0.02 / 0.01 / 0.005 was 2.78e-3 / 1.51e-3 / 8.0e-4 /
+# 4.14e-4, each 0.516-0.542 times the last, and the L1 distances 0.407-
+# 0.433 times the indicators of their two members summed (seed 11 gives
+# the same).
+INDICATOR_HALVING = (0.45, 0.6)
+L1_PER_INDICATOR = 0.5
+
+
+def test_error_indicator_halves_along_the_benchmark_ladder():
+    # each epsilon of the ladder as a run of its own, which keeps its
+    # segments: the rarefaction slices carry the indicator, which halves
+    # with epsilon within INDICATOR_HALVING, and each L1 distance of the
+    # ladder run is at most L1_PER_INDICATOR times the indicators of its
+    # two members
+    sc = parse_scenario(_bench_documents("tracking_ladder", 3)[0])
+    indicators = [run_scenario(sc._replace(run=sc.run._replace(
+        epsilon=eps, epsilon_ladder=None))).summary["error_indicator"]
+        for eps in sc.run.epsilon_ladder]
+    assert [list(e) for e in indicators] == [["slices", "nonphysical", "jumps"]] * 4
+    slices = [e["slices"] for e in indicators]
+    lo, hi = INDICATOR_HALVING
+    assert all(lo * a <= b <= hi * a for a, b in zip(slices, slices[1:])), slices
+    totals = [sum(e.values()) for e in indicators]
+    dists = run_scenario(sc).summary["l1_distances"]
+    assert len(dists) == 3
+    assert all(d <= L1_PER_INDICATOR * (a + b)
+               for d, a, b in zip(dists, totals, totals[1:])), (dists, totals)
+
+
 def test_tracked_runs_log_one_info_line(monkeypatch, caplog):
-    # one INFO line per tracked run, ladder members included; the K_J probe
+    # one INFO line per tracked run, ladder members included, and one with
+    # the run's error indicator; the K_J probe
     # whose coupling solve raises is counted as skipped, and a member
     # reports the run's estimate; nothing is logged below INFO
     import logging
@@ -690,6 +721,11 @@ def test_tracked_runs_log_one_info_line(monkeypatch, caplog):
         res = run_scenario(sc)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "gasnet" and r.levelno == logging.INFO]
+    # the run's error indicator follows the run's own line
+    e = res.summary["error_indicator"]
+    assert lines.pop(1) == (
+        f"error indicator at epsilon {runs[0][1].epsilon:g}: slices {e['slices']:.6g}, "
+        f"nonphysical {e['nonphysical']:.6g}, jumps {e['jumps']:.6g}")
     assert len(lines) == len(runs) == 3
     for line, (_, state) in zip(lines, runs):
         counts = {k: sum(r.kind == k for r in state.interactions)
@@ -715,8 +751,8 @@ DOCUMENTS.update(MINIMAL=MINIMAL, COMPRESSOR=COMPRESSOR, FRICTION=FRICTION, SAMP
 BATCHES = {f"riemann_batch seed {seed}": seed for seed in (3, 11, 71)}
 
 
-def _riemann_batch_documents(seed):
-    """The benchmark's riemann_batch documents of one seed, from
+def _bench_documents(workload, seed):
+    """The benchmark's documents of one workload and seed, from
     gasbench/inputs.py (standard library only) loaded as a module of its
     own."""
     root = Path(__file__).parents[1]
@@ -724,7 +760,7 @@ def _riemann_batch_documents(seed):
                                                   root / "gasbench" / "inputs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    items, _ = module.generate("riemann_batch", seed, root)
+    items, _ = module.generate(workload, seed, root)
     return [text for _, text in items]
 
 
@@ -745,7 +781,8 @@ def _typed(obj, path=()):
 
 @pytest.mark.parametrize("name", list(DOCUMENTS) + list(BATCHES))
 def test_parse_matches_pure_python_loader(name):
-    texts = _riemann_batch_documents(BATCHES[name]) if name in BATCHES else [DOCUMENTS[name]]
+    texts = (_bench_documents("riemann_batch", BATCHES[name]) if name in BATCHES
+             else [DOCUMENTS[name]])
     if name == "riemann_batch seed 3":
         assert len(texts) == 206
     for text in texts:
@@ -1030,7 +1067,7 @@ def _assert_runs_expand_to_per_point_records(sc, solved):
 
 @pytest.mark.parametrize("name", list(ORACLE_SEEDS))
 def test_riemann_batch_runs_expand_to_per_point_records(name, monkeypatch):
-    texts = _riemann_batch_documents(ORACLE_SEEDS[name])
+    texts = _bench_documents("riemann_batch", ORACLE_SEEDS[name])
     assert len(texts) == 206
     solved = _kept_solves(monkeypatch)
     for text in texts:

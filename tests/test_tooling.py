@@ -246,10 +246,11 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 
 
 def test_riemann_mode_does_not_import_numpy(tmp_path):
-    # numpy serves only the weak-form diagnostic of simulate mode: a fresh
-    # process that imports the CLI's modules and the tracker, checks and
-    # solves the shipped riemann-mode scenarios and writes JSON and CSV
-    # leaves it unloaded; and no module of src/gasnet imports it at the top
+    # numpy serves only the library's weak-form diagnostic, which no CLI
+    # command calls: a fresh process that imports the CLI's modules and the
+    # tracker, checks and solves the shipped riemann-mode scenarios and
+    # writes JSON and CSV leaves it unloaded; and no module of src/gasnet
+    # imports it at the top
     scenarios = [str(ROOT / "scenarios" / name)
                  for name in ("y_junction_riemann.yaml", "compressor_head.yaml")]
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
@@ -264,6 +265,37 @@ def test_riemann_mode_does_not_import_numpy(tmp_path):
     top_level = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
                  for node in ast.parse(path.read_text()).body if _imports(node, "numpy")]
     assert top_level == []
+
+
+_SIMULATE_WITHOUT_NUMPY = """
+import sys
+import gasnet.cli
+out, scenario = sys.argv[1:]
+for argv in (["check", "--scenario", scenario],
+             ["simulate", "--scenario", scenario, "--out", out],
+             ["simulate", "--scenario", scenario, "--out", out, "--format", "csv"],
+             ["diagnose", "--results", f"{out}/y_junction_tracking.json"]):
+    assert gasnet.cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_simulate_mode_does_not_import_numpy(tmp_path):
+    # a tracked run reports its own error indicator, in pure Python: a
+    # fresh process that checks the shipped tracking scenario, simulates
+    # it with JSON and with CSV output and diagnoses the JSON leaves numpy
+    # unloaded
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _SIMULATE_WITHOUT_NUMPY, str(tmp_path),
+                          str(ROOT / "scenarios" / "y_junction_tracking.yaml")],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "[]", run.stdout
+    assert '"error_indicator"' in run.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "y_junction_tracking-summary.json", "y_junction_tracking.csv",
+        "y_junction_tracking.json"]
 
 
 def _imports(node, package):
