@@ -120,13 +120,13 @@ does not keep: each segment's scaled Rankine-Hugoniot defect
 |speed * [U] - [F]| times its lifetime, summed by front kind (Bressan
 2000, ch. 2, the error formula, and ch. 7).  Shocks and contacts add
 rounding, or the coupling Newton tolerance on M1 pipes; the rarefaction
-slices and non-physical fronts carry the error.  The bump weak form (``weak_form_residual``) is a library
-diagnostic bounded by that sum over the horizon, since every bump lies
-in [0, 1] and Simpson's weights are positive: a Python loop gathers the
-segments into float columns and numpy does the rest.  It is the only
-user of numpy in gasnet and imports it when called; no scenario run
-calls it, so the coupling solves, the event loop and the CLI run
-without numpy.
+slices and non-physical fronts carry the error.  The bump weak form
+(``weak_form_residual``) is a library diagnostic bounded by that sum
+over the horizon, since every bump lies in [0, 1] and Simpson's weights
+are positive: a Python loop gathers the segments into float columns and
+numpy does the rest.  It is the only user of numpy in gasnet and
+imports it when called; no scenario run calls it, so the coupling
+solves, the event loop and the CLI run without numpy.
 """
 
 import math
