@@ -11,10 +11,12 @@ Subcommands::
 
 Each ``--scenario`` PATH is read as a UTF-8 file; ``--horizon``,
 ``--tol`` and (simulate only) ``--epsilon`` replace the document's run
-fields.  Exit codes: 0 success, 2 validation failure (a scenario file
-that is not UTF-8 and a ``--results`` file that is not a results
-document included), 3 solver non-convergence, 4 I/O error.  The
-environment variable GASNET_LOG sets the log level.
+fields.  With ``--out`` each scenario writes files named by its file
+stem, so two scenarios with the same stem are refused before either
+runs.  Exit codes: 0 success, 2 validation failure (a scenario file
+that is not UTF-8, a ``--results`` file that is not a results document
+and a repeated stem included), 3 solver non-convergence, 4 I/O error.
+The environment variable GASNET_LOG sets the log level.
 """
 
 import argparse
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import GasnetError, ScenarioParseError, ScenarioValidationError
-from .output import read_json, write_csv, write_json
+from .output import read_json, summary_text, write_csv, write_json
 from .scenario import info_log, parse_scenario, run_scenario
 
 EXIT_OK = 0
@@ -79,8 +81,7 @@ def _build_parser():
 
 def _write_result(result, path, out_dir, fmt):
     if out_dir is None:
-        json.dump(result.summary, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(summary_text(result.summary) + "\n")
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -89,8 +90,7 @@ def _write_result(result, path, out_dir, fmt):
         with open(out / f"{stem}.csv", "w", encoding="utf-8") as fh:
             write_csv(result.records, fh)
         with open(out / f"{stem}-summary.json", "w", encoding="utf-8") as fh:
-            json.dump(result.summary, fh, indent=1)
-            fh.write("\n")
+            fh.write(summary_text(result.summary) + "\n")
     else:
         with open(out / f"{stem}.json", "w", encoding="utf-8") as fh:
             write_json(result.records, fh, result.summary)
@@ -116,7 +116,24 @@ def _run_one(path, args, mode):
     return result
 
 
+def _repeated_stem(paths):
+    """The first two of ``paths`` that share a file stem, so would write
+    the same output files, or None."""
+    seen = {}
+    for path in paths:
+        stem = Path(path).stem
+        if stem in seen:
+            return seen[stem], path
+        seen[stem] = path
+    return None
+
+
 def _cmd_run(args, mode):
+    if args.out is not None and (clash := _repeated_stem(args.scenario)):
+        first, second = clash
+        print(f"{second}: same file stem as {first}; both would write "
+              f"{Path(second).stem!r} results to {args.out}", file=sys.stderr)
+        return EXIT_VALIDATION
     code = EXIT_OK
     for p in args.scenario:
         code = max(code, _guard(lambda: _run_one(p, args, mode), p))

@@ -84,38 +84,104 @@ def snapshot_record(time, xs, pipe_runs, traces, diagnostics, fields):
     }
 
 
+def _record_text(rec, text):
+    """``json.dumps(rec)`` of a record laid out as ``snapshot_record``
+    lays it out, built from ``text(obj)``, the ``json.dumps`` text of each
+    key, grid, pipe id and field dict.  Keys keep the record's order.  The
+    value of any other key, and anything that is not a dict keyed by
+    strings where the layout has one, is written by ``json.dumps``."""
+    if not _str_keyed(rec):
+        return json.dumps(rec)
+    parts = []
+    for key, value in rec.items():
+        if key == "x":
+            value = text(value)
+        elif key == "pipes" and _str_keyed(value):
+            value = ", ".join([f"{text(pid)}: [{_runs_text(runs, text)}]"
+                               for pid, runs in value.items()])
+            value = f"{{{value}}}"
+        elif key == "traces" and _str_keyed(value):
+            value = ", ".join([f"{text(pid)}: {text(fields)}" for pid, fields in value.items()])
+            value = f"{{{value}}}"
+        else:
+            value = json.dumps(value)
+        parts.append(f"{text(key)}: {value}")
+    return f"{{{', '.join(parts)}}}"
+
+
+def _runs_text(runs, text):
+    """The runs of one pipe, ``[count, field dict]`` each, without their
+    brackets; a count that is not an int is written by ``json.dumps``."""
+    return ", ".join([f"[{n}, {text(fields)}]" if type(n) is int else
+                      f"[{json.dumps(n)}, {text(fields)}]" for n, fields in runs])
+
+
+def _str_keyed(value):
+    """Whether ``value`` is a dict whose keys are all strings, which
+    ``json.dumps`` writes as they are."""
+    return type(value) is dict and all(type(key) is str for key in value)
+
+
 def write_csv(records, stream):
     """One row per (time, pipe, grid point), each run expanded over its
-    stretch of the grid; header always written."""
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
+    stretch of the grid; header always written.  The csv module quotes the
+    header and the pipe ids; time, grid and state columns are float reprs,
+    which need no quoting, so each run's state columns are joined once and
+    shared by its rows."""
+    stream.write(_csv_line(CSV_COLUMNS))
     for rec in records:
         t = repr(float(rec["time"]))
-        xs = rec["x"]
+        xs = [repr(float(x)) for x in rec["x"]]
         for pipe_id, runs in rec["pipes"].items():
+            head = _csv_line([t, pipe_id])[:-1]
             start = 0
             for count, st in runs:
-                values = [repr(float(st[c])) for c in CSV_COLUMNS[3:]]
-                w.writerows([t, pipe_id, repr(float(x))] + values
-                            for x in xs[start:start + count])
+                tail = ",".join([repr(float(st[c])) for c in CSV_COLUMNS[3:]])
+                stream.write("".join([f"{head},{x},{tail}\n" for x in xs[start:start + count]]))
                 start += count
+
+
+def _csv_line(fields):
+    """One CSV row as ``csv.writer`` writes it, newline included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
 def write_json(records, stream, summary=None):
     """One JSON document ``{"records": [...], "summary": {...}}`` with one
-    compact record per line, each one ``json.dumps``, and the summary
-    indented; floats are repr-exact and the bytes are deterministic."""
+    compact record per line and the summary indented; floats are
+    repr-exact and the bytes are deterministic.
+
+    Each line is ``json.dumps`` of its record.  Records share their grids
+    and field dicts, so each distinct grid, field dict and pipe id is
+    encoded once per call: the texts are keyed by identity, each next to
+    its object so that no id is reused, and dropped on return, so a dict
+    changed between calls is encoded afresh."""
+    texts = {}
+
+    def text(obj):
+        hit = texts.get(id(obj))
+        if hit is None:
+            hit = texts[id(obj)] = (obj, json.dumps(obj))
+        return hit[1]
+
     stream.write('{"records": [')
     sep = "\n"
     for rec in records:
         stream.write(sep)
-        stream.write(json.dumps(rec))
+        stream.write(_record_text(rec, text))
         sep = ",\n"
     stream.write("\n]")
     if summary is not None:
         stream.write(',\n"summary": ')
-        stream.write(json.dumps(summary, indent=1))
+        stream.write(summary_text(summary))
     stream.write("}\n")
+
+
+def summary_text(summary):
+    """The run summary as every output writes it: JSON indented by one."""
+    return json.dumps(summary, indent=1)
 
 
 def read_json(stream):

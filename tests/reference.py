@@ -5,8 +5,9 @@ regularity argument, the dense closed-form Jacobian that the
 elimination of ``newton_step`` avoids, and the coupling Newton with
 numpy's LAPACK solve on it.  ``JunctionProblem`` returns Python lists;
 these helpers take and return arrays and floats.  Also the zero source of operator splitting,
-CSV output as one string, the per-point sampler of a Riemann solution
-and the per-point pipe records that a snapshot's runs expand to.  And
+CSV output as one string and as one ``csv.writer`` row per grid point,
+the per-point sampler of a Riemann solution and the per-point pipe
+records that a snapshot's runs expand to.  And
 the definitions that faster code must repeat bit for bit: the
 characteristic speeds as one tuple, the fan-edge speed read off it, the
 tracker's fronts of a list of waves with every rarefaction sliced, and
@@ -17,6 +18,7 @@ repeats bit for bit, and the weak-form residual by the scalar Simpson
 rule, segment by segment and bump by bump, which the array pass repeats
 to within a stated tolerance."""
 
+import csv
 import io
 
 import numpy as np
@@ -25,7 +27,7 @@ from gasnet.errors import NotSubsonic
 from gasnet.fronttracking import _STRENGTH_FLOOR, _slice_fan
 from gasnet.junction import _DOMAIN_ERRORS, MAX_BACKTRACKS, _entropy_mix_from
 from gasnet.laxcurves import ISO, M1_IN, M1_OUT, fan_edge_speed
-from gasnet.output import write_csv
+from gasnet.output import CSV_COLUMNS, write_csv
 from gasnet.riemann import RAREFACTION, fan_state, solve_riemann_iso, solve_riemann_m1
 from gasnet.thermo import Model, pressure, sound_speed
 
@@ -236,6 +238,21 @@ def expand_pipes(record):
     return {pipe_id: {"x": record["x"],
                       "states": [fields for count, fields in runs for _ in range(count)]}
             for pipe_id, runs in record["pipes"].items()}
+
+
+def per_point_csv(records):
+    """The CSV of ``records`` as one ``csv.writer`` row per grid point of
+    each pipe's ``expand_pipes`` record, which ``write_csv`` repeats byte
+    for byte."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for rec in records:
+        t = repr(float(rec["time"]))
+        for pipe_id, pipe in expand_pipes(rec).items():
+            w.writerows([t, pipe_id, repr(float(x))] + [repr(float(st[c])) for c in CSV_COLUMNS[3:]]
+                        for x, st in zip(pipe["x"], pipe["states"]))
+    return buf.getvalue()
 
 
 def eigenvalue_tuple(state, g):

@@ -81,6 +81,28 @@ def test_riemann_writes_csv(scenario_file, tmp_path):
     assert (out / "good-summary.json").exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_repeated_stem_is_refused_before_any_run(tmp_path, capsys, fmt):
+    # two scenarios named s.yaml would write the same files under --out:
+    # the command exits 2 naming both, and neither runs nor writes
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "s.yaml")
+        paths[-1].write_text(GOOD, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["riemann", "--scenario", str(paths[0]), "--scenario", str(paths[1]),
+            "--out", str(out), "--format", fmt]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{paths[1]}: same file stem as {paths[0]}; both would write "
+                            f"'s' results to {out}\n")
+    assert not out.exists()
+    # without --out nothing is written, so both run
+    assert main(argv[:-4]) == EXIT_OK
+
+
 def test_simulate_subcommand(scenario_file, tmp_path):
     out = tmp_path / "sim"
     code = main(["simulate", "--scenario", str(scenario_file),

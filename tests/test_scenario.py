@@ -26,7 +26,7 @@ from gasnet.fronttracking import init_approximation
 from gasnet.junction import JunctionProblem, PipeSpec
 from gasnet.output import FieldMemo, read_json, render_json, state_fields, write_json
 from gasnet.scenario import parse_scenario, run_scenario
-from reference import expand_pipes, render_csv, sample_at
+from reference import expand_pipes, per_point_csv, render_csv, sample_at
 
 MINIMAL = """
 constants: {gamma: 1.4, R: 1.0}
@@ -926,24 +926,84 @@ def test_event_builder_falls_back_to_yaml_load(name):
         assert _typed(document.load_document(text)) == want
 
 
-@pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])
+# the benchmark's documents: riemann_batch's 206, up to 8 pipes, 64 points
+# and two sample times, and tracking_ladder's one
+BENCH_RENDERED = {f"{workload} seed 3": workload
+                  for workload in ("riemann_batch", "tracking_ladder")}
+
+
+@pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"]
+                         + list(BENCH_RENDERED))
 def test_render_json_matches_json_dumps(name):
-    res = run_scenario(parse_scenario(DOCUMENTS[name]))
+    texts = (_bench_documents(BENCH_RENDERED[name], 3) if name in BENCH_RENDERED
+             else [DOCUMENTS[name]])
+    for text in texts:
+        _assert_renders_as_json_dumps(run_scenario(parse_scenario(text)))
+
+
+def _assert_renders_as_json_dumps(res):
     # each record holds its grid once and each pipe as [count, fields] runs
     for rec in res.records:
         assert list(rec) == ["time", "x", "pipes", "traces", "diagnostics"]
         assert all(type(run) is list and [type(v) for v in run] == [int, dict]
                    for runs in rec["pipes"].values() for run in runs)
     out = render_json(res.records, res.summary)
-    ref = json.dumps({"records": res.records, "summary": res.summary}, indent=1)
-    assert json.loads(out) == json.loads(ref)
-    # one record per line, each the C encoder's text of that record
-    lines = out.split("\n")
-    assert lines[1:1 + len(res.records)] == [
-        json.dumps(r) + ("," if k < len(res.records) - 1 else "")
-        for k, r in enumerate(res.records)]
+    # the whole document byte for byte: one record per line, each the C
+    # encoder's text of that record, then the summary indented
+    assert out == ('{"records": [\n' + ",\n".join(json.dumps(r) for r in res.records)
+                   + '\n],\n"summary": ' + json.dumps(res.summary, indent=1) + "}\n")
     assert render_json(res.records, res.summary) == out
-    assert render_csv(res.records) == render_csv(json.loads(ref)["records"])
+    assert render_csv(res.records) == render_csv(json.loads(out)["records"])
+
+
+def _record_lines(records):
+    """The record lines of ``render_json(records)``, without their commas."""
+    return [line.rstrip(",") for line in render_json(records).split("\n")[1:-2]]
+
+
+def test_render_json_encodes_each_dict_afresh_per_call():
+    # the texts of shared dicts live for one call: a field dict changed in
+    # place between two calls is written as it is at the second
+    res = run_scenario(parse_scenario(SAMPLED))
+    shared = res.records[0]["traces"]["a"]
+    assert shared is res.records[-1]["traces"]["a"]
+    before = _record_lines(res.records)
+    shared["rho"] = 0.123456789
+    after = _record_lines(res.records)
+    assert after == [json.dumps(r) for r in res.records] != before
+    assert all('"rho": 0.123456789' in line for line in after)
+    # equal dicts that are distinct objects are encoded each as itself:
+    # 1 == 1.0 and key order does not count towards equality
+    twins = [{"rho": 1, "q": 0.5}, {"rho": 1.0, "q": 0.5}, {"q": 0.5, "rho": 1}]
+    assert twins[0] == twins[1] == twins[2]
+    rec = {"time": 1.0, "x": [0.5], "pipes": {pid: [[1, d]] for pid, d in zip("abc", twins)},
+           "traces": dict(zip("abc", twins)), "diagnostics": {}}
+    assert _record_lines([rec]) == [json.dumps(rec)]
+    # another key keeps its place, in any key order; a mapping keyed by
+    # other than strings, a count that is not an int, or a record that is
+    # not a mapping, as json.dumps has it
+    odd = [{"traces": rec["traces"], "extra": [rec["traces"]["a"], None],
+            "time": 0.5, "pipes": rec["pipes"], "x": rec["x"]},
+           {**rec, "pipes": {1: [[1, twins[0]]]}, "traces": {True: twins[1]}},
+           {**rec, "pipes": {"a": [[True, twins[0]], [2.0, twins[0]]]}},
+           {**rec, 7: "seven"}, [rec["x"], rec["traces"]]]
+    assert _record_lines(odd) == [json.dumps(r) for r in odd]
+
+
+# pipe ids that csv quotes for a comma, a quote or a line break, and two it
+# does not quote
+CSV_PIPE_IDS = ["a,b", 'say "hi"', "two\nlines", " ", "plain"]
+
+
+@pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"])
+def test_csv_matches_one_csv_writer_row_per_point(name):
+    # write_csv joins each run's columns once; the csv module writing one
+    # row per grid point gives the same bytes, also where ids need quotes
+    records = run_scenario(parse_scenario(DOCUMENTS[name])).records
+    renamed = [{**rec, "pipes": dict(zip(CSV_PIPE_IDS, rec["pipes"].values()))}
+               for rec in records]
+    for recs in (records, renamed):
+        assert render_csv(recs) == per_point_csv(recs)
 
 
 def _numpy_scalars(obj, path="result"):
