@@ -123,10 +123,10 @@ rounding, or the coupling Newton tolerance on M1 pipes; the rarefaction
 slices and non-physical fronts carry the error.  The bump weak form
 (``weak_form_residual``) is a library diagnostic bounded by that sum
 over the horizon, since every bump lies in [0, 1] and Simpson's weights
-are positive: a Python loop gathers the segments into float columns and
-numpy does the rest.  It is the only user of numpy in gasnet and
-imports it when called; no scenario run calls it, so the coupling
-solves, the event loop and the CLI run without numpy.
+are positive.  Both take each segment's defect from ``_segment_defects``.
+The weak form alone in gasnet uses numpy, for its Simpson pass, and
+imports it when called; no scenario run calls it, so the CLI runs
+without numpy.
 """
 
 import math
@@ -865,6 +865,8 @@ def init_approximation(specs, profiles, constants: GasConstants, epsilon,
 def operator_split_run(state: FrontTrackingState, source, horizon, dt_split):
     """Euler polygonal: homogeneous evolution over each dt_split, then the
     source step."""
+    if not dt_split > 0.0:
+        raise ValueError(f"split step must be positive, got {dt_split!r}")
     while state.time < horizon * (1.0 - 1e-15):
         dt = min(dt_split, horizon - state.time)
         state.run(state.time + dt)
@@ -898,22 +900,13 @@ _INDICATOR_GROUP = {RAREFACTION: "slices", "nonphysical": "nonphysical",
                     SHOCK: "jumps", CONTACT: "jumps"}
 
 
-def error_indicator(state: FrontTrackingState):
-    """The run's front-tracking error indicator E, from its segments.
-
-    E sums, over the retired segments, the componentwise-scaled jump
-    defect |speed * [U] - [F]| times the segment's lifetime t1 - t0
-    (Bressan 2000, ch. 2, the error formula): a dict of the three sums
-    by front kind, ``slices`` (rarefactions), ``nonphysical`` and
-    ``jumps`` (shocks and contacts, exact up to rounding or the coupling
-    Newton tolerance).  The flux is
-    (q, q u + p) on M2, (q, p) on M3 and on M1 also u (E + p); the
-    component scales are those of ``weak_form_residual``, which E / T
-    bounds.  Call it after ``finalize_segments``.
-    """
+def _segment_defects(state: FrontTrackingState):
+    """Each retired segment with its componentwise-scaled jump defect
+    |speed * [U] - [F]|: the flux is (q, q u + p) on M2, (q, p) on M3 and
+    on M1 also u (E + p), and each component is divided by its pipe's
+    t = 0 scale q, q^2 / rho or q E / rho."""
     g = state.g
     f_scales = [(sc.q, sc.q * sc.q / sc.rho, sc.q * sc.E / sc.rho) for sc in state.scales]
-    totals = {"slices": 0.0, "nonphysical": 0.0, "jumps": 0.0}
     for seg in state.segments:
         left, right, speed = seg.left, seg.right, seg.speed
         fs = f_scales[seg.pipe]
@@ -928,6 +921,18 @@ def error_indicator(state: FrontTrackingState):
         if left.model is M1:
             defect += abs(speed * (right.E - left.E)
                           - (ur * (right.E + pr) - ul * (left.E + pl))) / fs[2]
+        yield seg, defect
+
+
+def error_indicator(state: FrontTrackingState):
+    """The run's front-tracking error indicator E (Bressan 2000, ch. 2, the
+    error formula): each segment's defect from ``_segment_defects`` times
+    its lifetime t1 - t0, summed by front kind into ``slices``
+    (rarefactions), ``nonphysical`` and ``jumps`` (shocks and contacts,
+    exact up to rounding or the coupling Newton tolerance).  E / T bounds
+    ``weak_form_residual``.  Call it after ``finalize_segments``."""
+    totals = {"slices": 0.0, "nonphysical": 0.0, "jumps": 0.0}
+    for seg, defect in _segment_defects(state):
         totals[_INDICATOR_GROUP[seg.kind]] += defect * (seg.t1 - seg.t0)
     return totals
 
@@ -936,54 +941,28 @@ def weak_form_residual(state: FrontTrackingState, test_functions, horizon):
     """Weak-solution defect of a completed run against test functions.
 
     The volume integral of the weak form telescopes into a sum over front
-    trajectory segments of the time integral of phi times the jump defect
-    speed*[U] - [F] (exact shocks and contacts contribute nothing).  The
-    result is the maximum over test functions of the componentwise-scaled
-    defect sum, divided by the horizon, i.e. a dimensionless time-averaged
-    conservation error, as a Python float (exactly 0.0 when no segment
-    carries a defect).  The test functions are ``Bump`` objects.
+    segments of the time integral of phi times the jump defect (exact
+    shocks and contacts contribute nothing).  The result is the maximum
+    over test functions (``Bump`` objects) of the defect sum, divided by
+    the horizon: a dimensionless time-averaged conservation error, as a
+    Python float, exactly 0.0 when no segment carries a defect.
 
-    One Python pass gathers each segment's times, position, speed, pipe,
-    model and both states (rho, q, E and the pressure of ``pressure``)
-    into float columns; the rest is numpy arithmetic.  The fluxes and
-    jump defects are those of the scalar rule, operation for operation,
-    so each defect is bit-identical to it.  Every bump is evaluated at
-    the five Simpson nodes of every segment with a defect, with no
-    culling: a node outside a bump's open support is 0.0, and exp, taken
-    by ``np.exp`` on the nodes inside, may differ from ``math.exp`` by one
-    ulp.  Each bump's segment terms, all non-negative, are summed in
-    segment order, so the result stays within a few ulps of the scalar
-    rule (``Bump.__call__`` per node, one running sum per bump).
+    Each defect is the one ``error_indicator`` sums, from
+    ``_segment_defects``; numpy does the Simpson pass alone.  Every bump
+    is evaluated at the five Simpson nodes of every segment with a
+    defect: a node outside its open support is 0.0, and ``np.exp`` may
+    differ from ``math.exp`` by one ulp.  Each bump's non-negative terms
+    are summed in segment order, so the result stays within a few ulps
+    of the scalar rule (``Bump.__call__`` per node, one running sum).
     """
     import numpy as np
 
-    g = state.g
-    cols = []
-    for seg in state.segments:
-        left, right = seg.left, seg.right
-        # both states share their pipe's model; E is None off M1
-        cols += (seg.t0, seg.t1, seg.x0, seg.speed, seg.pipe, left.model is M1,
-                 left.model is M3, left.rho, left.q, left.E or 0.0, pressure(left, g),
-                 right.rho, right.q, right.E or 0.0, pressure(right, g))
+    cols = [(seg.t0, seg.t1, seg.x0, seg.speed, defect)
+            for seg, defect in _segment_defects(state) if defect != 0.0]
     bumps = [(phi_f.xc, phi_f.wx, phi_f.tc, phi_f.wt) for phi_f in test_functions]
     if not cols or not bumps:
         return 0.0
-    t0, t1, x0, speed, pipe, m1, m3, *sides = np.array(cols, dtype=float).reshape(-1, 15).T
-    m3 = m3 == 1.0
-
-    def flux(rho, q, E, p):
-        u = q / rho
-        return q, np.where(m3, p, q * u + p), u * (E + p)
-
-    f_scales = np.array([(sc.q, sc.q * sc.q / sc.rho, sc.q * sc.E / sc.rho)
-                         for sc in state.scales])[pipe.astype(np.intp)].T
-    rows = [np.abs(speed * (ur - ul) - (fr - fl)) / fs for ur, ul, fr, fl, fs in
-            zip(sides[4:], sides[:4], flux(*sides[4:]), flux(*sides[:4]), f_scales)]
-    defect = rows[0] + rows[1] + np.where(m1 == 1.0, rows[2], 0.0)
-    keep = defect != 0.0
-    if not keep.any():
-        return 0.0
-    t0, t1, x0, speed, defect = t0[keep], t1[keep], x0[keep], speed[keep], defect[keep]
+    t0, t1, x0, speed, defect = np.array(cols, dtype=float).T
     # bump parameters as columns: every array below has one row per bump
     # and one column per segment
     xc, wx, tc, wt = np.array(bumps, dtype=float).T[:, :, None]

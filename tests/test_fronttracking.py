@@ -741,8 +741,9 @@ def test_epsilon_ladder_nonphysical_strength_is_order_epsilon():
         assert fine <= 0.6 * coarse, residuals
 
 
-# The array pass takes its jump defects from the scalar rule bit for bit;
-# only exp differs, np.exp against math.exp, by at most one ulp.  Every
+# The weak form and error_indicator share one jump-defect rule, which
+# tests/reference.py repeats bit for bit, so the defects are equal; only
+# exp differs, np.exp against math.exp, by at most one ulp.  Every
 # term of a bump's sum is non-negative, so that ulp moves each term, and
 # each sum, by a few ulps relative, with no cancellation to magnify it
 # (at most 4.0e-16, about two ulps, on the data of the tests below);
@@ -876,16 +877,20 @@ def _segment_sets(draw):
 @settings(max_examples=100)
 @given(_segment_sets(), hs.sampled_from([1.0, 1.2]))
 def test_weak_form_kernel_matches_scalar_reference(case, horizon):
-    # each bump alone, and all bumps in one call; and the error indicator
-    # of the same segments bit for bit
+    # each bump alone, and all bumps in one call; the error indicator of
+    # the same segments bit for bit; and E / horizon bounds each residual
+    # with no slack, since every bump lies in [0, 1] and Simpson's weights
+    # are positive
     state, phi = case
-    assert error_indicator(state) == scalar_error_indicator(state)
+    indicator = error_indicator(state)
+    assert indicator == scalar_error_indicator(state)
     funcs = [phi] + bump_test_functions(2.0, horizon)
     for bumps in [[bump] for bump in funcs] + [funcs]:
         res = weak_form_residual(state, bumps, horizon)
         assert type(res) is float
         assert res == pytest.approx(scalar_weak_form_residual(state, bumps, horizon),
                                     rel=WEAK_FORM_RTOL, abs=0.0)
+        assert sum(indicator.values()) / horizon >= res, (indicator, res)
 
 
 def test_weak_form_residual_without_defects_is_zero():

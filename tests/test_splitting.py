@@ -127,6 +127,17 @@ def test_friction_decreases_flux_monotonically():
     assert all(b < a for a, b in zip(qs, qs[1:]))
 
 
+@pytest.mark.parametrize("dt_split", [0.0, -0.1, float("nan")])
+def test_split_step_that_is_not_positive_raises_before_running(dt_split):
+    # a step that does not advance time would loop forever, and a NaN one
+    # would fail inside the first source step: both are refused up front
+    specs, profiles = perturbed_scenario()
+    state = init_approximation(specs, profiles, G, epsilon=0.02)
+    with pytest.raises(ValueError, match="split step must be positive"):
+        operator_split_run(state, FrictionSource(0.02, 0.5), 0.5, dt_split)
+    assert state.time == 0.0 and state.events == 0
+
+
 class EjectorSource:
     """Pushes the momentum up hard enough to leave the subsonic region."""
 

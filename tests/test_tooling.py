@@ -298,6 +298,19 @@ def test_simulate_mode_does_not_import_numpy(tmp_path):
         "y_junction_tracking.json"]
 
 
+def test_numpy_is_imported_only_by_the_weak_form():
+    # the runs above cover what the CLI calls; a library caller can import
+    # any function, so src/gasnet imports numpy exactly once, inside
+    # weak_form_residual, at the top of no module and in no other function
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if _imports(node, "numpy")]
+    inside = [f"fronttracking.py:{node.lineno}"
+              for fn in ast.walk(ast.parse((SRC / "fronttracking.py").read_text()))
+              if isinstance(fn, ast.FunctionDef) and fn.name == "weak_form_residual"
+              for node in ast.walk(fn) if _imports(node, "numpy")]
+    assert len(found) == 1 and found == inside, found
+
+
 def _imports(node, package):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == package for alias in node.names)
