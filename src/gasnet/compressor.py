@@ -17,6 +17,7 @@ which flips only the sign of the base Jacobian's determinant, not the
 solution.
 """
 
+from math import inf
 from typing import NamedTuple
 
 from .errors import NonPositiveFlux
@@ -49,6 +50,8 @@ class CompressorControl(_Checked, _ControlFields):
             raise ValueError("control value must be non-negative")
         if kind == POWER and (cp_coeff is None or not cp_coeff > 0.0):
             raise ValueError("power control needs a positive cp_coeff")
+        if inf in (value, cp_coeff):
+            raise ValueError(f"control value and cp_coeff must be finite, got {value}, {cp_coeff}")
         return tuple.__new__(cls, (kind, value, cp_coeff))
 
     @staticmethod

@@ -118,12 +118,13 @@ A run measures its own error by ``error_indicator``, one pure-Python
 pass after the run over the retired segments, which a ladder member
 does not keep: each segment's scaled Rankine-Hugoniot defect
 |speed * [U] - [F]| times its lifetime, summed by front kind (Bressan
-2000, ch. 2, the error formula, and ch. 7).  Shocks and contacts add
-rounding, or the coupling Newton tolerance on M1 pipes; the rarefaction
-slices and non-physical fronts carry the error.  The bump weak form
-(``weak_form_residual``) is a library diagnostic bounded by that sum
-over the horizon, since every bump lies in [0, 1] and Simpson's weights
-are positive.  Both take each segment's defect from ``_segment_defects``.
+2000, ch. 2, the error formula, and ch. 7).  The rarefaction slices and
+non-physical fronts carry the error; shocks and contacts add rounding and
+the jumps of the sub-floor waves they absorb (up to 6e-12 on M1 pipes).
+The bump weak form (``weak_form_residual``) is a library diagnostic
+bounded by that sum over the horizon, since every bump lies in [0, 1] and
+Simpson's weights are positive.  Both take each segment's defect from
+``_segment_defects``.
 The weak form alone in gasnet uses numpy, for its Simpson pass, and
 imports it when called; no scenario run calls it, so the CLI runs
 without numpy.
@@ -274,8 +275,8 @@ class FrictionSource:
     """
 
     def __init__(self, lambda_f, diameter):
-        if not (lambda_f >= 0.0 and diameter > 0.0):
-            raise ValueError("friction needs lambda_f >= 0 and diameter > 0")
+        if not (0.0 <= lambda_f < math.inf and 0.0 < diameter < math.inf):
+            raise ValueError("friction needs finite lambda_f >= 0 and diameter > 0")
         self.lambda_f = lambda_f
         self.diameter = diameter
 
@@ -306,16 +307,13 @@ def apply_wave(family, strength, left: PipeState, g: GasConstants) -> PipeState:
     if model is M1:
         if family == 2:
             return lax_m1(2, strength, left, g)
-        # family 3 applied from the left: invert the parameterization
+        # family 3 applied from the left: left.rho = phi(p_w, p_x, rho_x),
+        # linear in its data density rho_x, so one division inverts it
         p_w = pressure(left, g)
         p_x = p_w - strength
         if p_x <= 0.0:
             raise NonPositiveDensity(f"wave of strength {strength} from p={p_w}")
-        if p_w <= p_x:
-            rho_x = left.rho * (p_x / p_w) ** (1.0 / gamma)
-        else:
-            mu2 = (gamma - 1.0) / (gamma + 1.0)
-            rho_x = left.rho * (mu2 * p_w + p_x) / (p_w + mu2 * p_x)
+        rho_x = left.rho * left.rho / kernels.phi(p_w, p_x, left.rho, gamma)
         return m1_state(rho_x, left.u - kernels.psi(p_w, p_x, rho_x, gamma), p_x, g)
     rho_x = left.rho - strength
     if rho_x <= 0.0:
@@ -929,7 +927,7 @@ def error_indicator(state: FrontTrackingState):
     error formula): each segment's defect from ``_segment_defects`` times
     its lifetime t1 - t0, summed by front kind into ``slices``
     (rarefactions), ``nonphysical`` and ``jumps`` (shocks and contacts,
-    exact up to rounding or the coupling Newton tolerance).  E / T bounds
+    exact but for rounding and the sub-floor waves they absorb).  E / T bounds
     ``weak_form_residual``.  Call it after ``finalize_segments``."""
     totals = {"slices": 0.0, "nonphysical": 0.0, "jumps": 0.0}
     for seg, defect in _segment_defects(state):

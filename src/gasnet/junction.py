@@ -85,6 +85,8 @@ class PipeSpec(_Checked, _PipeSpecFields):
     def __new__(cls, id, area, model):
         if not area > 0.0:
             raise ValueError(f"pipe {id!r}: area must be positive")
+        if area == math.inf:
+            raise ValueError(f"pipe {id!r}: area must be finite")
         return tuple.__new__(cls, (id, area, model))
 
 

@@ -4,8 +4,8 @@ One rule per model: :func:`curve_parameter` is pressure for the full
 Euler acoustic families and density for the isentropic ones (the M1
 contact is parameterized by the density shift tau), :func:`curve_point`
 is the state at a parameter and :func:`fan_edge_speed` the speed that
-bounds a rarefaction fan.  The Riemann solvers, the front tracker and
-the coupling solvers all read their waves off these curves.
+bounds a rarefaction fan.  Riemann solves and fan samples, the tracker's
+steps and the coupling solvers all read their waves off these curves.
 
 The coupling solvers express every junction trace as a point on a wave
 curve through the pipe's initial state:
@@ -129,28 +129,23 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
 
     if role == ISO:
         kappa = base.kappa
+        state = lax_iso(base.model, 2, sigma, base, g)
+        q = state.q
         p = kappa * sigma**gamma
         dp = kappa * gamma * sigma ** (gamma - 1.0)
         T = p / (g.R * sigma)
         dT = (gamma - 1.0) * kappa * sigma ** (gamma - 2.0) / g.R
         s = g.entropy_from_kappa(kappa)
+        h = kappa * gamma * sigma ** (gamma - 1.0) / (gamma - 1.0)
+        dh = kappa * gamma * sigma ** (gamma - 2.0)
         if base.model is M2:
-            inc = kernels.theta2(sigma, base.rho, kappa, gamma)
-            dinc = kernels.dtheta2(sigma, base.rho, kappa, gamma)
-            q = base.u * sigma + inc
-            dq = base.u + dinc
+            dq = base.u + kernels.dtheta2(sigma, base.rho, kappa, gamma)
             u = q / sigma
             du = (dq * sigma - q) / sigma**2
-            h = kappa * gamma * sigma ** (gamma - 1.0) / (gamma - 1.0) + 0.5 * u * u
-            dh = kappa * gamma * sigma ** (gamma - 2.0) + u * du
+            h += 0.5 * u * u
+            dh += u * du
         else:
-            inc = kernels.theta3(sigma, base.rho, kappa, gamma)
-            dinc = kernels.dtheta3(sigma, base.rho, kappa, gamma)
-            q = base.q + inc
-            dq = dinc
-            h = kappa * gamma * sigma ** (gamma - 1.0) / (gamma - 1.0)
-            dh = kappa * gamma * sigma ** (gamma - 2.0)
-        state = PipeState(base.model, sigma, q, kappa=kappa)
+            dq = kernels.dtheta3(sigma, base.rho, kappa, gamma)
         return TraceEval(state, q, h, s, p, T, dq, dh, 0.0, dp, dT)
 
     # Full Euler: fast acoustic curve from the data, then (outgoing only)

@@ -6,11 +6,11 @@ for the isentropic pair).  A solution is its elementary waves, left to
 right: each is a ``Front`` born at the origin, so ``w.at(t)`` is its
 self-similar position, and the front tracker, the coupling patterns and
 the Riemann solvers build the same type.  A shock or contact travels at
-``speed``; a rarefaction's ``speed`` is its tail (right edge) and its
-head is ``fan_edge_speed(w.family, w.left, g)``.  ``_acoustic_wave``
-alone builds every acoustic wave.  ``solve_riemann_iso`` is also the
-tracker's accurate step on M2/M3 pipes: its star state is one ``lax_iso``
-point that both waves share, so they chain as they are.
+``speed``; a rarefaction's ``speed`` is its tail (right edge), its
+head is ``fan_edge_speed(w.family, w.left, g)``, and ``fan_state`` reads
+its inside off the data side's ``curve_point``.  ``_acoustic_wave`` alone
+builds every acoustic wave.  ``solve_riemann_iso``, the tracker's
+accurate step on M2/M3 pipes, has one star state that both waves share.
 
 Tie-breaking: a similarity coordinate xi that falls exactly on a shock,
 contact, or fan edge resolves to the right-limit state.
@@ -20,8 +20,8 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from . import kernels
-from .laxcurves import fan_edge_speed, lax_iso
-from .thermo import M1, M2, M3, GasConstants, PipeState, iso_state, m1_state, pressure, sound_speed
+from .laxcurves import curve_point, fan_edge_speed
+from .thermo import M1, M2, M3, GasConstants, PipeState, m1_state, pressure, sound_speed
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -124,45 +124,34 @@ def solve_riemann_iso(UL: PipeState, UR: PipeState, g: GasConstants) -> RiemannS
         rho_star, res, it = kernels.solve_rho_star_m2(UL.rho, UL.u, UR.rho, UR.u, kappa, gamma)
     else:
         rho_star, res, it = kernels.solve_rho_star_m3(UL.rho, UL.q, UR.rho, UR.q, kappa, gamma)
-    star = lax_iso(model, 1, rho_star, UL, g)
+    star = curve_point(1, rho_star, UL, g)
     waves = (_acoustic_wave(1, UL, star, UL.rho, rho_star, g),
              _acoustic_wave(2, UR, star, UR.rho, rho_star, g))
     return RiemannSolution(rho_star, waves, res, it)
 
 
 def fan_state(wave: Front, xi, g: GasConstants) -> PipeState:
-    """State inside a rarefaction fan at similarity coordinate xi.
-
-    The Riemann invariant of the crossing family and (M1) the entropy of
-    the data-side state are constant through the fan, which gives closed
-    forms for c and u in terms of xi.
-    """
+    """State inside a rarefaction fan at similarity coordinate xi: the
+    point on the data side's wave curve whose edge speed is xi.  (1) Its
+    sound speed c is -xi or xi on M3, else from the crossing family's
+    Riemann invariant, constant through the fan; (2) its curve parameter
+    is the density (c^2 / kappa gamma)^(1/(gamma-1)), or on M1 the pressure
+    p_data (c / c_data)^(2 gamma/(gamma-1)); (3) ``curve_point`` gives it."""
     if wave.kind != RAREFACTION:
         raise ValueError("fan_state needs a rarefaction wave")
-    gamma = g.gamma
-    model = wave.left.model
-    kappa = wave.left.kappa
-    anchor = wave.left if wave.family == 1 else wave.right
-    if model is M3:
-        # the characteristic speed is +-c, so xi pins the density directly
-        c = -xi if wave.family == 1 else xi
-        rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
-        theta = kernels.theta3(rho, anchor.rho, kappa, gamma)
-        q = anchor.q - theta if wave.family == 1 else anchor.q + theta
-        return PipeState(M3, rho, q, kappa=kappa)
-    c_a = sound_speed(anchor, g)
-    if wave.family == 1:
-        c = ((gamma - 1.0) * (anchor.u - xi) + 2.0 * c_a) / (gamma + 1.0)
-        u = xi + c
+    gamma, family = g.gamma, wave.family
+    data = wave.left if family == 1 else wave.right
+    sign = -1.0 if family == 1 else 1.0
+    if data.model is M3:
+        c = sign * xi
     else:
-        c = ((gamma - 1.0) * (xi - anchor.u) + 2.0 * c_a) / (gamma + 1.0)
-        u = xi - c
-    if model is M2:
-        rho = (c * c / (kappa * gamma)) ** (1.0 / (gamma - 1.0))
-        return iso_state(M2, rho, u, kappa)
-    rho = anchor.rho * (c / c_a) ** (2.0 / (gamma - 1.0))
-    p = pressure(anchor, g) * (c / c_a) ** (2.0 * gamma / (gamma - 1.0))
-    return m1_state(rho, u, p, g)
+        c_data = sound_speed(data, g)
+        c = ((gamma - 1.0) * sign * (xi - data.u) + 2.0 * c_data) / (gamma + 1.0)
+    if data.model is M1:
+        param = pressure(data, g) * (c / c_data) ** (2.0 * gamma / (gamma - 1.0))
+    else:
+        param = (c * c / (data.kappa * gamma)) ** (1.0 / (gamma - 1.0))
+    return curve_point(family, param, data, g)
 
 
 def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: GasConstants):

@@ -147,13 +147,13 @@ def _unknown(doc, path, known, errs):
 
 
 def _positive_list(doc, path, key, errs):
-    """doc[key] as a list of floats, each finite and > 0; None if absent."""
+    """doc[key] as a non-empty list of finite floats > 0; None if absent."""
     if key not in doc:
         return None
     vs = doc[key]
-    if not isinstance(vs, list) or not all(
+    if not isinstance(vs, list) or not vs or not all(
             _is_finite(v) and v > 0 for v in vs):
-        errs.add(f"{path}.{key}", "must be a list of finite positive numbers")
+        errs.add(f"{path}.{key}", "must be a non-empty list of finite positive numbers")
         return None
     return [float(v) for v in vs]
 

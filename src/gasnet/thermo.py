@@ -15,7 +15,7 @@ uniform across the hierarchy.
 """
 
 from enum import Enum
-from math import log, sqrt
+from math import inf, log, sqrt
 from typing import NamedTuple
 
 from .errors import NonPositivePressure
@@ -70,6 +70,8 @@ class GasConstants(_Checked, _GasConstantsFields):
             raise ValueError(f"R must be positive, got {R}")
         if not s0 >= 0.0:
             raise ValueError(f"s0 must be non-negative, got {s0}")
+        if inf in (gamma, R, s0):
+            raise ValueError(f"gas constants must be finite, got gamma={gamma}, R={R}, s0={s0}")
         return tuple.__new__(cls, (gamma, R, s0))
 
     @property

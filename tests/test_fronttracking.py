@@ -832,6 +832,30 @@ def test_weak_form_matches_scalar_reference_across_models(rng):
         assert min(_assert_weak_form_matches_reference(state, 1.0, state.time)) > 0.0
 
 
+def test_m1_jump_defects_come_from_the_strength_floor(rng, monkeypatch):
+    # on M1 pipes `jumps` is not rounding: a wave below the strength floor
+    # is dropped and leaves its jump in a neighbouring shock or contact,
+    # by the chain closure of _wave_fronts or with a sub-floor non-physical
+    # front that a simplified interaction drops.  With the floor at 1e-14
+    # the M1 compressor of _m1_cases keeps those waves (33 events instead
+    # of 20) and `jumps` falls to rounding: 6.3e-12 -> 2.0e-15 seen
+    import gasnet.fronttracking as ft
+
+    _, (specs, profiles, control) = _m1_cases(rng)
+
+    def jumps():
+        state = init_approximation(specs, profiles, G, epsilon=0.02, control=control)
+        state.run(1.5)
+        state.finalize_segments()
+        return state.events, error_indicator(state)["jumps"]
+
+    events, at_floor = jumps()
+    assert events == 20 and at_floor > 1e-12
+    monkeypatch.setattr(ft, "_STRENGTH_FLOOR", 1e-14)
+    events, below_floor = jumps()
+    assert events == 33 and below_floor < 1e-13
+
+
 def _stub_state(segments, n_pipes):
     """What weak_form_residual reads of a run: segments, scales and g."""
     return SimpleNamespace(segments=segments, g=G,

@@ -252,7 +252,8 @@ def test_random_solutions_match_oracle_and_rh(rng):
 
 def test_riemann_invariants_constant_through_fans(rng):
     # u + 2c/(gamma-1) through 1-fans, u - 2c/(gamma-1) through 3-/2-fans,
-    # entropy constant in all fans (M1)
+    # entropy constant in all fans (M1), and each fan state is the one
+    # whose edge speed is its xi, on every model
     hits = 0
     for _ in range(300):
         model = Model(rng.choice(["M1", "M2", "M3"]))
@@ -282,6 +283,7 @@ def test_riemann_invariants_constant_through_fans(rng):
             for xi in np.linspace(head + 1e-12, tail - 1e-12, 100):
                 st = fan_state(w, xi, G)
                 tq = thermo_quantities(st, G)
+                assert abs(fan_edge_speed(w.family, st, G) - xi) <= 1e-13 * tq.c
                 if inv_a is not None:
                     inv = st.u - sign * 2.0 * tq.c / (GAMMA - 1.0)
                     assert inv == pytest.approx(inv_a, rel=1e-8, abs=1e-8)

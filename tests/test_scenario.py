@@ -242,17 +242,26 @@ def test_run_key_the_mode_never_reads_is_a_violation(mode, line):
     ("snapshots", "0"),
     ("grid.points", "1"),
     ("max_events", "0"),
+    ("sample_times", "[]"),
+    ("epsilon_ladder", "[]"),
 ])
 def test_booleans_rejected_in_integer_and_number_list_fields(field, value):
     # YAML booleans load as bool, a subclass of int: true would read as 1;
-    # the integer fields also reject values below their minimum
+    # the integer fields also reject values below their minimum, and the
+    # list fields an empty list, which would sample at the default horizon
+    # or drop the ladder.  Only simulate mode reads epsilon_ladder, so it
+    # is checked there: in riemann mode it is refused as never read.
+    mode = "simulate" if field == "epsilon_ladder" else "riemann"
     if field == "grid.points":
         doc = MINIMAL.replace("points: 4", f"points: {value}")
     else:
-        doc = MINIMAL.replace("mode: riemann", f"mode: riemann\n  {field}: {value}")
+        doc = MINIMAL.replace("mode: riemann", f"mode: {mode}\n  {field}: {value}")
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(doc)
     assert any(v.startswith(f"run.{field}:") for v in err.value.violations)
+    if value == "[]":
+        assert err.value.violations == [
+            f"run.{field}: must be a non-empty list of finite positive numbers"]
 
 
 PIECEWISE = MINIMAL.replace(

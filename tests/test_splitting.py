@@ -138,6 +138,21 @@ def test_split_step_that_is_not_positive_raises_before_running(dt_split):
     assert state.time == 0.0 and state.events == 0
 
 
+@pytest.mark.parametrize("lambda_f, diameter", [
+    (-0.1, 0.5), (0.02, 0.0), (0.02, -1.0), (float("nan"), 0.5), (0.02, float("nan")),
+    (float("inf"), 0.5), (0.02, float("inf")),
+], ids=["lambda-negative", "diameter-zero", "diameter-negative", "lambda-nan", "diameter-nan",
+        "lambda-inf", "diameter-inf"])
+def test_friction_source_rejects_coefficients_out_of_range(lambda_f, diameter):
+    # an infinite coefficient would make every source step's momentum
+    # rate infinite (NaN at q = 0) or zero, and a NaN one fails every
+    # comparison; lambda_f = 0, no friction, stays valid
+    with pytest.raises(ValueError) as exc:
+        FrictionSource(lambda_f, diameter)
+    assert str(exc.value) == "friction needs finite lambda_f >= 0 and diameter > 0"
+    assert FrictionSource(0.0, 0.5).momentum_rate(iso_state(Model.M2, 1.0, 0.3, 1.0)) == 0.0
+
+
 class EjectorSource:
     """Pushes the momentum up hard enough to leave the subsonic region."""
 

@@ -1,6 +1,6 @@
 """State construction, EOS evaluation, eigenvalues, and classification."""
 
-from math import exp, sqrt
+from math import exp, inf, sqrt
 
 import numpy as np
 import pytest
@@ -100,6 +100,20 @@ def _row(n, valid, change, message):
     _row(22, CONSTANTS, dict(s0=float("nan")), "s0 must be non-negative, got nan"),
     _row(23, HEAD, dict(value=float("nan")), "control value must be non-negative"),
     _row(24, POWER, dict(value=float("nan")), "control value must be non-negative"),
+    # inf passes every lower bound, so each type also checks finiteness
+    pytest.param(CONSTANTS, dict(gamma=inf), "gas constants must be finite, got gamma=inf, "
+                 "R=1.0, s0=0.0", id="constants-gamma-inf"),
+    pytest.param(CONSTANTS, dict(R=inf), "gas constants must be finite, got gamma=1.4, "
+                 "R=inf, s0=0.0", id="constants-R-inf"),
+    pytest.param(CONSTANTS, dict(s0=inf), "gas constants must be finite, got gamma=1.4, "
+                 "R=1.0, s0=inf", id="constants-s0-inf"),
+    pytest.param(SPEC, dict(area=inf), "pipe 'a': area must be finite", id="spec-area-inf"),
+    pytest.param(HEAD, dict(value=inf), "control value and cp_coeff must be finite, "
+                 "got inf, None", id="head-value-inf"),
+    pytest.param(POWER, dict(value=inf), "control value and cp_coeff must be finite, "
+                 "got inf, 0.5", id="power-value-inf"),
+    pytest.param(POWER, dict(cp_coeff=inf), "control value and cp_coeff must be finite, "
+                 "got 1.0, inf", id="power-cp_coeff-inf"),
 ])
 def test_value_types_check_construction_and_copies(valid, change, message):
     # the constructor, _replace and _make of a checked value type reject
