@@ -10,6 +10,7 @@ from .errors import (
     NonPositiveFlux,
     NonPositivePressure,
     NotSubsonic,
+    OneSidedJunction,
     ScenarioParseError,
     ScenarioValidationError,
     SingularEntropyMix,

@@ -2,12 +2,15 @@
 gives out.
 
 PyYAML's libyaml parser and composer (its pure-Python ones when PyYAML
-was built without libyaml) make the node graph, and ``_value`` builds
-dicts, lists and scalars from it, with PyYAML's safe constructors for the
-implicit scalar types and its merge-key rule; nodes of other tags go to
-a ``SafeConstructor``.  This is the one module of gasnet that imports
-PyYAML: ``scenario.parse_scenario`` imports it on its first call, so
-code that parses no document never loads PyYAML.
+was built without libyaml) make the node graph, its scalars tagged from
+PyYAML's own implicit-resolver table, and ``_value`` builds dicts, lists
+and scalars from it, with PyYAML's safe constructors for the implicit
+scalar types and its merge-key rule; a plain decimal float, the common
+case, is ``float(text)``, and any float spelling ``float`` rejects goes
+to the constructor.  Nodes of other tags go to a ``SafeConstructor``.
+Nothing is kept from one parse to the next.  This is the one module of
+gasnet that imports PyYAML: ``scenario.parse_scenario`` imports it on its
+first call, so code that parses no document never loads PyYAML.
 """
 
 from collections import deque
@@ -20,7 +23,15 @@ from .errors import ScenarioParseError
 # libyaml's parser and composer when PyYAML has them; both give line and column
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _TAG = "tag:yaml.org,2002:"
-_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+_STR, _SEQ, _MAP, _FLOAT = _TAG + "str", _TAG + "seq", _TAG + "map", _TAG + "float"
+# safe_load's implicit resolvers, (tag, regexp match) in PyYAML's order, by
+# the first character of a plain scalar ("" for the empty one); SafeLoader
+# has no wildcard (None) and no path resolvers, so this is all it consults
+_RESOLVERS = {first: tuple((tag, regexp.match) for tag, regexp in resolvers)
+              for first, resolvers in _LOADER.yaml_implicit_resolvers.items()}
+# the last characters of a plain decimal float, which float() reads as
+# PyYAML's constructor does; inf and nan spellings end in letters
+_FLOAT_ENDS = frozenset("0123456789.")
 # safe_load's constructors of the implicit scalar types, and the instance
 # whose stateless methods (these and flatten_mapping) every parse shares
 _SCALARS = {_TAG + name: SafeConstructor.yaml_constructors[_TAG + name]
@@ -33,6 +44,21 @@ _MAX_DEPTH = 1_000
 _INDICATORS = "[{-:?"
 
 
+class _TableLoader(_LOADER):
+    """``_LOADER`` whose scalars are resolved by ``_RESOLVERS``, the table
+    ``resolve`` of PyYAML's ``BaseResolver`` reads, without its per-call
+    lookups of wildcard and path resolvers."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode:
+            if implicit[0]:
+                for tag, match in _RESOLVERS.get(value[:1], ()):
+                    if match(value):
+                        return tag
+            return _STR
+        return _SEQ if kind is yaml.SequenceNode else _MAP
+
+
 def _value(node, built, pending):
     """What ``yaml.safe_load`` builds of ``node``.  A default sequence or
     mapping is returned empty, kept in ``built`` under its node's id (an
@@ -40,15 +66,22 @@ def _value(node, built, pending):
     queued on ``pending`` for ``_load`` to fill; any other tagged node
     goes to a fresh ``SafeConstructor``."""
     kind = type(node)
-    if kind is yaml.ScalarNode and node.tag == _STR:
-        return node.value
-    if kind is yaml.ScalarNode and node.tag in _SCALARS:
-        try:
-            return _SCALARS[node.tag](_CONSTRUCTOR, node)
-        except (ValueError, LookupError, AttributeError) as exc:
-            # a date that does not exist, `!!int abc`, `!!bool abc`, ...
-            raise ConstructorError(None, None, f"cannot construct {node.tag} from "
-                                   f"{node.value!r}: {exc}", node.start_mark) from exc
+    if kind is yaml.ScalarNode:
+        tag, text = node.tag, node.value
+        if tag == _STR:
+            return text
+        if tag == _FLOAT and text[-1:] in _FLOAT_ENDS and "_" not in text and ":" not in text:
+            try:
+                return float(text)
+            except ValueError:
+                pass        # `!!float 0x10`, ...: the constructor's error
+        if tag in _SCALARS:
+            try:
+                return _SCALARS[tag](_CONSTRUCTOR, node)
+            except (ValueError, LookupError, AttributeError) as exc:
+                # a date that does not exist, `!!int abc`, `!!bool abc`, ...
+                raise ConstructorError(None, None, f"cannot construct {tag} from "
+                                       f"{text!r}: {exc}", node.start_mark) from exc
     if id(node) in built:
         return built[id(node)]
     if kind is yaml.SequenceNode and node.tag == _SEQ:
@@ -68,7 +101,7 @@ def _load(text):
     them, so of several construction errors the same one is raised."""
     if sum(map(text.count, _INDICATORS)) > _MAX_DEPTH:
         _check_depth(text)
-    root = yaml.compose(text, Loader=_LOADER)
+    root = yaml.compose(text, Loader=_TableLoader)
     built, pending = {}, deque()
     doc = None if root is None else _value(root, built, pending)
     while pending:

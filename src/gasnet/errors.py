@@ -42,6 +42,12 @@ class SingularJacobian(GasnetError):
     """A coupling Newton step met an exact zero divisor: the Jacobian is singular."""
 
 
+class OneSidedJunction(GasnetError, ValueError):
+    """Every pipe at a junction flows into it, or every pipe out of it:
+    the data form no coupling problem.  It is a ValueError too, for
+    callers that pass such data directly."""
+
+
 class SubsonicViolation(GasnetError):
     """A solver produced a state outside the admissible subsonic sets."""
 

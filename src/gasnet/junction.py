@@ -42,6 +42,7 @@ from .errors import (
     NonPositiveFlux,
     NonPositivePressure,
     NotSubsonic,
+    OneSidedJunction,
     SingularEntropyMix,
     SingularJacobian,
     SubsonicViolation,
@@ -101,10 +102,13 @@ class _Pipe(NamedTuple):
 
 def classify_pipes(pipes, g: GasConstants, control=None):
     """Whether each (spec, state) pair of ``pipes`` is outgoing.  Raises
-    NotSubsonic or ValueError at the first pipe or rule outside the
-    coupling problem: a state not strictly subsonic, no incoming or no
-    outgoing pipe, or at a compressor (``control``) an inlet that is not
-    incoming, an outlet that is not outgoing, or unequal areas."""
+    at the first pipe or rule outside the coupling problem: NotSubsonic
+    for a state not strictly subsonic, or at a compressor (``control``)
+    an inlet that is not incoming or an outlet that is not outgoing;
+    OneSidedJunction for no incoming or no outgoing pipe.  These depend
+    on the data, so a tracked run meets them as solver errors.  ValueError
+    is for what the caller fixes: a spec model that is not its state's,
+    or a compressor without two pipes of equal area."""
     outgoing = []
     for spec, state in pipes:
         if spec.model is not state.model:
@@ -128,8 +132,8 @@ def classify_pipes(pipes, g: GasConstants, control=None):
             raise ValueError("compressor pipes must have equal surface sections")
     # this also rejects fewer than two pipes
     if all(outgoing) or not any(outgoing):
-        raise ValueError("a junction needs at least one incoming and one outgoing pipe "
-                         "(N > dim(I_i) > 0)")
+        raise OneSidedJunction("a junction needs at least one incoming and one outgoing "
+                               "pipe (N > dim(I_i) > 0)")
     return outgoing
 
 

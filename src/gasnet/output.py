@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 
 from .thermo import (
     M1,
@@ -84,14 +85,31 @@ def snapshot_record(time, xs, pipe_runs, traces, diagnostics, fields):
     }
 
 
+def _compact_encoder():
+    """``json.dumps`` with its default arguments as one function: the C
+    encoder ``json.dumps`` builds on each call, built once, or
+    ``json.dumps`` itself where the json module has no C encoder.  It
+    keeps no circular markers: what it writes, a record's flat field
+    dicts, float grids, strings and diagnostics, holds no cycle."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.dumps
+    encode = make(None, json.JSONEncoder().default, encode_basestring_ascii,
+                  None, ": ", ", ", False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_dumps = _compact_encoder()
+
+
 def _record_text(rec, text):
     """``json.dumps(rec)`` of a record laid out as ``snapshot_record``
     lays it out, built from ``text(obj)``, the ``json.dumps`` text of each
     key, grid, pipe id and field dict.  Keys keep the record's order.  The
     value of any other key, and anything that is not a dict keyed by
-    strings where the layout has one, is written by ``json.dumps``."""
+    strings where the layout has one, is written by ``_dumps``."""
     if not _str_keyed(rec):
-        return json.dumps(rec)
+        return _dumps(rec)
     parts = []
     for key, value in rec.items():
         if key == "x":
@@ -104,16 +122,16 @@ def _record_text(rec, text):
             value = ", ".join([f"{text(pid)}: {text(fields)}" for pid, fields in value.items()])
             value = f"{{{value}}}"
         else:
-            value = json.dumps(value)
+            value = _dumps(value)
         parts.append(f"{text(key)}: {value}")
     return f"{{{', '.join(parts)}}}"
 
 
 def _runs_text(runs, text):
     """The runs of one pipe, ``[count, field dict]`` each, without their
-    brackets; a count that is not an int is written by ``json.dumps``."""
+    brackets; a count that is not an int is written by ``_dumps``."""
     return ", ".join([f"[{n}, {text(fields)}]" if type(n) is int else
-                      f"[{json.dumps(n)}, {text(fields)}]" for n, fields in runs])
+                      f"[{_dumps(n)}, {text(fields)}]" for n, fields in runs])
 
 
 def _str_keyed(value):
@@ -153,17 +171,18 @@ def write_json(records, stream, summary=None):
     compact record per line and the summary indented; floats are
     repr-exact and the bytes are deterministic.
 
-    Each line is ``json.dumps`` of its record.  Records share their grids
-    and field dicts, so each distinct grid, field dict and pipe id is
-    encoded once per call: the texts are keyed by identity, each next to
-    its object so that no id is reused, and dropped on return, so a dict
-    changed between calls is encoded afresh."""
+    Each line is ``json.dumps`` of its record, written by one C encoder
+    (``_dumps``).  Records share their grids and field dicts, so each
+    distinct grid, field dict and pipe id is encoded once per call: the
+    texts are keyed by identity, each next to its object so that no id is
+    reused, and dropped on return, so a dict changed between calls is
+    encoded afresh."""
     texts = {}
 
     def text(obj):
         hit = texts.get(id(obj))
         if hit is None:
-            hit = texts[id(obj)] = (obj, json.dumps(obj))
+            hit = texts[id(obj)] = (obj, _dumps(obj))
         return hit[1]
 
     stream.write('{"records": [')
@@ -180,8 +199,67 @@ def write_json(records, stream, summary=None):
 
 
 def summary_text(summary):
-    """The run summary as every output writes it: JSON indented by one."""
-    return json.dumps(summary, indent=1)
+    """The run summary as every output writes it: ``json.dumps(summary,
+    indent=1)``.  ``_write_indented`` writes a tree of dicts keyed by
+    strings, lists, strings, ints, floats, bools and None; a summary with
+    anything else is left to ``json.dumps``."""
+    out = []
+    try:
+        _write_indented(summary, "\n", out)
+    except _NotWritten:
+        return json.dumps(summary, indent=1)
+    return "".join(out)
+
+
+class _NotWritten(Exception):
+    """A value ``_write_indented`` leaves to ``json.dumps``."""
+
+
+# json.dumps's words for the floats whose repr is not JSON
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_indented(value, pad, out):
+    """Append to ``out`` the text ``json.dumps(..., indent=1)`` gives
+    ``value`` where its lines start with ``pad`` (a newline and the
+    indentation); raise _NotWritten at a value of another type, a
+    subclass included, or at a key that is not a string."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is float:
+        text = repr(value)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = pad + " ", "{"
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _NotWritten
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_indented(item, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = pad + " ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_indented(item, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    else:
+        raise _NotWritten
 
 
 def read_json(stream):

@@ -155,3 +155,21 @@ def balanced_compressor(rng, g, m_in, m_out, kind=ADIABATIC_HEAD, cp_coeff=0.9,
     area = rng.uniform(0.5, 2.0)
     return JunctionProblem([(PipeSpec("in", area, m_in), st1),
                             (PipeSpec("out", area, m_out), st2)], g, control)
+
+
+def flow_reversal_junction(g):
+    """(specs, profiles) of a junction run that leaves every pipe flowing
+    one way: a balanced junction of rng seed 157 (one M1 pipe in, one M3
+    pipe out) with two random jumps in each pipe.  At epsilon 0.04 its
+    79th event, at the junction near t = 0.2466, meets no incoming pipe."""
+    rng = np.random.default_rng(157)
+    n = rng.integers(2, 5)
+    n_in = rng.integers(1, n)
+    models = [Model(rng.choice(["M1", "M2", "M3"])) for _ in range(n)]
+    problem = build_fixed_point_junction(rng, g, models[:n_in], models[n_in:])
+    profiles = []
+    for p in problem.pipes:
+        a = perturb(p.state, rng.uniform(0.05, 0.5), g, rng)
+        b = perturb(p.state, rng.uniform(0.05, 0.5), g, rng)
+        profiles.append([(0.3, p.state), (0.6, a), (None, b)])
+    return [p.spec for p in problem.pipes], profiles

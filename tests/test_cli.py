@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 import yaml
 
+from conftest import flow_reversal_junction
+from gasnet import GasConstants, Model, pressure
 from gasnet.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from gasnet.scenario import parse_scenario, run_scenario
 
@@ -130,6 +132,33 @@ def test_event_budget_exit_code(tmp_path, capsys):
     path.write_text(doc, encoding="utf-8")
     assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
     assert "event budget 2 exhausted" in capsys.readouterr().err
+
+
+def test_flow_reversal_exit_code(tmp_path, capsys):
+    # the tracked run of flow_reversal_junction, written as a document,
+    # parses and validates; its junction event that leaves no incoming
+    # pipe is a solver error, printed with the run's note
+    g = GasConstants(gamma=1.4, R=1.0)
+    specs, profiles = flow_reversal_junction(g)
+    pipes = []
+    for spec, pieces in zip(specs, profiles):
+        rows = [f"{{x_right: {'null' if x is None else x}, rho: {float(st.rho)!r}, "
+                f"u: {float(st.u)!r}, "
+                + (f"p: {float(pressure(st, g))!r}}}" if st.model is Model.M1
+                   else f"kappa: {float(st.kappa)!r}}}")
+                for x, st in pieces]
+        pipes.append(f"    - {{id: {spec.id}, area: {float(spec.area)!r}, "
+                     f"model: {spec.model.value}, initial: {{pieces: [{', '.join(rows)}]}}}}\n")
+    path = tmp_path / "reversal.yaml"
+    path.write_text("constants: {gamma: 1.4, R: 1.0}\ntopology:\n  kind: junction\n  pipes:\n"
+                    + "".join(pipes) + "run: {mode: simulate, horizon: 1.0, epsilon: 0.04, "
+                    "max_events: 20000, grid: {points: 8, length: 1.0}}\n", encoding="utf-8")
+    assert main(["check", "--scenario", str(path)]) == EXIT_OK
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"{path}: solver error: a junction needs at least one incoming and "
+                      "one outgoing pipe (N > dim(I_i) > 0)")
+    assert err[1] == "  epsilon 0.04: event 79 (junction) on pipe 'out0' at t = 0.246568"
 
 
 def test_diagnose_reads_results(scenario_file, tmp_path, capsys):

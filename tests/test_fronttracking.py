@@ -15,6 +15,7 @@ from conftest import (
     balanced_compressor,
     build_fixed_point_junction,
     end_to_end,
+    flow_reversal_junction,
     perturb,
     perturb_problem,
     state_from_enthalpy,
@@ -1209,6 +1210,24 @@ def test_event_budget_exhausted_carries_context():
     # in a ladder the note names the member that ran out
     (note,) = exc.__notes__
     assert note.startswith("epsilon 0.005: event 6 (") and note.endswith(f"at t = {exc.time:.6g}")
+
+
+def test_flow_reversal_is_a_solver_error_with_its_note():
+    # a junction event that leaves no incoming pipe ends the run as a
+    # GasnetError, noted like any event's error; it is a ValueError too
+    from gasnet import GasnetError, OneSidedJunction
+
+    specs, profiles = flow_reversal_junction(G)
+    assert [s.model for s in specs] == [Model.M1, Model.M3]
+    state = init_approximation(specs, profiles, G, epsilon=0.04, max_events=20000)
+    with pytest.raises(OneSidedJunction) as err:
+        state.run(1.0)
+    assert str(err.value) == ("a junction needs at least one incoming and one outgoing "
+                              "pipe (N > dim(I_i) > 0)")
+    assert isinstance(err.value, GasnetError) and isinstance(err.value, ValueError)
+    assert state.events == 79 and abs(state.time - 0.2466) < 1e-4
+    assert err.value.__notes__ == [f"epsilon 0.04: event 79 (junction) on pipe "
+                                   f"{specs[1].id!r} at t = {state.time:.6g}"]
 
 
 def test_scheduler_ties_follow_scan_order():

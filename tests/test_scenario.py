@@ -19,12 +19,20 @@ from gasnet import (
     ScenarioValidationError,
     document,
     iso_state,
+    output,
     scenario,
 )
 from gasnet.compressor import CompressorControl
 from gasnet.fronttracking import init_approximation
 from gasnet.junction import JunctionProblem, PipeSpec
-from gasnet.output import FieldMemo, read_json, render_json, state_fields, write_json
+from gasnet.output import (
+    FieldMemo,
+    read_json,
+    render_json,
+    state_fields,
+    summary_text,
+    write_json,
+)
 from gasnet.scenario import parse_scenario, run_scenario
 from reference import expand_pipes, per_point_csv, render_csv, sample_at
 
@@ -935,6 +943,44 @@ def test_event_builder_falls_back_to_yaml_load(name):
         assert _typed(document.load_document(text)) == want
 
 
+def test_loader_oracle_is_stock_pyyaml():
+    # _assert_loads_as_safe_load compares with PyYAML's own class; the
+    # parses run on a subclass that replaces resolve alone, reading the
+    # implicit-resolver table, which holds no wildcard or path resolvers
+    assert document._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert document._TableLoader.__bases__ == (document._LOADER,)
+    assert [name for name in vars(document._TableLoader) if not name.startswith("__")] == [
+        "resolve"]
+    assert None not in document._LOADER.yaml_implicit_resolvers
+    assert not document._LOADER.yaml_path_resolvers
+
+
+# float spellings: plain decimals, which float() reads, and the ones it
+# leaves to PyYAML's constructor (underscores, sexagesimal, inf and nan
+# words, hexadecimal), and plain scalars that resolve to other types
+FLOAT_SPELLINGS = ["1.5", "-0.0", "+.5", "1.5E+3", "1_000.5", "1:30.5", ".inf", "-.Inf",
+                   ".NaN", "!!float 1e5", "!!float -0x10", "!!float \u0661\u0662.5", "1e400"]
+
+
+@pytest.mark.parametrize("spelling", FLOAT_SPELLINGS)
+def test_float_spellings_load_as_the_stock_loader(spelling):
+    # the value of the stock loader, or its constructor's error word for
+    # word inside the ConstructorError that _load raises for a scalar
+    text = f"x: {spelling}\ny: [{spelling}]\n"
+    try:
+        want = ("value", _typed(yaml.load(text, Loader=document._LOADER)))
+    except ValueError as exc:
+        want = ("error", str(exc))
+    try:
+        got = ("value", _typed(document._load(text)))
+    except yaml.constructor.ConstructorError as exc:
+        got = ("error", exc.problem)
+    if want[0] == "error":
+        scalar = spelling.removeprefix("!!float ")
+        want = ("error", f"cannot construct tag:yaml.org,2002:float from {scalar!r}: {want[1]}")
+    assert got == want
+
+
 # the benchmark's documents: riemann_batch's 206, up to 8 pipes, 64 points
 # and two sample times, and tracking_ladder's one
 BENCH_RENDERED = {f"{workload} seed 3": workload
@@ -963,6 +1009,88 @@ def _assert_renders_as_json_dumps(res):
                    + '\n],\n"summary": ' + json.dumps(res.summary, indent=1) + "}\n")
     assert render_json(res.records, res.summary) == out
     assert render_csv(res.records) == render_csv(json.loads(out)["records"])
+
+
+def test_summary_writer_writes_run_summaries_itself(monkeypatch):
+    # the summaries of runs hold only what the direct writer writes: it
+    # gives json.dumps's bytes without falling back to json.dumps
+    summaries = [run_scenario(parse_scenario(DOCUMENTS[name])).summary
+                 for name in [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"]]
+    want = [json.dumps(summary, indent=1) for summary in summaries]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert [summary_text(summary) for summary in summaries] == want
+
+
+class _Str(str):
+    pass
+
+
+# JSON-like trees: every type json.dumps writes, with the floats and
+# strings it writes as words or escapes; and, less often, trees that also
+# hold what the direct summary writer leaves to json.dumps: tuples, a str
+# subclass and mappings keyed by other than strings
+_JSON_LEAVES = (hs.none() | hs.booleans() | hs.integers(-2**80, 2**80) | hs.floats()
+                | hs.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+                | hs.text(max_size=6))
+_ODD_KEYS = hs.integers(-5, 5) | hs.floats() | hs.booleans() | hs.none()
+_plain_trees = hs.recursive(
+    _JSON_LEAVES,
+    lambda kids: hs.lists(kids, max_size=4) | hs.dictionaries(hs.text(max_size=4), kids,
+                                                              max_size=4),
+    max_leaves=16)
+_odd_trees = hs.recursive(
+    _JSON_LEAVES | hs.text(max_size=3).map(_Str),
+    lambda kids: (hs.lists(kids, max_size=3) | hs.lists(kids, max_size=3).map(tuple)
+                  | hs.dictionaries(hs.text(max_size=4), kids, max_size=3)
+                  | hs.dictionaries(_ODD_KEYS, kids, max_size=2)),
+    max_leaves=12)
+json_trees = _plain_trees | _plain_trees | _odd_trees
+
+
+@settings(max_examples=200)
+@given(json_trees)
+def test_writers_match_json_dumps_on_random_trees(tree):
+    assert summary_text(tree) == json.dumps(tree, indent=1)
+    assert output._dumps(tree) == json.dumps(tree)
+
+
+@pytest.mark.parametrize("name", [p.name for p in SHIPPED] + ["SAMPLED", "FRICTION"]
+                         + list(BENCH_RENDERED))
+def test_every_encoded_text_is_json_dumps_of_its_object(monkeypatch, name):
+    # each distinct grid, field dict, pipe id and key, and each other value
+    # of a record, is encoded by the one C encoder as json.dumps has it
+    texts = (_bench_documents(BENCH_RENDERED[name], 3)[:40] if name in BENCH_RENDERED
+             else [DOCUMENTS[name]])
+    seen = []
+    encode = output._dumps
+
+    def recording(obj):
+        seen.append((obj, encode(obj)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(output, "_dumps", recording)
+    for text in texts:
+        res = run_scenario(parse_scenario(text))
+        render_json(res.records, res.summary)
+    assert {type(obj) for obj, _ in seen} >= {str, list, dict}
+    assert all(got == json.dumps(obj) for obj, got in seen)
+
+
+def test_render_json_without_the_c_encoder(monkeypatch):
+    # where the json module has no C encoder, _dumps is json.dumps itself
+    # (its pure-Python encoder), and the rendered bytes do not change
+    texts = ([DOCUMENTS[p.name] for p in SHIPPED] + [DOCUMENTS["SAMPLED"]]
+             + _bench_documents("riemann_batch", 3)[:40])
+    results = [run_scenario(parse_scenario(text)) for text in texts]
+    want = [render_json(res.records, res.summary) for res in results]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(output, "_dumps", output._compact_encoder())
+    assert output._dumps is json.dumps
+    assert [render_json(res.records, res.summary) for res in results] == want
 
 
 def _record_lines(records):
