@@ -4,6 +4,7 @@ wave-front-tracking simulator with Glimm-functional diagnostics."""
 
 from .errors import (
     EventBudgetExhausted,
+    FlowReversal,
     GasnetError,
     NoConvergence,
     NonPositiveDensity,

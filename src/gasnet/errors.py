@@ -48,6 +48,17 @@ class OneSidedJunction(GasnetError, ValueError):
     callers that pass such data directly."""
 
 
+class FlowReversal(GasnetError):
+    """A pipe's flow at the junction runs against the side it had when the
+    coupling problem was built: an incoming pipe now flows out, or an
+    outgoing one in, while both sides keep a pipe.  A tracked run fixes
+    every pipe's side at t = 0, where the coupling conditions (equal total
+    enthalpy, the entropy mix of the incoming pipes) and K_J rest on it;
+    the paper's well-posedness holds near stationary subsonic states,
+    where the sides do not change.  The message names the pipe and its
+    side."""
+
+
 class SubsonicViolation(GasnetError):
     """A solver produced a state outside the admissible subsonic sets."""
 

@@ -89,10 +89,13 @@ a pipe only through ``_splice``, which replaces a run of fronts by new
 ones already in order, rechains them from the state behind them and
 recomputes only the pair times next to them: initialization, source
 steps and every event splice, so an event costs its own fronts and a
-C-level minimum over each touched pipe's pair times.  Every coupling
-solve but the K_J probes goes through ``_emit``, which sets all traces
-and splices the emitted fronts at the front of each pipe; the t = 0
-solve also fixes each pipe's role.
+C-level minimum over each touched pipe's pair times.  A run builds one
+``JunctionProblem``, on the t = 0 traces, and it fixes each pipe's role;
+every later coupling solve, the K_J probes' too, takes that problem at
+the data of the moment (``JunctionProblem.at``), and a pipe whose flow
+turns against its t = 0 side raises FlowReversal.  Every coupling solve
+but the K_J probes goes through ``_emit``, which sets all traces and
+splices the emitted fronts at the front of each pipe.
 Adjacent same-family rarefaction fronts diverge and contacts are
 parallel, so a collision never pairs two of them.  No front moves: a
 front is the line ``born_x + speed * (t - born_t)``; pair times and
@@ -409,22 +412,24 @@ def coupling_wave_pattern(role, data: PipeState, trace: PipeState, sigma, g):
     return [contact, _acoustic_wave(3, data, mid, pressure(data, g), sigma, g)]
 
 
-def solve_coupling(specs, data, g, control=None, tol=DEFAULT_TOL):
-    """(problem, solution, patterns) of the coupling at x = 0 for the pipe
-    traces ``data``: a junction, or with a ``control`` a compressor from
-    specs[0] into specs[1].  ``patterns[i]`` is (waves, trace): the waves
-    pipe i receives, left to right, and its new trace, the solution's
-    star state, for the role the problem gives it."""
-    problem = JunctionProblem(list(zip(specs, data)), g, control)
-    solve = solve_junction if control is None else solve_compressor
+def solve_coupling(problem: JunctionProblem, tol=DEFAULT_TOL):
+    """(solution, patterns) of the coupling ``problem`` at x = 0: a
+    junction, or with a control a compressor.  ``patterns[i]`` is (waves,
+    trace): the waves pipe i receives, left to right, and its new trace,
+    the solution's star state, for the role the problem gives it."""
+    solve = solve_junction if problem.control is None else solve_compressor
     sol = solve(problem, tol=tol)
-    patterns = [(coupling_wave_pattern(p.role, st, trace, sigma, g), trace)
-                for p, st, trace, sigma in zip(problem.pipes, data, sol.star_states, sol.sigma)]
-    return problem, sol, patterns
+    g = problem.constants
+    patterns = [(coupling_wave_pattern(p.role, p.state, trace, sigma, g), trace)
+                for p, trace, sigma in zip(problem.pipes, sol.star_states, sol.sigma)]
+    return sol, patterns
 
 
 class FrontTrackingState:
     """Owns the evolving piecewise-constant approximation of one run.
+
+    ``problem`` is the run's one coupling problem, built on the t = 0
+    traces; it fixes every pipe's role for the run.
 
     ``ladder_of`` is a run of the same data at another epsilon: this run
     then takes its K_J, which does not depend on epsilon, instead of
@@ -440,7 +445,6 @@ class FrontTrackingState:
         self.g = constants
         self.epsilon = epsilon
         self.rho_simpl = epsilon ** 3
-        self.control = control
         self.tol = tol
         self.max_events = max_events
         self.time = 0.0
@@ -475,10 +479,11 @@ class FrontTrackingState:
                 fronts += _placed(accurate_solve(left, right, self.g, epsilon,
                                                  self.scales[i]), x, 0.0)
             self._splice(i, 0, 0, fronts)
+        self.problem = JunctionProblem(list(zip(self.specs, traces0)), constants, control)
         # resolve the coupling, then probe around the solved traces, where
         # the coupling residual is zero; K_J weights V, so it is fixed
-        # before V(0) is taken; the pipe roles are those of that solve
-        self.roles = [p.role for p in self._emit(traces0)[0].pipes]
+        # before V(0) is taken
+        self._emit(self.problem)
         if ladder_of is None:
             self.K_J, self.kj_probes_skipped = self._estimate_kj(self.traces())
         else:
@@ -488,16 +493,15 @@ class FrontTrackingState:
 
     # -- coupling ------------------------------------------------------------
 
-    def _emit(self, data, hit=None):
-        """Solve the coupling at the pipe traces ``data``, set every trace
-        to its solved state and splice the emitted fronts, born at the
-        junction now, in front of each pipe's fronts, in place of the
-        first front of pipe ``hit``; returns the coupling problem and the
-        fronts emitted into each pipe.  An emitted shock or contact that
-        would not leave the junction raises SubsonicViolation before any
-        trace or front changes."""
-        problem, _, patterns = solve_coupling(self.specs, data, self.g, self.control,
-                                              self.tol)
+    def _emit(self, problem, hit=None):
+        """Solve the coupling ``problem``, the run's problem at the pipe
+        traces of the moment, set every trace to its solved state and
+        splice the emitted fronts, born at the junction now, in front of
+        each pipe's fronts, in place of the first front of pipe ``hit``;
+        returns the fronts emitted into each pipe.  An emitted shock or
+        contact that would not leave the junction raises SubsonicViolation
+        before any trace or front changes."""
+        patterns = solve_coupling(problem, self.tol)[1]
         emitted = [_wave_fronts(waves, self.g, self.epsilon, sc)
                    for (waves, _), sc in zip(patterns, self.scales)]
         for spec, new in zip(self.specs, emitted):
@@ -508,7 +512,7 @@ class FrontTrackingState:
         for j, ((_, trace), new) in enumerate(zip(patterns, emitted)):
             self.pipes[j].trace = trace
             self._splice(j, 0, 1 if j == hit else 0, _placed(new, 0.0, self.time))
-        return problem, emitted
+        return emitted
 
     def _estimate_kj(self, traces0):
         """(K_J, skipped): probe the coupling solve with small incident
@@ -516,16 +520,15 @@ class FrontTrackingState:
         ratio = 1.0
         h = 1e-4
         skipped = 0
-        for i in range(len(self.specs)):
-            for fam in _APPROACHING[self.roles[i]]:
+        for i, pipe in enumerate(self.problem.pipes):
+            for fam in _APPROACHING[pipe.role]:
                 sc = self.scales[i].family[fam]
                 for sign in (1.0, -1.0):
                     try:
                         data_i = apply_wave(fam, sign * h * sc, traces0[i], self.g)
                         data = list(traces0)
                         data[i] = data_i
-                        patterns = solve_coupling(self.specs, data, self.g,
-                                                  self.control, self.tol)[2]
+                        patterns = solve_coupling(self.problem.at(data), self.tol)[1]
                     except GasnetError:
                         skipped += 1
                         continue
@@ -555,7 +558,7 @@ class FrontTrackingState:
         running sums per family (``behind``) and of its shocks
         (``behind_shock``).  TV sums the scaled state jumps.
         """
-        towards = _APPROACHING[self.roles[i]]
+        towards = _APPROACHING[self.problem.pipes[i].role]
         weight = [2.0 * self.K_J if fam in towards else 1.0 for fam in range(5)]
         scales = self.scales[i]
         fs = scales.family
@@ -737,7 +740,7 @@ class FrontTrackingState:
             return InteractionRecord("reflection", v_minus, new[0].strength)
         data = self.traces()
         data[i] = data_i
-        emitted = self._emit(data, hit=i)[1]
+        emitted = self._emit(self.problem.at(data), hit=i)
         return InteractionRecord("junction", v_minus, sum(
             sum(self._scaled_strength(j, f) for f in new) for j, new in enumerate(emitted)))
 
@@ -770,7 +773,7 @@ class FrontTrackingState:
         if changed_any:
             # traces moved: re-establish the coupling conditions at x = 0
             try:
-                self._emit(self.traces())
+                self._emit(self.problem.at(self.traces()))
             except GasnetError as exc:
                 self._add_context(exc, "coupling re-solve after the source step")
                 raise

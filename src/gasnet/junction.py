@@ -25,11 +25,14 @@ regular.
 * ``newton_step(traces, residual)``: the step, by elimination through
   the changes of the pivot's row quantity and of the entropy mix, in
   O(N) for N pipes with no Jacobian matrix,
+* ``at(states)``: the problem on the same pipes at one new state per
+  pipe, built by the constructor, in which every pipe keeps its side,
 
 all as Python lists, and one damped Newton (``_newton``) solves it.
 :func:`classify_pipes` alone decides which pipes are incoming and which
-data form a coupling problem; :func:`state_residuals` rechecks the
-coupling conditions from one state per pipe.
+data form a coupling problem; ``at`` raises FlowReversal for a pipe
+that changed sides.  :func:`state_residuals` rechecks the coupling
+conditions from one state per pipe.
 """
 
 import math
@@ -37,6 +40,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import (
+    FlowReversal,
     NoConvergence,
     NonPositiveDensity,
     NonPositiveFlux,
@@ -174,6 +178,20 @@ class JunctionProblem:
         else:
             middle = [control.row_scale(self.pipes[0].state, g)]
         self.row_scales = [mass] + middle + [g.gamma * g.cv] * self.n0
+
+    def at(self, states):
+        """This problem at one new state per pipe: a new problem on the
+        same pipe specs, constants and control, so ``states`` raise what
+        the constructor raises; a pipe whose flow then runs against its
+        side here raises FlowReversal."""
+        new = JunctionProblem([(p.spec, st) for p, st in zip(self.pipes, states)],
+                              self.constants, self.control)
+        for p, q in zip(self.pipes, new.pipes):
+            if q.outgoing != p.outgoing:
+                role, now = ("outgoing", "enters") if p.outgoing else ("incoming", "leaves")
+                raise FlowReversal(f"pipe {p.spec.id!r} is {role}, but its flow now {now} "
+                                   f"the junction (u={q.state.u:g})")
+        return new
 
     def base_parameters(self):
         sigma0 = [curve_parameter(1, p.state, self.constants) for p in self.pipes]

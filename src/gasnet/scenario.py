@@ -435,7 +435,8 @@ def _runs(states):
 def _run_riemann(sc: Scenario) -> RunResult:
     g = sc.constants
     data = sc.trace_states()
-    problem, sol, patterns = solve_coupling(sc.specs, data, g, sc.control, tol=sc.run.tol)
+    problem = JunctionProblem(list(zip(sc.specs, data)), g, sc.control)
+    sol, patterns = solve_coupling(problem, sc.run.tol)
 
     xs = _grid(sc)
     times = sc.run.sample_times or [sc.run.horizon]

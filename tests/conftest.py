@@ -157,12 +157,17 @@ def balanced_compressor(rng, g, m_in, m_out, kind=ADIABATIC_HEAD, cp_coeff=0.9,
                             (PipeSpec("out", area, m_out), st2)], g, control)
 
 
-def flow_reversal_junction(g):
-    """(specs, profiles) of a junction run that leaves every pipe flowing
-    one way: a balanced junction of rng seed 157 (one M1 pipe in, one M3
-    pipe out) with two random jumps in each pipe.  At epsilon 0.04 its
-    79th event, at the junction near t = 0.2466, meets no incoming pipe."""
-    rng = np.random.default_rng(157)
+def flow_reversal_junction(g, seed=157):
+    """(specs, profiles) of a balanced junction of rng ``seed``, 1-3 pipes
+    in and 1-3 out of random models, with two random jumps in each pipe.
+    At epsilon 0.04 a pipe's flow turns around:
+
+    * seed 157 (one M1 pipe in, one M3 pipe out): the 79th event, at the
+      junction near t = 0.2466, leaves every pipe flowing one way;
+    * seed 398 (M2, M2 and M3 pipes in, one M2 pipe out): at the 35th
+      event, near t = 0.2159, in0 turns outgoing while both sides keep a
+      pipe."""
+    rng = np.random.default_rng(seed)
     n = rng.integers(2, 5)
     n_in = rng.integers(1, n)
     models = [Model(rng.choice(["M1", "M2", "M3"])) for _ in range(n)]

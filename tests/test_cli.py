@@ -161,6 +161,29 @@ def test_flow_reversal_exit_code(tmp_path, capsys):
     assert err[1] == "  epsilon 0.04: event 79 (junction) on pipe 'out0' at t = 0.246568"
 
 
+def test_two_sided_flow_reversal_exit_code(tmp_path, capsys):
+    # the tracked run of flow_reversal_junction's seed 398 as a document:
+    # it passes check, and the junction event at which in0 turns outgoing,
+    # out0 still flowing out, is a solver error printed with the run's note
+    g = GasConstants(gamma=1.4, R=1.0)
+    pipes = []
+    for spec, pieces in zip(*flow_reversal_junction(g, seed=398)):
+        rows = ", ".join(f"{{x_right: {'null' if x is None else x}, rho: {float(st.rho)!r}, "
+                         f"u: {float(st.u)!r}, kappa: {float(st.kappa)!r}}}" for x, st in pieces)
+        pipes.append(f"    - {{id: {spec.id}, area: {float(spec.area)!r}, "
+                     f"model: {spec.model.value}, initial: {{pieces: [{rows}]}}}}\n")
+    path = tmp_path / "reversal.yaml"
+    path.write_text("constants: {gamma: 1.4, R: 1.0}\ntopology:\n  kind: junction\n  pipes:\n"
+                    + "".join(pipes) + "run: {mode: simulate, horizon: 1.0, epsilon: 0.04, "
+                    "max_events: 20000, grid: {points: 8, length: 1.0}}\n", encoding="utf-8")
+    assert main(["check", "--scenario", str(path)]) == EXIT_OK
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"{path}: solver error: pipe 'in0' is incoming, but its flow "
+                             "now leaves the junction (u=")
+    assert err[1] == "  epsilon 0.04: event 35 (junction) on pipe 'in0' at t = 0.215897"
+
+
 def test_diagnose_reads_results(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     main(["riemann", "--scenario", str(scenario_file), "--out", str(out)])

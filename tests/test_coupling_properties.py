@@ -6,6 +6,8 @@ Jacobian against central differences, the elimination of each Newton step
 and the Newton against numpy's LAPACK solve on that Jacobian, the traces Newton returns against
 the traces of its iterate, junction solutions under any ordering of
 the pipes, and the entropy mix carried by outgoing full-Euler pipes.
+A problem taken at new data (``JunctionProblem.at``) against one built
+on that data, and its refusal of a pipe whose flow turned around.
 Also the model hierarchy: a full-Euler junction at common entropy against
 its isentropic twin, whose star states differ at third order in the size
 of the data's move.
@@ -14,25 +16,30 @@ of the data's move.
 from math import exp
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import (
     balanced_compressor,
     build_fixed_point_junction,
+    perturb,
     perturb_problem,
     state_from_enthalpy,
 )
 from gasnet import (
+    FlowReversal,
     GasConstants,
+    GasnetError,
     Model,
+    PipeState,
     iso_state,
     m1_state,
     pressure,
     sound_speed,
     thermo_quantities,
 )
-from gasnet.compressor import ADIABATIC_HEAD, POWER
+from gasnet.compressor import ADIABATIC_HEAD, POWER, solve_compressor
 from gasnet.junction import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -195,6 +202,74 @@ def test_outgoing_m1_pipes_carry_the_entropy_mix(problem):
         if p.outgoing and p.spec.model is Model.M1:
             s = thermo_quantities(st, G).s
             assert abs(s - mix) <= 1e-10 * max(abs(mix), G.gamma * G.cv), (s, mix)
+
+
+# -- one problem at new data ---------------------------------------------
+
+
+def _raised(build):
+    """The type and text of the GasnetError ``build()`` raises."""
+    with pytest.raises(GasnetError) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+@PROPERTY
+@given(problems, _seeds)
+def test_at_matches_a_fresh_problem(problem, seed):
+    # the problem at data moved by <= 1% on the same sides against one
+    # built on that data: equal pipes, pivot, row scales and solution
+    rng = np.random.default_rng(seed)
+    specs = [p.spec for p in problem.pipes]
+    states = [perturb(p.state, 0.01, G, rng) for p in problem.pipes]
+    fresh = JunctionProblem(list(zip(specs, states)), G, problem.control)
+    moved = problem.at(states)
+    assert moved.pipes == fresh.pipes
+    assert moved.pivot == fresh.pivot and moved.row_scales == fresh.row_scales
+    solve = solve_junction if problem.control is None else solve_compressor
+    assert solve(moved) == solve(fresh)
+
+
+def test_at_takes_the_pivot_from_the_new_data():
+    # two incoming M1 pipes, their entropies 0.032 cv apart; the one that
+    # is not the pivot has its pressure raised until its entropy is the
+    # larger by 0.01 cv, which moves the pivot to it in at(), as in a
+    # problem built on the new data
+    base = build_fixed_point_junction(np.random.default_rng(17), G,
+                                      [Model.M1, Model.M1], [Model.M2])
+    k = 1 - base.pivot
+    s = [thermo_quantities(p.state, G).s for p in base.pipes]
+    st = base.pipes[k].state
+    states = [p.state for p in base.pipes]
+    rise = exp((s[base.pivot] - s[k]) / G.cv + 0.01)
+    states[k] = m1_state(st.rho, st.u, pressure(st, G) * rise, G)
+    moved = base.at(states)
+    fresh = JunctionProblem([(p.spec, st) for p, st in zip(base.pipes, states)], G)
+    assert moved.pivot == fresh.pivot == k
+    assert moved.row_scales == fresh.row_scales
+    assert solve_junction(moved) == solve_junction(fresh)
+
+
+@PROPERTY
+@given(problems, hs.data())
+def test_at_refuses_a_pipe_whose_flow_turned(problem, data):
+    # one pipe's flow turned around: FlowReversal naming the pipe while
+    # both sides of a junction keep a pipe, otherwise (a side left empty,
+    # a compressor running backwards) exactly what the constructor raises
+    k = data.draw(hs.integers(0, problem.n - 1))
+    pipe = problem.pipes[k]
+    st = pipe.state
+    states = [p.state for p in problem.pipes]
+    states[k] = PipeState(st.model, st.rho, -st.q, E=st.E, kappa=st.kappa)
+    got = _raised(lambda: problem.at(states))
+    side = sum(p.outgoing == pipe.outgoing for p in problem.pipes)
+    if problem.control is None and side > 1:
+        assert got[0] is FlowReversal
+        assert got[1].startswith(f"pipe {pipe.spec.id!r} is "), got
+    else:
+        specs = [p.spec for p in problem.pipes]
+        assert got == _raised(lambda: JunctionProblem(list(zip(specs, states)), G,
+                                                      problem.control))
 
 
 # -- the model hierarchy: M1 at common entropy against its M2 twin --------

@@ -2,13 +2,13 @@
 and the Glimm functionals."""
 
 import warnings
-from math import ceil, inf, nextafter, sqrt, ulp
+from math import ceil, inf, isfinite, nextafter, sqrt, ulp
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as hs
 
 from conftest import (
@@ -21,7 +21,9 @@ from conftest import (
     state_from_enthalpy,
 )
 from gasnet import (
+    FlowReversal,
     GasConstants,
+    GasnetError,
     Model,
     PipeState,
     iso_state,
@@ -151,8 +153,8 @@ def test_junction_emission_matches_coupling_solve():
     base = build_fixed_point_junction(np.random.default_rng(16), G,
                                       [Model.M1, Model.M2], [Model.M1, Model.M1, Model.M3])
     prob = perturb_problem(base, 0.01, np.random.default_rng(17))
-    specs, data = [p.spec for p in prob.pipes], [p.state for p in prob.pipes]
-    _, sol, patterns = solve_coupling(specs, data, G)
+    data = [p.state for p in prob.pipes]
+    sol, patterns = solve_coupling(prob)
     assert [p.role for p in prob.pipes].count(M1_OUT) == 2
     for i, (waves, trace) in enumerate(patterns):
         assert trace is sol.star_states[i]
@@ -292,12 +294,12 @@ def test_emitted_front_into_the_junction_raises_before_any_pipe_changes(monkeypa
     state = _rich_scenario(amp=0.001, epsilon=0.01)
     last = len(state.pipes) - 1
 
-    def into_the_junction(specs, data, g, control=None, tol=None):
-        problem, sol, patterns = solve_coupling(specs, data, g, control, tol)
+    def into_the_junction(problem, tol):
+        sol, patterns = solve_coupling(problem, tol)
         trace = patterns[last][1]
         ahead = iso_state(trace.model, 1.2 * trace.rho, trace.u, trace.kappa)
         patterns[last] = ([Front(2, SHOCK, -0.1, 0.2 * trace.rho, trace, ahead)], trace)
-        return problem, sol, patterns
+        return sol, patterns
 
     def snapshot():
         return [(t.trace, list(t.fronts), list(t.times),
@@ -308,7 +310,7 @@ def test_emitted_front_into_the_junction_raises_before_any_pipe_changes(monkeypa
     assert sum(len(fronts) for _, fronts, _, _ in before) > 0
     monkeypatch.setattr(ft, "solve_coupling", into_the_junction)
     with pytest.raises(SubsonicViolation, match=f"pipe {state.specs[last].id!r}"):
-        state._emit(state.traces())
+        state._emit(state.problem.at(state.traces()))
     after = snapshot()
     for (trace, fronts, times, chain), (trace2, fronts2, times2, chain2) in zip(before, after):
         assert trace2 is trace and times2 == times
@@ -575,9 +577,8 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
         n_in = int(rng.integers(1, len(models)))
         base = build_fixed_point_junction(rng, G, models[:n_in], models[n_in:])
         prob = perturb_problem(base, float(10.0 ** rng.uniform(-4.0, -1.5)), rng)
-        specs, data = [p.spec for p in prob.pipes], [p.state for p in prob.pipes]
-        for st, (waves, _) in zip(data, solve_coupling(specs, data, G)[2]):
-            cases.append((waves, _iso_scales(st)))
+        for p, (waves, _) in zip(prob.pipes, solve_coupling(prob)[1]):
+            cases.append((waves, _iso_scales(p.state)))
     kept = sliced = 0
     for waves, scales in cases:
         for eps in (0.04, 0.01, 0.005):
@@ -953,7 +954,7 @@ _TOWARDS = {M1_OUT: (1,), M1_IN: (1, 2), ISO: (1,)}
 def _v_weight(state, i, f):
     """V weight of front f on pipe i: 2 K_J for a junction-bound family,
     1 for the others and for non-physical fronts (family 0)."""
-    return 2.0 * state.K_J if f.family in _TOWARDS[state.roles[i]] else 1.0
+    return 2.0 * state.K_J if f.family in _TOWARDS[state.problem.pipes[i].role] else 1.0
 
 
 def _reference_glimm(state):
@@ -1024,9 +1025,9 @@ def _assert_glimm_matches(state):
 def _assert_coupling_holds(state):
     # the bounds of test_splitting_with_fronts_keeps_coupling_satisfied, and
     # at a compressor those of the benchmark's compressor check
-    res = trace_residuals(state, state.specs, state.g, state.control)
+    res = trace_residuals(state, state.specs, state.g, state.problem.control)
     assert res["mass"] <= 1e-9, res
-    if state.control is None:
+    if state.problem.control is None:
         assert res["enthalpy_spread"] <= 1e-8, res
     else:
         assert res["control"] <= 1e-8, res
@@ -1230,6 +1231,46 @@ def test_flow_reversal_is_a_solver_error_with_its_note():
                                    f"{specs[1].id!r} at t = {state.time:.6g}"]
 
 
+def test_two_sided_flow_reversal_stops_the_run():
+    # seed 398: in0, one of three incoming pipes, turns outgoing at a
+    # junction event while out0 still flows out; the run keeps the sides
+    # of t = 0, so the event raises FlowReversal with its note instead of
+    # solving a coupling problem with other incoming and outgoing sets
+    specs, profiles = flow_reversal_junction(G, seed=398)
+    assert [(s.id, s.model) for s in specs] == [("in0", Model.M2), ("in1", Model.M2),
+                                                 ("in2", Model.M3), ("out0", Model.M2)]
+    state = init_approximation(specs, profiles, G, epsilon=0.04, max_events=20000)
+    with pytest.raises(FlowReversal) as err:
+        state.run(1.0)
+    assert str(err.value).startswith("pipe 'in0' is incoming, but its flow now leaves "
+                                     "the junction (u=")
+    assert state.events == 35 and abs(state.time - 0.215897) < 1e-6
+    assert err.value.__notes__ == [f"epsilon 0.04: event 35 (junction) on pipe 'in0' "
+                                   f"at t = {state.time:.6g}"]
+
+
+@settings(max_examples=40)
+@example(157)
+@example(398)
+@given(hs.integers(0, 2**32 - 1))
+def test_random_runs_reach_the_horizon_or_raise_a_noted_solver_error(seed):
+    # the solver fuzz: flow_reversal_junction's recipe at a drawn seed, 1-3
+    # pipes of any model on each side with jumps of 5-50%, either reaches
+    # T with finite traces or ends in a GasnetError with the run's note
+    specs, profiles = flow_reversal_junction(G, seed)
+    state = init_approximation(specs, profiles, G, epsilon=0.04, max_events=1000)
+    try:
+        state.run(0.5)
+    except GasnetError as exc:
+        (note,) = exc.__notes__
+        assert note.startswith("epsilon 0.04: "), note
+        return
+    assert state.time == 0.5
+    for st in state.traces():
+        assert all(isfinite(v) for v in (st.rho, st.q, st.E if st.model is Model.M1
+                                         else st.kappa)), st
+
+
 def test_scheduler_ties_follow_scan_order():
     # identical approaching pairs in both outgoing pipes and twice within
     # each: the scan order picks the lower pipe, then the lower index
@@ -1300,8 +1341,9 @@ def test_roles_are_those_of_the_t0_coupling_problem(rng):
         state = init_approximation(specs, profiles, G, epsilon=0.04, control=control)
         problem = JunctionProblem([(spec, prof[0][1]) for spec, prof in zip(specs, profiles)],
                                   G, control)
-        assert state.roles == [p.role for p in problem.pipes]
-        assert {M1_IN, M1_OUT} <= set(state.roles)
+        roles = [p.role for p in state.problem.pipes]
+        assert roles == [p.role for p in problem.pipes]
+        assert {M1_IN, M1_OUT} <= set(roles)
 
 
 def test_kj_does_not_depend_on_epsilon(rng):

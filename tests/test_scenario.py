@@ -1246,7 +1246,7 @@ def _kept_solves(monkeypatch):
 def _assert_runs_expand_to_per_point_records(sc, solved):
     solved.clear()
     records = run_scenario(sc).records
-    patterns = solved[0][2] if solved else None
+    patterns = solved[0][1] if solved else None
     for rec, want in zip(records, _per_point_states(sc, records, patterns), strict=True):
         assert rec["x"] == scenario._grid(sc)
         for pipe_id, pipe in expand_pipes(rec).items():

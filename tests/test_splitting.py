@@ -271,7 +271,7 @@ def _shed_source_step(state, source, dt):
             new_fronts += _placed(solved, x, state.time)
         track.trace = shifted[0]
         state._splice(i, 0, len(track.fronts), new_fronts)
-    state._emit(state.traces())
+    state._emit(state.problem.at(state.traces()))
 
 
 @pytest.mark.parametrize("epsilon", [0.04, 0.02])

@@ -413,6 +413,29 @@ def test_scenarios_have_one_yaml_loader():
     assert found == []
 
 
+def test_tracker_builds_one_coupling_problem():
+    # a run's coupling problem is built once, on the t = 0 traces, and
+    # every later solve takes it at new data with JunctionProblem.at:
+    # fronttracking calls the constructor in FrontTrackingState.__init__
+    # alone
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "JunctionProblem":
+                    found.append(where)
+            visit(child, inner)
+
+    visit(ast.parse((SRC / "fronttracking.py").read_text()), "")
+    assert found == ["FrontTrackingState.__init__"]
+
+
 def test_a_failing_property_does_not_end_the_session(tmp_path):
     # hypothesis's report hook raises a DeprecationWarning for a failing
     # property; under filterwarnings = error that was an INTERNALERROR,
