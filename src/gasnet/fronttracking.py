@@ -78,10 +78,10 @@ that overtakes everything ahead of it.
 Every front is a jump along a Lax wave curve of ``laxcurves``: fan
 slices and the fronts of the simplified step take their parameters,
 curve points and fan-edge speeds from it.  A front is a
-``riemann.Front``, the type the Riemann solvers and the coupling
-patterns build, and ``riemann._acoustic_wave`` alone builds every
-acoustic wave and front but the fan slices, which are rarefactions by
-construction, so it alone decides shock or rarefaction.
+``riemann.Front``, the type the Riemann solvers and the coupling solve
+build, and ``riemann._acoustic_wave`` alone builds every acoustic wave
+and front but the fan slices, which are rarefactions by construction, so
+it alone decides shock or rarefaction.
 
 Cost per event.  Each pipe keeps the absolute meeting time of every
 adjacent front pair in ``times``, parallel to ``fronts``.  Fronts enter
@@ -94,8 +94,8 @@ C-level minimum over each touched pipe's pair times.  A run builds one
 every later coupling solve, the K_J probes' too, takes that problem at
 the data of the moment (``JunctionProblem.at``), and a pipe whose flow
 turns against its t = 0 side raises FlowReversal.  Every coupling solve
-but the K_J probes goes through ``_emit``, which sets all traces and
-splices the emitted fronts at the front of each pipe.
+but the K_J probes goes through ``_emit``, which sets the traces to the
+star states and splices the emitted fronts at the front of each pipe.
 Adjacent same-family rarefaction fronts diverge and contacts are
 parallel, so a collision never pairs two of them.  No front moves: a
 front is the line ``born_x + speed * (t - born_t)``; pair times and
@@ -413,23 +413,23 @@ def coupling_wave_pattern(role, data: PipeState, trace: PipeState, sigma, g):
 
 
 def solve_coupling(problem: JunctionProblem, tol=DEFAULT_TOL):
-    """(solution, patterns) of the coupling ``problem`` at x = 0: a
-    junction, or with a control a compressor.  ``patterns[i]`` is (waves,
-    trace): the waves pipe i receives, left to right, and its new trace,
-    the solution's star state, for the role the problem gives it."""
+    """(solution, waves) of the coupling ``problem`` at x = 0: a junction,
+    or with a control a compressor.  ``waves[i]`` are the waves pipe i
+    receives, left to right, from its new trace ``solution.star_states[i]``
+    to its data, for the role the problem gives it."""
     solve = solve_junction if problem.control is None else solve_compressor
     sol = solve(problem, tol=tol)
     g = problem.constants
-    patterns = [(coupling_wave_pattern(p.role, p.state, trace, sigma, g), trace)
-                for p, trace, sigma in zip(problem.pipes, sol.star_states, sol.sigma)]
-    return sol, patterns
+    waves = [coupling_wave_pattern(p.role, p.state, trace, sigma, g)
+             for p, trace, sigma in zip(problem.pipes, sol.star_states, sol.sigma)]
+    return sol, waves
 
 
 class FrontTrackingState:
     """Owns the evolving piecewise-constant approximation of one run.
 
     ``problem`` is the run's one coupling problem, built on the t = 0
-    traces; it fixes every pipe's role for the run.
+    traces; it fixes every pipe's spec and role for the run.
 
     ``ladder_of`` is a run of the same data at another epsilon: this run
     then takes its K_J, which does not depend on epsilon, instead of
@@ -453,7 +453,6 @@ class FrontTrackingState:
         self.interactions = []
         self.segments = []
         self.keep_segments = ladder_of is None
-        self.specs = list(specs)
 
         pieces = [_normalize_profile(p) for p in profiles]
         traces0 = [p[0][1] for p in pieces]
@@ -479,7 +478,7 @@ class FrontTrackingState:
                 fronts += _placed(accurate_solve(left, right, self.g, epsilon,
                                                  self.scales[i]), x, 0.0)
             self._splice(i, 0, 0, fronts)
-        self.problem = JunctionProblem(list(zip(self.specs, traces0)), constants, control)
+        self.problem = JunctionProblem(list(zip(specs, traces0)), constants, control)
         # resolve the coupling, then probe around the solved traces, where
         # the coupling residual is zero; K_J weights V, so it is fixed
         # before V(0) is taken
@@ -501,15 +500,15 @@ class FrontTrackingState:
         returns the fronts emitted into each pipe.  An emitted shock or
         contact that would not leave the junction raises SubsonicViolation
         before any trace or front changes."""
-        patterns = solve_coupling(problem, self.tol)[1]
-        emitted = [_wave_fronts(waves, self.g, self.epsilon, sc)
-                   for (waves, _), sc in zip(patterns, self.scales)]
-        for spec, new in zip(self.specs, emitted):
+        sol, waves = solve_coupling(problem, self.tol)
+        emitted = [_wave_fronts(w, self.g, self.epsilon, sc)
+                   for w, sc in zip(waves, self.scales)]
+        for pipe, new in zip(problem.pipes, emitted):
             for f in new:
                 if f.kind != RAREFACTION and f.speed <= 0.0:
                     raise SubsonicViolation(
-                        f"emitted wave on pipe {spec.id!r} has speed {f.speed:g}")
-        for j, ((_, trace), new) in enumerate(zip(patterns, emitted)):
+                        f"emitted wave on pipe {pipe.spec.id!r} has speed {f.speed:g}")
+        for j, (trace, new) in enumerate(zip(sol.star_states, emitted)):
             self.pipes[j].trace = trace
             self._splice(j, 0, 1 if j == hit else 0, _placed(new, 0.0, self.time))
         return emitted
@@ -528,12 +527,12 @@ class FrontTrackingState:
                         data_i = apply_wave(fam, sign * h * sc, traces0[i], self.g)
                         data = list(traces0)
                         data[i] = data_i
-                        patterns = solve_coupling(self.problem.at(data), self.tol)[1]
+                        waves = solve_coupling(self.problem.at(data), self.tol)[1]
                     except GasnetError:
                         skipped += 1
                         continue
                     v_plus = sum(self._scaled_strength(j, w)
-                                 for j in range(len(self.specs)) for w in patterns[j][0])
+                                 for j, pipe_waves in enumerate(waves) for w in pipe_waves)
                     ratio = max(ratio, v_plus / h)
                     # reflection route: the jump goes into one non-physical front
                     ratio = max(ratio, self.scales[i].state_norm(data_i, traces0[i]) / h)
@@ -794,7 +793,7 @@ class FrontTrackingState:
             c = sound_speed(new, g)
             if not abs(new.u) < c:
                 raise SubsonicViolation(
-                    f"source pushed a state on pipe {self.specs[i].id!r} out of "
+                    f"source pushed a state on pipe {self.problem.pipes[i].spec.id!r} out of "
                     f"the subsonic region (u={new.u:g}, c={c:g})")
             shifted.append(new)
         if all(a is b for a, b in zip(regions, shifted)):
@@ -824,7 +823,7 @@ class FrontTrackingState:
     def _add_context(self, exc, what, pipe=None):
         """Note on ``exc`` where the run raised it: epsilon, ``what``, the
         pipe of index ``pipe`` if given, and the time."""
-        where = "" if pipe is None else f" on pipe {self.specs[pipe].id!r}"
+        where = "" if pipe is None else f" on pipe {self.problem.pipes[pipe].spec.id!r}"
         exc.add_note(f"epsilon {self.epsilon:g}: {what}{where} at t = {self.time:.6g}")
 
     def finalize_segments(self):
@@ -849,18 +848,17 @@ def _normalize_profile(profile):
 
 
 def init_approximation(specs, profiles, constants: GasConstants, epsilon,
-                       control=None, tol=DEFAULT_TOL, **options) -> FrontTrackingState:
+                       **options) -> FrontTrackingState:
     """Build the t=0 piecewise-constant approximation.
 
     ``profiles`` holds, per pipe, a constant PipeState or a list of
     (x_right, state) pieces whose last entry has x_right=None.  Interior
     jumps are resolved by the accurate solver and the coupling problem at
     x=0 by :func:`solve_coupling`; this and every later coupling solve of
-    the run use the Newton tolerance ``tol``.  The other ``options``,
-    ``max_events`` and ``ladder_of``, are those of :class:`FrontTrackingState`.
+    the run use the Newton tolerance ``tol``.  The ``options`` (``control``,
+    ``max_events``, ``tol``, ``ladder_of``) are :class:`FrontTrackingState`'s.
     """
-    return FrontTrackingState(specs, profiles, constants, epsilon,
-                              control=control, tol=tol, **options)
+    return FrontTrackingState(specs, profiles, constants, epsilon, **options)
 
 
 def operator_split_run(state: FrontTrackingState, source, horizon, dt_split):

@@ -439,9 +439,11 @@ class CouplingDiagnostics(NamedTuple):
 
 
 def verify_coupling(sol: StarSolution, problem: JunctionProblem) -> CouplingDiagnostics:
-    """The :func:`state_residuals` of a junction's star states.  They are
-    recomputed from the states alone, not from the curve parameters or the
-    solution's ``h_star`` and ``s_star``; ``max_entropy_residual`` is 0.0
-    where no outgoing full-Euler pipe carries an entropy condition."""
+    """The :func:`state_residuals` of a junction's star states; a compressor
+    problem raises ValueError.  They are recomputed from the states alone,
+    not from the curve parameters or ``h_star`` and ``s_star``;
+    ``max_entropy_residual`` is 0.0 without an outgoing full-Euler pipe."""
+    if problem.control is not None:
+        raise ValueError("verify_coupling checks junctions; state_residuals checks a compressor")
     r = state_residuals(problem, sol.star_states)
     return CouplingDiagnostics(r["mass"], r["enthalpy_spread"], r.get("entropy", 0.0))

@@ -60,18 +60,18 @@ def lax_m1(family, param, base: PipeState, g: GasConstants):
     return m1_state(rho, base.u - dpsi if family == 1 else base.u + dpsi, sigma, g)
 
 
-def lax_iso(model: Model, family, sigma, base: PipeState, g: GasConstants):
-    """Point on the family-1/2 wave curve through an M2 or M3 base state."""
+def lax_iso(family, sigma, base: PipeState, g: GasConstants):
+    """Point on the family-1/2 wave curve through an M2 or M3 base state, in its model."""
     gamma = g.gamma
-    if model is M2:
+    if base.model is M2:
         inc = kernels.theta2(sigma, base.rho, base.kappa, gamma)
         q = base.u * sigma - inc if family == 1 else base.u * sigma + inc
-    elif model is M3:
+    elif base.model is M3:
         inc = kernels.theta3(sigma, base.rho, base.kappa, gamma)
         q = base.q - inc if family == 1 else base.q + inc
     else:
         raise ValueError("lax_iso handles M2/M3 only")
-    return PipeState(model, sigma, q, kappa=base.kappa)
+    return PipeState(base.model, sigma, q, kappa=base.kappa)
 
 
 def curve_parameter(family, state: PipeState, g: GasConstants):
@@ -85,9 +85,7 @@ def curve_parameter(family, state: PipeState, g: GasConstants):
 def curve_point(family, param, data: PipeState, g: GasConstants):
     """Point at ``param`` on the family's wave curve through ``data``
     (:func:`lax_m1` or :func:`lax_iso`)."""
-    if data.model is M1:
-        return lax_m1(family, param, data, g)
-    return lax_iso(data.model, family, param, data, g)
+    return (lax_m1 if data.model is M1 else lax_iso)(family, param, data, g)
 
 
 def fan_edge_speed(family, state: PipeState, g: GasConstants):
@@ -129,7 +127,7 @@ def trace_eval(role, base: PipeState, g: GasConstants, sigma, tau=0.0) -> TraceE
 
     if role == ISO:
         kappa = base.kappa
-        state = lax_iso(base.model, 2, sigma, base, g)
+        state = lax_iso(2, sigma, base, g)
         q = state.q
         p = kappa * sigma**gamma
         dp = kappa * gamma * sigma ** (gamma - 1.0)

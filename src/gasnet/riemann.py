@@ -4,8 +4,8 @@ The star parameter is found by a bracket-guarded Newton iteration on the
 scalar wave-curve equation of each model (pressure for full Euler, density
 for the isentropic pair).  A solution is its elementary waves, left to
 right: each is a ``Front`` born at the origin, so ``w.at(t)`` is its
-self-similar position, and the front tracker, the coupling patterns and
-the Riemann solvers build the same type.  A shock or contact travels at
+self-similar position, and the front tracker, the coupling solve and the
+Riemann solvers build the same type.  A shock or contact travels at
 ``speed``; a rarefaction's ``speed`` is its tail (right edge), its
 head is ``fan_edge_speed(w.family, w.left, g)``, and ``fan_state`` reads
 its inside off the data side's ``curve_point``.  ``_acoustic_wave`` alone

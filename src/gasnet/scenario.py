@@ -313,7 +313,7 @@ def _parse_run(doc, path, errs, overrides):
     fields["max_events"] = _int(doc, path, "max_events", errs, run.max_events, 1)
     # a key the mode never reads, and that has no violation of its own, is
     # one; a document run in the other mode keeps the keys of its own
-    if mode == declared:
+    if mode == declared and isinstance(mode, str):  # a list or mapping is no dict key
         for key in _UNREAD.get(mode, ()):
             at = f"{path}.{key}"
             if key in doc and not any(v.startswith((f"{at}:", f"{at}."))
@@ -436,17 +436,17 @@ def _run_riemann(sc: Scenario) -> RunResult:
     g = sc.constants
     data = sc.trace_states()
     problem = JunctionProblem(list(zip(sc.specs, data)), g, sc.control)
-    sol, patterns = solve_coupling(problem, sc.run.tol)
+    sol, waves = solve_coupling(problem, sc.run.tol)
 
     xs = _grid(sc)
     times = sc.run.sample_times or [sc.run.horizon]
     fields = FieldMemo(g)
-    traces = {spec.id: trace for spec, (_, trace) in zip(sc.specs, patterns)}
+    traces = {spec.id: trace for spec, trace in zip(sc.specs, sol.star_states)}
     records = []
     for t in times:
         xis = [x / t for x in xs]
-        pipes = {spec.id: sample_waves(waves, trace, d, xis, g)
-                 for spec, (waves, trace), d in zip(sc.specs, patterns, data)}
+        pipes = {spec.id: sample_waves(w, trace, d, xis, g)
+                 for spec, w, trace, d in zip(sc.specs, waves, sol.star_states, data)}
         diag = {"residual_norm": sol.residual_norm, "iterations": sol.iterations}
         records.append(snapshot_record(t, xs, pipes, traces, diag, fields))
 

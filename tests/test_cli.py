@@ -134,14 +134,12 @@ def test_event_budget_exit_code(tmp_path, capsys):
     assert "event budget 2 exhausted" in capsys.readouterr().err
 
 
-def test_flow_reversal_exit_code(tmp_path, capsys):
-    # the tracked run of flow_reversal_junction, written as a document,
-    # parses and validates; its junction event that leaves no incoming
-    # pipe is a solver error, printed with the run's note
+def _flow_reversal_document(tmp_path, seed):
+    """The tracked run of ``flow_reversal_junction(g, seed)``, written as
+    a simulate document; returns its path."""
     g = GasConstants(gamma=1.4, R=1.0)
-    specs, profiles = flow_reversal_junction(g)
     pipes = []
-    for spec, pieces in zip(specs, profiles):
+    for spec, pieces in zip(*flow_reversal_junction(g, seed=seed)):
         rows = [f"{{x_right: {'null' if x is None else x}, rho: {float(st.rho)!r}, "
                 f"u: {float(st.u)!r}, "
                 + (f"p: {float(pressure(st, g))!r}}}" if st.model is Model.M1
@@ -153,6 +151,14 @@ def test_flow_reversal_exit_code(tmp_path, capsys):
     path.write_text("constants: {gamma: 1.4, R: 1.0}\ntopology:\n  kind: junction\n  pipes:\n"
                     + "".join(pipes) + "run: {mode: simulate, horizon: 1.0, epsilon: 0.04, "
                     "max_events: 20000, grid: {points: 8, length: 1.0}}\n", encoding="utf-8")
+    return path
+
+
+def test_flow_reversal_exit_code(tmp_path, capsys):
+    # the tracked run of flow_reversal_junction, written as a document,
+    # parses and validates; its junction event that leaves no incoming
+    # pipe is a solver error, printed with the run's note
+    path = _flow_reversal_document(tmp_path, 157)
     assert main(["check", "--scenario", str(path)]) == EXIT_OK
     assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
     err = capsys.readouterr().err.splitlines()
@@ -165,17 +171,7 @@ def test_two_sided_flow_reversal_exit_code(tmp_path, capsys):
     # the tracked run of flow_reversal_junction's seed 398 as a document:
     # it passes check, and the junction event at which in0 turns outgoing,
     # out0 still flowing out, is a solver error printed with the run's note
-    g = GasConstants(gamma=1.4, R=1.0)
-    pipes = []
-    for spec, pieces in zip(*flow_reversal_junction(g, seed=398)):
-        rows = ", ".join(f"{{x_right: {'null' if x is None else x}, rho: {float(st.rho)!r}, "
-                         f"u: {float(st.u)!r}, kappa: {float(st.kappa)!r}}}" for x, st in pieces)
-        pipes.append(f"    - {{id: {spec.id}, area: {float(spec.area)!r}, "
-                     f"model: {spec.model.value}, initial: {{pieces: [{rows}]}}}}\n")
-    path = tmp_path / "reversal.yaml"
-    path.write_text("constants: {gamma: 1.4, R: 1.0}\ntopology:\n  kind: junction\n  pipes:\n"
-                    + "".join(pipes) + "run: {mode: simulate, horizon: 1.0, epsilon: 0.04, "
-                    "max_events: 20000, grid: {points: 8, length: 1.0}}\n", encoding="utf-8")
+    path = _flow_reversal_document(tmp_path, 398)
     assert main(["check", "--scenario", str(path)]) == EXIT_OK
     assert main(["simulate", "--scenario", str(path)]) == EXIT_SOLVER
     err = capsys.readouterr().err.splitlines()
@@ -263,6 +259,17 @@ def test_unknown_field_fails_check(tmp_path, capsys, old, new, path):
     doc.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["check", "--scenario", str(doc)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"{doc}: validation failed:\n  {path}: unknown field\n"
+
+
+def test_mode_that_is_a_list_fails_check(tmp_path, capsys):
+    # a list as run.mode is a violation at its path, not a traceback
+    text = (SHIPPED / "y_junction_riemann.yaml").read_text()
+    assert text.count("mode: riemann") == 1
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text.replace("mode: riemann", "mode: []"), encoding="utf-8")
+    assert main(["check", "--scenario", str(doc)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"{doc}: validation failed:\n"
+                                       "  run.mode: must be riemann or simulate, got []\n")
 
 
 def test_riemann_subcommand_checks_its_mode(capsys):

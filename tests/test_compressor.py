@@ -2,6 +2,7 @@
 and head/power consistency."""
 
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from gasnet.compressor import (
     CompressorControl,
     solve_compressor,
 )
-from gasnet.junction import JunctionProblem, PipeSpec
+from gasnet.junction import JunctionProblem, PipeSpec, state_residuals, verify_coupling
+from gasnet.scenario import parse_scenario
 from reference import fd_jacobian, jacobian_at, proof_determinant, residual_at
 
 G = GasConstants(gamma=1.4, R=1.0)
@@ -253,3 +255,15 @@ def test_entropy_assignment_for_iso_outlet(rng):
     pert = perturb_inlet(prob, 1.003)
     sol = solve_compressor(pert)
     assert sol.star_states[1].kappa == pert.pipes[1].state.kappa  # star state not mutated
+
+
+def test_verify_coupling_refuses_a_compressor():
+    # verify_coupling checks a junction's conditions; at a compressor it
+    # raises and names state_residuals, which checks the control condition
+    text = (Path(__file__).parents[1] / "scenarios" / "compressor_head.yaml").read_text()
+    sc = parse_scenario(text)
+    prob = JunctionProblem(list(zip(sc.specs, sc.trace_states())), sc.constants, sc.control)
+    sol = solve_compressor(prob)
+    with pytest.raises(ValueError, match="state_residuals"):
+        verify_coupling(sol, prob)
+    assert state_residuals(prob, sol.star_states)["control"] <= 1e-8

@@ -148,17 +148,16 @@ def test_junction_emission_matches_coupling_solve():
         assert state.pipes[i].trace.rho == pytest.approx(
             sol.star_states[i].rho, rel=1e-12)
 
-    # with outgoing M1 pipes: each pipe's new trace is the solution's own
-    # star state, and its waves chain from that trace to the pipe data
+    # with outgoing M1 pipes: each pipe's waves chain from the solution's
+    # own star state to the pipe data
     base = build_fixed_point_junction(np.random.default_rng(16), G,
                                       [Model.M1, Model.M2], [Model.M1, Model.M1, Model.M3])
     prob = perturb_problem(base, 0.01, np.random.default_rng(17))
     data = [p.state for p in prob.pipes]
-    sol, patterns = solve_coupling(prob)
+    sol, pipe_waves = solve_coupling(prob)
     assert [p.role for p in prob.pipes].count(M1_OUT) == 2
-    for i, (waves, trace) in enumerate(patterns):
-        assert trace is sol.star_states[i]
-        assert waves[0].left is trace
+    for i, waves in enumerate(pipe_waves):
+        assert waves[0].left is sol.star_states[i]
         for a, b in zip(waves, waves[1:]):
             assert a.right is b.left
         assert waves[-1].right is data[i]
@@ -295,11 +294,11 @@ def test_emitted_front_into_the_junction_raises_before_any_pipe_changes(monkeypa
     last = len(state.pipes) - 1
 
     def into_the_junction(problem, tol):
-        sol, patterns = solve_coupling(problem, tol)
-        trace = patterns[last][1]
+        sol, waves = solve_coupling(problem, tol)
+        trace = sol.star_states[last]
         ahead = iso_state(trace.model, 1.2 * trace.rho, trace.u, trace.kappa)
-        patterns[last] = ([Front(2, SHOCK, -0.1, 0.2 * trace.rho, trace, ahead)], trace)
-        return sol, patterns
+        waves[last] = [Front(2, SHOCK, -0.1, 0.2 * trace.rho, trace, ahead)]
+        return sol, waves
 
     def snapshot():
         return [(t.trace, list(t.fronts), list(t.times),
@@ -309,7 +308,7 @@ def test_emitted_front_into_the_junction_raises_before_any_pipe_changes(monkeypa
     before = snapshot()
     assert sum(len(fronts) for _, fronts, _, _ in before) > 0
     monkeypatch.setattr(ft, "solve_coupling", into_the_junction)
-    with pytest.raises(SubsonicViolation, match=f"pipe {state.specs[last].id!r}"):
+    with pytest.raises(SubsonicViolation, match=f"pipe {state.problem.pipes[last].spec.id!r}"):
         state._emit(state.problem.at(state.traces()))
     after = snapshot()
     for (trace, fronts, times, chain), (trace2, fronts2, times2, chain2) in zip(before, after):
@@ -577,7 +576,7 @@ def test_wave_fronts_keep_weak_isentropic_rarefactions(rng, monkeypatch):
         n_in = int(rng.integers(1, len(models)))
         base = build_fixed_point_junction(rng, G, models[:n_in], models[n_in:])
         prob = perturb_problem(base, float(10.0 ** rng.uniform(-4.0, -1.5)), rng)
-        for p, (waves, _) in zip(prob.pipes, solve_coupling(prob)[1]):
+        for p, waves in zip(prob.pipes, solve_coupling(prob)[1]):
             cases.append((waves, _iso_scales(p.state)))
     kept = sliced = 0
     for waves, scales in cases:
@@ -1025,7 +1024,8 @@ def _assert_glimm_matches(state):
 def _assert_coupling_holds(state):
     # the bounds of test_splitting_with_fronts_keeps_coupling_satisfied, and
     # at a compressor those of the benchmark's compressor check
-    res = trace_residuals(state, state.specs, state.g, state.problem.control)
+    res = trace_residuals(state, [p.spec for p in state.problem.pipes], state.g,
+                          state.problem.control)
     assert res["mass"] <= 1e-9, res
     if state.problem.control is None:
         assert res["enthalpy_spread"] <= 1e-8, res

@@ -42,7 +42,7 @@ def test_curves_pass_through_base_point(rng):
         for model in (Model.M2, Model.M3):
             ibase = iso_state(model, rho, u, kappa)
             for family in (1, 2):
-                st = lax_iso(model, family, rho, ibase, GU)
+                st = lax_iso(family, rho, ibase, GU)
                 assert st.rho == pytest.approx(rho, rel=1e-14)
                 assert st.q == pytest.approx(ibase.q, rel=1e-14, abs=1e-14)
 
@@ -55,14 +55,14 @@ def test_contact_shift_example():
 
 def test_m3_family2_composes_theta3():
     base = iso_state(Model.M3, 1.0, 0.0, 1.0)
-    st = lax_iso(Model.M3, 2, 2.0, base, GU)
+    st = lax_iso(2, 2.0, base, GU)
     assert st.rho == 2.0
     assert st.q == pytest.approx(1.2802405326913332, rel=1e-13)
 
 
 def test_m2_family1_composition():
     base = iso_state(Model.M2, 1.0, 0.3, 1.0)
-    st = lax_iso(Model.M2, 1, 2.0, base, GU)
+    st = lax_iso(1, 2.0, base, GU)
     from gasnet import kernels
 
     assert st.q == pytest.approx(0.6 - kernels.theta2(2.0, 1.0, 1.0, 1.4), rel=1e-13)

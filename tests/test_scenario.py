@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from gasnet import (
@@ -196,6 +196,10 @@ VIOLATIONS = [
      "topology.pipes[0].initial: missing initial state"),
     (MINIMAL, "mode: riemann", "mode: sideways",
      "run.mode: must be riemann or simulate, got 'sideways'"),
+    (MINIMAL, "mode: riemann", "mode: []", "run.mode: must be riemann or simulate, got []"),
+    (MINIMAL, "mode: riemann", "mode: {}", "run.mode: must be riemann or simulate, got {}"),
+    (MINIMAL, "mode: riemann", "mode: [riemann]",
+     "run.mode: must be riemann or simulate, got ['riemann']"),
     (MINIMAL, "mode: riemann",
      "mode: simulate\n  source: {kind: friction, lambda_f: -1.0, diameter: 0.1}",
      "run.source.lambda_f: must be >= 0"),
@@ -212,6 +216,7 @@ VIOLATIONS = [
 @pytest.mark.parametrize("doc, old, new, violation", VIOLATIONS,
                          ids=["empty-pieces", "pieces-not-a-list", "piece-not-a-mapping",
                               "last-x_right", "no-id", "empty-id", "no-initial", "mode",
+                              "mode-list", "mode-mapping", "mode-in-a-list",
                               "negative-lambda_f", "gamma", "one-pipe", "no-inlet",
                               "no-outlet", "topology-kind"])
 def test_each_violation_names_its_path(doc, old, new, violation):
@@ -765,6 +770,46 @@ DOCUMENTS = {p.name: p.read_text() for p in SHIPPED}
 DOCUMENTS.update(MINIMAL=MINIMAL, COMPRESSOR=COMPRESSOR, FRICTION=FRICTION, SAMPLED=SAMPLED)
 
 
+# values YAML loads as a list, a mapping, a NaN, an infinity, a null,
+# bytes, a date or a sexagesimal integer
+_FUZZ_VALUES = ["[]", "{}", "[riemann]", ".nan", "1e400", "null", "{kind: [1]}",
+                "!!binary aGk=", "2020-01-01", "1:30"]
+_MODE_LINE = DOCUMENTS["y_junction_riemann.yaml"].splitlines().index("  mode: riemann")
+
+
+def _mutated(text, k, how, other, value):
+    """``text`` with its line k (modulo the line count) changed: its value
+    replaced by ``value`` (the whole line if it has no colon), deleted, or
+    replaced by a copy of line ``other``."""
+    lines = text.splitlines()
+    k %= len(lines)
+    if how == "value":
+        key, colon, _ = lines[k].partition(":")
+        lines[k] = f"{key}: {value}" if colon else value
+    elif how == "delete":
+        del lines[k]
+    else:
+        lines[k] = lines[other % len(lines)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120)
+@example("y_junction_riemann.yaml", _MODE_LINE, "value", 0, "[]")
+@given(hs.sampled_from([p.name for p in SHIPPED]), hs.integers(0, 99),
+       hs.sampled_from(["value", "delete", "repeat"]), hs.integers(0, 99),
+       hs.sampled_from(_FUZZ_VALUES))
+def test_a_mutated_shipped_scenario_parses_or_is_refused(name, k, how, other, value):
+    # parsed as the document declares it and in either mode, a shipped
+    # scenario with one line changed is a Scenario or a parse or
+    # validation error, never another exception
+    text = _mutated(DOCUMENTS[name], k, how, other, value)
+    for run in ({}, {"mode": "riemann"}, {"mode": "simulate"}):
+        try:
+            assert isinstance(parse_scenario(text, **run), scenario.Scenario)
+        except (ScenarioParseError, ScenarioValidationError):
+            pass
+
+
 BATCHES = {f"riemann_batch seed {seed}": seed for seed in (3, 11, 71)}
 
 
@@ -1204,11 +1249,11 @@ ORACLE_SHIPPED = {f"{p.name} {mode}": (p, mode) for p in SHIPPED
                   if not (p == SHIPPED_TRACKING and mode == "riemann")}
 
 
-def _per_point_states(sc, records, patterns):
+def _per_point_states(sc, records, coupling):
     """For each record, pipe id -> the state at each grid point, sampled
-    point by point from the solution: ``sample_at`` of the coupling's
-    wave ``patterns`` at x/t in riemann mode, ``state_at`` of the tracked
-    run at each stop in simulate mode."""
+    point by point from the solution: ``sample_at`` of the ``coupling``
+    solve's (solution, waves) at x/t in riemann mode, ``state_at`` of the
+    tracked run at each stop in simulate mode."""
     xs = scenario._grid(sc)
 
     def pipes(state_at):
@@ -1216,9 +1261,11 @@ def _per_point_states(sc, records, patterns):
 
     if sc.run.mode == "riemann":
         data = sc.trace_states()
+        sol, waves = coupling
         for rec in records:
             t = rec["time"]
-            yield pipes(lambda i, x: sample_at(*patterns[i], data[i], x / t, sc.constants))
+            yield pipes(lambda i, x: sample_at(waves[i], sol.star_states[i], data[i], x / t,
+                                               sc.constants))
         return
     assert sc.run.source is None
     state = init_approximation(sc.specs, sc.profiles, sc.constants, sc.run.epsilon,
@@ -1231,7 +1278,7 @@ def _per_point_states(sc, records, patterns):
 
 def _kept_solves(monkeypatch):
     """The list every later ``scenario.solve_coupling`` result is appended
-    to: a riemann run's wave patterns, for the reference sampler."""
+    to: a riemann run's solution and waves, for the reference sampler."""
     solved = []
     solve = scenario.solve_coupling
 
@@ -1246,8 +1293,8 @@ def _kept_solves(monkeypatch):
 def _assert_runs_expand_to_per_point_records(sc, solved):
     solved.clear()
     records = run_scenario(sc).records
-    patterns = solved[0][1] if solved else None
-    for rec, want in zip(records, _per_point_states(sc, records, patterns), strict=True):
+    coupling = solved[0] if solved else None
+    for rec, want in zip(records, _per_point_states(sc, records, coupling), strict=True):
         assert rec["x"] == scenario._grid(sc)
         for pipe_id, pipe in expand_pipes(rec).items():
             runs = rec["pipes"][pipe_id]
