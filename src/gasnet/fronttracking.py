@@ -684,8 +684,7 @@ class FrontTrackingState:
 
     def run(self, horizon):
         while self.time < horizon:
-            if self.advance(horizon) >= horizon:
-                break
+            self.advance(horizon)
         return self
 
     # -- interaction handlers ----------------------------------------------

@@ -2,13 +2,13 @@
 
 The star parameter is found by a bracket-guarded Newton iteration on the
 scalar wave-curve equation of each model (pressure for full Euler, density
-for the isentropic pair).  A solution is its elementary waves, left to
-right: each is a ``Front`` born at the origin, so ``w.at(t)`` is its
-self-similar position, and the front tracker, the coupling solve and the
-Riemann solvers build the same type.  A shock or contact travels at
-``speed``; a rarefaction's ``speed`` is its tail (right edge), its
-head is ``fan_edge_speed(w.family, w.left, g)``, and ``fan_state`` reads
-its inside off the data side's ``curve_point``.  ``_acoustic_wave`` alone
+for the isentropic pair).  A solution is its elementary waves, a chain
+left to right from the left data to the right data: ``sample_waves``
+reads every region off them.  Each is a ``Front`` born at the origin;
+the tracker and the coupling solve build the same type.  A shock or
+contact travels at ``speed``; a fan's ``speed`` is its tail, its head is
+``fan_edge_speed(w.family, w.left, g)``, and ``fan_state`` reads its
+inside off the data side's ``curve_point``.  ``_acoustic_wave`` alone
 builds every acoustic wave.  ``solve_riemann_iso``, the tracker's
 accurate step on M2/M3 pipes, has one star state that both waves share.
 
@@ -154,20 +154,20 @@ def fan_state(wave: Front, xi, g: GasConstants) -> PipeState:
     return curve_point(family, param, data, g)
 
 
-def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: GasConstants):
-    """Sample a left-to-right list of waves at the ascending x/t values
-    ``xis``, as runs ``[(state, count), ...]`` that expand to one state
-    per point.
+def sample_waves(waves, xis, g: GasConstants):
+    """Sample a left-to-right chain of waves, at least one, at the
+    ascending x/t values ``xis``, as runs ``[(state, count), ...]`` that
+    expand to one state per point.
 
     A point at a wave's left edge lies right of it, past a shock or
     contact and inside a fan; a fan's left edge is its head.  Each
-    constant region is one run of the ``left_data``, ``wave.right`` or
-    ``right_data`` object itself, found by bisecting the wave speeds; each
-    point inside a fan is a run of 1.
+    constant region is one run of the ``waves[0].left`` or a ``wave.right``
+    object itself, found by bisecting the wave speeds; each point inside a
+    fan is a run of 1.
     """
     runs = []
     start = 0
-    state = left_data
+    state = waves[0].left
     for wave in waves:
         fan = wave.kind == RAREFACTION
         head = fan_edge_speed(wave.family, wave.left, g) if fan else wave.speed
@@ -179,5 +179,5 @@ def sample_waves(waves, left_data: PipeState, right_data: PipeState, xis, g: Gas
         start = hi
         state = wave.right
     if len(xis) > start:
-        runs.append((right_data, len(xis) - start))
+        runs.append((state, len(xis) - start))
     return runs

@@ -28,7 +28,7 @@ M1 initial states are given as {rho, u, p}, isentropic ones as
 ``parse_scenario`` loads a document's text, read by its caller, as
 ``yaml.safe_load`` would (``document``, imported on the first parse),
 and validates it once, with the caller's ``run`` fields in place of the
-document's own.
+document's own (whose ``mode`` must still be one).
 Validation aggregates all violations with their field paths before
 raising; a key its block does not read is one too (``unknown field``).
 The one exception is the cross-pipe rule of the coupling problem, which
@@ -279,6 +279,8 @@ def _parse_run(doc, path, errs, overrides):
     mode = doc.get("mode", declared)
     if mode not in ("riemann", "simulate"):
         errs.add(f"{path}.mode", f"must be riemann or simulate, got {mode!r}")
+    elif declared not in ("riemann", "simulate"):     # the document's own, replaced
+        errs.add(f"{path}.mode", f"must be riemann or simulate, got {declared!r}")
     if mode == "riemann" and "sample_times" in doc and "horizon" in doc:
         errs.add(f"{path}.horizon", "riemann mode samples at sample_times and never reads it")
     fields = {"mode": mode}     # replace the defaults in ``run``, at the end
@@ -434,19 +436,16 @@ def _runs(states):
 
 def _run_riemann(sc: Scenario) -> RunResult:
     g = sc.constants
-    data = sc.trace_states()
-    problem = JunctionProblem(list(zip(sc.specs, data)), g, sc.control)
+    problem = JunctionProblem(list(zip(sc.specs, sc.trace_states())), g, sc.control)
     sol, waves = solve_coupling(problem, sc.run.tol)
 
     xs = _grid(sc)
-    times = sc.run.sample_times or [sc.run.horizon]
     fields = FieldMemo(g)
     traces = {spec.id: trace for spec, trace in zip(sc.specs, sol.star_states)}
     records = []
-    for t in times:
+    for t in sc.run.sample_times or [sc.run.horizon]:
         xis = [x / t for x in xs]
-        pipes = {spec.id: sample_waves(w, trace, d, xis, g)
-                 for spec, w, trace, d in zip(sc.specs, waves, sol.star_states, data)}
+        pipes = {spec.id: sample_waves(w, xis, g) for spec, w in zip(sc.specs, waves)}
         diag = {"residual_norm": sol.residual_norm, "iterations": sol.iterations}
         records.append(snapshot_record(t, xs, pipes, traces, diag, fields))
 
@@ -474,11 +473,15 @@ def _run_riemann(sc: Scenario) -> RunResult:
     return RunResult(records, summary)
 
 
-def trace_residuals(state, specs, g: GasConstants, control=None):
-    """:func:`~gasnet.junction.state_residuals` of the current traces,
-    against the row scales of a coupling problem built on them."""
-    traces = state.traces()
-    return state_residuals(JunctionProblem(list(zip(specs, traces)), g, control), traces)
+def trace_residuals(state, specs, g: GasConstants):
+    """:func:`~gasnet.junction.state_residuals` of a tracked run's traces
+    against the row scales of its own problem at them (``state.problem.at``
+    raises FlowReversal for a turned flow); ``specs`` and ``g`` other than
+    that problem's pipe specs and constants raise ValueError."""
+    problem, traces = state.problem, state.traces()
+    if tuple(specs) != tuple(p.spec for p in problem.pipes) or g != problem.constants:
+        raise ValueError("trace_residuals: specs and constants are not the run's own")
+    return state_residuals(problem.at(traces), traces)
 
 
 def _stops(sc: Scenario):
@@ -523,8 +526,7 @@ def _simulate(sc: Scenario, epsilon, records=None, ladder_of=None):
         if records is None:
             continue
         glimm = state.glimm()
-        pipes = {}
-        traces = {}
+        pipes, traces = {}, {}
         for spec, track in zip(sc.specs, state.pipes):
             pos = [f.at(state.time) for f in track.fronts]
             pipes[spec.id] = _runs(track.states_at(xs, pos))
@@ -532,7 +534,7 @@ def _simulate(sc: Scenario, epsilon, records=None, ladder_of=None):
         diag = {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
                 "np_strength": glimm.np_strength, **_absorbed(sc, state),
                 "front_count": glimm.front_count, "events": state.events}
-        diag.update(trace_residuals(state, sc.specs, g, sc.control))
+        diag.update(trace_residuals(state, sc.specs, g))
         records.append(snapshot_record(t, xs, pipes, traces, diag, fields))
     _log_run(state)
     return state
@@ -561,7 +563,6 @@ def _log_run(state):
 
 
 def _run_simulate(sc: Scenario) -> RunResult:
-    g = sc.constants
     records = []
     state = _simulate(sc, sc.run.epsilon, records)
     state.finalize_segments()
@@ -586,7 +587,7 @@ def _run_simulate(sc: Scenario) -> RunResult:
         "max_junction_amplification": max(ratios) if ratios else 0.0,
         "final": {"V": glimm.V, "Q": glimm.Q, "Y": glimm.Y, "TV": glimm.TV,
                   "np_strength": glimm.np_strength, **_absorbed(sc, state)},
-        "max_residuals": trace_residuals(state, sc.specs, g, sc.control),
+        "max_residuals": trace_residuals(state, sc.specs, sc.constants),
         "error_indicator": indicator,
     }
     if sc.run.epsilon_ladder:

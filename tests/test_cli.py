@@ -262,14 +262,16 @@ def test_unknown_field_fails_check(tmp_path, capsys, old, new, path):
 
 
 def test_mode_that_is_a_list_fails_check(tmp_path, capsys):
-    # a list as run.mode is a violation at its path, not a traceback
+    # a list as run.mode is a violation at its path, not a traceback, also
+    # where a subcommand's own mode replaces it
     text = (SHIPPED / "y_junction_riemann.yaml").read_text()
     assert text.count("mode: riemann") == 1
     doc = tmp_path / "doc.yaml"
     doc.write_text(text.replace("mode: riemann", "mode: []"), encoding="utf-8")
-    assert main(["check", "--scenario", str(doc)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (f"{doc}: validation failed:\n"
-                                       "  run.mode: must be riemann or simulate, got []\n")
+    for command in ("check", "riemann", "simulate"):
+        assert main([command, "--scenario", str(doc)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"{doc}: validation failed:\n"
+                                           "  run.mode: must be riemann or simulate, got []\n")
 
 
 def test_riemann_subcommand_checks_its_mode(capsys):

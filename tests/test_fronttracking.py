@@ -1024,8 +1024,7 @@ def _assert_glimm_matches(state):
 def _assert_coupling_holds(state):
     # the bounds of test_splitting_with_fronts_keeps_coupling_satisfied, and
     # at a compressor those of the benchmark's compressor check
-    res = trace_residuals(state, [p.spec for p in state.problem.pipes], state.g,
-                          state.problem.control)
+    res = trace_residuals(state, [p.spec for p in state.problem.pipes], state.g)
     assert res["mass"] <= 1e-9, res
     if state.problem.control is None:
         assert res["enthalpy_spread"] <= 1e-8, res

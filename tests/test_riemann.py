@@ -295,10 +295,10 @@ def test_riemann_invariants_constant_through_fans(rng):
     assert hits > 10
 
 
-def _first_state(sol, UL, UR, xi):
+def _first_state(sol, xi):
     """State of the self-similar solution at x/t = xi: the one run that
     sampling a single point gives."""
-    (state, count), = sample_waves(sol.waves, UL, UR, [xi], G)
+    (state, count), = sample_waves(sol.waves, [xi], G)
     assert count == 1
     return state
 
@@ -307,18 +307,18 @@ def test_sampling_regions():
     UL = m1_state(1.0, 0.0, 1.0, G)
     UR = m1_state(0.125, 0.0, 0.1, G)
     sol = solve_riemann_m1(UL, UR, G)
-    assert _first_state(sol, UL, UR, -10.0) == UL
-    assert _first_state(sol, UL, UR, +10.0) == UR
-    at0 = _first_state(sol, UL, UR, 0.0)
+    assert _first_state(sol, -10.0) == UL
+    assert _first_state(sol, +10.0) == UR
+    at0 = _first_state(sol, 0.0)
     assert pressure(at0, G) == pytest.approx(sol.star, rel=1e-10)
     assert at0.u == pytest.approx(sol.waves[1].speed, rel=1e-10)
     # exactly at the shock: right limit
     s3 = sol.waves[2].speed
-    assert _first_state(sol, UL, UR, s3) == UR
-    assert _first_state(sol, UL, UR, s3 - 1e-9) != UR
+    assert _first_state(sol, s3) == UR
+    assert _first_state(sol, s3 - 1e-9) != UR
     # exactly at the contact: right limit (right star state)
     contact = sol.waves[1]
-    assert _first_state(sol, UL, UR, contact.speed).rho == pytest.approx(contact.right.rho)
+    assert _first_state(sol, contact.speed).rho == pytest.approx(contact.right.rho)
 
 
 def test_sample_waves_one_pass_matches_per_point_scan(rng):
@@ -343,7 +343,7 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
         edges = [s for w in waves for s in _speeds(w)]
         kinds.update(w.kind for w in waves)
         xis = sorted(list(rng.uniform(min(edges) - 1.0, max(edges) + 1.0, 40)) + edges)
-        runs = sample_waves(waves, UL, UR, xis, G)
+        runs = sample_waves(waves, xis, G)
         assert all(n > 0 for _, n in runs)
         assert sum(n for _, n in runs) == len(xis)
         assert all(a is not b for (a, _), (b, _) in zip(runs, runs[1:]))
@@ -362,9 +362,9 @@ def test_sample_waves_one_pass_matches_per_point_scan(rng):
                 fan_points += 1
         for w in waves:
             if w.kind != RAREFACTION:
-                (at, n), = sample_waves(waves, UL, UR, [w.speed], G)
+                (at, n), = sample_waves(waves, [w.speed], G)
                 assert at is (w.right if w is not waves[-1] else UR) and n == 1
-        assert sample_waves(waves, UL, UR, [], G) == []
+        assert sample_waves(waves, [], G) == []
     assert kinds == {SHOCK, RAREFACTION, CONTACT}
     assert fan_points > 0
 

@@ -226,6 +226,16 @@ def test_each_violation_names_its_path(doc, old, new, violation):
     assert err.value.violations == [violation]
 
 
+@pytest.mark.parametrize("value, shown", [("[]", "[]"), ("{}", "{}"), ("bogus", "'bogus'")])
+def test_a_replaced_mode_is_still_checked(value, shown):
+    # a mode given in place of the document's does not hide an invalid one
+    doc = MINIMAL.replace("mode: riemann", f"mode: {value}")
+    for mode in ("riemann", "simulate"):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(doc, mode=mode)
+        assert err.value.violations == [f"run.mode: must be riemann or simulate, got {shown}"]
+
+
 @pytest.mark.parametrize("mode, line", [
     ("riemann", "epsilon_ladder: [0.1]"),
     ("riemann", "tv_bound: 1.0e-12"),
@@ -1323,6 +1333,37 @@ def test_shipped_runs_expand_to_per_point_records(name, monkeypatch):
     path, mode = ORACLE_SHIPPED[name]
     _assert_runs_expand_to_per_point_records(parse_scenario(path.read_text(), mode=mode),
                                              _kept_solves(monkeypatch))
+
+
+def test_trace_residuals_read_the_runs_own_coupling_problem():
+    # a tracked compressor's traces are checked against its control row,
+    # not a junction's enthalpy row; specs or constants other than the
+    # run's own are refused
+    sc = parse_scenario(DOCUMENTS["compressor_head.yaml"], mode="simulate")
+    state = scenario._simulate(sc, sc.run.epsilon)
+    res = scenario.trace_residuals(state, sc.specs, sc.constants)
+    assert "enthalpy_spread" not in res and res["control"] <= 1e-12
+    for specs, g in ((sc.specs[::-1], sc.constants), (sc.specs, GasConstants(R=288.0))):
+        with pytest.raises(ValueError, match="not the run's own"):
+            scenario.trace_residuals(state, specs, g)
+
+
+def test_a_tracked_run_on_constant_data_is_riemann_mode(monkeypatch):
+    # the pipes are half-lines, so a run on constant data emits the
+    # coupling solve's waves at t = 0 and makes no event after: its traces
+    # are riemann mode's star states at the same tol, bit for bit
+    texts = ([DOCUMENTS[p.name] for p in SHIPPED if p != SHIPPED_TRACKING]
+             + _bench_documents("riemann_batch", 3)[:40])
+    assert len(texts) == 42
+    solved = _kept_solves(monkeypatch)
+    for text in texts:
+        solved.clear()
+        run_scenario(parse_scenario(text))
+        (sol, _), = solved
+        sc = parse_scenario(text, mode="simulate", horizon=1.0)
+        state = scenario._simulate(sc, sc.run.epsilon)
+        assert state.time == 1.0 and state.events == 0
+        assert state.traces() == list(sol.star_states)
 
 
 @pytest.mark.parametrize("levels", [1_000, 1_001])

@@ -413,11 +413,9 @@ def test_scenarios_have_one_yaml_loader():
     assert found == []
 
 
-def test_tracker_builds_one_coupling_problem():
-    # a run's coupling problem is built once, on the t = 0 traces, and
-    # every later solve takes it at new data with JunctionProblem.at:
-    # fronttracking calls the constructor in FrontTrackingState.__init__
-    # alone
+def _junction_problem_calls(module):
+    """The enclosing class and function of each ``JunctionProblem(...)``
+    call in ``src/gasnet/<module>``."""
     found = []
 
     def visit(node, where):
@@ -432,8 +430,22 @@ def test_tracker_builds_one_coupling_problem():
                     found.append(where)
             visit(child, inner)
 
-    visit(ast.parse((SRC / "fronttracking.py").read_text()), "")
-    assert found == ["FrontTrackingState.__init__"]
+    visit(ast.parse((SRC / module).read_text()), "")
+    return found
+
+
+def test_tracker_builds_one_coupling_problem():
+    # a run's coupling problem is built once, on the t = 0 traces, and
+    # every later solve takes it at new data with JunctionProblem.at:
+    # fronttracking calls the constructor in FrontTrackingState.__init__
+    # alone
+    assert _junction_problem_calls("fronttracking.py") == ["FrontTrackingState.__init__"]
+
+
+def test_scenario_builds_a_coupling_problem_only_in_riemann_mode():
+    # a tracked run's residuals read the run's own problem (state.problem),
+    # so scenario builds one only for riemann mode's single solve
+    assert _junction_problem_calls("scenario.py") == ["_run_riemann"]
 
 
 def test_a_failing_property_does_not_end_the_session(tmp_path):
